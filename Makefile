@@ -15,6 +15,9 @@ vet:
 
 test: vet chaos
 	$(GO) test ./...
+	# Chunk order on the default read path: a reorder between two event
+	# workers is a timing flake, so one run can miss it.
+	$(GO) test -count=50 -run 'TestLargeRequestAcrossManyChunks|TestPipelinedBurstKeepsChunkOrder' ./internal/nserver
 	# The sharded runtime must degenerate cleanly on one core: the shard
 	# loops, work stealing and fan-out accept paths re-run serialized.
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor

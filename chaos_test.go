@@ -1287,7 +1287,15 @@ func TestChaosSlowReaderEventDriven(t *testing.T) {
 		tc.SetReadBuffer(64 << 10)
 	}
 	fmt.Fprintf(stalled, "GET /huge.bin HTTP/1.0\r\n\r\n")
+	// Attach runs on a worker after the accept: until it has, an empty
+	// conn table would read as "already reaped".
 	deadline := time.Now().Add(5 * time.Second)
+	for fw.ActiveConns() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled reader never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for fw.ParkedWrites() == 0 && fw.ActiveConns() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stream to a stalled reader never parked")

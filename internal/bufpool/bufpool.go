@@ -9,9 +9,9 @@
 // Ownership rule (documented in DESIGN.md §5): the component that calls
 // Get leases the buffer and is responsible for exactly one Release, unless
 // it explicitly hands the lease to another component — the Communicator's
-// read loop, for example, leases a chunk, attaches it to a reactor.Ready
-// event, and the event handler releases it after the Decode Request step
-// has consumed the bytes. A released buffer must not be touched again.
+// read loop, for example, leases a chunk, queues it on the connection's
+// inbox, and the drain that pops it releases it after the Decode Request
+// step has consumed the bytes. A released buffer must not be touched again.
 package bufpool
 
 import "sync"

@@ -277,7 +277,13 @@ func TestCacheServesRepeatRequests(t *testing.T) {
 			t.Fatalf("iteration %d: %d %q", i, status, body)
 		}
 	}
+	// The serve counters are bumped after the reply is on the wire, so the
+	// last request's may land just after the client has read it.
 	snap := s.Framework().Profile().Snapshot()
+	for deadline := time.Now().Add(2 * time.Second); snap.CacheHits+snap.CacheMisses+snap.DirectDispatched < 4 &&
+		time.Now().Before(deadline); snap = s.Framework().Profile().Snapshot() {
+		time.Sleep(time.Millisecond)
+	}
 	// Under the direct-dispatch sweep repeat requests are served from the
 	// rendered-response cache and never reach the file cache, so the three
 	// repeats split between file-cache hits (queued path) and direct

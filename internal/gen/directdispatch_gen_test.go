@@ -41,9 +41,9 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 	}
 
 	markers := []string{
-		"FastPath", "pollDrainDirect", "drainUntilBlockedDirect",
-		"drainReadableDirect", "processChunkDirect", "puntLocked",
-		"resumePunted", "tryFastHandle", "fastGateClear",
+		"FastPath", "c.readable(s.tryFastHandle)",
+		"func (c *Communicator) punt(req any) bool", "resumePunted",
+		"tryFastHandle", "fastGateClear",
 		"func (s *Server) DirectDispatch() bool",
 	}
 
@@ -63,7 +63,7 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 	for _, present := range append(markers,
 		// The queued path must survive the weave: misses, pipelined
 		// backlogs and overload all fall back to it.
-		"case readyPoll:",
+		"case readyRead:\n\t\tc.readable(nil)",
 		"go c.readLoop()",
 	) {
 		if !strings.Contains(dd, present) {

@@ -60,9 +60,8 @@ func TestEventDrivenCrosscutWeaving(t *testing.T) {
 		"const pollerSupported = true", "const pollerSupported = false",
 		"syscall.EPOLL_CTL_ADD", "epolletFlag uint32 = 1 << 31",
 		"func (c *Communicator) tryPollAttach(p *poller) bool",
-		"func (c *Communicator) pollDrain()",
-		"func (c *Communicator) drainReadable()",
-		"case readyPoll:",
+		"n, again, _ := nonblockRead(c.raw, *bufp)",
+		"var readBufs = sync.Pool",
 		"func (s *Server) ParkedConns() int",
 		"go c.readLoop()", // the fallback path must survive the weave
 		// The write-side crosscut: parked outbound queues drained on

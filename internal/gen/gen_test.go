@@ -537,6 +537,43 @@ func main() {
 			t.Fatalf("got %q want %q", line, want)
 		}
 	}
+
+	// A line longer than one 32 KiB read chunk, then a pipelined burst
+	// spanning dozens of chunks, all in one write: with 4 event threads
+	// every echo must still come back byte-exact and in order.
+	big := strings.Repeat("x", 100<<10)
+	const lines = 16 << 10
+	pad := strings.Repeat("p", 48)
+	var burst strings.Builder
+	fmt.Fprintf(&burst, "%s\n", big)
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&burst, "line %06d %s\n", i, pad)
+	}
+	werr := make(chan error, 1)
+	go func() {
+		_, err := conn.Write([]byte(burst.String()))
+		werr <- err
+	}()
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	line, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatalf("large line: %v", err)
+	}
+	if line != "echo: "+big+"\n" {
+		t.Fatalf("large line echoed corrupted (%d bytes back)", len(line))
+	}
+	for i := 0; i < lines; i++ {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("burst reply %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("echo: line %06d %s\n", i, pad); line != want {
+			t.Fatalf("burst reply %d = %q, want %q", i, line, want)
+		}
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("burst write: %v", err)
+	}
 }
 
 func TestCountSource(t *testing.T) {

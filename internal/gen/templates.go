@@ -523,12 +523,12 @@ type readyKind int
 
 const (
 	readyAccept readyKind = iota
+	// readyRead signals inbound bytes to drain: a chunk readLoop queued{{if .EventDriven}},
+	// or kernel-reported readability (the bytes stay in the socket until
+	// the drain reads them on a worker){{end}}.
 	readyRead
 	readyClose
 	{{- if .EventDriven}}
-	// readyPoll signals kernel-reported readability: the bytes stay in
-	// the socket until the drain reads them on a worker.
-	readyPoll
 	// readyWrite signals kernel-reported writability of a connection
 	// holding parked outbound bytes: the drain resumes on a worker.
 	readyWrite
@@ -539,7 +539,6 @@ const (
 type ready struct {
 	kind   readyKind
 	handle Handle
-	data   []byte
 	conn   net.Conn
 	err    error
 	{{- if .Scheduling}}
@@ -1149,9 +1148,14 @@ type Communicator struct {
 	// the connection's ready events flow through it.
 	reactor *Reactor
 	{{- end}}
+	// Read side (see readable): rwake counts readiness wakeups no drain
+	// pass has covered yet; inbox holds the chunks readLoop read, in
+	// order, under inMu.
+	rwake atomic.Int64
+	inMu  sync.Mutex
+	inbox [][]byte
 	{{- if .Codec}}
 	inbuf []byte
-	pipe  sync.Mutex
 	{{- end}}
 	writeMu sync.Mutex
 	closed  atomic.Bool
@@ -1164,21 +1168,19 @@ type Communicator struct {
 	{{- end}}
 	{{- if .EventDriven}}
 	// Kernel-event read path: polled marks a connection parked in the
-	// platform poller with no reader goroutine; pollState serializes
-	// concurrent drains against new readiness (armed/draining/re-arm).
-	polled    atomic.Bool
-	fd        int
-	raw       syscall.RawConn
-	pollState atomic.Int32
-	poller    *poller
+	// platform poller with no reader goroutine, whose drains read the
+	// socket through raw.
+	polled atomic.Bool
+	fd     int
+	raw    syscall.RawConn
+	poller *poller
 	// Kernel-event write path: outq holds reply bytes the socket
 	// refused (EAGAIN or a short non-blocking write){{if .LargeFile}} and residual file
 	// ranges{{end}}, in wire order. While it is non-empty the poller is armed
 	// for EPOLLOUT, new Sends append behind it, and pollWriteDrain
 	// moves bytes on writability. outMu serializes the queue against
-	// concurrent Sends; unlike the read side's lock-free state machine,
-	// drains never block on I/O, so holding a mutex across them is
-	// bounded and cheap.
+	// concurrent Sends; drains never block on I/O, so holding a mutex
+	// across them is bounded and cheap.
 	outMu      sync.Mutex
 	outq       []outItem
 	outBytes   int
@@ -1453,7 +1455,10 @@ func (c *Communicator) shutdown(cause error) {
 	c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyClose, handle: c.handle, err: cause{{if .Scheduling}}, prio: c.Priority(){{end}}})
 }
 
-// readLoop is the Read Request step: raw bytes become read events.
+// readLoop is the Read Request step of a connection served by a reader
+// goroutine{{if .EventDriven}} (one the platform poller cannot park){{end}}: blocking reads
+// queue copies of the bytes on the inbox, in read order, and each chunk
+// wakes the connection with a readyRead event.
 func (c *Communicator) readLoop() {
 	buf := make([]byte, 32*1024)
 	for {
@@ -1472,9 +1477,10 @@ func (c *Communicator) readLoop() {
 			{{- if .TrackActivity}}
 			c.touch()
 			{{- end}}
-			chunk := make([]byte, n)
-			copy(chunk, buf[:n])
-			c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyRead, handle: c.handle, data: chunk{{if .Scheduling}}, prio: c.Priority(){{end}}})
+			c.inMu.Lock()
+			c.inbox = append(c.inbox, append([]byte(nil), buf[:n]...))
+			c.inMu.Unlock()
+			c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyRead, handle: c.handle{{if .Scheduling}}, prio: c.Priority(){{end}}})
 		}
 		if err != nil {
 			c.shutdown(nil)
@@ -1487,45 +1493,8 @@ func (c *Communicator) readLoop() {
 func (c *Communicator) handleReady(rd ready) {
 	switch rd.kind {
 	case readyRead:
-		{{- if .Codec}}
-		c.pipe.Lock()
-		defer c.pipe.Unlock()
-		if c.closed.Load() {
-			return
-		}
-		{{- if .CapRequest}}
-		if len(c.inbuf)+len(rd.data) > maxRequestBytes {
-			c.shutdown(errRequestTooLarge)
-			return
-		}
-		{{- end}}
-		c.inbuf = append(c.inbuf, rd.data...)
-		for {
-			{{- if .Profiling}}
-			decodeStart := time.Now()
-			{{- end}}
-			req, n, err := c.decodeSafe()
-			{{- if .Profiling}}
-			c.srv.Profile.Stages[stageDecode].Observe(time.Since(decodeStart))
-			{{- end}}
-			if n > 0 {
-				c.inbuf = c.inbuf[n:]
-				c.srv.handleRequest(c, req)
-			}
-			if err != nil {
-				c.shutdown(err)
-				return
-			}
-			if n == 0 || len(c.inbuf) == 0 {
-				return
-			}
-		}
-		{{- else}}
-		c.srv.handleRequest(c, rd.data)
-		{{- end}}
+		c.readable({{if .DirectDispatch}}nil{{end}})
 	{{- if .EventDriven}}
-	case readyPoll:
-		c.pollDrain()
 	case readyWrite:
 		c.pollWriteDrain()
 	{{- end}}
@@ -1535,16 +1504,136 @@ func (c *Communicator) handleReady(rd ready) {
 	}
 }
 
+// readable consumes one readiness wakeup: a chunk queued by readLoop{{if .EventDriven}}, or
+// an edge the platform poller reported{{end}}. rwake counts the wakeups no drain pass
+// has covered yet; the one that lifts it from zero runs the drain, the
+// others only leave their count for that owner. So one owner at a time
+// runs a connection's pipeline, in read order, and no wakeup is lost.
+func (c *Communicator) readable({{if .DirectDispatch}}fast func(*Communicator, any) bool{{end}}) {
+	if c.rwake.Add(1) == 1 {
+		c.drain({{if .DirectDispatch}}fast{{end}})
+	}
+}
+
+// drain is the one Read Request{{if .Codec}} → Decode Request{{end}} loop. Each pass takes
+// chunks until none is ready, then retires the wakeups counted when it
+// began, going around again if more landed meanwhile.{{if .DirectDispatch}} fast is the
+// FastPath hook (nil sends every request down the queued Handle path);
+// a punt returns with the drain still owned — resumePunted re-enters.{{end}}
+func (c *Communicator) drain({{if .DirectDispatch}}fast func(*Communicator, any) bool{{end}}) {
+	for {
+		seen := c.rwake.Load()
+		for !c.closed.Load() {
+			chunk := c.nextChunk()
+			if chunk == nil {
+				break
+			}
+			{{- if .Codec}}
+			{{- if .CapRequest}}
+			if len(c.inbuf)+len(chunk) > maxRequestBytes {
+				c.shutdown(errRequestTooLarge)
+				break
+			}
+			{{- end}}
+			c.inbuf = append(c.inbuf, chunk...)
+			{{- if .DirectDispatch}}
+			if c.decodeLoop(fast) {
+				return
+			}
+			{{- else}}
+			c.decodeLoop()
+			{{- end}}
+			{{- else}}
+			c.srv.handleRequest(c, chunk)
+			{{- end}}
+		}
+		if c.rwake.Add(-seen) == 0 {
+			return
+		}
+	}
+}
+
+// nextChunk returns the next chunk of inbound bytes, or nil when none is
+// ready{{if .EventDriven}}. A parked connection reads its socket without blocking (nil
+// on EAGAIN, the edge-triggered stop); end of stream and read errors alike
+// shut it down without a cause, as readLoop does. Any other connection
+// pops its inbox{{end}}.
+func (c *Communicator) nextChunk() []byte {
+	{{- if .EventDriven}}
+	if c.raw != nil {
+		bufp := readBufs.Get().(*[]byte)
+		defer readBufs.Put(bufp)
+		{{- if .Profiling}}
+		readStart := time.Now()
+		{{- end}}
+		n, again, _ := nonblockRead(c.raw, *bufp)
+		if n == 0 {
+			if !again {
+				c.shutdown(nil)
+			}
+			return nil
+		}
+		{{- if .Profiling}}
+		c.srv.Profile.Stages[stageRead].Observe(time.Since(readStart))
+		c.srv.Profile.BytesRead.Add(uint64(n))
+		{{- end}}
+		{{- if .TrackActivity}}
+		c.touch()
+		{{- end}}
+		return append([]byte(nil), (*bufp)[:n]...)
+	}
+	{{- end}}
+	c.inMu.Lock()
+	defer c.inMu.Unlock()
+	if len(c.inbox) == 0 {
+		return nil
+	}
+	chunk := c.inbox[0]
+	c.inbox[0] = nil
+	c.inbox = c.inbox[1:]
+	return chunk
+}
+
+{{if .Codec}}
+// decodeLoop is the Decode Request step: it dispatches every complete
+// request in the decode buffer{{if .DirectDispatch}}, offering each to fast first when it is
+// set. The first request fast declines punts, and the report is true{{end}}.
+func (c *Communicator) decodeLoop({{if .DirectDispatch}}fast func(*Communicator, any) bool) bool{{else}}){{end}} {
+	for {
+		{{- if .Profiling}}
+		decodeStart := time.Now()
+		{{- end}}
+		req, n, err := c.decodeSafe()
+		{{- if .Profiling}}
+		c.srv.Profile.Stages[stageDecode].Observe(time.Since(decodeStart))
+		{{- end}}
+		if n > 0 {
+			c.inbuf = c.inbuf[n:]
+			{{- if .DirectDispatch}}
+			if fast == nil {
+				c.srv.handleRequest(c, req)
+			} else if !fast(c, req) {
+				return c.punt(req)
+			}
+			{{- else}}
+			c.srv.handleRequest(c, req)
+			{{- end}}
+		}
+		if err != nil {
+			c.shutdown(err)
+			return{{if .DirectDispatch}} false{{end}}
+		}
+		if n == 0 || len(c.inbuf) == 0 {
+			return{{if .DirectDispatch}} false{{end}}
+		}
+	}
+}
+{{end}}
+
 {{if .EventDriven}}
-// Drain states of a parked connection. A readiness event claims the
-// drain by moving armed -> draining; an event arriving while a drain
-// runs records itself as re-arm so the bytes it announced are picked up
-// before the connection re-parks (edge-triggered wakeups never repeat).
-const (
-	pollArmed int32 = iota
-	pollDraining
-	pollRearm
-)
+// readBufs pools the scratch of non-blocking socket reads, so a parked
+// connection holds no read buffer between edges.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 32*1024); return &b }}
 
 // tryPollAttach parks the connection in the platform poller, reporting
 // false when the transport hides its descriptor (a wrapped net.Conn)
@@ -1561,8 +1650,11 @@ func (c *Communicator) tryPollAttach(p *poller) bool {
 	if err != nil {
 		return false
 	}
+	// raw selects the socket as the drain's source, so it is set before
+	// the registration: the first edge may be drained before add returns.
 	c.fd, c.raw, c.poller = fd, raw, p
 	if err := p.add(fd, c.handle{{if .Scheduling}}, c.Priority(){{end}}); err != nil {
+		c.raw = nil
 		return false
 	}
 	c.polled.Store(true)
@@ -1575,245 +1667,38 @@ func (c *Communicator) tryPollAttach(p *poller) bool {
 	return true
 }
 
-func (c *Communicator) pollDrain() {
-	for {
-		switch c.pollState.Load() {
-		case pollArmed:
-			if c.pollState.CompareAndSwap(pollArmed, pollDraining) {
-				c.drainUntilBlocked()
-				return
-			}
-		case pollDraining:
-			if c.pollState.CompareAndSwap(pollDraining, pollRearm) {
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
-func (c *Communicator) drainUntilBlocked() {
-	for {
-		c.drainReadable()
-		if c.pollState.CompareAndSwap(pollDraining, pollArmed) {
-			return
-		}
-		// A readiness event arrived mid-drain: claim it and go again.
-		c.pollState.Store(pollDraining)
-	}
-}
-
-// drainReadable is the Read Request step of a parked connection: it
-// takes non-blocking reads until the socket reports EAGAIN, feeding each
-// chunk through the same pipeline the goroutine path uses.
-func (c *Communicator) drainReadable() {
-	buf := make([]byte, 32*1024)
-	for {
-		if c.closed.Load() {
-			return
-		}
-		{{- if .Profiling}}
-		readStart := time.Now()
-		{{- end}}
-		n, again, err := nonblockRead(c.raw, buf)
-		if n > 0 {
-			{{- if .Profiling}}
-			c.srv.Profile.Stages[stageRead].Observe(time.Since(readStart))
-			c.srv.Profile.BytesRead.Add(uint64(n))
-			{{- end}}
-			{{- if .TrackActivity}}
-			c.touch()
-			{{- end}}
-			chunk := make([]byte, n)
-			copy(chunk, buf[:n])
-			c.handleReady(ready{kind: readyRead, handle: c.handle, data: chunk{{if .Scheduling}}, prio: c.Priority(){{end}}})
-		}
-		if again {
-			return
-		}
-		if err != nil || n == 0 {
-			c.shutdown(nil)
-			return
-		}
-	}
-}
-
 {{if .DirectDispatch}}
-// Run-to-completion fast path. The poller goroutine, instead of
-// emitting readyPoll into the event queue, claims the socket with the
-// same three-state machine as pollDrain and drains it inline: each
-// decoded request is offered to the Server's FastPath hook, and a hit
-// is answered without ever leaving the reactor goroutine. The first
-// request the hook declines PUNTS the drain: the declined request plus
-// the continuation of the decode loop and the socket drain are
-// submitted to the Event Processor as one event — so overload control
-// still observes a queue wait for every request the fast path could
-// not finish — while poll ownership (pollState) stays claimed across
-// the handoff. Concurrent readiness edges therefore only set pollRearm,
-// and the punted continuation's closing drainUntilBlocked both collects
-// them and releases ownership.
+// Run-to-completion fast path. The poller goroutine, instead of emitting
+// readyRead into the event queue, takes the readiness wakeup itself and
+// drains inline with the FastPath hook: a hit is answered without ever
+// leaving the poller goroutine.
 
-// pollDrainDirect handles one readable edge in direct mode: claim the
-// socket and drain it inline, or leave a re-drain request for the drain
-// already running (which may be a punted continuation on a worker).
-func (c *Communicator) pollDrainDirect() {
-	for {
-		switch c.pollState.Load() {
-		case pollArmed:
-			if c.pollState.CompareAndSwap(pollArmed, pollDraining) {
-				c.drainUntilBlockedDirect()
-				return
-			}
-		case pollDraining:
-			if c.pollState.CompareAndSwap(pollDraining, pollRearm) {
-				return
-			}
-		default: // pollRearm: a re-drain is already queued behind the owner.
-			return
-		}
-	}
-}
-
-// drainUntilBlockedDirect is drainUntilBlocked for direct mode: a punted
-// drain returns immediately without releasing ownership — the queued
-// continuation finishes the drain and the release.
-func (c *Communicator) drainUntilBlockedDirect() {
-	for {
-		if c.drainReadableDirect() {
-			return
-		}
-		if c.pollState.CompareAndSwap(pollDraining, pollArmed) {
-			return
-		}
-		c.pollState.Store(pollDraining)
-	}
-}
-
-// drainReadableDirect is drainReadable with the fast-path decode loop.
-// It reports whether the drain punted to the event queue.
-func (c *Communicator) drainReadableDirect() (punted bool) {
-	buf := make([]byte, 32*1024)
-	for {
-		if c.closed.Load() {
-			return false
-		}
-		{{- if .Profiling}}
-		readStart := time.Now()
-		{{- end}}
-		n, again, err := nonblockRead(c.raw, buf)
-		if n > 0 {
-			{{- if .Profiling}}
-			c.srv.Profile.Stages[stageRead].Observe(time.Since(readStart))
-			c.srv.Profile.BytesRead.Add(uint64(n))
-			{{- end}}
-			{{- if .TrackActivity}}
-			c.touch()
-			{{- end}}
-			punted = c.processChunkDirect(buf[:n])
-		}
-		if punted {
-			return true
-		}
-		if again {
-			return false
-		}
-		if err != nil || n == 0 {
-			c.shutdown(nil)
-			return false
-		}
-	}
-}
-
-// processChunkDirect feeds one chunk through the decode loop, offering
-// each decoded request to the FastPath hook first. The first declined
-// request punts this request and the rest of the drain to the event
-// queue; the report is true in that case.
-func (c *Communicator) processChunkDirect(chunk []byte) (punted bool) {
-	c.pipe.Lock()
-	defer c.pipe.Unlock()
-	if c.closed.Load() {
-		return false
-	}
-	{{- if .CapRequest}}
-	if len(c.inbuf)+len(chunk) > maxRequestBytes {
-		c.shutdown(errRequestTooLarge)
-		return false
-	}
-	{{- end}}
-	c.inbuf = append(c.inbuf, chunk...)
-	for {
-		{{- if .Profiling}}
-		decodeStart := time.Now()
-		{{- end}}
-		req, n, err := c.decodeSafe()
-		{{- if .Profiling}}
-		c.srv.Profile.Stages[stageDecode].Observe(time.Since(decodeStart))
-		{{- end}}
-		if n > 0 {
-			c.inbuf = c.inbuf[n:]
-			if !c.srv.tryFastHandle(c, req) {
-				c.puntLocked(req)
-				return true
-			}
-		}
-		if err != nil {
-			c.shutdown(err)
-			return false
-		}
-		if n == 0 || len(c.inbuf) == 0 {
-			return false
-		}
-	}
-}
-
-// puntLocked hands a declined request and the rest of the direct drain
-// to the Event Processor. Poll ownership stays claimed (pollState is
-// left at pollDraining/pollRearm) so no concurrent drain can touch the
-// pipeline before the continuation runs. The caller holds pipe.
-func (c *Communicator) puntLocked(req any) {
+// punt hands a request the FastPath hook declined, plus the rest of the
+// drain, to the Event Processor as one event — so overload control
+// still observes a queue wait for every request the fast path could not
+// finish — and reports whether it was queued. The drain stays owned
+// across the handoff: readiness meanwhile only adds to rwake, which the
+// continuation's drain collects. A refused continuation (shutdown) tears
+// the connection down instead: silently dropping a decoded pipelined
+// request would desynchronize it.
+func (c *Communicator) punt(req any) bool {
 	err := c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.proc.Submit(funcEvent{ {{- if .Scheduling}}prio: c.Priority(), {{end}}fn: func() { c.resumePunted(req) }})
 	if err != nil {
-		// The queue refused the continuation (shutdown): silently
-		// dropping a decoded pipelined request would desynchronize the
-		// connection, so it tears down instead.
 		c.shutdown(err)
-		c.pollState.Store(pollArmed)
+		return false
 	}
+	return true
 }
 
-// resumePunted continues a punted direct drain on an Event Processor
-// worker: the declined request runs through the normal Handle path, the
-// remaining buffered requests decode and dispatch as usual, and the
-// socket drain resumes in queued mode — whose completion releases poll
-// ownership and collects any readiness edges that landed meanwhile.
+// resumePunted continues a punted drain on an Event Processor worker: the
+// declined request takes the normal Handle path, and the rest of the
+// decode buffer and the socket drain follow in queued mode.
 func (c *Communicator) resumePunted(req any) {
-	c.pipe.Lock()
 	if !c.closed.Load() {
 		c.srv.handleRequest(c, req)
-		for !c.closed.Load() {
-			{{- if .Profiling}}
-			decodeStart := time.Now()
-			{{- end}}
-			next, n, err := c.decodeSafe()
-			{{- if .Profiling}}
-			c.srv.Profile.Stages[stageDecode].Observe(time.Since(decodeStart))
-			{{- end}}
-			if n > 0 {
-				c.inbuf = c.inbuf[n:]
-				c.srv.handleRequest(c, next)
-			}
-			if err != nil {
-				c.shutdown(err)
-				break
-			}
-			if n == 0 || len(c.inbuf) == 0 {
-				break
-			}
-		}
+		c.decodeLoop(nil)
 	}
-	c.pipe.Unlock()
-	c.drainUntilBlocked()
+	c.drain(nil)
 }
 {{end}}
 
@@ -2316,14 +2201,14 @@ func NewServer(hooks Hooks) *Server {
 				r := s.reactors[i]
 				p := s.pollers[i]
 				go p.run(func(h Handle, writable bool{{if .Scheduling}}, prio int{{end}}) {
-					k := readyPoll
+					k := readyRead
 					if writable {
 						k = readyWrite
 					}
 					{{- if .DirectDispatch}}
-					if k == readyPoll && s.FastPath != nil && s.fastGateClear() {
+					if k == readyRead && s.FastPath != nil && s.fastGateClear() {
 						if c := s.lookup(h); c != nil {
-							c.pollDrainDirect()
+							c.readable(s.tryFastHandle)
 							return
 						}
 					}
@@ -2336,14 +2221,14 @@ func NewServer(hooks Hooks) *Server {
 		if p, err := newPoller(); err == nil {
 			s.poller = p
 			go p.run(func(h Handle, writable bool{{if .Scheduling}}, prio int{{end}}) {
-				k := readyPoll
+				k := readyRead
 				if writable {
 					k = readyWrite
 				}
 				{{- if .DirectDispatch}}
-				if k == readyPoll && s.FastPath != nil && s.fastGateClear() {
+				if k == readyRead && s.FastPath != nil && s.fastGateClear() {
 					if c := s.lookup(h); c != nil {
-						c.pollDrainDirect()
+						c.readable(s.tryFastHandle)
 						return
 					}
 				}

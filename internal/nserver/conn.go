@@ -67,20 +67,25 @@ type Conn struct {
 	// trickles one byte per deadline window.
 	reqStart atomic.Int64
 
-	// pipeMu serializes the per-connection pipeline: decode and handler
-	// invocations for one connection never run concurrently.
-	pipeMu sync.Mutex
-	inbuf  []byte
-
-	// Kernel-event read path state (Options.EventDriven): polled marks a
-	// connection whose reads are driven by the shard poller instead of a
-	// readLoop goroutine; fd and raw are its descriptor and the
-	// lifetime-safe read capability. pollState serializes edge-triggered
-	// drains (see pollDrain).
-	polled    atomic.Bool
-	fd        int
-	raw       syscall.RawConn
-	pollState atomic.Int32
+	// Read side (see drain): rgate serializes drains of inbound bytes —
+	// the same reactor.DrainGate the write side's wgate is — so one
+	// owner at a time runs a connection's pipeline: its chunks decode in
+	// read order into inbuf, and its Handle calls never overlap. A
+	// connection parked in the shard poller (Options.EventDriven) drains
+	// its socket through raw, the lifetime-safe read capability of fd;
+	// polled marks it for the write path and teardown. Any other
+	// connection (raw == nil) drains the FIFO inbox its readLoop fills:
+	// inbox[inHead:] under inMu, with inClosed set once finalize has
+	// released what was left.
+	rgate    reactor.DrainGate
+	inbuf    []byte
+	polled   atomic.Bool
+	fd       int
+	raw      syscall.RawConn
+	inMu     sync.Mutex
+	inbox    []*bufpool.Buffer
+	inHead   int
+	inClosed bool
 
 	// Kernel-event write path state (writeq.go): wgate serializes
 	// EPOLLOUT drains, outq holds parked reply residuals under writeMu,
@@ -386,25 +391,27 @@ func (c *Conn) teardown(cause error) {
 			c.sh.poller.Del(c.fd)
 		}
 		c.conn.Close()
-		_ = c.sh.reactor.Source().Emit(reactor.Ready{
+		if err := c.sh.reactor.Source().Emit(reactor.Ready{
 			Type:   reactor.CloseReady,
 			Handle: c.handle,
 			Data:   cause,
 			Prio:   c.Priority(),
-		})
+		}); err != nil {
+			// finalize will never run: release the queued chunks here.
+			c.releaseInbox()
+		}
 	})
 }
 
-// readLoop is the framework's Read Request step: it moves raw bytes from
-// the transport into ReadReady events on the Event Source. (In the
-// paper's Java NIO implementation the dispatcher polls read-readiness; Go
-// exposes no portable readiness API, so a per-connection reader goroutine
-// performs the blocking read and feeds the same event path. The bytes
-// enter the pipeline identically.)
-// Each iteration leases a chunk buffer from the pool and hands the lease
-// to the ReadReady event; handleReady releases it once the Decode Request
-// step has consumed the bytes. This removes the per-read allocate-and-copy
-// the seed paid for every chunk.
+// readLoop is the Read Request step of a connection the shard poller
+// cannot park (Go exposes no portable readiness API, and wrapped
+// transports hide their descriptor): a per-connection reader goroutine
+// performs the blocking read into a leased pool buffer and queues the
+// lease on the connection's FIFO inbox, so inbox order is read order.
+// Each chunk then wakes the connection with the same PollReady event the
+// kernel poller emits per edge, so the event queue — and the O9
+// watermarks sampling it — sees one event per chunk; whichever drain the
+// wakeups elect takes the chunks in inbox order.
 func (c *Conn) readLoop() {
 	readTimeout := c.srv.opts.ReadTimeout
 	for {
@@ -421,66 +428,93 @@ func (c *Conn) readLoop() {
 			lease.SetLen(n)
 			c.sh.profile.BytesRead(n)
 			c.touch()
-			if eerr := c.sh.reactor.Source().Emit(reactor.Ready{
-				Type:   reactor.ReadReady,
-				Handle: c.handle,
-				Data:   lease,
-				Prio:   c.Priority(),
-			}); eerr != nil {
-				lease.Release()
-				c.teardown(eerr)
-				return
+			if c.pushInbox(lease) {
+				if eerr := c.sh.reactor.Source().Emit(reactor.Ready{
+					Type:   reactor.PollReady,
+					Handle: c.handle,
+					Prio:   c.Priority(),
+				}); eerr != nil {
+					c.teardown(eerr)
+					return
+				}
 			}
 		} else {
 			lease.Release()
 		}
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
-				c.teardown(nil)
-			} else {
-				c.teardown(err)
-			}
+			c.readEnd(err)
 			return
 		}
 	}
 }
 
+// pushInbox queues one chunk read by readLoop and reports whether it was
+// queued; on a finalized connection the chunk is released instead.
+func (c *Conn) pushInbox(lease *bufpool.Buffer) bool {
+	c.inMu.Lock()
+	defer c.inMu.Unlock()
+	if c.inClosed {
+		lease.Release()
+		return false
+	}
+	c.inbox = append(c.inbox, lease)
+	return true
+}
+
+// popInbox dequeues the oldest chunk (nil when the inbox is empty). The
+// slice rewinds once drained, so a steady stream reuses one backing array.
+func (c *Conn) popInbox() *bufpool.Buffer {
+	c.inMu.Lock()
+	defer c.inMu.Unlock()
+	if c.inHead == len(c.inbox) {
+		return nil
+	}
+	lease := c.inbox[c.inHead]
+	c.inbox[c.inHead] = nil
+	if c.inHead++; c.inHead == len(c.inbox) {
+		c.inbox, c.inHead = c.inbox[:0], 0
+	}
+	return lease
+}
+
+// releaseInbox returns every still-queued chunk to the pool and closes
+// the inbox to readLoop, so each lease is released exactly once: by the
+// drain that popped it, here, or by pushInbox after the close.
+func (c *Conn) releaseInbox() {
+	c.inMu.Lock()
+	left := c.inbox[c.inHead:]
+	c.inbox, c.inHead, c.inClosed = nil, 0, true
+	c.inMu.Unlock()
+	for _, lease := range left {
+		lease.Release()
+	}
+}
+
+// readEnd tears the connection down at the end of its inbound stream: a
+// clean EOF, or a close this side initiated, is not an error.
+func (c *Conn) readEnd(err error) {
+	if err == nil || errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
+		err = nil
+	}
+	c.teardown(err)
+}
+
 // handleReady is the Communicator's event handler, dispatched by the
-// reactor for this connection's handle. ReadReady chunks run the Decode
-// Request and Handle Request steps; CloseReady finalizes the connection.
+// reactor for this connection's handle. PollReady (inbound bytes to
+// drain) runs the Read, Decode and Handle Request steps; WriteReady
+// flushes parked replies; CloseReady finalizes the connection.
 func (c *Conn) handleReady(rd reactor.Ready) {
 	switch rd.Type {
-	case reactor.ReadReady:
-		switch data := rd.Data.(type) {
-		case *bufpool.Buffer:
-			// The read loop's lease: the bytes are consumed by the Decode
-			// Request step inside processChunk, after which the buffer
-			// returns to the pool.
-			c.processChunk(data.Bytes())
-			data.Release()
-		case []byte:
-			// Raw chunks remain accepted for tests and external emitters.
-			c.processChunk(data)
-		}
 	case reactor.PollReady:
-		c.pollDrain()
+		if c.rgate.Claim() {
+			c.drain(nil)
+		}
 	case reactor.WriteReady:
 		c.writePump()
 	case reactor.CloseReady:
 		c.finalize()
 	}
 }
-
-// Poll-drain states. An edge-triggered readiness event repeats only when
-// new bytes arrive, so concurrent drains for one connection must be
-// serialized without ever discarding a wakeup: a discarded wakeup whose
-// bytes the running drain has already passed would strand data in the
-// socket until the peer sends more.
-const (
-	pollArmed    int32 = iota // no drain in flight; the next event claims the socket
-	pollDraining              // a drain owns the socket
-	pollRearm                 // a drain owns the socket and must go around once more
-)
 
 // pollAttach registers the connection with its shard's kernel poller.
 // Transports that expose no raw descriptor (faultnet wrappers, TLS-like
@@ -498,8 +532,11 @@ func (c *Conn) pollAttach() bool {
 	if err != nil {
 		return false
 	}
+	// raw is set before the registration: the first readable edge may be
+	// drained before Add returns.
 	c.fd, c.raw = fd, raw
 	if err := c.sh.poller.Add(fd, c.handle, c.Priority()); err != nil {
+		c.raw = nil
 		return false
 	}
 	c.polled.Store(true)
@@ -512,116 +549,103 @@ func (c *Conn) pollAttach() bool {
 	return true
 }
 
-// pollDrain handles one PollReady event: claim the socket and drain it, or
-// leave a re-drain request for the drain already running.
-func (c *Conn) pollDrain() {
+// fastHook is the direct-dispatch decode hook (Server.tryFastHandle): it
+// reports whether it consumed a decoded request inline.
+type fastHook func(c *Conn, req any) bool
+
+// drain is the one Read Request → Decode Request loop, shared by every
+// read path. The caller owns rgate — a won Claim, or a punted drain's
+// continuation — and drain feeds chunks to the decode loop until the
+// source runs dry (the inbox is empty, or the socket would block: the
+// edge-triggered stop), then releases the gate, going around again when
+// a wakeup landed mid-pass. fast nil sends every request down the queued
+// Handle path; a punt returns with the gate still held.
+func (c *Conn) drain(fast fastHook) {
 	for {
-		switch c.pollState.Load() {
-		case pollArmed:
-			if c.pollState.CompareAndSwap(pollArmed, pollDraining) {
-				c.drainUntilBlocked()
+		for !c.closed.Load() {
+			lease := c.nextChunk()
+			if lease == nil {
+				break
+			}
+			punted := c.decodeChunk(lease.Bytes(), fast)
+			lease.Release()
+			if punted {
 				return
 			}
-		case pollDraining:
-			if c.pollState.CompareAndSwap(pollDraining, pollRearm) {
-				return
-			}
-		default: // pollRearm: a re-drain is already queued behind the owner.
+		}
+		if c.rgate.Release() {
 			return
 		}
 	}
 }
 
-// drainUntilBlocked drains the socket, then releases ownership — unless a
-// readiness event landed mid-drain (pollRearm), in which case it takes the
-// request and drains again. The CAS failure/retry pair guarantees the
-// handoff never loses a wakeup.
-func (c *Conn) drainUntilBlocked() {
-	for {
-		c.drainReadable()
-		if c.pollState.CompareAndSwap(pollDraining, pollArmed) {
-			return
-		}
-		c.pollState.Store(pollDraining)
+// nextChunk returns the next chunk of inbound bytes, or nil when there
+// is none for now. A parked connection reads its socket non-blocking into
+// a leased buffer, and a read that ends the stream tears the connection
+// down; any other connection pops its inbox.
+func (c *Conn) nextChunk() *bufpool.Buffer {
+	if c.raw == nil {
+		return c.popInbox()
 	}
+	lease := bufpool.Get(readChunkSize)
+	readStart := c.sh.profile.StageStart()
+	n, again, err := reactor.NonblockRead(c.raw, lease.Bytes())
+	if n > 0 {
+		c.sh.profile.ObserveSince(profiling.StageRead, readStart)
+		lease.SetLen(n)
+		c.sh.profile.BytesRead(n)
+		c.touch()
+		return lease
+	}
+	lease.Release()
+	if !again {
+		c.readEnd(err)
+	}
+	return nil
 }
 
-// drainReadable is the event-driven Read Request step: non-blocking reads
-// into leased pool buffers until the socket would block (EAGAIN — the
-// edge-triggered stop condition), feeding each chunk to the same Decode
-// Request path as the goroutine read loop. EOF and transport errors end
-// the connection with the same cause mapping as readLoop.
-func (c *Conn) drainReadable() {
-	for {
-		if c.closed.Load() {
-			return
-		}
-		lease := bufpool.Get(readChunkSize)
-		readStart := c.sh.profile.StageStart()
-		n, again, err := reactor.NonblockRead(c.raw, lease.Bytes())
-		if n > 0 {
-			c.sh.profile.ObserveSince(profiling.StageRead, readStart)
-			lease.SetLen(n)
-			c.sh.profile.BytesRead(n)
-			c.touch()
-			c.processChunk(lease.Bytes())
-		}
-		lease.Release()
-		if again {
-			return
-		}
-		if err != nil || n == 0 {
-			if err == nil || errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
-				c.teardown(nil)
-			} else {
-				c.teardown(err)
-			}
-			return
-		}
-	}
-}
-
-// processChunk appends a raw chunk and extracts requests. With a codec the
+// decodeChunk appends a raw chunk and extracts requests. With a codec the
 // Decode Request step loops over complete requests (HTTP pipelining, FTP
 // command batches); without one the chunk itself is the request (Fig. 2).
 // chunk may be pooled memory owned by the caller: it is only valid for the
 // duration of this call, so codec-less handlers must copy any bytes they
-// keep past Handle's return.
-func (c *Conn) processChunk(chunk []byte) {
-	c.pipeMu.Lock()
-	defer c.pipeMu.Unlock()
-	if c.closed.Load() {
-		return
-	}
+// keep past Handle's return. It reports whether the drain punted.
+func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
 	if c.srv.codec == nil {
 		c.srv.handleRequest(c, chunk)
-		return
+		return false
 	}
 	if max := c.srv.opts.MaxRequestBytes; max > 0 && len(c.inbuf)+len(chunk) > max {
 		c.srv.trace.Record("communicator", "request cap exceeded on %d (%d bytes)",
 			c.handle, len(c.inbuf)+len(chunk))
 		c.teardown(ErrRequestTooLarge)
-		return
+		return false
 	}
 	c.inbuf = append(c.inbuf, chunk...)
-	c.decodeLoopLocked()
+	return c.decodeLoop(fast)
 }
 
-// decodeLoopLocked extracts and dispatches buffered requests until the
-// buffer empties or ends in a partial request. The caller holds pipeMu.
-func (c *Conn) decodeLoopLocked() {
+// decodeLoop extracts and dispatches buffered requests until the buffer
+// empties or ends in a partial request. Each request goes to fast first
+// when it is set; the first one it declines punts (see punt), and
+// the report is true.
+func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
 	for {
 		decStart := c.sh.profile.StageStart()
 		req, n, err := c.decodeSafe()
 		c.sh.profile.ObserveSince(profiling.StageDecode, decStart)
 		if n > 0 {
 			c.inbuf = c.inbuf[n:]
-			c.srv.handleRequest(c, req)
+			if fast == nil {
+				c.srv.handleRequest(c, req)
+			} else if !fast(c, req) {
+				return c.punt(req)
+			}
 		}
 		if err != nil {
 			c.srv.trace.Record("communicator", "decode error on %d: %v", c.handle, err)
 			c.teardown(err)
-			return
+			return false
 		}
 		if n == 0 || len(c.inbuf) == 0 {
 			// Track request-assembly age for the slow-client reaper: a
@@ -632,7 +656,7 @@ func (c *Conn) decodeLoopLocked() {
 			} else if c.reqStart.Load() == 0 {
 				c.reqStart.Store(time.Now().UnixNano())
 			}
-			return
+			return false
 		}
 	}
 }
@@ -640,7 +664,7 @@ func (c *Conn) decodeLoopLocked() {
 // decodeSafe runs the codec's Decode hook (Decode Request step) with
 // panic isolation: a panicking decoder becomes a decode error that tears
 // down this connection only, instead of unwinding the dispatcher or an
-// Event Processor worker with the pipeline lock held.
+// Event Processor worker mid-drain.
 func (c *Conn) decodeSafe() (req any, n int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -651,168 +675,39 @@ func (c *Conn) decodeSafe() (req any, n int, err error) {
 	return c.srv.codec.Decode(c.inbuf)
 }
 
-// Run-to-completion fast path (Options.DirectDispatch). The poller
-// goroutine, instead of emitting PollReady into the event queue, claims
-// the socket with the same three-state machine as pollDrain and drains
-// it inline: each decoded request is offered to the application's
-// FastPath hook, and a hot hit is answered without ever leaving the
-// reactor goroutine. The first request the hook declines PUNTS the drain:
-// the declined request plus the continuation of the decode loop and the
-// socket drain are submitted to the shard's event queue as one event —
-// so admission control still observes a queue wait for every request the
-// fast path could not finish — while poll ownership (pollState) stays
-// claimed across the handoff. Concurrent readiness edges therefore only
-// set pollRearm, and the punted continuation's closing drainUntilBlocked
-// both collects them and releases ownership.
-
-// pollDrainDirect handles one readable edge in direct mode: claim the
-// socket and drain it inline, or leave a re-drain request for the drain
-// already running (which may be a punted continuation on a worker).
-func (c *Conn) pollDrainDirect() {
-	for {
-		switch c.pollState.Load() {
-		case pollArmed:
-			if c.pollState.CompareAndSwap(pollArmed, pollDraining) {
-				c.drainUntilBlockedDirect()
-				return
-			}
-		case pollDraining:
-			if c.pollState.CompareAndSwap(pollDraining, pollRearm) {
-				return
-			}
-		default: // pollRearm: a re-drain is already queued behind the owner.
-			return
-		}
-	}
-}
-
-// drainUntilBlockedDirect is drainUntilBlocked for direct mode: a punted
-// drain returns immediately without releasing ownership — the queued
-// continuation finishes the drain and the release.
-func (c *Conn) drainUntilBlockedDirect() {
-	for {
-		if c.drainReadableDirect() {
-			return
-		}
-		if c.pollState.CompareAndSwap(pollDraining, pollArmed) {
-			return
-		}
-		c.pollState.Store(pollDraining)
-	}
-}
-
-// drainReadableDirect is drainReadable with the fast-path decode loop.
-// It reports whether the drain punted to the event queue.
-func (c *Conn) drainReadableDirect() (punted bool) {
-	for {
-		if c.closed.Load() {
-			return false
-		}
-		lease := bufpool.Get(readChunkSize)
-		readStart := c.sh.profile.StageStart()
-		n, again, err := reactor.NonblockRead(c.raw, lease.Bytes())
-		if n > 0 {
-			c.sh.profile.ObserveSince(profiling.StageRead, readStart)
-			lease.SetLen(n)
-			c.sh.profile.BytesRead(n)
-			c.touch()
-			punted = c.processChunkDirect(lease.Bytes())
-		}
-		lease.Release()
-		if punted {
-			return true
-		}
-		if again {
-			return false
-		}
-		if err != nil || n == 0 {
-			if err == nil || errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
-				c.teardown(nil)
-			} else {
-				c.teardown(err)
-			}
-			return false
-		}
-	}
-}
-
-// processChunkDirect is processChunk with each decoded request first
-// offered to the FastPath hook. The first declined request punts this
-// request and the rest of the drain to the event queue; the report is
-// true in that case. Direct mode requires a codec (the hook consumes
-// decoded requests), which Server.directDispatch guarantees.
-func (c *Conn) processChunkDirect(chunk []byte) (punted bool) {
-	c.pipeMu.Lock()
-	defer c.pipeMu.Unlock()
-	if c.closed.Load() {
-		return false
-	}
-	if max := c.srv.opts.MaxRequestBytes; max > 0 && len(c.inbuf)+len(chunk) > max {
-		c.srv.trace.Record("communicator", "request cap exceeded on %d (%d bytes)",
-			c.handle, len(c.inbuf)+len(chunk))
-		c.teardown(ErrRequestTooLarge)
-		return false
-	}
-	c.inbuf = append(c.inbuf, chunk...)
-	for {
-		decStart := c.sh.profile.StageStart()
-		req, n, err := c.decodeSafe()
-		c.sh.profile.ObserveSince(profiling.StageDecode, decStart)
-		if n > 0 {
-			c.inbuf = c.inbuf[n:]
-			if !c.srv.tryFastHandle(c, req) {
-				c.puntLocked(req)
-				return true
-			}
-		}
-		if err != nil {
-			c.srv.trace.Record("communicator", "decode error on %d: %v", c.handle, err)
-			c.teardown(err)
-			return false
-		}
-		if n == 0 || len(c.inbuf) == 0 {
-			if len(c.inbuf) == 0 {
-				c.reqStart.Store(0)
-			} else if c.reqStart.Load() == 0 {
-				c.reqStart.Store(time.Now().UnixNano())
-			}
-			return false
-		}
-	}
-}
-
-// puntLocked hands a declined request and the rest of the direct drain
-// to the shard's event queue. Poll ownership stays claimed (pollState is
-// left at pollDraining/pollRearm) so no concurrent drain can touch the
-// pipeline before the continuation runs. The caller holds pipeMu.
-func (c *Conn) puntLocked(req any) {
+// punt hands a request the direct-dispatch hook declined, plus the
+// rest of the drain, to the shard's event queue as one event — so
+// admission control still observes a queue wait for every request the
+// fast path could not finish. rgate stays claimed across the handoff:
+// readiness edges meanwhile only flag another pass, which the
+// continuation's drain collects before it releases the gate. It reports
+// whether the punt was queued; a refused punt (shutdown or a hard shed)
+// tears the connection down, since silently dropping a decoded pipelined
+// request would desynchronize it, and the caller's drain then releases
+// the gate.
+func (c *Conn) punt(req any) bool {
 	err := c.sh.reactive.Submit(events.PFunc{
 		P: c.Priority(),
 		F: func() { c.resumePunted(req) },
 	})
 	if err != nil {
-		// The queue refused the continuation (shutdown or a hard shed):
-		// the request can never be processed, and silently dropping a
-		// decoded pipelined request would desynchronize the connection.
 		c.srv.trace.Record("communicator", "direct-drain punt refused on %d: %v", c.handle, err)
 		c.teardown(err)
-		c.pollState.Store(pollArmed)
+		return false
 	}
+	return true
 }
 
-// resumePunted continues a punted direct drain on an Event Processor
-// worker: the declined request runs through the normal Handle path, the
-// remaining buffered requests decode and dispatch as usual, and the
-// socket drain resumes in queued mode — whose completion releases poll
-// ownership and collects any readiness edges that landed meanwhile.
+// resumePunted continues a punted drain on an Event Processor worker: the
+// declined request runs through the normal Handle path, the remaining
+// buffered requests decode and dispatch as usual, and the drain resumes
+// in queued mode, releasing the gate it inherited.
 func (c *Conn) resumePunted(req any) {
-	c.pipeMu.Lock()
 	if !c.closed.Load() {
 		c.srv.handleRequest(c, req)
-		c.decodeLoopLocked()
+		c.decodeLoop(nil)
 	}
-	c.pipeMu.Unlock()
-	c.drainUntilBlocked()
+	c.drain(nil)
 }
 
 // RequestPendingFor returns how long the current partially assembled
@@ -830,6 +725,7 @@ func (c *Conn) RequestPendingFor() time.Duration {
 // still parked release their pooled leases and dup'd descriptors here,
 // on the event path, where no write lock is held by the teardown cause.
 func (c *Conn) finalize() {
+	c.releaseInbox()
 	c.freeOutbound()
 	c.srv.detach(c)
 	c.sh.profile.ConnectionClosed()

@@ -847,7 +847,9 @@ func (s *Server) startRuntime() {
 				typ = reactor.WriteReady
 			} else if s.directDispatch && s.fastGateClear() {
 				if c := sh.conn(h); c != nil {
-					c.pollDrainDirect()
+					if c.rgate.Claim() {
+						c.drain(s.tryFastHandle)
+					}
 					return
 				}
 			}

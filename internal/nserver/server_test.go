@@ -444,29 +444,29 @@ func TestOverloadControlPausesAccepts(t *testing.T) {
 	})
 	defer once.Do(func() { close(block) })
 
-	// Saturate: the first request wedges the only worker; each further
-	// single-line write arrives as its own chunk and queues one event,
-	// exceeding the high watermark of 4.
-	c := dial(t, addr)
-	fmt.Fprint(c, "r0\n")
-	for i := 1; i < 12; i++ {
-		time.Sleep(2 * time.Millisecond)
-		fmt.Fprintf(c, "r%d\n", i)
-	}
-	// The gate flips when the acceptor next evaluates it: dialing a new
-	// client wakes the blocked Accept (that client is admitted — the gate
-	// was checked before Accept blocked) and the next admissible() call
-	// observes the backlog and pauses.
-	c2 := dial(t, addr)
-	_ = c2
+	// Saturate: each client sends one request that wedges the worker it
+	// lands on, so once every worker is wedged the later clients' attach
+	// and read events pile up in the reactive queues past the high
+	// watermark of 4. (One client's pipelined chunks would not do it: its
+	// read wakeups coalesce behind the single drain that owns the
+	// connection.) Each dial also wakes the acceptor, which evaluates the
+	// gate before its next Accept.
+	clients := 0
 	deadline := time.After(5 * time.Second)
 	for !s.Overload().Paused() {
+		if clients < 40 {
+			c := dial(t, addr)
+			fmt.Fprintf(c, "r%d\n", clients)
+			clients++
+		}
 		select {
 		case <-deadline:
-			t.Fatalf("overload never paused accepting (reactive queue backlog too small?)")
-		case <-time.After(time.Millisecond):
+			t.Fatalf("overload never paused accepting after %d clients", clients)
+		case <-time.After(2 * time.Millisecond):
 		}
 	}
+	// Let in-flight attaches settle onto the wedged workers.
+	time.Sleep(20 * time.Millisecond)
 	// While paused, a further client completes the TCP handshake (listen
 	// backlog) but is not accepted by the server.
 	before := s.ActiveConns()
@@ -476,14 +476,14 @@ func TestOverloadControlPausesAccepts(t *testing.T) {
 	if got := s.ActiveConns(); got != before {
 		t.Errorf("accepted during overload: %d -> %d", before, got)
 	}
-	// Unblock: queue drains below the low watermark, the pending attach of
-	// c2 completes, and accepting resumes so c3 is finally admitted.
+	// Unblock: the queues drain below the low watermark, the pending
+	// attaches complete, and accepting resumes so c3 is finally admitted.
 	once.Do(func() { close(block) })
 	deadline = time.After(5 * time.Second)
-	for s.ActiveConns() != before+2 {
+	for s.ActiveConns() != clients+1 {
 		select {
 		case <-deadline:
-			t.Fatal("accepting never resumed")
+			t.Fatalf("accepting never resumed: %d of %d clients attached", s.ActiveConns(), clients+1)
 		case <-time.After(time.Millisecond):
 		}
 	}

@@ -142,6 +142,9 @@ func TestParkedWriteOverflowSheds(t *testing.T) {
 	if _, err := c.Write(bytes.Repeat([]byte("go\n"), 12)); err != nil {
 		t.Fatal(err)
 	}
+	// Until the accept has attached, an empty conn table would read as
+	// "already shed".
+	waitFor(t, "conn to attach", func() bool { return s.ActiveConns() == 1 || s.Profile().Snapshot().OutboundShed > 0 })
 	waitFor(t, "overflowing conn to be shed", func() bool { return s.ActiveConns() == 0 })
 	if shed := s.Profile().Snapshot().OutboundShed; shed == 0 {
 		t.Error("outbound overflow teardown not counted in OutboundShed")

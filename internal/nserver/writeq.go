@@ -12,14 +12,14 @@ import (
 )
 
 // This file is the write half of the kernel-event story (the read half
-// is pollDrain in conn.go): on a polled connection, Send/Reply/ReplyFile
+// is drain in conn.go): on a polled connection, Send/Reply/ReplyFile
 // attempt their writev/sendfile non-blocking, and when the socket buffer
 // fills they park the residual — pooled head remainder, body by
 // reference, file offset behind a dup'd descriptor — in a bounded
 // per-connection outbound queue, arm EPOLLOUT, and return the worker to
 // the pool. The shard drains the queue on writability through a
 // reactor.DrainGate, the same oneshot/re-arm CAS machine the read side
-// uses, so a writability edge is never lost and two drains never run
+// claims, so a writability edge is never lost and two drains never run
 // concurrently. The O7 write deadline maps onto this path as a progress
 // clock: the scavenger reaps a connection whose queue fails to move a
 // full progress quantum within WriteTimeout (the slowloris-on-write
@@ -261,7 +261,7 @@ func (c *Conn) flushOutboundLocked() (blocked bool) {
 
 // writePump handles one WriteReady event (an EPOLLOUT edge). The
 // DrainGate absorbs edges that land mid-drain exactly as the read side's
-// pollState does; the flush itself runs under writeMu so it serializes
+// rgate does; the flush itself runs under writeMu so it serializes
 // against writers appending to the queue.
 func (c *Conn) writePump() {
 	if !c.wgate.Claim() {

@@ -2,19 +2,20 @@ package reactor
 
 import "sync/atomic"
 
-// DrainGate is the oneshot/re-arm CAS machine both kernel-event drain
-// paths share. Readiness is edge-triggered, so a wakeup that lands while
-// a drain is already running must not be dropped (the kernel will not
-// repeat it) and must not start a concurrent drain (the socket is being
-// consumed). The gate collapses both into three states:
+// DrainGate is the oneshot/re-arm CAS machine every connection drain
+// shares. A wakeup that lands while a drain is already running must not
+// be dropped (an edge-triggered kernel will not repeat it) and must not
+// start a concurrent drain (the source is being consumed). The gate
+// collapses both into three states:
 //
 //	armed    — no drain in flight; the next wakeup claims the gate
-//	draining — a drain owns the socket
+//	draining — a drain owns the source
 //	rearm    — a wakeup landed mid-drain; the owner must go around
 //
-// The read side of the connection state machine in internal/nserver
-// pioneered this shape; the EPOLLOUT write path mirrors it through this
-// type so both halves provably share one lost-wakeup argument.
+// Both directions of an internal/nserver connection claim one: the read
+// gate serializes drains of inbound bytes (socket edges, or chunks a
+// reader goroutine queued), the write gate EPOLLOUT flushes, so both
+// halves share one lost-wakeup argument.
 type DrainGate struct {
 	state atomic.Int32
 }
@@ -56,10 +57,4 @@ func (g *DrainGate) Release() bool {
 	// A wakeup moved us to rearm mid-drain: absorb it and keep ownership.
 	g.state.Store(gateDraining)
 	return false
-}
-
-// Reset forces the gate back to armed, for teardown paths that abandon
-// a drain without another pass.
-func (g *DrainGate) Reset() {
-	g.state.Store(gateArmed)
 }

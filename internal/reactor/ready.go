@@ -34,9 +34,8 @@ const (
 	// AcceptReady: a new connection is established; Data is the accepted
 	// transport (net.Conn).
 	AcceptReady EventType = iota
-	// ReadReady: inbound bytes arrived; Data is a *bufpool.Buffer leased
-	// by the reading side (released by the handler after decode) or a raw
-	// []byte chunk.
+	// ReadReady: inbound bytes arrived; Data carries them in a form
+	// agreed between emitter and handler.
 	ReadReady
 	// WriteReady: the transport drained a pending write; Data is nil.
 	WriteReady
@@ -50,10 +49,11 @@ const (
 	// CloseReady: the peer closed or the transport failed; Data is the
 	// error (possibly nil for clean EOF).
 	CloseReady
-	// PollReady: the kernel poller reports the handle's descriptor
-	// readable (edge-triggered); the handler drains the socket until it
-	// would block. Data is nil — the bytes stay in the kernel until the
-	// drain reads them.
+	// PollReady: the handle has inbound bytes to drain — the kernel
+	// poller reports its descriptor readable (edge-triggered), or its
+	// reader goroutine queued a chunk. The handler drains until the source
+	// runs dry. Data is nil: the bytes stay where they are until the
+	// drain takes them.
 	PollReady
 )
 
