@@ -1179,8 +1179,8 @@ func TestChaosSlowReaderBlockingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No LargeFileThreshold: the 6 MiB body is served buffered, through
-	// Send/sendBuffers — the path whose deadline used to cover the whole
-	// reply.
+	// the blocking sink's vectored write — the path whose deadline used to
+	// cover the whole reply.
 	opts := options.COPSHTTP().WithHardening(0, 300*time.Millisecond, 0)
 	opts.CacheCapacity = 32 << 20
 	_, _, addr := startChaosHTTP(t,

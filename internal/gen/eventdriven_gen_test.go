@@ -40,7 +40,7 @@ func TestEventDrivenCrosscutWeaving(t *testing.T) {
 	for _, absent := range []string{
 		"poller", "readyPoll", "tryPollAttach", "pollDrain",
 		"nonblockRead", "epoll", "eventDriven", "ParkedConns",
-		"readyWrite", "sendPolled", "nonblockWrite", "outq",
+		"readyWrite", "parkLocked", "nonblockWrite", "outq",
 		"maxOutboundBytes", "ParkedWrites", "EPOLLOUT",
 	} {
 		if strings.Contains(plain, absent) {
@@ -64,10 +64,12 @@ func TestEventDrivenCrosscutWeaving(t *testing.T) {
 		"var readBufs = sync.Pool",
 		"func (s *Server) ParkedConns() int",
 		"go c.readLoop()", // the fallback path must survive the weave
-		// The write-side crosscut: parked outbound queues drained on
-		// EPOLLOUT, with the blocking Send path kept as fallback.
+		// The write-side crosscut: the one flush loop's sink writes a
+		// polled connection without blocking, the unsent rest parks and
+		// drains on EPOLLOUT, and other connections keep blocking writes.
 		"case readyWrite:",
-		"func (c *Communicator) sendPolled(data []byte) error",
+		"return nonblockWrite(c.raw, buf)",
+		"func (c *Communicator) parkLocked(it outItem) error",
 		"func (c *Communicator) pollWriteDrain()",
 		"func (p *poller) armWrite(fd int) error",
 		"const maxOutboundBytes",

@@ -420,24 +420,6 @@ func TestGeneratedServerRuns(t *testing.T) {
 	}
 	o := options.COPSHTTP().WithScheduling(1, 4)
 	o.Profiling = true
-	a, err := Generate("nserver", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	pkgDir := filepath.Join(root, "nserver")
-	if err := os.MkdirAll(pkgDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, src := range a.Files {
-		if err := os.WriteFile(filepath.Join(pkgDir, name), src, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(root, "go.mod"),
-		[]byte("module genapp\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	mainSrc := `package main
 
 import (
@@ -483,42 +465,7 @@ func main() {
 	select {}
 }
 `
-	if err := os.WriteFile(filepath.Join(root, "main.go"), []byte(mainSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(root, "genapp")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Dir = root
-	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	srv := exec.Command(bin)
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Process.Kill()
-		srv.Wait()
-	}()
-	var addr string
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		if sc.Scan() {
-			addrCh <- sc.Text()
-		}
-	}()
-	select {
-	case addr = <-addrCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("generated server never reported its address")
-	}
+	addr := startGenerated(t, o, mainSrc)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -574,6 +521,69 @@ func main() {
 	if err := <-werr; err != nil {
 		t.Fatalf("burst write: %v", err)
 	}
+}
+
+// startGenerated generates a framework with o, builds it together with
+// the application main mainSrc, starts the binary with args and returns
+// the address it reports on its first stdout line. The process is killed
+// when the test ends.
+func startGenerated(t *testing.T, o options.Options, mainSrc string, args ...string) string {
+	t.Helper()
+	a, err := Generate("nserver", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	pkgDir := filepath.Join(root, "nserver")
+	if err := os.MkdirAll(pkgDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range a.Files {
+		if err := os.WriteFile(filepath.Join(pkgDir, name), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(root, "go.mod"),
+		[]byte("module genapp\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "main.go"), []byte(mainSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(root, "genapp")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Dir = root
+	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+
+	srv := exec.Command(bin, args...)
+	stdout, err := srv.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Process.Kill()
+		srv.Wait()
+	})
+	addrCh := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		if sc.Scan() {
+			addrCh <- sc.Text()
+		}
+	}()
+	select {
+	case addr := <-addrCh:
+		return addr
+	case <-time.After(10 * time.Second):
+		t.Fatal("generated server never reported its address")
+	}
+	return ""
 }
 
 func TestCountSource(t *testing.T) {

@@ -1157,6 +1157,8 @@ type Communicator struct {
 	{{- if .Codec}}
 	inbuf []byte
 	{{- end}}
+	// writeMu serializes the Send Reply step: every reply's flush{{if .EventDriven}} and,
+	// on a polled connection, the parked write queue{{end}}.
 	writeMu sync.Mutex
 	closed  atomic.Bool
 	state   atomic.Value
@@ -1174,14 +1176,10 @@ type Communicator struct {
 	fd     int
 	raw    syscall.RawConn
 	poller *poller
-	// Kernel-event write path: outq holds reply bytes the socket
-	// refused (EAGAIN or a short non-blocking write){{if .LargeFile}} and residual file
-	// ranges{{end}}, in wire order. While it is non-empty the poller is armed
-	// for EPOLLOUT, new Sends append behind it, and pollWriteDrain
-	// moves bytes on writability. outMu serializes the queue against
-	// concurrent Sends; drains never block on I/O, so holding a mutex
-	// across them is bounded and cheap.
-	outMu      sync.Mutex
+	// Kernel-event write path: outq holds the unsent rest of replies the
+	// socket refused, in wire order, under writeMu. While it is non-empty
+	// the poller is armed for EPOLLOUT, new replies park behind it, and
+	// pollWriteDrain flushes it on writability.
 	outq       []outItem
 	outBytes   int
 	outClose   bool
@@ -1233,152 +1231,166 @@ func (c *Communicator) touch() { c.lastActive.Store(nowNanos()) }
 func nowNanos() int64 { return time.Now().UnixNano() }
 {{end}}
 
-// Send transmits raw bytes (the Send Reply step). A short write
-// without an error is a failure, never silent success — the unsent
-// suffix would tear the reply framing.
-func (c *Communicator) Send(data []byte) error {
-	if c.closed.Load() {
-		return errConnClosed
-	}
-	{{- if .EventDriven}}
-	if c.polled.Load() {
-		return c.sendPolled(data)
-	}
+// outItem is one reply in wire order: data{{if .LargeFile}}, then n bytes of f from off{{end}}.
+type outItem struct {
+	data []byte
+	{{- if .LargeFile}}
+	f   *os.File
+	off int64
+	n   int64
 	{{- end}}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	{{- if .Profiling}}
-	sendStart := time.Now()
-	{{- end}}
-	var n int
-	var err error
-	{{- if .WriteDeadline}}
-	for n < len(data) && err == nil {
-		end := n + writeFlushChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		var w int
-		w, err = c.conn.Write(data[n:end])
-		if err == nil && w < end-n {
-			err = io.ErrShortWrite
-		}
-		n += w
-	}
-	{{- else}}
-	n, err = c.conn.Write(data)
-	if err == nil && n < len(data) {
-		err = io.ErrShortWrite
-	}
-	{{- end}}
-	{{- if .Profiling}}
-	c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
-	c.srv.Profile.BytesSent.Add(uint64(n))
-	{{- end}}
-	_ = n
-	{{- if .TrackActivity}}
-	c.touch()
-	{{- end}}
-	if err != nil {
-		c.shutdown(err)
-	}
-	return err
 }
+
+// Send transmits raw bytes (the Send Reply step) as one outbound item.
+func (c *Communicator) Send(data []byte) error { return c.send(outItem{data: data}) }
 
 {{if .LargeFile}}
 // sendFileBufs pools the copy buffers of the streaming path so SendFile
 // allocates nothing per chunk.
 var sendFileBufs = sync.Pool{New: func() any { b := make([]byte, 32*1024); return &b }}
 
-// SendFile is the large-file Send Reply step: it transmits head, then
-// streams length bytes of f starting at offset in pooled 32 KiB chunks,
+// SendFile is the large-file Send Reply step: head, then length bytes of
+// f from offset, as one outbound item streamed in pooled 32 KiB chunks,
 // so the reply body never occupies memory proportional to the file.
-{{- if .WriteDeadline}}
-// The write deadline is re-armed before every chunk: writeTimeout bounds
-// how long the peer may stall between chunks, not the whole transfer.
-{{- end}}
-// A mid-stream error is fatal to the connection — the response framing
-// is already committed.
 func (c *Communicator) SendFile(head []byte, f *os.File, offset, length int64) error {
+	return c.send(outItem{data: head, f: f, off: offset, n: length})
+}
+{{end}}
+
+// send is the Send Reply step every reply takes: flush moves the item
+{{- if .EventDriven}}
+// until it is sent, a write fails (the connection shuts down), or a polled
+// connection's socket fills and the rest parks (see parkLocked). Once
+// anything is parked, later replies park behind it: queue order is wire
+// order.
+{{- else}}
+// until it is sent or a write fails (the connection shuts down).
+{{- end}}
+func (c *Communicator) send(it outItem) error {
 	if c.closed.Load() {
 		return errConnClosed
 	}
-	{{- if .EventDriven}}
-	if c.polled.Load() {
-		return c.sendFilePolled(head, f, offset, length)
-	}
-	{{- end}}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
 	{{- if .Profiling}}
 	sendStart := time.Now()
 	{{- end}}
-	fail := func(err error) error {
+	c.writeMu.Lock()
+	{{- if .EventDriven}}
+	var again bool
+	var err error
+	if c.outDown {
+		err = errConnClosed
+	} else if len(c.outq) == 0 {
+		again, err = c.flush(&it)
+	}
+	if err == nil && (again || len(c.outq) > 0) {
+		err = c.parkLocked(it)
+	}
+	{{- else}}
+	_, err := c.flush(&it)
+	{{- end}}
+	c.writeMu.Unlock()
+	{{- if .Profiling}}
+	c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
+	{{- end}}
+	if err != nil && err != errConnClosed {
+		{{- if and .EventDriven .Profiling}}
+		if err == errOutboundOverflow {
+			c.srv.Profile.OutboundShed.Add(1)
+		}
+		{{- end}}
+		c.shutdown(err)
+	}
+	return err
+}
+
+// flush is the one loop that moves reply bytes: the item's data{{if .LargeFile}}, then
+// its file range read into a pooled buffer a chunk at a time,{{end}} until all of it
+// is sent{{if .EventDriven}}, the socket would block (again: the item keeps its unsent
+// rest){{end}} or a write fails. Called with writeMu held.
+func (c *Communicator) flush(it *outItem) (again bool, err error) {
+	{{- if .LargeFile}}
+	var scratch []byte
+	if it.n > 0 {
+		bufp := sendFileBufs.Get().(*[]byte)
+		defer sendFileBufs.Put(bufp)
+		scratch = *bufp
+	}
+	for len(it.data) > 0 || it.n > 0 {
+		buf := it.data
+		if len(buf) == 0 {
+			want := it.n
+			if want > int64(len(scratch)) {
+				want = int64(len(scratch))
+			}
+			nr, rerr := it.f.ReadAt(scratch[:want], it.off)
+			if nr == 0 {
+				// The file ran out before the promised length: the framing
+				// cannot be repaired once the head has gone out.
+				return false, fmt.Errorf("{{.Package}}: file shorter than streamed length (%v)", rerr)
+			}
+			buf = scratch[:nr]
+		}
+	{{- else}}
+	for len(it.data) > 0 {
+		buf := it.data
+	{{- end}}
+		var n int
+		n, again, err = c.write(buf)
+		{{- if .LargeFile}}
+		if len(it.data) > 0 {
+			it.data = it.data[n:]
+		} else {
+			it.off += int64(n)
+			it.n -= int64(n)
+		}
+		{{- else}}
+		it.data = it.data[n:]
+		{{- end}}
 		{{- if .Profiling}}
-		c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
+		c.srv.Profile.BytesSent.Add(uint64(n))
 		{{- end}}
 		{{- if .TrackActivity}}
 		c.touch()
 		{{- end}}
-		c.shutdown(err)
-		return err
-	}
-	if len(head) > 0 {
-		{{- if .WriteDeadline}}
-		c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		{{- if and .EventDriven .WriteDeadline}}
+		// A parked queue's stall stamp refreshes only per
+		// writeProgressQuantum moved.
+		c.outProgress += n
+		if c.outProgress >= writeProgressQuantum {
+			c.outProgress = 0
+			c.outStamp.Store(time.Now().UnixNano())
+		}
 		{{- end}}
-		n, err := c.conn.Write(head)
-		{{- if .Profiling}}
-		c.srv.Profile.BytesSent.Add(uint64(n))
-		{{- end}}
-		if err == nil && n < len(head) {
-			err = io.ErrShortWrite
-		}
-		if err != nil {
-			return fail(err)
+		if again || err != nil {
+			return again, err
 		}
 	}
-	bufp := sendFileBufs.Get().(*[]byte)
-	defer sendFileBufs.Put(bufp)
-	buf := *bufp
-	for sent := int64(0); sent < length; {
-		want := length - sent
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
-		nr, rerr := f.ReadAt(buf[:want], offset+sent)
-		if nr > 0 {
-			{{- if .WriteDeadline}}
-			c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			{{- end}}
-			nw, werr := c.conn.Write(buf[:nr])
-			sent += int64(nw)
-			{{- if .Profiling}}
-			c.srv.Profile.BytesSent.Add(uint64(nw))
-			{{- end}}
-			if werr != nil {
-				return fail(werr)
-			}
-			if nw < nr {
-				return fail(io.ErrShortWrite)
-			}
-		}
-		if (rerr != nil || nr == 0) && sent < length {
-			// The file ran out before the promised length: the framing
-			// cannot be repaired once the head has gone out.
-			return fail(fmt.Errorf("{{.Package}}: file shorter than streamed length (%v)", rerr))
-		}
-	}
-	{{- if .Profiling}}
-	c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
-	{{- end}}
-	{{- if .TrackActivity}}
-	c.touch()
-	{{- end}}
-	return nil
+	return false, nil
 }
-{{end}}
+
+// write is the sink under flush{{if .EventDriven}}: a polled connection writes without
+// blocking and reports again when the socket buffer is full; any other
+// connection blocks{{end}}. A blocking write{{if .WriteDeadline}} arms the write deadline for at
+// most writeFlushChunk bytes, and one{{end}} that comes up short without an
+// error is a failure — the unsent suffix would tear the reply framing.
+func (c *Communicator) write(buf []byte) (n int, again bool, err error) {
+	{{- if .EventDriven}}
+	if c.polled.Load() {
+		return nonblockWrite(c.raw, buf)
+	}
+	{{- end}}
+	{{- if .WriteDeadline}}
+	if len(buf) > writeFlushChunk {
+		buf = buf[:writeFlushChunk]
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	{{- end}}
+	n, err = c.conn.Write(buf)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
+	}
+	return n, false, err
+}
 
 {{if .Codec}}
 // Reply encodes a reply with the application's Encode hook and sends it.
@@ -1414,13 +1426,13 @@ func (c *Communicator) encodeSafe(reply any) (data []byte, err error) {
 func (c *Communicator) Close() {
 	{{- if .EventDriven}}
 	if c.polled.Load() && !c.closed.Load() {
-		c.outMu.Lock()
+		c.writeMu.Lock()
 		if len(c.outq) > 0 && !c.outDown {
 			c.outClose = true
-			c.outMu.Unlock()
+			c.writeMu.Unlock()
 			return
 		}
-		c.outMu.Unlock()
+		c.writeMu.Unlock()
 	}
 	{{- end}}
 	c.shutdown(nil)
@@ -1436,13 +1448,18 @@ func (c *Communicator) shutdown(cause error) {
 	if c.polled.Load() {
 		c.poller.del(c.fd)
 	}
-	c.outMu.Lock()
+	{{- end}}
+	c.conn.Close()
+	{{- if .EventDriven}}
+	// The transport is closed first, so a writer blocked under writeMu
+	// returns; then the parked queue is discarded.
+	c.writeMu.Lock()
 	c.outDown = true
 	{{- if .LargeFile}}
 	parked := c.outq
 	{{- end}}
 	c.outq, c.outBytes = nil, 0
-	c.outMu.Unlock()
+	c.writeMu.Unlock()
 	{{- if .LargeFile}}
 	for i := range parked {
 		if parked[i].f != nil {
@@ -1451,7 +1468,6 @@ func (c *Communicator) shutdown(cause error) {
 	}
 	{{- end}}
 	{{- end}}
-	c.conn.Close()
 	c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyClose, handle: c.handle, err: cause{{if .Scheduling}}, prio: c.Priority(){{end}}})
 }
 
@@ -1724,85 +1740,34 @@ var errWriteStalled = errors.New("{{.Package}}: parked write stalled past writeT
 const writeProgressQuantum = 64 << 10
 {{- end}}
 
-// outItem is one parked outbound unit: owned bytes{{if .LargeFile}}, or a residual file
-// range behind a descriptor the queue owns{{end}}.
-type outItem struct {
-	data []byte
-	{{- if .LargeFile}}
-	f   *os.File
-	off int64
-	n   int64
-	{{- end}}
-}
-
-// sendPolled is Send on a kernel-parked connection: append behind any
-// parked bytes (queue order is the wire framing), otherwise attempt
-// non-blocking writes and park the remainder under EPOLLOUT. The worker
-// returns immediately either way — a slow reader costs queue bytes,
-// never a blocked thread.
-func (c *Communicator) sendPolled(data []byte) error {
-	{{- if .Profiling}}
-	sendStart := time.Now()
-	{{- end}}
-	c.outMu.Lock()
-	if c.outDown {
-		c.outMu.Unlock()
-		return errConnClosed
-	}
-	sent := 0
-	if len(c.outq) == 0 {
-		for sent < len(data) {
-			n, again, werr := nonblockWrite(c.raw, data[sent:])
-			sent += n
-			if again {
-				break
-			}
-			if werr != nil {
-				c.failOutboundLocked(werr)
-				return werr
-			}
-		}
-	}
-	{{- if .Profiling}}
-	c.srv.Profile.BytesSent.Add(uint64(sent))
-	c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
-	{{- end}}
-	var err error
-	if sent < len(data) {
-		err = c.enqueueLocked(data[sent:])
-	}
-	c.outMu.Unlock()
-	{{- if .TrackActivity}}
-	c.touch()
-	{{- end}}
-	if err != nil {
-		{{- if .Profiling}}
-		if err == errOutboundOverflow {
-			c.srv.Profile.OutboundShed.Add(1)
-		}
-		{{- end}}
-		c.shutdown(err)
-	}
-	return err
-}
-
-// enqueueLocked copies data into the parked queue (the caller may reuse
-// its buffer) and arms EPOLLOUT. Called with outMu held.
-func (c *Communicator) enqueueLocked(data []byte) error {
-	if c.outBytes+len(data) > maxOutboundBytes {
+// parkLocked queues the unsent rest of it behind anything already parked
+// and arms EPOLLOUT; pollWriteDrain flushes it from there. The queue takes
+// ownership: data is copied (the caller may reuse its buffer){{if .LargeFile}}, and a file
+// range keeps its own duplicate of the descriptor (the caller may close f
+// the moment SendFile returns){{end}}. Called with writeMu held.
+func (c *Communicator) parkLocked(it outItem) error {
+	if c.outBytes+len(it.data) > maxOutboundBytes {
 		c.outDown = true
 		return errOutboundOverflow
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	c.outq = append(c.outq, outItem{data: buf})
-	c.outBytes += len(buf)
+	it.data = append([]byte(nil), it.data...)
+	{{- if .LargeFile}}
+	if it.n == 0 {
+		it.f = nil
+	} else if dup, err := dupFile(it.f); err != nil {
+		return err
+	} else {
+		it.f = dup
+	}
+	{{- end}}
+	c.outq = append(c.outq, it)
+	c.outBytes += len(it.data)
 	return c.armWriteLocked()
 }
 
 // armWriteLocked adds EPOLLOUT to the registration. EPOLL_CTL_MOD
 // re-primes an edge-triggered descriptor, so writability that raced the
-// arm is re-reported and no wakeup is lost. Called with outMu held.
+// arm is re-reported and no wakeup is lost. Called with writeMu held.
 func (c *Communicator) armWriteLocked() error {
 	{{- if .WriteDeadline}}
 	c.outStamp.Store(time.Now().UnixNano())
@@ -1820,89 +1785,43 @@ func (c *Communicator) armWriteLocked() error {
 }
 
 {{if .WriteDeadline -}}
-// noteProgressLocked advances the drain progress clock; the stall stamp
-// refreshes only per writeProgressQuantum drained.
-func (c *Communicator) noteProgressLocked(n int) {
-	c.outProgress += n
-	if c.outProgress >= writeProgressQuantum {
-		c.outProgress = 0
-		c.outStamp.Store(time.Now().UnixNano())
-	}
-}
-
 // writeStalled reports a parked queue without a progress quantum for
 // longer than writeTimeout as of now (UnixNano).
 func (c *Communicator) writeStalled(now int64) bool {
-	c.outMu.Lock()
-	defer c.outMu.Unlock()
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	return len(c.outq) > 0 && !c.outDown && now-c.outStamp.Load() > int64(writeTimeout)
 }
 {{- end}}
 
-// failOutboundLocked marks the queue dead and tears the connection
-// down. Called with outMu held, which it releases first — shutdown
-// re-enters the queue to discard it.
-func (c *Communicator) failOutboundLocked(err error) {
-	c.outDown = true
-	c.outMu.Unlock()
-	c.shutdown(err)
-}
-
 // pollWriteDrain resumes a parked write queue on kernel-reported
-// writability: it moves bytes until the queue empties (EPOLLOUT is
-// disarmed, a deferred Close takes effect) or the socket blocks again
-// (EPOLLOUT stays armed and the next edge resumes). Drains never block,
-// so serializing them on outMu is bounded.
+// writability: flush moves each item in turn until the queue empties
+// (EPOLLOUT is disarmed, a deferred Close takes effect) or the socket
+// blocks again (EPOLLOUT stays armed and the next edge resumes). A polled
+// connection's writes never block, so serializing them on writeMu is
+// bounded.
 func (c *Communicator) pollWriteDrain() {
-	{{- if .Profiling}}
-	sendStart := time.Now()
-	{{- end}}
-	c.outMu.Lock()
+	c.writeMu.Lock()
 	for len(c.outq) > 0 {
 		it := &c.outq[0]
-		{{- if .LargeFile}}
-		if it.f != nil {
-			stalled, err := c.streamFileNonblockLocked(it.f, &it.off, &it.n)
-			if err != nil {
-				c.failOutboundLocked(err)
-				return
-			}
-			if stalled {
-				c.outMu.Unlock()
-				return
-			}
-			it.f.Close()
-			c.outq = c.outq[1:]
-			continue
-		}
-		{{- end}}
-		sent := 0
-		var again bool
-		var werr error
-		for sent < len(it.data) && !again && werr == nil {
-			var n int
-			n, again, werr = nonblockWrite(c.raw, it.data[sent:])
-			sent += n
-		}
-		c.outBytes -= sent
-		{{- if .Profiling}}
-		c.srv.Profile.BytesSent.Add(uint64(sent))
-		{{- end}}
-		{{- if .WriteDeadline}}
-		c.noteProgressLocked(sent)
-		{{- end}}
-		if werr != nil {
-			c.failOutboundLocked(werr)
+		was := len(it.data)
+		again, err := c.flush(it)
+		c.outBytes -= was - len(it.data)
+		if err != nil {
+			c.outDown = true
+			c.writeMu.Unlock()
+			c.shutdown(err)
 			return
 		}
 		if again {
-			it.data = it.data[sent:]
-			c.outMu.Unlock()
-			{{- if .TrackActivity}}
-			c.touch()
-			{{- end}}
+			c.writeMu.Unlock()
 			return
 		}
+		{{- if .LargeFile}}
+		if it.f != nil {
+			it.f.Close()
+		}
+		{{- end}}
 		c.outq = c.outq[1:]
 	}
 	if c.writeArmed {
@@ -1910,131 +1829,11 @@ func (c *Communicator) pollWriteDrain() {
 		c.writeArmed = false
 	}
 	closeNow := c.outClose
-	c.outMu.Unlock()
-	{{- if .Profiling}}
-	c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
-	{{- end}}
-	{{- if .TrackActivity}}
-	c.touch()
-	{{- end}}
+	c.writeMu.Unlock()
 	if closeNow {
 		c.shutdown(nil)
 	}
 }
-
-{{if .LargeFile -}}
-// sendFilePolled is SendFile on a kernel-parked connection: stream
-// non-blocking while the socket accepts bytes, then park the residual
-// range behind a duplicated descriptor the queue owns — the caller
-// stays free to close f the moment SendFile returns.
-func (c *Communicator) sendFilePolled(head []byte, f *os.File, offset, length int64) error {
-	c.outMu.Lock()
-	if c.outDown {
-		c.outMu.Unlock()
-		return errConnClosed
-	}
-	sent := 0
-	if len(c.outq) == 0 {
-		for sent < len(head) {
-			n, again, werr := nonblockWrite(c.raw, head[sent:])
-			sent += n
-			if again {
-				break
-			}
-			if werr != nil {
-				c.failOutboundLocked(werr)
-				return werr
-			}
-		}
-		{{- if .Profiling}}
-		c.srv.Profile.BytesSent.Add(uint64(sent))
-		{{- end}}
-		if sent == len(head) {
-			stalled, err := c.streamFileNonblockLocked(f, &offset, &length)
-			if err != nil {
-				c.failOutboundLocked(err)
-				return err
-			}
-			if !stalled {
-				c.outMu.Unlock()
-				{{- if .TrackActivity}}
-				c.touch()
-				{{- end}}
-				return nil
-			}
-		}
-	}
-	var err error
-	if sent < len(head) {
-		err = c.enqueueLocked(head[sent:])
-	}
-	if err == nil && length > 0 {
-		var dup *os.File
-		if dup, err = dupFile(f); err == nil {
-			c.outq = append(c.outq, outItem{f: dup, off: offset, n: length})
-			err = c.armWriteLocked()
-		}
-	}
-	c.outMu.Unlock()
-	{{- if .TrackActivity}}
-	c.touch()
-	{{- end}}
-	if err != nil {
-		{{- if .Profiling}}
-		if err == errOutboundOverflow {
-			c.srv.Profile.OutboundShed.Add(1)
-		}
-		{{- end}}
-		c.shutdown(err)
-	}
-	return err
-}
-
-// streamFileNonblockLocked copies [*off, *off+*n) of f to the socket in
-// pooled chunks of non-blocking writes, advancing the range as bytes
-// leave so the residual parks exactly where the socket blocked. stalled
-// reports EAGAIN. Called with outMu held.
-func (c *Communicator) streamFileNonblockLocked(f *os.File, off, length *int64) (stalled bool, err error) {
-	bufp := sendFileBufs.Get().(*[]byte)
-	defer sendFileBufs.Put(bufp)
-	buf := *bufp
-	for *length > 0 {
-		want := *length
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
-		nr, rerr := f.ReadAt(buf[:want], *off)
-		sent := 0
-		var again bool
-		var werr error
-		for sent < nr && !again && werr == nil {
-			var n int
-			n, again, werr = nonblockWrite(c.raw, buf[sent:nr])
-			sent += n
-		}
-		*off += int64(sent)
-		*length -= int64(sent)
-		{{- if .Profiling}}
-		c.srv.Profile.BytesSent.Add(uint64(sent))
-		{{- end}}
-		{{- if .WriteDeadline}}
-		c.noteProgressLocked(sent)
-		{{- end}}
-		if werr != nil {
-			return false, werr
-		}
-		if again {
-			return true, nil
-		}
-		if (rerr != nil || nr == 0) && *length > 0 {
-			// The file ran out before the promised length: the framing
-			// cannot be repaired once the head has gone out.
-			return false, fmt.Errorf("{{.Package}}: file shorter than streamed length (%v)", rerr)
-		}
-	}
-	return false, nil
-}
-{{- end}}
 {{end}}
 
 {{if .Codec}}
@@ -2496,11 +2295,14 @@ func (s *Server) ParkedWrites() int {
 	s.mu.Unlock()
 	n := 0
 	for _, c := range conns {
-		c.outMu.Lock()
+		if !c.polled.Load() {
+			continue // only polled conns park; a blocking writer may hold writeMu
+		}
+		c.writeMu.Lock()
 		if len(c.outq) > 0 {
 			n++
 		}
-		c.outMu.Unlock()
+		c.writeMu.Unlock()
 	}
 	return n
 }

@@ -87,11 +87,12 @@ type Conn struct {
 	inHead   int
 	inClosed bool
 
-	// Kernel-event write path state (writeq.go): wgate serializes
-	// EPOLLOUT drains, outq holds parked reply residuals under writeMu,
-	// and the atomics feed the scavenger's stall test and the
-	// parked-write gauge without taking the lock. outProgress and
-	// closeAfterFlush are guarded by writeMu.
+	// Write side (see send in writeq.go): writeMu serializes every reply's
+	// flush. On a polled connection outq holds the parked rest of replies
+	// the socket refused, in wire order, wgate serializes the EPOLLOUT
+	// flushes of it, and the atomics feed the scavenger's stall test and
+	// the parked-write gauge without taking the lock. outq, outProgress
+	// and closeAfterFlush are guarded by writeMu.
 	wgate           reactor.DrainGate
 	outq            []outItem
 	outMem          atomic.Int64
@@ -174,85 +175,10 @@ func (c *Conn) BeginRequest() uint64 { return c.nextRequestID() }
 
 func (c *Conn) touch() { c.lastActive.Store(time.Now().UnixNano()) }
 
-// armWriteDeadline applies the per-write deadline (WriteTimeout) before a
-// reply write; 0 leaves the transport unbounded.
-func (c *Conn) armWriteDeadline() {
-	if wt := c.srv.opts.WriteTimeout; wt > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
-}
-
-// writeFlushChunk bounds how many bytes ride on one armed write deadline
-// in the blocking path. The deadline is absolute, so arming it once for
-// a whole reply makes WriteTimeout a cap on total transfer time — a
-// healthy reader downloading a large buffered reply would be torn down
-// mid-stream. Chunking re-arms per flush instead: WriteTimeout bounds
-// how long the peer may stall per chunk, matching streamChunkSize's
-// contract on the file path.
-const writeFlushChunk = 256 << 10
-
-// writeSegmentChunked writes one segment in writeFlushChunk slices,
-// re-arming the write deadline before each, with an explicit short-write
-// check (a transport returning n < len without an error must not be
-// mistaken for success — the rest of the reply would silently vanish
-// from the wire). Called under writeMu.
-func (c *Conn) writeSegmentChunked(seg []byte) (int64, error) {
-	var total int64
-	for len(seg) > 0 {
-		chunk := seg
-		if len(chunk) > writeFlushChunk {
-			chunk = chunk[:writeFlushChunk]
-		}
-		c.armWriteDeadline()
-		n, err := c.conn.Write(chunk)
-		total += int64(n)
-		if err == nil && n < len(chunk) {
-			err = io.ErrShortWrite
-		}
-		if err != nil {
-			return total, err
-		}
-		seg = seg[n:]
-	}
-	return total, nil
-}
-
-// Send transmits raw bytes (the Send Reply step without encoding). On a
-// polled connection the write is non-blocking: a residual parks on the
-// outbound queue and drains on EPOLLOUT, so data must not be mutated
-// after the call (it may be retained by reference until flushed).
-func (c *Conn) Send(data []byte) error {
-	if c.closed.Load() {
-		return ErrConnClosed
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.canParkWrites() {
-		return c.trySendNonblockLocked(data, nil)
-	}
-	sendStart := c.sh.profile.StageStart()
-	var n int64
-	var err error
-	if wt := c.srv.opts.WriteTimeout; wt > 0 && len(data) > writeFlushChunk {
-		n, err = c.writeSegmentChunked(data)
-	} else {
-		c.armWriteDeadline()
-		var wn int
-		wn, err = c.conn.Write(data)
-		if err == nil && wn < len(data) {
-			err = io.ErrShortWrite
-		}
-		n = int64(wn)
-	}
-	c.sh.profile.ObserveSince(profiling.StageSend, sendStart)
-	c.sh.profile.BytesSent(int(n))
-	c.touch()
-	if err != nil {
-		c.teardown(err)
-		return err
-	}
-	return nil
-}
+// Send transmits raw bytes (the Send Reply step without encoding) as one
+// outbound item (see send). data may be released or reused once Send
+// returns: bytes a parking connection could not write yet are copied.
+func (c *Conn) Send(data []byte) error { return c.send(outItem{head: data}) }
 
 // replyHeadSize sizes the pooled buffer leased for zero-copy reply heads.
 const replyHeadSize = 512
@@ -264,23 +190,30 @@ const replyHeadSize = 512
 // is never copied into a combined response slice.
 func (c *Conn) Reply(reply any) error {
 	if be, ok := c.srv.codec.(BufferEncoder); ok {
-		lease := bufpool.Get(replyHeadSize)
-		encStart := c.sh.profile.StageStart()
-		head, body, err := appendHeadSafe(be, lease.Bytes()[:0], reply)
-		c.sh.profile.ObserveSince(profiling.StageEncode, encStart)
-		if err != nil {
-			lease.Release()
-			return err
-		}
-		err = c.sendBuffers(head, body)
-		lease.Release()
-		return err
+		return c.sendReply(be, reply, outItem{})
 	}
 	data, err := c.srv.encode(reply)
 	if err != nil {
 		return err
 	}
 	return c.Send(data)
+}
+
+// sendReply renders reply's head into a pooled lease (the Encode Reply
+// step) and sends it as one item with whatever file range it carries.
+// The lease goes back to the pool on return; send copies any head bytes
+// it has to park.
+func (c *Conn) sendReply(be BufferEncoder, reply any, it outItem) error {
+	lease := bufpool.Get(replyHeadSize)
+	encStart := c.sh.profile.StageStart()
+	var err error
+	it.head, it.body, err = appendHeadSafe(be, lease.Bytes()[:0], reply)
+	c.sh.profile.ObserveSince(profiling.StageEncode, encStart)
+	if err == nil {
+		err = c.send(it)
+	}
+	lease.Release()
+	return err
 }
 
 // appendHeadSafe runs the codec's AppendHead (Encode Reply step) with
@@ -296,69 +229,14 @@ func appendHeadSafe(be BufferEncoder, dst []byte, reply any) (head, body []byte,
 	return be.AppendHead(dst, reply)
 }
 
-// sendBuffers transmits head and body as separate segments (writev on a
-// TCP transport) under the write lock, with the same accounting and
-// teardown semantics as Send. On a polled connection the writev is
-// non-blocking and any residual parks on the outbound queue — the head
-// remainder is copied (the caller releases its pooled lease on return),
-// the body is retained by reference.
-func (c *Conn) sendBuffers(head, body []byte) error {
-	if c.closed.Load() {
-		return ErrConnClosed
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.canParkWrites() {
-		return c.trySendNonblockLocked(head, body)
-	}
-	total := len(head) + len(body)
-	if total == 0 {
-		c.touch()
-		return nil
-	}
-	sendStart := c.sh.profile.StageStart()
-	var n int64
-	var err error
-	if wt := c.srv.opts.WriteTimeout; wt > 0 && total > writeFlushChunk {
-		// Large reply under a deadline: re-arm per flush chunk so the
-		// timeout bounds peer stalls, not total transfer time.
-		n, err = c.writeSegmentChunked(head)
-		if err == nil {
-			var bn int64
-			bn, err = c.writeSegmentChunked(body)
-			n += bn
-		}
-	} else {
-		var segs [2][]byte
-		bufs := net.Buffers(segs[:0])
-		if len(head) > 0 {
-			bufs = append(bufs, head)
-		}
-		if len(body) > 0 {
-			bufs = append(bufs, body)
-		}
-		c.armWriteDeadline()
-		n, err = bufs.WriteTo(c.conn)
-		if err == nil && n < int64(total) {
-			err = io.ErrShortWrite
-		}
-	}
-	c.sh.profile.ObserveSince(profiling.StageSend, sendStart)
-	c.sh.profile.BytesSent(int(n))
-	c.touch()
-	if err != nil {
-		c.teardown(err)
-		return err
-	}
-	return nil
-}
-
 // SendBuffers transmits head and body as one vectored write with Send's
 // semantics, for callers (the copshttp reply sequencer) that hold a
 // rendered wire head and a reference-safe body and must not glue them
-// into one allocation.
+// into one allocation. The head may be reused once SendBuffers returns;
+// the body must not be mutated after the call, since a parking
+// connection retains it by reference until it is flushed.
 func (c *Conn) SendBuffers(head, body []byte) error {
-	return c.sendBuffers(head, body)
+	return c.send(outItem{head: head, body: body})
 }
 
 // Close tears the connection down cleanly. A polled connection with

@@ -3,11 +3,9 @@ package nserver
 import (
 	"errors"
 	"io"
-	"net"
 	"os"
 
 	"repro/internal/bufpool"
-	"repro/internal/profiling"
 )
 
 // streamChunkSize is the transfer unit of the large-file send path. The
@@ -35,94 +33,7 @@ func (c *Conn) ReplyFile(reply any, src *os.File, offset, length int64) error {
 	if !ok {
 		return errors.New("nserver: ReplyFile requires a BufferEncoder codec")
 	}
-	lease := bufpool.Get(replyHeadSize)
-	encStart := c.sh.profile.StageStart()
-	head, body, err := appendHeadSafe(be, lease.Bytes()[:0], reply)
-	c.sh.profile.ObserveSince(profiling.StageEncode, encStart)
-	if err != nil {
-		lease.Release()
-		return err
-	}
-	err = c.sendFile(head, body, src, offset, length)
-	lease.Release()
-	return err
-}
-
-// sendFile transmits the head segments and then streams the file body in
-// deadline-bounded chunks, all under the write lock, with the same
-// accounting and teardown semantics as sendBuffers. A mid-stream error is
-// fatal to the connection: the response framing is already committed.
-func (c *Conn) sendFile(head, body []byte, src *os.File, offset, length int64) error {
-	if c.closed.Load() {
-		return ErrConnClosed
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.canParkWrites() {
-		return c.sendFileNonblockLocked(head, body, src, offset, length)
-	}
-	sendStart := c.sh.profile.StageStart()
-	fail := func(err error) error {
-		c.sh.profile.ObserveSince(profiling.StageSend, sendStart)
-		c.touch()
-		c.teardown(err)
-		return err
-	}
-	var segs [2][]byte
-	bufs := net.Buffers(segs[:0])
-	if len(head) > 0 {
-		bufs = append(bufs, head)
-	}
-	if len(body) > 0 {
-		bufs = append(bufs, body)
-	}
-	if len(bufs) > 0 {
-		total := int64(len(head) + len(body))
-		c.armWriteDeadline()
-		n, err := bufs.WriteTo(c.conn)
-		c.sh.profile.BytesSent(int(n))
-		if err == nil && n < total {
-			err = io.ErrShortWrite
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if length > 0 {
-		if _, err := src.Seek(offset, io.SeekStart); err != nil {
-			return fail(err)
-		}
-	}
-	remaining := length
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > streamChunkSize {
-			chunk = streamChunkSize
-		}
-		c.armWriteDeadline()
-		n, viaSendfile, err := sendFileChunk(c.conn, src, chunk)
-		if n > 0 {
-			remaining -= n
-			c.sh.profile.BytesSent(int(n))
-			c.sh.profile.BytesStreamed(int(n))
-			if viaSendfile {
-				c.sh.profile.SendfileChunk()
-			} else {
-				c.sh.profile.StreamFallbackChunk()
-			}
-		}
-		if err == nil && n < chunk {
-			// The file ran out (truncated under us) before the promised
-			// length went out.
-			err = ErrStreamTruncated
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	c.sh.profile.ObserveSince(profiling.StageSend, sendStart)
-	c.touch()
-	return nil
+	return c.sendReply(be, reply, outItem{file: src, off: offset, remaining: length})
 }
 
 // copyFileChunk is the portable streaming path: it moves up to limit

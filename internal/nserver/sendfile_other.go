@@ -18,8 +18,8 @@ func sendFileChunk(dst net.Conn, src *os.File, limit int64) (int64, bool, error)
 }
 
 // nonblockSendfile is unreachable off Linux: connections are only ever
-// polled where reactor.PollerSupported holds, and the parked write path
-// requires a polled connection.
+// polled where reactor.PollerSupported holds, and only a polled
+// connection's sink writes non-blocking.
 func nonblockSendfile(rc syscall.RawConn, src *os.File, off *int64, limit int) (n int, again, via bool, err error) {
 	return 0, false, false, errors.New("nserver: non-blocking sendfile unsupported on this platform")
 }
