@@ -22,29 +22,20 @@ test: vet chaos
 	# loops, work stealing and fan-out accept paths re-run serialized.
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
 	# The kernel-event read path must hold the same invariants as the
-	# goroutine path: the runtime suites re-run with epoll forced on,
-	# both free-running and serialized onto one core.
-	NSERVER_EVENT_DRIVEN=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
+	# goroutine path: the runtime suites (and the HTTP suite, whose fast
+	# path then drains on the poller) re-run with epoll forced on, both
+	# free-running and serialized onto one core.
+	NSERVER_EVENT_DRIVEN=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor ./internal/copshttp
 	NSERVER_EVENT_DRIVEN=1 GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
 	# The adaptive admission limiter must hold the same invariants when it
 	# replaces the watermark gate as the default: the runtime suites re-run
 	# with AdaptiveShed forced on wherever overload control is configured,
 	# alone and combined with the kernel-event read path.
-	NSERVER_ADAPTIVE_SHED=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
+	NSERVER_ADAPTIVE_SHED=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor ./internal/copshttp
 	NSERVER_ADAPTIVE_SHED=1 NSERVER_EVENT_DRIVEN=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
-	# The run-to-completion fast path must hold the same invariants as the
-	# queued path: the runtime and HTTP suites re-run with direct dispatch
-	# forced on (which implies the kernel-event substrate), alone,
-	# serialized onto one core, and combined with adaptive shedding.
-	NSERVER_DIRECT_DISPATCH=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor ./internal/copshttp
-	NSERVER_DIRECT_DISPATCH=1 GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/copshttp
-	NSERVER_DIRECT_DISPATCH=1 NSERVER_ADAPTIVE_SHED=1 $(GO) test -count=1 ./internal/nserver ./internal/copshttp
 	# A medium model-based conformance run rides along with every test
-	# sweep; `make model` runs the full 10k-program batch — first on the
-	# queued path, then with the fast path forced on (the wire must not
-	# change).
+	# sweep; `make model` runs the full 10k-program batch.
 	$(MAKE) model MODEL_PROGRAMS=400
-	NSERVER_DIRECT_DISPATCH=1 $(MAKE) model MODEL_PROGRAMS=400
 
 race:
 	$(GO) test -race ./...
@@ -130,8 +121,9 @@ bench-overload:
 	@cat BENCH_PR7.json
 
 # The fast-path snapshot: the alloc-pinned hot serve (queued and
-# direct-dispatch variants) plus the hot-URL serve cost and pipelined
-# throughput with the fast path on versus off, recorded as JSON.
+# rendered-response variants) plus the hot-URL serve cost and pipelined
+# throughput on the goroutine versus the kernel-event read path, recorded
+# as JSON.
 bench-hot:
 	$(GO) test -run TestHotPathAllocs -bench 'BenchmarkHotURLServe|BenchmarkPipelinedHotThroughput' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_PR10.json

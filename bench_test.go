@@ -753,13 +753,12 @@ func BenchmarkShardScaling(b *testing.B) {
 }
 
 // hotServeServer starts a COPS-HTTP server over loopback with one hot
-// 16 KiB document. Both variants run on the kernel-event substrate so
-// the direct on/off delta isolates the fast path itself: off is the
-// queued pipeline (poll event, queue hop, worker decode and serve), on
-// short-circuits exactly that hop. Both run profiled so the comparison
-// is like for like (and so the direct runs can assert the fast path
-// actually engaged).
-func hotServeServer(b *testing.B, direct bool) *copshttp.Server {
+// 16 KiB document, on the goroutine read path or the kernel-event one.
+// Both serve hot hits through the fast path, on the goroutine that woke
+// the connection: the reader goroutine or the shard poller. Both run
+// profiled so the comparison is like for like, and so each run can
+// assert the fast path actually engaged.
+func hotServeServer(b *testing.B, eventDriven bool) *copshttp.Server {
 	b.Helper()
 	dir := b.TempDir()
 	body := make([]byte, 16<<10)
@@ -771,8 +770,7 @@ func hotServeServer(b *testing.B, direct bool) *copshttp.Server {
 	}
 	opts := options.COPSHTTP()
 	opts.Profiling = true
-	opts.EventDriven = true
-	opts.DirectDispatch = direct
+	opts.EventDriven = eventDriven
 	srv, err := copshttp.New(copshttp.Config{DocRoot: dir, Options: &opts})
 	if err != nil {
 		b.Fatal(err)
@@ -781,8 +779,8 @@ func hotServeServer(b *testing.B, direct bool) *copshttp.Server {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Shutdown)
-	if direct && !srv.Framework().DirectDispatch() {
-		b.Skip("direct dispatch inactive on this platform")
+	if eventDriven && !srv.Framework().EventDriven() {
+		b.Skip("no kernel poller on this platform")
 	}
 	// Warm: the first request misses, renders and publishes the cached
 	// response; every measured request must find it already hot.
@@ -867,52 +865,31 @@ func hotServeClients(b *testing.B, addr string, window int) {
 	b.StopTimer()
 }
 
-// BenchmarkHotURLServe measures one keep-alive GET of a hot cached
-// document, end to end over loopback, with the run-to-completion fast
-// path off (the queued kernel-event baseline: poll event, queue hop,
-// worker decode, per-request head render) and on (rendered-response
-// cache hit served inline on the reactor goroutine). One op is one
-// request-response round trip; eight connections issue them
-// concurrently.
-func BenchmarkHotURLServe(b *testing.B) {
-	for _, direct := range []bool{false, true} {
-		name := "direct=off"
-		if direct {
-			name = "direct=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv := hotServeServer(b, direct)
-			hotServeClients(b, srv.Addr(), 1)
-			if direct {
-				if snap := srv.Framework().Profile().Snapshot(); snap.DirectDispatched == 0 {
-					b.Fatal("fast path never engaged (DirectDispatched = 0)")
-				}
+// hotServeBench runs hotServeClients with the given window against a
+// server on each read path, asserting the fast path served the hits.
+func hotServeBench(b *testing.B, window int) {
+	for _, ed := range []bool{false, true} {
+		b.Run(fmt.Sprintf("event-driven=%v", ed), func(b *testing.B) {
+			srv := hotServeServer(b, ed)
+			hotServeClients(b, srv.Addr(), window)
+			if snap := srv.Framework().Profile().Snapshot(); snap.DirectDispatched == 0 {
+				b.Fatal("fast path never engaged (DirectDispatched = 0)")
 			}
 		})
 	}
 }
 
+// BenchmarkHotURLServe measures one keep-alive GET of a hot cached
+// document, end to end over loopback: a rendered-response cache hit
+// served inline by the goroutine that read it, on the goroutine read
+// path and on the kernel-event one. One op is one request-response round
+// trip; eight connections send them concurrently.
+func BenchmarkHotURLServe(b *testing.B) { hotServeBench(b, 1) }
+
 // BenchmarkPipelinedHotThroughput measures pipelined hot-GET throughput:
 // windows of 16 requests written back to back, then all 16 replies
-// drained, on each of the eight concurrent connections. This is where
-// run-to-completion pays most — one readable edge serves the whole
-// backlog inline from the rendered-response cache instead of bouncing
-// every request through the event queue. One op is one pipelined
-// request.
-func BenchmarkPipelinedHotThroughput(b *testing.B) {
-	for _, direct := range []bool{false, true} {
-		name := "direct=off"
-		if direct {
-			name = "direct=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv := hotServeServer(b, direct)
-			hotServeClients(b, srv.Addr(), 16)
-			if direct {
-				if snap := srv.Framework().Profile().Snapshot(); snap.DirectDispatched == 0 {
-					b.Fatal("fast path never engaged (DirectDispatched = 0)")
-				}
-			}
-		})
-	}
-}
+// drained, on each of the eight concurrent connections, on both read
+// paths. One wakeup serves the whole backlog inline from the
+// rendered-response cache instead of bouncing every request through the
+// event queue. One op is one pipelined request.
+func BenchmarkPipelinedHotThroughput(b *testing.B) { hotServeBench(b, 16) }

@@ -46,7 +46,6 @@ func main() {
 		retryAfter  = flag.Duration("retry-after", 0, "Retry-After delay on shed 503 replies (default 1s; with -adaptive-shed the limiter's backoff horizon overrides it)")
 		shards      = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
 		eventDriven = flag.Bool("event-driven", false, "park idle connections in a per-shard kernel epoll set instead of a reader goroutine each (Linux; elsewhere and for descriptor-hiding transports the goroutine path is the transparent fallback)")
-		directDisp  = flag.Bool("direct-dispatch", false, "serve hot cacheable GETs run-to-completion on the reactor goroutine from a rendered-response cache (implies -event-driven; misses, pipelined backlogs and overload fall back to the queued path)")
 		profile     = flag.Bool("profile", false, "enable performance profiling (O11)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
 		debug       = flag.Bool("debug", false, "generate in debug mode (O10): print the internal event trace on exit")
@@ -84,11 +83,6 @@ func main() {
 	opts.Profiling = *profile
 	opts.Shards = *shards
 	opts.EventDriven = *eventDriven
-	if *directDisp {
-		// Validate requires the event-driven substrate; the flag implies it.
-		opts.EventDriven = true
-		opts.DirectDispatch = true
-	}
 	if *debug {
 		opts.Mode = options.Debug
 	}
@@ -160,9 +154,8 @@ func main() {
 	if err := srv.ListenAndServe(*addr); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("COPS-HTTP serving %s on %s (cache=%s, shards=%d, event-driven=%v, direct-dispatch=%v)\n",
-		*root, srv.Addr(), policy, srv.Framework().Shards(), srv.Framework().EventDriven(),
-		srv.Framework().DirectDispatch())
+	fmt.Printf("COPS-HTTP serving %s on %s (cache=%s, shards=%d, event-driven=%v)\n",
+		*root, srv.Addr(), policy, srv.Framework().Shards(), srv.Framework().EventDriven())
 
 	if *metricsAddr != "" {
 		mcfg := metrics.Config{
@@ -174,7 +167,6 @@ func main() {
 			Parked:       srv.Framework().ParkedConns,
 			ParkedWrites: srv.Framework().ParkedWrites,
 		}
-		mcfg.DirectDispatch = srv.Framework().DirectDispatch
 		if rc := srv.RespCache(); rc != nil {
 			mcfg.RespCache = rc.Stats
 		}

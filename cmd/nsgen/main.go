@@ -36,7 +36,6 @@ func main() {
 		shards     = flag.Int("shards", 0, "weave the multi-reactor sharding crosscut with this many shards; 0 or 1 omits it")
 		eventDrive = flag.Bool("event-driven", false, "weave the kernel-event read path crosscut (epoll on linux, goroutine fallback elsewhere)")
 		adaptive   = flag.Bool("adaptive-shed", false, "weave the adaptive admission crosscut: an AIMD limiter over sampled queue waits layered on the O9 watermark gate (requires overload control)")
-		directDisp = flag.Bool("direct-dispatch", false, "weave the run-to-completion fast-path crosscut: the Server gains a FastPath hook served inline on the reactor goroutine, with misses punted to the queued path (implies -event-driven)")
 	)
 	flag.Parse()
 
@@ -84,11 +83,6 @@ func main() {
 	}
 	if *adaptive {
 		opts = opts.WithAdaptiveShed(true)
-	}
-	if *directDisp {
-		// Validate ties the fast path to the event-driven substrate; the
-		// flag implies it, matching the copshttp binary.
-		opts = opts.WithEventDriven(true).WithDirectDispatch(true)
 	}
 
 	if *scaffold {

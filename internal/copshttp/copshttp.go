@@ -14,6 +14,7 @@ package copshttp
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -46,7 +47,9 @@ type Config struct {
 	IndexFile string
 	// DecodeDelay, when positive, burns the configured duration in the
 	// Decode Request step — the paper's third experiment makes the
-	// workload CPU-bound by sleeping 50ms while decoding.
+	// workload CPU-bound by sleeping 50ms while decoding. A delayed
+	// server installs no fast path, so the burn lands on the Event
+	// Processor workers, where overload control can see it.
 	DecodeDelay time.Duration
 	// Dynamic maps path prefixes to dynamic-content handlers, the
 	// extension the paper notes ("the same pattern can be used to
@@ -110,11 +113,10 @@ type Server struct {
 	largeFile int64
 	// rcache is the rendered-response cache (nil when no file-cache
 	// policy is selected): pre-encoded head+body pairs for cacheable GETs.
-	// It backs the run-to-completion fast path (Options.DirectDispatch),
-	// and — independently of that option — its (modTime, size) metadata
-	// lets the stat hop detect and drop stale file-cache bytes, so a
-	// mutated file is never served from the old cached revision past the
-	// revalidate window.
+	// It backs the run-to-completion fast path (tryFastServe), and its
+	// (modTime, size) metadata lets the stat hop detect and drop stale
+	// file-cache bytes, so a mutated file is never served from the old
+	// cached revision past the revalidate window.
 	rcache *respcache.Cache
 }
 
@@ -169,10 +171,10 @@ func New(cfg Config) (*Server, error) {
 		shed = s.shed
 	}
 	// The rendered-response cache exists whenever the file cache does: its
-	// stat-confirmation metadata fixes the stale-cached-bytes window in
-	// every mode, and under DirectDispatch it is the fast path's lookup
-	// table. Without a file cache every read hits disk fresh, so there is
-	// nothing to confirm and nothing worth pre-rendering.
+	// stat-confirmation metadata fixes the stale-cached-bytes window, and
+	// it is the fast path's lookup table. Without a file cache every read
+	// hits disk fresh, so there is nothing to confirm and nothing worth
+	// pre-rendering.
 	var onRemove func(string)
 	if opts.Cache != options.NoCache {
 		s.rcache = respcache.New(runtime.GOMAXPROCS(0), 0)
@@ -198,9 +200,11 @@ func New(cfg Config) (*Server, error) {
 		ShedPriority:     cfg.ShedPriority,
 		CacheOnRemove:    onRemove,
 	}
-	if s.rcache != nil {
-		// The hook is wired unconditionally; the framework only calls it
-		// when DirectDispatch (and its whole substrate) is active.
+	if s.rcache != nil && cfg.DecodeDelay == 0 {
+		// With the hook installed, requests decode on whichever goroutine
+		// woke the connection. A CPU-bound decode must keep burning on the
+		// Event Processor workers instead: the third experiment's overload
+		// comes from there.
 		nscfg.FastPath = s.tryFastServe
 	}
 	ns, err := nserver.New(nscfg)
@@ -258,8 +262,9 @@ func ceilSeconds(d time.Duration) int64 {
 // entirely: a pooled Response carrying the shared prebuilt 503 page and a
 // Retry-After header is rendered into a pooled head buffer and written
 // with one writev, bounded by the write timeout, then the connection is
-// closed. With the static gate nothing here allocates per shed beyond the
-// kernel's accept; under the adaptive limiter the Retry-After value is
+// closed (see linger). With the static gate nothing here allocates per
+// shed beyond the kernel's accept and the closing goroutine; under the
+// adaptive limiter the Retry-After value is
 // derived from the limiter's live backoff horizon (longer overloads
 // advertise longer backoffs), costing one small header-value render.
 func (s *Server) shed(conn net.Conn) {
@@ -282,6 +287,21 @@ func (s *Server) shed(conn net.Conn) {
 	// land on the group's global profile.
 	s.ns.Profile().Global().BytesSent(int(n))
 	httpproto.ReleaseResponse(resp)
+	go s.linger(conn)
+}
+
+// linger closes a shed connection without resetting it. Closing a socket
+// with the client's request still unread makes the kernel answer with a
+// reset, which can destroy the 503 before the client reads it; so the
+// write side is half-closed first, putting a FIN behind the reply, and
+// the request is read and discarded until the client closes its side or
+// shedTimeout passes. A transport without half-close closes at once. It
+// runs on its own goroutine because the acceptor sheds inline.
+func (s *Server) linger(conn net.Conn) {
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(s.shedTimeout))
+		_, _ = io.Copy(io.Discard, conn)
+	}
 	_ = conn.Close()
 }
 
@@ -331,9 +351,9 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 	}
 }
 
-// tryFastServe is the FastPath hook behind Options.DirectDispatch:
-// called inline from the reactor goroutine for each request decoded
-// during a direct-mode drain. It serves exactly the shape the
+// tryFastServe is the FastPath hook: called inline, on the goroutine
+// that woke the connection, for each request decoded while the O9 gate
+// is clear. It serves exactly the shape the
 // rendered-response cache holds — a keep-alive HTTP/1.1 GET for a
 // static path, no Range, no conditional — and only when the reply
 // sequencer has no earlier claim outstanding, so a pipelined response

@@ -203,6 +203,15 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	return c.Conn.SetWriteDeadline(t)
 }
 
+// CloseWrite half-closes the inner transport when it supports that, so
+// a wrapped TCP connection can still put a FIN behind its last write.
+func (c *Conn) CloseWrite() error {
+	if cw, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return errors.ErrUnsupported
+}
+
 // sleepRespectingDeadline sleeps d but wakes at the deadline (if any),
 // returning a timeout error when the deadline cut the sleep short.
 func (c *Conn) sleepRespectingDeadline(d time.Duration, read bool) error {

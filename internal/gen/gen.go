@@ -132,15 +132,15 @@ type tmplData struct {
 	// deadline to bound).
 	TrackActivity bool
 
-	// Run-to-completion fast-path crosscut: woven only when direct
-	// dispatch is selected (which Validate ties to the event-driven
-	// substrate). The generated Server then exposes a FastPath hook the
-	// application installs; when a parked connection turns readable the
-	// poller callback offers the decoded request to the hook on the
-	// reactor goroutine itself, skipping the event-queue hop. A declined
-	// request — miss, ineligible method, pipelined backlog, overload —
-	// is punted to the queued path unchanged. Without the option the
-	// generated source is byte-identical to before the crosscut existed.
+	// Run-to-completion fast path: not an option but a rule, woven
+	// whenever there is a decoded request to offer (O3) and a queue to
+	// punt a declined one to (O2 pool) — the library runtime's rule. The
+	// generated Server then exposes a FastPath hook the application
+	// installs; whichever goroutine wakes a connection — the poller or a
+	// reader goroutine — offers each decoded request to it inline,
+	// skipping the event-queue hop. A declined request — miss, ineligible
+	// method, pipelined backlog, overload — is punted to the queued path
+	// unchanged.
 	DirectDispatch bool
 }
 
@@ -196,10 +196,7 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 		Sharded:            opts.Shards > 1,
 		Shards:             opts.Shards,
 		EventDriven:        opts.EventDriven,
-		// Generation-time degradation mirrors the library's runtime rule:
-		// the fast path needs a decoded request (O3) and a queued path to
-		// punt to (O2 pool). Validate already guarantees EventDriven.
-		DirectDispatch: opts.DirectDispatch && opts.Codec && opts.SeparateThreadPool,
+		DirectDispatch:     opts.Codec && opts.SeparateThreadPool,
 	}
 	d.TrackActivity = d.Idle || (d.EventDriven && d.ReadDeadline)
 	if d.FileIOThreads <= 0 {

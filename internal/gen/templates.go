@@ -1054,8 +1054,8 @@ type Profile struct {
 	OutboundShed atomic.Uint64
 	{{- end}}
 	{{- if .DirectDispatch}}
-	// DirectDispatched counts requests served run-to-completion on the
-	// reactor goroutine by the FastPath hook, never entering the queue.
+	// DirectDispatched counts requests the FastPath hook served inline,
+	// on the goroutine that woke the connection, never entering the queue.
 	DirectDispatched atomic.Uint64
 	{{- end}}
 	// Stages holds one duration histogram per generated pipeline stage.
@@ -1474,7 +1474,7 @@ func (c *Communicator) shutdown(cause error) {
 // readLoop is the Read Request step of a connection served by a reader
 // goroutine{{if .EventDriven}} (one the platform poller cannot park){{end}}: blocking reads
 // queue copies of the bytes on the inbox, in read order, and each chunk
-// wakes the connection with a readyRead event.
+// wakes the connection (see wake).
 func (c *Communicator) readLoop() {
 	buf := make([]byte, 32*1024)
 	for {
@@ -1496,13 +1496,29 @@ func (c *Communicator) readLoop() {
 			c.inMu.Lock()
 			c.inbox = append(c.inbox, append([]byte(nil), buf[:n]...))
 			c.inMu.Unlock()
-			c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyRead, handle: c.handle{{if .Scheduling}}, prio: c.Priority(){{end}}})
+			c.wake()
 		}
 		if err != nil {
 			c.shutdown(nil)
 			return
 		}
 	}
+}
+
+// wake runs when inbound bytes are ready: a chunk readLoop queued{{if .EventDriven}} or a
+// readable edge the poller reported{{end}}.{{if .DirectDispatch}} With a FastPath hook installed and the
+// overload gate clear, the waking goroutine drains inline, offering each
+// decoded request to the hook{{if .EventDriven}} — the poller goroutine with its non-blocking,
+// parking writes, or the reader goroutine with its blocking ones{{end}}. Otherwise it{{else}} It{{end}}
+// emits the readyRead event a worker drains from.
+func (c *Communicator) wake() {
+	{{- if .DirectDispatch}}
+	if c.srv.FastPath != nil && c.srv.fastGateClear() {
+		c.readable(c.srv.tryFastHandle)
+		return
+	}
+	{{- end}}
+	c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyRead, handle: c.handle{{if .Scheduling}}, prio: c.Priority(){{end}}})
 }
 
 // handleReady runs the per-connection pipeline steps.
@@ -1645,6 +1661,35 @@ func (c *Communicator) decodeLoop({{if .DirectDispatch}}fast func(*Communicator,
 	}
 }
 {{end}}
+{{if .DirectDispatch}}
+// punt hands a request the FastPath hook declined, plus the rest of the
+// drain, to the Event Processor as one event — so overload control
+// still observes a queue wait for every request the fast path could not
+// finish — and reports whether it was queued. The drain stays owned
+// across the handoff: readiness meanwhile only adds to rwake, which the
+// continuation's drain collects. A refused continuation (shutdown) tears
+// the connection down instead: silently dropping a decoded pipelined
+// request would desynchronize it.
+func (c *Communicator) punt(req any) bool {
+	err := c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.proc.Submit(funcEvent{ {{- if .Scheduling}}prio: c.Priority(), {{end}}fn: func() { c.resumePunted(req) }})
+	if err != nil {
+		c.shutdown(err)
+		return false
+	}
+	return true
+}
+
+// resumePunted continues a punted drain on an Event Processor worker: the
+// declined request takes the normal Handle path, and the rest of the
+// decode buffer and the inbound drain follow in queued mode.
+func (c *Communicator) resumePunted(req any) {
+	if !c.closed.Load() {
+		c.srv.handleRequest(c, req)
+		c.decodeLoop(nil)
+	}
+	c.drain(nil)
+}
+{{end}}
 
 {{if .EventDriven}}
 // readBufs pools the scratch of non-blocking socket reads, so a parked
@@ -1682,41 +1727,6 @@ func (c *Communicator) tryPollAttach(p *poller) bool {
 	}
 	return true
 }
-
-{{if .DirectDispatch}}
-// Run-to-completion fast path. The poller goroutine, instead of emitting
-// readyRead into the event queue, takes the readiness wakeup itself and
-// drains inline with the FastPath hook: a hit is answered without ever
-// leaving the poller goroutine.
-
-// punt hands a request the FastPath hook declined, plus the rest of the
-// drain, to the Event Processor as one event — so overload control
-// still observes a queue wait for every request the fast path could not
-// finish — and reports whether it was queued. The drain stays owned
-// across the handoff: readiness meanwhile only adds to rwake, which the
-// continuation's drain collects. A refused continuation (shutdown) tears
-// the connection down instead: silently dropping a decoded pipelined
-// request would desynchronize it.
-func (c *Communicator) punt(req any) bool {
-	err := c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.proc.Submit(funcEvent{ {{- if .Scheduling}}prio: c.Priority(), {{end}}fn: func() { c.resumePunted(req) }})
-	if err != nil {
-		c.shutdown(err)
-		return false
-	}
-	return true
-}
-
-// resumePunted continues a punted drain on an Event Processor worker: the
-// declined request takes the normal Handle path, and the rest of the
-// decode buffer and the socket drain follow in queued mode.
-func (c *Communicator) resumePunted(req any) {
-	if !c.closed.Load() {
-		c.srv.handleRequest(c, req)
-		c.decodeLoop(nil)
-	}
-	c.drain(nil)
-}
-{{end}}
 
 // maxOutboundBytes caps the bytes one connection's parked write queue
 // may buffer; a reader slower than that is shed rather than allowed to
@@ -1912,12 +1922,15 @@ type Server struct {
 	PriorityOf func(c *Communicator) int
 	{{- end}}
 	{{- if .DirectDispatch}}
-	// FastPath, when installed before Serve, is offered each request
-	// decoded from a parked connection on the reactor (poller) goroutine
-	// itself. Returning true means the request was fully served — reply
-	// sent — without touching the event queue; returning false must leave
-	// the connection untouched, and the request rides the queued path.
-	// The hook runs on the poller goroutine and must never block.
+	// FastPath, when installed before Serve, is offered each decoded
+	// request inline while the overload gate is clear, on the goroutine
+	// that woke the connection: {{if .EventDriven}}the poller goroutine for a parked one
+	// (its replies write without blocking and park the rest) or {{end}}the
+	// connection's reader goroutine (its replies block{{if .WriteDeadline}} under the
+	// write deadline{{end}}). Returning true means the request was fully served —
+	// reply sent — without touching the event queue; returning false must
+	// leave the connection untouched, and the request rides the queued
+	// path. The hook must block on nothing but its own reply write.
 	FastPath func(c *Communicator, req any) bool
 	{{- end}}
 	{{- if .Overload}}
@@ -1997,43 +2010,13 @@ func NewServer(hooks Hooks) *Server {
 		}
 		if s.eventDriven {
 			for i := range s.pollers {
-				r := s.reactors[i]
-				p := s.pollers[i]
-				go p.run(func(h Handle, writable bool{{if .Scheduling}}, prio int{{end}}) {
-					k := readyRead
-					if writable {
-						k = readyWrite
-					}
-					{{- if .DirectDispatch}}
-					if k == readyRead && s.FastPath != nil && s.fastGateClear() {
-						if c := s.lookup(h); c != nil {
-							c.readable(s.tryFastHandle)
-							return
-						}
-					}
-					{{- end}}
-					r.emit(ready{kind: k, handle: h{{if .Scheduling}}, prio: prio{{end}}})
-				})
+				go s.pollers[i].run(s.pollEdge)
 			}
 		}
 		{{- else}}
 		if p, err := newPoller(); err == nil {
 			s.poller = p
-			go p.run(func(h Handle, writable bool{{if .Scheduling}}, prio int{{end}}) {
-				k := readyRead
-				if writable {
-					k = readyWrite
-				}
-				{{- if .DirectDispatch}}
-				if k == readyRead && s.FastPath != nil && s.fastGateClear() {
-					if c := s.lookup(h); c != nil {
-						c.readable(s.tryFastHandle)
-						return
-					}
-				}
-				{{- end}}
-				s.reactor.emit(ready{kind: k, handle: h{{if .Scheduling}}, prio: prio{{end}}})
-			})
+			go p.run(s.pollEdge)
 		} else {
 			s.eventDriven = false
 		}
@@ -2306,22 +2289,26 @@ func (s *Server) ParkedWrites() int {
 	}
 	return n
 }
-{{end}}
 
-{{if .DirectDispatch}}
-// DirectDispatch reports whether the run-to-completion fast path is
-// active: the crosscut was generated in, the platform poller is live
-// and the application installed a FastPath hook.
-func (s *Server) DirectDispatch() bool { return s.eventDriven && s.FastPath != nil }
-
-// lookup resolves a handle to its live Communicator.
-func (s *Server) lookup(h Handle) *Communicator {
+// pollEdge routes one poller edge to its live connection: a readable
+// edge wakes it (see wake); a writable one queues the flush of its parked
+// outbound bytes on a worker.
+func (s *Server) pollEdge(h Handle, writable bool{{if .Scheduling}}, prio int{{end}}) {
 	s.mu.Lock()
 	c := s.conns[h]
 	s.mu.Unlock()
-	return c
+	if c == nil {
+		return
+	}
+	if !writable {
+		c.wake()
+		return
+	}
+	c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyWrite, handle: h{{if .Scheduling}}, prio: prio{{end}}})
 }
+{{end}}
 
+{{if .DirectDispatch}}
 // fastGateClear reports whether overload control permits serving a
 // request off-queue. During overload every request must ride the event
 // queue, where the watermark controller{{if .AdaptiveShed}} and the admission limiter's

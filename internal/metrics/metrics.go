@@ -73,9 +73,6 @@ type Config struct {
 	// (cluster.Balancer.HedgeStats). Nil omits the nserver_hedge_*
 	// series.
 	Hedge func() cluster.HedgeSnapshot
-	// DirectDispatch reports whether the run-to-completion fast path is
-	// active (nserver.Server.DirectDispatch). Nil omits the gauge.
-	DirectDispatch func() bool
 	// RespCache reports the rendered-response cache counters behind the
 	// fast path (respcache.Cache.Stats). Nil omits the
 	// nserver_respcache_* series.
@@ -223,7 +220,6 @@ type Payload struct {
 	Admission   *admission.Snapshot    `json:"admission,omitempty"`
 	Hedge       *cluster.HedgeSnapshot `json:"hedge,omitempty"`
 	Cluster     []BackendJSON          `json:"cluster,omitempty"`
-	DirectDisp  *bool                  `json:"direct_dispatch,omitempty"`
 	RespCache   *respcache.Stats       `json:"respcache,omitempty"`
 	Collapsed   *uint64                `json:"collapsed_reads,omitempty"`
 	DiskReads   *uint64                `json:"disk_reads,omitempty"`
@@ -346,10 +342,6 @@ func collect(cfg Config) Payload {
 		v := cfg.Hedge()
 		p.Hedge = &v
 	}
-	if cfg.DirectDispatch != nil {
-		v := cfg.DirectDispatch()
-		p.DirectDisp = &v
-	}
 	if cfg.RespCache != nil {
 		v := cfg.RespCache()
 		p.RespCache = &v
@@ -462,7 +454,7 @@ func RenderPrometheus(cfg Config) string {
 		counter("nserver_events_processed_total", "Events completed by workers.", s.EventsProcessed)
 		counter("nserver_idle_shutdowns_total", "Connections reaped idle or slow.", s.IdleShutdowns)
 		counter("nserver_outbound_shed_total", "Connections torn down because the parked outbound queue hit the memory cap.", s.OutboundShed)
-		counter("nserver_direct_dispatch_total", "Requests served run-to-completion on the reactor goroutine (event-queue hop elided).", s.DirectDispatched)
+		counter("nserver_direct_dispatch_total", "Requests served run-to-completion by the goroutine that read them (event-queue hop elided).", s.DirectDispatched)
 
 		const hname = "nserver_stage_duration_seconds"
 		fmt.Fprintf(&b, "# HELP %s Pipeline stage latency (Fig. 1 steps plus queue wait and AIO completion).\n# TYPE %s histogram\n", hname, hname)
@@ -560,13 +552,6 @@ func RenderPrometheus(cfg Config) string {
 			v = 1
 		}
 		gauge("nserver_event_driven", "1 when the kernel-event read path is active, 0 on the goroutine path.", v)
-	}
-	if cfg.DirectDispatch != nil {
-		v := 0.0
-		if cfg.DirectDispatch() {
-			v = 1
-		}
-		gauge("nserver_direct_dispatch", "1 when the run-to-completion fast path is active.", v)
 	}
 	if cfg.RespCache != nil {
 		rs := cfg.RespCache()

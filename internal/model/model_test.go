@@ -60,6 +60,13 @@ func TestModelConformanceSeeded(t *testing.T) {
 		}
 		runOrFatal(t, target, p)
 	}
+	// The in-memory transport reads on connection goroutines, where hot
+	// repeats take the fast path: the batch must have checked it.
+	if n := h.Server().Framework().Profile().Snapshot().DirectDispatched; n == 0 {
+		t.Fatal("no program reached the fast path (DirectDispatched = 0)")
+	} else {
+		t.Logf("fast path served %d requests", n)
+	}
 }
 
 // TestModelConformanceTCP reruns the corner programs and a short random
@@ -256,10 +263,10 @@ func hotRepeatProgram(name string, n int) *Program {
 // must yield the new body and the new Last-Modified on the second GET —
 // the rendered-response entry and the file-cache bytes must both fall to
 // the stat revalidation, never a stale byte on the wire. The scenario
-// runs on the queued path (mem transport) and run-to-completion on the
-// fast path (tcp + direct dispatch), whose first repeat is served from
-// the rendered cache and whose post-mutation repeat must not be. With
-// MODEL_UPDATE_TRACES=1 the hot-repeat program joins the replay corpus.
+// runs on both transports; on each the first repeat is served from the
+// rendered cache by the fast path and the post-mutation repeat must not
+// be. With MODEL_UPDATE_TRACES=1 the hot-repeat program joins the replay
+// corpus.
 func TestModelCacheInvalidation(t *testing.T) {
 	single := &ConnScript{Requests: []Request{
 		{Method: "GET", Target: "/about.txt", Proto: "HTTP/1.1"}}}
@@ -268,7 +275,7 @@ func TestModelCacheInvalidation(t *testing.T) {
 		o    HarnessOptions
 	}{
 		{"mem-queued", HarnessOptions{}},
-		{"tcp-direct", HarnessOptions{Transport: "tcp", DirectDispatch: true}},
+		{"tcp", HarnessOptions{Transport: "tcp"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := NewHarness(t, tc.o)
@@ -324,8 +331,8 @@ func TestModelCacheInvalidation(t *testing.T) {
 
 	if os.Getenv("MODEL_UPDATE_TRACES") == "1" {
 		tr := &Trace{
-			Name: "hot-repeat-keepalive",
-			Note: "rendered-response cache shape: repeated keep-alive GETs of one small document on a single connection; the wire must be byte-equivalent whether served queued, from the file cache, or run-to-completion from the rendered cache (TestModelCacheInvalidation additionally mutates the file mid-connection and demands fresh bytes and Last-Modified)",
+			Name:    "hot-repeat-keepalive",
+			Note:    "rendered-response cache shape: repeated keep-alive GETs of one small document on a single connection; the wire must be byte-equivalent whether served queued, from the file cache, or run-to-completion from the rendered cache (TestModelCacheInvalidation additionally mutates the file mid-connection and demands fresh bytes and Last-Modified)",
 			Program: hotRepeatProgram("hot-repeat-keepalive", 6),
 		}
 		if err := SaveTrace(filepath.Join("testdata", "model", "hot-repeat-keepalive.json"), tr); err != nil {

@@ -60,13 +60,6 @@ type HarnessOptions struct {
 	// in-memory pipes hide descriptors, so the server transparently
 	// keeps the blocking fallback there.
 	EventDriven bool
-	// DirectDispatch selects the run-to-completion fast path (implying
-	// EventDriven): hot cacheable GETs are answered from the rendered-
-	// response cache on the reactor goroutine. Like EventDriven, only
-	// the "tcp" transport reaches it; the wire must be indistinguishable
-	// from the queued path either way, which is exactly what the model
-	// checks.
-	DirectDispatch bool
 }
 
 // Harness runs client programs against a live COPS-HTTP server and
@@ -135,12 +128,10 @@ func newHarness(dir string, o HarnessOptions) (*Harness, error) {
 	// Half the big file's size: /big.bin exercises the descriptor-
 	// streaming path and its interaction with reply ordering.
 	opts.LargeFileThreshold = 64 << 10
+	// Profiled, so tests can see which requests took the fast path.
+	opts.Profiling = true
 	opts.MaxConnections = o.MaxConnections
 	opts.EventDriven = o.EventDriven
-	if o.DirectDispatch {
-		opts.EventDriven = true
-		opts.DirectDispatch = true
-	}
 	if o.WriteTimeout > 0 {
 		opts = opts.WithHardening(0, o.WriteTimeout, 0)
 		site.WriteTimeout = o.WriteTimeout
@@ -326,8 +317,8 @@ func (h *Harness) runConn(cs *ConnScript, exp Expectation) *Mismatch {
 		_ = conn.SetReadDeadline(time.Now().Add(closeWait))
 		if b, rerr := br.ReadByte(); rerr == nil {
 			return &Mismatch{
-				Resp: len(exp.Responses),
-				Kind: "extra-response",
+				Resp:   len(exp.Responses),
+				Kind:   "extra-response",
 				Detail: fmt.Sprintf("byte %q on the wire after the final predicted response — the server answered bytes it must not frame", b),
 			}
 		} else if !isHangup(rerr) {

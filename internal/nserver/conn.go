@@ -286,10 +286,9 @@ func (c *Conn) teardown(cause error) {
 // transports hide their descriptor): a per-connection reader goroutine
 // performs the blocking read into a leased pool buffer and queues the
 // lease on the connection's FIFO inbox, so inbox order is read order.
-// Each chunk then wakes the connection with the same PollReady event the
-// kernel poller emits per edge, so the event queue — and the O9
-// watermarks sampling it — sees one event per chunk; whichever drain the
-// wakeups elect takes the chunks in inbox order.
+// Each chunk then wakes the connection exactly as a readable edge wakes
+// a parked one (see wake); whichever drain the wakeups elect takes the
+// chunks in inbox order.
 func (c *Conn) readLoop() {
 	readTimeout := c.srv.opts.ReadTimeout
 	for {
@@ -307,11 +306,7 @@ func (c *Conn) readLoop() {
 			c.sh.profile.BytesRead(n)
 			c.touch()
 			if c.pushInbox(lease) {
-				if eerr := c.sh.reactor.Source().Emit(reactor.Ready{
-					Type:   reactor.PollReady,
-					Handle: c.handle,
-					Prio:   c.Priority(),
-				}); eerr != nil {
+				if eerr := c.wake(); eerr != nil {
 					c.teardown(eerr)
 					return
 				}
@@ -377,6 +372,28 @@ func (c *Conn) readEnd(err error) {
 	c.teardown(err)
 }
 
+// wake runs when inbound bytes are ready: a chunk readLoop queued, or a
+// readable edge the shard poller reported. With the fast path active and
+// the O9 gate clear, the waking goroutine claims rgate and drains inline,
+// offering each decoded request to the FastPath hook — the poller with
+// its non-blocking, parking sink, or the reader goroutine with its
+// blocking sink under the per-chunk write deadline. Otherwise it emits
+// the PollReady event an Event Processor worker drains from, so the event
+// queue, and the O9 watermarks sampling it, see one event per wakeup.
+func (c *Conn) wake() error {
+	if c.srv.directDispatch && c.srv.fastGateClear() {
+		if c.rgate.Claim() {
+			c.drain(c.srv.tryFastHandle)
+		}
+		return nil
+	}
+	return c.sh.reactor.Source().Emit(reactor.Ready{
+		Type:   reactor.PollReady,
+		Handle: c.handle,
+		Prio:   c.Priority(),
+	})
+}
+
 // handleReady is the Communicator's event handler, dispatched by the
 // reactor for this connection's handle. PollReady (inbound bytes to
 // drain) runs the Read, Decode and Handle Request steps; WriteReady
@@ -427,7 +444,7 @@ func (c *Conn) pollAttach() bool {
 	return true
 }
 
-// fastHook is the direct-dispatch decode hook (Server.tryFastHandle): it
+// fastHook is the fast-path decode hook (Server.tryFastHandle): it
 // reports whether it consumed a decoded request inline.
 type fastHook func(c *Conn, req any) bool
 
@@ -553,7 +570,7 @@ func (c *Conn) decodeSafe() (req any, n int, err error) {
 	return c.srv.codec.Decode(c.inbuf)
 }
 
-// punt hands a request the direct-dispatch hook declined, plus the
+// punt hands a request the fast-path hook declined, plus the
 // rest of the drain, to the shard's event queue as one event — so
 // admission control still observes a queue wait for every request the
 // fast path could not finish. rgate stays claimed across the handoff:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,23 +203,41 @@ func TestEventDrivenSlowlorisStillReaped(t *testing.T) {
 }
 
 func TestEventDrivenOffKeepsGoroutinePath(t *testing.T) {
-	s, addr := startServer(t, Config{Options: testOptions(), App: echoApp(), Codec: lineCodec{}})
-	// The direct-dispatch sweep implies the event-driven substrate, so
-	// either env var may force EventDriven on.
-	wantED := eventDrivenSweep || directDispatchSweep
-	if os := s.Options(); os.EventDriven != wantED {
-		t.Fatalf("Options().EventDriven = %v, sweeps=%v", os.EventDriven, wantED)
+	// The fast path is a rule, not an option: an installed hook is offered
+	// decoded requests on the goroutine read path too. It answers exactly
+	// as the queued echo would, so only its counter tells the paths apart.
+	var inline atomic.Int32
+	s, addr := startServer(t, Config{Options: testOptions(), App: echoApp(), Codec: lineCodec{},
+		FastPath: func(c *Conn, req any) bool {
+			if req != "fast" {
+				return false
+			}
+			inline.Add(1)
+			c.BeginRequest()
+			_ = c.Reply("echo: fast")
+			return true
+		}})
+	if os := s.Options(); os.EventDriven != eventDrivenSweep {
+		t.Fatalf("Options().EventDriven = %v, sweep=%v", os.EventDriven, eventDrivenSweep)
 	}
 	c := dial(t, addr)
-	fmt.Fprint(c, "plain\n")
-	line, err := bufio.NewReader(c).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
+	r := bufio.NewReader(c)
+	// The first request of a fresh connection finds no drain in progress,
+	// so the goroutine that reads it serves it inline.
+	for _, req := range []string{"fast", "plain"} {
+		fmt.Fprint(c, req+"\n")
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line != "echo: "+req+"\n" {
+			t.Fatalf("got %q", line)
+		}
 	}
-	if line != "echo: plain\n" {
-		t.Fatalf("got %q", line)
+	if inline.Load() != 1 {
+		t.Fatalf("FastPath served %d requests inline, want 1", inline.Load())
 	}
-	if !wantED && s.EventDriven() {
+	if !eventDrivenSweep && s.EventDriven() {
 		t.Fatal("EventDriven() = true without the option")
 	}
 }

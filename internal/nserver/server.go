@@ -67,17 +67,18 @@ type Config struct {
 	// the default (every 128th); 1 traces every request. Only effective
 	// when Options.Logging is on and a Logger is supplied.
 	TraceSampleEvery int
-	// FastPath is the application's run-to-completion hook
-	// (Options.DirectDispatch): called inline from the reactor goroutine
-	// for each request decoded during a direct-mode drain, it must either
-	// serve the request completely — using only non-blocking machinery
-	// (Conn.SendBuffers on a polled connection parks residuals) — and
-	// return true, or touch nothing and return false, in which case the
-	// request is punted to the event queue and handled exactly as without
-	// the option. Required for DirectDispatch to activate; the option also
-	// needs the kernel-event read path, a codec and a separate thread
-	// pool at runtime, and falls back to the queued path wherever any of
-	// those is missing.
+	// FastPath is the application's run-to-completion hook. It is not an
+	// option: whenever it is installed and the server has a codec (O3) and
+	// a separate worker pool (O2), each request decoded while the O9 gate
+	// is clear is offered to it inline, on whichever goroutine woke the
+	// connection — the shard poller for a parked connection (its replies
+	// go out non-blocking and residuals park on EPOLLOUT) or the
+	// connection's own reader goroutine (its replies block under the
+	// per-chunk write deadline). The hook must either serve the request
+	// completely and return true, or touch nothing and return false; a
+	// declined request, and the rest of the drain, is punted to the event
+	// queue and handled exactly as without the hook. It must not block on
+	// anything but the connection's own reply write.
 	FastPath func(c *Conn, req any) bool
 	// CacheOnRemove, when non-nil, is installed as the file cache's
 	// removal hook (cache.Config.OnRemove): it is called with each key
@@ -188,10 +189,9 @@ type Server struct {
 	eventDriven bool
 
 	// directDispatch records whether the run-to-completion fast path is
-	// active: Options.DirectDispatch with the whole substrate present —
-	// kernel-event reads (inline drains start from the poller), a codec
-	// (the hook consumes decoded requests), a separate worker pool
-	// (declined requests punt to its queue) and the FastPath hook.
+	// active, decided from the configuration alone: a FastPath hook, a
+	// codec (the hook consumes decoded requests) and a separate worker
+	// pool (declined requests punt to its queue).
 	directDispatch bool
 	fastPath       func(c *Conn, req any) bool
 }
@@ -207,12 +207,6 @@ var eventDrivenSweep = os.Getenv("NSERVER_EVENT_DRIVEN") == "1"
 // O9 suites over the adaptive limiter (the watermark backstop keeps the
 // static gate's guarantees intact). Set by NSERVER_ADAPTIVE_SHED=1.
 var adaptiveShedSweep = os.Getenv("NSERVER_ADAPTIVE_SHED") == "1"
-
-// directDispatchSweep forces Options.DirectDispatch (and its EventDriven
-// prerequisite) on at assembly time, so `make test` and `make model` can
-// run every suite over the run-to-completion fast path without
-// duplicating test bodies. Set by NSERVER_DIRECT_DISPATCH=1.
-var directDispatchSweep = os.Getenv("NSERVER_DIRECT_DISPATCH") == "1"
 
 // New validates the configuration and assembles (but does not start) a
 // server — the library analogue of template instantiation: every
@@ -237,10 +231,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if adaptiveShedSweep && o.OverloadControl {
 		o.AdaptiveShed = true
-	}
-	if directDispatchSweep {
-		o.EventDriven = true
-		o.DirectDispatch = true
 	}
 	nShards := o.ResolveShards(runtime.NumCPU())
 	o.Shards = nShards
@@ -392,13 +382,10 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Run-to-completion fast path: only active when its whole substrate
-	// is (see the directDispatch field doc); anywhere short of that the
-	// option degrades to the queued path, exactly as EventDriven degrades
-	// to goroutine reads without a poller.
+	// Run-to-completion fast path: active on every read path whenever its
+	// substrate is (see the directDispatch field doc).
 	s.fastPath = cfg.FastPath
-	s.directDispatch = o.DirectDispatch && s.eventDriven &&
-		s.codec != nil && o.SeparateThreadPool && s.fastPath != nil
+	s.directDispatch = s.fastPath != nil && s.codec != nil && o.SeparateThreadPool
 
 	// Bounded work stealing between the shard queues: only wired when
 	// more than one shard exists, so the single-shard worker loop stays
@@ -619,10 +606,6 @@ func (s *Server) ActiveConns() int {
 // exposes no raw descriptor.
 func (s *Server) EventDriven() bool { return s.eventDriven }
 
-// DirectDispatch reports whether the run-to-completion fast path is
-// active (Options.DirectDispatch with every runtime prerequisite met).
-func (s *Server) DirectDispatch() bool { return s.directDispatch }
-
 // ParkedConns returns the number of connections currently resident in the
 // shard epoll tables — event-driven connections parked without a reader
 // goroutine. Always 0 when the event path is inactive.
@@ -828,36 +811,20 @@ func (s *Server) startRuntime() {
 	for _, sh := range s.shards {
 		sh.reactor.Run()
 	}
-	// The per-shard kernel drain loops: each batches readiness from its
-	// epoll instance into the shard's event queue as PollReady events.
-	// With DirectDispatch active and the O9 gate clear, readable edges
-	// drain inline on this goroutine instead — the run-to-completion fast
-	// path — falling back per request to the queued path the moment a
-	// drain meets anything it cannot finish non-blockingly.
+	// The per-shard kernel drain loops: a readable edge wakes its
+	// connection (see Conn.wake); an EPOLLOUT edge — the socket drained
+	// below its buffer mark — queues the flush of parked outbound bytes.
 	for _, sh := range s.shards {
 		if sh.poller == nil {
 			continue
 		}
 		sh := sh
 		go sh.poller.Run(func(h reactor.Handle, prio events.Priority, writable bool) {
-			typ := reactor.PollReady
 			if writable {
-				// An EPOLLOUT edge: the socket drained below its buffer
-				// mark and parked outbound bytes can flush.
-				typ = reactor.WriteReady
-			} else if s.directDispatch && s.fastGateClear() {
-				if c := sh.conn(h); c != nil {
-					if c.rgate.Claim() {
-						c.drain(s.tryFastHandle)
-					}
-					return
-				}
+				_ = sh.reactor.Source().Emit(reactor.Ready{Type: reactor.WriteReady, Handle: h, Prio: prio})
+			} else if c := sh.conn(h); c != nil {
+				_ = c.wake()
 			}
-			_ = sh.reactor.Source().Emit(reactor.Ready{
-				Type:   typ,
-				Handle: h,
-				Prio:   prio,
-			})
 		})
 	}
 	// O7: the idle reaper exists only when selected. The same scavenger
@@ -1010,7 +977,7 @@ func (s *Server) detach(c *Conn) {
 // isolation and per-request profiling (on the owning shard's counters).
 func (s *Server) handleRequest(c *Conn, req any) {
 	rid := c.nextRequestID()
-	start := time.Now()
+	start := s.serviceStart(c)
 	defer func() {
 		if r := recover(); r != nil {
 			s.trace.Record("server", "handler panic on %d (%s): %v", c.handle, c.RequestID(), r)
@@ -1018,10 +985,7 @@ func (s *Server) handleRequest(c *Conn, req any) {
 		}
 	}()
 	s.app.Handle(c, req)
-	d := time.Since(start)
-	c.sh.profile.RequestServed(d)
-	c.sh.profile.ObserveStage(profiling.StageHandle, d)
-	s.reqTrace.Sample(c.id, rid, d)
+	s.served(c, rid, start)
 }
 
 // tryFastHandle runs the application's FastPath hook for one decoded
@@ -1033,7 +997,7 @@ func (s *Server) handleRequest(c *Conn, req any) {
 // the same request counters and Handle-stage histogram as the queued
 // path, plus the direct-dispatch counter.
 func (s *Server) tryFastHandle(c *Conn, req any) (consumed bool) {
-	start := time.Now()
+	start := s.serviceStart(c)
 	defer func() {
 		if r := recover(); r != nil {
 			consumed = true
@@ -1044,12 +1008,32 @@ func (s *Server) tryFastHandle(c *Conn, req any) (consumed bool) {
 	if !s.fastPath(c, req) {
 		return false
 	}
+	c.sh.profile.DirectDispatched()
+	s.served(c, c.reqs.Load(), start)
+	return true
+}
+
+// serviceStart stamps the start of one request's service time, or returns
+// the zero time when neither the shard profile (O11) nor the request
+// tracer (O12) will consume it: with both off a request reads no clock.
+func (s *Server) serviceStart(c *Conn) time.Time {
+	if c.sh.profile == nil && s.reqTrace == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// served records request rid's service time since start (a serviceStart
+// stamp; zero records nothing) on the owning shard's counters and the
+// request tracer.
+func (s *Server) served(c *Conn, rid uint64, start time.Time) {
+	if start.IsZero() {
+		return
+	}
 	d := time.Since(start)
 	c.sh.profile.RequestServed(d)
 	c.sh.profile.ObserveStage(profiling.StageHandle, d)
-	c.sh.profile.DirectDispatched()
-	s.reqTrace.Sample(c.id, c.reqs.Load(), d)
-	return true
+	s.reqTrace.Sample(c.id, rid, d)
 }
 
 // encode runs the Encode Reply step with panic isolation: a buggy Encode

@@ -324,17 +324,6 @@ type Options struct {
 	// False reproduces the paper's blocking-read runtime exactly.
 	EventDriven bool
 
-	// DirectDispatch selects the run-to-completion fast path layered on
-	// the kernel-event read path: when a drained request is a
-	// rendered-response cache hit, the connection's reply sequencer has
-	// no earlier claim outstanding and the O9 gate is not engaged, the
-	// reply is written inline from the reactor goroutine — the
-	// Reactor → event-queue → Event Processor hop is elided entirely, in
-	// the spirit of the template's elidable stages. Any miss, pipeline
-	// backlog or overload falls back to the unchanged Submit path.
-	// Requires EventDriven.
-	DirectDispatch bool
-
 	// O10: generation mode.
 	Mode Mode
 
@@ -362,7 +351,6 @@ var (
 	ErrLargeFile         = errors.New("large files: threshold must be non-negative")
 	ErrShards            = errors.New("sharding: shard count must be non-negative (0 = one per processor)")
 	ErrAdaptiveShed      = errors.New("O9: adaptive shedding requires overload control to be enabled")
-	ErrDirectDispatch    = errors.New("direct dispatch requires the kernel-event read path (EventDriven)")
 )
 
 // Validate checks the option assignment against the legal values of
@@ -427,9 +415,6 @@ func (o *Options) Validate() error {
 	}
 	if o.AdaptiveShed && !o.OverloadControl {
 		return ErrAdaptiveShed
-	}
-	if o.DirectDispatch && !o.EventDriven {
-		return ErrDirectDispatch
 	}
 	return nil
 }
@@ -568,15 +553,6 @@ func (o Options) WithShards(n int) Options {
 // is accepted and the runtime falls back to goroutine-per-conn reads).
 func (o Options) WithEventDriven(on bool) Options {
 	o.EventDriven = on
-	return o
-}
-
-// WithDirectDispatch returns a copy of o with the run-to-completion fast
-// path selected: rendered-response cache hits are written inline from the
-// reactor goroutine, eliding the event-queue hop. Validate rejects the
-// combination without EventDriven.
-func (o Options) WithDirectDispatch(on bool) Options {
-	o.DirectDispatch = on
 	return o
 }
 

@@ -55,9 +55,9 @@ type Profile struct {
 	// latency of each parked reply residual.
 	outboundShed atomic.Uint64
 	flushLatency Histogram
-	// directDispatched counts requests served run-to-completion on the
-	// reactor goroutine (Options.DirectDispatch), a subset of
-	// requestsServed: the event-queue hop was elided for these.
+	// directDispatched counts requests the FastPath hook served
+	// run-to-completion, a subset of requestsServed: the event-queue hop
+	// was elided for these.
 	directDispatched atomic.Uint64
 	// stageSeen drives the 1-in-StageSampleEvery lattice of StageStart.
 	stageSeen atomic.Uint64
@@ -184,8 +184,8 @@ func (p *Profile) RangeUnsatisfiable() {
 	}
 }
 
-// DirectDispatched counts one request served run-to-completion on the
-// reactor goroutine (the event-queue hop elided).
+// DirectDispatched counts one request served run-to-completion by the
+// goroutine that read it (the event-queue hop elided).
 func (p *Profile) DirectDispatched() {
 	if p != nil {
 		p.directDispatched.Add(1)

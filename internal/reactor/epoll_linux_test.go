@@ -325,8 +325,15 @@ drain:
 	if err := p.DisarmWrite(fds[0]); err != nil {
 		t.Fatal(err)
 	}
-	for len(writes) > 0 {
-		<-writes
+	// An edge the poller harvested before the disarm may still be on its
+	// way to the channel (on one core the poller goroutine can lag), so
+	// drain until it has gone quiet.
+	for quiet := false; !quiet; {
+		select {
+		case <-writes:
+		case <-time.After(50 * time.Millisecond):
+			quiet = true
+		}
 	}
 	fillSocket(t, fds[0])
 	for {

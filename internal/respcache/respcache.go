@@ -1,5 +1,5 @@
 // Package respcache is the rendered-response cache behind the
-// run-to-completion fast path (Options.DirectDispatch): for cacheable
+// run-to-completion fast path (nserver.Config.FastPath): for cacheable
 // GETs it keeps the fully pre-encoded response head alongside the body
 // bytes, so a hot-URL hit is served by a single writev of two slices the
 // server already holds — no Response struct, no header rendering, no
