@@ -8,12 +8,19 @@ package repro
 // read.
 
 import (
+	"bufio"
 	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/copshttp"
+	"repro/internal/events"
 	"repro/internal/httpproto"
+	"repro/internal/nserver"
 	"repro/internal/options"
 	"repro/internal/respcache"
 )
@@ -88,8 +95,8 @@ func TestHotPathAllocsDirectDispatch(t *testing.T) {
 	rc.Store(doc, head, body, mtime, int64(len(body)))
 
 	serve := func() {
-		h, bdy, ok := rc.Lookup(doc)
-		if !ok {
+		h, bdy, st := rc.Probe(doc)
+		if st != respcache.Hit {
 			t.Fatal("respcache lost the hot document")
 		}
 		// Two segment writes stand in for the one writev the live path
@@ -110,4 +117,86 @@ func TestHotPathAllocsDirectDispatch(t *testing.T) {
 		t.Fatalf("rendered-response serve path: %.1f allocs/op, budget %d", allocs, directDispatchAllocBudget)
 	}
 	t.Logf("rendered-response serve path: %.1f allocs/op (budget %d)", allocs, directDispatchAllocBudget)
+}
+
+// fastServeAllocBudget is the ceiling for one call of the real FastPath
+// hook, copshttp's FastServe, serving a warm document on a live
+// keep-alive connection: the request shape checks, the path memo, the
+// respcache probe, the reply-sequencer claim, the blocking vectored send
+// and the (disabled) access log. The expected steady state is zero; the
+// budget of one absorbs the respcache's once-per-second Date rollover and
+// a stat per revalidate window on a slow run. A per-reply ID format or
+// path clean on this path costs several.
+const fastServeAllocBudget = 1
+
+func TestHotPathAllocsFastServe(t *testing.T) {
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "hot.html"), make([]byte, 1<<10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The priority hook sees every attached connection, in attach order: it
+	// hands the test the server side of its clients.
+	conns := make(chan *nserver.Conn, 2)
+	srv, err := copshttp.New(copshttp.Config{
+		DocRoot:  root,
+		Priority: func(c *nserver.Conn) events.Priority { conns <- c; return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	dial := func() (net.Conn, *nserver.Conn) {
+		client, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		return client, <-conns
+	}
+
+	// A first client's GET takes the queued path and renders the cached
+	// reply.
+	const wire = "GET /hot.html HTTP/1.1\r\nHost: bench\r\n\r\n"
+	warm, _ := dial()
+	if _, err := warm.Write([]byte(wire)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(warm)
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line == "\r\n" {
+			break
+		}
+	}
+	if _, err := br.Discard(1 << 10); err != nil {
+		t.Fatal(err)
+	}
+	// The hook then serves a second, idle connection whose reader
+	// goroutine stays blocked in Read: the test owns its pipeline exactly
+	// as a drain would, and the replies are drained and dropped.
+	client, c := dial()
+	go func() { _, _ = io.Copy(io.Discard, client) }()
+	req, _, err := httpproto.ParseRequest([]byte(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() {
+		if !srv.FastServe(c, req) {
+			t.Fatal("FastServe declined a warm document")
+		}
+	}
+	for i := 0; i < 16; i++ {
+		serve()
+	}
+	allocs := testing.AllocsPerRun(1000, serve)
+	if allocs > fastServeAllocBudget {
+		t.Fatalf("FastServe: %.1f allocs/op, budget %d", allocs, fastServeAllocBudget)
+	}
+	t.Logf("FastServe: %.1f allocs/op (budget %d)", allocs, fastServeAllocBudget)
 }

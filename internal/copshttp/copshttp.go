@@ -98,10 +98,13 @@ type DynamicHandler func(req *httpproto.Request) *httpproto.Response
 
 // Server is a running COPS-HTTP instance.
 type Server struct {
-	ns        *nserver.Server
-	docroot   string
-	indexFile string
-	dynamic   map[string]DynamicHandler
+	ns      *nserver.Server
+	docroot string
+	// rootPrefix is docroot plus a trailing separator: every resolved
+	// path below the root starts with it.
+	rootPrefix string
+	indexFile  string
+	dynamic    map[string]DynamicHandler
 	// retryAfter is the precomputed Retry-After header value for shed
 	// 503s; shedTimeout bounds the write of a shed reply.
 	retryAfter  string
@@ -113,8 +116,8 @@ type Server struct {
 	largeFile int64
 	// rcache is the rendered-response cache (nil when no file-cache
 	// policy is selected): pre-encoded head+body pairs for cacheable GETs.
-	// It backs the run-to-completion fast path (tryFastServe), and its
-	// (modTime, size) metadata lets the stat hop detect and drop stale
+	// It backs the run-to-completion fast path (FastServe), and its
+	// (modTime, size) metadata lets a fresh stat detect and drop stale
 	// file-cache bytes, so a mutated file is never served from the old
 	// cached revision past the revalidate window.
 	rcache *respcache.Cache
@@ -160,7 +163,8 @@ func New(cfg Config) (*Server, error) {
 	if idx == "" {
 		idx = "index.html"
 	}
-	s := &Server{docroot: root, indexFile: idx, dynamic: cfg.Dynamic, largeFile: opts.LargeFileThreshold}
+	s := &Server{docroot: root, rootPrefix: root + string(filepath.Separator), indexFile: idx,
+		dynamic: cfg.Dynamic, largeFile: opts.LargeFileThreshold}
 	s.retryAfter = strconv.FormatInt(ceilSeconds(cfg.RetryAfter), 10)
 	s.shedTimeout = opts.WriteTimeout
 	if s.shedTimeout <= 0 {
@@ -205,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 		// woke the connection. A CPU-bound decode must keep burning on the
 		// Event Processor workers instead: the third experiment's overload
 		// comes from there.
-		nscfg.FastPath = s.tryFastServe
+		nscfg.FastPath = s.FastServe
 	}
 	ns, err := nserver.New(nscfg)
 	if err != nil {
@@ -351,9 +355,10 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 	}
 }
 
-// tryFastServe is the FastPath hook: called inline, on the goroutine
-// that woke the connection, for each request decoded while the O9 gate
-// is clear. It serves exactly the shape the
+// FastServe is the FastPath hook New installs; it is exported only so
+// allocation tests can drive it on an idle connection. The runtime calls
+// it inline, on the goroutine that woke the connection, for each request
+// decoded while the O9 gate is clear. It serves exactly the shape the
 // rendered-response cache holds — a keep-alive HTTP/1.1 GET for a
 // static path, no Range, no conditional — and only when the reply
 // sequencer has no earlier claim outstanding, so a pipelined response
@@ -361,7 +366,7 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 // Everything else is declined untouched and takes the queued path,
 // which keeps admission control observing every queue wait the fast
 // path did not elide.
-func (s *Server) tryFastServe(c *nserver.Conn, req any) bool {
+func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 	r, ok := req.(*httpproto.Request)
 	if !ok || r.Refuse != 0 || r.Method != "GET" || r.Proto != "HTTP/1.1" || !r.KeepAlive() {
 		return false
@@ -385,18 +390,45 @@ func (s *Server) tryFastServe(c *nserver.Conn, req any) bool {
 		}
 		q.memoPath, q.memoFull = r.Path, full
 	}
-	head, body, ok := s.rcache.Lookup(full)
-	if !ok {
+	head, body, state := s.rcache.Probe(full)
+	if state == respcache.Stale && !c.Parked() {
+		head, body = s.revalidate(full)
+	}
+	if head == nil || !q.tryFastClaim() {
 		return false
 	}
-	if !q.tryFastClaim() {
-		return false
-	}
-	c.BeginRequest()
+	rid := c.BeginRequest()
 	err := c.SendBuffers(head, body)
-	s.logAccess(c, r, 200, len(body), c.RequestID())
+	s.logAccess(c, r, 200, len(body), rid)
 	q.finishFastClaim(s, c, err)
 	return true
+}
+
+// revalidate is the fast path's own stat of a rendered entry past its
+// revalidate window, so a warm document costs one stat(2) per window on
+// the connection's reader goroutine instead of the queued stat and read
+// hops. The shard poller never runs it: a parked connection declines
+// instead, and the poller makes no filesystem call. It returns the
+// confirmed entry's head and body, or nil to decline — after dropping
+// what the stat proved outdated, so the queued path re-stats, re-reads
+// and answers (200 with the new bytes, 404, or 301).
+func (s *Server) revalidate(full string) (head, body []byte) {
+	fc := s.ns.Cache()
+	info, err := os.Stat(full)
+	if err != nil || !info.Mode().IsRegular() {
+		// Deleted, or no longer a regular file: the entry can never be
+		// confirmed again, so drop it instead of counting it stale forever.
+		s.rcache.Invalidate(full)
+		fc.Remove(full)
+		return nil, nil
+	}
+	// Touch the file-cache entry: fast-path hits never do, and the queued
+	// read hop this replaces was what kept LRU recency for the files the
+	// fast path serves. Without it eviction picks the hottest files.
+	if _, ok := fc.Get(full); !ok {
+		return nil, nil
+	}
+	return s.confirm(full, info, true)
 }
 
 // connClosed is the OnClose hook: tear down the reply sequencer so parked
@@ -472,17 +504,8 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 	}
 	st.modTime = info.ModTime()
 	st.size = info.Size()
-	// Reconcile the rendered-response cache against this fresh stat. A
-	// mismatch proves the cached revision is outdated: the rendered entry
-	// is dropped by Confirm, and the file-cache bytes it was built from
-	// are dropped here — so the read hop below re-reads the file instead
-	// of serving the old revision under a fresh Last-Modified. A match
-	// restarts the entry's revalidate window, keeping the fast path warm
-	// for another window without its own stat.
-	if s.rcache != nil && s.rcache.Confirm(st.full, st.modTime, st.size) {
-		if fc := s.ns.Cache(); fc != nil {
-			fc.Remove(st.full)
-		}
+	if s.rcache != nil {
+		s.confirm(st.full, info, false)
 	}
 	// If-Modified-Since wins over Range: a 304 carries no representation,
 	// so there is nothing for the range to select from (RFC 9110 §13.2.2
@@ -534,6 +557,27 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 		s.errorReply(c, r, st.q, st.seq, 503, true)
 		c.Close()
 	}
+}
+
+// confirm reconciles the rendered entry for full with a fresh stat: the
+// stat hop's, or the fast path's inline one (serve), which also gets the
+// confirmed entry's head and body back to send. A match restarts the
+// entry's revalidate window. A mismatch proves the cached revision
+// outdated: respcache drops the rendered entry, and the file-cache bytes
+// it was built from are dropped here — so the next read hop re-reads the
+// file instead of serving the old revision under a fresh Last-Modified.
+func (s *Server) confirm(full string, info os.FileInfo, serve bool) (head, body []byte) {
+	var dropped bool
+	if serve {
+		head, body, dropped = s.rcache.Revalidate(full, info.ModTime(), info.Size())
+	} else {
+		dropped = s.rcache.Confirm(full, info.ModTime(), info.Size())
+	}
+	if dropped {
+		// The rendered-response cache exists only beside a file cache.
+		s.ns.Cache().Remove(full)
+	}
+	return head, body
 }
 
 // fileDone is the Completion Handler: it runs when the emulated
@@ -677,7 +721,7 @@ func (s *Server) streamFile(c *nserver.Conn, st *connState, resp *httpproto.Resp
 	serr := c.ReplyFile(resp, f, offset, length)
 	f.Close()
 	httpproto.ReleaseResponse(resp)
-	s.logAccess(c, r, status, int(length), c.RequestID())
+	s.logAccess(c, r, status, int(length), c.RequestSeq())
 	st.q.advanceAfterStream(s, c, closeAfter, serr)
 }
 
@@ -725,17 +769,19 @@ func (s *Server) reply(c *nserver.Conn, r *httpproto.Request, q *sequencer, seq 
 	s.sendOrdered(c, q, seq, r, resp)
 }
 
-// resolve maps a cleaned request path to a file under the document root.
-// Directory resolution happens in the asynchronous stat hop, so no
-// blocking filesystem call occurs here.
+// resolve maps a request path, already cleaned by the codec
+// (httpproto.CleanPath), to a file under the document root. Directory
+// resolution happens in the asynchronous stat hop, so no blocking
+// filesystem call occurs here.
 func (s *Server) resolve(reqPath string) (string, error) {
-	p := httpproto.CleanPath(reqPath)
+	p := reqPath
 	if strings.HasSuffix(p, "/") {
 		p += s.indexFile
 	}
 	full := filepath.Join(s.docroot, filepath.FromSlash(p))
-	// CleanPath cannot escape the root, but keep the invariant explicit.
-	if full != s.docroot && !strings.HasPrefix(full, s.docroot+string(filepath.Separator)) {
+	// Join cleans what is left, so a path from a codec that does not
+	// clean cannot escape the root either; keep the invariant explicit.
+	if full != s.docroot && !strings.HasPrefix(full, s.rootPrefix) {
 		return "", errors.New("copshttp: path escapes document root")
 	}
 	return full, nil

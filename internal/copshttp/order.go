@@ -31,7 +31,7 @@ type sequencer struct {
 
 	// memoPath/memoFull cache the last fast-path resolution (request path
 	// → filesystem path) so repeat requests for one hot document resolve
-	// without allocating. Touched only by tryFastServe, which runs under
+	// without allocating. Touched only by FastServe, which runs under
 	// the connection's pipeline lock.
 	memoPath string
 	memoFull string
@@ -48,11 +48,12 @@ type pendingReply struct {
 	head  []byte
 	body  []byte
 	close bool
-	// status/bytes/req/id replay the access-log record at flush time.
+	// status/bytes/req/rid replay the access-log record at flush time;
+	// rid is the request ordinal, formatted only if a logger exists.
 	status int
 	bytes  int
 	req    *httpproto.Request
-	id     string
+	rid    uint64
 	// turn, when non-nil, marks a parked streaming (large-file) reply:
 	// the flusher closes the channel when the turn arrives and the
 	// streamer goroutine writes its own bytes and advances the sequence.
@@ -140,7 +141,7 @@ func (s *Server) sendOrdered(c *nserver.Conn, q *sequencer, seq uint64, r *httpp
 			status: resp.Status,
 			bytes:  len(resp.Body),
 			req:    r,
-			id:     c.RequestID(),
+			rid:    c.RequestSeq(),
 		}
 		q.mu.Unlock()
 		return
@@ -149,7 +150,7 @@ func (s *Server) sendOrdered(c *nserver.Conn, q *sequencer, seq uint64, r *httpp
 	// In turn: only the owner of q.next writes, and q.next does not
 	// advance until it finishes, so the zero-copy write needs no lock.
 	err := c.Reply(resp)
-	s.logAccess(c, r, resp.Status, len(resp.Body), c.RequestID())
+	s.logAccess(c, r, resp.Status, len(resp.Body), c.RequestSeq())
 	closeNow := resp.Close
 	q.mu.Lock()
 	q.next++
@@ -186,7 +187,7 @@ func (q *sequencer) flushLocked(s *Server, c *nserver.Conn, closeNow *bool, err 
 		}
 		if !*closeNow && err == nil {
 			err = c.SendBuffers(p.head, p.body)
-			s.logAccess(c, p.req, p.status, p.bytes, p.id)
+			s.logAccess(c, p.req, p.status, p.bytes, p.rid)
 		}
 		*closeNow = *closeNow || p.close
 		q.next++
@@ -228,11 +229,12 @@ func (q *sequencer) shutdown() {
 }
 
 // logAccess writes the O12 access-log record (common-log-style plus the
-// trace ID, so a sampled "trace id=..." line and its access-log record
-// can be joined).
-func (s *Server) logAccess(c *nserver.Conn, r *httpproto.Request, status, bytes int, id string) {
+// trace ID of request ordinal rid, so a sampled "trace id=..." line and
+// its access-log record can be joined). The ID is formatted only when a
+// logger exists: with logging off a reply costs no formatting.
+func (s *Server) logAccess(c *nserver.Conn, r *httpproto.Request, status, bytes int, rid uint64) {
 	if lg := s.ns.Logger(); lg != nil && r != nil {
 		lg.Infof("%s \"%s %s %s\" %d %d id=%s",
-			c.RemoteAddr(), r.Method, r.Target, r.Proto, status, bytes, id)
+			c.RemoteAddr(), r.Method, r.Target, r.Proto, status, bytes, nserver.FormatRequestID(c.ID(), rid))
 	}
 }

@@ -2,6 +2,7 @@ package httpproto
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -80,4 +81,59 @@ func FuzzCleanPath(f *testing.F) {
 			}
 		}
 	})
+}
+
+// cleanPathOracle is CleanPath as it was before the already-clean early
+// return: the differential oracle the current function must match.
+func cleanPathOracle(p string) string {
+	segs := strings.Split(p, "/")
+	out := make([]string, 0, len(segs))
+	for _, s := range segs {
+		switch s {
+		case "", ".":
+		case "..":
+			if len(out) > 0 {
+				out = out[:len(out)-1]
+			}
+		default:
+			out = append(out, s)
+		}
+	}
+	cleaned := "/" + strings.Join(out, "/")
+	if len(out) > 0 && (strings.HasSuffix(p, "/") || strings.HasSuffix(p, "/.") || strings.HasSuffix(p, "/..")) {
+		if cleaned != "/" {
+			cleaned += "/"
+		}
+	}
+	return cleaned
+}
+
+// FuzzCleanPathMatchesOracle checks CleanPath against cleanPathOracle on
+// arbitrary strings, and that a clean path is a fixed point.
+func FuzzCleanPathMatchesOracle(f *testing.F) {
+	for _, seed := range []string{
+		"", "/", "//", "/.", "/..", "/a", "/a/", "/a//", "/a/b/c.html", "a/b",
+		"/a/./b", "/a/../b", "/a/.", "/a/..", "/...", "/a/.b/..c/", "/./", "/../",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		got, want := CleanPath(p), cleanPathOracle(p)
+		if got != want {
+			t.Fatalf("CleanPath(%q) = %q, oracle %q", p, got, want)
+		}
+		if again := CleanPath(got); again != got {
+			t.Fatalf("CleanPath(%q) = %q is not a fixed point (%q)", p, got, again)
+		}
+	})
+}
+
+// TestCleanPathCleanInputAllocFree pins the early return: an already
+// clean path, the shape every well-formed request has, costs nothing.
+func TestCleanPathCleanInputAllocFree(t *testing.T) {
+	for _, p := range []string{"/", "/index.html", "/docs/dir1/class2_5.html", "/sub/"} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = CleanPath(p) }); allocs != 0 {
+			t.Errorf("CleanPath(%q): %.0f allocs, want 0", p, allocs)
+		}
+	}
 }

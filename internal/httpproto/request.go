@@ -421,8 +421,13 @@ func unhex(c byte) (byte, error) {
 
 // CleanPath normalizes an absolute request path: it collapses duplicate
 // slashes, resolves "." and "..", and never escapes the root — the
-// document-root traversal defence every static file server needs.
+// document-root traversal defence every static file server needs. An
+// already clean path, the common case, is returned as is, without
+// allocating.
 func CleanPath(p string) string {
+	if isCleanPath(p) {
+		return p
+	}
 	segs := strings.Split(p, "/")
 	out := make([]string, 0, len(segs))
 	for _, s := range segs {
@@ -444,4 +449,28 @@ func CleanPath(p string) string {
 		}
 	}
 	return cleaned
+}
+
+// isCleanPath reports whether CleanPath would return p unchanged: p is
+// absolute, and no segment is empty (bar one trailing slash), "." or "..".
+func isCleanPath(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	start := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		switch p[start:i] {
+		case ".", "..":
+			return false
+		case "":
+			if i < len(p) {
+				return false
+			}
+		}
+		start = i + 1
+	}
+	return true
 }

@@ -557,7 +557,8 @@ func RenderPrometheus(cfg Config) string {
 		rs := cfg.RespCache()
 		counter("nserver_respcache_hits_total", "Rendered-response cache hits (fast-path serves).", rs.Hits)
 		counter("nserver_respcache_misses_total", "Rendered-response cache misses.", rs.Misses)
-		counter("nserver_respcache_stale_total", "Lookups refused because the entry outlived its revalidate window.", rs.Stale)
+		counter("nserver_respcache_stale_total", "Lookups that found the entry past its revalidate window.", rs.Stale)
+		counter("nserver_respcache_revalidated_total", "Stale entries confirmed by an inline stat and served on the fast path (each also a hit).", rs.Revalidated)
 		counter("nserver_respcache_invalidations_total", "Rendered entries dropped by stat mismatch or file-cache removal.", rs.Invalidations)
 		gauge("nserver_respcache_entries", "Resident rendered-response entries.", float64(rs.Entries))
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/options"
 	"repro/internal/profiling"
+	"repro/internal/respcache"
 )
 
 func testConfig(t *testing.T) Config {
@@ -41,6 +42,9 @@ func testConfig(t *testing.T) Config {
 		Deferred:    func() uint64 { return 3 },
 		EventDriven: func() bool { return true },
 		Parked:      func() int { return 12 },
+		RespCache: func() respcache.Stats {
+			return respcache.Stats{Hits: 9, Misses: 2, Stale: 4, Revalidated: 3, Entries: 1}
+		},
 	}
 }
 
@@ -78,6 +82,9 @@ func TestRenderPrometheus(t *testing.T) {
 		`nserver_epoll_batch_size_bucket{le="8"} 2`,
 		"nserver_epoll_batch_size_sum 8",
 		"nserver_epoll_batch_size_count 2",
+		"nserver_respcache_hits_total 9",
+		"nserver_respcache_stale_total 4",
+		"nserver_respcache_revalidated_total 3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in rendering", want)

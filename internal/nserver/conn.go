@@ -91,8 +91,9 @@ type Conn struct {
 	// flush. On a polled connection outq holds the parked rest of replies
 	// the socket refused, in wire order, wgate serializes the EPOLLOUT
 	// flushes of it, and the atomics feed the scavenger's stall test and
-	// the parked-write gauge without taking the lock. outq, outProgress
-	// and closeAfterFlush are guarded by writeMu.
+	// the parked-write gauge without taking the lock. outq, outProgress,
+	// closeAfterFlush and the blocking sink's iovec scratch (wsegs, wbufs)
+	// are guarded by writeMu.
 	wgate           reactor.DrainGate
 	outq            []outItem
 	outMem          atomic.Int64
@@ -100,6 +101,8 @@ type Conn struct {
 	outStamp        atomic.Int64
 	outProgress     int64
 	closeAfterFlush bool
+	wsegs           [2][]byte
+	wbufs           net.Buffers
 
 	writeMu sync.Mutex
 	closed  atomic.Bool
@@ -152,15 +155,27 @@ func (c *Conn) IdleFor() time.Duration {
 // Closed reports whether the connection has been torn down.
 func (c *Conn) Closed() bool { return c.closed.Load() }
 
+// Parked reports whether the connection is parked in its shard's kernel
+// poller (Options.EventDriven): its FastPath calls then run on the
+// poller goroutine, which must never make a filesystem call.
+func (c *Conn) Parked() bool { return c.polled.Load() }
+
 // ID returns the server-unique connection sequence number.
 func (c *Conn) ID() uint64 { return c.id }
 
 // RequestID returns the trace ID of the request currently (or most
 // recently) dispatched on this connection, in the O12 trace format
 // "c<conn>-r<req>". Before the first request the request ordinal is 0.
-func (c *Conn) RequestID() string {
-	return fmt.Sprintf("c%d-r%d", c.id, c.reqs.Load())
-}
+func (c *Conn) RequestID() string { return FormatRequestID(c.id, c.RequestSeq()) }
+
+// RequestSeq returns the ordinal of the request currently (or most
+// recently) dispatched on this connection, RequestID without the
+// formatting: callers that may never print the ID keep this instead.
+func (c *Conn) RequestSeq() uint64 { return c.reqs.Load() }
+
+// FormatRequestID renders the O12 trace ID of request ordinal req on
+// connection conn: "c<conn>-r<req>".
+func FormatRequestID(conn, req uint64) string { return fmt.Sprintf("c%d-r%d", conn, req) }
 
 // nextRequestID advances the request ordinal for a newly decoded request
 // and returns its trace ID.
@@ -427,17 +442,20 @@ func (c *Conn) pollAttach() bool {
 	if err != nil {
 		return false
 	}
-	// raw is set before the registration: the first readable edge may be
-	// drained before Add returns.
+	// raw and polled are set before the registration: the first readable
+	// edge may be drained on the poller before Add returns, and that drain
+	// must already see a parked connection (non-blocking sink, no
+	// filesystem call in the FastPath hook).
 	c.fd, c.raw = fd, raw
+	c.polled.Store(true)
 	if err := c.sh.poller.Add(fd, c.handle, c.Priority()); err != nil {
 		c.raw = nil
+		c.polled.Store(false)
 		return false
 	}
-	c.polled.Store(true)
 	if c.closed.Load() {
-		// A teardown raced the registration and missed the table entry
-		// (it read polled before the store above): sweep it ourselves.
+		// A teardown raced the registration and ran its Del before Add
+		// filled the table entry: sweep it ourselves.
 		c.sh.poller.Del(fd)
 		return false
 	}

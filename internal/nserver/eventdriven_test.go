@@ -92,6 +92,39 @@ func TestEventDrivenEchoRoundTrip(t *testing.T) {
 	waitFor(t, "conn table to drain", func() bool { return s.ActiveConns() == 0 })
 }
 
+// TestEventDrivenFastPathSeesParkedFromFirstEdge: a client that sends
+// its request the moment it connects can have that first edge drained on
+// the poller before the registration returns. The FastPath hook must
+// already see Parked() there — it is what keeps the poller goroutine
+// from making a filesystem call.
+func TestEventDrivenFastPathSeesParkedFromFirstEdge(t *testing.T) {
+	if !reactor.PollerSupported {
+		t.Skip("no kernel poller on this platform")
+	}
+	var unparked atomic.Int32
+	_, addr := startServer(t, Config{Options: edOptions(), App: echoApp(), Codec: lineCodec{},
+		FastPath: func(c *Conn, req any) bool {
+			if !c.Parked() {
+				unparked.Add(1)
+			}
+			return false
+		}})
+	for i := 0; i < 200; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprint(c, "first\n")
+		if line, err := bufio.NewReader(c).ReadString('\n'); err != nil || line != "echo: first\n" {
+			t.Fatalf("conn %d: %q, %v", i, line, err)
+		}
+		c.Close()
+	}
+	if n := unparked.Load(); n != 0 {
+		t.Fatalf("the FastPath hook saw an unparked connection on %d first requests", n)
+	}
+}
+
 func TestEventDrivenLargePayloadCrossesChunks(t *testing.T) {
 	if !reactor.PollerSupported {
 		t.Skip("no kernel poller on this platform")

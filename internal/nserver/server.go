@@ -78,7 +78,8 @@ type Config struct {
 	// completely and return true, or touch nothing and return false; a
 	// declined request, and the rest of the drain, is punted to the event
 	// queue and handled exactly as without the hook. It must not block on
-	// anything but the connection's own reply write.
+	// anything but the connection's own reply write, except that it may
+	// make one metadata syscall per revalidate window when !c.Parked().
 	FastPath func(c *Conn, req any) bool
 	// CacheOnRemove, when non-nil, is installed as the file cache's
 	// removal hook (cache.Config.OnRemove): it is called with each key

@@ -535,6 +535,12 @@ func TestProfilingCountersEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The last reply's bytes and service time are counted just after its
+	// write, so the client can read it first.
+	waitFor(t, "the last reply to be counted", func() bool {
+		snap := s.Profile().Snapshot()
+		return snap.RequestsServed >= 5 && snap.BytesSent >= 5*12
+	})
 	snap := s.Profile().Snapshot()
 	if snap.ConnectionsAccepted != 1 {
 		t.Errorf("accepted = %d", snap.ConnectionsAccepted)

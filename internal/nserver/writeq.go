@@ -3,7 +3,6 @@ package nserver
 import (
 	"errors"
 	"io"
-	"net"
 	"os"
 	"syscall"
 	"time"
@@ -222,13 +221,14 @@ func (c *Conn) writev(head, body []byte) (n int, again bool, err error) {
 		w, err = c.conn.Write(head)
 		wn = int64(w)
 	} else {
-		var segs [2][]byte
-		bufs := net.Buffers(segs[:0])
-		if len(head) > 0 {
-			bufs = append(bufs, head)
+		// The iovec lives on the connection: a net.Buffers on the stack
+		// escapes into WriteTo, two allocations per reply.
+		c.wbufs = append(c.wsegs[:0], head, body)
+		if len(head) == 0 {
+			c.wbufs = c.wbufs[1:]
 		}
-		bufs = append(bufs, body)
-		wn, err = bufs.WriteTo(c.conn)
+		wn, err = c.wbufs.WriteTo(c.conn)
+		c.wsegs = [2][]byte{}
 	}
 	if err == nil && wn < int64(want) {
 		err = io.ErrShortWrite

@@ -21,8 +21,11 @@
 // they were rendered; Confirm checks a fresh stat against that pair and
 // drops the entry on mismatch. A hit is only served while the entry's
 // last confirmation is younger than the revalidate window, so a mutated
-// file is re-statted — and caught — within that bound even though the
-// fast path itself never touches the filesystem.
+// file is re-statted — and caught — within that bound. Probe tells such
+// a stale entry from a missing one, and Revalidate is the confirmation
+// for a caller that stats the file itself and serves the entry on a
+// match: the fast path does that inline, at most once per window per
+// hot file, on a connection's reader goroutine.
 package respcache
 
 import (
@@ -89,7 +92,7 @@ type shard struct {
 }
 
 // Cache is the sharded rendered-response cache. It is safe for
-// concurrent use; the hot Lookup path takes one shard mutex and
+// concurrent use; the hot Probe path takes one shard mutex and
 // performs no allocation within a wall-clock second.
 type Cache struct {
 	shards []*shard
@@ -99,6 +102,7 @@ type Cache struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	stale         atomic.Uint64
+	revalidated   atomic.Uint64
 	invalidations atomic.Uint64
 }
 
@@ -106,7 +110,8 @@ type Cache struct {
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
-	Stale         uint64 // lookups refused because the entry outlived the revalidate window
+	Stale         uint64 // probes that found the entry past the revalidate window
+	Revalidated   uint64 // stale entries confirmed by Revalidate and served (each also a hit)
 	Invalidations uint64 // entries dropped by Confirm mismatch, Invalidate, or file-cache removal
 	Entries       int
 }
@@ -142,28 +147,42 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[uint32(maphash.String(shardSeed, key))&c.mask]
 }
 
-// Lookup returns the pre-encoded head and body for key if a fresh
-// rendered entry exists. The returned slices are shared and must not be
-// modified; the head's Date field is current for the calling second.
-func (c *Cache) Lookup(key string) (head, body []byte, ok bool) {
-	return c.lookupAt(key, time.Now())
+// State classifies a Probe.
+type State uint8
+
+const (
+	// Miss: no rendered entry for the key.
+	Miss State = iota
+	// Stale: an entry that outlived the revalidate window; it may be
+	// served only after a fresh stat confirms it (Revalidate).
+	Stale
+	// Hit: a fresh entry, returned ready to send.
+	Hit
+)
+
+// Probe looks key up in one shard-lock trip and tells a fresh entry from
+// a stale or missing one. Only a Hit returns the pre-encoded head and
+// body; the slices are shared and must not be modified, and the head's
+// Date field is current for the calling second.
+func (c *Cache) Probe(key string) (head, body []byte, st State) {
+	return c.probeAt(key, time.Now())
 }
 
-func (c *Cache) lookupAt(key string, now time.Time) (head, body []byte, ok bool) {
+func (c *Cache) probeAt(key string, now time.Time) (head, body []byte, st State) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	e, found := s.entries[key]
 	s.mu.Unlock()
 	if !found {
 		c.misses.Add(1)
-		return nil, nil, false
+		return nil, nil, Miss
 	}
 	if now.UnixNano()-e.verified.Load() > c.ttl {
 		c.stale.Add(1)
-		return nil, nil, false
+		return nil, nil, Stale
 	}
 	c.hits.Add(1)
-	return e.rendered(now), e.body, true
+	return e.rendered(now), e.body, Hit
 }
 
 // Store records the rendered response for key. head must be a complete
@@ -208,6 +227,31 @@ func (c *Cache) storeAt(key string, head, body []byte, modTime time.Time, size i
 // a stale entry was dropped — the caller should then also drop the
 // underlying file-cache bytes, which the stat just proved outdated.
 func (c *Cache) Confirm(key string, modTime time.Time, size int64) (dropped bool) {
+	_, dropped = c.confirm(key, modTime, size, time.Now())
+	return dropped
+}
+
+// Revalidate is Confirm for a caller that serves the entry on a match: a
+// Stale probe, a fresh stat taken by the caller, then this. On a match it
+// returns the confirmed entry's head and body, counted as a hit and a
+// revalidation; otherwise both are nil and dropped is Confirm's report.
+// The slices belong to the entry the stat matched, never to a revision
+// stored after it.
+func (c *Cache) Revalidate(key string, modTime time.Time, size int64) (head, body []byte, dropped bool) {
+	now := time.Now()
+	e, dropped := c.confirm(key, modTime, size, now)
+	if e == nil {
+		return nil, nil, dropped
+	}
+	c.hits.Add(1)
+	c.revalidated.Add(1)
+	return e.rendered(now), e.body, false
+}
+
+// confirm is the one shard-lock trip behind Confirm and Revalidate: it
+// returns the entry the stat matched (its window restarted at now), or
+// nil, reporting whether a mismatched entry was dropped.
+func (c *Cache) confirm(key string, modTime time.Time, size int64, now time.Time) (e *entry, dropped bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -215,13 +259,13 @@ func (c *Cache) Confirm(key string, modTime time.Time, size int64) (dropped bool
 		delete(s.entries, key)
 		s.mu.Unlock()
 		c.invalidations.Add(1)
-		return true
+		return nil, true
 	}
 	if ok {
-		e.verified.Store(time.Now().UnixNano())
+		e.verified.Store(now.UnixNano())
 	}
 	s.mu.Unlock()
-	return false
+	return e, false
 }
 
 // Invalidate drops the rendered entry for key, if any. The file cache's
@@ -256,6 +300,7 @@ func (c *Cache) Stats() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Stale:         c.stale.Load(),
+		Revalidated:   c.revalidated.Load(),
 		Invalidations: c.invalidations.Load(),
 		Entries:       c.Len(),
 	}

@@ -2,6 +2,8 @@ package respcache
 
 import (
 	"bytes"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,8 +31,8 @@ func TestStoreLookupRoundTrip(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/index.html", renderHead(body, mt), body, mt, int64(len(body)), now)
 
-	head, got, ok := c.lookupAt("/index.html", now)
-	if !ok {
+	head, got, st := c.probeAt("/index.html", now)
+	if st != Hit {
 		t.Fatal("fresh entry did not hit")
 	}
 	if !bytes.Equal(got, body) {
@@ -58,8 +60,8 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 9, 30, 15, 100e6, time.UTC)
 	c.storeAt("/doc", renderHead(body, mt), body, mt, int64(len(body)), t0)
 
-	headAtT0, _, ok := c.lookupAt("/doc", t0)
-	if !ok {
+	headAtT0, _, st := c.probeAt("/doc", t0)
+	if st != Hit {
 		t.Fatal("miss at T")
 	}
 	wantDate := []byte(httpproto.FormatHTTPDate(t0))
@@ -68,8 +70,8 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	}
 
 	t1 := t0.Add(time.Second) // crosses the wall-clock second boundary
-	headAtT1, _, ok := c.lookupAt("/doc", t1)
-	if !ok {
+	headAtT1, _, st := c.probeAt("/doc", t1)
+	if st != Hit {
 		t.Fatal("miss at T+1")
 	}
 	// Wire equality: the two heads must differ in exactly the 29 Date
@@ -86,7 +88,7 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	}
 
 	// Within one second the image is shared, not re-copied.
-	again, _, _ := c.lookupAt("/doc", t1.Add(200*time.Millisecond))
+	again, _, _ := c.probeAt("/doc", t1.Add(200*time.Millisecond))
 	if &again[0] != &headAtT1[0] {
 		t.Fatal("same-second lookups did not share one head image")
 	}
@@ -99,10 +101,10 @@ func TestRevalidateWindow(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/a", renderHead(body, mt), body, mt, 1, now)
 
-	if _, _, ok := c.lookupAt("/a", now.Add(40*time.Millisecond)); !ok {
+	if _, _, st := c.probeAt("/a", now.Add(40*time.Millisecond)); st != Hit {
 		t.Fatal("entry inside the window missed")
 	}
-	if _, _, ok := c.lookupAt("/a", now.Add(60*time.Millisecond)); ok {
+	if _, _, st := c.probeAt("/a", now.Add(60*time.Millisecond)); st != Stale {
 		t.Fatal("entry outside the window served without revalidation")
 	}
 	if st := c.Stats(); st.Stale != 1 {
@@ -113,7 +115,7 @@ func TestRevalidateWindow(t *testing.T) {
 	if dropped := c.Confirm("/a", mt, 1); dropped {
 		t.Fatal("matching Confirm dropped the entry")
 	}
-	if _, _, ok := c.Lookup("/a"); !ok {
+	if _, _, st := c.Probe("/a"); st != Hit {
 		t.Fatal("confirmed entry missed")
 	}
 
@@ -122,9 +124,82 @@ func TestRevalidateWindow(t *testing.T) {
 	if dropped := c.Confirm("/a", mt.Add(time.Second), 1); !dropped {
 		t.Fatal("mismatching Confirm kept the entry")
 	}
-	if _, _, ok := c.Lookup("/a"); ok {
+	if _, _, st := c.Probe("/a"); st != Miss {
 		t.Fatal("dropped entry still served")
 	}
+}
+
+// TestRevalidateServesConfirmedEntry covers the inline revalidation: a
+// Stale probe, a matching stat through Revalidate, and the confirmed
+// entry comes back ready to send, counted once as a hit and once as a
+// revalidation; a mismatching stat drops the entry instead.
+func TestRevalidateServesConfirmedEntry(t *testing.T) {
+	c := New(1, 50*time.Millisecond)
+	body := []byte("hot")
+	mt := time.Unix(1_000_000, 0)
+	c.storeAt("/a", renderHead(body, mt), body, mt, 3, time.Now().Add(-time.Second))
+
+	if _, _, st := c.Probe("/missing"); st != Miss {
+		t.Fatalf("missing key probed %v, want Miss", st)
+	}
+	if head, _, st := c.Probe("/a"); st != Stale || head != nil {
+		t.Fatalf("entry past the window probed %v (head %q), want Stale and no bytes", st, head)
+	}
+	head, got, dropped := c.Revalidate("/a", mt, 3)
+	if dropped || head == nil || !bytes.Equal(got, body) {
+		t.Fatalf("matching Revalidate: head %q body %q dropped %v", head, got, dropped)
+	}
+	if _, _, st := c.Probe("/a"); st != Hit {
+		t.Fatalf("revalidated entry probed %v, want Hit (window restarted)", st)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Revalidated != 1 || st.Stale != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 2 hits (one revalidated), 1 stale, 1 miss", st)
+	}
+
+	if head, _, dropped := c.Revalidate("/a", mt, 4); head != nil || !dropped {
+		t.Fatalf("mismatching Revalidate: head %q dropped %v, want nil and dropped", head, dropped)
+	}
+	if head, _, dropped := c.Revalidate("/a", mt, 3); head != nil || dropped {
+		t.Fatalf("Revalidate of a dropped entry: head %q dropped %v, want nil and not dropped", head, dropped)
+	}
+	if st := c.Stats(); st.Revalidated != 1 || st.Invalidations != 1 || st.Entries != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRevalidateConcurrentRevisions races inline revalidations against
+// stores of new revisions, queued confirmations and invalidations of one
+// key: a Revalidate that matched a stat must return that revision's
+// bytes, never those of a revision stored after it.
+func TestRevalidateConcurrentRevisions(t *testing.T) {
+	c := New(1, time.Nanosecond) // every probe past the window
+	mt := time.Unix(1_000_000, 0)
+	body := func(rev int) []byte { return []byte(strconv.Itoa(rev)) }
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				rev := 10 + (i+w)%5 // the size doubles as the revision number
+				switch i % 4 {
+				case 0:
+					b := body(rev)
+					c.Store("/k", renderHead(b, mt), b, mt, int64(rev))
+				case 1:
+					c.Confirm("/k", mt, int64(rev))
+				case 2:
+					c.Invalidate("/k")
+				}
+				c.Probe("/k")
+				if head, got, _ := c.Revalidate("/k", mt, int64(rev)); head != nil && !bytes.Equal(got, body(rev)) {
+					t.Errorf("Revalidate for revision %d returned %q", rev, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestInvalidate(t *testing.T) {
@@ -133,7 +208,7 @@ func TestInvalidate(t *testing.T) {
 	mt := time.Unix(1, 0)
 	c.Store("/a", renderHead(body, mt), body, mt, 1)
 	c.Invalidate("/a")
-	if _, _, ok := c.Lookup("/a"); ok {
+	if _, _, st := c.Probe("/a"); st != Miss {
 		t.Fatal("invalidated entry still served")
 	}
 	c.Invalidate("/missing") // no-op, no counter bump
@@ -157,7 +232,7 @@ func TestSameSecondLookupAllocFree(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/hot", renderHead(body, mt), body, mt, int64(len(body)), now)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, ok := c.lookupAt("/hot", now); !ok {
+		if _, _, st := c.probeAt("/hot", now); st != Hit {
 			t.Fatal("hot entry missed")
 		}
 	})
