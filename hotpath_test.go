@@ -13,6 +13,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,6 +24,8 @@ import (
 	"repro/internal/httpproto"
 	"repro/internal/nserver"
 	"repro/internal/options"
+	"repro/internal/profiling"
+	"repro/internal/reactor"
 	"repro/internal/respcache"
 )
 
@@ -69,7 +73,7 @@ func TestHotPathAllocs(t *testing.T) {
 // serve iteration — the work the run-to-completion fast path repeats per
 // hot request once the head is cached: a respcache lookup plus handing
 // the two shared segments to the vectored send (which the live path does
-// with a stack iovec in reactor.NonblockWritev). The expected steady
+// with a pooled iovec in reactor.NonblockWritev). The expected steady
 // state is zero allocations; the budget of one absorbs the respcache's
 // once-per-second Date rollover copy. The queued path above re-renders
 // the head every time and budgets 4; that gap is the point of the
@@ -199,4 +203,166 @@ func TestHotPathAllocsFastServe(t *testing.T) {
 		t.Fatalf("FastServe: %.1f allocs/op, budget %d", allocs, fastServeAllocBudget)
 	}
 	t.Logf("FastServe: %.1f allocs/op (budget %d)", allocs, fastServeAllocBudget)
+}
+
+// TestHotPathAllocsPipelinedWindow pins the allocations of a pipelined
+// window of 16 hits served through the real drain on a live goroutine-path
+// connection: the reader goroutine's read, the decode loop, FastServe per
+// request and the corked window's one gathered write. The decoder
+// allocates per request; everything else must not: the corked replies'
+// head leases come from the pool and the queue and the gathered iovec are
+// reused window to window. A window therefore costs exactly what its 16
+// decodes cost, and a per-reply allocation anywhere on the write side adds
+// 16.
+func TestHotPathAllocsPipelinedWindow(t *testing.T) {
+	const window = 16
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "hot.html"), make([]byte, 1<<10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := options.COPSHTTP()
+	opts.Profiling = true
+	srv, err := copshttp.New(copshttp.Config{DocRoot: root, Options: &opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	client, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	const wire = "GET /hot.html HTTP/1.1\r\nHost: bench\r\n\r\n"
+	// The first GET takes the queued path and renders the cached reply;
+	// its length is every later reply's (the Date field is fixed-width).
+	if _, err := client.Write([]byte(wire)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(client)
+	replyLen := 0
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		replyLen += len(line)
+		if line == "\r\n" {
+			break
+		}
+	}
+	if _, err := br.Discard(1 << 10); err != nil {
+		t.Fatal(err)
+	}
+	replyLen += 1 << 10
+
+	burst := []byte(strings.Repeat(wire, window))
+	replies := make([]byte, window*replyLen)
+	serve := func() {
+		if _, err := client.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(br, replies); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The counters move just after the bytes leave, so a reader can get
+	// ahead of them: settle waits until every request is counted.
+	fw := srv.Framework()
+	settle := func(requests uint64) profiling.Snapshot {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			snap := fw.Profile().Snapshot()
+			if snap.RequestsServed >= requests || time.Now().After(deadline) {
+				return snap
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	first := settle(1)
+	for i := 0; i < 16; i++ {
+		serve()
+	}
+	allocs := testing.AllocsPerRun(200, serve)
+	const windows = 16 + 201
+	after := settle(1 + windows*window)
+	if after.DirectDispatched != windows*window {
+		t.Fatalf("%d of %d requests served inline: a window left the fast path",
+			after.DirectDispatched, windows*window)
+	}
+	if writes := after.ReplyWrites - first.ReplyWrites; writes != windows {
+		t.Fatalf("%d reply writes for %d windows, want one per window", writes, windows)
+	}
+
+	req := []byte(wire)
+	decode := testing.AllocsPerRun(1000, func() {
+		if _, _, err := httpproto.ParseRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if raceEnabled {
+		t.Skipf("pipelined window: %.0f allocs under -race, where pools drop values at random", allocs)
+	}
+	if want := window * decode; allocs > want {
+		t.Fatalf("pipelined window: %.0f allocs, want the decoder's own %.0f (16 x %.0f)", allocs, want, decode)
+	}
+	t.Logf("pipelined window: %.0f allocs (decoder: 16 x %.0f)", allocs, decode)
+}
+
+// TestHotPathAllocsNonblockWritev pins the parking sink's gathered write,
+// reactor.NonblockWritev, at zero allocations: the reply path calls it
+// once per pipelined window, and a per-call closure or iovec would put
+// garbage back on it.
+func TestHotPathAllocsNonblockWritev(t *testing.T) {
+	if !reactor.PollerSupported {
+		t.Skip("no kernel poller on this platform")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server := <-accepted
+	if server == nil {
+		t.FailNow()
+	}
+	defer server.Close()
+	go func() { _, _ = io.Copy(io.Discard, client) }()
+	_, raw, err := reactor.ConnFD(server.(syscall.Conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := make([][]byte, 32)
+	for i := range segs {
+		segs[i] = []byte("segment ")
+	}
+	write := func() {
+		if n, again, err := reactor.NonblockWritev(raw, segs); err != nil || again || n != 32*8 {
+			t.Fatalf("writev: n=%d again=%v err=%v", n, again, err)
+		}
+	}
+	write()
+	allocs := testing.AllocsPerRun(200, write)
+	if raceEnabled {
+		t.Skipf("NonblockWritev: %.0f allocs/op under -race, where pools drop values at random", allocs)
+	}
+	if allocs != 0 {
+		t.Fatalf("NonblockWritev: %.0f allocs/op, want 0", allocs)
+	}
 }

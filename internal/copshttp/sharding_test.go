@@ -106,7 +106,13 @@ func TestShardedServeCorrectness(t *testing.T) {
 	}
 
 	// The aggregated profile must see every request; the per-shard
-	// snapshots must sum to the aggregate.
+	// snapshots must sum to the aggregate. A fast-path request is counted
+	// just after its reply leaves, so a client can read the last reply
+	// before the count lands: wait for the counters to settle first.
+	deadline := time.Now().Add(5 * time.Second)
+	for fw.Profile().Snapshot().RequestsServed < clients*reqsPerClient && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	snap := fw.Profile().Snapshot()
 	if snap.RequestsServed != clients*reqsPerClient {
 		t.Errorf("aggregated RequestsServed = %d, want %d", snap.RequestsServed, clients*reqsPerClient)

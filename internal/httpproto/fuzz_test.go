@@ -2,6 +2,7 @@ package httpproto
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -136,4 +137,151 @@ func TestCleanPathCleanInputAllocFree(t *testing.T) {
 			t.Errorf("CleanPath(%q): %.0f allocs, want 0", p, allocs)
 		}
 	}
+}
+
+// parseRequestOracle is ParseRequest as it was before the head was walked
+// in place: the head split into a line slice and the request line into a
+// field slice. It is the differential oracle the current parser must
+// match, acceptance and result alike.
+func parseRequestOracle(buf []byte) (*Request, int, error) {
+	headerEnd := bytes.Index(buf, []byte("\r\n\r\n"))
+	if headerEnd < 0 {
+		if len(buf) > MaxHeaderBytes {
+			return nil, 0, ErrHeaderTooLarge
+		}
+		return nil, 0, nil
+	}
+	if headerEnd > MaxHeaderBytes {
+		return nil, 0, ErrHeaderTooLarge
+	}
+	head := buf[:headerEnd]
+	consumed := headerEnd + 4
+
+	lines := strings.Split(string(head), "\r\n")
+	req, err := parseRequestLineOracle(lines[0])
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, line := range lines[1:] {
+		if err := parseHeaderLine(&req.Headers, line); err != nil {
+			return nil, 0, err
+		}
+	}
+	if req.Headers.Has("Transfer-Encoding") {
+		req.Refuse = 501
+		return req, len(buf), nil
+	}
+	if cl := req.Headers.Get("Content-Length"); cl != "" {
+		n, ok := parseContentLength(cl)
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: bad Content-Length %q", ErrBadHeader, cl)
+		}
+		if n > MaxBodyBytes {
+			return nil, 0, ErrBodyTooLarge
+		}
+		if int64(len(buf)-consumed) < n {
+			return nil, 0, nil
+		}
+		req.Body = append([]byte(nil), buf[consumed:consumed+int(n)]...)
+		consumed += int(n)
+	}
+	return req, consumed, nil
+}
+
+func parseRequestLineOracle(line string) (*Request, error) {
+	parts := strings.Split(line, " ")
+	if len(parts) != 3 {
+		return nil, fmt.Errorf("%w: %q", ErrBadRequestLine, line)
+	}
+	method, target, proto := parts[0], parts[1], parts[2]
+	if method == "" || !isToken(method) {
+		return nil, fmt.Errorf("%w: bad method %q", ErrBadRequestLine, method)
+	}
+	if proto != "HTTP/1.0" && proto != "HTTP/1.1" {
+		return nil, fmt.Errorf("%w: %q", ErrBadVersion, proto)
+	}
+	if target == "" || target[0] != '/' {
+		return nil, fmt.Errorf("%w: target %q", ErrBadRequestLine, target)
+	}
+	rawPath, query, _ := strings.Cut(target, "?")
+	path, err := decodePath(rawPath)
+	if err != nil {
+		return nil, err
+	}
+	return &Request{
+		Method:  method,
+		Target:  target,
+		Path:    CleanPath(path),
+		Query:   query,
+		Proto:   proto,
+		Headers: NewHeader(),
+	}, nil
+}
+
+// requestString renders every field of a parse result for comparison.
+func requestString(req *Request, n int, err error) string {
+	if err != nil {
+		return fmt.Sprintf("n=%d err=%v", n, err)
+	}
+	if req == nil {
+		return fmt.Sprintf("n=%d incomplete", n)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d %q %q %q %q %q refuse=%d body=%q", n,
+		req.Method, req.Target, req.Path, req.Query, req.Proto, req.Refuse, req.Body)
+	req.Headers.Each(func(k, v string) { fmt.Fprintf(&b, " %q=%q", k, v) })
+	return b.String()
+}
+
+// FuzzParseRequestMatchesOracle checks ParseRequest against
+// parseRequestOracle on arbitrary bytes: the same acceptance, the same
+// errors and the same parsed request.
+func FuzzParseRequestMatchesOracle(f *testing.F) {
+	for _, seed := range []string{
+		"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+		"GET /a?b HTTP/1.0\r\nConnection: keep-alive\r\nHost: y\r\n\r\n",
+		"GET  / HTTP/1.1\r\n\r\n",
+		"GET / HTTP/1.1 \r\n\r\n",
+		"GET /  HTTP/1.1\r\n\r\n",
+		"GET\r\n\r\n",
+		"GET /\r\n\r\n",
+		" GET / HTTP/1.1\r\n\r\n",
+		"\r\nGET / HTTP/1.1\r\n\r\n",
+		"GET / HTTP/1.1\r\nA: 1\rB: 2\r\n\r\n",
+		"GET / HTTP/1.1\r\nA: 1\nB: 2\r\n\r\n",
+		"GET / HTTP/1.1\r\nbad line\r\n\r\n",
+		"GET / HTTP/1.1\r\nX-A: 1\r\nX-A: 2\r\n\r\n",
+		"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcGET / HTTP/1.1\r\n\r\n",
+		"POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"GET /%2e%2e/x HTTP/1.1\r\n\r\n",
+		"GET /a%00 HTTP/1.1\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got := requestString(ParseRequest(data))
+		want := requestString(parseRequestOracle(data))
+		if got != want {
+			t.Fatalf("ParseRequest(%q)\n got %s\nwant %s", data, got, want)
+		}
+	})
+}
+
+// parseRequestAllocBudget is the ceiling for parsing the pipelined
+// benchmark's request shape: the head string, the Request, its header map
+// (header and bucket) and key slice. Splitting the head into slices cost
+// two more.
+const parseRequestAllocBudget = 5
+
+func TestParseRequestAllocs(t *testing.T) {
+	wire := []byte("GET /docs/dir1/class2_5.html HTTP/1.1\r\nHost: nsbench\r\n\r\n")
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, n, err := ParseRequest(wire); n != len(wire) || err != nil {
+			t.Fatalf("n=%d err=%v", n, err)
+		}
+	})
+	if allocs > parseRequestAllocBudget {
+		t.Fatalf("ParseRequest: %.0f allocs/op, budget %d", allocs, parseRequestAllocBudget)
+	}
+	t.Logf("ParseRequest: %.0f allocs/op (budget %d)", allocs, parseRequestAllocBudget)
 }

@@ -214,15 +214,17 @@ func ParseRequest(buf []byte) (*Request, int, error) {
 	if headerEnd > MaxHeaderBytes {
 		return nil, 0, ErrHeaderTooLarge
 	}
-	head := buf[:headerEnd]
 	consumed := headerEnd + 4
 
-	lines := strings.Split(string(head), "\r\n")
-	req, err := parseRequestLine(lines[0])
+	// One string copy of the head backs every field; the lines are walked
+	// in place, CRLF to CRLF, rather than split into a slice.
+	line, rest, more := strings.Cut(string(buf[:headerEnd]), "\r\n")
+	req, err := parseRequestLine(line)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, line := range lines[1:] {
+	for more {
+		line, rest, more = strings.Cut(rest, "\r\n")
 		if err := parseHeaderLine(&req.Headers, line); err != nil {
 			return nil, 0, err
 		}
@@ -314,12 +316,15 @@ func parseCLValue(s string) (int64, bool) {
 	return n, true
 }
 
+// parseRequestLine parses "method SP target SP proto": exactly two
+// spaces, so a third one (a doubled space included) fails here and an
+// empty field fails its own check below.
 func parseRequestLine(line string) (*Request, error) {
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 {
+	method, rest, ok1 := strings.Cut(line, " ")
+	target, proto, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 || strings.IndexByte(proto, ' ') >= 0 {
 		return nil, fmt.Errorf("%w: %q", ErrBadRequestLine, line)
 	}
-	method, target, proto := parts[0], parts[1], parts[2]
 	if method == "" || !isToken(method) {
 		return nil, fmt.Errorf("%w: bad method %q", ErrBadRequestLine, method)
 	}

@@ -455,6 +455,7 @@ func RenderPrometheus(cfg Config) string {
 		counter("nserver_idle_shutdowns_total", "Connections reaped idle or slow.", s.IdleShutdowns)
 		counter("nserver_outbound_shed_total", "Connections torn down because the parked outbound queue hit the memory cap.", s.OutboundShed)
 		counter("nserver_direct_dispatch_total", "Requests served run-to-completion by the goroutine that read them (event-queue hop elided).", s.DirectDispatched)
+		counter("nserver_reply_writes_total", "Vectored writes that carried reply bytes; requests_total / reply_writes_total is replies per write.", s.ReplyWrites)
 
 		const hname = "nserver_stage_duration_seconds"
 		fmt.Fprintf(&b, "# HELP %s Pipeline stage latency (Fig. 1 steps plus queue wait and AIO completion).\n# TYPE %s histogram\n", hname, hname)

@@ -21,6 +21,7 @@ func testConfig(t *testing.T) Config {
 	p.BytesRead(100)
 	p.BytesSent(2048)
 	p.RequestServed(3 * time.Millisecond)
+	p.ReplyWrite()
 	for _, st := range profiling.Stages() {
 		p.ObserveStage(st, 500*time.Microsecond)
 	}
@@ -62,6 +63,7 @@ func TestRenderPrometheus(t *testing.T) {
 		`le="+Inf"`,
 		"nserver_requests_total 1",
 		"nserver_sent_bytes_total 2048",
+		"nserver_reply_writes_total 1",
 		"nserver_cache_hits_total 1",
 		"nserver_cache_misses_total 1",
 		"nserver_cache_evictions_total 0",

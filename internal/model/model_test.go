@@ -61,12 +61,20 @@ func TestModelConformanceSeeded(t *testing.T) {
 		runOrFatal(t, target, p)
 	}
 	// The in-memory transport reads on connection goroutines, where hot
-	// repeats take the fast path: the batch must have checked it.
-	if n := h.Server().Framework().Profile().Snapshot().DirectDispatched; n == 0 {
+	// repeats take the fast path: the batch must have checked it. Every
+	// reply needs a write of its own unless a corked window shared one,
+	// so fewer reply writes than replies means pipelined hits took the
+	// corked path too.
+	snap := h.Server().Framework().Profile().Snapshot()
+	if snap.DirectDispatched == 0 {
 		t.Fatal("no program reached the fast path (DirectDispatched = 0)")
-	} else {
-		t.Logf("fast path served %d requests", n)
 	}
+	if snap.ReplyWrites >= snap.RequestsServed {
+		t.Fatalf("no pipelined window was corked: %d reply writes for %d requests",
+			snap.ReplyWrites, snap.RequestsServed)
+	}
+	t.Logf("fast path served %d requests; %d reply writes for %d requests",
+		snap.DirectDispatched, snap.ReplyWrites, snap.RequestsServed)
 }
 
 // TestModelConformanceTCP reruns the corner programs and a short random

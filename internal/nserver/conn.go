@@ -88,20 +88,24 @@ type Conn struct {
 	inClosed bool
 
 	// Write side (see send in writeq.go): writeMu serializes every reply's
-	// flush. On a polled connection outq holds the parked rest of replies
-	// the socket refused, in wire order, wgate serializes the EPOLLOUT
-	// flushes of it, and the atomics feed the scavenger's stall test and
-	// the parked-write gauge without taking the lock. outq, outProgress,
-	// closeAfterFlush and the blocking sink's iovec scratch (wsegs, wbufs)
-	// are guarded by writeMu.
+	// flush. outq holds, in wire order, replies not yet on the wire: the
+	// corked replies of the window the drain is serving (corked is set by
+	// the drain owner, see decodeLoop), or on a polled connection the
+	// parked rest of replies the socket refused. wgate serializes the
+	// EPOLLOUT flushes of a parked queue, and the atomics feed the
+	// scavenger's stall test and the parked-write gauge without taking the
+	// lock. outq, outProgress, closeAfterFlush and the gathered write's
+	// iovec scratch (wsegs, and wbufs for the blocking sink) are guarded by
+	// writeMu.
 	wgate           reactor.DrainGate
 	outq            []outItem
+	corked          atomic.Bool
 	outMem          atomic.Int64
 	outPending      atomic.Int64
 	outStamp        atomic.Int64
 	outProgress     int64
 	closeAfterFlush bool
-	wsegs           [2][]byte
+	wsegs           [][]byte
 	wbufs           net.Buffers
 
 	writeMu sync.Mutex
@@ -254,11 +258,12 @@ func (c *Conn) SendBuffers(head, body []byte) error {
 	return c.send(outItem{head: head, body: body})
 }
 
-// Close tears the connection down cleanly. A polled connection with
-// parked outbound bytes closes gracefully: the queue finishes draining
-// (under the scavenger's WriteTimeout progress clock) and the teardown
-// runs when it empties, so a pipelined peer still receives the replies
-// that were committed before the close.
+// Close tears the connection down cleanly. A connection with committed
+// replies still queued closes gracefully: corked replies leave with the
+// drain's uncork, a parked queue finishes draining (under the
+// scavenger's WriteTimeout progress clock), and the teardown runs when
+// the queue empties, so a pipelined peer still receives every reply
+// committed before the close.
 func (c *Conn) Close() error {
 	c.writeMu.Lock()
 	if !c.closed.Load() && len(c.outq) > 0 {
@@ -535,14 +540,28 @@ func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
 		return false
 	}
 	c.inbuf = append(c.inbuf, chunk...)
-	return c.decodeLoop(fast)
+	pass := c.inbuf
+	if punted = c.decodeLoop(fast); !punted && len(c.inbuf) == 0 {
+		// Rewind onto the pass's start: the next chunk reuses the array
+		// instead of growing a fresh one past the consumed bytes.
+		c.inbuf = pass[:0]
+	}
+	return punted
 }
 
 // decodeLoop extracts and dispatches buffered requests until the buffer
 // empties or ends in a partial request. Each request goes to fast first
 // when it is set; the first one it declines punts (see punt), and
 // the report is true.
+//
+// A fast-served request with more bytes buffered behind it corks the
+// connection: its reply, and the rest of the window's, queue until the
+// pass ends and leave in one gathered write (see uncork). Only the fast
+// path corks — its hook never blocks, so a corked reply never waits on
+// the peer — and no cork outlives the pass: it is lifted at the pass
+// end, before a punt and before a decode error's teardown.
 func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
+	corked := false
 	for {
 		decStart := c.sh.profile.StageStart()
 		req, n, err := c.decodeSafe()
@@ -551,9 +570,21 @@ func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
 			c.inbuf = c.inbuf[n:]
 			if fast == nil {
 				c.srv.handleRequest(c, req)
-			} else if !fast(c, req) {
-				return c.punt(req)
+			} else {
+				if !corked && len(c.inbuf) > 0 {
+					corked = true
+					c.corked.Store(true)
+				}
+				if !fast(c, req) {
+					if corked {
+						c.uncork()
+					}
+					return c.punt(req)
+				}
 			}
+		}
+		if corked && (err != nil || n == 0 || len(c.inbuf) == 0) {
+			c.uncork()
 		}
 		if err != nil {
 			c.srv.trace.Record("communicator", "decode error on %d: %v", c.handle, err)

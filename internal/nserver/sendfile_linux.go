@@ -87,7 +87,7 @@ func nonblockCopyChunk(rc syscall.RawConn, src *os.File, off *int64, limit int) 
 		}
 		return 0, false, rerr
 	}
-	n, again, werr := reactor.NonblockWritev(rc, buf[:nr], nil)
+	n, again, werr := reactor.NonblockWritev(rc, [][]byte{buf[:nr]})
 	*off += int64(n)
 	return n, again, werr
 }

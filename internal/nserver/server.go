@@ -80,6 +80,11 @@ type Config struct {
 	// queue and handled exactly as without the hook. It must not block on
 	// anything but the connection's own reply write, except that it may
 	// make one metadata syscall per revalidate window when !c.Parked().
+	// A memory-only reply the hook sends may be deferred: while more
+	// requests are buffered behind the one it serves, the connection is
+	// corked, and the window's replies leave together in one gathered
+	// write when the drain pass ends — before a punt, and never held
+	// across a read. The bytes and their order on the wire are unchanged.
 	FastPath func(c *Conn, req any) bool
 	// CacheOnRemove, when non-nil, is installed as the file cache's
 	// removal hook (cache.Config.OnRemove): it is called with each key

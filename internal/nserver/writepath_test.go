@@ -13,6 +13,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,6 +78,14 @@ func mixedReplyApp(t *testing.T, path string) App {
 // write deadline re-armed per chunk), the blocking sink of an fd-hiding
 // transport on an event-driven server, and the non-blocking sink of a
 // parked connection, where the replies park and drain on EPOLLOUT.
+//
+// The fast variants serve the stream through a FastPath hook instead, so
+// it arrives as one corked window. On the goroutine path the hook serves
+// every request: the file range flushes the corked replies ahead of it.
+// On a parked connection it declines the file ranges (the poller makes no
+// filesystem call), so the cork lifts before the punt with 4 MiB queued:
+// the gathered write hits EAGAIN, the rest of the window parks, and it
+// drains on EPOLLOUT ahead of the queued replies.
 func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 	const fileLen = 3 << 20
 	// Aperiodic bytes: a chunk re-sent from the wrong offset cannot
@@ -111,16 +120,33 @@ func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 		opts   options.Options
 		opaque bool
 		parks  bool
+		fast   bool
 	}{
 		{name: "goroutine-blocking", opts: withTimeout(testOptions())},
 		{name: "opaque-blocking", opts: withTimeout(edOptions()), opaque: true},
 		{name: "polled-parking", opts: withTimeout(edOptions()), parks: true},
+		{name: "goroutine-blocking-fast", opts: withTimeout(testOptions()), fast: true},
+		{name: "polled-parking-fast", opts: withTimeout(edOptions()), parks: true, fast: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.opts.EventDriven && !reactor.PollerSupported {
 				t.Skip("no kernel poller on this platform")
 			}
-			s, err := New(Config{Options: tc.opts, App: mixedReplyApp(t, path), Codec: bufLineCodec{}})
+			app := mixedReplyApp(t, path)
+			cfg := Config{Options: tc.opts, App: app, Codec: bufLineCodec{}}
+			var parked atomic.Bool
+			if tc.fast {
+				cfg.FastPath = func(c *Conn, req any) bool {
+					parked.Store(c.Parked())
+					if c.Parked() && strings.HasPrefix(req.(string), "file") {
+						return false
+					}
+					c.BeginRequest()
+					app.Handle(c, req)
+					return true
+				}
+			}
+			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +183,12 @@ func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 			waitFor(t, "byte counters to settle", func() bool {
 				return s.Profile().Snapshot().BytesSent == uint64(want.Len())
 			})
-			if snap := s.Profile().Snapshot(); snap.BytesStreamed != flen {
+			snap := s.Profile().Snapshot()
+			if snap.BytesStreamed != flen {
 				t.Fatalf("BytesStreamed = %d, want %d", snap.BytesStreamed, flen)
+			}
+			if inline := map[bool]uint64{false: 7, true: 3}[parked.Load()]; tc.fast && snap.DirectDispatched != inline {
+				t.Fatalf("DirectDispatched = %d, want %d served inline", snap.DirectDispatched, inline)
 			}
 			if s.ParkedWrites() != 0 || s.OutboundQueuedBytes() != 0 {
 				t.Fatalf("queue not empty after the stream: conns=%d bytes=%d",

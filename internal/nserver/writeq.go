@@ -15,27 +15,37 @@ import (
 // This file is the connection's one write path (the read half is drain
 // in conn.go). Send, SendBuffers, Reply and ReplyFile each describe their
 // reply as one outItem — head, body, then a file range — and hand it to
-// send, which runs flush, the one loop that moves reply bytes. flush does
-// not know whether the connection blocks or parks; it writes through the
-// connection's sink (writev, sendChunk), and that is the only difference:
+// send, which appends it to the connection's outbound queue, outq, and
+// runs flush, the one loop that moves reply bytes. flush gathers the
+// memory segments of consecutive queued items into one vectored write and
+// streams a file range after its item's memory. It does not know whether
+// the connection blocks or parks; it writes through the connection's sink
+// (writev, sendChunk), and that is the only difference:
 //
 //   - A connection parked in the shard poller writes non-blocking. When
-//     the socket buffer fills, the sink reports again: send parks the rest
-//     of the item on a bounded per-connection outbound queue, arms
-//     EPOLLOUT and returns the worker to the pool. writePump runs the same
-//     flush over the queue on writability, behind wgate — the
-//     reactor.DrainGate the read side's rgate also is — so an edge is
-//     never lost and two flushes never overlap.
+//     the socket buffer fills, the sink reports again: the rest of the
+//     queue parks (see park), EPOLLOUT is armed and the worker returns to
+//     the pool. writePump runs the same flush over the queue on
+//     writability, behind wgate — the reactor.DrainGate the read side's
+//     rgate also is — so an edge is never lost and two flushes never
+//     overlap.
 //   - Any other connection (goroutine read path, fd-hiding wrapper,
 //     non-Linux) writes blocking, under a write deadline armed per bounded
 //     chunk. Its sink never reports again, so nothing ever parks.
 //
-// O7's WriteTimeout means the same on both: a stall bound, not a transfer
-// cap. The blocking sink re-arms the deadline per chunk; a parked queue
-// has no blocking write to deadline against, so the scavenger reaps one
-// that fails to move a full progress quantum within WriteTimeout (the
-// slowloris-on-write defense), while a slow-but-progressing reader may
-// take as long as it needs.
+// While the drain serves a pipelined window on the fast path the
+// connection is corked (see decodeLoop): a memory-only reply is queued
+// instead of written, and uncork sends the whole window with one gathered
+// write when the window's buffered requests run out. A corked item is
+// not parked — no EPOLLOUT, no queue gauges, no stall clock — and it is
+// never held across a read.
+//
+// O7's WriteTimeout means the same on both sinks: a stall bound, not a
+// transfer cap. The blocking sink re-arms the deadline per chunk; a
+// parked queue has no blocking write to deadline against, so the
+// scavenger reaps one that fails to move a full progress quantum within
+// WriteTimeout (the slowloris-on-write defense), while a
+// slow-but-progressing reader may take as long as it needs.
 
 // ErrSlowReader tears down a connection whose parked outbound queue
 // failed to drain a progress quantum within WriteTimeout.
@@ -67,21 +77,33 @@ const maxOutboundBytes = 8 << 20
 // on the file range.
 const writeFlushChunk = 256 << 10
 
+// writeFlushSegs bounds the segments one gathered write carries: IOV_MAX
+// on Linux, past which writev(2) refuses the vector.
+const writeFlushSegs = 1024
+
+// retainedQueueCap is the outbound queue capacity a connection keeps for
+// its next window once the queue empties; a larger burst's is dropped.
+const retainedQueueCap = 32
+
 // outItem is one reply in wire order: head, then body, then remaining
-// bytes of file starting at off. Until it parks, every field borrows from
-// the caller; park hands ownership to the queue (see park).
+// bytes of file starting at off. While send runs, every field borrows
+// from the caller; an item that outlives the call — corked or parked —
+// owns its head (see own), and a parked one its descriptor (see park).
 type outItem struct {
-	headLease *bufpool.Buffer // owns head's backing store once parked
+	headLease *bufpool.Buffer // owns head's backing store once queued past send
 	head      []byte          // unsent head
 	body      []byte          // unsent body, retained by reference (bodies are GC-owned)
 	file      *os.File        // the caller's descriptor, a queue-owned dup once parked
 	off       int64           // next file offset
 	remaining int64           // file bytes still unsent
-	parkedAt  int64           // unix-nano park time; 0 while the caller still owns the item
+	parkedAt  int64           // unix-nano park time; 0 while borrowed or corked
 }
 
+// mem returns the item's unsent memory bytes.
+func (it *outItem) mem() int { return len(it.head) + len(it.body) }
+
 // consume drops n sent bytes from the front of the memory segments,
-// releasing a parked head's lease as soon as the head is gone.
+// releasing an owned head's lease as soon as the head is gone.
 func (it *outItem) consume(n int) {
 	if h := len(it.head); n < h {
 		it.head = it.head[n:]
@@ -96,16 +118,28 @@ func (it *outItem) consume(n int) {
 	it.body = it.body[n:]
 }
 
+// own moves the unsent head into a pooled lease, so the caller may reuse
+// its buffer once send returns (the Reply path releases its own lease
+// then). The body stays by reference.
+func (it *outItem) own() {
+	if it.headLease == nil && len(it.head) > 0 {
+		it.headLease = bufpool.Get(len(it.head))
+		it.head = it.headLease.Bytes()[:copy(it.headLease.Bytes(), it.head)]
+	}
+}
+
 // OutboundQueued returns the logical bytes (memory + file) still parked
 // on this connection's outbound queue.
 func (c *Conn) OutboundQueued() int64 { return c.outPending.Load() }
 
-// send is the Send Reply step every reply takes. Under writeMu it flushes
-// the item until it is sent, the write fails (the connection is torn
-// down) or a parking connection's socket fills (the rest parks and send
-// returns nil: the bytes are committed and will drain in order). Once
-// anything is parked, later replies queue behind it unconditionally:
-// queue order is wire order.
+// send is the Send Reply step every reply takes. Under writeMu it
+// appends the item to outq and flushes the queue until it is sent, the
+// write fails (the connection is torn down) or a parking connection's
+// socket fills (the rest parks and send returns nil: the bytes are
+// committed and will drain in order). Two cases only queue: behind
+// anything parked, a reply parks unconditionally, and on a corked
+// connection a memory-only reply waits for uncork. A file range flushes
+// the corked replies ahead of it. Queue order is wire order either way.
 func (c *Conn) send(it outItem) error {
 	if c.closed.Load() {
 		return ErrConnClosed
@@ -115,71 +149,144 @@ func (c *Conn) send(it outItem) error {
 	if c.closed.Load() || c.closeAfterFlush {
 		return ErrConnClosed
 	}
-	if len(c.outq) > 0 {
-		return c.park(&it)
+	parked := c.queueParked()
+	c.outq = append(c.outq, it)
+	switch {
+	case parked:
+		return c.park()
+	case it.remaining == 0 && c.corked.Load():
+		c.outq[len(c.outq)-1].own()
+		return nil
 	}
+	return c.flushLocked()
+}
+
+// queueParked reports whether outq waits on EPOLLOUT. Items park as a
+// whole queue, so the front decides; an empty queue or one holding
+// corked replies is not parked. Called under writeMu.
+func (c *Conn) queueParked() bool { return len(c.outq) > 0 && c.outq[0].parkedAt != 0 }
+
+// flushLocked runs flush for a writer holding a queue that is not
+// parked (send, uncork): a write error tears the connection down, and a
+// full socket parks what is left. Called under writeMu.
+func (c *Conn) flushLocked() error {
 	sendStart := c.sh.profile.StageStart()
-	again, err := c.flush(&it)
+	again, err := c.flush()
 	c.sh.profile.ObserveSince(profiling.StageSend, sendStart)
 	if err != nil {
-		c.teardown(err)
+		c.failOutboundLocked(err)
 		return err
 	}
 	if again {
-		return c.park(&it)
+		return c.park()
 	}
 	return nil
 }
 
-// flush is the one loop that moves reply bytes: the memory segments by
-// vectored write, then the file range a chunk at a time, until the item
-// is sent, the sink reports again (the item keeps its unsent rest), or a
-// write fails. Called under writeMu.
-func (c *Conn) flush(it *outItem) (again bool, err error) {
-	for len(it.head)+len(it.body) > 0 {
-		var n int
-		n, again, err = c.writev(it.head, it.body)
-		c.noteSent(it, n, true)
-		it.consume(n)
-		if err != nil || again {
-			return again, err
-		}
-	}
-	for it.remaining > 0 {
-		n, again, via, err := c.sendChunk(it)
-		if n > 0 {
-			it.remaining -= int64(n)
-			c.noteSent(it, n, false)
-			c.sh.profile.BytesStreamed(n)
-			if via {
-				c.sh.profile.SendfileChunk()
-			} else {
-				c.sh.profile.StreamFallbackChunk()
+// flush is the one loop that moves reply bytes. From the front of outq
+// it gathers the memory segments of consecutive items into one vectored
+// write, then streams a file range a chunk at a time, and drops each item
+// once it is sent, until the queue is empty, the sink reports again (the
+// items keep their unsent rest) or a write fails. A parked item's
+// descriptor closes and its park-to-flushed latency is recorded as it
+// leaves. Called under writeMu.
+func (c *Conn) flush() (again bool, err error) {
+	parked := c.queueParked()
+	sent := 0
+	for sent < len(c.outq) && !again && err == nil {
+		it := &c.outq[sent]
+		switch {
+		case it.mem() > 0:
+			segs, want := c.gather(sent)
+			var n int
+			n, again, err = c.writev(segs, want)
+			clear(segs)
+			if n > 0 {
+				c.sh.profile.ReplyWrite()
+				c.noteSent(n, true, parked)
 			}
-		}
-		if err != nil || again {
-			return again, err
-		}
-		if n == 0 {
-			// The file ran out under us before the promised length: the
-			// head is already on the wire, so the framing cannot be repaired.
-			return false, ErrStreamTruncated
+			for i := sent; n > 0; i++ {
+				m := min(n, c.outq[i].mem())
+				c.outq[i].consume(m)
+				n -= m
+			}
+		case it.remaining > 0:
+			var n int
+			var via bool
+			n, again, via, err = c.sendChunk(it)
+			if n > 0 {
+				it.remaining -= int64(n)
+				c.noteSent(n, false, parked)
+				c.sh.profile.BytesStreamed(n)
+				if via {
+					c.sh.profile.SendfileChunk()
+				} else {
+					c.sh.profile.StreamFallbackChunk()
+				}
+			} else if err == nil && !again {
+				// The file ran out under us before the promised length: the
+				// head is already on the wire, so the framing cannot be repaired.
+				err = ErrStreamTruncated
+			}
+		default:
+			if it.parkedAt != 0 {
+				if it.file != nil {
+					it.file.Close()
+				}
+				c.sh.profile.ObserveFlush(time.Duration(time.Now().UnixNano() - it.parkedAt))
+			}
+			sent++
 		}
 	}
-	return false, nil
+	// Drop the sent items in place: the next window reuses the backing
+	// array and the iovec scratch, unless a burst grew them past
+	// retainedQueueCap, which an idle connection should not keep.
+	left := copy(c.outq, c.outq[sent:])
+	clear(c.outq[left:])
+	c.outq = c.outq[:left]
+	if left == 0 && cap(c.outq) > retainedQueueCap {
+		c.outq, c.wsegs, c.wbufs = nil, nil, nil
+	}
+	return again, err
 }
 
-// noteSent accounts n bytes the sink accepted: the O11 byte counter and
-// the activity stamp always; for a parked item also the queue gauges and
-// the O7 progress clock, which refreshes only per full quantum. Called
-// under writeMu.
-func (c *Conn) noteSent(it *outItem, n int, mem bool) {
-	if n <= 0 {
-		return
+// gather collects the unsent memory segments of consecutive queued items,
+// from outq[from] on, in wire order, into the connection's iovec scratch:
+// at most writeFlushSegs segments and writeFlushChunk bytes. It stops
+// after an item with a file range, whose file bytes go out before the
+// next item's. Called under writeMu.
+func (c *Conn) gather(from int) (segs [][]byte, want int) {
+	segs = c.wsegs[:0]
+fill:
+	for i := from; i < len(c.outq); i++ {
+		it := &c.outq[i]
+		for _, seg := range [2][]byte{it.head, it.body} {
+			if len(seg) == 0 {
+				continue
+			}
+			if len(segs) == writeFlushSegs || want == writeFlushChunk {
+				break fill
+			}
+			seg = seg[:min(len(seg), writeFlushChunk-want)]
+			segs = append(segs, seg)
+			want += len(seg)
+		}
+		if it.remaining > 0 {
+			break
+		}
 	}
+	c.wsegs = segs
+	return segs, want
+}
+
+// noteSent accounts n bytes the sink accepted in one write: the O11 byte
+// counter and the activity stamp always; for a parked queue also the
+// queue gauges and the O7 progress clock, which refreshes only per full
+// quantum. Called under writeMu.
+func (c *Conn) noteSent(n int, mem, parked bool) {
 	c.sh.profile.BytesSent(n)
 	c.touch()
-	if it.parkedAt == 0 {
+	if !parked {
 		return
 	}
 	if mem {
@@ -193,43 +300,23 @@ func (c *Conn) noteSent(it *outItem, n int, mem bool) {
 	}
 }
 
-// writev is the sink's vectored write of the memory segments. A parking
+// writev is the sink's vectored write of want bytes in segs. A parking
 // connection takes one non-blocking writev(2); a full socket buffer —
 // EAGAIN, or a short count, which writev reports without EAGAIN — comes
 // back as again. Any other connection blocks under a freshly armed write
-// deadline, at most writeFlushChunk bytes per call when WriteTimeout is
-// set, and a short count without an error is io.ErrShortWrite: the rest of
-// the reply must never silently vanish from the wire. Called under writeMu.
-func (c *Conn) writev(head, body []byte) (n int, again bool, err error) {
-	want := len(head) + len(body)
+// deadline, and a short count without an error is io.ErrShortWrite: the
+// rest of the reply must never silently vanish from the wire. Called
+// under writeMu.
+func (c *Conn) writev(segs [][]byte, want int) (n int, again bool, err error) {
 	if c.polled.Load() {
-		n, again, err = reactor.NonblockWritev(c.raw, head, body)
+		n, again, err = reactor.NonblockWritev(c.raw, segs)
 		return n, again || (err == nil && n < want), err
 	}
-	if c.srv.opts.WriteTimeout > 0 && want > writeFlushChunk {
-		if len(head) >= writeFlushChunk {
-			head, body = head[:writeFlushChunk], nil
-		} else {
-			body = body[:writeFlushChunk-len(head)]
-		}
-		want = writeFlushChunk
-	}
 	c.armWriteDeadline()
-	var wn int64
-	if len(body) == 0 {
-		var w int
-		w, err = c.conn.Write(head)
-		wn = int64(w)
-	} else {
-		// The iovec lives on the connection: a net.Buffers on the stack
-		// escapes into WriteTo, two allocations per reply.
-		c.wbufs = append(c.wsegs[:0], head, body)
-		if len(head) == 0 {
-			c.wbufs = c.wbufs[1:]
-		}
-		wn, err = c.wbufs.WriteTo(c.conn)
-		c.wsegs = [2][]byte{}
-	}
+	// The net.Buffers header lives on the connection: one on the stack
+	// escapes into WriteTo and allocates per write.
+	c.wbufs = segs
+	wn, err := c.wbufs.WriteTo(c.conn)
 	if err == nil && wn < int64(want) {
 		err = io.ErrShortWrite
 	}
@@ -273,15 +360,24 @@ func (c *Conn) armWriteDeadline() {
 	}
 }
 
-// park queues the unsent rest of it behind anything already parked and
-// arms EPOLLOUT; writePump flushes it from there. The queue takes
-// ownership: the head remainder moves into a fresh pooled lease (the
-// caller releases its own when Reply returns), the body is retained by
-// reference, and a file range keeps its own dup of the descriptor (the
-// caller closes src as soon as ReplyFile returns). In-memory bytes are
-// capped per connection. Called under writeMu on a parking connection.
-func (c *Conn) park(it *outItem) error {
-	mem := int64(len(it.head) + len(it.body))
+// park hands the queue's unparked tail — the item send could not finish,
+// and any corked replies ahead of it — to EPOLLOUT; writePump flushes it
+// from there. The queue takes ownership: each head remainder moves into a
+// pooled lease (see own), a body is retained by reference, and a file
+// range keeps its own dup of the descriptor (the caller closes src as soon
+// as ReplyFile returns). In-memory bytes are capped per connection.
+// Called under writeMu on a parking connection.
+func (c *Conn) park() error {
+	first := len(c.outq)
+	for first > 0 && c.outq[first-1].parkedAt == 0 {
+		first--
+	}
+	fresh := c.outq[first:]
+	var mem, files int64
+	for i := range fresh {
+		mem += int64(fresh[i].mem())
+		files += fresh[i].remaining
+	}
 	if c.outMem.Load()+mem > maxOutboundBytes {
 		c.sh.profile.OutboundShed()
 		c.srv.trace.Record("communicator", "outbound cap exceeded on %d (%d queued + %d new)",
@@ -289,31 +385,31 @@ func (c *Conn) park(it *outItem) error {
 		c.failOutboundLocked(ErrOutboundOverflow)
 		return ErrOutboundOverflow
 	}
-	if it.remaining > 0 {
-		fd, err := syscall.Dup(int(it.file.Fd()))
-		if err != nil {
-			c.failOutboundLocked(err)
-			return err
+	now := time.Now().UnixNano()
+	for i := range fresh {
+		it := &fresh[i]
+		if it.remaining > 0 {
+			fd, err := syscall.Dup(int(it.file.Fd()))
+			if err != nil {
+				c.failOutboundLocked(err)
+				return err
+			}
+			syscall.CloseOnExec(fd)
+			it.file = os.NewFile(uintptr(fd), it.file.Name())
+		} else {
+			it.file = nil
 		}
-		syscall.CloseOnExec(fd)
-		it.file = os.NewFile(uintptr(fd), it.file.Name())
-	} else {
-		it.file = nil
+		it.own()
+		it.parkedAt = now
 	}
-	if len(it.head) > 0 {
-		it.headLease = bufpool.Get(len(it.head))
-		it.head = it.headLease.Bytes()[:copy(it.headLease.Bytes(), it.head)]
-	}
-	it.parkedAt = time.Now().UnixNano()
-	if len(c.outq) == 0 {
-		// Start the O7 progress clock the moment the queue goes
-		// non-empty; the scavenger reads it against WriteTimeout.
+	if first == 0 {
+		// Start the O7 progress clock the moment the queue parks; the
+		// scavenger reads it against WriteTimeout.
 		c.outProgress = 0
-		c.outStamp.Store(it.parkedAt)
+		c.outStamp.Store(now)
 	}
-	c.outq = append(c.outq, *it)
 	c.outMem.Add(mem)
-	c.outPending.Add(mem + it.remaining)
+	c.outPending.Add(mem + files)
 	if err := c.sh.poller.ArmWrite(c.fd); err != nil && !c.closed.Load() {
 		// The poller refused (closing shard / raced teardown): nothing
 		// will ever drain this queue, so fail the connection now.
@@ -327,6 +423,28 @@ func (c *Conn) park(it *outItem) error {
 		return ErrConnClosed
 	}
 	return nil
+}
+
+// uncork ends the drain's corked window: every corked reply leaves with
+// the one flush loop — on the fast path, a pipelined window's replies in
+// one gathered write — and a Close deferred behind them is due once they
+// are sent. The read side calls it at each end of a decode pass (the
+// buffer is empty or holds a partial request), before a punt hands the
+// drain to a worker, and before a decode error tears the connection down.
+func (c *Conn) uncork() {
+	c.writeMu.Lock()
+	c.corked.Store(false)
+	closeNow := false
+	switch {
+	case c.closed.Load():
+		c.freeOutboundLocked()
+	case len(c.outq) > 0 && !c.queueParked():
+		closeNow = c.flushLocked() == nil && len(c.outq) == 0 && c.closeAfterFlush
+	}
+	c.writeMu.Unlock()
+	if closeNow {
+		c.teardown(nil)
+	}
 }
 
 // writePump handles one WriteReady event (an EPOLLOUT edge): it claims
@@ -350,36 +468,26 @@ func (c *Conn) writePump() {
 	}
 }
 
-// flushQueueLocked flushes parked items in order, closing each one's
-// resources and recording how long it sat parked once it is sent. An
-// emptied queue drops EPOLLOUT interest (idempotent) and reports whether
-// a Close that was waiting on it is now due. Called under writeMu.
+// flushQueueLocked flushes the parked queue in order. An emptied queue
+// drops EPOLLOUT interest (idempotent) and reports whether a Close that
+// was waiting on it is now due. Corked replies are not its to send: a
+// stale edge leaves them to the drain's uncork. Called under writeMu.
 func (c *Conn) flushQueueLocked() (closeNow bool) {
-	for len(c.outq) > 0 {
-		if c.closed.Load() {
-			c.freeOutboundLocked()
-			return false
-		}
-		it := &c.outq[0]
-		again, err := c.flush(it)
-		if err != nil {
-			c.failOutboundLocked(err)
-			return false
-		}
-		if again {
-			return false
-		}
-		if it.file != nil {
-			it.file.Close()
-		}
-		c.sh.profile.ObserveFlush(time.Duration(time.Now().UnixNano() - it.parkedAt))
-		c.outq[0] = outItem{}
-		c.outq = c.outq[1:]
-	}
-	if c.closed.Load() {
+	if len(c.outq) > 0 && !c.queueParked() {
 		return false
 	}
-	c.outq = nil
+	if c.closed.Load() {
+		c.freeOutboundLocked()
+		return false
+	}
+	again, err := c.flush()
+	if err != nil {
+		c.failOutboundLocked(err)
+		return false
+	}
+	if again || c.closed.Load() {
+		return false
+	}
 	c.outStamp.Store(0)
 	c.outProgress = 0
 	_ = c.sh.poller.DisarmWrite(c.fd)
@@ -394,18 +502,20 @@ func (c *Conn) failOutboundLocked(err error) {
 	c.freeOutboundLocked()
 }
 
-// freeOutboundLocked releases every parked item's pooled lease and dup'd
-// descriptor and empties the queue. Called under writeMu.
+// freeOutboundLocked releases every queued item's pooled lease and a
+// parked item's dup'd descriptor (a borrowed one is the caller's), and
+// empties the queue. Called under writeMu.
 func (c *Conn) freeOutboundLocked() {
 	for i := range c.outq {
 		it := &c.outq[i]
 		if it.headLease != nil {
 			it.headLease.Release()
 		}
-		if it.file != nil {
+		if it.file != nil && it.parkedAt != 0 {
 			it.file.Close()
 		}
 	}
+	clear(c.outq)
 	c.outq = c.outq[:0]
 	c.outMem.Store(0)
 	c.outPending.Store(0)

@@ -108,6 +108,7 @@ func (p *Profile) addInto(agg *Snapshot) uint64 {
 	agg.Responses416 += s.Responses416
 	agg.OutboundShed += s.OutboundShed
 	agg.DirectDispatched += s.DirectDispatched
+	agg.ReplyWrites += s.ReplyWrites
 	return p.serviceNanos.Load()
 }
 

@@ -59,6 +59,9 @@ type Profile struct {
 	// run-to-completion, a subset of requestsServed: the event-queue hop
 	// was elided for these.
 	directDispatched atomic.Uint64
+	// replyWrites counts vectored writes that carried reply memory bytes:
+	// requestsServed / replyWrites is how many replies share one write.
+	replyWrites atomic.Uint64
 	// stageSeen drives the 1-in-StageSampleEvery lattice of StageStart.
 	stageSeen atomic.Uint64
 }
@@ -192,6 +195,14 @@ func (p *Profile) DirectDispatched() {
 	}
 }
 
+// ReplyWrite counts one vectored write that carried reply memory bytes
+// (heads and in-memory bodies; streamed file chunks are not counted).
+func (p *Profile) ReplyWrite() {
+	if p != nil {
+		p.replyWrites.Add(1)
+	}
+}
+
 // OutboundShed counts one connection torn down because its parked
 // outbound queue exceeded the per-connection memory cap.
 func (p *Profile) OutboundShed() {
@@ -237,6 +248,7 @@ type Snapshot struct {
 	Responses416        uint64
 	OutboundShed        uint64
 	DirectDispatched    uint64
+	ReplyWrites         uint64
 	MeanServiceTime     time.Duration
 }
 
@@ -273,6 +285,7 @@ func (p *Profile) Snapshot() Snapshot {
 		Responses416:        p.responses416.Load(),
 		OutboundShed:        p.outboundShed.Load(),
 		DirectDispatched:    p.directDispatched.Load(),
+		ReplyWrites:         p.replyWrites.Load(),
 	}
 	if s.RequestsServed > 0 {
 		s.MeanServiceTime = time.Duration(p.serviceNanos.Load() / s.RequestsServed)

@@ -313,49 +313,68 @@ func NonblockRead(rc syscall.RawConn, buf []byte) (n int, again bool, err error)
 	return rn, false, rerr
 }
 
-// NonblockWritev performs one non-blocking vectored write of up to two
-// segments (wire head, body — the zero-copy reply shape) on a raw
-// connection. The callback always returns true, so the runtime never
-// parks the calling goroutine on writability — EAGAIN surfaces as
-// again=true, the cue to queue the residual and arm EPOLLOUT. A short
-// count with again=false is not an error: writev(2) reports partial
-// progress on a full socket buffer without EAGAIN; the caller parks the
-// remainder exactly as it would after an explicit EAGAIN.
-func NonblockWritev(rc syscall.RawConn, seg0, seg1 []byte) (n int, again bool, err error) {
-	var iov [2]syscall.Iovec
-	niov := 0
-	for _, seg := range [2][]byte{seg0, seg1} {
-		if len(seg) == 0 {
-			continue
+// NonblockWritev performs one non-blocking vectored write of segs, in
+// order, on a raw connection; empty segments are skipped, and segs may
+// hold at most 1024 of them (IOV_MAX). The callback always returns true,
+// so the runtime never parks the calling goroutine on writability —
+// EAGAIN surfaces as again=true, the cue to queue the residual and arm
+// EPOLLOUT. A short count with again=false is not an error: writev(2)
+// reports partial progress on a full socket buffer without EAGAIN; the
+// caller parks the remainder exactly as it would after an explicit
+// EAGAIN. The call allocates nothing: its iovec and the callback
+// RawConn.Write takes come from a pool.
+func NonblockWritev(rc syscall.RawConn, segs [][]byte) (n int, again bool, err error) {
+	w := writevCalls.Get().(*writevCall)
+	for _, seg := range segs {
+		if len(seg) > 0 {
+			w.iov = append(w.iov, syscall.Iovec{Base: &seg[0]})
+			w.iov[len(w.iov)-1].SetLen(len(seg))
 		}
-		iov[niov].Base = &seg[0]
-		iov[niov].SetLen(len(seg))
-		niov++
 	}
-	if niov == 0 {
-		return 0, false, nil
-	}
-	var wn int
-	var werr error
-	if cerr := rc.Write(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall(syscall.SYS_WRITEV, fd,
-				uintptr(unsafe.Pointer(&iov[0])), uintptr(niov))
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno != 0 {
-				wn, werr = 0, errno
-			} else {
-				wn, werr = int(r1), nil
-			}
-			return true
+	if len(w.iov) > 0 {
+		if err = rc.Write(w.call); err == nil {
+			n, err = w.n, w.err
 		}
-	}); cerr != nil {
-		return 0, false, cerr
 	}
-	if werr == syscall.EAGAIN || werr == syscall.EWOULDBLOCK {
+	clear(w.iov)
+	w.iov, w.n, w.err = w.iov[:0], 0, nil
+	writevCalls.Put(w)
+	if err == syscall.EAGAIN || err == syscall.EWOULDBLOCK {
 		return 0, true, nil
 	}
-	return wn, false, werr
+	return n, false, err
+}
+
+// writevCall is the state of one NonblockWritev: the iovec the kernel
+// reads and the result, with the callback bound to them once, when the
+// pool makes the value — a closure built per call would escape into the
+// RawConn interface and allocate every time.
+type writevCall struct {
+	iov  []syscall.Iovec
+	n    int
+	err  error
+	call func(fd uintptr) bool
+}
+
+var writevCalls = sync.Pool{New: func() any {
+	w := new(writevCall)
+	w.call = w.writev
+	return w
+}}
+
+// writev is the RawConn.Write callback: one writev(2), retried on EINTR.
+func (w *writevCall) writev(fd uintptr) bool {
+	for {
+		r1, _, errno := syscall.Syscall(syscall.SYS_WRITEV, fd,
+			uintptr(unsafe.Pointer(&w.iov[0])), uintptr(len(w.iov)))
+		if errno == syscall.EINTR {
+			continue
+		}
+		if errno != 0 {
+			w.n, w.err = 0, errno
+		} else {
+			w.n, w.err = int(r1), nil
+		}
+		return true
+	}
 }

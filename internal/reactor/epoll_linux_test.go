@@ -371,8 +371,8 @@ func TestNonblockWritev(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two segments land as one contiguous stream.
-	n, again, err := NonblockWritev(raw, []byte("head,"), []byte("body"))
+	// The segments land as one contiguous stream; an empty one is skipped.
+	n, again, err := NonblockWritev(raw, [][]byte{[]byte("head,"), nil, []byte("body")})
 	if err != nil || again || n != 9 {
 		t.Fatalf("writev: n=%d again=%v err=%v, want 9 false nil", n, again, err)
 	}
@@ -385,7 +385,7 @@ func TestNonblockWritev(t *testing.T) {
 	}
 
 	// Empty segments are a no-op, not a syscall error.
-	if n, again, err = NonblockWritev(raw, nil, nil); n != 0 || again || err != nil {
+	if n, again, err = NonblockWritev(raw, [][]byte{nil, {}}); n != 0 || again || err != nil {
 		t.Fatalf("empty writev: n=%d again=%v err=%v, want 0 false nil", n, again, err)
 	}
 
@@ -396,7 +396,7 @@ func TestNonblockWritev(t *testing.T) {
 	sent := 0
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n, again, err = NonblockWritev(raw, chunk[:16], chunk[16:])
+		n, again, err = NonblockWritev(raw, [][]byte{chunk[:16], chunk[16:]})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,6 +60,6 @@ func NonblockRead(rc syscall.RawConn, buf []byte) (n int, again bool, err error)
 }
 
 // NonblockWritev is unavailable without the poller path.
-func NonblockWritev(rc syscall.RawConn, seg0, seg1 []byte) (n int, again bool, err error) {
+func NonblockWritev(rc syscall.RawConn, segs [][]byte) (n int, again bool, err error) {
 	return 0, false, ErrPollerUnsupported
 }
