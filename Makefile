@@ -21,18 +21,12 @@ test: vet chaos
 	# The sharded runtime must degenerate cleanly on one core: the shard
 	# loops, work stealing and fan-out accept paths re-run serialized.
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
-	# The kernel-event read path must hold the same invariants as the
-	# goroutine path: the runtime suites (and the HTTP suite, whose fast
-	# path then drains on the poller) re-run with epoll forced on, both
-	# free-running and serialized onto one core.
-	NSERVER_EVENT_DRIVEN=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor ./internal/copshttp
-	NSERVER_EVENT_DRIVEN=1 GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
 	# The adaptive admission limiter must hold the same invariants when it
 	# replaces the watermark gate as the default: the runtime suites re-run
 	# with AdaptiveShed forced on wherever overload control is configured,
-	# alone and combined with the kernel-event read path.
+	# both free-running and serialized onto one core.
 	NSERVER_ADAPTIVE_SHED=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor ./internal/copshttp
-	NSERVER_ADAPTIVE_SHED=1 NSERVER_EVENT_DRIVEN=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
+	NSERVER_ADAPTIVE_SHED=1 GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
 	# A medium model-based conformance run rides along with every test
 	# sweep; `make model` runs the full 10k-program batch.
 	$(MAKE) model MODEL_PROGRAMS=400
@@ -100,10 +94,10 @@ bench-shards:
 	@cat BENCH_PR5.json
 
 # The idle-connection snapshot: park as many keep-alive connections as
-# the descriptor limit allows (100k target, honestly clamped) in both
-# read-path modes and record goroutine growth, resident bytes per
-# connection and wakeup-to-reply latency, plus the shard-scaling rerun
-# and the alloc-pinned hot path, recorded as JSON.
+# the descriptor limit allows (100k target, honestly clamped) and record
+# goroutine growth, resident bytes per connection and wakeup-to-reply
+# latency, the slow-reader park row, the shard-scaling rerun and the
+# alloc-pinned hot path, recorded as JSON.
 bench-idle:
 	$(GO) test -run TestHotPathAllocs -bench 'BenchmarkIdleParkedConns|BenchmarkShardScaling|BenchmarkParkedSlowReaders' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_PR9.json
@@ -122,8 +116,7 @@ bench-overload:
 
 # The fast-path snapshot: the alloc-pinned hot serve (queued and
 # rendered-response variants) plus the hot-URL serve cost and pipelined
-# throughput on the goroutine versus the kernel-event read path, recorded
-# as JSON.
+# throughput, recorded as JSON.
 bench-hot:
 	$(GO) test -run TestHotPathAllocs -bench 'BenchmarkHotURLServe|BenchmarkPipelinedHotThroughput' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_PR10.json

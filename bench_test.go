@@ -753,12 +753,10 @@ func BenchmarkShardScaling(b *testing.B) {
 }
 
 // hotServeServer starts a COPS-HTTP server over loopback with one hot
-// 16 KiB document, on the goroutine read path or the kernel-event one.
-// Both serve hot hits through the fast path, on the goroutine that woke
-// the connection: the reader goroutine or the shard poller. Both run
-// profiled so the comparison is like for like, and so each run can
+// 16 KiB document. It serves hot hits through the fast path, on each
+// connection's reader goroutine, and runs profiled so each run can
 // assert the fast path actually engaged.
-func hotServeServer(b *testing.B, eventDriven bool) *copshttp.Server {
+func hotServeServer(b *testing.B) *copshttp.Server {
 	b.Helper()
 	dir := b.TempDir()
 	body := make([]byte, 16<<10)
@@ -770,7 +768,6 @@ func hotServeServer(b *testing.B, eventDriven bool) *copshttp.Server {
 	}
 	opts := options.COPSHTTP()
 	opts.Profiling = true
-	opts.EventDriven = eventDriven
 	srv, err := copshttp.New(copshttp.Config{DocRoot: dir, Options: &opts})
 	if err != nil {
 		b.Fatal(err)
@@ -779,9 +776,6 @@ func hotServeServer(b *testing.B, eventDriven bool) *copshttp.Server {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Shutdown)
-	if eventDriven && !srv.Framework().EventDriven() {
-		b.Skip("no kernel poller on this platform")
-	}
 	// Warm: the first request misses, renders and publishes the cached
 	// response; every measured request must find it already hot.
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -865,31 +859,26 @@ func hotServeClients(b *testing.B, addr string, window int) {
 	b.StopTimer()
 }
 
-// hotServeBench runs hotServeClients with the given window against a
-// server on each read path, asserting the fast path served the hits.
+// hotServeBench runs hotServeClients with the given window, asserting
+// the fast path served the hits.
 func hotServeBench(b *testing.B, window int) {
-	for _, ed := range []bool{false, true} {
-		b.Run(fmt.Sprintf("event-driven=%v", ed), func(b *testing.B) {
-			srv := hotServeServer(b, ed)
-			hotServeClients(b, srv.Addr(), window)
-			if snap := srv.Framework().Profile().Snapshot(); snap.DirectDispatched == 0 {
-				b.Fatal("fast path never engaged (DirectDispatched = 0)")
-			}
-		})
+	srv := hotServeServer(b)
+	hotServeClients(b, srv.Addr(), window)
+	if snap := srv.Framework().Profile().Snapshot(); snap.DirectDispatched == 0 {
+		b.Fatal("fast path never engaged (DirectDispatched = 0)")
 	}
 }
 
 // BenchmarkHotURLServe measures one keep-alive GET of a hot cached
 // document, end to end over loopback: a rendered-response cache hit
-// served inline by the goroutine that read it, on the goroutine read
-// path and on the kernel-event one. One op is one request-response round
-// trip; eight connections send them concurrently.
+// served inline by the goroutine that read it. One op is one
+// request-response round trip; eight connections send them concurrently.
 func BenchmarkHotURLServe(b *testing.B) { hotServeBench(b, 1) }
 
 // BenchmarkPipelinedHotThroughput measures pipelined hot-GET throughput:
 // windows of 16 requests written back to back, then all 16 replies
-// drained, on each of the eight concurrent connections, on both read
-// paths. One wakeup serves the whole backlog inline from the
+// drained, on each of the eight concurrent connections. One wakeup
+// serves the whole backlog inline from the
 // rendered-response cache instead of bouncing every request through the
 // event queue. One op is one pipelined request.
 func BenchmarkPipelinedHotThroughput(b *testing.B) { hotServeBench(b, 16) }

@@ -18,6 +18,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,7 +32,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nserver"
 	"repro/internal/options"
-	"repro/internal/reactor"
 )
 
 // chaosRoot materializes a small document root: an index page and a body
@@ -895,85 +895,25 @@ func TestChaosShardedRuntimeSurvivesFaults(t *testing.T) {
 	}
 }
 
-// TestChaosFaultnetFallsBackUnderEventDriven: the chaos suite and the
-// kernel-event read path must compose. A faultnet transport embeds the
-// net.Conn interface and hides its descriptor, so under -event-driven
-// every wrapped connection transparently falls back to the goroutine
-// read path — the epoll tables stay empty while the scenario keeps
-// injecting faults and every defense above keeps holding.
-func TestChaosFaultnetFallsBackUnderEventDriven(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+// TestChaosShardsLeaveNoResidue drives raw-TCP chaos against four
+// shards: the transports expose their descriptors, so every connection
+// reads through the lease-on-readiness path. A fixed-seed schedule mixes
+// clean exchanges, mid-read hard resets (SO_LINGER 0) and silent stalls
+// closed by the read deadline. Afterwards every shard's connection table
+// is empty, the process's open descriptors are back to their baseline,
+// goroutines are back to theirs within a constant per shard, and the
+// counters stayed monotonic throughout.
+func TestChaosShardsLeaveNoResidue(t *testing.T) {
 	dir, _ := chaosRoot(t)
+	const shards = 4
 	opts := options.COPSHTTP().
 		WithHardening(200*time.Millisecond, 500*time.Millisecond, 1<<20).
-		WithEventDriven(true)
-	srv, ln, addr := startChaosHTTP(t,
-		copshttp.Config{DocRoot: dir, Options: &opts},
-		faultnet.Scenario{Seed: 31, CorruptEvery: 1},
-	)
-	fw := srv.Framework()
-	if !fw.EventDriven() {
-		t.Fatal("EventDriven() = false on a supported platform")
-	}
-
-	const clients = 8
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := httpGet(t, addr, fmt.Sprintf("/index.html?c=%d", i), 3*time.Second); err != nil &&
-				!strings.Contains(err.Error(), "reset") && !strings.Contains(err.Error(), "EOF") {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// The faults landed: the corrupting scenario was live the whole time.
-	if ln.Stats().Corrupted.Load() < clients {
-		t.Fatalf("only %d corrupted chunks for %d clients — chaos not injected under -event-driven",
-			ln.Stats().Corrupted.Load(), clients)
-	}
-	// No wrapped transport ever parked: the fd-less conns all fell back.
-	if n := fw.ParkedConns(); n != 0 {
-		t.Fatalf("ParkedConns = %d for descriptor-hiding transports, want 0", n)
-	}
-	// And the fallback connections still drain like the goroutine suite.
-	deadline := time.Now().Add(3 * time.Second)
-	for fw.ActiveConns() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d fallback connections wedged after corruption", fw.ActiveConns())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestChaosEventDrivenShardsDrainPollTables drives raw-TCP chaos — the
-// transports expose their descriptors, so connections genuinely park in
-// the per-shard epoll tables — against four event-driven shards. A
-// fixed-seed schedule mixes clean exchanges, mid-read hard resets
-// (SO_LINGER 0) and silent stalls reaped by the scavenger's read-timeout
-// sweep. Afterwards every fd must be gone from every shard's epoll set
-// and connection table, and the poller counters must stay monotonic.
-func TestChaosEventDrivenShardsDrainPollTables(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
-	dir, _ := chaosRoot(t)
-	opts := options.COPSHTTP().
-		WithHardening(200*time.Millisecond, 500*time.Millisecond, 1<<20).
-		WithShards(4).
-		WithEventDriven(true)
+		WithShards(shards)
 	opts.Profiling = true
 	srv, err := copshttp.New(copshttp.Config{DocRoot: dir, Options: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Raw TCP listener: no faultnet wrapper, so every accepted conn
-	// carries a descriptor and parks.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -984,15 +924,8 @@ func TestChaosEventDrivenShardsDrainPollTables(t *testing.T) {
 	t.Cleanup(srv.Shutdown)
 	addr := ln.Addr().String()
 	fw := srv.Framework()
-	if !fw.EventDriven() {
-		t.Fatal("EventDriven() = false on a supported platform")
-	}
 
-	ms, err := metrics.NewServer("127.0.0.1:0", metrics.Config{
-		Profile:     fw.Profile(),
-		EventDriven: fw.EventDriven,
-		Parked:      fw.ParkedConns,
-	})
+	ms, err := metrics.NewServer("127.0.0.1:0", metrics.Config{Profile: fw.Profile()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1007,23 +940,24 @@ func TestChaosEventDrivenShardsDrainPollTables(t *testing.T) {
 		if !ok {
 			t.Fatalf("unframed metrics response: %.120q", raw)
 		}
-		if !bytes.Contains(body, []byte("nserver_event_driven 1")) {
-			t.Fatal("metrics missing nserver_event_driven gauge mid-chaos")
-		}
 		return metrics.ParseCounters(string(body))
 	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd")
+		}
+		return len(ents)
+	}
+	prev := scrape()
+	fdBase, gBase := openFDs(), runtime.NumGoroutine()
 
 	// The fault schedule is a fixed-seed permutation: which connection
 	// gets a clean exchange, a mid-read RST or a silent stall replays
 	// identically run to run.
 	rng := rand.New(rand.NewSource(42))
-	monotonic := []string{
-		"nserver_connections_accepted_total",
-		"nserver_requests_total",
-		"nserver_epoll_wakeups_total",
-		"nserver_epoll_ready_events_total",
-	}
-	prev := scrape()
+	monotonic := []string{"nserver_connections_accepted_total", "nserver_requests_total"}
+	var stalled []net.Conn
 	for round := 0; round < 3; round++ {
 		const conns = 8
 		peers := make([]net.Conn, 0, conns)
@@ -1034,12 +968,12 @@ func TestChaosEventDrivenShardsDrainPollTables(t *testing.T) {
 			}
 			peers = append(peers, c)
 		}
-		// Round-robin placement parks two conns per shard; wait for all
-		// of them to reach the epoll tables before injecting faults.
+		// Round-robin placement puts two conns on each shard; wait for all
+		// of them to attach before injecting faults.
 		deadline := time.Now().Add(3 * time.Second)
-		for fw.ParkedConns() < conns {
+		for fw.ActiveConns() < conns {
 			if time.Now().After(deadline) {
-				t.Fatalf("round %d: only %d/%d conns parked", round, fw.ParkedConns(), conns)
+				t.Fatalf("round %d: only %d/%d conns attached", round, fw.ActiveConns(), conns)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -1058,21 +992,20 @@ func TestChaosEventDrivenShardsDrainPollTables(t *testing.T) {
 					tc.SetLinger(0)
 				}
 				c.Close()
-			case 2: // silent stall: the scavenger's read-timeout sweep reaps it
+			case 2: // silent stall: the 200ms read deadline closes it
 				fmt.Fprint(c, "GET /stalled")
-				defer c.Close()
+				stalled = append(stalled, c)
 			}
 		}
-		// Every fd drains from the epoll sets and the conn tables — the
-		// stalled third takes until the 200ms ReadTimeout sweep fires.
+		// Every conn leaves its shard's table — the stalled third takes
+		// until the 200ms ReadTimeout fires.
 		deadline = time.Now().Add(5 * time.Second)
-		for fw.ParkedConns() > 0 || fw.ActiveConns() > 0 {
+		for fw.ActiveConns() > 0 {
 			if time.Now().After(deadline) {
 				for i := 0; i < fw.Shards(); i++ {
-					t.Logf("shard %d: parked=%d conns=%d", i, fw.ShardParked(i), fw.ShardConns(i))
+					t.Logf("shard %d: conns=%d", i, fw.ShardConns(i))
 				}
-				t.Fatalf("round %d: tables not drained: parked=%d active=%d",
-					round, fw.ParkedConns(), fw.ActiveConns())
+				t.Fatalf("round %d: conn tables not drained: active=%d", round, fw.ActiveConns())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -1084,20 +1017,29 @@ func TestChaosEventDrivenShardsDrainPollTables(t *testing.T) {
 		}
 		prev = cur
 	}
-
-	if prev["nserver_epoll_wakeups_total"] == 0 {
-		t.Fatal("no epoll wakeups recorded — connections never parked")
-	}
-	// Per-shard epoll tables are all empty, not just the sum.
 	for i := 0; i < fw.Shards(); i++ {
-		if n := fw.ShardParked(i); n != 0 {
-			t.Errorf("shard %d: %d fds left in epoll table", i, n)
+		if n := fw.ShardConns(i); n != 0 {
+			t.Errorf("shard %d: %d conns left in its table", i, n)
 		}
 	}
-	// The event-driven sharded server is healthy after the storm.
+	for _, c := range stalled {
+		c.Close()
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		fds, gs := openFDs(), runtime.NumGoroutine()
+		if fds <= fdBase+3*shards && gs <= gBase+2*shards {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("residue after the storm: %d fds (baseline %d), %d goroutines (baseline %d)",
+				fds, fdBase, gs, gBase)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	resp, err := httpGet(t, addr, "/index.html", 3*time.Second)
 	if err != nil || !bytes.Contains(resp, []byte(" 200 ")) {
-		t.Fatalf("event-driven server unhealthy after chaos: err=%v resp=%.60q", err, resp)
+		t.Fatalf("sharded server unhealthy after chaos: err=%v resp=%.60q", err, resp)
 	}
 }
 
@@ -1242,15 +1184,12 @@ func TestChaosSlowReaderBlockingPath(t *testing.T) {
 	}
 }
 
-// TestChaosSlowReaderEventDriven: the EPOLLOUT path's slow-reader
-// defense. A stalled reader of a streamed multi-megabyte file parks the
-// residual, frees the worker, and is reaped by the scavenger once the
-// queue stalls past WriteTimeout; a trickling-but-progressing reader
-// survives far past WriteTimeout and receives every byte.
-func TestChaosSlowReaderEventDriven(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+// TestChaosSlowReader: the parked-write path's slow-reader defense. A
+// stalled reader of a streamed multi-megabyte file parks the residual,
+// frees the worker, and is torn down once the write pump's blocking
+// write misses its per-chunk WriteTimeout; a trickling-but-progressing
+// reader survives far past WriteTimeout and receives every byte.
+func TestChaosSlowReader(t *testing.T) {
 	const fileLen = 16 << 20
 	dir := t.TempDir()
 	big := bytes.Repeat([]byte("0123456789abcdef"), fileLen/16)
@@ -1259,8 +1198,7 @@ func TestChaosSlowReaderEventDriven(t *testing.T) {
 	}
 	opts := options.COPSHTTP().
 		WithHardening(0, 300*time.Millisecond, 0).
-		WithLargeFiles(1 << 20).
-		WithEventDriven(true)
+		WithLargeFiles(1 << 20)
 	opts.Profiling = true
 	srv, err := copshttp.New(copshttp.Config{DocRoot: dir, Options: &opts})
 	if err != nil {
@@ -1302,8 +1240,8 @@ func TestChaosSlowReaderEventDriven(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// The scavenger reaps the stalled queue within the WriteTimeout
-	// budget; the fd and the queue accounting both drain.
+	// The pump's write deadline tears the stalled queue down within the
+	// WriteTimeout budget; the fd and the queue accounting both drain.
 	deadline = time.Now().Add(5 * time.Second)
 	for fw.ActiveConns() > 0 {
 		if time.Now().After(deadline) {
@@ -1316,15 +1254,12 @@ func TestChaosSlowReaderEventDriven(t *testing.T) {
 		t.Fatalf("queue accounting leaked after reap: conns=%d bytes=%d",
 			fw.ParkedWrites(), fw.OutboundQueuedBytes())
 	}
-	if fw.Profile().Snapshot().IdleShutdowns == 0 {
-		t.Error("slow-reader reap not counted as an idle/slow shutdown")
-	}
 
 	// Trickling reader: drains ~25 MB/s — the full stream takes ~0.7 s,
-	// over twice WriteTimeout — and must still complete: each EPOLLOUT
-	// burst moves well past the progress quantum, refreshing the stall
-	// clock. As on the blocking path, the pace must clear the kernel's
-	// writability threshold (roughly half the send buffer per window).
+	// over twice WriteTimeout — and must still complete: each of the
+	// pump's 1 MiB sendfile chunks finishes well inside its deadline. As
+	// on the blocking path, the pace must clear the kernel's writability
+	// threshold (roughly half the send buffer per window).
 	slow, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

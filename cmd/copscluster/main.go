@@ -32,7 +32,6 @@ func main() {
 		hedge    = flag.Bool("hedge", false, "issue a budgeted hedged dial to a second backend when the primary dial exceeds the observed p95 latency; the losing dial is canceled")
 		hedgeDel = flag.Duration("hedge-delay", 0, "fixed hedge delay override; 0 derives it from the dial-latency p95")
 		shards   = flag.Int("shards", 0, "accept loops on the front end (SO_REUSEPORT listeners on Linux); 0 = one per CPU")
-		eventDrv = flag.Bool("event-driven", false, "mark this deployment's backends as running the kernel-event read path (copshttp/copsftp -event-driven); surfaces the nserver_event_driven gauge on the front end's /metrics — the splice forwards themselves keep their goroutine pairs")
 		mAddr    = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
 	)
 	flag.Parse()
@@ -75,9 +74,6 @@ func main() {
 
 	if *mAddr != "" {
 		cfg := metrics.Config{Profile: prof, Cluster: lb}
-		if *eventDrv {
-			cfg.EventDriven = func() bool { return true }
-		}
 		if *hedge {
 			cfg.Hedge = lb.HedgeStats
 		}

@@ -32,7 +32,6 @@ func main() {
 		idle      = flag.Duration("idle-timeout", 5*time.Minute, "shut down connections idle this long (O7)")
 		largeFile = flag.Int64("large-file-threshold", 1<<20, "stream RETR files of at least this many bytes through pooled buffers without full-file reads; 0 disables")
 		shards    = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
-		eventDrv  = flag.Bool("event-driven", false, "park idle control connections in a per-shard kernel epoll set instead of a reader goroutine each (Linux; elsewhere the goroutine path is the transparent fallback)")
 		adaptive  = flag.Bool("adaptive-shed", false, "postpone accepts under overload with the AIMD admission limiter (enables O9 with watermarks 20,5 as the backstop)")
 		profile   = flag.Bool("profile", false, "enable performance profiling (O11)")
 		mAddr     = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
@@ -66,7 +65,6 @@ func main() {
 		opts.Profiling = true
 	}
 	opts.Shards = *shards
-	opts.EventDriven = *eventDrv
 	if *adaptive {
 		opts = opts.WithOverloadControl(20, 5).WithAdaptiveShed(true)
 	}
@@ -86,16 +84,14 @@ func main() {
 	if err := srv.ListenAndServe(*addr); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("COPS-FTP exporting %s on %s (readonly=%v, shards=%d, event-driven=%v)\n",
-		*root, srv.Addr(), *readOnly, srv.Framework().Shards(), srv.Framework().EventDriven())
+	fmt.Printf("COPS-FTP exporting %s on %s (readonly=%v, shards=%d)\n",
+		*root, srv.Addr(), *readOnly, srv.Framework().Shards())
 
 	if *mAddr != "" {
 		mcfg := metrics.Config{
 			Profile:      srv.Framework().Profile(),
 			Cache:        srv.Framework().Cache(),
 			Deferred:     srv.Framework().Deferred,
-			EventDriven:  srv.Framework().EventDriven,
-			Parked:       srv.Framework().ParkedConns,
 			ParkedWrites: srv.Framework().ParkedWrites,
 		}
 		if l := srv.Framework().Admission(); l != nil {

@@ -45,7 +45,6 @@ func main() {
 		adaptive    = flag.Bool("adaptive-shed", false, "with -overload: replace the static watermark gate with the AIMD admission limiter (priority-aware shedding, dynamic Retry-After)")
 		retryAfter  = flag.Duration("retry-after", 0, "Retry-After delay on shed 503 replies (default 1s; with -adaptive-shed the limiter's backoff horizon overrides it)")
 		shards      = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
-		eventDriven = flag.Bool("event-driven", false, "park idle connections in a per-shard kernel epoll set instead of a reader goroutine each (Linux; elsewhere and for descriptor-hiding transports the goroutine path is the transparent fallback)")
 		profile     = flag.Bool("profile", false, "enable performance profiling (O11)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
 		debug       = flag.Bool("debug", false, "generate in debug mode (O10): print the internal event trace on exit")
@@ -82,7 +81,6 @@ func main() {
 	}
 	opts.Profiling = *profile
 	opts.Shards = *shards
-	opts.EventDriven = *eventDriven
 	if *debug {
 		opts.Mode = options.Debug
 	}
@@ -154,8 +152,8 @@ func main() {
 	if err := srv.ListenAndServe(*addr); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("COPS-HTTP serving %s on %s (cache=%s, shards=%d, event-driven=%v)\n",
-		*root, srv.Addr(), policy, srv.Framework().Shards(), srv.Framework().EventDriven())
+	fmt.Printf("COPS-HTTP serving %s on %s (cache=%s, shards=%d)\n",
+		*root, srv.Addr(), policy, srv.Framework().Shards())
 
 	if *metricsAddr != "" {
 		mcfg := metrics.Config{
@@ -163,8 +161,6 @@ func main() {
 			Cache:        srv.Framework().Cache(),
 			Deferred:     srv.Framework().Deferred,
 			Shed:         srv.Shed,
-			EventDriven:  srv.Framework().EventDriven,
-			Parked:       srv.Framework().ParkedConns,
 			ParkedWrites: srv.Framework().ParkedWrites,
 		}
 		if rc := srv.RespCache(); rc != nil {

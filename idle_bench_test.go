@@ -14,42 +14,7 @@ import (
 
 	"repro/internal/copshttp"
 	"repro/internal/options"
-	"repro/internal/reactor"
 )
-
-// BenchmarkIdleParkedConns is the C1M fence for the kernel-event read
-// path: park as many idle keep-alive connections as the process rlimit
-// allows (the target is 100k; each loopback connection burns two
-// descriptors, so the count clamps to (RLIMIT_NOFILE-headroom)/2 and the
-// honest clamp is recorded as the "conns" metric), then measure what an
-// idle connection costs in each read-path mode.
-//
-// Reported per variant:
-//
-//	conns       parked keep-alive connections (post-clamp)
-//	goroutines  goroutine growth over the empty server — the goroutine
-//	            path pays one reader per conn, the event-driven path a
-//	            constant few per shard
-//	bytes/conn  (HeapInuse+StackInuse) growth per connection; both
-//	            variants carry the same in-process client cost, so the
-//	            delta between them is the server-side saving
-//	ns/op       wakeup-to-reply latency: one op sends a request on a
-//	            long-idle connection and reads the full response, so the
-//	            epoll wakeup (or goroutine unblock) is on the measured
-//	            path
-func BenchmarkIdleParkedConns(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		eventDriven bool
-	}{
-		{"goroutine", false},
-		{"event-driven", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			benchIdleParked(b, mode.eventDriven)
-		})
-	}
-}
 
 // raiseNoFile lifts RLIMIT_NOFILE to its hard limit where the process
 // is permitted to, so descriptor-bound benchmarks run at the honest
@@ -75,10 +40,26 @@ func raiseNoFile(b *testing.B) int {
 	return int(rl.Cur)
 }
 
-func benchIdleParked(b *testing.B, eventDriven bool) {
-	if eventDriven && !reactor.PollerSupported {
-		b.Skip("no kernel poller on this platform")
-	}
+// BenchmarkIdleParkedConns is the C1M fence for the read path: park as
+// many idle keep-alive connections as the process rlimit allows (the
+// target is 100k; each loopback connection burns two descriptors, so the
+// count clamps to (RLIMIT_NOFILE-headroom)/2 and the honest clamp is
+// recorded as the "conns" metric), then measure what an idle connection
+// costs. Each one holds its reader goroutine, waiting on the netpoller
+// for readability, and no read buffer: the chunk is leased only once the
+// socket is readable.
+//
+// Reported:
+//
+//	conns       parked keep-alive connections (post-clamp)
+//	goroutines  goroutine growth over the empty server: one reader per
+//	            conn, and no write pump, since nothing is parked
+//	bytes/conn  (HeapInuse+StackInuse) growth per connection, the
+//	            in-process client's cost included
+//	ns/op       wakeup-to-reply latency: one op sends a request on a
+//	            long-idle connection and reads the full response, so the
+//	            reader's wakeup is on the measured path
+func BenchmarkIdleParkedConns(b *testing.B) {
 	target := 100_000
 	nofile := raiseNoFile(b)
 	if nofile > 0 {
@@ -96,7 +77,6 @@ func benchIdleParked(b *testing.B, eventDriven bool) {
 		b.Fatal(err)
 	}
 	opts := options.COPSHTTP()
-	opts.EventDriven = eventDriven
 	srv, err := copshttp.New(copshttp.Config{DocRoot: dir, Options: &opts})
 	if err != nil {
 		b.Fatal(err)
@@ -127,19 +107,12 @@ func benchIdleParked(b *testing.B, eventDriven bool) {
 		}
 		conns = append(conns, c)
 	}
-	// Wait until the server has attached (and, event-driven, parked)
-	// every connection before measuring.
-	settled := func() bool {
-		if eventDriven {
-			return fw.ParkedConns() >= target
-		}
-		return fw.ActiveConns() >= target
-	}
+	// Wait until the server has attached every connection before
+	// measuring.
 	deadline := time.Now().Add(30 * time.Second)
-	for !settled() {
+	for fw.ActiveConns() < target {
 		if time.Now().After(deadline) {
-			b.Fatalf("only %d/%d conns attached (parked=%d)",
-				fw.ActiveConns(), target, fw.ParkedConns())
+			b.Fatalf("only %d/%d conns attached", fw.ActiveConns(), target)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -150,7 +123,6 @@ func benchIdleParked(b *testing.B, eventDriven bool) {
 	resident := int64(after.HeapInuse+after.StackInuse) -
 		int64(before.HeapInuse+before.StackInuse)
 	goroutines := runtime.NumGoroutine() - gBefore
-	parked := fw.ParkedConns()
 
 	// Wakeup-to-reply: each op picks the next long-parked connection,
 	// sends one request and reads the whole response. (ResetTimer wipes
@@ -177,31 +149,28 @@ func benchIdleParked(b *testing.B, eventDriven bool) {
 	b.ReportMetric(float64(goroutines), "goroutines")
 	b.ReportMetric(float64(resident)/float64(target), "bytes/conn")
 	b.ReportMetric(float64(nofile), "nofile")
-	if eventDriven {
-		b.ReportMetric(float64(parked), "parked")
-	}
 }
 
 // BenchmarkParkedSlowReaders is the write-side companion of the idle
 // fence: N slow readers each request a file far larger than the kernel
-// can absorb, so every reply parks its residual on the EPOLLOUT path
-// and the worker returns to the pool. The bench then measures what the
-// server still costs and still delivers while those transfers are in
-// flight:
+// can absorb, so every reply parks its residual, a write pump finishes
+// it on the netpoller and the worker returns to the pool. The bench then
+// measures what the server still costs and still delivers while those
+// transfers are in flight:
 //
 //	conns       slow-reader connections holding an in-flight reply
 //	parked      connections with residuals parked on outbound queues —
 //	            must equal conns, or the replies are blocking workers
 //	goroutines  goroutine growth over the pre-dial server once every
-//	            reply is parked — the whole point of the write path is
-//	            that this stays ~0 while the drains are kernel-paced
+//	            reply is parked: one reader plus at most one write pump
+//	            per conn (at most 2*conns), and no pinned worker
 //	nofile      the RLIMIT_NOFILE actually in force (post-raise)
 //	ns/op       request latency on a separate fast connection, so the
 //	            op proves the shards still serve promptly under N
 //	            parked transfers
 func BenchmarkParkedSlowReaders(b *testing.B) {
-	if !reactor.PollerSupported {
-		b.Skip("no kernel poller on this platform")
+	if runtime.GOOS != "linux" {
+		b.Skip("replies park only where descriptor-level I/O exists (Linux)")
 	}
 	nofile := raiseNoFile(b)
 	const readers = 32
@@ -219,7 +188,6 @@ func BenchmarkParkedSlowReaders(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := options.COPSHTTP()
-	opts.EventDriven = true
 	opts.LargeFileThreshold = 64 << 10
 	srv, err := copshttp.New(copshttp.Config{DocRoot: dir, Options: &opts})
 	if err != nil {
@@ -270,8 +238,8 @@ func BenchmarkParkedSlowReaders(b *testing.B) {
 	goroutines := runtime.NumGoroutine() - gBefore
 	parked := fw.ParkedWrites()
 
-	// One trickle drainer keeps every transfer live through the EPOLLOUT
-	// drain path during the measurement (it is the +1 goroutine the
+	// One trickle drainer keeps every transfer live through the write
+	// pumps during the measurement (it is the +1 goroutine the
 	// metric above deliberately excludes by sampling first).
 	drainDone := make(chan struct{})
 	drainStopped := make(chan struct{})

@@ -357,7 +357,7 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 
 // FastServe is the FastPath hook New installs; it is exported only so
 // allocation tests can drive it on an idle connection. The runtime calls
-// it inline, on the goroutine that woke the connection, for each request
+// it inline, on the connection's reader goroutine, for each request
 // decoded while the O9 gate is clear. It serves exactly the shape the
 // rendered-response cache holds — a keep-alive HTTP/1.1 GET for a
 // static path, no Range, no conditional — and only when the reply
@@ -391,7 +391,7 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 		q.memoPath, q.memoFull = r.Path, full
 	}
 	head, body, state := s.rcache.Probe(full)
-	if state == respcache.Stale && !c.Parked() {
+	if state == respcache.Stale {
 		head, body = s.revalidate(full)
 	}
 	if head == nil || !q.tryFastClaim() {
@@ -407,9 +407,8 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 // revalidate is the fast path's own stat of a rendered entry past its
 // revalidate window, so a warm document costs one stat(2) per window on
 // the connection's reader goroutine instead of the queued stat and read
-// hops. The shard poller never runs it: a parked connection declines
-// instead, and the poller makes no filesystem call. It returns the
-// confirmed entry's head and body, or nil to decline — after dropping
+// hops. It returns the confirmed entry's head and body, or nil to
+// decline — after dropping
 // what the stat proved outdated, so the queued path re-stats, re-reads
 // and answers (200 with the new bytes, 404, or 301).
 func (s *Server) revalidate(full string) (head, body []byte) {

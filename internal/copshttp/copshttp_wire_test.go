@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/options"
 )
 
 // dialWire opens a raw client connection to the server for byte-level
@@ -144,4 +147,34 @@ func TestWirePipelinedRepliesStayOrdered(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWireRequestCapAllowsPipelinedBurst: MaxRequestBytes caps one
+// request, not one read. A single write of 150 small pipelined GETs —
+// well over the 4 KiB cap in total, each far under it — is answered in
+// full, while a request that alone outgrows the cap is still torn down.
+func TestWireRequestCapAllowsPipelinedBurst(t *testing.T) {
+	o := options.COPSHTTP().WithHardening(0, 0, 4096)
+	s := startHTTP(t, Config{DocRoot: buildDocRoot(t), Options: &o})
+	conn, r := dialWire(t, s)
+	const get = "GET /about.txt HTTP/1.1\r\nHost: a\r\n\r\n"
+	const n = 150
+	if _, err := conn.Write([]byte(strings.Repeat(get, n))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		status, _, body, err := readResponse(r, false)
+		if err != nil {
+			t.Fatalf("reply %d of a %d-byte burst: %v", i, n*len(get), err)
+		}
+		if status != 200 || string(body) != "about text" {
+			t.Fatalf("reply %d: %d %q", i, status, body)
+		}
+	}
+
+	conn, r = dialWire(t, s)
+	if _, err := conn.Write([]byte("GET /about.txt HTTP/1.1\r\nX-Pad: " + strings.Repeat("x", 8192))); err != nil {
+		t.Fatal(err)
+	}
+	expectEOF(t, r)
 }

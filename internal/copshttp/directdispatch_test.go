@@ -13,119 +13,107 @@ import (
 	"repro/internal/options"
 )
 
-// ddOptions returns the profiled COPS-HTTP preset on the goroutine read
-// path or the kernel-event one. The fast path needs no option: the
-// preset's file cache brings the rendered-response cache and its hook.
-func ddOptions(eventDriven bool) *options.Options {
+// ddOptions returns the profiled COPS-HTTP preset. The fast path needs
+// no option: the preset's file cache brings the rendered-response cache
+// and its hook.
+func ddOptions() *options.Options {
 	o := options.COPSHTTP()
 	o.Profiling = true
-	o.EventDriven = eventDriven
 	return &o
 }
 
-// readPaths names the two read paths the fast-path tests run on.
-var readPaths = map[string]bool{"goroutine": false, "event-driven": true}
-
 func TestDirectDispatchServesHotGET(t *testing.T) {
 	root := buildDocRoot(t)
-	for name, ed := range readPaths {
-		t.Run(name, func(t *testing.T) {
-			s := startHTTP(t, Config{DocRoot: root, Options: ddOptions(ed)})
-			conn, err := net.Dial("tcp", s.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
-			for i := 0; i < 8; i++ {
-				status, headers, body := get(t, conn, r, "GET", "/about.txt", "")
-				if status != 200 || string(body) != "about text" {
-					t.Fatalf("iteration %d: %d %q", i, status, body)
-				}
-				if headers["last-modified"] == "" || headers["date"] == "" {
-					t.Fatalf("iteration %d: missing Last-Modified/Date: %v", i, headers)
-				}
-			}
-			// The first request misses (and renders) the response cache; the
-			// repeats must be served run-to-completion by the goroutine that
-			// read them.
-			snap := s.Framework().Profile().Snapshot()
-			if snap.DirectDispatched == 0 {
-				t.Fatalf("DirectDispatched = 0 after hot repeats (snapshot %+v)", snap)
-			}
-			if rs := s.RespCache().Stats(); rs.Hits == 0 {
-				t.Fatalf("respcache hits = 0 after hot repeats (stats %+v)", rs)
-			}
-		})
+	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	for i := 0; i < 8; i++ {
+		status, headers, body := get(t, conn, r, "GET", "/about.txt", "")
+		if status != 200 || string(body) != "about text" {
+			t.Fatalf("iteration %d: %d %q", i, status, body)
+		}
+		if headers["last-modified"] == "" || headers["date"] == "" {
+			t.Fatalf("iteration %d: missing Last-Modified/Date: %v", i, headers)
+		}
+	}
+	// The first request misses (and renders) the response cache; the
+	// repeats must be served run-to-completion by the goroutine that
+	// read them.
+	snap := s.Framework().Profile().Snapshot()
+	if snap.DirectDispatched == 0 {
+		t.Fatalf("DirectDispatched = 0 after hot repeats (snapshot %+v)", snap)
+	}
+	if rs := s.RespCache().Stats(); rs.Hits == 0 {
+		t.Fatalf("respcache hits = 0 after hot repeats (stats %+v)", rs)
 	}
 }
 
 func TestDirectDispatchPipelinedOrdering(t *testing.T) {
 	root := buildDocRoot(t)
-	for name, ed := range readPaths {
-		t.Run(name, func(t *testing.T) {
-			s := startHTTP(t, Config{DocRoot: root, Options: ddOptions(ed)})
-			conn, err := net.Dial("tcp", s.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
-			// Warm the rendered cache for the hot document.
-			if status, _, _ := get(t, conn, r, "GET", "/about.txt", ""); status != 200 {
-				t.Fatalf("warmup: %d", status)
-			}
-			// A pipelined window of hot hits (fast-path eligible) with a
-			// cold document, a Range request and a miss in the middle (all
-			// declined to the queued path, with its async file hops): the
-			// replies must come back in request order, although the hits
-			// after a decline could be answered at once — the sequencer makes
-			// the fast path decline while an earlier claim is outstanding.
-			type want struct {
-				path, extra string
-				status      int
-				body        string
-			}
-			window := []want{
-				{"/about.txt", "", 200, "about text"},
-				{"/about.txt", "", 200, "about text"},
-				{"/portal/p1.html", "", 200, strings.Repeat("P", 2048)},
-				{"/about.txt", "", 200, "about text"},
-				{"/about.txt", "Range: bytes=0-4\r\n", 206, "about"},
-				{"/about.txt", "", 200, "about text"},
-				{"/nosuch.txt", "", 404, ""},
-				{"/about.txt", "", 200, "about text"},
-			}
-			var req strings.Builder
-			for _, w := range window {
-				fmt.Fprintf(&req, "GET %s HTTP/1.1\r\nHost: test\r\n%s\r\n", w.path, w.extra)
-			}
-			// The window's leading hits run inline unless the previous
-			// window's queued tail still owns the connection's drain, so a
-			// few rounds guarantee some inline serves.
-			for round := 0; round < 20; round++ {
-				if _, err := conn.Write([]byte(req.String())); err != nil {
-					t.Fatal(err)
-				}
-				for i, w := range window {
-					status, _, body, err := readResponse(r, false)
-					if err != nil {
-						t.Fatalf("round %d reply %d (%s): %v", round, i, w.path, err)
-					}
-					if status != w.status {
-						t.Fatalf("round %d reply %d (%s): status %d, want %d", round, i, w.path, status, w.status)
-					}
-					if w.body != "" && string(body) != w.body {
-						t.Fatalf("round %d reply %d (%s): wrong body %.20q", round, i, w.path, body)
-					}
-				}
-				if s.Framework().Profile().Snapshot().DirectDispatched > 0 && round >= 2 {
-					return
-				}
-			}
-			t.Fatal("DirectDispatched = 0: no hit of the pipelined windows was served inline")
-		})
+	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	// Warm the rendered cache for the hot document.
+	if status, _, _ := get(t, conn, r, "GET", "/about.txt", ""); status != 200 {
+		t.Fatalf("warmup: %d", status)
+	}
+	// A pipelined window of hot hits (fast-path eligible) with a
+	// cold document, a Range request and a miss in the middle (all
+	// declined to the queued path, with its async file hops): the
+	// replies must come back in request order, although the hits
+	// after a decline could be answered at once — the sequencer makes
+	// the fast path decline while an earlier claim is outstanding.
+	type want struct {
+		path, extra string
+		status      int
+		body        string
+	}
+	window := []want{
+		{"/about.txt", "", 200, "about text"},
+		{"/about.txt", "", 200, "about text"},
+		{"/portal/p1.html", "", 200, strings.Repeat("P", 2048)},
+		{"/about.txt", "", 200, "about text"},
+		{"/about.txt", "Range: bytes=0-4\r\n", 206, "about"},
+		{"/about.txt", "", 200, "about text"},
+		{"/nosuch.txt", "", 404, ""},
+		{"/about.txt", "", 200, "about text"},
+	}
+	var req strings.Builder
+	for _, w := range window {
+		fmt.Fprintf(&req, "GET %s HTTP/1.1\r\nHost: test\r\n%s\r\n", w.path, w.extra)
+	}
+	// The window's leading hits run inline unless the previous
+	// window's queued tail still owns the connection's drain, so a
+	// few rounds guarantee some inline serves.
+	for round := 0; round < 20; round++ {
+		if _, err := conn.Write([]byte(req.String())); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range window {
+			status, _, body, err := readResponse(r, false)
+			if err != nil {
+				t.Fatalf("round %d reply %d (%s): %v", round, i, w.path, err)
+			}
+			if status != w.status {
+				t.Fatalf("round %d reply %d (%s): status %d, want %d", round, i, w.path, status, w.status)
+			}
+			if w.body != "" && string(body) != w.body {
+				t.Fatalf("round %d reply %d (%s): wrong body %.20q", round, i, w.path, body)
+			}
+		}
+		if s.Framework().Profile().Snapshot().DirectDispatched > 0 && round >= 2 {
+			return
+		}
+	}
+	t.Fatal("DirectDispatched = 0: no hit of the pipelined windows was served inline")
 }
 
 // TestDirectDispatchMutationInvalidates is the staleness bound: a file
@@ -135,7 +123,7 @@ func TestDirectDispatchPipelinedOrdering(t *testing.T) {
 // drop when the stat hop sees the new (modTime, size).
 func TestDirectDispatchMutationInvalidates(t *testing.T) {
 	root := buildDocRoot(t)
-	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions(false)})
+	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +165,8 @@ func TestDirectDispatchMutationInvalidates(t *testing.T) {
 // server on the queued path.
 func TestDirectDispatchWireShape(t *testing.T) {
 	root := buildDocRoot(t)
-	plain := startHTTP(t, Config{DocRoot: root, Options: ddOptions(false), DecodeDelay: time.Microsecond})
-	fast := startHTTP(t, Config{DocRoot: root, Options: ddOptions(false)})
+	plain := startHTTP(t, Config{DocRoot: root, Options: ddOptions(), DecodeDelay: time.Microsecond})
+	fast := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
 
 	type reply struct {
 		status  int

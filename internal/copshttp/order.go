@@ -44,7 +44,7 @@ type pendingReply struct {
 	// prebuilt error page, or handler-owned slice — never pooled), so
 	// parking never copies the body. The same reference-retention
 	// contract already backs the parked write path in nserver, which may
-	// hold body slices until EPOLLOUT drains them.
+	// hold body slices until its write pump drains them.
 	head  []byte
 	body  []byte
 	close bool
@@ -146,13 +146,13 @@ func (s *Server) sendOrdered(c *nserver.Conn, q *sequencer, seq uint64, r *httpp
 		q.mu.Unlock()
 		return
 	}
-	q.mu.Unlock()
-	// In turn: only the owner of q.next writes, and q.next does not
-	// advance until it finishes, so the zero-copy write needs no lock.
+	// In turn: the write and the turn's advance happen under q.mu, as
+	// flushLocked's do. The peer may answer the reply at once, and a fast
+	// claim for its next request then waits for the advance instead of
+	// finding the turn still taken and sending the request the slow way.
 	err := c.Reply(resp)
 	s.logAccess(c, r, resp.Status, len(resp.Body), c.RequestSeq())
 	closeNow := resp.Close
-	q.mu.Lock()
 	q.next++
 	if !q.closed {
 		q.flushLocked(s, c, &closeNow, err)

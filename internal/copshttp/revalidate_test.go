@@ -16,10 +16,9 @@ import (
 // the next lookup of an entry finds it stale.
 const pastWindow = respcache.DefaultRevalidateAfter + 50*time.Millisecond
 
-// hotConn dials s, warms the rendered-response cache for path on the
-// queued path and reports whether the connection is parked in a shard
-// poller (the NSERVER_EVENT_DRIVEN=1 sweep parks every TCP connection).
-func hotConn(t *testing.T, s *Server, path, want string) (net.Conn, *bufio.Reader, bool) {
+// hotConn dials s and warms the rendered-response cache for path on the
+// queued path.
+func hotConn(t *testing.T, s *Server, path, want string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -30,7 +29,7 @@ func hotConn(t *testing.T, s *Server, path, want string) (net.Conn, *bufio.Reade
 	if status, _, body := get(t, conn, r, "GET", path, ""); status != 200 || string(body) != want {
 		t.Fatalf("warm-up GET %s: %d %q", path, status, body)
 	}
-	return conn, r, s.Framework().ParkedConns() > 0
+	return conn, r
 }
 
 // directDispatched reads the fast-path serve counter.
@@ -54,12 +53,10 @@ func awaitDirectDispatched(t *testing.T, s *Server, want uint64) {
 
 // TestStaleEntryRevalidatedInline: an unchanged file past the revalidate
 // window is confirmed by one stat on the connection's reader goroutine
-// and served inline, not punted through the queued stat and read hops. A
-// parked connection must never stat inline: under the event-driven sweep
-// the same request punts and nothing counts as revalidated.
+// and served inline, not punted through the queued stat and read hops.
 func TestStaleEntryRevalidatedInline(t *testing.T) {
-	s := startHTTP(t, Config{DocRoot: buildDocRoot(t), Options: ddOptions(false)})
-	conn, r, parked := hotConn(t, s, "/about.txt", "about text")
+	s := startHTTP(t, Config{DocRoot: buildDocRoot(t), Options: ddOptions()})
+	conn, r := hotConn(t, s, "/about.txt", "about text")
 	before := directDispatched(s)
 	time.Sleep(pastWindow)
 	status, headers, body := get(t, conn, r, "GET", "/about.txt", "")
@@ -67,12 +64,6 @@ func TestStaleEntryRevalidatedInline(t *testing.T) {
 		t.Fatalf("stale GET: %d %q %v", status, body, headers)
 	}
 	rs := s.RespCache().Stats()
-	if parked {
-		if rs.Revalidated != 0 {
-			t.Fatalf("a parked connection revalidated inline (stats %+v)", rs)
-		}
-		return
-	}
 	awaitDirectDispatched(t, s, before+1)
 	if rs.Stale != 1 || rs.Revalidated != 1 {
 		t.Fatalf("respcache stats %+v, want one stale lookup revalidated inline", rs)
@@ -85,8 +76,8 @@ func TestStaleEntryRevalidatedInline(t *testing.T) {
 // entry it re-renders then revalidates inline as the new revision.
 func TestStaleEntryMutatedServesNewRevision(t *testing.T) {
 	root := buildDocRoot(t)
-	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions(false)})
-	conn, r, parked := hotConn(t, s, "/about.txt", "about text")
+	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
+	conn, r := hotConn(t, s, "/about.txt", "about text")
 	_, h1, _ := get(t, conn, r, "GET", "/about.txt", "")
 	full := filepath.Join(root, "about.txt")
 	if err := os.WriteFile(full, []byte("fresh content"), 0o644); err != nil {
@@ -107,9 +98,6 @@ func TestStaleEntryMutatedServesNewRevision(t *testing.T) {
 	if rs := s.RespCache().Stats(); rs.Invalidations == 0 || rs.Revalidated != 0 {
 		t.Fatalf("mutation: respcache stats %+v, want an invalidation and no inline serve", rs)
 	}
-	if parked {
-		return
-	}
 	before := directDispatched(s)
 	time.Sleep(pastWindow)
 	status, h3, body := get(t, conn, r, "GET", "/about.txt", "")
@@ -128,8 +116,8 @@ func TestStaleEntryMutatedServesNewRevision(t *testing.T) {
 // every later request.
 func TestStaleEntryDeletedFileDrops(t *testing.T) {
 	root := buildDocRoot(t)
-	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions(false)})
-	conn, r, parked := hotConn(t, s, "/about.txt", "about text")
+	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
+	conn, r := hotConn(t, s, "/about.txt", "about text")
 	full := filepath.Join(root, "about.txt")
 	if err := os.Remove(full); err != nil {
 		t.Fatal(err)
@@ -138,34 +126,11 @@ func TestStaleEntryDeletedFileDrops(t *testing.T) {
 	if status, _, _ := get(t, conn, r, "GET", "/about.txt", ""); status != 404 {
 		t.Fatalf("GET of a deleted file: %d, want 404", status)
 	}
-	if parked {
-		return
-	}
 	if rs := s.RespCache().Stats(); rs.Entries != 0 {
 		t.Fatalf("rendered entry of a deleted file survived (stats %+v)", rs)
 	}
 	if s.Framework().Cache().Contains(full) {
 		t.Fatal("file-cache bytes of a deleted file survived")
-	}
-}
-
-// TestStaleEntryParkedConnPunts: over TCP with Options.EventDriven the
-// connection parks in the shard poller, whose goroutine must make no
-// filesystem call — a stale entry punts to the queued path exactly as
-// before inline revalidation, and the queued stat hop confirms it.
-func TestStaleEntryParkedConnPunts(t *testing.T) {
-	s := startHTTP(t, Config{DocRoot: buildDocRoot(t), Options: ddOptions(true)})
-	conn, r, parked := hotConn(t, s, "/about.txt", "about text")
-	if !parked {
-		t.Skip("no kernel-event read path on this platform")
-	}
-	time.Sleep(pastWindow)
-	if status, _, body := get(t, conn, r, "GET", "/about.txt", ""); status != 200 || string(body) != "about text" {
-		t.Fatalf("stale GET: %d %q", status, body)
-	}
-	rs := s.RespCache().Stats()
-	if rs.Stale != 1 || rs.Revalidated != 0 || rs.Entries != 1 {
-		t.Fatalf("respcache stats %+v, want one stale punt, no inline revalidation, entry kept", rs)
 	}
 }
 
@@ -180,10 +145,10 @@ func TestInlineRevalidationKeepsLRURecency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	o := ddOptions(false)
+	o := ddOptions()
 	o.CacheCapacity = 2500 // room for two of the three files, in one shard
 	s := startHTTP(t, Config{DocRoot: root, Options: o})
-	conn, r, _ := hotConn(t, s, "/hot.txt", strings.Repeat("h", 1000))
+	conn, r := hotConn(t, s, "/hot.txt", strings.Repeat("h", 1000))
 	// cold enters the file cache after hot, so it is the more recent.
 	if status, _, _ := get(t, conn, r, "GET", "/cold.txt", ""); status != 200 {
 		t.Fatalf("GET /cold.txt: %d", status)

@@ -93,8 +93,7 @@ func TestAdaptiveShedCrosscutWeaving(t *testing.T) {
 
 // TestAdaptiveShedFrameworksCompile sweeps the crosscut against the
 // options it interacts with (scheduling, sharding, thread pool,
-// connection bounds, the kernel-event read path): every woven framework
-// must compile standalone.
+// connection bounds): every woven framework must compile standalone.
 func TestAdaptiveShedFrameworksCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix build in -short mode")
@@ -108,10 +107,10 @@ func TestAdaptiveShedFrameworksCompile(t *testing.T) {
 		}(),
 		"sharded-sched": options.COPSHTTP().WithOverloadControl(20, 5).
 			WithScheduling(1, 8).WithShards(4).WithAdaptiveShed(true),
-		"maxconns-eventdriven": func() options.Options {
+		"maxconns": func() options.Options {
 			o := options.COPSHTTP().WithOverloadControl(20, 5)
 			o.MaxConnections = 300
-			return o.WithEventDriven(true).WithAdaptiveShed(true)
+			return o.WithAdaptiveShed(true)
 		}(),
 		"ftp": options.COPSFTP().WithOverloadControl(20, 5).
 			WithAdaptiveShed(true),

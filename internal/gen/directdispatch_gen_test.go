@@ -17,9 +17,9 @@ import (
 // TestDirectDispatchCrosscutWeaving asserts the fast path is a rule, not
 // an option: every framework with a decoded request to offer (O3) and a
 // queue to punt a declined one to (O2 pool) carries the FastPath hook,
-// the wake helper both read paths share and the punt continuation back
-// to the queued path, while a framework missing either leaves no trace
-// of the machinery.
+// the reader goroutine's wake helper and the punt continuation back to
+// the queued path, while a framework missing either leaves no trace of
+// the machinery.
 func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 	all := func(a *Artifact) string {
 		var sb strings.Builder
@@ -45,23 +45,17 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 
 	base := options.COPSHTTP()
 	plain := all(gen(base))
-	ed := all(gen(base.WithEventDriven(true)))
-	for name, out := range map[string]string{"goroutine": plain, "event-driven": ed} {
-		for _, present := range append(markers,
-			// Both read paths wake through the one helper, and the queued
-			// path survives the weave: misses, pipelined backlogs and
-			// overload all fall back to it.
-			"\t\t\tc.wake()",
-			"case readyRead:\n\t\tc.readable(nil)",
-			"go c.readLoop()",
-		) {
-			if !strings.Contains(out, present) {
-				t.Errorf("%s framework missing %q", name, present)
-			}
+	for _, present := range append(markers,
+		// The reader goroutine wakes through the helper, and the queued
+		// path survives the weave: misses, pipelined backlogs and
+		// overload all fall back to it.
+		"\t\t\tc.wake()",
+		"case readyRead:\n\t\tc.readable(nil)",
+		"go c.readLoop()",
+	) {
+		if !strings.Contains(plain, present) {
+			t.Errorf("framework missing %q", present)
 		}
-	}
-	if !strings.Contains(ed, "run(s.pollEdge)") || strings.Contains(plain, "pollEdge") {
-		t.Error("poller edges must route through pollEdge exactly when event-driven")
 	}
 	// Without overload control the gate check degenerates to true; with
 	// it the fast path must consult the generated gate.
@@ -85,7 +79,7 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 
 	// No codec (nothing decoded to offer the hook) or no worker pool
 	// (nowhere to punt a declined request) weaves the fast path out.
-	noPool := base.WithEventDriven(true)
+	noPool := base
 	noPool.SeparateThreadPool = false
 	noPool.EventThreads = 0
 	noCodec := base
@@ -101,7 +95,7 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 }
 
 // TestDirectDispatchFrameworksCompile sweeps the fast path against the
-// options it interacts with (both read paths, sharding, scheduling,
+// options it interacts with (sharding, scheduling,
 // overload + adaptive shed, hardening, profiling, logging, debug): every
 // woven framework must compile standalone.
 func TestDirectDispatchFrameworksCompile(t *testing.T) {
@@ -110,12 +104,9 @@ func TestDirectDispatchFrameworksCompile(t *testing.T) {
 	}
 	base := options.COPSHTTP()
 	combos := map[string]options.Options{
-		"plain":        base,
-		"event-driven": base.WithEventDriven(true),
-		"sharded-sched": base.WithEventDriven(true).WithScheduling(1, 8).
-			WithShards(4),
-		"overload-adaptive": base.WithEventDriven(true).WithOverloadControl(20, 5).
-			WithAdaptiveShed(true),
+		"plain":             base,
+		"sharded-sched":     base.WithScheduling(1, 8).WithShards(4),
+		"overload-adaptive": base.WithOverloadControl(20, 5).WithAdaptiveShed(true),
 		"hardened-observed": func() options.Options {
 			o := base.WithHardening(5*time.Second, 2*time.Second, 1<<20)
 			o.Profiling = true
@@ -123,7 +114,7 @@ func TestDirectDispatchFrameworksCompile(t *testing.T) {
 			o.Mode = options.Debug
 			return o.WithShards(2)
 		}(),
-		"large-files": base.WithEventDriven(true).WithLargeFiles(64 << 10),
+		"large-files": base.WithLargeFiles(64 << 10),
 	}
 	for name, o := range combos {
 		t.Run(name, func(t *testing.T) {
@@ -143,7 +134,7 @@ func TestDirectDispatchFrameworksCompile(t *testing.T) {
 // TestDirectDispatchGenerationIsDeterministic: regenerate-and-diff must
 // keep working with the fast path woven in.
 func TestDirectDispatchGenerationIsDeterministic(t *testing.T) {
-	o := options.COPSHTTP().WithEventDriven(true).WithScheduling(1, 8).WithShards(4).WithOverloadControl(20, 5)
+	o := options.COPSHTTP().WithScheduling(1, 8).WithShards(4).WithOverloadControl(20, 5)
 	a, err := Generate("nserver", o)
 	if err != nil {
 		t.Fatal(err)
@@ -230,64 +221,57 @@ func main() {
 }
 `
 
-// TestGeneratedFastPath runs a generated framework's FastPath hook on
-// both read paths: a lone hot line is served inline by the goroutine
-// that woke the connection, and a pipelined mix of hot lines and
-// declined ones — each decline punting the rest of the drain to the
-// queued path — comes back byte-exact and in request order.
+// TestGeneratedFastPath runs a generated framework's FastPath hook: a
+// lone hot line is served inline by the reader goroutine that read it,
+// and a pipelined mix of hot lines and declined ones — each decline
+// punting the rest of the drain to the queued path — comes back
+// byte-exact and in request order.
 func TestGeneratedFastPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end build in -short mode")
 	}
-	for name, o := range map[string]options.Options{
-		"goroutine":    options.COPSHTTP(),
-		"event-driven": options.COPSHTTP().WithEventDriven(true),
-	} {
-		t.Run(name, func(t *testing.T) {
-			addr := startGenerated(t, o, fastAppSrc)
-			conn, err := net.Dial("tcp", addr)
+	addr := startGenerated(t, options.COPSHTTP(), fastAppSrc)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(conn)
+	exchange := func(lines ...string) string {
+		t.Helper()
+		var req strings.Builder
+		for _, l := range lines {
+			req.WriteString(l + "\n")
+		}
+		if _, err := io.WriteString(conn, req.String()); err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for range lines {
+			line, err := r.ReadString('\n')
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("after %q: %v", got.String(), err)
 			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(30 * time.Second))
-			r := bufio.NewReader(conn)
-			exchange := func(lines ...string) string {
-				t.Helper()
-				var req strings.Builder
-				for _, l := range lines {
-					req.WriteString(l + "\n")
-				}
-				if _, err := io.WriteString(conn, req.String()); err != nil {
-					t.Fatal(err)
-				}
-				var got strings.Builder
-				for range lines {
-					line, err := r.ReadString('\n')
-					if err != nil {
-						t.Fatalf("after %q: %v", got.String(), err)
-					}
-					got.WriteString(line)
-				}
-				return got.String()
-			}
-			if got := exchange("hot 0"); got != "echo: hot 0\n" {
-				t.Fatalf("lone hot line: %q", got)
-			}
-			mix := []string{"hot 1", "cold 2", "hot 3", "hot 4", "cold 5", "hot 6", "cold 7"}
-			var want strings.Builder
-			for _, l := range mix {
-				want.WriteString("echo: " + l + "\n")
-			}
-			for round := 0; round < 20; round++ {
-				if got := exchange(mix...); got != want.String() {
-					t.Fatalf("round %d: pipelined mix came back\n%q\nwant\n%q", round, got, want.String())
-				}
-			}
-			var n int
-			if _, err := fmt.Sscanf(exchange("count"), "inline %d\n", &n); err != nil || n == 0 {
-				t.Fatalf("FastPath never served inline (count %d, %v)", n, err)
-			}
-		})
+			got.WriteString(line)
+		}
+		return got.String()
+	}
+	if got := exchange("hot 0"); got != "echo: hot 0\n" {
+		t.Fatalf("lone hot line: %q", got)
+	}
+	mix := []string{"hot 1", "cold 2", "hot 3", "hot 4", "cold 5", "hot 6", "cold 7"}
+	var want strings.Builder
+	for _, l := range mix {
+		want.WriteString("echo: " + l + "\n")
+	}
+	for round := 0; round < 20; round++ {
+		if got := exchange(mix...); got != want.String() {
+			t.Fatalf("round %d: pipelined mix came back\n%q\nwant\n%q", round, got, want.String())
+		}
+	}
+	var n int
+	if _, err := fmt.Sscanf(exchange("count"), "inline %d\n", &n); err != nil || n == 0 {
+		t.Fatalf("FastPath never served inline (count %d, %v)", n, err)
 	}
 }

@@ -35,11 +35,9 @@ type Artifact struct {
 
 // templates are parsed once.
 var (
-	docTmpl         = template.Must(template.New("doc").Parse(docTemplate))
-	frameworkTmpl   = template.Must(template.New("framework").Parse(frameworkTemplate))
-	cacheTmpl       = template.Must(template.New("cache").Parse(cacheTemplate))
-	pollerLinuxTmpl = template.Must(template.New("poller_linux").Parse(pollerLinuxTemplate))
-	pollerOtherTmpl = template.Must(template.New("poller_other").Parse(pollerOtherTemplate))
+	docTmpl       = template.Must(template.New("doc").Parse(docTemplate))
+	frameworkTmpl = template.Must(template.New("framework").Parse(frameworkTemplate))
+	cacheTmpl     = template.Must(template.New("cache").Parse(cacheTemplate))
 )
 
 // tmplData is the template context derived from an option assignment.
@@ -117,28 +115,12 @@ type tmplData struct {
 	Sharded bool
 	Shards  int
 
-	// Kernel-event read path crosscut: woven only when the event-driven
-	// option is selected. The generated framework then ships a platform
-	// poller pair (poller_linux.go / poller_other.go): on Linux an
-	// edge-triggered epoll instance parks idle connections in the kernel
-	// with no reader goroutine; elsewhere — and for transports hiding
-	// their descriptor — connections fall back to the goroutine read
-	// path. Without the option the generated source is byte-identical
-	// to before the crosscut existed.
-	EventDriven bool
-	// TrackActivity gates the per-connection activity stamp: needed by
-	// the idle reaper (O7 long-idle) and by the polled-connection
-	// read-timeout sweep (a parked socket performs no read for a
-	// deadline to bound).
-	TrackActivity bool
-
 	// Run-to-completion fast path: not an option but a rule, woven
 	// whenever there is a decoded request to offer (O3) and a queue to
 	// punt a declined one to (O2 pool) — the library runtime's rule. The
 	// generated Server then exposes a FastPath hook the application
-	// installs; whichever goroutine wakes a connection — the poller or a
-	// reader goroutine — offers each decoded request to it inline,
-	// skipping the event-queue hop. A declined request — miss, ineligible
+	// installs; the reader goroutine that wakes a connection offers each
+	// decoded request to it inline, skipping the event-queue hop. A declined request — miss, ineligible
 	// method, pipelined backlog, overload — is punted to the queued path
 	// unchanged.
 	DirectDispatch bool
@@ -195,10 +177,8 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 		LargeFileThreshold: opts.LargeFileThreshold,
 		Sharded:            opts.Shards > 1,
 		Shards:             opts.Shards,
-		EventDriven:        opts.EventDriven,
 		DirectDispatch:     opts.Codec && opts.SeparateThreadPool,
 	}
-	d.TrackActivity = d.Idle || (d.EventDriven && d.ReadDeadline)
 	if d.FileIOThreads <= 0 {
 		d.FileIOThreads = 2
 	}
@@ -231,14 +211,6 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 	}
 	if d.Cache {
 		if err := emit("cache.go", cacheTmpl); err != nil {
-			return nil, err
-		}
-	}
-	if d.EventDriven {
-		if err := emit("poller_linux.go", pollerLinuxTmpl); err != nil {
-			return nil, err
-		}
-		if err := emit("poller_other.go", pollerOtherTmpl); err != nil {
 			return nil, err
 		}
 	}

@@ -3,6 +3,7 @@ package gen
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -520,6 +521,97 @@ func main() {
 	}
 	if err := <-werr; err != nil {
 		t.Fatalf("burst write: %v", err)
+	}
+}
+
+// TestGeneratedRequestCapAllowsPipelinedBurst: the generated
+// maxRequestBytes check caps one request, not one read. A single write of
+// 150 small pipelined lines, far over the 4096-byte cap in total, is
+// answered in full, while one line that alone outgrows the cap tears the
+// connection down.
+func TestGeneratedRequestCapAllowsPipelinedBurst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end build in -short mode")
+	}
+	o := options.COPSHTTP().WithHardening(0, 0, 4096)
+	mainSrc := `package main
+
+import (
+	"fmt"
+	"net"
+	"os"
+
+	"genapp/nserver"
+)
+
+type hooks struct{}
+
+func (hooks) OnConnect(c *nserver.Communicator) {}
+
+func (hooks) Decode(buf []byte) (any, int, error) {
+	for i, b := range buf {
+		if b == '\n' {
+			return string(buf[:i]), i + 1, nil
+		}
+	}
+	return nil, 0, nil
+}
+
+func (hooks) Encode(reply any) ([]byte, error) { return []byte(reply.(string) + "\n"), nil }
+
+func (hooks) Handle(c *nserver.Communicator, req any) { _ = c.Reply("echo: " + req.(string)) }
+
+func (hooks) OnClose(c *nserver.Communicator, err error) {}
+
+func main() {
+	srv := nserver.NewServer(hooks{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Println(ln.Addr().String())
+	srv.Serve(ln)
+	select {}
+}
+`
+	addr := startGenerated(t, o, mainSrc)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	const n = 150
+	var burst strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&burst, "request %03d padded to thirty-six\n", i)
+	}
+	if _, err := conn.Write([]byte(burst.String())); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	for i := 0; i < n; i++ {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reply %d of a %d-byte burst: %v", i, burst.Len(), err)
+		}
+		if want := fmt.Sprintf("echo: request %03d padded to thirty-six\n", i); line != want {
+			t.Fatalf("reply %d = %q, want %q", i, line, want)
+		}
+	}
+
+	over, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer over.Close()
+	over.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := over.Write([]byte(strings.Repeat("x", 8192))); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := bufio.NewReader(over).ReadByte(); err != io.EOF {
+		t.Fatalf("oversized request: got byte %q, err %v; want the connection closed", b, err)
 	}
 }
 

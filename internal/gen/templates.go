@@ -26,10 +26,7 @@ const docTemplate = `// Package {{.Package}} is a network server framework gener
 // framework owns the event-driven concurrency: the Reactor{{if .Sharded}}s ({{.Shards}}
 // runtime shards with bounded work stealing between their event
 // queues){{end}}, the Event
-// Processor{{if .Async}}, asynchronous completion events{{end}}{{if .Cache}}, the file cache{{end}}{{if .EventDriven}}, the
-// kernel-event path (idle connections park in the platform poller
-// holding no reader thread; replies a slow peer refuses to drain park
-// under EPOLLOUT holding no writer thread){{end}} and
+// Processor{{if .Async}}, asynchronous completion events{{end}}{{if .Cache}}, the file cache{{end}} and
 // connection management.
 package {{.Package}}
 `
@@ -47,9 +44,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	{{- if .EventDriven}}
-	"syscall"
-	{{- end}}
 	{{- if or .Dynamic .Idle .Overload .Debug .ReadDeadline .WriteDeadline .Profiling .Logging}}
 	"time"
 	{{- end}}
@@ -523,16 +517,9 @@ type readyKind int
 
 const (
 	readyAccept readyKind = iota
-	// readyRead signals inbound bytes to drain: a chunk readLoop queued{{if .EventDriven}},
-	// or kernel-reported readability (the bytes stay in the socket until
-	// the drain reads them on a worker){{end}}.
+	// readyRead signals inbound bytes to drain: a chunk readLoop queued.
 	readyRead
 	readyClose
-	{{- if .EventDriven}}
-	// readyWrite signals kernel-reported writability of a connection
-	// holding parked outbound bytes: the drain resumes on a worker.
-	readyWrite
-	{{- end}}
 )
 
 // ready is one demultiplexed event from the Event Source.
@@ -1048,11 +1035,6 @@ type Profile struct {
 	CacheHits   atomic.Uint64
 	CacheMisses atomic.Uint64
 	{{- end}}
-	{{- if .EventDriven}}
-	// OutboundShed counts connections torn down because their parked
-	// write queue overflowed maxOutboundBytes (slow-reader defense).
-	OutboundShed atomic.Uint64
-	{{- end}}
 	{{- if .DirectDispatch}}
 	// DirectDispatched counts requests the FastPath hook served inline,
 	// on the goroutine that woke the connection, never entering the queue.
@@ -1126,9 +1108,11 @@ const writeTimeout = time.Duration({{.WriteTimeoutNanos}})
 const writeFlushChunk = 256 << 10
 {{end}}
 {{if .CapRequest}}
-// maxRequestBytes caps the bytes buffered while decoding one request;
-// a client exceeding it is disconnected rather than allowed to grow the
-// decode buffer without bound.
+// maxRequestBytes caps the bytes buffered while decoding one request:
+// what a decode pass leaves undecoded, so one read of many complete
+// pipelined requests passes and the buffer stays within the cap plus one
+// read chunk. A client exceeding it is disconnected rather than allowed
+// to grow the decode buffer without bound.
 const maxRequestBytes = {{.MaxRequestBytes}}
 
 // errRequestTooLarge reports a connection torn down by the request cap.
@@ -1157,38 +1141,15 @@ type Communicator struct {
 	{{- if .Codec}}
 	inbuf []byte
 	{{- end}}
-	// writeMu serializes the Send Reply step: every reply's flush{{if .EventDriven}} and,
-	// on a polled connection, the parked write queue{{end}}.
+	// writeMu serializes the Send Reply step: every reply's flush.
 	writeMu sync.Mutex
 	closed  atomic.Bool
 	state   atomic.Value
 	{{- if .Scheduling}}
 	prio atomic.Int32
 	{{- end}}
-	{{- if .TrackActivity}}
+	{{- if .Idle}}
 	lastActive atomic.Int64
-	{{- end}}
-	{{- if .EventDriven}}
-	// Kernel-event read path: polled marks a connection parked in the
-	// platform poller with no reader goroutine, whose drains read the
-	// socket through raw.
-	polled atomic.Bool
-	fd     int
-	raw    syscall.RawConn
-	poller *poller
-	// Kernel-event write path: outq holds the unsent rest of replies the
-	// socket refused, in wire order, under writeMu. While it is non-empty
-	// the poller is armed for EPOLLOUT, new replies park behind it, and
-	// pollWriteDrain flushes it on writability.
-	outq       []outItem
-	outBytes   int
-	outClose   bool
-	outDown    bool
-	writeArmed bool
-	{{- if .WriteDeadline}}
-	outStamp    atomic.Int64
-	outProgress int
-	{{- end}}
 	{{- end}}
 	{{- if .Logging}}
 	id   uint64
@@ -1225,7 +1186,7 @@ func (c *Communicator) Priority() int { return int(c.prio.Load()) }
 func (c *Communicator) SetPriority(p int) { c.prio.Store(int32(p)) }
 {{end}}
 
-{{if .TrackActivity}}
+{{if .Idle}}
 func (c *Communicator) touch() { c.lastActive.Store(nowNanos()) }
 
 func nowNanos() int64 { return time.Now().UnixNano() }
@@ -1258,14 +1219,7 @@ func (c *Communicator) SendFile(head []byte, f *os.File, offset, length int64) e
 {{end}}
 
 // send is the Send Reply step every reply takes: flush moves the item
-{{- if .EventDriven}}
-// until it is sent, a write fails (the connection shuts down), or a polled
-// connection's socket fills and the rest parks (see parkLocked). Once
-// anything is parked, later replies park behind it: queue order is wire
-// order.
-{{- else}}
 // until it is sent or a write fails (the connection shuts down).
-{{- end}}
 func (c *Communicator) send(it outItem) error {
 	if c.closed.Load() {
 		return errConnClosed
@@ -1274,30 +1228,12 @@ func (c *Communicator) send(it outItem) error {
 	sendStart := time.Now()
 	{{- end}}
 	c.writeMu.Lock()
-	{{- if .EventDriven}}
-	var again bool
-	var err error
-	if c.outDown {
-		err = errConnClosed
-	} else if len(c.outq) == 0 {
-		again, err = c.flush(&it)
-	}
-	if err == nil && (again || len(c.outq) > 0) {
-		err = c.parkLocked(it)
-	}
-	{{- else}}
 	_, err := c.flush(&it)
-	{{- end}}
 	c.writeMu.Unlock()
 	{{- if .Profiling}}
 	c.srv.Profile.Stages[stageSend].Observe(time.Since(sendStart))
 	{{- end}}
 	if err != nil && err != errConnClosed {
-		{{- if and .EventDriven .Profiling}}
-		if err == errOutboundOverflow {
-			c.srv.Profile.OutboundShed.Add(1)
-		}
-		{{- end}}
 		c.shutdown(err)
 	}
 	return err
@@ -1305,8 +1241,7 @@ func (c *Communicator) send(it outItem) error {
 
 // flush is the one loop that moves reply bytes: the item's data{{if .LargeFile}}, then
 // its file range read into a pooled buffer a chunk at a time,{{end}} until all of it
-// is sent{{if .EventDriven}}, the socket would block (again: the item keeps its unsent
-// rest){{end}} or a write fails. Called with writeMu held.
+// is sent or a write fails. Called with writeMu held.
 func (c *Communicator) flush(it *outItem) (again bool, err error) {
 	{{- if .LargeFile}}
 	var scratch []byte
@@ -1349,17 +1284,8 @@ func (c *Communicator) flush(it *outItem) (again bool, err error) {
 		{{- if .Profiling}}
 		c.srv.Profile.BytesSent.Add(uint64(n))
 		{{- end}}
-		{{- if .TrackActivity}}
+		{{- if .Idle}}
 		c.touch()
-		{{- end}}
-		{{- if and .EventDriven .WriteDeadline}}
-		// A parked queue's stall stamp refreshes only per
-		// writeProgressQuantum moved.
-		c.outProgress += n
-		if c.outProgress >= writeProgressQuantum {
-			c.outProgress = 0
-			c.outStamp.Store(time.Now().UnixNano())
-		}
 		{{- end}}
 		if again || err != nil {
 			return again, err
@@ -1368,17 +1294,10 @@ func (c *Communicator) flush(it *outItem) (again bool, err error) {
 	return false, nil
 }
 
-// write is the sink under flush{{if .EventDriven}}: a polled connection writes without
-// blocking and reports again when the socket buffer is full; any other
-// connection blocks{{end}}. A blocking write{{if .WriteDeadline}} arms the write deadline for at
+// write is the sink under flush. A blocking write{{if .WriteDeadline}} arms the write deadline for at
 // most writeFlushChunk bytes, and one{{end}} that comes up short without an
 // error is a failure — the unsent suffix would tear the reply framing.
 func (c *Communicator) write(buf []byte) (n int, again bool, err error) {
-	{{- if .EventDriven}}
-	if c.polled.Load() {
-		return nonblockWrite(c.raw, buf)
-	}
-	{{- end}}
 	{{- if .WriteDeadline}}
 	if len(buf) > writeFlushChunk {
 		buf = buf[:writeFlushChunk]
@@ -1420,21 +1339,8 @@ func (c *Communicator) encodeSafe(reply any) (data []byte, err error) {
 }
 {{end}}
 
-// Close terminates the connection{{if .EventDriven}}. On a polled connection with parked
-// outbound bytes the close is deferred until the queue drains, so a
-// reply accepted by Send is not cut off mid-flight{{end}}.
+// Close terminates the connection.
 func (c *Communicator) Close() {
-	{{- if .EventDriven}}
-	if c.polled.Load() && !c.closed.Load() {
-		c.writeMu.Lock()
-		if len(c.outq) > 0 && !c.outDown {
-			c.outClose = true
-			c.writeMu.Unlock()
-			return
-		}
-		c.writeMu.Unlock()
-	}
-	{{- end}}
 	c.shutdown(nil)
 }
 
@@ -1442,37 +1348,12 @@ func (c *Communicator) shutdown(cause error) {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	{{- if .EventDriven}}
-	// Deregister from the poller before closing so a recycled descriptor
-	// number cannot alias this table entry.
-	if c.polled.Load() {
-		c.poller.del(c.fd)
-	}
-	{{- end}}
 	c.conn.Close()
-	{{- if .EventDriven}}
-	// The transport is closed first, so a writer blocked under writeMu
-	// returns; then the parked queue is discarded.
-	c.writeMu.Lock()
-	c.outDown = true
-	{{- if .LargeFile}}
-	parked := c.outq
-	{{- end}}
-	c.outq, c.outBytes = nil, 0
-	c.writeMu.Unlock()
-	{{- if .LargeFile}}
-	for i := range parked {
-		if parked[i].f != nil {
-			parked[i].f.Close()
-		}
-	}
-	{{- end}}
-	{{- end}}
 	c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyClose, handle: c.handle, err: cause{{if .Scheduling}}, prio: c.Priority(){{end}}})
 }
 
 // readLoop is the Read Request step of a connection served by a reader
-// goroutine{{if .EventDriven}} (one the platform poller cannot park){{end}}: blocking reads
+// goroutine: blocking reads
 // queue copies of the bytes on the inbox, in read order, and each chunk
 // wakes the connection (see wake).
 func (c *Communicator) readLoop() {
@@ -1490,7 +1371,7 @@ func (c *Communicator) readLoop() {
 			c.srv.Profile.Stages[stageRead].Observe(time.Since(readStart))
 			c.srv.Profile.BytesRead.Add(uint64(n))
 			{{- end}}
-			{{- if .TrackActivity}}
+			{{- if .Idle}}
 			c.touch()
 			{{- end}}
 			c.inMu.Lock()
@@ -1505,11 +1386,9 @@ func (c *Communicator) readLoop() {
 	}
 }
 
-// wake runs when inbound bytes are ready: a chunk readLoop queued{{if .EventDriven}} or a
-// readable edge the poller reported{{end}}.{{if .DirectDispatch}} With a FastPath hook installed and the
+// wake runs when inbound bytes are ready: a chunk readLoop queued.{{if .DirectDispatch}} With a FastPath hook installed and the
 // overload gate clear, the waking goroutine drains inline, offering each
-// decoded request to the hook{{if .EventDriven}} — the poller goroutine with its non-blocking,
-// parking writes, or the reader goroutine with its blocking ones{{end}}. Otherwise it{{else}} It{{end}}
+// decoded request to the hook. Otherwise it{{else}} It{{end}}
 // emits the readyRead event a worker drains from.
 func (c *Communicator) wake() {
 	{{- if .DirectDispatch}}
@@ -1526,18 +1405,13 @@ func (c *Communicator) handleReady(rd ready) {
 	switch rd.kind {
 	case readyRead:
 		c.readable({{if .DirectDispatch}}nil{{end}})
-	{{- if .EventDriven}}
-	case readyWrite:
-		c.pollWriteDrain()
-	{{- end}}
 	case readyClose:
 		c.srv.detach(c)
 		c.srv.hooks.OnClose(c, rd.err)
 	}
 }
 
-// readable consumes one readiness wakeup: a chunk queued by readLoop{{if .EventDriven}}, or
-// an edge the platform poller reported{{end}}. rwake counts the wakeups no drain pass
+// readable consumes one readiness wakeup: a chunk queued by readLoop. rwake counts the wakeups no drain pass
 // has covered yet; the one that lifts it from zero runs the drain, the
 // others only leave their count for that owner. So one owner at a time
 // runs a connection's pipeline, in read order, and no wakeup is lost.
@@ -1561,12 +1435,6 @@ func (c *Communicator) drain({{if .DirectDispatch}}fast func(*Communicator, any)
 				break
 			}
 			{{- if .Codec}}
-			{{- if .CapRequest}}
-			if len(c.inbuf)+len(chunk) > maxRequestBytes {
-				c.shutdown(errRequestTooLarge)
-				break
-			}
-			{{- end}}
 			c.inbuf = append(c.inbuf, chunk...)
 			{{- if .DirectDispatch}}
 			if c.decodeLoop(fast) {
@@ -1574,6 +1442,12 @@ func (c *Communicator) drain({{if .DirectDispatch}}fast func(*Communicator, any)
 			}
 			{{- else}}
 			c.decodeLoop()
+			{{- end}}
+			{{- if .CapRequest}}
+			if len(c.inbuf) > maxRequestBytes {
+				c.shutdown(errRequestTooLarge)
+				break
+			}
 			{{- end}}
 			{{- else}}
 			c.srv.handleRequest(c, chunk)
@@ -1586,35 +1460,8 @@ func (c *Communicator) drain({{if .DirectDispatch}}fast func(*Communicator, any)
 }
 
 // nextChunk returns the next chunk of inbound bytes, or nil when none is
-// ready{{if .EventDriven}}. A parked connection reads its socket without blocking (nil
-// on EAGAIN, the edge-triggered stop); end of stream and read errors alike
-// shut it down without a cause, as readLoop does. Any other connection
-// pops its inbox{{end}}.
+// ready.
 func (c *Communicator) nextChunk() []byte {
-	{{- if .EventDriven}}
-	if c.raw != nil {
-		bufp := readBufs.Get().(*[]byte)
-		defer readBufs.Put(bufp)
-		{{- if .Profiling}}
-		readStart := time.Now()
-		{{- end}}
-		n, again, _ := nonblockRead(c.raw, *bufp)
-		if n == 0 {
-			if !again {
-				c.shutdown(nil)
-			}
-			return nil
-		}
-		{{- if .Profiling}}
-		c.srv.Profile.Stages[stageRead].Observe(time.Since(readStart))
-		c.srv.Profile.BytesRead.Add(uint64(n))
-		{{- end}}
-		{{- if .TrackActivity}}
-		c.touch()
-		{{- end}}
-		return append([]byte(nil), (*bufp)[:n]...)
-	}
-	{{- end}}
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
 	if len(c.inbox) == 0 {
@@ -1691,160 +1538,7 @@ func (c *Communicator) resumePunted(req any) {
 }
 {{end}}
 
-{{if .EventDriven}}
-// readBufs pools the scratch of non-blocking socket reads, so a parked
-// connection holds no read buffer between edges.
-var readBufs = sync.Pool{New: func() any { b := make([]byte, 32*1024); return &b }}
 
-// tryPollAttach parks the connection in the platform poller, reporting
-// false when the transport hides its descriptor (a wrapped net.Conn)
-// and the goroutine read path must serve it instead.
-func (c *Communicator) tryPollAttach(p *poller) bool {
-	if p == nil {
-		return false
-	}
-	sc, ok := c.conn.(syscall.Conn)
-	if !ok {
-		return false
-	}
-	fd, raw, err := connFD(sc)
-	if err != nil {
-		return false
-	}
-	// raw selects the socket as the drain's source, so it is set before
-	// the registration: the first edge may be drained before add returns.
-	c.fd, c.raw, c.poller = fd, raw, p
-	if err := p.add(fd, c.handle{{if .Scheduling}}, c.Priority(){{end}}); err != nil {
-		c.raw = nil
-		return false
-	}
-	c.polled.Store(true)
-	if c.closed.Load() {
-		// A teardown racing the registration may have missed the polled
-		// flag; sweep our own entry.
-		p.del(fd)
-		return false
-	}
-	return true
-}
-
-// maxOutboundBytes caps the bytes one connection's parked write queue
-// may buffer; a reader slower than that is shed rather than allowed to
-// grow the heap{{if .LargeFile}} (a parked file range counts nothing — the residual
-// stays on disk behind a duplicated descriptor){{end}}.
-const maxOutboundBytes = 8 << 20
-
-// errOutboundOverflow reports a connection shed by the outbound cap.
-var errOutboundOverflow = errors.New("{{.Package}}: parked write queue overflow")
-
-{{if .WriteDeadline -}}
-// errWriteStalled reports a parked queue reaped for draining slower
-// than one progress quantum per writeTimeout window.
-var errWriteStalled = errors.New("{{.Package}}: parked write stalled past writeTimeout")
-
-// writeProgressQuantum is the drain progress that refreshes the stall
-// stamp: a parked connection performs no blocking write for writeTimeout
-// to bound, so the scavenger demands this much drained per window
-// instead — a trickling reader cannot stay ahead of the reaper one byte
-// at a time.
-const writeProgressQuantum = 64 << 10
-{{- end}}
-
-// parkLocked queues the unsent rest of it behind anything already parked
-// and arms EPOLLOUT; pollWriteDrain flushes it from there. The queue takes
-// ownership: data is copied (the caller may reuse its buffer){{if .LargeFile}}, and a file
-// range keeps its own duplicate of the descriptor (the caller may close f
-// the moment SendFile returns){{end}}. Called with writeMu held.
-func (c *Communicator) parkLocked(it outItem) error {
-	if c.outBytes+len(it.data) > maxOutboundBytes {
-		c.outDown = true
-		return errOutboundOverflow
-	}
-	it.data = append([]byte(nil), it.data...)
-	{{- if .LargeFile}}
-	if it.n == 0 {
-		it.f = nil
-	} else if dup, err := dupFile(it.f); err != nil {
-		return err
-	} else {
-		it.f = dup
-	}
-	{{- end}}
-	c.outq = append(c.outq, it)
-	c.outBytes += len(it.data)
-	return c.armWriteLocked()
-}
-
-// armWriteLocked adds EPOLLOUT to the registration. EPOLL_CTL_MOD
-// re-primes an edge-triggered descriptor, so writability that raced the
-// arm is re-reported and no wakeup is lost. Called with writeMu held.
-func (c *Communicator) armWriteLocked() error {
-	{{- if .WriteDeadline}}
-	c.outStamp.Store(time.Now().UnixNano())
-	c.outProgress = 0
-	{{- end}}
-	if c.writeArmed {
-		return nil
-	}
-	if err := c.poller.armWrite(c.fd); err != nil {
-		c.outDown = true
-		return err
-	}
-	c.writeArmed = true
-	return nil
-}
-
-{{if .WriteDeadline -}}
-// writeStalled reports a parked queue without a progress quantum for
-// longer than writeTimeout as of now (UnixNano).
-func (c *Communicator) writeStalled(now int64) bool {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return len(c.outq) > 0 && !c.outDown && now-c.outStamp.Load() > int64(writeTimeout)
-}
-{{- end}}
-
-// pollWriteDrain resumes a parked write queue on kernel-reported
-// writability: flush moves each item in turn until the queue empties
-// (EPOLLOUT is disarmed, a deferred Close takes effect) or the socket
-// blocks again (EPOLLOUT stays armed and the next edge resumes). A polled
-// connection's writes never block, so serializing them on writeMu is
-// bounded.
-func (c *Communicator) pollWriteDrain() {
-	c.writeMu.Lock()
-	for len(c.outq) > 0 {
-		it := &c.outq[0]
-		was := len(it.data)
-		again, err := c.flush(it)
-		c.outBytes -= was - len(it.data)
-		if err != nil {
-			c.outDown = true
-			c.writeMu.Unlock()
-			c.shutdown(err)
-			return
-		}
-		if again {
-			c.writeMu.Unlock()
-			return
-		}
-		{{- if .LargeFile}}
-		if it.f != nil {
-			it.f.Close()
-		}
-		{{- end}}
-		c.outq = c.outq[1:]
-	}
-	if c.writeArmed {
-		c.poller.disarmWrite(c.fd)
-		c.writeArmed = false
-	}
-	closeNow := c.outClose
-	c.writeMu.Unlock()
-	if closeNow {
-		c.shutdown(nil)
-	}
-}
-{{end}}
 
 {{if .Codec}}
 // decodeSafe isolates a panicking Decode hook: the panic tears down this
@@ -1900,17 +1594,6 @@ type Server struct {
 	{{- else}}
 	reactor *Reactor
 	{{- end}}
-	{{- if .EventDriven}}
-	// Kernel-event read path: one poller per {{if .Sharded}}shard{{else}}runtime{{end}}; eventDriven is
-	// false when the platform has no poller, selecting the goroutine
-	// read path for every connection.
-	{{- if .Sharded}}
-	pollers [{{.Shards}}]*poller
-	{{- else}}
-	poller *poller
-	{{- end}}
-	eventDriven bool
-	{{- end}}
 	fileIO *FileIO
 	ln      net.Listener
 	mu      sync.Mutex
@@ -1924,8 +1607,7 @@ type Server struct {
 	{{- if .DirectDispatch}}
 	// FastPath, when installed before Serve, is offered each decoded
 	// request inline while the overload gate is clear, on the goroutine
-	// that woke the connection: {{if .EventDriven}}the poller goroutine for a parked one
-	// (its replies write without blocking and park the rest) or {{end}}the
+	// that woke the connection: the
 	// connection's reader goroutine (its replies block{{if .WriteDeadline}} under the
 	// write deadline{{end}}). Returning true means the request was fully served —
 	// reply sent — without touching the event queue; returning false must
@@ -1992,37 +1674,6 @@ func NewServer(hooks Hooks) *Server {
 	s.reactor = newReactor()
 	{{- end}}
 	{{- end}}
-	{{- if .EventDriven}}
-	if pollerSupported {
-		s.eventDriven = true
-		{{- if .Sharded}}
-		for i := range s.pollers {
-			p, err := newPoller()
-			if err != nil {
-				for j := 0; j < i; j++ {
-					s.pollers[j].close()
-				}
-				s.pollers = [{{.Shards}}]*poller{}
-				s.eventDriven = false
-				break
-			}
-			s.pollers[i] = p
-		}
-		if s.eventDriven {
-			for i := range s.pollers {
-				go s.pollers[i].run(s.pollEdge)
-			}
-		}
-		{{- else}}
-		if p, err := newPoller(); err == nil {
-			s.poller = p
-			go p.run(s.pollEdge)
-		} else {
-			s.eventDriven = false
-		}
-		{{- end}}
-	}
-	{{- end}}
 	s.fileIO = &FileIO{proc: newEventProcessor({{.FileIOThreads}}){{if and .Pool .Async (not .Sharded)}}, reactive: proc{{end}}{{if .Cache}}, cache: s.cache{{end}}}
 	{{- if and .Pool .Async .Sharded}}
 	for i := range s.reactors {
@@ -2083,18 +1734,6 @@ func (s *Server) Serve(ln net.Listener) {
 	s.wg.Add(1)
 	go s.reapIdle()
 	{{- end}}
-	{{- if and .EventDriven .ReadDeadline}}
-	if s.eventDriven {
-		s.wg.Add(1)
-		go s.reapStalledPolled()
-	}
-	{{- end}}
-	{{- if and .EventDriven .WriteDeadline}}
-	if s.eventDriven {
-		s.wg.Add(1)
-		go s.reapStalledWrites()
-	}
-	{{- end}}
 }
 
 // ListenAndServe binds addr and serves.
@@ -2135,19 +1774,6 @@ func (s *Server) Shutdown() {
 	for _, c := range conns {
 		c.shutdown(nil)
 	}
-	{{- if .EventDriven}}
-	{{- if .Sharded}}
-	for _, p := range s.pollers {
-		if p != nil {
-			p.close()
-		}
-	}
-	{{- else}}
-	if s.poller != nil {
-		s.poller.close()
-	}
-	{{- end}}
-	{{- end}}
 	s.wg.Wait()
 	s.fileIO.proc.Stop()
 	{{- if .Sharded}}
@@ -2209,12 +1835,7 @@ func (s *Server) activeConns() int {
 
 func (s *Server) attach(conn net.Conn) *Communicator {
 	{{- if .Sharded}}
-	{{- if .EventDriven}}
-	shard := int(s.nextShard.Add(1)-1) % {{.Shards}}
-	r := s.reactors[shard]
-	{{- else}}
 	r := s.reactors[int(s.nextShard.Add(1)-1)%{{.Shards}}]
-	{{- end}}
 	c := &Communicator{srv: s, conn: conn, reactor: r, handle: r.newHandle()}
 	{{- else}}
 	c := &Communicator{srv: s, conn: conn, handle: s.reactor.newHandle()}
@@ -2222,7 +1843,7 @@ func (s *Server) attach(conn net.Conn) *Communicator {
 	{{- if .Logging}}
 	c.id = s.connSeq.Add(1)
 	{{- end}}
-	{{- if .TrackActivity}}
+	{{- if .Idle}}
 	c.touch()
 	{{- end}}
 	{{- if .Scheduling}}
@@ -2235,78 +1856,11 @@ func (s *Server) attach(conn net.Conn) *Communicator {
 	s.mu.Unlock()
 	{{if .Sharded}}c.reactor{{else}}s.reactor{{end}}.register(c.handle, c.handleReady)
 	s.hooks.OnConnect(c)
-	{{- if .EventDriven}}
-	if s.eventDriven && c.tryPollAttach({{if .Sharded}}s.pollers[shard]{{else}}s.poller{{end}}) {
-		return c
-	}
-	{{- end}}
 	go c.readLoop()
 	return c
 }
 
-{{if .EventDriven}}
-// EventDriven reports whether the kernel-event read path is active.
-func (s *Server) EventDriven() bool { return s.eventDriven }
 
-// ParkedConns counts connections resident in the poller{{if .Sharded}} tables{{else}} table{{end}} with
-// no reader goroutine.
-func (s *Server) ParkedConns() int {
-	{{- if .Sharded}}
-	n := 0
-	for _, p := range s.pollers {
-		if p != nil {
-			n += p.size()
-		}
-	}
-	return n
-	{{- else}}
-	if s.poller == nil {
-		return 0
-	}
-	return s.poller.size()
-	{{- end}}
-}
-
-// ParkedWrites counts polled connections currently holding a parked
-// outbound queue (reply bytes waiting on EPOLLOUT).
-func (s *Server) ParkedWrites() int {
-	s.mu.Lock()
-	conns := make([]*Communicator, 0, len(s.conns))
-	for _, c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	n := 0
-	for _, c := range conns {
-		if !c.polled.Load() {
-			continue // only polled conns park; a blocking writer may hold writeMu
-		}
-		c.writeMu.Lock()
-		if len(c.outq) > 0 {
-			n++
-		}
-		c.writeMu.Unlock()
-	}
-	return n
-}
-
-// pollEdge routes one poller edge to its live connection: a readable
-// edge wakes it (see wake); a writable one queues the flush of its parked
-// outbound bytes on a worker.
-func (s *Server) pollEdge(h Handle, writable bool{{if .Scheduling}}, prio int{{end}}) {
-	s.mu.Lock()
-	c := s.conns[h]
-	s.mu.Unlock()
-	if c == nil {
-		return
-	}
-	if !writable {
-		c.wake()
-		return
-	}
-	c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.emit(ready{kind: readyWrite, handle: h{{if .Scheduling}}, prio: prio{{end}}})
-}
-{{end}}
 
 {{if .DirectDispatch}}
 // fastGateClear reports whether overload control permits serving a
@@ -2456,73 +2010,9 @@ func (s *Server) reapIdle() {
 }
 {{end}}
 
-{{if and .EventDriven .ReadDeadline}}
-// reapStalledPolled enforces the read-timeout budget for parked
-// connections: a polled socket performs no blocking read for a deadline
-// to bound, so sweeping the activity stamps replaces SetReadDeadline.
-func (s *Server) reapStalledPolled() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(readTimeout / 4)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-		}
-		now := nowNanos()
-		s.mu.Lock()
-		victims := make([]*Communicator, 0)
-		for _, c := range s.conns {
-			if c.polled.Load() && time.Duration(now-c.lastActive.Load()) > readTimeout {
-				victims = append(victims, c)
-			}
-		}
-		s.mu.Unlock()
-		for _, c := range victims {
-			{{- if .Debug}}
-			trace("server", "polled read-timeout shutdown")
-			{{- end}}
-			c.shutdown(nil)
-		}
-	}
-}
-{{end}}
 
-{{if and .EventDriven .WriteDeadline}}
-// reapStalledWrites enforces the write-timeout budget for parked write
-// queues: a polled connection performs no blocking write for a deadline
-// to bound, so the scavenger demands one writeProgressQuantum of drain
-// progress per writeTimeout window instead. A reader slower than that
-// is shed (slow-reader defense).
-func (s *Server) reapStalledWrites() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(writeTimeout / 4)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now().UnixNano()
-		s.mu.Lock()
-		victims := make([]*Communicator, 0)
-		for _, c := range s.conns {
-			if c.polled.Load() && c.writeStalled(now) {
-				victims = append(victims, c)
-			}
-		}
-		s.mu.Unlock()
-		for _, c := range victims {
-			{{- if .Debug}}
-			trace("server", "parked write stalled past writeTimeout")
-			{{- end}}
-			c.shutdown(errWriteStalled)
-		}
-	}
-}
-{{end}}
+
+
 `
 
 const cacheTemplate = `package {{.Package}}
@@ -2770,355 +2260,4 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.hits) / float64(total)
 }
 {{end}}
-`
-
-const pollerLinuxTemplate = `//go:build linux
-
-package {{.Package}}
-
-// Kernel-event read/write path (generated crosscut): an edge-triggered
-// epoll instance parks idle connections in the kernel so each holds no
-// reader goroutine, and parks refused reply bytes under EPOLLOUT so a
-// slow reader holds no writer goroutine. DO NOT EDIT: regenerate with
-// nsgen.
-
-import (
-	"errors"
-	"os"
-	"sync"
-	"syscall"
-)
-
-// pollerSupported selects the kernel-event read path on this platform.
-const pollerSupported = true
-
-// epolletFlag is EPOLLET as an untyped uint32 (the syscall constant is a
-// negative int on linux and cannot be or-ed into Events directly).
-const epolletFlag uint32 = 1 << 31
-
-var errPollerClosed = errors.New("{{.Package}}: poller closed")
-
-type pollEntry struct {
-	handle Handle
-	{{- if .Scheduling}}
-	prio int
-	{{- end}}
-}
-
-// poller owns one epoll descriptor and the fd -> connection table. A
-// self-pipe wakes the blocked wait on close.
-type poller struct {
-	epfd  int
-	wakeR int
-	wakeW int
-
-	mu      sync.Mutex
-	conns   map[int32]pollEntry
-	closed  bool
-	running bool
-
-	destroyOnce sync.Once
-}
-
-func newPoller() (*poller, error) {
-	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
-	if err != nil {
-		return nil, err
-	}
-	var pipe [2]int
-	if err := syscall.Pipe2(pipe[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		syscall.Close(epfd)
-		return nil, err
-	}
-	p := &poller{epfd: epfd, wakeR: pipe[0], wakeW: pipe[1], conns: make(map[int32]pollEntry)}
-	// The wake fd is level-triggered: a pending wake byte keeps firing
-	// until drained, so a close can never be lost.
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(pipe[0])}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pipe[0], &ev); err != nil {
-		p.destroy()
-		return nil, err
-	}
-	return p, nil
-}
-
-// add registers fd edge-triggered; the kernel reports current readability
-// at registration, so bytes that arrived before add still wake the drain.
-func (p *poller) add(fd int, h Handle{{if .Scheduling}}, prio int{{end}}) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return errPollerClosed
-	}
-	p.conns[int32(fd)] = pollEntry{handle: h{{if .Scheduling}}, prio: prio{{end}}}
-	p.mu.Unlock()
-	ev := syscall.EpollEvent{
-		Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | epolletFlag,
-		Fd:     int32(fd),
-	}
-	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
-		p.mu.Lock()
-		delete(p.conns, int32(fd))
-		p.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-func (p *poller) del(fd int) {
-	p.mu.Lock()
-	_, ok := p.conns[int32(fd)]
-	if ok {
-		delete(p.conns, int32(fd))
-	}
-	p.mu.Unlock()
-	if ok {
-		syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil)
-	}
-}
-
-func (p *poller) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
-}
-
-// armWrite adds EPOLLOUT to fd's registration. EPOLL_CTL_MOD re-primes
-// an edge-triggered descriptor, so writability that became true before
-// the arm is still reported.
-func (p *poller) armWrite(fd int) error {
-	p.mu.Lock()
-	_, ok := p.conns[int32(fd)]
-	closed := p.closed
-	p.mu.Unlock()
-	if !ok || closed {
-		return errPollerClosed
-	}
-	ev := syscall.EpollEvent{
-		Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | syscall.EPOLLOUT | epolletFlag,
-		Fd:     int32(fd),
-	}
-	return syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_MOD, fd, &ev)
-}
-
-// disarmWrite drops EPOLLOUT once the parked queue drains, so an idle
-// writable socket stops waking the dispatcher.
-func (p *poller) disarmWrite(fd int) {
-	ev := syscall.EpollEvent{
-		Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | epolletFlag,
-		Fd:     int32(fd),
-	}
-	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_MOD, fd, &ev)
-}
-
-// run blocks in the kernel wait and reports each ready connection to
-// emit — writability (a parked write queue can drain) separately from
-// readability; it returns (and releases the descriptors) after close.
-func (p *poller) run(emit func(Handle, bool{{if .Scheduling}}, int{{end}})) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.destroy()
-		return
-	}
-	p.running = true
-	p.mu.Unlock()
-	defer p.destroy()
-	var evs [128]syscall.EpollEvent
-	for {
-		n, err := syscall.EpollWait(p.epfd, evs[:], -1)
-		if err != nil {
-			if err == syscall.EINTR {
-				continue
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			fd := evs[i].Fd
-			if int(fd) == p.wakeR {
-				var drain [16]byte
-				syscall.Read(p.wakeR, drain[:])
-				p.mu.Lock()
-				closed := p.closed
-				p.mu.Unlock()
-				if closed {
-					return
-				}
-				continue
-			}
-			p.mu.Lock()
-			e, ok := p.conns[fd]
-			p.mu.Unlock()
-			if !ok {
-				// Deregistered between wait and dispatch.
-				continue
-			}
-			bits := evs[i].Events
-			if bits&syscall.EPOLLOUT != 0 {
-				emit(e.handle, true{{if .Scheduling}}, e.prio{{end}})
-			}
-			if bits&(syscall.EPOLLIN|syscall.EPOLLRDHUP|syscall.EPOLLHUP|syscall.EPOLLERR) != 0 {
-				emit(e.handle, false{{if .Scheduling}}, e.prio{{end}})
-			}
-		}
-	}
-}
-
-func (p *poller) close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	running := p.running
-	p.mu.Unlock()
-	syscall.Write(p.wakeW, []byte{1})
-	if !running {
-		p.destroy()
-	}
-}
-
-func (p *poller) destroy() {
-	p.destroyOnce.Do(func() {
-		syscall.Close(p.epfd)
-		syscall.Close(p.wakeR)
-		syscall.Close(p.wakeW)
-	})
-}
-
-// connFD extracts the raw descriptor of a transport that exposes one.
-func connFD(sc syscall.Conn) (int, syscall.RawConn, error) {
-	raw, err := sc.SyscallConn()
-	if err != nil {
-		return 0, nil, err
-	}
-	fd := -1
-	if cerr := raw.Control(func(f uintptr) { fd = int(f) }); cerr != nil {
-		return 0, nil, cerr
-	}
-	return fd, raw, nil
-}
-
-// nonblockRead takes one non-blocking read through the RawConn, so the
-// runtime cannot recycle the descriptor mid-read. again reports EAGAIN;
-// n == 0 with nil err and again == false is EOF.
-func nonblockRead(rc syscall.RawConn, buf []byte) (n int, again bool, err error) {
-	rerr := rc.Read(func(fd uintptr) bool {
-		for {
-			n, err = syscall.Read(int(fd), buf)
-			if err != syscall.EINTR {
-				break
-			}
-		}
-		if err == syscall.EAGAIN || err == syscall.EWOULDBLOCK {
-			n, again, err = 0, true, nil
-		}
-		if n < 0 {
-			n = 0
-		}
-		// Always done: EAGAIN must return to the caller, never park the
-		// goroutine in the runtime poller.
-		return true
-	})
-	if rerr != nil && err == nil {
-		err = rerr
-	}
-	return n, again, err
-}
-
-// nonblockWrite takes non-blocking writes through the RawConn until the
-// buffer empties or the socket blocks. again reports EAGAIN after a
-// (possibly partial) transfer; the caller parks the remainder instead
-// of blocking a worker.
-func nonblockWrite(rc syscall.RawConn, buf []byte) (n int, again bool, err error) {
-	werr := rc.Write(func(fd uintptr) bool {
-		for n < len(buf) {
-			var w int
-			w, err = syscall.Write(int(fd), buf[n:])
-			if w > 0 {
-				n += w
-			}
-			if err == syscall.EINTR {
-				err = nil
-				continue
-			}
-			if err == syscall.EAGAIN || err == syscall.EWOULDBLOCK {
-				again, err = true, nil
-			}
-			break
-		}
-		// Always done: EAGAIN must return to the caller, never park the
-		// goroutine in the runtime poller.
-		return true
-	})
-	if werr != nil && err == nil {
-		err = werr
-	}
-	return n, again, err
-}
-
-// dupFile duplicates a descriptor so a parked file range survives the
-// caller closing its *os.File.
-func dupFile(f *os.File) (*os.File, error) {
-	fd, err := syscall.Dup(int(f.Fd()))
-	if err != nil {
-		return nil, err
-	}
-	syscall.CloseOnExec(fd)
-	return os.NewFile(uintptr(fd), f.Name()), nil
-}
-`
-
-const pollerOtherTemplate = `//go:build !linux
-
-package {{.Package}}
-
-// Kernel-event path stub: this platform has no generated poller, so
-// every connection serves from the portable goroutine read path and
-// blocking writes. DO NOT EDIT: regenerate with nsgen.
-
-import (
-	"errors"
-	"os"
-	"syscall"
-)
-
-// pollerSupported selects the kernel-event read path on this platform.
-const pollerSupported = false
-
-var errPollerUnsupported = errors.New("{{.Package}}: no kernel poller on this platform")
-
-type poller struct{}
-
-func newPoller() (*poller, error) { return nil, errPollerUnsupported }
-
-func (p *poller) add(fd int, h Handle{{if .Scheduling}}, prio int{{end}}) error {
-	return errPollerUnsupported
-}
-
-func (p *poller) del(fd int) {}
-
-func (p *poller) size() int { return 0 }
-
-func (p *poller) armWrite(fd int) error { return errPollerUnsupported }
-
-func (p *poller) disarmWrite(fd int) {}
-
-func (p *poller) run(emit func(Handle, bool{{if .Scheduling}}, int{{end}})) {}
-
-func (p *poller) close() {}
-
-func connFD(sc syscall.Conn) (int, syscall.RawConn, error) {
-	return 0, nil, errPollerUnsupported
-}
-
-func nonblockRead(rc syscall.RawConn, buf []byte) (int, bool, error) {
-	return 0, false, errPollerUnsupported
-}
-
-func nonblockWrite(rc syscall.RawConn, buf []byte) (int, bool, error) {
-	return 0, false, errPollerUnsupported
-}
-
-func dupFile(f *os.File) (*os.File, error) { return nil, errPollerUnsupported }
 `

@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,9 +17,8 @@ import (
 
 // writeAppSrc is a generated-framework application exercising the Send
 // Reply step: "big N" replies N bytes of 'b', "file" streams the file
-// named on the command line through SendFile, "parked" reports the
-// server's parked write queues (event-driven builds only), and anything
-// else is echoed.
+// named on the command line through SendFile, and anything else is
+// echoed.
 const writeAppSrc = `package main
 
 import (
@@ -62,8 +60,7 @@ func (h hooks) Handle(c *nserver.Communicator, req any) {
 		}
 		info, _ := f.Stat()
 		_ = c.SendFile([]byte(fmt.Sprintf("FILE %d\n", info.Size())), f, 0, info.Size())
-		f.Close() // a parked residual must survive on the queue's own descriptor
-	PARKED
+		f.Close()
 	default:
 		_ = c.Reply("echo: " + cmd + "\n")
 	}
@@ -84,12 +81,11 @@ func main() {
 }
 `
 
-// TestGeneratedWritePath drives the generated Send Reply step end to end
-// on both of its sinks: a reader that stops reading while a large buffered
-// reply, a streamed file and a small echo are pipelined at it must still
-// get all three byte-exact and in order. With the event-driven crosscut
-// the replies park on the outbound queue and drain on EPOLLOUT; without
-// it the same flush loop blocks under the per-chunk write deadline.
+// TestGeneratedWritePath drives the generated Send Reply step end to end:
+// a reader that stops reading while a large buffered reply, a streamed
+// file and a small echo are pipelined at it must still get all three
+// byte-exact and in order, from the one flush loop blocking under the
+// per-chunk write deadline.
 func TestGeneratedWritePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end build in -short mode")
@@ -103,90 +99,45 @@ func TestGeneratedWritePath(t *testing.T) {
 	if err := os.WriteFile(path, pattern, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := options.COPSHTTP().WithLargeFiles(64<<10).WithHardening(0, 5*time.Second, 0)
-	for name, o := range map[string]options.Options{
-		"blocking": base,
-		"parked":   base.WithEventDriven(true),
-	} {
-		t.Run(name, func(t *testing.T) {
-			parkedCase := ""
-			if o.EventDriven {
-				parkedCase = `case cmd == "parked":
-		_ = c.Reply(fmt.Sprintf("parked %d\n", c.Server().ParkedWrites()))`
-			}
-			addr := startGenerated(t, o, strings.Replace(writeAppSrc, "PARKED", parkedCase, 1), path)
+	o := options.COPSHTTP().WithLargeFiles(64<<10).WithHardening(0, 5*time.Second, 0)
+	addr := startGenerated(t, o, writeAppSrc, path)
 
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			// A clamped receive buffer absorbs little of the replies: the
-			// rest must wait server-side while the client is not reading.
-			if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fmt.Fprintf(conn, "big %d\nfile\nsmall\n", bigLen); err != nil {
-				t.Fatal(err)
-			}
-			if o.EventDriven {
-				waitParked(t, addr)
-			} else {
-				time.Sleep(200 * time.Millisecond)
-			}
-
-			conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-			r := bufio.NewReaderSize(conn, 64<<10)
-			big := make([]byte, bigLen+1)
-			if _, err := io.ReadFull(r, big); err != nil {
-				t.Fatalf("big reply: %v", err)
-			}
-			if big[bigLen] != '\n' || bytes.Count(big[:bigLen], []byte("b")) != bigLen {
-				t.Fatal("big reply corrupted")
-			}
-			head, err := r.ReadString('\n')
-			if want := fmt.Sprintf("FILE %d\n", fileLen); err != nil || head != want {
-				t.Fatalf("file head = %q (%v), want %q", head, err, want)
-			}
-			body := make([]byte, fileLen)
-			if _, err := io.ReadFull(r, body); err != nil {
-				t.Fatalf("file body: %v", err)
-			}
-			if !bytes.Equal(body, pattern) {
-				t.Fatal("streamed file bytes corrupted")
-			}
-			if line, err := r.ReadString('\n'); err != nil || line != "echo: small\n" {
-				t.Fatalf("trailing echo = %q (%v)", line, err)
-			}
-		})
-	}
-}
-
-// waitParked asks the generated server over a second connection until it
-// reports a parked write queue: the proof that the replies took the
-// EPOLLOUT path rather than a blocked worker.
-func waitParked(t *testing.T, addr string) {
-	t.Helper()
-	ctl, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Close()
-	r := bufio.NewReader(ctl)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fmt.Fprintf(ctl, "parked\n")
-		ctl.SetReadDeadline(time.Now().Add(5 * time.Second))
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("parked probe: %v", err)
-		}
-		if line == "parked 1\n" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reply never parked (last probe %q)", line)
-		}
-		time.Sleep(5 * time.Millisecond)
+	defer conn.Close()
+	// A clamped receive buffer absorbs little of the replies: the rest
+	// must wait server-side while the client is not reading.
+	if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(conn, "big %d\nfile\nsmall\n", bigLen); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReaderSize(conn, 64<<10)
+	big := make([]byte, bigLen+1)
+	if _, err := io.ReadFull(r, big); err != nil {
+		t.Fatalf("big reply: %v", err)
+	}
+	if big[bigLen] != '\n' || bytes.Count(big[:bigLen], []byte("b")) != bigLen {
+		t.Fatal("big reply corrupted")
+	}
+	head, err := r.ReadString('\n')
+	if want := fmt.Sprintf("FILE %d\n", fileLen); err != nil || head != want {
+		t.Fatalf("file head = %q (%v), want %q", head, err, want)
+	}
+	body := make([]byte, fileLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		t.Fatalf("file body: %v", err)
+	}
+	if !bytes.Equal(body, pattern) {
+		t.Fatal("streamed file bytes corrupted")
+	}
+	if line, err := r.ReadString('\n'); err != nil || line != "echo: small\n" {
+		t.Fatalf("trailing echo = %q (%v)", line, err)
 	}
 }

@@ -54,16 +54,9 @@ type Config struct {
 	// Shed reports application-level shed replies (e.g. the COPS-HTTP
 	// 503 fast path).
 	Shed func() uint64
-	// EventDriven reports whether the kernel-event read path is active
-	// (nserver.Server.EventDriven). Nil omits the gauge.
-	EventDriven func() bool
-	// Parked reports connections resident in the shard epoll tables with
-	// no reader goroutine (nserver.Server.ParkedConns). Nil omits the
-	// gauge.
-	Parked func() int
 	// ParkedWrites reports connections holding a non-empty parked
-	// outbound queue — replies mid-drain on the EPOLLOUT path
-	// (nserver.Server.ParkedWrites). Nil omits the gauge.
+	// outbound queue — replies the write pump is finishing on the
+	// netpoller (nserver.Server.ParkedWrites). Nil omits the gauge.
 	ParkedWrites func() int
 	// Admission reports the adaptive admission limiter's state
 	// (nserver.Server.Admission().Snapshot). Nil omits the
@@ -186,17 +179,8 @@ type ShardJSON struct {
 	Counters profiling.Snapshot `json:"counters"`
 }
 
-// PollJSON is the kernel-poller section of the JSON rendering.
-type PollJSON struct {
-	Wakeups   uint64  `json:"wakeups"`
-	Events    uint64  `json:"events"`
-	MeanBatch float64 `json:"mean_batch"`
-	WaitP50Ns int64   `json:"wait_p50_ns"`
-	WaitP99Ns int64   `json:"wait_p99_ns"`
-}
-
 // FlushJSON is the parked-write flush-latency section of the JSON
-// rendering (EPOLLOUT write path).
+// rendering (replies parked on the netpoller).
 type FlushJSON struct {
 	Count  uint64 `json:"count"`
 	MeanNs int64  `json:"mean_ns"`
@@ -206,35 +190,26 @@ type FlushJSON struct {
 
 // Payload is the complete JSON document.
 type Payload struct {
-	Server      *profiling.Snapshot    `json:"server,omitempty"`
-	Shards      []ShardJSON            `json:"shards,omitempty"`
-	Stages      []StageJSON            `json:"stages,omitempty"`
-	Poll        *PollJSON              `json:"poll,omitempty"`
-	Cache       *CacheJSON             `json:"cache,omitempty"`
-	Deferred    *uint64                `json:"deferred,omitempty"`
-	Shed        *uint64                `json:"shed,omitempty"`
-	EventDriven *bool                  `json:"event_driven,omitempty"`
-	Parked      *int                   `json:"parked_connections,omitempty"`
-	ParkedW     *int                   `json:"parked_writes,omitempty"`
-	Flush       *FlushJSON             `json:"flush_latency,omitempty"`
-	Admission   *admission.Snapshot    `json:"admission,omitempty"`
-	Hedge       *cluster.HedgeSnapshot `json:"hedge,omitempty"`
-	Cluster     []BackendJSON          `json:"cluster,omitempty"`
-	RespCache   *respcache.Stats       `json:"respcache,omitempty"`
-	Collapsed   *uint64                `json:"collapsed_reads,omitempty"`
-	DiskReads   *uint64                `json:"disk_reads,omitempty"`
+	Server    *profiling.Snapshot    `json:"server,omitempty"`
+	Shards    []ShardJSON            `json:"shards,omitempty"`
+	Stages    []StageJSON            `json:"stages,omitempty"`
+	Cache     *CacheJSON             `json:"cache,omitempty"`
+	Deferred  *uint64                `json:"deferred,omitempty"`
+	Shed      *uint64                `json:"shed,omitempty"`
+	ParkedW   *int                   `json:"parked_writes,omitempty"`
+	Flush     *FlushJSON             `json:"flush_latency,omitempty"`
+	Admission *admission.Snapshot    `json:"admission,omitempty"`
+	Hedge     *cluster.HedgeSnapshot `json:"hedge,omitempty"`
+	Cluster   []BackendJSON          `json:"cluster,omitempty"`
+	RespCache *respcache.Stats       `json:"respcache,omitempty"`
+	Collapsed *uint64                `json:"collapsed_reads,omitempty"`
+	DiskReads *uint64                `json:"disk_reads,omitempty"`
 }
 
 // sharder is implemented by profile sources with a per-shard breakdown
 // (*profiling.Group).
 type sharder interface {
 	ShardSnapshots() []profiling.Snapshot
-}
-
-// pollSharder is implemented by profile sources with a per-shard kernel
-// poller breakdown (*profiling.Group).
-type pollSharder interface {
-	ShardPollSnapshots() []profiling.PollSnapshot
 }
 
 // profileEnabled guards the interface-typed Profile field: both the
@@ -281,15 +256,6 @@ func collect(cfg Config) Payload {
 			}
 			p.Stages = append(p.Stages, sj)
 		}
-		if pp := cfg.Profile.PollSnapshot(); pp.Wakeups > 0 {
-			p.Poll = &PollJSON{
-				Wakeups:   pp.Wakeups,
-				Events:    pp.Events,
-				MeanBatch: pp.Batch.Mean(),
-				WaitP50Ns: int64(pp.Wait.Quantile(0.50)),
-				WaitP99Ns: int64(pp.Wait.Quantile(0.99)),
-			}
-		}
 		if fs := cfg.Profile.FlushSnapshot(); fs.Count > 0 {
 			p.Flush = &FlushJSON{
 				Count:  fs.Count,
@@ -321,14 +287,6 @@ func collect(cfg Config) Payload {
 	if cfg.Shed != nil {
 		v := cfg.Shed()
 		p.Shed = &v
-	}
-	if cfg.EventDriven != nil {
-		v := cfg.EventDriven()
-		p.EventDriven = &v
-	}
-	if cfg.Parked != nil {
-		v := cfg.Parked()
-		p.Parked = &v
 	}
 	if cfg.ParkedWrites != nil {
 		v := cfg.ParkedWrites()
@@ -377,14 +335,6 @@ func promLe(i int) string {
 	return strconv.FormatFloat(profiling.BucketBound(i).Seconds(), 'g', -1, 64)
 }
 
-// sizeLe renders a batch-size bucket upper bound for the le label.
-func sizeLe(i int) string {
-	if i >= profiling.SizeBuckets-1 {
-		return "+Inf"
-	}
-	return strconv.FormatUint(profiling.SizeBucketBound(i), 10)
-}
-
 // RenderPrometheus renders every configured source in the Prometheus text
 // exposition format.
 func RenderPrometheus(cfg Config) string {
@@ -396,46 +346,18 @@ func RenderPrometheus(cfg Config) string {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
 			name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
 	}
-	// waitHist and batchHist append one histogram series; label is either
-	// empty (aggregate) or a single `shard="n"` pair.
-	waitHist := func(name, label string, hs profiling.HistogramSnapshot) {
+	// hist appends one aggregate histogram series.
+	hist := func(name string, hs profiling.HistogramSnapshot) {
 		var cum uint64
 		for i, c := range hs.Buckets {
 			cum += c
 			if c == 0 && i != profiling.NumBuckets-1 {
 				continue
 			}
-			if label == "" {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, promLe(i), cum)
-			} else {
-				fmt.Fprintf(&b, "%s_bucket{%s,le=%q} %d\n", name, label, promLe(i), cum)
-			}
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, promLe(i), cum)
 		}
-		sum := strconv.FormatFloat(hs.Sum.Seconds(), 'g', -1, 64)
-		if label == "" {
-			fmt.Fprintf(&b, "%s_sum %s\n%s_count %d\n", name, sum, name, hs.Count)
-		} else {
-			fmt.Fprintf(&b, "%s_sum{%s} %s\n%s_count{%s} %d\n", name, label, sum, name, label, hs.Count)
-		}
-	}
-	batchHist := func(name, label string, bs profiling.SizeSnapshot) {
-		var cum uint64
-		for i, c := range bs.Buckets {
-			cum += c
-			if c == 0 && i != profiling.SizeBuckets-1 {
-				continue
-			}
-			if label == "" {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, sizeLe(i), cum)
-			} else {
-				fmt.Fprintf(&b, "%s_bucket{%s,le=%q} %d\n", name, label, sizeLe(i), cum)
-			}
-		}
-		if label == "" {
-			fmt.Fprintf(&b, "%s_sum %d\n%s_count %d\n", name, bs.Sum, name, bs.Count)
-		} else {
-			fmt.Fprintf(&b, "%s_sum{%s} %d\n%s_count{%s} %d\n", name, label, bs.Sum, name, label, bs.Count)
-		}
+		fmt.Fprintf(&b, "%s_sum %s\n%s_count %d\n", name,
+			strconv.FormatFloat(hs.Sum.Seconds(), 'g', -1, 64), name, hs.Count)
 	}
 	if profileEnabled(cfg) {
 		s := cfg.Profile.Snapshot()
@@ -492,32 +414,8 @@ func RenderPrometheus(cfg Config) string {
 		}
 		if fs := cfg.Profile.FlushSnapshot(); fs.Count > 0 {
 			const fhname = "nserver_flush_duration_seconds"
-			fmt.Fprintf(&b, "# HELP %s Park-to-flushed latency of parked reply residuals on the EPOLLOUT path.\n# TYPE %s histogram\n", fhname, fhname)
-			waitHist(fhname, "", fs)
-		}
-		if pp := cfg.Profile.PollSnapshot(); pp.Wakeups > 0 {
-			counter("nserver_epoll_wakeups_total", "Kernel poller wait returns that delivered events.", pp.Wakeups)
-			counter("nserver_epoll_ready_events_total", "Connection readiness events delivered by the kernel poller.", pp.Events)
-			const wname = "nserver_epoll_wait_duration_seconds"
-			fmt.Fprintf(&b, "# HELP %s Time spent blocked in the kernel wait per wakeup.\n# TYPE %s histogram\n", wname, wname)
-			waitHist(wname, "", pp.Wait)
-			const bsname = "nserver_epoll_batch_size"
-			fmt.Fprintf(&b, "# HELP %s Readiness events drained per kernel wakeup.\n# TYPE %s histogram\n", bsname, bsname)
-			batchHist(bsname, "", pp.Batch)
-			if g, ok := cfg.Profile.(pollSharder); ok {
-				if shards := g.ShardPollSnapshots(); len(shards) > 1 {
-					const swname = "nserver_shard_epoll_wait_duration_seconds"
-					fmt.Fprintf(&b, "# HELP %s Per-shard kernel wait time per wakeup.\n# TYPE %s histogram\n", swname, swname)
-					for i, sp := range shards {
-						waitHist(swname, fmt.Sprintf("shard=%q", strconv.Itoa(i)), sp.Wait)
-					}
-					const sbname = "nserver_shard_epoll_batch_size"
-					fmt.Fprintf(&b, "# HELP %s Per-shard readiness events drained per wakeup.\n# TYPE %s histogram\n", sbname, sbname)
-					for i, sp := range shards {
-						batchHist(sbname, fmt.Sprintf("shard=%q", strconv.Itoa(i)), sp.Batch)
-					}
-				}
-			}
+			fmt.Fprintf(&b, "# HELP %s Park-to-flushed latency of reply residuals parked on the netpoller.\n# TYPE %s histogram\n", fhname, fhname)
+			hist(fhname, fs)
 		}
 	}
 	if cfg.Cache != nil {
@@ -547,13 +445,6 @@ func RenderPrometheus(cfg Config) string {
 	if cfg.Shed != nil {
 		counter("nserver_shed_replies_total", "Requests answered by the overload shed fast path.", cfg.Shed())
 	}
-	if cfg.EventDriven != nil {
-		v := 0.0
-		if cfg.EventDriven() {
-			v = 1
-		}
-		gauge("nserver_event_driven", "1 when the kernel-event read path is active, 0 on the goroutine path.", v)
-	}
 	if cfg.RespCache != nil {
 		rs := cfg.RespCache()
 		counter("nserver_respcache_hits_total", "Rendered-response cache hits (fast-path serves).", rs.Hits)
@@ -569,11 +460,8 @@ func RenderPrometheus(cfg Config) string {
 	if cfg.DiskReads != nil {
 		counter("nserver_file_reads_total", "File reads that went to disk (cache and singleflight misses).", cfg.DiskReads())
 	}
-	if cfg.Parked != nil {
-		gauge("nserver_parked_connections", "Connections resident in the shard epoll tables with no reader goroutine.", float64(cfg.Parked()))
-	}
 	if cfg.ParkedWrites != nil {
-		gauge("nserver_parked_writes", "Connections holding a parked outbound queue mid-drain on the EPOLLOUT path.", float64(cfg.ParkedWrites()))
+		gauge("nserver_parked_writes", "Connections holding an outbound queue parked on the netpoller, mid-drain by the write pump.", float64(cfg.ParkedWrites()))
 	}
 	if cfg.Admission != nil {
 		s := cfg.Admission()

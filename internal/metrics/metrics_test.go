@@ -32,17 +32,16 @@ func testConfig(t *testing.T) Config {
 	fc.Put("/a", make([]byte, 100))
 	fc.Get("/a")
 	fc.Get("/missing")
-	// Two kernel-poller wakeups: one delivered 3 events, one delivered 5.
-	p.ObservePollBatch(3, 20*time.Microsecond)
-	p.ObservePollBatch(5, 40*time.Microsecond)
+	// Two parked reply residuals drained by the write pump.
+	p.ObserveFlush(2 * time.Millisecond)
+	p.ObserveFlush(6 * time.Millisecond)
 	shed := uint64(7)
 	return Config{
-		Profile:     p,
-		Cache:       fc,
-		Shed:        func() uint64 { return shed },
-		Deferred:    func() uint64 { return 3 },
-		EventDriven: func() bool { return true },
-		Parked:      func() int { return 12 },
+		Profile:      p,
+		Cache:        fc,
+		Shed:         func() uint64 { return shed },
+		Deferred:     func() uint64 { return 3 },
+		ParkedWrites: func() int { return 12 },
 		RespCache: func() respcache.Stats {
 			return respcache.Stats{Hits: 9, Misses: 2, Stale: 4, Revalidated: 3, Entries: 1}
 		},
@@ -71,19 +70,11 @@ func TestRenderPrometheus(t *testing.T) {
 		`nserver_cache_shard_hits_total{shard="0"}`,
 		"nserver_accept_deferred_total 3",
 		"nserver_shed_replies_total 7",
-		"nserver_event_driven 1",
-		"nserver_parked_connections 12",
-		"nserver_epoll_wakeups_total 2",
-		"nserver_epoll_ready_events_total 8",
-		"# TYPE nserver_epoll_wait_duration_seconds histogram",
-		"nserver_epoll_wait_duration_seconds_count 2",
-		"# TYPE nserver_epoll_batch_size histogram",
-		// Batch buckets are powers of two: 3 lands in le="4", 5 in le="8",
-		// so the cumulative le="8" bucket holds both wakeups.
-		`nserver_epoll_batch_size_bucket{le="4"} 1`,
-		`nserver_epoll_batch_size_bucket{le="8"} 2`,
-		"nserver_epoll_batch_size_sum 8",
-		"nserver_epoll_batch_size_count 2",
+		"nserver_parked_writes 12",
+		"# TYPE nserver_flush_duration_seconds histogram",
+		`nserver_flush_duration_seconds_bucket{le="+Inf"} 2`,
+		"nserver_flush_duration_seconds_sum 0.008",
+		"nserver_flush_duration_seconds_count 2",
 		"nserver_respcache_hits_total 9",
 		"nserver_respcache_stale_total 4",
 		"nserver_respcache_revalidated_total 3",
@@ -95,27 +86,6 @@ func TestRenderPrometheus(t *testing.T) {
 	// The histogram buckets must be cumulative and end at the count.
 	if !strings.Contains(text, `nserver_stage_duration_seconds_bucket{stage="read",le="+Inf"} 1`) {
 		t.Errorf("read stage +Inf bucket should equal count 1\n%s", text)
-	}
-}
-
-func TestRenderPrometheusShardPoll(t *testing.T) {
-	g := profiling.NewGroup(2)
-	g.Shard(0).ObservePollBatch(2, 10*time.Microsecond)
-	g.Shard(1).ObservePollBatch(6, 30*time.Microsecond)
-	text := RenderPrometheus(Config{Profile: g})
-	for _, want := range []string{
-		"nserver_epoll_wakeups_total 2",
-		"nserver_epoll_ready_events_total 8",
-		"# TYPE nserver_shard_epoll_wait_duration_seconds histogram",
-		`nserver_shard_epoll_wait_duration_seconds_count{shard="0"} 1`,
-		`nserver_shard_epoll_wait_duration_seconds_count{shard="1"} 1`,
-		"# TYPE nserver_shard_epoll_batch_size histogram",
-		`nserver_shard_epoll_batch_size_sum{shard="0"} 2`,
-		`nserver_shard_epoll_batch_size_sum{shard="1"} 6`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("missing %q in sharded rendering", want)
-		}
 	}
 }
 
@@ -148,11 +118,11 @@ func TestCollectJSON(t *testing.T) {
 	if p.Deferred == nil || *p.Deferred != 3 || p.Shed == nil || *p.Shed != 7 {
 		t.Fatalf("shed/deferred wrong: %+v", p)
 	}
-	if p.EventDriven == nil || !*p.EventDriven || p.Parked == nil || *p.Parked != 12 {
-		t.Fatalf("event-driven section wrong: %+v", p)
+	if p.ParkedW == nil || *p.ParkedW != 12 {
+		t.Fatalf("parked-writes gauge wrong: %+v", p.ParkedW)
 	}
-	if p.Poll == nil || p.Poll.Wakeups != 2 || p.Poll.Events != 8 || p.Poll.MeanBatch != 4 {
-		t.Fatalf("poll section wrong: %+v", p.Poll)
+	if p.Flush == nil || p.Flush.Count != 2 || p.Flush.MeanNs != int64(4*time.Millisecond) {
+		t.Fatalf("flush section wrong: %+v", p.Flush)
 	}
 	if _, err := json.Marshal(p); err != nil {
 		t.Fatalf("payload not marshalable: %v", err)

@@ -203,21 +203,22 @@ func slowReaderProgram(name string, nreq, paceBytes, paceEveryMs int) *Program {
 
 // TestModelSlowReaderFates runs the paced slow-reader site of the model:
 // with the write deadline armed, a reader starved below the server's
-// write-progress quantum must see its connection torn down, while a
+// pace quantum must see its connection torn down, while a
 // comfortably fast one must receive every byte and keep the connection.
-// Both transports are exercised — the in-memory pipes pin the blocking
-// write path's per-chunk deadline, and event-driven TCP pins the
-// EPOLLOUT parked-write path end to end (park on EAGAIN, drain on
-// writability, reap on stall). With MODEL_UPDATE_TRACES=1 the minimal
+// Both transports are exercised — the in-memory pipes hide their
+// descriptor and pin the blocking sink's per-chunk deadline, and TCP
+// pins the parked-write path end to end (a non-blocking first attempt,
+// park on EAGAIN, the write pump's blocking writes under the same
+// per-chunk deadline). With MODEL_UPDATE_TRACES=1 the minimal
 // torn program is persisted under testdata/model/ alongside the parser
 // counterexamples.
 func TestModelSlowReaderFates(t *testing.T) {
 	const wt = 150 * time.Millisecond
 	mem := NewHarness(t, HarnessOptions{WriteTimeout: wt})
-	tcp := NewHarness(t, HarnessOptions{Transport: "tcp", EventDriven: true, WriteTimeout: wt})
+	tcp := NewHarness(t, HarnessOptions{Transport: "tcp", WriteTimeout: wt})
 
 	// 2 KiB per 25 ms is 12 KiB per deadline window — starved (a
-	// quarter of the 64 KiB progress quantum); 64 KiB per 10/5 ms is
+	// quarter of the 64 KiB pace quantum); 64 KiB per 10/5 ms is
 	// comfortably past the four-quanta-per-window safety band.
 	torn := slowReaderProgram("slow-reader-torn", 1, 2048, 25)
 	for _, tc := range []struct {
@@ -228,8 +229,8 @@ func TestModelSlowReaderFates(t *testing.T) {
 	}{
 		{"mem-starved-torn", mem, torn, FateTorn},
 		{"mem-fast-complete", mem, slowReaderProgram("slow-reader-fast", 1, 64<<10, 10), FateOpen},
-		{"tcp-starved-torn", tcp, slowReaderProgram("slow-reader-torn-epollout", 100, 2048, 25), FateTorn},
-		{"tcp-fast-complete", tcp, slowReaderProgram("slow-reader-fast-epollout", 1, 64<<10, 5), FateOpen},
+		{"tcp-starved-torn", tcp, slowReaderProgram("slow-reader-torn-tcp", 100, 2048, 25), FateTorn},
+		{"tcp-fast-complete", tcp, slowReaderProgram("slow-reader-fast-tcp", 1, 64<<10, 5), FateOpen},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			exp, err := Predict(tc.h.Site, &tc.p.Conns[0])

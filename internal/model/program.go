@@ -83,9 +83,8 @@ type ConnScript struct {
 	// not the byte stream, so the random generator never emits it;
 	// directed slow-reader programs and saved traces do. The
 	// specification folds the pace into the fate: a reader starved far
-	// below the server's write-progress quantum per write-deadline
-	// window must be torn down (slow-reader defense), a comfortably
-	// fast one changes nothing.
+	// below the pace quantum per write-deadline window must be torn down
+	// (slow-reader defense), a comfortably fast one changes nothing.
 	PaceBytes   int `json:"pace_bytes,omitempty"`
 	PaceEveryMs int `json:"pace_every_ms,omitempty"`
 }

@@ -54,12 +54,6 @@ type HarnessOptions struct {
 	// O7 hardening knob), which is what lets paced slow-reader scripts
 	// predict torn fates; zero leaves writes unbounded.
 	WriteTimeout time.Duration
-	// EventDriven parks idle and write-blocked connections in the
-	// kernel epoll set — the EPOLLOUT write path — instead of holding a
-	// goroutine each. Only the "tcp" transport reaches it: the
-	// in-memory pipes hide descriptors, so the server transparently
-	// keeps the blocking fallback there.
-	EventDriven bool
 }
 
 // Harness runs client programs against a live COPS-HTTP server and
@@ -131,7 +125,6 @@ func newHarness(dir string, o HarnessOptions) (*Harness, error) {
 	// Profiled, so tests can see which requests took the fast path.
 	opts.Profiling = true
 	opts.MaxConnections = o.MaxConnections
-	opts.EventDriven = o.EventDriven
 	if o.WriteTimeout > 0 {
 		opts = opts.WithHardening(0, o.WriteTimeout, 0)
 		site.WriteTimeout = o.WriteTimeout

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/httpproto"
-	"repro/internal/nserver"
 )
 
 // Fate is what the model says happens to the connection after the last
@@ -148,15 +147,22 @@ func predictFraming(site *Site, cs *ConnScript) (Expectation, error) {
 	return exp, nil
 }
 
+// paceQuantum is the unit of the pace bands below. The server arms its
+// write deadline per bounded chunk of a reply (at least this large), so
+// a reader draining under a quarter of it per deadline window cannot
+// finish any chunk in time, and one draining four of it never waits on a
+// chunk for long.
+const paceQuantum = 64 << 10
+
 // applyPace folds the client's read pace into the framing verdict: the
 // slow-reader half of the specification. The server's contract
 // (slow-reader defense) is drain-rate based, not liveness based: with a
-// write deadline armed, a connection must move one write-progress
-// quantum per deadline window or be torn down, no matter how steadily
-// it trickles. The model therefore classifies a pace by the bytes it
-// drains per window:
+// write deadline armed, each blocking write of a bounded chunk must
+// finish within the deadline or the connection is torn down, no matter
+// how steadily the peer trickles. The model therefore classifies a pace
+// by the bytes it drains per window:
 //
-//   - starved (at most a quarter quantum per window) with enough
+//   - starved (at most a quarter paceQuantum per window) with enough
 //     response bytes to outlast transport buffering: the write path
 //     must stall and the server must tear the connection down — the
 //     predictions become a permitted prefix (FateTorn);
@@ -183,7 +189,6 @@ func applyPace(site *Site, cs *ConnScript, exp Expectation) (Expectation, error)
 		// it cannot change any connection's fate.
 		return exp, nil
 	}
-	const quantum = nserver.WriteProgressQuantum
 	perWindow := int64(cs.PaceBytes) * int64(site.WriteTimeout/time.Millisecond) / int64(cs.PaceEveryMs)
 	var body int64
 	for i := range exp.Responses {
@@ -195,12 +200,12 @@ func applyPace(site *Site, cs *ConnScript, exp Expectation) (Expectation, error)
 	// head allowance) for the too-small-to-stall arm.
 	wire := body + int64(len(exp.Responses))*512
 	switch {
-	case 4*perWindow <= quantum && site.PaceTornFloor > 0 && body >= site.PaceTornFloor:
+	case 4*perWindow <= paceQuantum && site.PaceTornFloor > 0 && body >= site.PaceTornFloor:
 		exp.Fate = FateTorn
 		return exp, nil
-	case perWindow >= 4*quantum:
+	case perWindow >= 4*paceQuantum:
 		return exp, nil
-	case wire*4 <= quantum:
+	case wire*4 <= paceQuantum:
 		return exp, nil
 	}
 	return exp, errUnsupported("pace between the starved and safe bands is scheduler-dependent")

@@ -19,8 +19,9 @@ import (
 // ErrConnClosed is returned by Send/Reply on a closed connection.
 var ErrConnClosed = errors.New("nserver: connection closed")
 
-// ErrRequestTooLarge tears down a connection whose decode buffer would
-// exceed the configured MaxRequestBytes cap.
+// ErrRequestTooLarge tears down a connection whose undecoded remainder —
+// the partial request a decode pass leaves buffered — exceeds the
+// configured MaxRequestBytes cap.
 var ErrRequestTooLarge = errors.New("nserver: request exceeds MaxRequestBytes")
 
 // ErrSlowClient tears down a connection whose partial request outlived
@@ -70,17 +71,15 @@ type Conn struct {
 	// Read side (see drain): rgate serializes drains of inbound bytes —
 	// the same reactor.DrainGate the write side's wgate is — so one
 	// owner at a time runs a connection's pipeline: its chunks decode in
-	// read order into inbuf, and its Handle calls never overlap. A
-	// connection parked in the shard poller (Options.EventDriven) drains
-	// its socket through raw, the lifetime-safe read capability of fd;
-	// polled marks it for the write path and teardown. Any other
-	// connection (raw == nil) drains the FIFO inbox its readLoop fills:
+	// read order into inbuf, and its Handle calls never overlap. The
+	// drain takes the chunks from the FIFO inbox readLoop fills:
 	// inbox[inHead:] under inMu, with inClosed set once finalize has
-	// released what was left.
+	// released what was left. raw is the transport's descriptor
+	// capability, nil when the transport hides its descriptor: with it,
+	// readLoop leases a chunk only once the socket is readable, and the
+	// write path's first attempt is non-blocking (see writeq.go).
 	rgate    reactor.DrainGate
 	inbuf    []byte
-	polled   atomic.Bool
-	fd       int
 	raw      syscall.RawConn
 	inMu     sync.Mutex
 	inbox    []*bufpool.Buffer
@@ -90,20 +89,22 @@ type Conn struct {
 	// Write side (see send in writeq.go): writeMu serializes every reply's
 	// flush. outq holds, in wire order, replies not yet on the wire: the
 	// corked replies of the window the drain is serving (corked is set by
-	// the drain owner, see decodeLoop), or on a polled connection the
-	// parked rest of replies the socket refused. wgate serializes the
-	// EPOLLOUT flushes of a parked queue, and the atomics feed the
-	// scavenger's stall test and the parked-write gauge without taking the
-	// lock. outq, outProgress, closeAfterFlush and the gathered write's
-	// iovec scratch (wsegs, and wbufs for the blocking sink) are guarded by
-	// writeMu.
+	// the drain owner, see decodeLoop), or the parked rest of replies the
+	// socket refused. wgate elects the one writePump goroutine that
+	// finishes a parked queue, and pumping marks its flush, during whose
+	// blocking writes it drops writeMu. unparked (on writeMu) wakes those
+	// waiting for the pump: readLoop, which reads nothing while the queue
+	// is parked, and finalize. The atomics feed the parked-write gauges
+	// without taking the lock. outq, pumping, closeAfterFlush and the
+	// gathered write's iovec scratch (wsegs, and wbufs for the blocking
+	// sink) are guarded by writeMu.
 	wgate           reactor.DrainGate
 	outq            []outItem
 	corked          atomic.Bool
 	outMem          atomic.Int64
 	outPending      atomic.Int64
-	outStamp        atomic.Int64
-	outProgress     int64
+	pumping         bool
+	unparked        sync.Cond
 	closeAfterFlush bool
 	wsegs           [][]byte
 	wbufs           net.Buffers
@@ -158,11 +159,6 @@ func (c *Conn) IdleFor() time.Duration {
 
 // Closed reports whether the connection has been torn down.
 func (c *Conn) Closed() bool { return c.closed.Load() }
-
-// Parked reports whether the connection is parked in its shard's kernel
-// poller (Options.EventDriven): its FastPath calls then run on the
-// poller goroutine, which must never make a filesystem call.
-func (c *Conn) Parked() bool { return c.polled.Load() }
 
 // ID returns the server-unique connection sequence number.
 func (c *Conn) ID() uint64 { return c.id }
@@ -260,8 +256,8 @@ func (c *Conn) SendBuffers(head, body []byte) error {
 
 // Close tears the connection down cleanly. A connection with committed
 // replies still queued closes gracefully: corked replies leave with the
-// drain's uncork, a parked queue finishes draining (under the
-// scavenger's WriteTimeout progress clock), and the teardown runs when
+// drain's uncork, a parked queue finishes draining (each of the pump's
+// writes under the per-chunk WriteTimeout), and the teardown runs when
 // the queue empties, so a pipelined peer still receives every reply
 // committed before the close.
 func (c *Conn) Close() error {
@@ -282,12 +278,6 @@ func (c *Conn) teardown(cause error) {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
 		c.closeErr = cause
-		// Leave the epoll interest set before the descriptor closes: the
-		// kernel would drop the interest itself, but the shard's fd table
-		// entry must go with it.
-		if c.polled.Load() {
-			c.sh.poller.Del(c.fd)
-		}
 		c.conn.Close()
 		if err := c.sh.reactor.Source().Emit(reactor.Ready{
 			Type:   reactor.CloseReady,
@@ -301,25 +291,41 @@ func (c *Conn) teardown(cause error) {
 	})
 }
 
-// readLoop is the Read Request step of a connection the shard poller
-// cannot park (Go exposes no portable readiness API, and wrapped
-// transports hide their descriptor): a per-connection reader goroutine
-// performs the blocking read into a leased pool buffer and queues the
-// lease on the connection's FIFO inbox, so inbox order is read order.
-// Each chunk then wakes the connection exactly as a readable edge wakes
-// a parked one (see wake); whichever drain the wakeups elect takes the
-// chunks in inbox order.
+// readLoop is the Read Request step: a per-connection reader goroutine
+// reads the transport chunk by chunk and queues each chunk on the
+// connection's FIFO inbox, so inbox order is read order. Each chunk then
+// wakes the connection (see wake); whichever drain the wakeups elect
+// takes the chunks in inbox order. On a transport that exposes its
+// descriptor the chunk is leased only once the socket is readable (see
+// leaseReader), so a goroutine waiting on an idle connection holds no
+// buffer; other transports lease before the blocking Read. readLoop
+// reads nothing while the outbound queue is parked: a peer that stops
+// reading its replies is throttled, not buffered for.
 func (c *Conn) readLoop() {
 	readTimeout := c.srv.opts.ReadTimeout
+	var lr *leaseReader
+	if c.raw != nil {
+		lr = newLeaseReader()
+	}
 	for {
+		if c.outPending.Load() > 0 {
+			c.awaitUnparked()
+		}
 		if readTimeout > 0 {
 			_ = c.conn.SetReadDeadline(time.Now().Add(readTimeout))
 		}
-		lease := bufpool.Get(readChunkSize)
 		readStart := c.sh.profile.StageStart()
-		n, err := c.conn.Read(lease.Bytes())
+		var lease *bufpool.Buffer
+		var n int
+		var err error
+		if lr != nil {
+			lease, n, err = lr.readFrom(c.raw)
+		} else {
+			lease = bufpool.Get(readChunkSize)
+			n, err = c.conn.Read(lease.Bytes())
+		}
 		if n > 0 {
-			// The Read Request stage: blocked-in-Read time per chunk, which
+			// The Read Request stage: waiting-to-read time per chunk, which
 			// also makes peer read stalls visible in the histogram.
 			c.sh.profile.ObserveSince(profiling.StageRead, readStart)
 			lease.SetLen(n)
@@ -331,7 +337,7 @@ func (c *Conn) readLoop() {
 					return
 				}
 			}
-		} else {
+		} else if lease != nil {
 			lease.Release()
 		}
 		if err != nil {
@@ -392,14 +398,12 @@ func (c *Conn) readEnd(err error) {
 	c.teardown(err)
 }
 
-// wake runs when inbound bytes are ready: a chunk readLoop queued, or a
-// readable edge the shard poller reported. With the fast path active and
-// the O9 gate clear, the waking goroutine claims rgate and drains inline,
-// offering each decoded request to the FastPath hook — the poller with
-// its non-blocking, parking sink, or the reader goroutine with its
-// blocking sink under the per-chunk write deadline. Otherwise it emits
-// the PollReady event an Event Processor worker drains from, so the event
-// queue, and the O9 watermarks sampling it, see one event per wakeup.
+// wake runs when readLoop has queued a chunk. With the fast path active
+// and the O9 gate clear, the reader goroutine claims rgate and drains
+// inline, offering each decoded request to the FastPath hook. Otherwise
+// it emits the PollReady event an Event Processor worker drains from, so
+// the event queue, and the O9 watermarks sampling it, see one event per
+// wakeup.
 func (c *Conn) wake() error {
 	if c.srv.directDispatch && c.srv.fastGateClear() {
 		if c.rgate.Claim() {
@@ -416,72 +420,33 @@ func (c *Conn) wake() error {
 
 // handleReady is the Communicator's event handler, dispatched by the
 // reactor for this connection's handle. PollReady (inbound bytes to
-// drain) runs the Read, Decode and Handle Request steps; WriteReady
-// flushes parked replies; CloseReady finalizes the connection.
+// drain) runs the Decode and Handle Request steps; CloseReady finalizes
+// the connection.
 func (c *Conn) handleReady(rd reactor.Ready) {
 	switch rd.Type {
 	case reactor.PollReady:
 		if c.rgate.Claim() {
 			c.drain(nil)
 		}
-	case reactor.WriteReady:
-		c.writePump()
 	case reactor.CloseReady:
 		c.finalize()
 	}
-}
-
-// pollAttach registers the connection with its shard's kernel poller.
-// Transports that expose no raw descriptor (faultnet wrappers, TLS-like
-// decorators) fail the syscall.Conn assertion and report false, sending
-// just this connection down the portable goroutine read path.
-func (c *Conn) pollAttach() bool {
-	if c.sh.poller == nil {
-		return false
-	}
-	sc, ok := c.conn.(syscall.Conn)
-	if !ok {
-		return false
-	}
-	fd, raw, err := reactor.ConnFD(sc)
-	if err != nil {
-		return false
-	}
-	// raw and polled are set before the registration: the first readable
-	// edge may be drained on the poller before Add returns, and that drain
-	// must already see a parked connection (non-blocking sink, no
-	// filesystem call in the FastPath hook).
-	c.fd, c.raw = fd, raw
-	c.polled.Store(true)
-	if err := c.sh.poller.Add(fd, c.handle, c.Priority()); err != nil {
-		c.raw = nil
-		c.polled.Store(false)
-		return false
-	}
-	if c.closed.Load() {
-		// A teardown raced the registration and ran its Del before Add
-		// filled the table entry: sweep it ourselves.
-		c.sh.poller.Del(fd)
-		return false
-	}
-	return true
 }
 
 // fastHook is the fast-path decode hook (Server.tryFastHandle): it
 // reports whether it consumed a decoded request inline.
 type fastHook func(c *Conn, req any) bool
 
-// drain is the one Read Request → Decode Request loop, shared by every
-// read path. The caller owns rgate — a won Claim, or a punted drain's
-// continuation — and drain feeds chunks to the decode loop until the
-// source runs dry (the inbox is empty, or the socket would block: the
-// edge-triggered stop), then releases the gate, going around again when
-// a wakeup landed mid-pass. fast nil sends every request down the queued
-// Handle path; a punt returns with the gate still held.
+// drain is the one Decode Request loop over the inbox. The caller owns
+// rgate — a won Claim, or a punted drain's continuation — and drain
+// feeds chunks to the decode loop until the inbox is empty, then
+// releases the gate, going around again when a wakeup landed mid-pass.
+// fast nil sends every request down the queued Handle path; a punt
+// returns with the gate still held.
 func (c *Conn) drain(fast fastHook) {
 	for {
 		for !c.closed.Load() {
-			lease := c.nextChunk()
+			lease := c.popInbox()
 			if lease == nil {
 				break
 			}
@@ -497,56 +462,37 @@ func (c *Conn) drain(fast fastHook) {
 	}
 }
 
-// nextChunk returns the next chunk of inbound bytes, or nil when there
-// is none for now. A parked connection reads its socket non-blocking into
-// a leased buffer, and a read that ends the stream tears the connection
-// down; any other connection pops its inbox.
-func (c *Conn) nextChunk() *bufpool.Buffer {
-	if c.raw == nil {
-		return c.popInbox()
-	}
-	lease := bufpool.Get(readChunkSize)
-	readStart := c.sh.profile.StageStart()
-	n, again, err := reactor.NonblockRead(c.raw, lease.Bytes())
-	if n > 0 {
-		c.sh.profile.ObserveSince(profiling.StageRead, readStart)
-		lease.SetLen(n)
-		c.sh.profile.BytesRead(n)
-		c.touch()
-		return lease
-	}
-	lease.Release()
-	if !again {
-		c.readEnd(err)
-	}
-	return nil
-}
-
 // decodeChunk appends a raw chunk and extracts requests. With a codec the
 // Decode Request step loops over complete requests (HTTP pipelining, FTP
 // command batches); without one the chunk itself is the request (Fig. 2).
 // chunk may be pooled memory owned by the caller: it is only valid for the
 // duration of this call, so codec-less handlers must copy any bytes they
 // keep past Handle's return. It reports whether the drain punted.
+//
+// MaxRequestBytes caps what a pass leaves undecoded, not the chunk: one
+// read may carry many complete pipelined requests, and only a partial
+// request past the cap is an oversized one. The buffer is therefore
+// bounded by the cap plus one read chunk.
 func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
 	if c.srv.codec == nil {
 		c.srv.handleRequest(c, chunk)
 		return false
 	}
-	if max := c.srv.opts.MaxRequestBytes; max > 0 && len(c.inbuf)+len(chunk) > max {
-		c.srv.trace.Record("communicator", "request cap exceeded on %d (%d bytes)",
-			c.handle, len(c.inbuf)+len(chunk))
-		c.teardown(ErrRequestTooLarge)
-		return false
-	}
 	c.inbuf = append(c.inbuf, chunk...)
 	pass := c.inbuf
-	if punted = c.decodeLoop(fast); !punted && len(c.inbuf) == 0 {
+	if c.decodeLoop(fast) {
+		return true
+	}
+	if len(c.inbuf) == 0 {
 		// Rewind onto the pass's start: the next chunk reuses the array
 		// instead of growing a fresh one past the consumed bytes.
 		c.inbuf = pass[:0]
+	} else if max := c.srv.opts.MaxRequestBytes; max > 0 && len(c.inbuf) > max {
+		c.srv.trace.Record("communicator", "request cap exceeded on %d (%d bytes)",
+			c.handle, len(c.inbuf))
+		c.teardown(ErrRequestTooLarge)
 	}
-	return punted
+	return false
 }
 
 // decodeLoop extracts and dispatches buffered requests until the buffer

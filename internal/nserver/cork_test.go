@@ -7,12 +7,8 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/options"
-	"repro/internal/reactor"
 )
 
 // The tests in this file pin the corked window (decodeLoop, uncork): a
@@ -37,17 +33,13 @@ func (corkCodec) Decode(buf []byte) (any, int, error) {
 //	get N      served inline: "R N " then an N-byte body of 'b' ending in a newline
 //	slow N     declined, so the queued Handle (corkApp) answers it
 //	close N    served inline by closing the connection
-//
-// parked records whether any request was served on a parked connection,
-// where the sink may split a write on its own.
-type corkHook struct{ parked atomic.Bool }
+type corkHook struct{}
 
 func (h *corkHook) serve(c *Conn, req any) bool {
 	verb, arg, _ := strings.Cut(req.(string), " ")
 	switch verb {
 	case "get":
 		n, _ := strconv.Atoi(arg)
-		h.parked.Store(h.parked.Load() || c.Parked())
 		c.BeginRequest()
 		_ = c.SendBuffers([]byte("R "+arg+" "), corkBody(n))
 		return true
@@ -73,30 +65,29 @@ func corkApp() App {
 	}}
 }
 
-// startCork starts a profiled server with the cork hook on the given
-// options and dials it.
-func startCork(t *testing.T, opts options.Options) (*Server, *corkHook, net.Conn) {
+// startCork starts a profiled server with the cork hook on sk's
+// transport and dials it.
+func startCork(t *testing.T, sk corkSink) (*Server, net.Conn) {
 	t.Helper()
-	if opts.EventDriven && !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+	opts := testOptions()
 	opts.Profiling = true
 	opts.WriteTimeout = 5 * time.Second
 	h := &corkHook{}
-	s, addr := startServer(t, Config{Options: opts, App: corkApp(), Codec: corkCodec{}, FastPath: h.serve})
+	s, addr := startServerOn(t, Config{Options: opts, App: corkApp(), Codec: corkCodec{}, FastPath: h.serve}, sk.wrapped)
 	c := dial(t, addr)
 	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
-	return s, h, c
+	return s, c
 }
 
-// corkSinks are the two write sinks a fast-served window can take.
-var corkSinks = []struct {
-	name string
-	opts func() options.Options
-}{
-	{"goroutine-blocking", testOptions},
-	{"polled-parking", edOptions},
+// corkSink is one of the two write sinks a fast-served window can take:
+// non-blocking with parking on a descriptor-exposing transport, blocking
+// on a wrapped one that hides its descriptor.
+type corkSink struct {
+	name    string
+	wrapped bool
 }
+
+var corkSinks = []corkSink{{"raw-parking", false}, {"wrapped-blocking", true}}
 
 // corkWindow renders pipelined request lines and the reply stream the hook
 // and corkApp answer them with, in order. The first declined request
@@ -159,7 +150,7 @@ func gets(n, size int) []string {
 func TestCorkOneWritePerWindow(t *testing.T) {
 	for _, sk := range corkSinks {
 		t.Run(sk.name, func(t *testing.T) {
-			s, _, c := startCork(t, sk.opts())
+			s, c := startCork(t, sk)
 			reqs := gets(16, 100)
 			for i := range reqs {
 				reqs[i] = "get " + strconv.Itoa(100+i)
@@ -188,7 +179,7 @@ func TestCorkOneWritePerWindow(t *testing.T) {
 func TestCorkFlushBeforePunt(t *testing.T) {
 	for _, sk := range corkSinks {
 		t.Run(sk.name, func(t *testing.T) {
-			_, _, c := startCork(t, sk.opts())
+			_, c := startCork(t, sk)
 			reqs := gets(8, 64)
 			reqs[4] = "slow 5"
 			wire, want := corkWindow(reqs...)
@@ -206,7 +197,7 @@ func TestCorkFlushBeforePunt(t *testing.T) {
 func TestCorkFlushBeforeDecodeTeardown(t *testing.T) {
 	for _, sk := range corkSinks {
 		t.Run(sk.name, func(t *testing.T) {
-			_, _, c := startCork(t, sk.opts())
+			_, c := startCork(t, sk)
 			wire, want := corkWindow(gets(3, 64)...)
 			if _, err := io.WriteString(c, wire+"!malformed\n"); err != nil {
 				t.Fatal(err)
@@ -223,7 +214,7 @@ func TestCorkFlushBeforeDecodeTeardown(t *testing.T) {
 func TestCorkFlushOnClose(t *testing.T) {
 	for _, sk := range corkSinks {
 		t.Run(sk.name, func(t *testing.T) {
-			_, _, c := startCork(t, sk.opts())
+			_, c := startCork(t, sk)
 			wire, want := corkWindow(gets(3, 64)...)
 			if _, err := io.WriteString(c, wire+"close 4\nget 64\nget 64\n"); err != nil {
 				t.Fatal(err)
@@ -237,9 +228,9 @@ func TestCorkFlushOnClose(t *testing.T) {
 // TestCorkGatherBounds guards the gathered write's bounds: a window whose
 // bodies exceed writeFlushChunk, and one with more than writeFlushSegs
 // segments, leave in several bounded writes, byte-exact. The blocking sink
-// writes each gather whole, so there its write count is exact; a parked
-// connection may split a gather further. An unbounded vector past IOV_MAX
-// fails writev(2) outright on the parking sink.
+// writes each gather whole, so there its write count is exact; the
+// non-blocking sink may split a gather further when the socket fills. An
+// unbounded vector past IOV_MAX fails writev(2) outright on that sink.
 func TestCorkGatherBounds(t *testing.T) {
 	for _, sk := range corkSinks {
 		for _, tc := range []struct {
@@ -255,7 +246,7 @@ func TestCorkGatherBounds(t *testing.T) {
 			}},
 		} {
 			t.Run(sk.name+"/"+tc.name, func(t *testing.T) {
-				s, h, c := startCork(t, sk.opts())
+				s, c := startCork(t, sk)
 				wire, want := corkWindow(tc.reqs...)
 				if _, err := io.WriteString(c, wire); err != nil {
 					t.Fatal(err)
@@ -267,8 +258,8 @@ func TestCorkGatherBounds(t *testing.T) {
 					return snap.RequestsServed == uint64(len(tc.reqs)) && snap.BytesSent == uint64(len(want))
 				})
 				got := s.Profile().Snapshot().ReplyWrites
-				if got < writes || (!h.parked.Load() && got != writes) {
-					t.Fatalf("ReplyWrites = %d, want %d (parked=%v)", got, writes, h.parked.Load())
+				if got < writes || (sk.wrapped && got != writes) {
+					t.Fatalf("ReplyWrites = %d, want %d (%s)", got, writes, sk.name)
 				}
 			})
 		}
@@ -282,7 +273,7 @@ func TestCorkGatherBounds(t *testing.T) {
 func TestCorkWindowSplitByRead(t *testing.T) {
 	for _, sk := range corkSinks {
 		t.Run(sk.name, func(t *testing.T) {
-			_, _, c := startCork(t, sk.opts())
+			_, c := startCork(t, sk)
 			wire, want := corkWindow(gets(4, 32)...)
 			if _, err := io.WriteString(c, wire+"get "); err != nil {
 				t.Fatal(err)

@@ -70,16 +70,13 @@ type Config struct {
 	// FastPath is the application's run-to-completion hook. It is not an
 	// option: whenever it is installed and the server has a codec (O3) and
 	// a separate worker pool (O2), each request decoded while the O9 gate
-	// is clear is offered to it inline, on whichever goroutine woke the
-	// connection — the shard poller for a parked connection (its replies
-	// go out non-blocking and residuals park on EPOLLOUT) or the
-	// connection's own reader goroutine (its replies block under the
-	// per-chunk write deadline). The hook must either serve the request
-	// completely and return true, or touch nothing and return false; a
-	// declined request, and the rest of the drain, is punted to the event
-	// queue and handled exactly as without the hook. It must not block on
-	// anything but the connection's own reply write, except that it may
-	// make one metadata syscall per revalidate window when !c.Parked().
+	// is clear is offered to it inline, on the connection's own reader
+	// goroutine. The hook must either serve the request completely and
+	// return true, or touch nothing and return false; a declined request,
+	// and the rest of the drain, is punted to the event queue and handled
+	// exactly as without the hook. It must not block on anything but the
+	// connection's own reply write, except that it may make one metadata
+	// syscall per revalidate window.
 	// A memory-only reply the hook sends may be deferred: while more
 	// requests are buffered behind the one it serves, the connection is
 	// corked, and the window's replies leave together in one gathered
@@ -119,12 +116,6 @@ type shard struct {
 	// shard reports teardown to: its own in SO_REUSEPORT mode, the
 	// shared fan-out acceptor otherwise.
 	acceptor *acceptor.Acceptor
-
-	// poller is the shard's kernel readiness poller (EventDriven on a
-	// supported platform; nil otherwise). Connections whose transport
-	// exposes a raw descriptor park here instead of holding a reader
-	// goroutine.
-	poller *reactor.Poller
 
 	// connK counts connections attached to this shard; conn IDs are
 	// strided (idx+1, idx+1+N, ...) so `c<conn>-r<req>` trace IDs stay
@@ -189,11 +180,6 @@ type Server struct {
 	stopped  atomic.Bool
 	acceptWG sync.WaitGroup
 
-	// eventDriven records whether the kernel-event read path is active:
-	// Options.EventDriven on a platform with a poller, with every shard's
-	// epoll instance successfully created.
-	eventDriven bool
-
 	// directDispatch records whether the run-to-completion fast path is
 	// active, decided from the configuration alone: a FastPath hook, a
 	// codec (the hook consumes decoded requests) and a separate worker
@@ -201,12 +187,6 @@ type Server struct {
 	directDispatch bool
 	fastPath       func(c *Conn, req any) bool
 }
-
-// eventDrivenSweep forces Options.EventDriven on at assembly time. It is
-// set by the NSERVER_EVENT_DRIVEN=1 environment variable so `make test`
-// can run the package suites over the kernel-event read path without
-// duplicating every test body.
-var eventDrivenSweep = os.Getenv("NSERVER_EVENT_DRIVEN") == "1"
 
 // adaptiveShedSweep forces Options.AdaptiveShed on for every server whose
 // option set already selects overload control, so `make test` can run the
@@ -232,9 +212,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("nserver: Codec supplied but O3 disables encoding/decoding")
 	}
 	o := cfg.Options
-	if eventDrivenSweep {
-		o.EventDriven = true
-	}
 	if adaptiveShedSweep && o.OverloadControl {
 		o.AdaptiveShed = true
 	}
@@ -362,34 +339,7 @@ func New(cfg Config) (*Server, error) {
 	s.timers = s.shards[0].timers
 	s.reactive = s.shards[0].reactive
 
-	// Kernel-event read path: one epoll instance per shard. If any shard's
-	// poller cannot be created (fd pressure, unsupported kernel), the whole
-	// server falls back to goroutine-per-connection reads — a half-polled
-	// runtime would split the read-timeout semantics across shards.
-	if o.EventDriven && reactor.PollerSupported {
-		s.eventDriven = true
-		for _, sh := range s.shards {
-			p, err := reactor.NewPoller()
-			if err != nil {
-				s.eventDriven = false
-				for _, prev := range s.shards {
-					if prev.poller != nil {
-						prev.poller.Close()
-						prev.poller = nil
-					}
-				}
-				break
-			}
-			profile := sh.profile
-			p.OnBatch = func(batch int, wait time.Duration) {
-				profile.ObservePollBatch(batch, wait)
-			}
-			sh.poller = p
-		}
-	}
-
-	// Run-to-completion fast path: active on every read path whenever its
-	// substrate is (see the directDispatch field doc).
+	// Run-to-completion fast path (see the directDispatch field doc).
 	s.fastPath = cfg.FastPath
 	s.directDispatch = s.fastPath != nil && s.codec != nil && o.SeparateThreadPool
 
@@ -606,38 +556,9 @@ func (s *Server) ActiveConns() int {
 	return total
 }
 
-// EventDriven reports whether the kernel-event read path is active
-// (Options.EventDriven on a platform with a poller). Individual
-// connections may still use the goroutine read path when their transport
-// exposes no raw descriptor.
-func (s *Server) EventDriven() bool { return s.eventDriven }
-
-// ParkedConns returns the number of connections currently resident in the
-// shard epoll tables — event-driven connections parked without a reader
-// goroutine. Always 0 when the event path is inactive.
-func (s *Server) ParkedConns() int {
-	total := 0
-	for _, sh := range s.shards {
-		if sh.poller != nil {
-			total += sh.poller.Len()
-		}
-	}
-	return total
-}
-
-// ShardParked returns the parked-connection count of one shard (0 for an
-// out-of-range index or a non-event-driven runtime).
-func (s *Server) ShardParked(i int) int {
-	if i < 0 || i >= len(s.shards) || s.shards[i].poller == nil {
-		return 0
-	}
-	return s.shards[i].poller.Len()
-}
-
 // ParkedWrites returns the number of connections with reply residuals
-// parked on their outbound queues — replies in flight on the EPOLLOUT
-// path with no worker goroutine attached. Always 0 when the event path
-// is inactive.
+// parked on their outbound queues — replies the write pump is finishing
+// on the netpoller, with no worker goroutine attached.
 func (s *Server) ParkedWrites() int {
 	total := 0
 	for _, sh := range s.shards {
@@ -817,31 +738,12 @@ func (s *Server) startRuntime() {
 	for _, sh := range s.shards {
 		sh.reactor.Run()
 	}
-	// The per-shard kernel drain loops: a readable edge wakes its
-	// connection (see Conn.wake); an EPOLLOUT edge — the socket drained
-	// below its buffer mark — queues the flush of parked outbound bytes.
-	for _, sh := range s.shards {
-		if sh.poller == nil {
-			continue
-		}
-		sh := sh
-		go sh.poller.Run(func(h reactor.Handle, prio events.Priority, writable bool) {
-			if writable {
-				_ = sh.reactor.Source().Emit(reactor.Ready{Type: reactor.WriteReady, Handle: h, Prio: prio})
-			} else if c := sh.conn(h); c != nil {
-				_ = c.wake()
-			}
-		})
-	}
 	// O7: the idle reaper exists only when selected. The same scavenger
 	// doubles as the slow-client reaper whenever a ReadTimeout bounds
 	// request assembly, so a slowloris peer that keeps refreshing its
-	// activity timestamp with one-byte reads still gets collected, and as
-	// the slow-reader reaper when WriteTimeout bounds parked outbound
-	// queues on the kernel-event write path. Each shard scavenges its own
-	// connection table.
-	if s.opts.ShutdownLongIdle || s.opts.ReadTimeout > 0 ||
-		(s.opts.WriteTimeout > 0 && s.eventDriven) {
+	// activity timestamp with one-byte reads still gets collected. Each
+	// shard scavenges its own connection table.
+	if s.opts.ShutdownLongIdle || s.opts.ReadTimeout > 0 {
 		for _, sh := range s.shards {
 			sh.reaperDone = make(chan struct{})
 			go s.reap(sh)
@@ -891,12 +793,6 @@ func (s *Server) Shutdown() {
 			c.teardown(nil)
 		}
 	}
-	// Stop the kernel drain loops once every connection has deregistered.
-	for _, sh := range s.shards {
-		if sh.poller != nil {
-			sh.poller.Close()
-		}
-	}
 	// Give teardown events a chance to be queued, then stop dispatch.
 	s.fileio.Stop()
 	for _, sh := range s.shards {
@@ -921,7 +817,9 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 		conn:   nc,
 		handle: sh.reactor.NewHandle(),
 		id:     (sh.connK.Add(1)-1)*uint64(len(s.shards)) + uint64(sh.idx) + 1,
+		raw:    rawConnOf(nc),
 	}
+	c.unparked.L = &c.writeMu
 	c.touch()
 	if s.priority != nil {
 		c.SetPriority(s.priority(c))
@@ -933,23 +831,7 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 	s.trace.Record("server", "communicator attached for %s (shard %d, handle %d, prio %d)",
 		nc.RemoteAddr(), sh.idx, c.handle, c.Priority())
 	s.app.OnConnect(c)
-	// Kernel-event read path: park the connection in the shard poller when
-	// the transport exposes a raw descriptor. Wrapped transports (faultnet,
-	// TLS-like decorators) fail the assertion inside pollAttach and fall
-	// back to the goroutine read path — per connection, not per server.
-	if s.eventDriven && c.pollAttach() {
-		return
-	}
 	go c.readLoop()
-}
-
-// conn returns the shard's connection for a handle (nil when already
-// detached).
-func (sh *shard) conn(h reactor.Handle) *Conn {
-	sh.mu.Lock()
-	c := sh.conns[h]
-	sh.mu.Unlock()
-	return c
 }
 
 // fastGateClear reports whether the O9 gate permits the fast path:
@@ -1072,21 +954,9 @@ func (s *Server) reap(sh *shard) {
 		idle = s.opts.IdleTimeout
 	}
 	slow := s.opts.ReadTimeout
-	// The slow-reader bound: on the kernel-event write path a parked
-	// outbound queue has no blocking write to deadline against, so the
-	// scavenger enforces WriteTimeout as a progress clock (see
-	// writeStalledFor). The blocking path arms real deadlines and needs
-	// no sweep.
-	stall := time.Duration(0)
-	if s.eventDriven {
-		stall = s.opts.WriteTimeout
-	}
 	interval := idle / 4
 	if slow > 0 && (interval <= 0 || slow/4 < interval) {
 		interval = slow / 4
-	}
-	if stall > 0 && (interval <= 0 || stall/4 < interval) {
-		interval = stall / 4
 	}
 	if interval <= 0 {
 		interval = time.Millisecond
@@ -1102,27 +972,11 @@ func (s *Server) reap(sh *shard) {
 		sh.mu.Lock()
 		idleVictims := make([]*Conn, 0)
 		slowVictims := make([]*Conn, 0)
-		stallVictims := make([]*Conn, 0)
 		for _, c := range sh.conns {
 			switch {
-			case stall > 0 && c.writeStalledFor(stall):
-				// A parked outbound queue that has not moved a progress
-				// quantum within WriteTimeout: the peer stopped reading
-				// (or trickles below the quantum rate) under an in-flight
-				// reply — the write-side slowloris.
-				stallVictims = append(stallVictims, c)
 			case idle > 0 && c.IdleFor() > idle:
 				idleVictims = append(idleVictims, c)
 			case slow > 0 && c.RequestPendingFor() > slow:
-				slowVictims = append(slowVictims, c)
-			case slow > 0 && c.polled.Load() && c.IdleFor() > slow && c.OutboundQueued() == 0:
-				// Event-driven connections carry no per-read deadline (a
-				// parked socket performs no read to deadline against), so
-				// the scavenger enforces the O7 ReadTimeout budget by
-				// sweeping the table — the same bound the goroutine path
-				// gets from SetReadDeadline. A connection with outbound
-				// bytes in flight is mid-reply, not idle: it answers to
-				// the WriteTimeout progress clock instead.
 				slowVictims = append(slowVictims, c)
 			}
 		}
@@ -1137,12 +991,6 @@ func (s *Server) reap(sh *shard) {
 				c.handle, c.RequestPendingFor())
 			sh.profile.IdleShutdown()
 			c.teardown(ErrSlowClient)
-		}
-		for _, c := range stallVictims {
-			s.trace.Record("server", "slow-reader shutdown of handle %d (%d outbound bytes stalled)",
-				c.handle, c.OutboundQueued())
-			sh.profile.IdleShutdown()
-			c.teardown(ErrSlowReader)
 		}
 	}
 }

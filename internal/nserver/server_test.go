@@ -63,6 +63,13 @@ func echoApp() App {
 // its address.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
+	return startServerOn(t, cfg, false)
+}
+
+// startServerOn is startServer with every accepted transport wrapped in
+// an opaqueConn when wrapped is set.
+func startServerOn(t *testing.T, cfg Config, wrapped bool) (*Server, string) {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,11 +78,43 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(ln); err != nil {
+	var sl net.Listener = ln
+	if wrapped {
+		sl = opaqueListener{ln}
+	}
+	if err := s.Start(sl); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Shutdown)
 	return s, ln.Addr().String()
+}
+
+// opaqueConn hides the transport's raw descriptor, modelling faultnet and
+// TLS-like decorators: it embeds the net.Conn interface, so it does not
+// implement syscall.Conn, and the connection reads and writes through the
+// portable blocking calls.
+type opaqueConn struct{ net.Conn }
+
+// opaqueListener wraps every accepted transport in an opaqueConn.
+type opaqueListener struct{ net.Listener }
+
+func (l opaqueListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return opaqueConn{Conn: c}, nil
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func dial(t *testing.T, addr string) net.Conn {

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/reactor"
 )
 
 // bufLineCodec extends the line codec with the BufferEncoder head render
@@ -51,11 +49,9 @@ func bigReplyApp(n int) App {
 }
 
 func TestParkedWriteDrainsWhenReaderCatchesUp(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+	skipWithoutParking(t)
 	const bodyLen = 6 << 20 // over any sndbuf+rcvbuf absorb, under the 8 MB cap
-	o := edOptions()
+	o := testOptions()
 	o.Profiling = true
 	s, addr := startServer(t, Config{Options: o, App: bigReplyApp(bodyLen), Codec: lineCodec{}})
 	c := slowClient(t, addr)
@@ -94,12 +90,10 @@ func TestParkedWriteDrainsWhenReaderCatchesUp(t *testing.T) {
 }
 
 func TestParkedWriteGracefulClose(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+	skipWithoutParking(t)
 	const bodyLen = 6 << 20
 	body := strings.Repeat("b", bodyLen)
-	o := edOptions()
+	o := testOptions()
 	app := AppFuncs{
 		Request: func(c *Conn, req any) {
 			_ = c.Reply(body)
@@ -129,11 +123,9 @@ func TestParkedWriteGracefulClose(t *testing.T) {
 }
 
 func TestParkedWriteOverflowSheds(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+	skipWithoutParking(t)
 	const bodyLen = 2 << 20
-	o := edOptions()
+	o := testOptions()
 	o.Profiling = true
 	s, addr := startServer(t, Config{Options: o, App: bigReplyApp(bodyLen), Codec: lineCodec{}})
 	c := slowClient(t, addr)
@@ -155,35 +147,44 @@ func TestParkedWriteOverflowSheds(t *testing.T) {
 	}
 }
 
+// TestParkedWriteSlowReaderReaped: a parked reply answers to the same
+// per-chunk WriteTimeout as every blocking write. A peer that reads
+// nothing fails the write pump's next deadline, and the connection is
+// torn down with the deadline as its cause.
 func TestParkedWriteSlowReaderReaped(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+	skipWithoutParking(t)
 	const bodyLen = 6 << 20
-	o := edOptions()
+	o := testOptions()
 	o.WriteTimeout = 80 * time.Millisecond
-	o.Profiling = true
-	s, addr := startServer(t, Config{Options: o, App: bigReplyApp(bodyLen), Codec: lineCodec{}})
+	closed := make(chan error, 1)
+	app := AppFuncs{
+		Request: func(c *Conn, req any) { _ = c.Reply(strings.Repeat("a", bodyLen)) },
+		Close:   func(c *Conn, err error) { closed <- err },
+	}
+	s, addr := startServer(t, Config{Options: o, App: app, Codec: lineCodec{}})
 	c := slowClient(t, addr)
 	if _, err := c.Write([]byte("go\n")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "reply to park", func() bool { return s.ParkedWrites() == 1 })
-	// Read nothing: the progress clock never refreshes, so the scavenger
-	// must reap the connection within the WriteTimeout budget.
-	waitFor(t, "slow reader to be reaped", func() bool { return s.ActiveConns() == 0 })
-	if s.Profile().Snapshot().IdleShutdowns == 0 {
-		t.Error("slow-reader reap not counted as an idle/slow shutdown")
+	// Read nothing: the pump's blocking write must hit its deadline.
+	select {
+	case err := <-closed:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("slow reader torn down with %v, want the write deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow reader never torn down")
 	}
-	if s.ParkedWrites() != 0 {
-		t.Fatalf("ParkedWrites = %d after reap, want 0", s.ParkedWrites())
+	waitFor(t, "conn table to drain", func() bool { return s.ActiveConns() == 0 })
+	if s.ParkedWrites() != 0 || s.OutboundQueuedBytes() != 0 {
+		t.Fatalf("queue accounting leaked after teardown: conns=%d bytes=%d",
+			s.ParkedWrites(), s.OutboundQueuedBytes())
 	}
 }
 
 func TestParkedWriteReplyFileDrains(t *testing.T) {
-	if !reactor.PollerSupported {
-		t.Skip("no kernel poller on this platform")
-	}
+	skipWithoutParking(t)
 	// A file reply larger than the memory cap: the residual parks as a
 	// descriptor + offset, so it must NOT trip the 8 MB in-memory cap.
 	const fileLen = 12 << 20
@@ -194,7 +195,7 @@ func TestParkedWriteReplyFileDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := fmt.Sprintf("FILE %d\n", fileLen)
-	o := edOptions()
+	o := testOptions()
 	o.Profiling = true
 	app := AppFuncs{
 		Request: func(c *Conn, req any) {

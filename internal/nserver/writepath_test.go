@@ -9,16 +9,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/options"
-	"repro/internal/reactor"
 )
 
 // mixedReplyApp answers each request line through a different entry of
@@ -74,18 +71,16 @@ func mixedReplyApp(t *testing.T, path string) App {
 // range over streamChunkSize from a non-zero offset, a zero-length file
 // range, an empty Send — at a reader that is not reading, then reads it.
 // Every sink must deliver it byte-exact and in order, and account for it
-// identically: the blocking sink of a goroutine-path connection (with the
-// write deadline re-armed per chunk), the blocking sink of an fd-hiding
-// transport on an event-driven server, and the non-blocking sink of a
-// parked connection, where the replies park and drain on EPOLLOUT.
+// identically: the non-blocking sink of a descriptor-exposing connection,
+// where the replies park and the write pump drains them with blocking
+// writes under the per-chunk write deadline, and the blocking sink of a
+// wrapped transport that hides its descriptor.
 //
-// The fast variants serve the stream through a FastPath hook instead, so
-// it arrives as one corked window. On the goroutine path the hook serves
-// every request: the file range flushes the corked replies ahead of it.
-// On a parked connection it declines the file ranges (the poller makes no
-// filesystem call), so the cork lifts before the punt with 4 MiB queued:
-// the gathered write hits EAGAIN, the rest of the window parks, and it
-// drains on EPOLLOUT ahead of the queued replies.
+// The fast variant serves the stream through a FastPath hook instead, so
+// it arrives as one corked window: the file range flushes the corked
+// replies ahead of it with 4 MiB queued, the gathered write hits EAGAIN,
+// the rest of the window parks, and the replies the hook serves after it
+// queue behind the parked ones.
 func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 	const fileLen = 3 << 20
 	// Aperiodic bytes: a chunk re-sent from the wrong offset cannot
@@ -116,58 +111,34 @@ func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 		return o
 	}
 	for _, tc := range []struct {
-		name   string
-		opts   options.Options
-		opaque bool
-		parks  bool
-		fast   bool
+		name    string
+		wrapped bool
+		fast    bool
 	}{
-		{name: "goroutine-blocking", opts: withTimeout(testOptions())},
-		{name: "opaque-blocking", opts: withTimeout(edOptions()), opaque: true},
-		{name: "polled-parking", opts: withTimeout(edOptions()), parks: true},
-		{name: "goroutine-blocking-fast", opts: withTimeout(testOptions()), fast: true},
-		{name: "polled-parking-fast", opts: withTimeout(edOptions()), parks: true, fast: true},
+		{name: "raw-parking"},
+		{name: "raw-parking-fast", fast: true},
+		{name: "wrapped-blocking", wrapped: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.opts.EventDriven && !reactor.PollerSupported {
-				t.Skip("no kernel poller on this platform")
+			parks := !tc.wrapped
+			if parks {
+				skipWithoutParking(t)
 			}
 			app := mixedReplyApp(t, path)
-			cfg := Config{Options: tc.opts, App: app, Codec: bufLineCodec{}}
-			var parked atomic.Bool
+			cfg := Config{Options: withTimeout(testOptions()), App: app, Codec: bufLineCodec{}}
 			if tc.fast {
 				cfg.FastPath = func(c *Conn, req any) bool {
-					parked.Store(c.Parked())
-					if c.Parked() && strings.HasPrefix(req.(string), "file") {
-						return false
-					}
 					c.BeginRequest()
 					app.Handle(c, req)
 					return true
 				}
 			}
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sl net.Listener = ln
-			if tc.opaque {
-				sl = opaqueListener{ln}
-			}
-			if err := s.Start(sl); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(s.Shutdown)
-
-			c := slowClient(t, ln.Addr().String())
+			s, addr := startServerOn(t, cfg, tc.wrapped)
+			c := slowClient(t, addr)
 			if _, err := c.Write([]byte(requests)); err != nil {
 				t.Fatal(err)
 			}
-			if tc.parks {
+			if parks {
 				waitFor(t, "replies to park", func() bool { return s.ParkedWrites() == 1 })
 			} else {
 				time.Sleep(100 * time.Millisecond)
@@ -187,8 +158,8 @@ func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 			if snap.BytesStreamed != flen {
 				t.Fatalf("BytesStreamed = %d, want %d", snap.BytesStreamed, flen)
 			}
-			if inline := map[bool]uint64{false: 7, true: 3}[parked.Load()]; tc.fast && snap.DirectDispatched != inline {
-				t.Fatalf("DirectDispatched = %d, want %d served inline", snap.DirectDispatched, inline)
+			if tc.fast && snap.DirectDispatched != 7 {
+				t.Fatalf("DirectDispatched = %d, want all 7 served inline", snap.DirectDispatched)
 			}
 			if s.ParkedWrites() != 0 || s.OutboundQueuedBytes() != 0 {
 				t.Fatalf("queue not empty after the stream: conns=%d bytes=%d",
@@ -216,11 +187,9 @@ func firstDiff(a, b []byte) int {
 // for them — then resets the peer, and checks both are released exactly
 // once: bufpool panics on a double release, and no descriptor of the
 // file may survive the connection. Run it under -race: the reset's
-// teardown, the EPOLLOUT flush and finalize all touch the queue.
+// teardown, the write pump and finalize all touch the queue.
 func TestParkedTeardownReleasesOwnedResources(t *testing.T) {
-	if !reactor.PollerSupported || runtime.GOOS != "linux" {
-		t.Skip("no kernel poller on this platform")
-	}
+	skipWithoutParking(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const fileLen = 12 << 20
 	path := filepath.Join(t.TempDir(), "parked.bin")
@@ -243,7 +212,7 @@ func TestParkedTeardownReleasesOwnedResources(t *testing.T) {
 		},
 		Close: func(c *Conn, err error) { closed <- err },
 	}
-	s, addr := startServer(t, Config{Options: edOptions(), App: app, Codec: bufLineCodec{}})
+	s, addr := startServer(t, Config{Options: testOptions(), App: app, Codec: bufLineCodec{}})
 	c := slowClient(t, addr)
 	if _, err := c.Write([]byte("go\n")); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/profiling"
-	"repro/internal/reactor"
 )
 
 // This file is the connection's one write path (the read half is drain
@@ -18,50 +17,42 @@ import (
 // send, which appends it to the connection's outbound queue, outq, and
 // runs flush, the one loop that moves reply bytes. flush gathers the
 // memory segments of consecutive queued items into one vectored write and
-// streams a file range after its item's memory. It does not know whether
-// the connection blocks or parks; it writes through the connection's sink
-// (writev, sendChunk), and that is the only difference:
+// streams a file range after its item's memory. It does not know how the
+// bytes leave; it writes through the connection's sink (writev,
+// sendChunk), and the sink is chosen by whether the transport exposes its
+// descriptor (syscall.Conn):
 //
-//   - A connection parked in the shard poller writes non-blocking. When
-//     the socket buffer fills, the sink reports again: the rest of the
-//     queue parks (see park), EPOLLOUT is armed and the worker returns to
-//     the pool. writePump runs the same flush over the queue on
-//     writability, behind wgate — the reactor.DrainGate the read side's
-//     rgate also is — so an edge is never lost and two flushes never
-//     overlap.
-//   - Any other connection (goroutine read path, fd-hiding wrapper,
-//     non-Linux) writes blocking, under a write deadline armed per bounded
-//     chunk. Its sink never reports again, so nothing ever parks.
+//   - On a descriptor-exposing connection, every flush of an unparked
+//     queue writes non-blocking, whichever goroutine sends. When the
+//     socket buffer fills, the sink reports again: the rest of the queue
+//     parks (see park) and the sender returns. The parking goroutine
+//     starts writePump, which exists only while a queue is parked: it
+//     runs the same flush with the blocking sink on Go's netpoller, and
+//     drops writeMu across each blocking write, so senders keep appending
+//     behind the parked queue. wgate — the reactor.DrainGate the read
+//     side's rgate also is — elects the one pump, so a park is never lost
+//     and two pumps never overlap.
+//   - A transport that hides its descriptor (faultnet, wrappers, non-Linux)
+//     writes blocking from the sender. Its sink never reports again, so
+//     nothing ever parks.
+//
+// The blocking sink arms the write deadline per bounded chunk, so
+// WriteTimeout means the same for every write: a stall bound, not a
+// transfer cap. A peer that stops reading a parked reply fails the pump's
+// next deadline, while a slow-but-progressing one may take as long as it
+// needs.
 //
 // While the drain serves a pipelined window on the fast path the
 // connection is corked (see decodeLoop): a memory-only reply is queued
 // instead of written, and uncork sends the whole window with one gathered
 // write when the window's buffered requests run out. A corked item is
-// not parked — no EPOLLOUT, no queue gauges, no stall clock — and it is
-// never held across a read.
-//
-// O7's WriteTimeout means the same on both sinks: a stall bound, not a
-// transfer cap. The blocking sink re-arms the deadline per chunk; a
-// parked queue has no blocking write to deadline against, so the
-// scavenger reaps one that fails to move a full progress quantum within
-// WriteTimeout (the slowloris-on-write defense), while a
-// slow-but-progressing reader may take as long as it needs.
-
-// ErrSlowReader tears down a connection whose parked outbound queue
-// failed to drain a progress quantum within WriteTimeout.
-var ErrSlowReader = errors.New("nserver: outbound flush exceeded WriteTimeout")
+// not parked — no pump, no queue gauges — and it is never held across a
+// read.
 
 // ErrOutboundOverflow tears down a connection whose parked replies would
 // exceed the per-connection outbound memory cap: a reader this far
 // behind a pipelined producer is shed, not buffered without bound.
 var ErrOutboundOverflow = errors.New("nserver: outbound queue exceeds memory cap")
-
-// WriteProgressQuantum is the drain progress the scavenger demands per
-// WriteTimeout window on a parked connection. Refreshing the stall clock
-// on any byte would let a peer reading one byte per window hold a large
-// reply open forever — the bug this path exists to close — so the clock
-// only refreshes when a full quantum has moved.
-const WriteProgressQuantum = 64 << 10
 
 // maxOutboundBytes caps the in-memory bytes (head remainders + retained
 // bodies) parked on one connection. File residuals are not memory and do
@@ -134,9 +125,9 @@ func (c *Conn) OutboundQueued() int64 { return c.outPending.Load() }
 
 // send is the Send Reply step every reply takes. Under writeMu it
 // appends the item to outq and flushes the queue until it is sent, the
-// write fails (the connection is torn down) or a parking connection's
-// socket fills (the rest parks and send returns nil: the bytes are
-// committed and will drain in order). Two cases only queue: behind
+// write fails (the connection is torn down) or a non-blocking attempt
+// finds the socket full (the rest parks and send returns nil: the bytes
+// are committed and will drain in order). Two cases only queue: behind
 // anything parked, a reply parks unconditionally, and on a corked
 // connection a memory-only reply waits for uncork. A file range flushes
 // the corked replies ahead of it. Queue order is wire order either way.
@@ -161,8 +152,8 @@ func (c *Conn) send(it outItem) error {
 	return c.flushLocked()
 }
 
-// queueParked reports whether outq waits on EPOLLOUT. Items park as a
-// whole queue, so the front decides; an empty queue or one holding
+// queueParked reports whether outq waits on the write pump. Items park
+// as a whole queue, so the front decides; an empty queue or one holding
 // corked replies is not parked. Called under writeMu.
 func (c *Conn) queueParked() bool { return len(c.outq) > 0 && c.outq[0].parkedAt != 0 }
 
@@ -189,7 +180,8 @@ func (c *Conn) flushLocked() error {
 // once it is sent, until the queue is empty, the sink reports again (the
 // items keep their unsent rest) or a write fails. A parked item's
 // descriptor closes and its park-to-flushed latency is recorded as it
-// leaves. Called under writeMu.
+// leaves. Called under writeMu; the pump's sink drops it across each
+// write, so items are addressed by index, never by a held pointer.
 func (c *Conn) flush() (again bool, err error) {
 	parked := c.queueParked()
 	sent := 0
@@ -213,9 +205,9 @@ func (c *Conn) flush() (again bool, err error) {
 		case it.remaining > 0:
 			var n int
 			var via bool
-			n, again, via, err = c.sendChunk(it)
+			n, again, via, err = c.sendChunk(sent)
 			if n > 0 {
-				it.remaining -= int64(n)
+				c.outq[sent].remaining -= int64(n)
 				c.noteSent(n, false, parked)
 				c.sh.profile.BytesStreamed(n)
 				if via {
@@ -280,9 +272,8 @@ fill:
 }
 
 // noteSent accounts n bytes the sink accepted in one write: the O11 byte
-// counter and the activity stamp always; for a parked queue also the
-// queue gauges and the O7 progress clock, which refreshes only per full
-// quantum. Called under writeMu.
+// counter and the activity stamp always, and for a parked queue the
+// queue gauges. Called under writeMu.
 func (c *Conn) noteSent(n int, mem, parked bool) {
 	c.sh.profile.BytesSent(n)
 	c.touch()
@@ -293,62 +284,60 @@ func (c *Conn) noteSent(n int, mem, parked bool) {
 		c.outMem.Add(-int64(n))
 	}
 	c.outPending.Add(-int64(n))
-	c.outProgress += int64(n)
-	if c.outProgress >= WriteProgressQuantum {
-		c.outProgress = 0
-		c.outStamp.Store(time.Now().UnixNano())
-	}
 }
 
-// writev is the sink's vectored write of want bytes in segs. A parking
-// connection takes one non-blocking writev(2); a full socket buffer —
-// EAGAIN, or a short count, which writev reports without EAGAIN — comes
-// back as again. Any other connection blocks under a freshly armed write
-// deadline, and a short count without an error is io.ErrShortWrite: the
-// rest of the reply must never silently vanish from the wire. Called
-// under writeMu.
+// nonblocking reports whether the sink writes non-blocking: on a
+// descriptor-exposing connection, for every flush but the pump's.
+// Called under writeMu.
+func (c *Conn) nonblocking() bool { return c.raw != nil && !c.pumping }
+
+// writev is the sink's vectored write of want bytes in segs. A
+// non-blocking attempt is one writev(2); a full socket buffer — EAGAIN,
+// or a short count, which writev reports without EAGAIN — comes back as
+// again. A blocking write runs under a freshly armed write deadline, and
+// a short count without an error is io.ErrShortWrite: the rest of the
+// reply must never silently vanish from the wire. Called under writeMu.
 func (c *Conn) writev(segs [][]byte, want int) (n int, again bool, err error) {
-	if c.polled.Load() {
-		n, again, err = reactor.NonblockWritev(c.raw, segs)
+	if c.nonblocking() {
+		n, again, err = nonblockWritev(c.raw, segs)
 		return n, again || (err == nil && n < want), err
 	}
 	c.armWriteDeadline()
 	// The net.Buffers header lives on the connection: one on the stack
 	// escapes into WriteTo and allocates per write.
 	c.wbufs = segs
+	c.pumpUnlock()
 	wn, err := c.wbufs.WriteTo(c.conn)
+	c.pumpRelock()
 	if err == nil && wn < int64(want) {
 		err = io.ErrShortWrite
 	}
 	return int(wn), false, err
 }
 
-// sendChunk is the sink's file step: up to streamChunkSize bytes of the
-// item's range, by sendfile(2) where the transport allows it and a pooled
-// copy otherwise (via reports which), advancing it.off. A parking
-// connection moves them non-blocking from the explicit offset; any other
-// connection seeks the file there and blocks under a write deadline armed
-// for the chunk. n == 0 with neither error nor again means the file ended.
+// sendChunk is the sink's file step for outq[i]: up to streamChunkSize
+// bytes of its range, by sendfile(2) where the transport allows it and a
+// pooled copy otherwise (via reports which), advancing its offset. A
+// non-blocking attempt moves them from the explicit offset; a blocking
+// write seeks the file there and runs under a write deadline armed for
+// the chunk. n == 0 with neither error nor again means the file ended.
 // Called under writeMu.
-func (c *Conn) sendChunk(it *outItem) (n int, again, via bool, err error) {
-	chunk := it.remaining
-	if chunk > streamChunkSize {
-		chunk = streamChunkSize
-	}
-	if c.polled.Load() {
-		// A local offset: handing out &it.off would move every reply's
-		// item to the heap, since send's item lives on its stack.
-		off := it.off
-		n, again, via, err = nonblockSendfile(c.raw, it.file, &off, int(chunk))
-		it.off = off
+func (c *Conn) sendChunk(i int) (n int, again, via bool, err error) {
+	file, off := c.outq[i].file, c.outq[i].off
+	chunk := min(c.outq[i].remaining, streamChunkSize)
+	if c.nonblocking() {
+		n, again, via, err = nonblockSendfile(c.raw, file, &off, int(chunk))
+		c.outq[i].off = off
 		return n, again, via, err
 	}
-	if _, err = it.file.Seek(it.off, io.SeekStart); err != nil {
+	if _, err = file.Seek(off, io.SeekStart); err != nil {
 		return 0, false, false, err
 	}
 	c.armWriteDeadline()
-	wn, via, err := sendFileChunk(c.conn, it.file, chunk)
-	it.off += wn
+	c.pumpUnlock()
+	wn, via, err := sendFileChunk(c.conn, file, chunk)
+	c.pumpRelock()
+	c.outq[i].off += wn
 	return int(wn), false, via, err
 }
 
@@ -360,13 +349,28 @@ func (c *Conn) armWriteDeadline() {
 	}
 }
 
+// pumpUnlock drops writeMu across the pump's blocking write, so senders
+// append behind the parked queue meanwhile instead of waiting on the
+// peer; a sender's own blocking write keeps it. pumpRelock takes it back.
+func (c *Conn) pumpUnlock() {
+	if c.pumping {
+		c.writeMu.Unlock()
+	}
+}
+
+func (c *Conn) pumpRelock() {
+	if c.pumping {
+		c.writeMu.Lock()
+	}
+}
+
 // park hands the queue's unparked tail — the item send could not finish,
-// and any corked replies ahead of it — to EPOLLOUT; writePump flushes it
-// from there. The queue takes ownership: each head remainder moves into a
-// pooled lease (see own), a body is retained by reference, and a file
-// range keeps its own dup of the descriptor (the caller closes src as soon
-// as ReplyFile returns). In-memory bytes are capped per connection.
-// Called under writeMu on a parking connection.
+// and any corked replies ahead of it — to the write pump, starting the
+// pump when the queue was not parked before. The queue takes ownership:
+// each head remainder moves into a pooled lease (see own), a body is
+// retained by reference, and a file range keeps its own dup of the
+// descriptor (the caller closes src as soon as ReplyFile returns).
+// In-memory bytes are capped per connection. Called under writeMu.
 func (c *Conn) park() error {
 	first := len(c.outq)
 	for first > 0 && c.outq[first-1].parkedAt == 0 {
@@ -402,25 +406,16 @@ func (c *Conn) park() error {
 		it.own()
 		it.parkedAt = now
 	}
-	if first == 0 {
-		// Start the O7 progress clock the moment the queue parks; the
-		// scavenger reads it against WriteTimeout.
-		c.outProgress = 0
-		c.outStamp.Store(now)
-	}
 	c.outMem.Add(mem)
 	c.outPending.Add(mem + files)
-	if err := c.sh.poller.ArmWrite(c.fd); err != nil && !c.closed.Load() {
-		// The poller refused (closing shard / raced teardown): nothing
-		// will ever drain this queue, so fail the connection now.
-		c.failOutboundLocked(err)
-		return err
-	}
 	if c.closed.Load() {
 		// A teardown raced the park; it cannot see items added after its
 		// sweep, so free them here under the same lock.
 		c.freeOutboundLocked()
 		return ErrConnClosed
+	}
+	if first == 0 && c.wgate.Claim() {
+		go c.writePump()
 	}
 	return nil
 }
@@ -447,17 +442,14 @@ func (c *Conn) uncork() {
 	}
 }
 
-// writePump handles one WriteReady event (an EPOLLOUT edge): it claims
-// wgate and runs flush over the parked queue, FIFO, until the queue
-// empties or the socket fills again. The flush runs under writeMu, so it
-// serializes against writers appending behind it.
+// writePump is the goroutine park starts, holding wgate: it flushes the
+// parked queue with the blocking sink until the queue empties or the
+// connection is torn down, then wakes readLoop and exits, going around
+// again when a park landed between its last pass and the gate's release.
 func (c *Conn) writePump() {
-	if !c.wgate.Claim() {
-		return
-	}
 	for {
 		c.writeMu.Lock()
-		closeNow := c.flushQueueLocked()
+		closeNow := c.pumpQueueLocked()
 		c.writeMu.Unlock()
 		if closeNow {
 			c.teardown(nil)
@@ -468,30 +460,41 @@ func (c *Conn) writePump() {
 	}
 }
 
-// flushQueueLocked flushes the parked queue in order. An emptied queue
-// drops EPOLLOUT interest (idempotent) and reports whether a Close that
-// was waiting on it is now due. Corked replies are not its to send: a
-// stale edge leaves them to the drain's uncork. Called under writeMu.
-func (c *Conn) flushQueueLocked() (closeNow bool) {
-	if len(c.outq) > 0 && !c.queueParked() {
-		return false
+// pumpQueueLocked is one pump pass over a parked queue. An emptied queue
+// clears the write deadline the pump armed, so the next non-blocking
+// attempt does not trip over it, and reports whether a Close waiting on
+// the queue is now due. Called under writeMu.
+func (c *Conn) pumpQueueLocked() (closeNow bool) {
+	defer c.unparked.Broadcast()
+	if !c.closed.Load() && c.queueParked() {
+		c.pumping = true
+		_, err := c.flush()
+		c.pumping = false
+		if err != nil {
+			c.failOutboundLocked(err)
+		}
 	}
 	if c.closed.Load() {
 		c.freeOutboundLocked()
 		return false
 	}
-	again, err := c.flush()
-	if err != nil {
-		c.failOutboundLocked(err)
+	if len(c.outq) > 0 {
 		return false
 	}
-	if again || c.closed.Load() {
-		return false
+	if c.srv.opts.WriteTimeout > 0 {
+		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
-	c.outStamp.Store(0)
-	c.outProgress = 0
-	_ = c.sh.poller.DisarmWrite(c.fd)
 	return c.closeAfterFlush
+}
+
+// awaitUnparked holds readLoop while the outbound queue is parked: the
+// pump wakes it once the queue empties or the connection is torn down.
+func (c *Conn) awaitUnparked() {
+	c.writeMu.Lock()
+	for c.queueParked() && !c.closed.Load() {
+		c.unparked.Wait()
+	}
+	c.writeMu.Unlock()
 }
 
 // failOutboundLocked tears the connection down mid-reply: a reply head is
@@ -504,8 +507,13 @@ func (c *Conn) failOutboundLocked(err error) {
 
 // freeOutboundLocked releases every queued item's pooled lease and a
 // parked item's dup'd descriptor (a borrowed one is the caller's), and
-// empties the queue. Called under writeMu.
+// empties the queue. While the pump is mid-write it leaves the queue to
+// the pump, which frees it once the write returns on the closed
+// transport. Called under writeMu.
 func (c *Conn) freeOutboundLocked() {
+	if c.pumping {
+		return
+	}
 	for i := range c.outq {
 		it := &c.outq[i]
 		if it.headLease != nil {
@@ -519,24 +527,16 @@ func (c *Conn) freeOutboundLocked() {
 	c.outq = c.outq[:0]
 	c.outMem.Store(0)
 	c.outPending.Store(0)
-	c.outStamp.Store(0)
-	c.outProgress = 0
 }
 
-// freeOutbound is the unlocked form, run by finalize on the event path.
+// freeOutbound is the unlocked form, run by finalize on the event path:
+// it waits out a pump write in flight, so the queue's leases and
+// descriptors are gone before OnClose runs.
 func (c *Conn) freeOutbound() {
 	c.writeMu.Lock()
+	for c.pumping {
+		c.unparked.Wait()
+	}
 	c.freeOutboundLocked()
 	c.writeMu.Unlock()
-}
-
-// writeStalledFor reports whether the connection's outbound queue is
-// non-empty and has not moved a progress quantum for longer than wt —
-// the scavenger's slow-reader victim test.
-func (c *Conn) writeStalledFor(wt time.Duration) bool {
-	if c.outPending.Load() <= 0 {
-		return false
-	}
-	st := c.outStamp.Load()
-	return st > 0 && time.Now().UnixNano()-st > int64(wt)
 }

@@ -32,7 +32,6 @@ type fileForm struct {
 	HighWatermark      int    `json:"high_watermark,omitempty"`
 	LowWatermark       int    `json:"low_watermark,omitempty"`
 	MaxConnections     int    `json:"max_connections,omitempty"`
-	EventDriven        bool   `json:"event_driven,omitempty"`
 	Mode               string `json:"mode"`
 	Profiling          bool   `json:"profiling"`
 	Logging            bool   `json:"logging"`
@@ -61,7 +60,6 @@ func (o Options) MarshalJSON() ([]byte, error) {
 		HighWatermark:      o.HighWatermark,
 		LowWatermark:       o.LowWatermark,
 		MaxConnections:     o.MaxConnections,
-		EventDriven:        o.EventDriven,
 		Mode:               o.Mode.String(),
 		Profiling:          o.Profiling,
 		Logging:            o.Logging,
@@ -96,7 +94,6 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 		HighWatermark:      f.HighWatermark,
 		LowWatermark:       f.LowWatermark,
 		MaxConnections:     f.MaxConnections,
-		EventDriven:        f.EventDriven,
 		Profiling:          f.Profiling,
 		Logging:            f.Logging,
 	}

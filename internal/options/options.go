@@ -316,14 +316,6 @@ type Options struct {
 	// paper's single-reactor runtime exactly. Negative is invalid.
 	Shards int
 
-	// EventDriven selects the kernel-event read path: each shard owns an
-	// edge-triggered epoll descriptor and parks idle connections in a flat
-	// fd table instead of a blocked reader goroutine (Linux; other
-	// platforms, and transports that do not expose a raw descriptor, fall
-	// back to the goroutine-per-connection read path per connection).
-	// False reproduces the paper's blocking-read runtime exactly.
-	EventDriven bool
-
 	// O10: generation mode.
 	Mode Mode
 
@@ -545,14 +537,6 @@ func (o Options) WithLargeFiles(threshold int64) Options {
 // (0 resolves to one shard per processor at assembly time).
 func (o Options) WithShards(n int) Options {
 	o.Shards = n
-	return o
-}
-
-// WithEventDriven returns a copy of o with the kernel-event read path
-// selected (edge-triggered epoll per shard on Linux; elsewhere the option
-// is accepted and the runtime falls back to goroutine-per-conn reads).
-func (o Options) WithEventDriven(on bool) Options {
-	o.EventDriven = on
 	return o
 }
 

@@ -18,7 +18,6 @@ type Source interface {
 	Enabled() bool
 	Snapshot() Snapshot
 	StageSnapshot(Stage) HistogramSnapshot
-	PollSnapshot() PollSnapshot
 	FlushSnapshot() HistogramSnapshot
 }
 

@@ -46,13 +46,9 @@ type Profile struct {
 	// (see histogram.go): the five Fig. 1 steps plus queue wait and AIO
 	// completion latency.
 	stages [NumStages]Histogram
-	// Kernel poller quantities (EventDriven runtimes, see poll.go):
-	// ready-batch sizes per epoll_wait wakeup and time blocked waiting.
-	pollBatch SizeHistogram
-	pollWait  Histogram
-	// EPOLLOUT write path quantities: connections shed because their
-	// parked outbound queue hit the memory cap, and the park-to-flushed
-	// latency of each parked reply residual.
+	// Parked write quantities: connections shed because their parked
+	// outbound queue hit the memory cap, and the park-to-flushed latency
+	// of each parked reply residual.
 	outboundShed atomic.Uint64
 	flushLatency Histogram
 	// directDispatched counts requests the FastPath hook served
@@ -212,7 +208,7 @@ func (p *Profile) OutboundShed() {
 }
 
 // ObserveFlush records one parked reply residual's park-to-flushed
-// latency (how long the EPOLLOUT path took to drain it end to end).
+// latency (how long the write pump took to drain it end to end).
 func (p *Profile) ObserveFlush(d time.Duration) {
 	if p != nil {
 		p.flushLatency.Observe(d)

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // DrainGate is the oneshot/re-arm CAS machine every connection drain
 // shares. A wakeup that lands while a drain is already running must not
-// be dropped (an edge-triggered kernel will not repeat it) and must not
-// start a concurrent drain (the source is being consumed). The gate
+// be dropped (nothing will repeat it) and must not start a concurrent
+// drain (the source is being consumed). The gate
 // collapses both into three states:
 //
 //	armed    — no drain in flight; the next wakeup claims the gate
@@ -13,8 +13,8 @@ import "sync/atomic"
 //	rearm    — a wakeup landed mid-drain; the owner must go around
 //
 // Both directions of an internal/nserver connection claim one: the read
-// gate serializes drains of inbound bytes (socket edges, or chunks a
-// reader goroutine queued), the write gate EPOLLOUT flushes, so both
+// gate serializes drains of the chunks its reader goroutine queued, the
+// write gate the pump that finishes a parked outbound queue, so both
 // halves share one lost-wakeup argument.
 type DrainGate struct {
 	state atomic.Int32

@@ -15,7 +15,7 @@ import (
 
 func TestEventTypeStrings(t *testing.T) {
 	for et, want := range map[EventType]string{
-		AcceptReady: "accept", ReadReady: "read", WriteReady: "write",
+		AcceptReady: "accept", ReadReady: "read",
 		TimerReady: "timer", CompletionReady: "completion",
 		UserReady: "user", CloseReady: "close",
 	} {

@@ -37,8 +37,6 @@ const (
 	// ReadReady: inbound bytes arrived; Data carries them in a form
 	// agreed between emitter and handler.
 	ReadReady
-	// WriteReady: the transport drained a pending write; Data is nil.
-	WriteReady
 	// TimerReady: a registered timer fired; Data is the timer payload.
 	TimerReady
 	// CompletionReady: an emulated asynchronous operation finished; Data
@@ -49,11 +47,10 @@ const (
 	// CloseReady: the peer closed or the transport failed; Data is the
 	// error (possibly nil for clean EOF).
 	CloseReady
-	// PollReady: the handle has inbound bytes to drain — the kernel
-	// poller reports its descriptor readable (edge-triggered), or its
-	// reader goroutine queued a chunk. The handler drains until the source
-	// runs dry. Data is nil: the bytes stay where they are until the
-	// drain takes them.
+	// PollReady: the handle has inbound bytes to drain — its reader
+	// goroutine queued a chunk. The handler drains until the source runs
+	// dry. Data is nil: the bytes stay where they are until the drain
+	// takes them.
 	PollReady
 )
 
@@ -63,8 +60,6 @@ func (t EventType) String() string {
 		return "accept"
 	case ReadReady:
 		return "read"
-	case WriteReady:
-		return "write"
 	case TimerReady:
 		return "timer"
 	case CompletionReady:
