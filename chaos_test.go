@@ -370,8 +370,7 @@ func TestChaosAdaptiveLimiterShedsByPriorityAndRecovers(t *testing.T) {
 	dir, _ := chaosRoot(t)
 	opts := options.COPSHTTP().
 		WithOverloadControl(20, 5).
-		WithHardening(10*time.Second, 5*time.Second, 1<<20).
-		WithAdaptiveShed(true)
+		WithHardening(10*time.Second, 5*time.Second, 1<<20)
 	// portal marks the next classified connection high-priority; the
 	// classifier runs on the raw conn before any bytes are read.
 	var portal atomic.Bool
@@ -380,7 +379,7 @@ func TestChaosAdaptiveLimiterShedsByPriorityAndRecovers(t *testing.T) {
 			DocRoot:        dir,
 			Options:        &opts,
 			ShedOnOverload: true,
-			RetryAfter:     7 * time.Second, // static fallback; the limiter overrides it
+			RetryAfter:     7 * time.Second, // the engaged limiter overrides it
 			ShedPriority: func(net.Conn) events.Priority {
 				if portal.Load() {
 					return 0
@@ -392,7 +391,7 @@ func TestChaosAdaptiveLimiterShedsByPriorityAndRecovers(t *testing.T) {
 	)
 	lim := srv.Framework().Admission()
 	if lim == nil {
-		t.Fatal("AdaptiveShed selected but Admission() is nil")
+		t.Fatal("overload control selected but Admission() is nil")
 	}
 
 	// Establish the no-load queue-wait baseline, exactly as a healthy

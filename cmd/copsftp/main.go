@@ -32,7 +32,7 @@ func main() {
 		idle      = flag.Duration("idle-timeout", 5*time.Minute, "shut down connections idle this long (O7)")
 		largeFile = flag.Int64("large-file-threshold", 1<<20, "stream RETR files of at least this many bytes through pooled buffers without full-file reads; 0 disables")
 		shards    = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
-		adaptive  = flag.Bool("adaptive-shed", false, "postpone accepts under overload with the AIMD admission limiter (enables O9 with watermarks 20,5 as the backstop)")
+		overload  = flag.String("overload", "", "overload watermarks 'high,low' (e.g. 20,5): postpone accepts under overload through the admission limiter; empty disables O9")
 		profile   = flag.Bool("profile", false, "enable performance profiling (O11)")
 		mAddr     = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
 		debug     = flag.Bool("debug", false, "generate in debug mode (O10)")
@@ -65,8 +65,12 @@ func main() {
 		opts.Profiling = true
 	}
 	opts.Shards = *shards
-	if *adaptive {
-		opts = opts.WithOverloadControl(20, 5).WithAdaptiveShed(true)
+	if *overload != "" {
+		var high, low int
+		if _, err := fmt.Sscanf(*overload, "%d,%d", &high, &low); err != nil {
+			fatal(fmt.Errorf("bad -overload %q", *overload))
+		}
+		opts = opts.WithOverloadControl(high, low)
 	}
 	if *debug {
 		opts.Mode = options.Debug

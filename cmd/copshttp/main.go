@@ -42,8 +42,7 @@ func main() {
 		maxReq      = flag.Int("max-request", 0, "max buffered request bytes per connection; 0 is unlimited")
 		largeFile   = flag.Int64("large-file-threshold", 1<<20, "stream files of at least this many bytes from a descriptor (sendfile on Linux), bypassing the cache; 0 buffers everything")
 		shed        = flag.Bool("shed", false, "with -overload: answer 503+Retry-After while the gate is paused instead of postponing accepts")
-		adaptive    = flag.Bool("adaptive-shed", false, "with -overload: replace the static watermark gate with the AIMD admission limiter (priority-aware shedding, dynamic Retry-After)")
-		retryAfter  = flag.Duration("retry-after", 0, "Retry-After delay on shed 503 replies (default 1s; with -adaptive-shed the limiter's backoff horizon overrides it)")
+		retryAfter  = flag.Duration("retry-after", 0, "Retry-After delay on shed 503 replies (default 1s; while the admission limiter is engaged its backoff horizon overrides it)")
 		shards      = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
 		profile     = flag.Bool("profile", false, "enable performance profiling (O11)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
@@ -94,41 +93,17 @@ func main() {
 		opts = opts.WithScheduling(quotas...)
 		// The paper's 13-line scheduling policy: classify by client IP
 		// (here: even final octet = portal, otherwise homepage).
-		prio = func(c *nserver.Conn) events.Priority {
-			host, _, err := net.SplitHostPort(c.RemoteAddr().String())
-			if err != nil {
-				return 1
-			}
-			ip := net.ParseIP(host).To4()
-			if ip != nil && ip[3]%2 == 0 {
-				return 0
-			}
-			return 1
-		}
+		prio = func(c *nserver.Conn) events.Priority { return clientClass(c.RemoteAddr()) }
 	}
+	var shedPrio func(net.Conn) events.Priority
 	if *overload != "" {
 		wm, err := parseInts(*overload)
 		if err != nil || len(wm) != 2 {
 			fatal(fmt.Errorf("bad -overload %q", *overload))
 		}
 		opts = opts.WithOverloadControl(wm[0], wm[1])
-	}
-	var shedPrio func(net.Conn) events.Priority
-	if *adaptive {
-		opts = opts.WithAdaptiveShed(true)
-		// Classify raw connections for priority-aware shedding with the
-		// same rule the scheduler uses: even final octet = portal.
-		shedPrio = func(c net.Conn) events.Priority {
-			host, _, err := net.SplitHostPort(c.RemoteAddr().String())
-			if err != nil {
-				return 1
-			}
-			ip := net.ParseIP(host).To4()
-			if ip != nil && ip[3]%2 == 0 {
-				return 0
-			}
-			return 1
-		}
+		// The admission limiter sheds by the same class rule.
+		shedPrio = func(c net.Conn) events.Priority { return clientClass(c.RemoteAddr()) }
 	}
 	if *readTO > 0 || *writeTO > 0 || *maxReq > 0 {
 		opts = opts.WithHardening(*readTO, *writeTO, *maxReq)
@@ -193,6 +168,21 @@ func main() {
 			fmt.Println(rec)
 		}
 	}
+}
+
+// clientClass is the demo's client classification, shared by the O8
+// scheduler and the O9 shed priority: an even final IPv4 octet is the
+// portal class (priority 0), anything else the homepage class.
+func clientClass(addr net.Addr) events.Priority {
+	host, _, err := net.SplitHostPort(addr.String())
+	if err != nil {
+		return 1
+	}
+	ip := net.ParseIP(host).To4()
+	if ip != nil && ip[3]%2 == 0 {
+		return 0
+	}
+	return 1
 }
 
 func parseInts(s string) ([]int, error) {

@@ -34,7 +34,6 @@ func main() {
 		emitConfig = flag.String("emit-config", "", "print the JSON configuration for a preset and exit")
 		largeFile  = flag.Int64("large-file", 0, "weave the large-file streaming crosscut with this byte threshold; 0 omits it")
 		shards     = flag.Int("shards", 0, "weave the multi-reactor sharding crosscut with this many shards; 0 or 1 omits it")
-		adaptive   = flag.Bool("adaptive-shed", false, "weave the adaptive admission crosscut: an AIMD limiter over sampled queue waits layered on the O9 watermark gate (requires overload control)")
 	)
 	flag.Parse()
 
@@ -76,9 +75,6 @@ func main() {
 	}
 	if *shards > 0 {
 		opts = opts.WithShards(*shards)
-	}
-	if *adaptive {
-		opts = opts.WithAdaptiveShed(true)
 	}
 
 	if *scaffold {

@@ -1,6 +1,6 @@
-// Package admission implements the adaptive overload controller behind
-// Options.AdaptiveShed: a gradient/AIMD concurrency limiter that replaces
-// the O9 static watermark pair as the acceptor gate.
+// Package admission implements the O9 accept gate: a gradient/AIMD
+// concurrency limiter layered over the paper's static watermark pair,
+// which stays wired in as its backstop.
 //
 // The control law closes the loop the static gate leaves open. The O5/O11
 // pipeline already samples how long events sit in the processor queues
@@ -342,6 +342,14 @@ func (l *Limiter) Limit() int { return int(l.limit.Load()) }
 
 // Engaged reports whether the limit currently sits below MaxLimit.
 func (l *Limiter) Engaged() bool { return l.engagedSince.Load() != 0 }
+
+// Clear reports whether nothing is holding admission back: the limit
+// sits at MaxLimit and the backstop allows. Unlike AcceptAllowed it
+// neither meters the in-flight count nor runs the recovery clock, so a
+// hot path may ask it per request.
+func (l *Limiter) Clear() bool {
+	return !l.Engaged() && (l.cfg.Backstop == nil || l.cfg.Backstop.AcceptAllowed())
+}
 
 // ShedCount returns the shed counter for one level (0 for out of range).
 func (l *Limiter) ShedCount(level int) uint64 {

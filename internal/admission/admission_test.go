@@ -98,7 +98,7 @@ func TestLimiterAIMD(t *testing.T) {
 	if got := l.Limit(); got >= 100 {
 		t.Fatalf("limit %d did not decrease under congestion", got)
 	}
-	if !l.Engaged() {
+	if !l.Engaged() || l.Clear() {
 		t.Error("limiter not engaged under sustained congestion")
 	}
 	congested := l.Limit()
@@ -190,8 +190,8 @@ func TestBackstopWins(t *testing.T) {
 		Backstop: gateFunc(func() bool { return !paused }),
 		Classify: func(net.Conn) int { return 0 },
 	})
-	if l.AcceptAllowed() {
-		t.Error("AcceptAllowed true while backstop paused")
+	if l.AcceptAllowed() || l.Clear() {
+		t.Error("gate open while backstop paused")
 	}
 	if l.AdmitOverloaded(&fakeConn{tag: 0}) {
 		t.Error("level 0 re-admitted past a paused backstop")
@@ -200,8 +200,8 @@ func TestBackstopWins(t *testing.T) {
 		t.Errorf("shed counter %d, want 1", got)
 	}
 	paused = false
-	if !l.AcceptAllowed() {
-		t.Error("AcceptAllowed false with backstop open and no congestion")
+	if !l.AcceptAllowed() || !l.Clear() {
+		t.Error("gate shut with backstop open and no congestion")
 	}
 }
 

@@ -73,13 +73,13 @@ type Config struct {
 	// clients as a fast explicit refusal they can back off from.
 	ShedOnOverload bool
 	// RetryAfter is the Retry-After delay stamped on shed 503 replies
-	// (rounded up to whole seconds). Zero means 1 second. When the
-	// adaptive limiter (Options.AdaptiveShed) is on, shed replies derive
-	// Retry-After from the limiter's live backoff horizon instead and
-	// this value is only the fallback.
+	// (rounded up to whole seconds). Zero means 1 second. While the O9
+	// admission limiter is engaged, shed replies derive Retry-After from
+	// its live backoff horizon instead; this value covers sheds while
+	// the limit is wide open (watermark backstop or MaxConnections).
 	RetryAfter time.Duration
-	// ShedPriority classifies a raw connection for the adaptive
-	// limiter's priority-aware shedding (Options.AdaptiveShed): it maps
+	// ShedPriority classifies a raw connection for the O9 admission
+	// limiter's priority-aware shedding: it maps
 	// the transport to an O8 priority level before any request has been
 	// read — so from transport facts such as the peer address — and
 	// level-0 connections keep flowing while lower priorities shed. Nil
@@ -266,16 +266,16 @@ func ceilSeconds(d time.Duration) int64 {
 // entirely: a pooled Response carrying the shared prebuilt 503 page and a
 // Retry-After header is rendered into a pooled head buffer and written
 // with one writev, bounded by the write timeout, then the connection is
-// closed (see linger). With the static gate nothing here allocates per
-// shed beyond the kernel's accept and the closing goroutine; under the
-// adaptive limiter the Retry-After value is
-// derived from the limiter's live backoff horizon (longer overloads
-// advertise longer backoffs), costing one small header-value render.
+// closed (see linger). Nothing here allocates per shed beyond the
+// kernel's accept and the closing goroutine, except while the admission
+// limiter is engaged: the Retry-After value is then derived from its live
+// backoff horizon (longer overloads advertise longer backoffs), costing
+// one small header-value render.
 func (s *Server) shed(conn net.Conn) {
 	s.shedCount.Add(1)
 	_ = conn.SetWriteDeadline(time.Now().Add(s.shedTimeout))
 	ra := s.retryAfter
-	if l := s.ns.Admission(); l != nil {
+	if l := s.ns.Admission(); l != nil && l.Engaged() {
 		ra = strconv.FormatInt(ceilSeconds(l.RetryAfter()), 10)
 	}
 	resp := httpproto.AcquireResponse()

@@ -96,7 +96,7 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 
 // TestDirectDispatchFrameworksCompile sweeps the fast path against the
 // options it interacts with (sharding, scheduling,
-// overload + adaptive shed, hardening, profiling, logging, debug): every
+// overload control, hardening, profiling, logging, debug): every
 // woven framework must compile standalone.
 func TestDirectDispatchFrameworksCompile(t *testing.T) {
 	if testing.Short() {
@@ -106,7 +106,7 @@ func TestDirectDispatchFrameworksCompile(t *testing.T) {
 	combos := map[string]options.Options{
 		"plain":             base,
 		"sharded-sched":     base.WithScheduling(1, 8).WithShards(4),
-		"overload-adaptive": base.WithOverloadControl(20, 5).WithAdaptiveShed(true),
+		"overload-adaptive": base.WithOverloadControl(20, 5),
 		"hardened-observed": func() options.Options {
 			o := base.WithHardening(5*time.Second, 2*time.Second, 1<<20)
 			o.Profiling = true

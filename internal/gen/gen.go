@@ -70,19 +70,14 @@ type tmplData struct {
 	Scheduling bool
 	Quotas     []int
 
+	// O9 weaves the watermark gate and, layered on it, the AIMD
+	// admission limiter fed by a 1-in-N sample of Event Processor queue
+	// waits (Table 2 marks the Event Processor as depending on O9).
 	Overload       bool
 	HighWatermark  int
 	LowWatermark   int
 	MaxConns       bool
 	MaxConnections int
-
-	// Adaptive-shed crosscut: woven only when the adaptive extension of
-	// O9 is selected. The generated framework then carries an
-	// admissionLimiter (AIMD over sampled event-queue waits) layered on
-	// the watermark gate, and the Event Processor stamps a 1-in-N sample
-	// of submissions to measure queue wait. Without the option the
-	// generated source is byte-identical to before the crosscut existed.
-	AdaptiveShed bool
 
 	Debug     bool
 	Profiling bool
@@ -163,7 +158,6 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 		LowWatermark:       opts.LowWatermark,
 		MaxConns:           opts.MaxConnections > 0,
 		MaxConnections:     opts.MaxConnections,
-		AdaptiveShed:       opts.AdaptiveShed,
 		Debug:              opts.Mode == options.Debug,
 		Profiling:          opts.Profiling,
 		Logging:            opts.Logging,

@@ -10,12 +10,12 @@ import (
 	"repro/internal/options"
 )
 
-// TestAdaptiveShedCrosscutWeaving asserts the adaptive admission
-// crosscut follows the generation-time weaving rule: a framework
-// generated with plain O9 watermarks carries no trace of the limiter
-// machinery, while selecting the adaptive extension weaves in the AIMD
-// limiter, the queue-wait sampling wrapper and the gate integration.
-func TestAdaptiveShedCrosscutWeaving(t *testing.T) {
+// TestOverloadCrosscutWeaving asserts the O9 crosscut follows the
+// generation-time weaving rule: a framework generated without overload
+// control carries no trace of the gate or the limiter machinery, while
+// selecting O9 weaves in the watermark gate, the AIMD limiter layered on
+// it and the queue-wait sampling wrapper.
+func TestOverloadCrosscutWeaving(t *testing.T) {
 	all := func(a *Artifact) string {
 		var sb strings.Builder
 		for _, name := range a.FileNames() {
@@ -32,19 +32,19 @@ func TestAdaptiveShedCrosscutWeaving(t *testing.T) {
 		return a
 	}
 
-	base := options.COPSHTTP().WithOverloadControl(20, 5)
-	plain := all(gen(base))
+	plain := all(gen(options.COPSHTTP()))
 	for _, absent := range []string{
-		"admissionLimiter", "waitSampledEvent", "acceptAllowed(g.inflight",
+		"overloadGate", "admissionLimiter", "waitSampledEvent",
 		"admissionSampleEvery", "newAdmissionLimiter",
 	} {
 		if strings.Contains(plain, absent) {
-			t.Errorf("watermark-only framework contains %q — crosscut not woven out", absent)
+			t.Errorf("framework without O9 contains %q — crosscut not woven out", absent)
 		}
 	}
 
-	adaptive := all(gen(base.WithAdaptiveShed(true)))
+	base := options.COPSHTTP().WithOverloadControl(20, 5)
 	for _, present := range []string{
+		"type overloadGate struct",
 		"type admissionLimiter struct",
 		"type waitSampledEvent struct",
 		"func (l *admissionLimiter) observe(wait time.Duration)",
@@ -54,14 +54,14 @@ func TestAdaptiveShedCrosscutWeaving(t *testing.T) {
 		"s.fileIO.proc.limiter = s.gate.limiter",
 		"admissionMaxLimit    = 1024", // no MaxConns bound selected
 	} {
-		if !strings.Contains(adaptive, present) {
-			t.Errorf("adaptive framework missing %q", present)
+		if !strings.Contains(all(gen(base)), present) {
+			t.Errorf("O9 framework missing %q", present)
 		}
 	}
 
 	// With a connection bound the limiter's ceiling is the bound and the
 	// inflight source is the generated activeConns counter.
-	bounded := base.WithAdaptiveShed(true)
+	bounded := base
 	bounded.MaxConnections = 300
 	boundedSrc := all(gen(bounded))
 	for _, present := range []string{
@@ -69,51 +69,39 @@ func TestAdaptiveShedCrosscutWeaving(t *testing.T) {
 		"s.gate.inflight = s.activeConns",
 	} {
 		if !strings.Contains(boundedSrc, present) {
-			t.Errorf("bounded adaptive framework missing %q", present)
+			t.Errorf("bounded O9 framework missing %q", present)
 		}
 	}
 
 	// The sampling wrapper must forward priorities when O8 is selected,
 	// or the limiter's probe events would jump the scheduling queue.
-	sched := all(gen(base.WithScheduling(1, 8).WithAdaptiveShed(true)))
+	sched := all(gen(base.WithScheduling(1, 8)))
 	if !strings.Contains(sched, "func (e waitSampledEvent) Priority() int") {
-		t.Error("adaptive + scheduling framework missing the priority forwarder")
-	}
-
-	// Deselecting the option is byte-identical to never selecting it.
-	if off := all(gen(base.WithAdaptiveShed(true).WithAdaptiveShed(false))); off != plain {
-		t.Error("AdaptiveShed=false output differs from watermark-only output")
-	}
-
-	// The crosscut requires O9: the limiter layers on the watermark gate.
-	if _, err := Generate("nserver", options.COPSHTTP().WithAdaptiveShed(true)); err == nil {
-		t.Error("adaptive shed without overload control validated")
+		t.Error("O9 + scheduling framework missing the priority forwarder")
 	}
 }
 
-// TestAdaptiveShedFrameworksCompile sweeps the crosscut against the
+// TestOverloadFrameworksCompile sweeps the O9 crosscut against the
 // options it interacts with (scheduling, sharding, thread pool,
-// connection bounds): every woven framework must compile standalone.
-func TestAdaptiveShedFrameworksCompile(t *testing.T) {
+// connection bounds): every woven framework must compile standalone. The
+// plain COPS-HTTP one builds in TestPresetFrameworksCompile.
+func TestOverloadFrameworksCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix build in -short mode")
 	}
 	combos := map[string]options.Options{
-		"pool-async": options.COPSHTTP().WithOverloadControl(20, 5).
-			WithAdaptiveShed(true),
 		"no-pool": func() options.Options {
 			o := options.Options{DispatcherThreads: 2, Codec: true}
-			return o.WithOverloadControl(20, 5).WithAdaptiveShed(true)
+			return o.WithOverloadControl(20, 5)
 		}(),
 		"sharded-sched": options.COPSHTTP().WithOverloadControl(20, 5).
-			WithScheduling(1, 8).WithShards(4).WithAdaptiveShed(true),
+			WithScheduling(1, 8).WithShards(4),
 		"maxconns": func() options.Options {
 			o := options.COPSHTTP().WithOverloadControl(20, 5)
 			o.MaxConnections = 300
-			return o.WithAdaptiveShed(true)
+			return o
 		}(),
-		"ftp": options.COPSFTP().WithOverloadControl(20, 5).
-			WithAdaptiveShed(true),
+		"ftp": options.COPSFTP().WithOverloadControl(20, 5),
 	}
 	for name, o := range combos {
 		t.Run(name, func(t *testing.T) {
@@ -130,11 +118,11 @@ func TestAdaptiveShedFrameworksCompile(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShedGenerationIsDeterministic: regenerate-and-diff must
-// keep working with the admission crosscut woven in.
-func TestAdaptiveShedGenerationIsDeterministic(t *testing.T) {
+// TestOverloadGenerationIsDeterministic: regenerate-and-diff must keep
+// working with the O9 crosscut woven in.
+func TestOverloadGenerationIsDeterministic(t *testing.T) {
 	o := options.COPSHTTP().WithOverloadControl(20, 5).
-		WithScheduling(1, 8).WithShards(2).WithAdaptiveShed(true)
+		WithScheduling(1, 8).WithShards(2)
 	a, err := Generate("nserver", o)
 	if err != nil {
 		t.Fatal(err)

@@ -298,7 +298,7 @@ type EventProcessor struct {
 	live    atomic.Int32
 	ctlDone chan struct{}
 	{{- end}}
-	{{- if .AdaptiveShed}}
+	{{- if .Overload}}
 	// limiter receives sampled queue waits; waitSeen counts submissions
 	// so one event in admissionSampleEvery carries a timestamp.
 	limiter  *admissionLimiter
@@ -326,7 +326,7 @@ func newEventProcessor(workers int) *EventProcessor {
 	return p
 }
 
-{{- if .AdaptiveShed}}
+{{- if .Overload}}
 
 // waitSampledEvent stamps one submission in admissionSampleEvery with
 // its enqueue time; Process reports the measured queue wait to the
@@ -824,17 +824,16 @@ func (io *FileIO) ReadFile(path string{{if .Scheduling}}, prio int{{end}}, done 
 
 // overloadGate postpones accepting while any watched queue is above its
 // high watermark ({{.HighWatermark}}), resuming once every queue drains to
-// the low watermark ({{.LowWatermark}}).
+// the low watermark ({{.LowWatermark}}); between the watermarks the
+// admission limiter bounds live connections.
 type overloadGate struct {
 	mu     sync.Mutex
 	queues []func() int
 	paused bool
-	{{- if .AdaptiveShed}}
 	// limiter layers the adaptive admission limit on the watermark
 	// check; inflight reports live connections for it to bound.
 	limiter  *admissionLimiter
 	inflight func() int
-	{{- end}}
 }
 
 func (g *overloadGate) watch(q func() int) {
@@ -853,11 +852,6 @@ func (g *overloadGate) acceptAllowed() bool {
 			}
 		}
 		g.paused = false
-		{{- if .AdaptiveShed}}
-		return g.limiter.acceptAllowed(g.inflight())
-		{{- else}}
-		return true
-		{{- end}}
 	}
 	for _, q := range g.queues {
 		if q() >= {{.HighWatermark}} {
@@ -865,14 +859,10 @@ func (g *overloadGate) acceptAllowed() bool {
 			return false
 		}
 	}
-	{{- if .AdaptiveShed}}
 	return g.limiter.acceptAllowed(g.inflight())
-	{{- else}}
-	return true
-	{{- end}}
 }
-{{if .AdaptiveShed}}
-// Adaptive-shed control-law constants: the limiter cuts its concurrency
+
+// Admission control-law constants: the limiter cuts its concurrency
 // limit multiplicatively (once per decrease interval) when the recent
 // queue wait exceeds the no-load baseline by the tolerance factor plus
 // slack, grows it additively while waits stay near baseline, and — when
@@ -974,7 +964,6 @@ func (l *admissionLimiter) acceptAllowed(inflight int) bool {
 
 // Limit exposes the current admission limit (observability).
 func (l *admissionLimiter) Limit() int { return int(l.limit.Load()) }
-{{end}}
 {{end}}
 
 {{if .Profiling}}
@@ -1681,17 +1670,6 @@ func NewServer(hooks Hooks) *Server {
 	}
 	{{- end}}
 	{{- if .Overload}}
-	{{- if .Pool}}
-	{{- if .Sharded}}
-	for i := range s.reactors {
-		s.gate.watch(s.reactors[i].proc.QueueLen)
-	}
-	{{- else}}
-	s.gate.watch(proc.QueueLen)
-	{{- end}}
-	{{- end}}
-	s.gate.watch(s.fileIO.proc.QueueLen)
-	{{- if .AdaptiveShed}}
 	s.gate.limiter = newAdmissionLimiter()
 	{{- if .MaxConns}}
 	s.gate.inflight = s.activeConns
@@ -1705,14 +1683,16 @@ func NewServer(hooks Hooks) *Server {
 	{{- if .Pool}}
 	{{- if .Sharded}}
 	for i := range s.reactors {
+		s.gate.watch(s.reactors[i].proc.QueueLen)
 		s.reactors[i].proc.limiter = s.gate.limiter
 	}
 	{{- else}}
+	s.gate.watch(proc.QueueLen)
 	proc.limiter = s.gate.limiter
 	{{- end}}
 	{{- end}}
+	s.gate.watch(s.fileIO.proc.QueueLen)
 	s.fileIO.proc.limiter = s.gate.limiter
-	{{- end}}
 	{{- end}}
 	return s
 }
@@ -1865,7 +1845,7 @@ func (s *Server) attach(conn net.Conn) *Communicator {
 {{if .DirectDispatch}}
 // fastGateClear reports whether overload control permits serving a
 // request off-queue. During overload every request must ride the event
-// queue, where the watermark controller{{if .AdaptiveShed}} and the admission limiter's
+// queue, where the watermark controller{{if .Overload}} and the admission limiter's
 // queue-wait samples{{end}} can see it — eliding the queue under load would
 // starve the very signal the shed decision feeds on.
 func (s *Server) fastGateClear() bool {

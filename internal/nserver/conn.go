@@ -31,6 +31,11 @@ var ErrSlowClient = errors.New("nserver: request assembly exceeded ReadTimeout")
 // readChunkSize is the buffer size of the framework's Read Request step.
 const readChunkSize = 32 << 10
 
+// maxInboxChunks bounds the inbox: readLoop leases no further chunk while
+// this many wait undrained, so a peer pipelining behind a slow Handle
+// waits in its socket buffers instead of in leased memory.
+const maxInboxChunks = 4
+
 // Conn is the Communicator Component of the generated framework: the
 // per-connection object binding the transport to the five-step pipeline.
 // Its generated code varies with options O3 (codec buffer and decode
@@ -74,7 +79,8 @@ type Conn struct {
 	// read order into inbuf, and its Handle calls never overlap. The
 	// drain takes the chunks from the FIFO inbox readLoop fills:
 	// inbox[inHead:] under inMu, with inClosed set once finalize has
-	// released what was left. raw is the transport's descriptor
+	// released what was left. readLoop waits on inSpace while the inbox
+	// is full (see awaitInboxSpace). raw is the transport's descriptor
 	// capability, nil when the transport hides its descriptor: with it,
 	// readLoop leases a chunk only once the socket is readable, and the
 	// write path's first attempt is non-blocking (see writeq.go).
@@ -82,6 +88,7 @@ type Conn struct {
 	inbuf    []byte
 	raw      syscall.RawConn
 	inMu     sync.Mutex
+	inSpace  sync.Cond
 	inbox    []*bufpool.Buffer
 	inHead   int
 	inClosed bool
@@ -279,6 +286,11 @@ func (c *Conn) teardown(cause error) {
 		c.closed.Store(true)
 		c.closeErr = cause
 		c.conn.Close()
+		// Wake a reader waiting for inbox space: it reads the closed
+		// transport next and ends.
+		c.inMu.Lock()
+		c.inSpace.Broadcast()
+		c.inMu.Unlock()
 		if err := c.sh.reactor.Source().Emit(reactor.Ready{
 			Type:   reactor.CloseReady,
 			Handle: c.handle,
@@ -299,8 +311,9 @@ func (c *Conn) teardown(cause error) {
 // descriptor the chunk is leased only once the socket is readable (see
 // leaseReader), so a goroutine waiting on an idle connection holds no
 // buffer; other transports lease before the blocking Read. readLoop
-// reads nothing while the outbound queue is parked: a peer that stops
-// reading its replies is throttled, not buffered for.
+// reads nothing while the outbound queue is parked, or while the inbox
+// is full: a peer that stops reading its replies, or pipelines faster
+// than Handle runs, is throttled, not buffered for.
 func (c *Conn) readLoop() {
 	readTimeout := c.srv.opts.ReadTimeout
 	var lr *leaseReader
@@ -311,6 +324,7 @@ func (c *Conn) readLoop() {
 		if c.outPending.Load() > 0 {
 			c.awaitUnparked()
 		}
+		c.awaitInboxSpace()
 		if readTimeout > 0 {
 			_ = c.conn.SetReadDeadline(time.Now().Add(readTimeout))
 		}
@@ -360,13 +374,28 @@ func (c *Conn) pushInbox(lease *bufpool.Buffer) bool {
 	return true
 }
 
-// popInbox dequeues the oldest chunk (nil when the inbox is empty). The
-// slice rewinds once drained, so a steady stream reuses one backing array.
+// awaitInboxSpace blocks readLoop while the inbox holds maxInboxChunks
+// undrained chunks, until a drain pops one or teardown (which precedes
+// every releaseInbox) closes the connection.
+func (c *Conn) awaitInboxSpace() {
+	c.inMu.Lock()
+	for len(c.inbox)-c.inHead >= maxInboxChunks && !c.closed.Load() {
+		c.inSpace.Wait()
+	}
+	c.inMu.Unlock()
+}
+
+// popInbox dequeues the oldest chunk (nil when the inbox is empty),
+// waking readLoop if the inbox was full. The slice rewinds once drained,
+// so a steady stream reuses one backing array.
 func (c *Conn) popInbox() *bufpool.Buffer {
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
 	if c.inHead == len(c.inbox) {
 		return nil
+	}
+	if len(c.inbox)-c.inHead == maxInboxChunks {
+		c.inSpace.Signal()
 	}
 	lease := c.inbox[c.inHead]
 	c.inbox[c.inHead] = nil

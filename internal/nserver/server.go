@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -54,9 +53,8 @@ type Config struct {
 	// must close them) instead of waiting in the listen backlog.
 	// COPS-HTTP uses this to serve a prebuilt "503 + Retry-After".
 	Shed func(net.Conn)
-	// ShedPriority classifies a not-yet-attached connection for the
-	// adaptive limiter's priority-aware shedding (Options.AdaptiveShed):
-	// it maps the raw transport to an O8 priority level — from transport
+	// ShedPriority classifies a not-yet-attached connection for the O9
+	// admission limiter's priority-aware shedding: it maps the raw transport to an O8 priority level — from transport
 	// facts like the peer address, since no request has been read yet —
 	// and connections at level 0 keep flowing while the limiter sheds.
 	// Nil marks every connection fully sheddable.
@@ -151,9 +149,8 @@ type Server struct {
 	fileio   *aio.Service
 	fcache   *cache.Cache
 	overload *eventproc.Overload
-	// limiter is the adaptive admission controller (nil unless
-	// Options.AdaptiveShed): it replaces the static watermark pair as the
-	// accept gate, keeping the watermarks wired in as its hard backstop.
+	// limiter is the O9 accept gate (nil unless O9 is on): the AIMD
+	// admission limiter, with the overload watermarks as its backstop.
 	limiter  *admission.Limiter
 	profiles *profiling.Group
 	// profile is the global profile of the group (nil unless O11): the
@@ -188,12 +185,6 @@ type Server struct {
 	fastPath       func(c *Conn, req any) bool
 }
 
-// adaptiveShedSweep forces Options.AdaptiveShed on for every server whose
-// option set already selects overload control, so `make test` can run the
-// O9 suites over the adaptive limiter (the watermark backstop keeps the
-// static gate's guarantees intact). Set by NSERVER_ADAPTIVE_SHED=1.
-var adaptiveShedSweep = os.Getenv("NSERVER_ADAPTIVE_SHED") == "1"
-
 // New validates the configuration and assembles (but does not start) a
 // server — the library analogue of template instantiation: every
 // component below exists or not according to the option set, mirroring
@@ -212,9 +203,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("nserver: Codec supplied but O3 disables encoding/decoding")
 	}
 	o := cfg.Options
-	if adaptiveShedSweep && o.OverloadControl {
-		o.AdaptiveShed = true
-	}
 	nShards := o.ResolveShards(runtime.NumCPU())
 	o.Shards = nShards
 
@@ -251,12 +239,13 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Adaptive admission (O9 + AdaptiveShed): the AIMD limiter becomes
-	// the accept gate with the watermark controller as its hard backstop.
-	// It is built before the shards so their event processors can feed it
-	// queue-wait samples; the backstop adapter reads s.overload lazily
-	// because the watermark controller is assembled further down.
-	if o.AdaptiveShed {
+	// O9: the admission gate exists only when selected. The AIMD limiter
+	// is the accept gate, with the watermark controller as its hard
+	// backstop. Both are built before the shards so their event
+	// processors can feed the limiter queue-wait samples; the queues are
+	// put under watermark watch once they exist, further down.
+	if o.OverloadControl {
+		s.overload = eventproc.NewOverload(s.profile, s.trace)
 		levels := 1
 		if o.EventScheduling {
 			levels = o.PriorityLevels
@@ -274,7 +263,7 @@ func New(cfg Config) (*Server, error) {
 		s.limiter = admission.New(admission.Config{
 			MaxLimit: o.MaxConnections,
 			Inflight: s.inflightNow,
-			Backstop: backstopGate{s},
+			Backstop: s.overload,
 			Levels:   levels,
 			Classify: classify,
 		})
@@ -420,15 +409,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.fileio = svc
 
-	// O9: the overload controller exists only when selected. It watches
-	// every shard's reactive event queue (CPU bottleneck) and the global
-	// file-I/O queue (disk bottleneck) — "overload situations that can
-	// be caused by multiple bottlenecks, such as CPU and disk". The
-	// watermarks are evaluated per shard queue; any shard over its high
-	// watermark pauses the (global) accept gate, and accepting resumes
-	// only once every watched queue is back at its low watermark.
+	// The watermark backstop watches every shard's reactive event queue
+	// (CPU bottleneck) and the global file-I/O queue (disk bottleneck) —
+	// "overload situations that can be caused by multiple bottlenecks,
+	// such as CPU and disk". The watermarks are evaluated per shard
+	// queue; any shard over its high watermark pauses the (global)
+	// accept gate, and accepting resumes only once every watched queue
+	// is back at its low watermark.
 	if o.OverloadControl {
-		s.overload = eventproc.NewOverload(s.profile, s.trace)
 		for i, sh := range s.shards {
 			if sh.reactive == nil {
 				continue
@@ -444,18 +432,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// backstopGate adapts the server's static overload controller as the
-// adaptive limiter's hard backstop. It reads s.overload at call time:
-// the limiter is assembled before the watermark controller, and no
-// accept runs until both exist.
-type backstopGate struct{ s *Server }
-
-func (g backstopGate) AcceptAllowed() bool {
-	return g.s.overload == nil || g.s.overload.AcceptAllowed()
-}
-
-// waitObserver returns the queue-wait sample feed for the adaptive
-// limiter (nil when AdaptiveShed is off, keeping Submit untouched).
+// waitObserver returns the queue-wait sample feed for the admission
+// limiter (nil when O9 is off, keeping Submit untouched).
 func (s *Server) waitObserver() func(time.Duration) {
 	if s.limiter == nil {
 		return nil
@@ -523,11 +501,10 @@ func (s *Server) Timers() *reactor.TimerSource { return s.timers }
 // Overload returns the overload controller (nil unless O9 is on).
 func (s *Server) Overload() *eventproc.Overload { return s.overload }
 
-// Admission returns the adaptive admission limiter (nil unless
-// Options.AdaptiveShed is on).
+// Admission returns the O9 admission limiter (nil unless O9 is on).
 func (s *Server) Admission() *admission.Limiter { return s.limiter }
 
-// inflightNow is the connection count the adaptive limiter meters
+// inflightNow is the connection count the admission limiter meters
 // against: the acceptors' own accept-time counters. The shard registries
 // (ActiveConns) only learn about a connection once its AcceptReady event
 // is processed, so during a synchronized dial burst they lag far behind
@@ -717,18 +694,13 @@ func (s *Server) StartListeners(lns []net.Listener) error {
 	return nil
 }
 
-// gate returns the O9 accept gate: the adaptive limiter when
-// AdaptiveShed is on (with the watermark controller as its backstop),
-// the watermark controller alone otherwise, nil when overload control
-// is off.
+// gate returns the O9 accept gate: the admission limiter, nil when
+// overload control is off.
 func (s *Server) gate() acceptor.Gate {
-	if s.limiter != nil {
-		return s.limiter
-	}
-	if s.overload == nil {
+	if s.limiter == nil {
 		return nil
 	}
-	return s.overload
+	return s.limiter
 }
 
 // startRuntime starts the global file-I/O pool, every shard's reactor
@@ -820,6 +792,7 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 		raw:    rawConnOf(nc),
 	}
 	c.unparked.L = &c.writeMu
+	c.inSpace.L = &c.inMu
 	c.touch()
 	if s.priority != nil {
 		c.SetPriority(s.priority(c))
@@ -840,13 +813,7 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 // depth checks can see it. Eliding the queue under load would starve the
 // very signal the shed decision feeds on.
 func (s *Server) fastGateClear() bool {
-	if s.limiter != nil && s.limiter.Engaged() {
-		return false
-	}
-	if s.overload != nil && !s.overload.AcceptAllowed() {
-		return false
-	}
-	return true
+	return s.limiter == nil || s.limiter.Clear()
 }
 
 // detach removes a finished connection from its shard.

@@ -1,6 +1,7 @@
 package options
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -9,7 +10,9 @@ import (
 // fileForm is the on-disk JSON representation of an Options value, used by
 // cmd/nsgen configuration files. Enumerated options are stored as the
 // strings of Table 1 ("Asynchronous", "LRU", "Debug", ...) and durations as
-// Go duration strings ("5m").
+// Go duration strings ("5m"). Every Options field has a key here, and
+// decoding rejects keys the form lacks, so a configuration cannot ask for
+// a setting that silently never reaches the generator.
 type fileForm struct {
 	DispatcherThreads  int    `json:"dispatcher_threads"`
 	SeparateThreadPool bool   `json:"separate_thread_pool"`
@@ -25,6 +28,10 @@ type fileForm struct {
 	FileIOThreads      int    `json:"file_io_threads,omitempty"`
 	ShutdownLongIdle   bool   `json:"shutdown_long_idle"`
 	IdleTimeout        string `json:"idle_timeout,omitempty"`
+	ReadTimeout        string `json:"read_timeout,omitempty"`
+	WriteTimeout       string `json:"write_timeout,omitempty"`
+	MaxRequestBytes    int    `json:"max_request_bytes,omitempty"`
+	LargeFileThreshold int64  `json:"large_file_threshold,omitempty"`
 	EventScheduling    bool   `json:"event_scheduling"`
 	PriorityLevels     int    `json:"priority_levels,omitempty"`
 	Quotas             []int  `json:"quotas,omitempty"`
@@ -32,6 +39,7 @@ type fileForm struct {
 	HighWatermark      int    `json:"high_watermark,omitempty"`
 	LowWatermark       int    `json:"low_watermark,omitempty"`
 	MaxConnections     int    `json:"max_connections,omitempty"`
+	Shards             int    `json:"shards,omitempty"`
 	Mode               string `json:"mode"`
 	Profiling          bool   `json:"profiling"`
 	Logging            bool   `json:"logging"`
@@ -53,6 +61,11 @@ func (o Options) MarshalJSON() ([]byte, error) {
 		CacheThreshold:     o.CacheThreshold,
 		FileIOThreads:      o.FileIOThreads,
 		ShutdownLongIdle:   o.ShutdownLongIdle,
+		IdleTimeout:        durationString(o.IdleTimeout),
+		ReadTimeout:        durationString(o.ReadTimeout),
+		WriteTimeout:       durationString(o.WriteTimeout),
+		MaxRequestBytes:    o.MaxRequestBytes,
+		LargeFileThreshold: o.LargeFileThreshold,
 		EventScheduling:    o.EventScheduling,
 		PriorityLevels:     o.PriorityLevels,
 		Quotas:             o.Quotas,
@@ -60,21 +73,29 @@ func (o Options) MarshalJSON() ([]byte, error) {
 		HighWatermark:      o.HighWatermark,
 		LowWatermark:       o.LowWatermark,
 		MaxConnections:     o.MaxConnections,
+		Shards:             o.Shards,
 		Mode:               o.Mode.String(),
 		Profiling:          o.Profiling,
 		Logging:            o.Logging,
 	}
-	if o.IdleTimeout != 0 {
-		f.IdleTimeout = o.IdleTimeout.String()
-	}
 	return json.Marshal(f)
+}
+
+// durationString renders a duration field ("" for zero, which omits it).
+func durationString(d time.Duration) string {
+	if d == 0 {
+		return ""
+	}
+	return d.String()
 }
 
 // UnmarshalJSON decodes the nsgen configuration file format.
 func (o *Options) UnmarshalJSON(data []byte) error {
 	var f fileForm
-	if err := json.Unmarshal(data, &f); err != nil {
-		return err
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return fmt.Errorf("options: %w", err)
 	}
 	out := Options{
 		DispatcherThreads:  f.DispatcherThreads,
@@ -87,6 +108,8 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 		CacheThreshold:     f.CacheThreshold,
 		FileIOThreads:      f.FileIOThreads,
 		ShutdownLongIdle:   f.ShutdownLongIdle,
+		MaxRequestBytes:    f.MaxRequestBytes,
+		LargeFileThreshold: f.LargeFileThreshold,
 		EventScheduling:    f.EventScheduling,
 		PriorityLevels:     f.PriorityLevels,
 		Quotas:             f.Quotas,
@@ -94,6 +117,7 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 		HighWatermark:      f.HighWatermark,
 		LowWatermark:       f.LowWatermark,
 		MaxConnections:     f.MaxConnections,
+		Shards:             f.Shards,
 		Profiling:          f.Profiling,
 		Logging:            f.Logging,
 	}
@@ -131,12 +155,23 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 	default:
 		return fmt.Errorf("options: unknown mode %q", f.Mode)
 	}
-	if f.IdleTimeout != "" {
-		d, err := time.ParseDuration(f.IdleTimeout)
-		if err != nil {
-			return fmt.Errorf("options: bad idle_timeout: %w", err)
+	for _, d := range []struct {
+		key string
+		src string
+		dst *time.Duration
+	}{
+		{"idle_timeout", f.IdleTimeout, &out.IdleTimeout},
+		{"read_timeout", f.ReadTimeout, &out.ReadTimeout},
+		{"write_timeout", f.WriteTimeout, &out.WriteTimeout},
+	} {
+		if d.src == "" {
+			continue
 		}
-		out.IdleTimeout = d
+		v, err := time.ParseDuration(d.src)
+		if err != nil {
+			return fmt.Errorf("options: bad %s: %w", d.key, err)
+		}
+		*d.dst = v
 	}
 	*o = out
 	return nil

@@ -288,23 +288,16 @@ type Options struct {
 	PriorityLevels  int   // number of priority levels (>= 2 when enabled)
 	Quotas          []int // per-level quota; len == PriorityLevels
 
-	// O9: automatic overload control via event queue watermarks.
+	// O9: automatic overload control via event queue watermarks. The
+	// accept gate is an AIMD admission limiter over sampled queue waits
+	// with the watermark pair as its hard backstop, so the paper's
+	// watermark guarantees always hold.
 	OverloadControl bool
 	HighWatermark   int
 	LowWatermark    int
 	// MaxConnections, when > 0, additionally bounds simultaneous
 	// connections (the paper's "trivial" first overload mechanism).
 	MaxConnections int
-
-	// AdaptiveShed upgrades O9 from the static watermark gate to a
-	// gradient/AIMD admission limiter: the runtime estimates the no-load
-	// queue-wait baseline from the O5 queue_wait samples and sheds when
-	// measured waits turn upward, instead of pausing accept at a fixed
-	// queue depth. The watermark pair stays as a hard backstop, so the
-	// static gate's guarantees still hold. Requires OverloadControl.
-	// When O8 scheduling is also selected, shedding is priority-aware:
-	// low-priority levels shed first and level 0 keeps flowing.
-	AdaptiveShed bool
 
 	// Shards is the multi-reactor shard count: the runtime (and the
 	// generated framework) instantiates this many independent
@@ -342,7 +335,6 @@ var (
 	ErrHardening         = errors.New("hardening: read/write timeouts and max request bytes must be non-negative")
 	ErrLargeFile         = errors.New("large files: threshold must be non-negative")
 	ErrShards            = errors.New("sharding: shard count must be non-negative (0 = one per processor)")
-	ErrAdaptiveShed      = errors.New("O9: adaptive shedding requires overload control to be enabled")
 )
 
 // Validate checks the option assignment against the legal values of
@@ -404,9 +396,6 @@ func (o *Options) Validate() error {
 		if o.LowWatermark <= 0 || o.HighWatermark <= o.LowWatermark {
 			return fmt.Errorf("%w (got low=%d high=%d)", ErrWatermarks, o.LowWatermark, o.HighWatermark)
 		}
-	}
-	if o.AdaptiveShed && !o.OverloadControl {
-		return ErrAdaptiveShed
 	}
 	return nil
 }
@@ -537,14 +526,6 @@ func (o Options) WithLargeFiles(threshold int64) Options {
 // (0 resolves to one shard per processor at assembly time).
 func (o Options) WithShards(n int) Options {
 	o.Shards = n
-	return o
-}
-
-// WithAdaptiveShed returns a copy of o with the gradient/AIMD admission
-// limiter selected as the O9 gate (the watermark pair stays as a
-// backstop). Validate rejects the combination without OverloadControl.
-func (o Options) WithAdaptiveShed(on bool) Options {
-	o.AdaptiveShed = on
 	return o
 }
 

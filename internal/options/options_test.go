@@ -3,6 +3,7 @@ package options
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,11 +268,30 @@ func TestClassGenerated(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
+	// full sets every field, so a field the file form lacks cannot
+	// round-trip to its zero value unnoticed.
+	full := COPSHTTP().WithScheduling(1, 8).WithOverloadControl(20, 5).
+		WithHardening(3*time.Second, 2*time.Second, 1<<20).
+		WithLargeFiles(1 << 20).WithShards(4)
+	full.DispatcherThreads = 2
+	full.Allocation = DynamicAllocation
+	full.MinEventThreads, full.MaxEventThreads = 2, 16
+	full.Cache, full.CacheThreshold = LRUThreshold, 1<<16
+	full.ShutdownLongIdle, full.IdleTimeout = true, 90*time.Second
+	full.MaxConnections = 300
+	full.Mode, full.Profiling, full.Logging = Debug, true, true
+	v := reflect.ValueOf(full)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("full case leaves %s zero", v.Type().Field(i).Name)
+		}
+	}
 	for name, o := range map[string]Options{
 		"ftp":   COPSFTP(),
 		"http":  COPSHTTP(),
 		"sched": COPSHTTP().WithScheduling(1, 2),
 		"over":  COPSHTTP().WithOverloadControl(20, 5),
+		"full":  full,
 	} {
 		t.Run(name, func(t *testing.T) {
 			data, err := json.Marshal(o)
@@ -282,11 +302,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			if err := json.Unmarshal(data, &got); err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
-			if got.Value(O4CompletionEvents) != o.Value(O4CompletionEvents) ||
-				got.Value(O6FileCache) != o.Value(O6FileCache) ||
-				got.IdleTimeout != o.IdleTimeout ||
-				got.HighWatermark != o.HighWatermark ||
-				len(got.Quotas) != len(o.Quotas) {
+			if !reflect.DeepEqual(got, o) {
 				t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, o)
 			}
 		})
@@ -301,6 +317,8 @@ func TestJSONRejectsBadEnums(t *testing.T) {
 		`{"dispatcher_threads":1,"mode":"Hyperdrive"}`,
 		`{"dispatcher_threads":1,"idle_timeout":"eleventy"}`,
 		`{"dispatcher_threads":"one"}`,
+		`{"dispatcher_threads":1,"read_timeout":"soon"}`,
+		`{"dispatcher_threads":1,"adaptive_shed":true}`,
 	} {
 		var o Options
 		if err := json.Unmarshal([]byte(bad), &o); err == nil {

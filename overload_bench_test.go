@@ -21,32 +21,20 @@ import (
 // BenchmarkAdaptiveOverload drives COPS-HTTP past saturation — a decode
 // delay bottlenecks the event pool, and more closed-loop clients than
 // the bottleneck can serve hammer it connection-per-request — and
-// compares the static watermark gate against the adaptive limiter on
-// the three numbers overload control is judged by:
+// reports the numbers overload control is judged by:
 //
 //	goodput_rps  completed 200 responses per wall-clock second
 //	p99_ms       99th-percentile latency of the successful requests —
-//	             the static gate queues deeply before pausing, the
-//	             limiter sheds as soon as measured queue wait turns up
+//	             the admission limiter sheds as soon as measured queue
+//	             wait turns up, long before the watermarks pause
 //	hi_ok_frac   fraction of high-priority requests (source 127.0.0.1;
 //	             the sheddable class dials from 127.0.0.2) answered 200:
-//	             the limiter's priority-aware shedding keeps this class
-//	             flowing, the static gate sheds blindly
+//	             priority-aware shedding keeps this class flowing
 //	lo_ok_frac   the same fraction for the sheddable class
 //
-// Both variants shed with the 503 fast path, so a shed request costs a
-// refusal, not a queue slot.
-func BenchmarkAdaptiveOverload(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		adaptive bool
-	}{
-		{"static", false},
-		{"adaptive", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) { benchOverload(b, mode.adaptive) })
-	}
-}
+// Sheds take the 503 fast path, so a shed request costs a refusal, not
+// a queue slot. BENCH_PR7.json records this row beside the watermark
+// gate alone, a configuration that no longer exists.
 
 // fromPortalIP reports whether addr is the benchmark's high-priority
 // source address — the transport-fact classifier (peer IP), exactly what
@@ -59,24 +47,19 @@ func fromPortalIP(addr net.Addr) bool {
 	return host == "127.0.0.1"
 }
 
-func benchOverload(b *testing.B, adaptive bool) {
+func BenchmarkAdaptiveOverload(b *testing.B) {
 	dir := b.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "index.html"), []byte("<html>overload</html>"), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	// Both variants get the identical static configuration — watermarks
-	// and connection bound — so the only difference measured is the
-	// adaptive limiter layered on top. The watermarks are sized to the
-	// deep-backlog regime (the paper's postpone-at-100 style), which is
-	// precisely where the static gate's weakness lives: it reacts to
-	// queue depth long after queue wait has degraded.
+	// The watermarks are sized to the deep-backlog regime (the paper's
+	// postpone-at-100 style), where a depth-only gate reacts long after
+	// queue wait has degraded: the limiter layered on them must act
+	// first.
 	opts := options.COPSHTTP().
 		WithOverloadControl(100, 20).
 		WithHardening(20*time.Second, 20*time.Second, 1<<20)
 	opts.MaxConnections = 256
-	if adaptive {
-		opts = opts.WithAdaptiveShed(true)
-	}
 	cfg := copshttp.Config{
 		DocRoot:        dir,
 		Options:        &opts,
@@ -86,14 +69,12 @@ func benchOverload(b *testing.B, adaptive bool) {
 		// an event-pool worker, so offered load beyond the pool's
 		// capacity piles up as queue wait — the limiter's input signal.
 		DecodeDelay: 5 * time.Millisecond,
-	}
-	if adaptive {
-		cfg.ShedPriority = func(c net.Conn) events.Priority {
+		ShedPriority: func(c net.Conn) events.Priority {
 			if fromPortalIP(c.RemoteAddr()) {
 				return 0
 			}
 			return 1
-		}
+		},
 	}
 	srv, err := copshttp.New(cfg)
 	if err != nil {
@@ -108,8 +89,7 @@ func benchOverload(b *testing.B, adaptive bool) {
 	// Warm up uncontended so the limiter's queue-wait baseline seeds at
 	// the healthy value before the storm; without this the first sample
 	// can arrive mid-saturation and seed the baseline at the congested
-	// wait, making the run order-dependent. Both variants warm up so the
-	// comparison stays fair. 1-in-16 submissions are sampled, so ~16
+	// wait, making the run order-dependent. 1-in-16 submissions are sampled, so ~16
 	// sequential samples need ~256 requests; keep it cheaper and rely on
 	// the min-tracking baseline converging fast downward.
 	for i := 0; i < 64; i++ {
@@ -219,7 +199,5 @@ func benchOverload(b *testing.B, adaptive bool) {
 	if agg.loTot > 0 {
 		b.ReportMetric(float64(agg.loOK)/float64(agg.loTot), "lo_ok_frac")
 	}
-	if lim := srv.Framework().Admission(); lim != nil {
-		b.Logf("limiter snapshot: %+v", lim.Snapshot())
-	}
+	b.Logf("limiter snapshot: %+v", srv.Framework().Admission().Snapshot())
 }
