@@ -18,6 +18,9 @@ test: vet chaos
 	# Chunk order on the default read path: a reorder between two event
 	# workers is a timing flake, so one run can miss it.
 	$(GO) test -count=50 -run 'TestLargeRequestAcrossManyChunks|TestPipelinedBurstKeepsChunkOrder' ./internal/nserver
+	# Reply order on the wire, for the same reason: pipelined replies that
+	# complete out of order must still leave in request order.
+	$(GO) test -count=20 -run 'TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow' ./internal/copshttp
 	# The sharded runtime must degenerate cleanly on one core: the shard
 	# loops, work stealing, fan-out accept paths and the O9 admission gate
 	# re-run serialized.

@@ -124,11 +124,12 @@ func TestHotPathAllocsDirectDispatch(t *testing.T) {
 // fastServeAllocBudget is the ceiling for one call of the real FastPath
 // hook, copshttp's FastServe, serving a warm document on a live
 // keep-alive connection: the request shape checks, the path memo, the
-// respcache probe, the reply-sequencer claim, the blocking vectored send
-// and the (disabled) access log. The expected steady state is zero; the
-// budget of one absorbs the respcache's once-per-second Date rollover and
-// a stat per revalidate window on a slow run. A per-reply ID format or
-// path clean on this path costs several.
+// respcache probe, the blocking vectored send and the (disabled) access
+// log. The expected steady state is zero; the budget of one absorbs the
+// respcache's once-per-second Date rollover and a stat per revalidate
+// window on a slow run. A per-reply ID format or path clean on this path
+// costs several: without the per-connection path memo FastServe
+// measures 3.0 allocs/op.
 const fastServeAllocBudget = 1
 
 func TestHotPathAllocsFastServe(t *testing.T) {

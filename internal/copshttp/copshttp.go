@@ -128,10 +128,9 @@ type Server struct {
 type connState struct {
 	conn *nserver.Conn
 	req  *httpproto.Request
-	// q and seq are the connection's reply sequencer and this request's
-	// claimed reply turn (pipelined responses leave in request order).
-	q   *sequencer
-	seq uint64
+	// slot is this request's reply position, reserved in Handle, so
+	// pipelined responses leave in request order.
+	slot nserver.Slot
 	// full is the resolved filesystem path being served.
 	full string
 	// modTime and size are the file's metadata from the stat hop.
@@ -194,7 +193,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	nscfg := nserver.Config{
 		Options:          opts,
-		App:              nserver.AppFuncs{Request: s.handle, Close: s.connClosed},
+		App:              nserver.AppFuncs{Request: s.handle},
 		Codec:            codec,
 		Priority:         cfg.Priority,
 		Trace:            cfg.Trace,
@@ -320,38 +319,35 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 		c.Close()
 		return
 	}
-	// Claim this request's reply turn before any asynchronous hop: the
-	// framework serializes Handle per connection, so claim order is
-	// request order, and every reply path below goes out through the
-	// sequencer in exactly that order — a synchronous 405 computed for
-	// request N+1 can no longer overtake request N's file completion on
-	// a pipelined connection.
-	q := s.sequencer(c)
-	seq := q.claim()
+	// Reserve this request's reply position before any asynchronous hop:
+	// the framework serializes Handle per connection, so positions are in
+	// request order, and every reply path below fills this one — a
+	// synchronous 405 computed for request N+1 cannot overtake request
+	// N's file completion on a pipelined connection.
+	slot := c.Reserve()
 	if r.Refuse != 0 {
 		// The parser answered but could not frame the body (unsupported
 		// Transfer-Encoding): reply with the refusal status and close —
 		// the rest of the stream is poisoned.
-		s.errorReply(c, r, q, seq, r.Refuse, true)
+		s.errorReply(slot, r, r.Refuse, true)
 		return
 	}
 	if h := s.lookupDynamic(r.Path); h != nil {
-		s.serveDynamic(c, r, q, seq, h)
+		s.serveDynamic(slot, r, h)
 		return
 	}
 	if r.Method != "GET" && r.Method != "HEAD" {
-		s.errorReply(c, r, q, seq, 405, !r.KeepAlive())
+		s.errorReply(slot, r, 405, !r.KeepAlive())
 		return
 	}
 	full, err := s.resolve(r.Path)
 	if err != nil {
-		s.errorReply(c, r, q, seq, 403, !r.KeepAlive())
+		s.errorReply(slot, r, 403, !r.KeepAlive())
 		return
 	}
-	st := &connState{conn: c, req: r, q: q, seq: seq, full: full}
+	st := &connState{conn: c, req: r, slot: slot, full: full}
 	if _, err := s.ns.AIO().Stat(full, st, c.Priority(), s.statDone); err != nil {
-		s.errorReply(c, r, q, seq, 503, true)
-		c.Close()
+		s.errorReply(slot, r, 503, true)
 	}
 }
 
@@ -360,12 +356,11 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 // it inline, on the connection's reader goroutine, for each request
 // decoded while the O9 gate is clear. It serves exactly the shape the
 // rendered-response cache holds — a keep-alive HTTP/1.1 GET for a
-// static path, no Range, no conditional — and only when the reply
-// sequencer has no earlier claim outstanding, so a pipelined response
-// can never overtake a predecessor still in the stat/read hops.
-// Everything else is declined untouched and takes the queued path,
-// which keeps admission control observing every queue wait the fast
-// path did not elide.
+// static path, no Range, no conditional. Its reply is a plain send, so
+// it queues behind the reply position of any predecessor still in the
+// stat/read hops. Everything else is declined untouched and takes the
+// queued path, which keeps admission control observing every queue wait
+// the fast path did not elide.
 func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 	r, ok := req.(*httpproto.Request)
 	if !ok || r.Refuse != 0 || r.Method != "GET" || r.Proto != "HTTP/1.1" || !r.KeepAlive() {
@@ -379,29 +374,43 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 	}
 	// Path resolution allocates (filepath.Join); the per-connection memo
 	// makes repeat requests for the same document — the hot-URL shape the
-	// fast path exists for — allocation-free. The memo fields are only
-	// touched here, under the connection's pipeline lock.
-	q := s.sequencer(c)
-	full := q.memoFull
-	if r.Path != q.memoPath {
+	// fast path exists for — allocation-free.
+	m := memoOf(c)
+	full := m.full
+	if r.Path != m.path {
 		var err error
 		if full, err = s.resolve(r.Path); err != nil {
 			return false
 		}
-		q.memoPath, q.memoFull = r.Path, full
+		m.path, m.full = r.Path, full
 	}
 	head, body, state := s.rcache.Probe(full)
 	if state == respcache.Stale {
 		head, body = s.revalidate(full)
 	}
-	if head == nil || !q.tryFastClaim() {
+	if head == nil {
 		return false
 	}
 	rid := c.BeginRequest()
-	err := c.SendBuffers(head, body)
+	_ = c.SendBuffers(head, body)
 	s.logAccess(c, r, 200, len(body), rid)
-	q.finishFastClaim(s, c, err)
 	return true
+}
+
+// pathMemo caches a connection's last fast-path resolution (request path
+// → filesystem path). Only FastServe touches it, on the goroutine that
+// owns the connection's pipeline.
+type pathMemo struct{ path, full string }
+
+// memoOf returns the connection's path memo, creating it on the first
+// fast-served request (one allocation per connection).
+func memoOf(c *nserver.Conn) *pathMemo {
+	if m, ok := c.UserData().(*pathMemo); ok {
+		return m
+	}
+	m := &pathMemo{}
+	c.SetUserData(m)
+	return m
 }
 
 // revalidate is the fast path's own stat of a rendered entry past its
@@ -430,29 +439,21 @@ func (s *Server) revalidate(full string) (head, body []byte) {
 	return s.confirm(full, info, true)
 }
 
-// connClosed is the OnClose hook: tear down the reply sequencer so parked
-// buffers are dropped and parked streamers never leak.
-func (s *Server) connClosed(c *nserver.Conn, _ error) {
-	if q, ok := c.UserData().(*sequencer); ok {
-		q.shutdown()
-	}
-}
-
 // errorReply sends a canned error page. A HEAD reply strips the body but
 // keeps the Content-Length a GET would have carried, so the two methods
 // are wire-identical up to the body (RFC 9110 §9.3.2).
-func (s *Server) errorReply(c *nserver.Conn, r *httpproto.Request, q *sequencer, seq uint64, status int, close bool) {
+func (s *Server) errorReply(slot nserver.Slot, r *httpproto.Request, status int, close bool) {
 	page := httpproto.ErrorPage(status)
 	resp := httpproto.AcquireResponse()
 	resp.Status = status
 	resp.Close = close
 	resp.Headers.Set("Content-Type", "text/html")
-	if r != nil && r.Method == "HEAD" {
+	if r.Method == "HEAD" {
 		resp.Headers.Set("Content-Length", strconv.Itoa(len(page)))
 	} else {
 		resp.Body = page
 	}
-	s.reply(c, r, q, seq, resp)
+	s.reply(slot, r, resp)
 	httpproto.ReleaseResponse(resp)
 }
 
@@ -461,7 +462,7 @@ func (s *Server) errorReply(c *nserver.Conn, r *httpproto.Request, q *sequencer,
 // relative links inside the index page resolve). The Location echoes the
 // raw request target — query string stripped, never the decoded path, so
 // percent-escapes survive and no decoded byte can reach the header.
-func (s *Server) redirectDir(c *nserver.Conn, st *connState) {
+func (s *Server) redirectDir(st *connState) {
 	r := st.req
 	loc, _, _ := strings.Cut(r.Target, "?")
 	page := httpproto.ErrorPage(301)
@@ -475,7 +476,7 @@ func (s *Server) redirectDir(c *nserver.Conn, st *connState) {
 	} else {
 		resp.Body = page
 	}
-	s.reply(c, r, st.q, st.seq, resp)
+	s.reply(st.slot, r, resp)
 	httpproto.ReleaseResponse(resp)
 }
 
@@ -492,13 +493,13 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 		if errors.Is(err, fs.ErrPermission) {
 			status = 403
 		}
-		s.errorReply(c, r, st.q, st.seq, status, !r.KeepAlive())
+		s.errorReply(st.slot, r, status, !r.KeepAlive())
 		return
 	}
 	if info.IsDir() {
 		// A trailing-slash path already resolved to the index file, so a
 		// directory here means the slash is missing.
-		s.redirectDir(c, st)
+		s.redirectDir(st)
 		return
 	}
 	st.modTime = info.ModTime()
@@ -514,7 +515,7 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 		resp.Status = 304
 		resp.Headers.Set("Last-Modified", httpproto.FormatHTTPDateCached(st.modTime))
 		resp.Close = !r.KeepAlive()
-		s.reply(c, r, st.q, st.seq, resp)
+		s.reply(st.slot, r, resp)
 		httpproto.ReleaseResponse(resp)
 		return
 	}
@@ -537,7 +538,7 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 			} else {
 				resp.Body = page
 			}
-			s.reply(c, r, st.q, st.seq, resp)
+			s.reply(st.slot, r, resp)
 			httpproto.ReleaseResponse(resp)
 			return
 		default:
@@ -547,14 +548,12 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 	}
 	if s.largeFile > 0 && st.size >= s.largeFile {
 		if _, err := s.ns.AIO().Open(st.full, st, c.Priority(), s.openDone); err != nil {
-			s.errorReply(c, r, st.q, st.seq, 503, true)
-			c.Close()
+			s.errorReply(st.slot, r, 503, true)
 		}
 		return
 	}
 	if _, err := s.ns.AIO().ReadFile(st.full, st, c.Priority(), s.fileDone); err != nil {
-		s.errorReply(c, r, st.q, st.seq, 503, true)
-		c.Close()
+		s.errorReply(st.slot, r, 503, true)
 	}
 }
 
@@ -590,7 +589,7 @@ func (s *Server) fileDone(tok events.Token, data []byte, err error) {
 		if errors.Is(err, fs.ErrPermission) {
 			status = 403
 		}
-		s.errorReply(c, r, st.q, st.seq, status, !r.KeepAlive())
+		s.errorReply(st.slot, r, status, !r.KeepAlive())
 		return
 	}
 	// The cached-file fast path: a pooled Response carries the cache's
@@ -631,14 +630,16 @@ func (s *Server) fileDone(tok events.Token, data []byte, err error) {
 		resp.Body = nil
 	}
 	resp.Close = !r.KeepAlive()
-	s.reply(c, r, st.q, st.seq, resp)
+	s.reply(st.slot, r, resp)
 	httpproto.ReleaseResponse(resp)
 }
 
 // openDone is the large-file Completion Handler: it receives the open
-// descriptor from the File Open Event and streams the body — sendfile(2)
-// on Linux TCP transports, pooled copy elsewhere — without ever holding
-// the file in memory. The descriptor is owned here and always closed.
+// descriptor from the File Open Event and fills the request's reply
+// position with the streamed body — sendfile(2) on Linux TCP transports,
+// pooled copy elsewhere — without ever holding the file in memory. The
+// descriptor is owned here and closed once the position is filled: a
+// reply that must wait its turn streams from the runtime's own dup.
 func (s *Server) openDone(tok events.Token, f *os.File, info os.FileInfo, err error) {
 	st := tok.State.(*connState)
 	c, r := st.conn, st.req
@@ -647,7 +648,7 @@ func (s *Server) openDone(tok events.Token, f *os.File, info os.FileInfo, err er
 		if errors.Is(err, fs.ErrPermission) {
 			status = 403
 		}
-		s.errorReply(c, r, st.q, st.seq, status, !r.KeepAlive())
+		s.errorReply(st.slot, r, status, !r.KeepAlive())
 		return
 	}
 	// Serve what is open now: the stat hop's size may be stale, and the
@@ -673,55 +674,13 @@ func (s *Server) openDone(tok events.Token, f *os.File, info os.FileInfo, err er
 	// advertised explicitly.
 	resp.Headers.Set("Content-Length", strconv.FormatInt(length, 10))
 	if r.Method == "HEAD" {
-		f.Close()
-		s.reply(c, r, st.q, st.seq, resp)
-		httpproto.ReleaseResponse(resp)
-		return
+		s.reply(st.slot, r, resp)
+	} else {
+		_ = st.slot.Last(resp.Close).ReplyFile(resp, f, offset, length)
+		s.logAccess(c, r, resp.Status, int(length), st.slot.Seq())
 	}
-	// A stream cannot be parked as rendered bytes, so an out-of-turn
-	// streaming reply hands descriptor, response and turn to a waiter
-	// goroutine instead of blocking this completion worker; the flusher
-	// wakes it when its turn arrives, and shutdown aborts it if the
-	// connection dies first (the descriptor never leaks).
-	q := st.q
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		f.Close()
-		httpproto.ReleaseResponse(resp)
-		return
-	}
-	if st.seq != q.next {
-		p := &pendingReply{turn: make(chan struct{})}
-		q.pending[st.seq] = p
-		q.mu.Unlock()
-		go func() {
-			<-p.turn
-			if p.aborted {
-				f.Close()
-				httpproto.ReleaseResponse(resp)
-				return
-			}
-			s.streamFile(c, st, resp, f, offset, length)
-		}()
-		return
-	}
-	q.mu.Unlock()
-	s.streamFile(c, st, resp, f, offset, length)
-}
-
-// streamFile writes one in-turn streaming reply — sendfile(2) on Linux
-// TCP transports, pooled copy elsewhere — then advances the reply
-// sequence. It owns and closes f and releases resp.
-func (s *Server) streamFile(c *nserver.Conn, st *connState, resp *httpproto.Response, f *os.File, offset, length int64) {
-	r := st.req
-	closeAfter := resp.Close
-	status := resp.Status
-	serr := c.ReplyFile(resp, f, offset, length)
 	f.Close()
 	httpproto.ReleaseResponse(resp)
-	s.logAccess(c, r, status, int(length), c.RequestSeq())
-	st.q.advanceAfterStream(s, c, closeAfter, serr)
 }
 
 // lookupDynamic returns the handler with the longest matching path
@@ -739,7 +698,7 @@ func (s *Server) lookupDynamic(path string) DynamicHandler {
 }
 
 // serveDynamic runs a dynamic-content handler with panic isolation.
-func (s *Server) serveDynamic(c *nserver.Conn, r *httpproto.Request, q *sequencer, seq uint64, h DynamicHandler) {
+func (s *Server) serveDynamic(slot nserver.Slot, r *httpproto.Request, h DynamicHandler) {
 	resp := func() (resp *httpproto.Response) {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -758,14 +717,27 @@ func (s *Server) serveDynamic(c *nserver.Conn, r *httpproto.Request, q *sequence
 		resp.Headers.Set("Content-Length", strconv.Itoa(len(resp.Body)))
 		resp.Body = nil
 	}
-	s.reply(c, r, q, seq, resp)
+	s.reply(slot, r, resp)
 }
 
-// reply sends the response through the connection's reply sequencer,
-// which writes the access-log record (O12) and closes non-persistent
-// connections once the reply (and any parked predecessors) are out.
-func (s *Server) reply(c *nserver.Conn, r *httpproto.Request, q *sequencer, seq uint64, resp *httpproto.Response) {
-	s.sendOrdered(c, q, seq, r, resp)
+// reply fills the request's reply position with resp and writes its O12
+// access-log record. A Connection: close reply is the connection's last:
+// the runtime closes once it is on the wire.
+func (s *Server) reply(slot nserver.Slot, r *httpproto.Request, resp *httpproto.Response) {
+	resp.Proto = r.Proto
+	_ = slot.Last(resp.Close).Reply(resp)
+	s.logAccess(slot.Conn(), r, resp.Status, len(resp.Body), slot.Seq())
+}
+
+// logAccess writes the O12 access-log record (common-log-style plus the
+// trace ID of request ordinal rid, so a sampled "trace id=..." line and
+// its access-log record can be joined). The ID is formatted only when a
+// logger exists: with logging off a reply costs no formatting.
+func (s *Server) logAccess(c *nserver.Conn, r *httpproto.Request, status, bytes int, rid uint64) {
+	if lg := s.ns.Logger(); lg != nil {
+		lg.Infof("%s \"%s %s %s\" %d %d id=%s",
+			c.RemoteAddr(), r.Method, r.Target, r.Proto, status, bytes, nserver.FormatRequestID(c.ID(), rid))
+	}
 }
 
 // resolve maps a request path, already cleaned by the codec

@@ -118,10 +118,10 @@ func TestWireConnectionTokenList(t *testing.T) {
 	}
 }
 
-// TestWirePipelinedRepliesStayOrdered pins the reply sequencer: a
-// synchronous 405 computed for the second pipelined request must not
-// overtake the first request's asynchronous file completion. Many rounds
-// of (async 200, sync 405, async 200) pairs make a pre-sequencer
+// TestWirePipelinedRepliesStayOrdered pins reply order: a synchronous
+// 405 computed for the second pipelined request must not overtake the
+// first request's asynchronous file completion. Many rounds of (async
+// 200, sync 405, async 200) pairs make an unordered reply path's
 // reordering all but certain while staying deterministic to check — the
 // observed statuses must arrive exactly in request order every round.
 func TestWirePipelinedRepliesStayOrdered(t *testing.T) {

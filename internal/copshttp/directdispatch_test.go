@@ -69,8 +69,9 @@ func TestDirectDispatchPipelinedOrdering(t *testing.T) {
 	// cold document, a Range request and a miss in the middle (all
 	// declined to the queued path, with its async file hops): the
 	// replies must come back in request order, although the hits
-	// after a decline could be answered at once — the sequencer makes
-	// the fast path decline while an earlier claim is outstanding.
+	// after a decline could be answered at once — a hit answered inline
+	// waits in the connection's queue behind the reply position of
+	// every earlier request still in its hops.
 	type want struct {
 		path, extra string
 		status      int

@@ -95,7 +95,6 @@ func TestOptionMatrixCompiles(t *testing.T) {
 				}
 				if sched {
 					o.EventScheduling = true
-					o.PriorityLevels = 2
 					o.Quotas = []int{4, 1}
 				}
 				combos = append(combos, o)

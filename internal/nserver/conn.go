@@ -96,17 +96,22 @@ type Conn struct {
 	// Write side (see send in writeq.go): writeMu serializes every reply's
 	// flush. outq holds, in wire order, replies not yet on the wire: the
 	// corked replies of the window the drain is serving (corked is set by
-	// the drain owner, see decodeLoop), or the parked rest of replies the
-	// socket refused. wgate elects the one writePump goroutine that
-	// finishes a parked queue, and pumping marks its flush, during whose
-	// blocking writes it drops writeMu. unparked (on writeMu) wakes those
-	// waiting for the pump: readLoop, which reads nothing while the queue
-	// is parked, and finalize. The atomics feed the parked-write gauges
-	// without taking the lock. outq, pumping, closeAfterFlush and the
-	// gathered write's iovec scratch (wsegs, and wbufs for the blocking
-	// sink) are guarded by writeMu.
+	// the drain owner, see decodeLoop), the parked rest of replies the
+	// socket refused, and reserved reply positions with the replies
+	// waiting behind them (held counts the positions not yet filled,
+	// slots is the last position ID handed out). wgate elects the one
+	// writePump goroutine that finishes a parked queue, and pumping marks
+	// its flush, during whose blocking writes it drops writeMu. unparked
+	// (on writeMu) wakes those waiting for the pump: readLoop, which
+	// reads nothing while the queue is parked, and finalize. The atomics
+	// feed the parked-write gauges without taking the lock. outq, held,
+	// slots, pumping, closeAfterFlush and the gathered write's iovec
+	// scratch (wsegs, and wbufs for the blocking sink) are guarded by
+	// writeMu.
 	wgate           reactor.DrainGate
 	outq            []outItem
+	held            int
+	slots           uint64
 	corked          atomic.Bool
 	outMem          atomic.Int64
 	outPending      atomic.Int64
@@ -198,8 +203,9 @@ func (c *Conn) BeginRequest() uint64 { return c.nextRequestID() }
 func (c *Conn) touch() { c.lastActive.Store(time.Now().UnixNano()) }
 
 // Send transmits raw bytes (the Send Reply step without encoding) as one
-// outbound item (see send). data may be released or reused once Send
-// returns: bytes a parking connection could not write yet are copied.
+// outbound item (see send), behind every reply position reserved before
+// it. data may be released or reused once Send returns: bytes the
+// connection could not write yet are copied.
 func (c *Conn) Send(data []byte) error { return c.send(outItem{head: data}) }
 
 // replyHeadSize sizes the pooled buffer leased for zero-copy reply heads.
@@ -210,21 +216,25 @@ const replyHeadSize = 512
 // implementing BufferEncoder take the zero-copy path: the head is rendered
 // into a pooled buffer and head and body go out as one writev, so the body
 // is never copied into a combined response slice.
-func (c *Conn) Reply(reply any) error {
+func (c *Conn) Reply(reply any) error { return c.reply(reply, outItem{}) }
+
+// reply encodes reply into it — a plain item or a reserved position's.
+func (c *Conn) reply(reply any, it outItem) error {
 	if be, ok := c.srv.codec.(BufferEncoder); ok {
-		return c.sendReply(be, reply, outItem{})
+		return c.sendReply(be, reply, it)
 	}
 	data, err := c.srv.encode(reply)
 	if err != nil {
-		return err
+		return c.encodeFailed(it, err)
 	}
-	return c.Send(data)
+	it.head = data
+	return c.send(it)
 }
 
 // sendReply renders reply's head into a pooled lease (the Encode Reply
 // step) and sends it as one item with whatever file range it carries.
 // The lease goes back to the pool on return; send copies any head bytes
-// it has to park.
+// it has to keep.
 func (c *Conn) sendReply(be BufferEncoder, reply any, it outItem) error {
 	lease := bufpool.Get(replyHeadSize)
 	encStart := c.sh.profile.StageStart()
@@ -233,8 +243,20 @@ func (c *Conn) sendReply(be BufferEncoder, reply any, it outItem) error {
 	c.sh.profile.ObserveSince(profiling.StageEncode, encStart)
 	if err == nil {
 		err = c.send(it)
+	} else {
+		err = c.encodeFailed(it, err)
 	}
 	lease.Release()
+	return err
+}
+
+// encodeFailed returns a failed Encode Reply step's error. A reserved
+// position is still filled, empty, so the replies behind it are not
+// held forever.
+func (c *Conn) encodeFailed(it outItem, err error) error {
+	if it.slot != 0 {
+		_ = c.send(outItem{slot: it.slot, last: it.last})
+	}
 	return err
 }
 
@@ -252,11 +274,11 @@ func appendHeadSafe(be BufferEncoder, dst []byte, reply any) (head, body []byte,
 }
 
 // SendBuffers transmits head and body as one vectored write with Send's
-// semantics, for callers (the copshttp reply sequencer) that hold a
-// rendered wire head and a reference-safe body and must not glue them
-// into one allocation. The head may be reused once SendBuffers returns;
-// the body must not be mutated after the call, since a parking
-// connection retains it by reference until it is flushed.
+// semantics, for callers (the copshttp fast path) that hold a rendered
+// wire head and a reference-safe body and must not glue them into one
+// allocation. The head may be reused once SendBuffers returns; the body
+// must not be mutated after the call, since a queued reply retains it by
+// reference until it is flushed.
 func (c *Conn) SendBuffers(head, body []byte) error {
 	return c.send(outItem{head: head, body: body})
 }

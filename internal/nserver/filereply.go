@@ -29,11 +29,17 @@ var ErrStreamTruncated = errors.New("nserver: file shorter than streamed length"
 // per chunk. The reply must carry an explicit Content-Length (the codec
 // sees an empty in-memory body). Requires a BufferEncoder codec.
 func (c *Conn) ReplyFile(reply any, src *os.File, offset, length int64) error {
+	return c.replyFile(reply, outItem{file: src, off: offset, remaining: length})
+}
+
+// replyFile sends it — a plain item or a reserved position's — carrying
+// a file range behind reply's rendered head.
+func (c *Conn) replyFile(reply any, it outItem) error {
 	be, ok := c.srv.codec.(BufferEncoder)
 	if !ok {
-		return errors.New("nserver: ReplyFile requires a BufferEncoder codec")
+		return c.encodeFailed(it, errors.New("nserver: ReplyFile requires a BufferEncoder codec"))
 	}
-	return c.sendReply(be, reply, outItem{file: src, off: offset, remaining: length})
+	return c.sendReply(be, reply, it)
 }
 
 // copyFileChunk is the portable streaming path: it moves up to limit

@@ -248,7 +248,7 @@ func New(cfg Config) (*Server, error) {
 		s.overload = eventproc.NewOverload(s.profile, s.trace)
 		levels := 1
 		if o.EventScheduling {
-			levels = o.PriorityLevels
+			levels = len(o.Quotas)
 		}
 		var classify func(net.Conn) int
 		if cfg.ShedPriority != nil {

@@ -48,6 +48,13 @@ import (
 // write when the window's buffered requests run out. A corked item is
 // not parked — no pump, no queue gauges — and it is never held across a
 // read.
+//
+// A handler whose reply waits on an asynchronous hop first reserves the
+// connection's next reply position (see Reserve): an unfilled, held item
+// at which flush stops. Replies sent behind it wait in the queue, owned
+// like corked ones, until the sender that fills the front position moves
+// the whole contiguous run. Queue order is thus request order, whichever
+// reply completes first. A held position is never parked.
 
 // ErrOutboundOverflow tears down a connection whose parked replies would
 // exceed the per-connection outbound memory cap: a reader this far
@@ -78,16 +85,20 @@ const retainedQueueCap = 32
 
 // outItem is one reply in wire order: head, then body, then remaining
 // bytes of file starting at off. While send runs, every field borrows
-// from the caller; an item that outlives the call — corked or parked —
-// owns its head (see own), and a parked one its descriptor (see park).
+// from the caller; an item that outlives the call — corked, parked or
+// behind a held position — owns its head and descriptor (see own).
 type outItem struct {
 	headLease *bufpool.Buffer // owns head's backing store once queued past send
 	head      []byte          // unsent head
 	body      []byte          // unsent body, retained by reference (bodies are GC-owned)
-	file      *os.File        // the caller's descriptor, a queue-owned dup once parked
+	file      *os.File        // the caller's descriptor, a queue-owned dup once owned
 	off       int64           // next file offset
 	remaining int64           // file bytes still unsent
-	parkedAt  int64           // unix-nano park time; 0 while borrowed or corked
+	parkedAt  int64           // unix-nano park time; 0 while borrowed, corked or held
+	slot      uint64          // reserved position's ID (see Reserve); 0 for a plain send
+	held      bool            // a reserved position not yet filled: flush stops here
+	last      bool            // the connection's last reply (see Slot.Last)
+	owned     bool            // own ran: head leased, file a queue-owned dup
 }
 
 // mem returns the item's unsent memory bytes.
@@ -109,13 +120,43 @@ func (it *outItem) consume(n int) {
 	it.body = it.body[n:]
 }
 
-// own moves the unsent head into a pooled lease, so the caller may reuse
-// its buffer once send returns (the Reply path releases its own lease
-// then). The body stays by reference.
-func (it *outItem) own() {
-	if it.headLease == nil && len(it.head) > 0 {
+// own makes the item outlive send: the unsent head moves into a pooled
+// lease, so the caller may reuse its buffer once send returns (the Reply
+// path releases its own lease then), and a file range gets the queue's
+// own dup of the descriptor, so the caller may close src as soon as
+// ReplyFile returns. The body stays by reference.
+func (it *outItem) own() error {
+	if it.owned {
+		return nil
+	}
+	if len(it.head) > 0 {
 		it.headLease = bufpool.Get(len(it.head))
 		it.head = it.headLease.Bytes()[:copy(it.headLease.Bytes(), it.head)]
+	}
+	if it.remaining == 0 {
+		it.file = nil
+	} else {
+		fd, err := syscall.Dup(int(it.file.Fd()))
+		if err != nil {
+			return err
+		}
+		syscall.CloseOnExec(fd)
+		it.file = os.NewFile(uintptr(fd), it.file.Name())
+	}
+	it.owned = true
+	return nil
+}
+
+// release frees what the item owns: its head lease and its dup'd
+// descriptor (a borrowed one is the caller's).
+func (it *outItem) release() {
+	if it.headLease != nil {
+		it.headLease.Release()
+		it.headLease = nil
+	}
+	if it.owned && it.file != nil {
+		it.file.Close()
+		it.file = nil
 	}
 }
 
@@ -123,33 +164,131 @@ func (it *outItem) own() {
 // on this connection's outbound queue.
 func (c *Conn) OutboundQueued() int64 { return c.outPending.Load() }
 
+// Slot is a reply position reserved on a connection's outbound queue (see
+// Reserve). Its Reply, ReplyFile and SendBuffers fill it with exactly one
+// reply; until then nothing sent behind it reaches the wire.
+type Slot struct {
+	c    *Conn
+	id   uint64
+	seq  uint64
+	last bool
+}
+
+// Reserve holds the connection's next reply position, for a Handle whose
+// reply waits on an asynchronous hop: Handle runs in request order, so
+// the positions do too, and replies leave in request order whichever
+// completes first (HTTP/1.1 pipelining, RFC 9112 §9.3.2). Every position
+// must be filled; the connection's teardown releases those still held,
+// and filling one after it returns ErrConnClosed.
+func (c *Conn) Reserve() Slot {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	c.slots++
+	s := Slot{c: c, id: c.slots, seq: c.RequestSeq()}
+	if !c.closed.Load() && !c.closeAfterFlush {
+		c.outq = append(c.outq, outItem{slot: s.id, held: true})
+		c.held++
+	}
+	return s
+}
+
+// Conn returns the connection the position belongs to.
+func (s Slot) Conn() *Conn { return s.c }
+
+// Seq returns the ordinal of the request the position was reserved for
+// (RequestSeq when Reserve ran).
+func (s Slot) Seq() uint64 { return s.seq }
+
+// Last returns the position marked, when last is true, as the
+// connection's last reply: once its bytes are on the wire the connection
+// closes, and every reply queued behind it is released unsent.
+func (s Slot) Last(last bool) Slot {
+	s.last = last
+	return s
+}
+
+// Reply fills the position with an encoded reply, as Conn.Reply sends one.
+func (s Slot) Reply(reply any) error { return s.c.reply(reply, s.item()) }
+
+// ReplyFile fills the position with a streamed file reply, as
+// Conn.ReplyFile sends one; src may be closed once it returns.
+func (s Slot) ReplyFile(reply any, src *os.File, offset, length int64) error {
+	it := s.item()
+	it.file, it.off, it.remaining = src, offset, length
+	return s.c.replyFile(reply, it)
+}
+
+// SendBuffers fills the position with head and body, as Conn.SendBuffers
+// sends them.
+func (s Slot) SendBuffers(head, body []byte) error {
+	it := s.item()
+	it.head, it.body = head, body
+	return s.c.send(it)
+}
+
+// item is the outbound item that fills the position.
+func (s Slot) item() outItem { return outItem{slot: s.id, last: s.last} }
+
 // send is the Send Reply step every reply takes. Under writeMu it
-// appends the item to outq and flushes the queue until it is sent, the
-// write fails (the connection is torn down) or a non-blocking attempt
-// finds the socket full (the rest parks and send returns nil: the bytes
-// are committed and will drain in order). Two cases only queue: behind
-// anything parked, a reply parks unconditionally, and on a corked
-// connection a memory-only reply waits for uncork. A file range flushes
-// the corked replies ahead of it. Queue order is wire order either way.
+// appends the item to outq — or, for a fill, puts it in its reserved
+// position — and flushes the queue until it is sent, the write fails
+// (the connection is torn down) or a non-blocking attempt finds the
+// socket full (the rest parks and send returns nil: the bytes are
+// committed and will drain in order). Three cases only queue: behind a
+// held position a reply waits for it to be filled, behind anything
+// parked it parks, and on a corked connection a memory-only reply waits
+// for uncork. A file range flushes the corked replies ahead of it. Queue
+// order is wire order every way.
 func (c *Conn) send(it outItem) error {
 	if c.closed.Load() {
 		return ErrConnClosed
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if c.closed.Load() || c.closeAfterFlush {
+	if c.closed.Load() {
 		return ErrConnClosed
 	}
-	parked := c.queueParked()
-	c.outq = append(c.outq, it)
+	i, heldAhead := len(c.outq), c.held > 0
+	if it.slot == 0 {
+		if c.closeAfterFlush {
+			return ErrConnClosed
+		}
+		c.outq = append(c.outq, it)
+	} else {
+		if i, heldAhead = c.slotIndex(it.slot); i < 0 {
+			return ErrConnClosed
+		}
+		c.outq[i] = it
+		c.held--
+	}
 	switch {
-	case parked:
+	case heldAhead:
+		if err := c.outq[i].own(); err != nil {
+			c.failOutboundLocked(err)
+			return err
+		}
+		return nil
+	case c.queueParked():
 		return c.park()
 	case it.remaining == 0 && c.corked.Load():
-		c.outq[len(c.outq)-1].own()
-		return nil
+		return c.outq[i].own()
 	}
 	return c.flushLocked()
+}
+
+// slotIndex finds reserved position slot in outq (-1 once it was
+// released) and reports whether another held position precedes it.
+// Called under writeMu.
+func (c *Conn) slotIndex(slot uint64) (i int, heldAhead bool) {
+	for i := range c.outq {
+		switch {
+		case c.outq[i].slot == slot:
+			return i, heldAhead
+		case c.outq[i].held:
+			heldAhead = true
+		}
+	}
+	return -1, false
 }
 
 // queueParked reports whether outq waits on the write pump. Items park
@@ -158,18 +297,22 @@ func (c *Conn) send(it outItem) error {
 func (c *Conn) queueParked() bool { return len(c.outq) > 0 && c.outq[0].parkedAt != 0 }
 
 // flushLocked runs flush for a writer holding a queue that is not
-// parked (send, uncork): a write error tears the connection down, and a
-// full socket parks what is left. Called under writeMu.
+// parked (send, uncork): a write error tears the connection down, a
+// full socket parks what is left, and an emptied queue closes the
+// connection when a Close or a last reply waits on it. Called under
+// writeMu.
 func (c *Conn) flushLocked() error {
 	sendStart := c.sh.profile.StageStart()
 	again, err := c.flush()
 	c.sh.profile.ObserveSince(profiling.StageSend, sendStart)
-	if err != nil {
+	switch {
+	case err != nil:
 		c.failOutboundLocked(err)
 		return err
-	}
-	if again {
+	case again:
 		return c.park()
+	case len(c.outq) == 0 && c.closeAfterFlush:
+		c.teardown(nil)
 	}
 	return nil
 }
@@ -177,15 +320,18 @@ func (c *Conn) flushLocked() error {
 // flush is the one loop that moves reply bytes. From the front of outq
 // it gathers the memory segments of consecutive items into one vectored
 // write, then streams a file range a chunk at a time, and drops each item
-// once it is sent, until the queue is empty, the sink reports again (the
-// items keep their unsent rest) or a write fails. A parked item's
-// descriptor closes and its park-to-flushed latency is recorded as it
-// leaves. Called under writeMu; the pump's sink drops it across each
-// write, so items are addressed by index, never by a held pointer.
+// once it is sent, until the queue is empty, a held position is next,
+// the sink reports again (the items keep their unsent rest) or a write
+// fails. An owned item's descriptor closes and a parked one's
+// park-to-flushed latency is recorded as it leaves; once the
+// connection's last reply has left, everything behind it is released
+// unsent and the connection is due to close. Called under writeMu; the
+// pump's sink drops it across each write, so items are addressed by
+// index, never by a held pointer.
 func (c *Conn) flush() (again bool, err error) {
 	parked := c.queueParked()
 	sent := 0
-	for sent < len(c.outq) && !again && err == nil {
+	for sent < len(c.outq) && !c.outq[sent].held && !again && err == nil {
 		it := &c.outq[sent]
 		switch {
 		case it.mem() > 0:
@@ -221,13 +367,15 @@ func (c *Conn) flush() (again bool, err error) {
 				err = ErrStreamTruncated
 			}
 		default:
+			it.release()
 			if it.parkedAt != 0 {
-				if it.file != nil {
-					it.file.Close()
-				}
 				c.sh.profile.ObserveFlush(time.Duration(time.Now().UnixNano() - it.parkedAt))
 			}
 			sent++
+			if it.last {
+				c.releaseFrom(sent)
+				c.closeAfterFlush = true
+			}
 		}
 	}
 	// Drop the sent items in place: the next window reuses the backing
@@ -245,12 +393,13 @@ func (c *Conn) flush() (again bool, err error) {
 // gather collects the unsent memory segments of consecutive queued items,
 // from outq[from] on, in wire order, into the connection's iovec scratch:
 // at most writeFlushSegs segments and writeFlushChunk bytes. It stops
-// after an item with a file range, whose file bytes go out before the
-// next item's. Called under writeMu.
+// at a held position, after the connection's last reply, and after an
+// item with a file range, whose file bytes go out before the next
+// item's. Called under writeMu.
 func (c *Conn) gather(from int) (segs [][]byte, want int) {
 	segs = c.wsegs[:0]
 fill:
-	for i := from; i < len(c.outq); i++ {
+	for i := from; i < len(c.outq) && !c.outq[i].held; i++ {
 		it := &c.outq[i]
 		for _, seg := range [2][]byte{it.head, it.body} {
 			if len(seg) == 0 {
@@ -263,7 +412,7 @@ fill:
 			segs = append(segs, seg)
 			want += len(seg)
 		}
-		if it.remaining > 0 {
+		if it.remaining > 0 || it.last {
 			break
 		}
 	}
@@ -364,19 +513,22 @@ func (c *Conn) pumpRelock() {
 	}
 }
 
-// park hands the queue's unparked tail — the item send could not finish,
-// and any corked replies ahead of it — to the write pump, starting the
-// pump when the queue was not parked before. The queue takes ownership:
-// each head remainder moves into a pooled lease (see own), a body is
-// retained by reference, and a file range keeps its own dup of the
-// descriptor (the caller closes src as soon as ReplyFile returns).
-// In-memory bytes are capped per connection. Called under writeMu.
+// park hands the queue's unparked run — the item send could not finish,
+// any corked replies ahead of it, and the replies that waited behind it
+// up to the next held position — to the write pump, starting the pump
+// when the queue was not parked before. The queue owns what it parks
+// (see own). In-memory bytes are capped per connection. Called under
+// writeMu.
 func (c *Conn) park() error {
-	first := len(c.outq)
-	for first > 0 && c.outq[first-1].parkedAt == 0 {
-		first--
+	first := 0
+	for first < len(c.outq) && c.outq[first].parkedAt != 0 {
+		first++
 	}
-	fresh := c.outq[first:]
+	end := first
+	for end < len(c.outq) && !c.outq[end].held {
+		end++
+	}
+	fresh := c.outq[first:end]
 	var mem, files int64
 	for i := range fresh {
 		mem += int64(fresh[i].mem())
@@ -391,20 +543,11 @@ func (c *Conn) park() error {
 	}
 	now := time.Now().UnixNano()
 	for i := range fresh {
-		it := &fresh[i]
-		if it.remaining > 0 {
-			fd, err := syscall.Dup(int(it.file.Fd()))
-			if err != nil {
-				c.failOutboundLocked(err)
-				return err
-			}
-			syscall.CloseOnExec(fd)
-			it.file = os.NewFile(uintptr(fd), it.file.Name())
-		} else {
-			it.file = nil
+		if err := fresh[i].own(); err != nil {
+			c.failOutboundLocked(err)
+			return err
 		}
-		it.own()
-		it.parkedAt = now
+		fresh[i].parkedAt = now
 	}
 	c.outMem.Add(mem)
 	c.outPending.Add(mem + files)
@@ -429,17 +572,13 @@ func (c *Conn) park() error {
 func (c *Conn) uncork() {
 	c.writeMu.Lock()
 	c.corked.Store(false)
-	closeNow := false
 	switch {
 	case c.closed.Load():
 		c.freeOutboundLocked()
 	case len(c.outq) > 0 && !c.queueParked():
-		closeNow = c.flushLocked() == nil && len(c.outq) == 0 && c.closeAfterFlush
+		_ = c.flushLocked()
 	}
 	c.writeMu.Unlock()
-	if closeNow {
-		c.teardown(nil)
-	}
 }
 
 // writePump is the goroutine park starts, holding wgate: it flushes the
@@ -460,10 +599,11 @@ func (c *Conn) writePump() {
 	}
 }
 
-// pumpQueueLocked is one pump pass over a parked queue. An emptied queue
-// clears the write deadline the pump armed, so the next non-blocking
-// attempt does not trip over it, and reports whether a Close waiting on
-// the queue is now due. Called under writeMu.
+// pumpQueueLocked is one pump pass over a parked queue, which ends
+// empty or at a held position. Either clears the write deadline the pump
+// armed, so the next non-blocking attempt does not trip over it; an
+// emptied queue reports whether a Close waiting on it is now due.
+// Called under writeMu.
 func (c *Conn) pumpQueueLocked() (closeNow bool) {
 	defer c.unparked.Broadcast()
 	if !c.closed.Load() && c.queueParked() {
@@ -478,13 +618,13 @@ func (c *Conn) pumpQueueLocked() (closeNow bool) {
 		c.freeOutboundLocked()
 		return false
 	}
-	if len(c.outq) > 0 {
+	if c.queueParked() {
 		return false
 	}
 	if c.srv.opts.WriteTimeout > 0 {
 		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
-	return c.closeAfterFlush
+	return len(c.outq) == 0 && c.closeAfterFlush
 }
 
 // awaitUnparked holds readLoop while the outbound queue is parked: the
@@ -505,26 +645,26 @@ func (c *Conn) failOutboundLocked(err error) {
 	c.freeOutboundLocked()
 }
 
-// freeOutboundLocked releases every queued item's pooled lease and a
-// parked item's dup'd descriptor (a borrowed one is the caller's), and
-// empties the queue. While the pump is mid-write it leaves the queue to
-// the pump, which frees it once the write returns on the closed
-// transport. Called under writeMu.
+// freeOutboundLocked releases what every queued item owns (see release)
+// and empties the queue, held positions included. While the pump is
+// mid-write it leaves the queue to the pump, which frees it once the
+// write returns on the closed transport. Called under writeMu.
 func (c *Conn) freeOutboundLocked() {
-	if c.pumping {
-		return
+	if !c.pumping {
+		c.releaseFrom(0)
 	}
-	for i := range c.outq {
-		it := &c.outq[i]
-		if it.headLease != nil {
-			it.headLease.Release()
-		}
-		if it.file != nil && it.parkedAt != 0 {
-			it.file.Close()
-		}
+}
+
+// releaseFrom releases outq[from:] unsent: what each item owns, the held
+// positions among them, and the queue gauges, which count only the
+// parked items at the queue's front. Called under writeMu.
+func (c *Conn) releaseFrom(from int) {
+	for i := from; i < len(c.outq); i++ {
+		c.outq[i].release()
 	}
-	clear(c.outq)
-	c.outq = c.outq[:0]
+	clear(c.outq[from:])
+	c.outq = c.outq[:from]
+	c.held = 0
 	c.outMem.Store(0)
 	c.outPending.Store(0)
 }

@@ -33,7 +33,6 @@ type fileForm struct {
 	MaxRequestBytes    int    `json:"max_request_bytes,omitempty"`
 	LargeFileThreshold int64  `json:"large_file_threshold,omitempty"`
 	EventScheduling    bool   `json:"event_scheduling"`
-	PriorityLevels     int    `json:"priority_levels,omitempty"`
 	Quotas             []int  `json:"quotas,omitempty"`
 	OverloadControl    bool   `json:"overload_control"`
 	HighWatermark      int    `json:"high_watermark,omitempty"`
@@ -67,7 +66,6 @@ func (o Options) MarshalJSON() ([]byte, error) {
 		MaxRequestBytes:    o.MaxRequestBytes,
 		LargeFileThreshold: o.LargeFileThreshold,
 		EventScheduling:    o.EventScheduling,
-		PriorityLevels:     o.PriorityLevels,
 		Quotas:             o.Quotas,
 		OverloadControl:    o.OverloadControl,
 		HighWatermark:      o.HighWatermark,
@@ -111,7 +109,6 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 		MaxRequestBytes:    f.MaxRequestBytes,
 		LargeFileThreshold: f.LargeFileThreshold,
 		EventScheduling:    f.EventScheduling,
-		PriorityLevels:     f.PriorityLevels,
 		Quotas:             f.Quotas,
 		OverloadControl:    f.OverloadControl,
 		HighWatermark:      f.HighWatermark,

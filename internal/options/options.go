@@ -285,8 +285,7 @@ type Options struct {
 
 	// O8: priority event scheduling with per-level quotas.
 	EventScheduling bool
-	PriorityLevels  int   // number of priority levels (>= 2 when enabled)
-	Quotas          []int // per-level quota; len == PriorityLevels
+	Quotas          []int // per-level quota, highest priority first; one level each (>= 2 when enabled)
 
 	// O9: automatic overload control via event queue watermarks. The
 	// accept gate is an AIMD admission limiter over sampled queue waits
@@ -329,7 +328,7 @@ var (
 	ErrCacheThreshold    = errors.New("O6: LRU-Threshold requires a positive cache threshold")
 	ErrIdleTimeout       = errors.New("O7: shutdown of long-idle connections requires a positive idle timeout")
 	ErrPriorityLevels    = errors.New("O8: event scheduling requires at least 2 priority levels")
-	ErrQuotas            = errors.New("O8: one positive quota is required per priority level")
+	ErrQuotas            = errors.New("O8: every priority level's quota must be positive")
 	ErrWatermarks        = errors.New("O9: overload control requires 0 < low watermark < high watermark")
 	ErrFileIOThreads     = errors.New("O6: file cache requires a positive number of file I/O threads")
 	ErrHardening         = errors.New("hardening: read/write timeouts and max request bytes must be non-negative")
@@ -380,11 +379,8 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("%w (got %d)", ErrShards, o.Shards)
 	}
 	if o.EventScheduling {
-		if o.PriorityLevels < 2 {
-			return fmt.Errorf("%w (got %d)", ErrPriorityLevels, o.PriorityLevels)
-		}
-		if len(o.Quotas) != o.PriorityLevels {
-			return fmt.Errorf("%w (got %d quotas for %d levels)", ErrQuotas, len(o.Quotas), o.PriorityLevels)
+		if len(o.Quotas) < 2 {
+			return fmt.Errorf("%w (got %d quotas)", ErrPriorityLevels, len(o.Quotas))
 		}
 		for i, q := range o.Quotas {
 			if q <= 0 {
@@ -489,7 +485,6 @@ func COPSHTTP() Options {
 // configuration of the paper's second experiment.
 func (o Options) WithScheduling(quotas ...int) Options {
 	o.EventScheduling = true
-	o.PriorityLevels = len(quotas)
 	o.Quotas = append([]int(nil), quotas...)
 	return o
 }

@@ -60,7 +60,7 @@ func TestExperimentVariants(t *testing.T) {
 	if sched.Value(O8EventScheduling) != "Yes" {
 		t.Errorf("O8 not enabled by WithScheduling")
 	}
-	if sched.PriorityLevels != 2 || sched.Quotas[1] != 8 {
+	if len(sched.Quotas) != 2 || sched.Quotas[1] != 8 {
 		t.Errorf("quota wiring wrong: %+v", sched)
 	}
 
@@ -98,15 +98,9 @@ func TestValidateRejections(t *testing.T) {
 			o.CacheThreshold = 0
 		}, ErrCacheThreshold},
 		{"idle without timeout", func(o *Options) { o.ShutdownLongIdle = true; o.IdleTimeout = 0 }, ErrIdleTimeout},
-		{"scheduling one level", func(o *Options) { o.EventScheduling = true; o.PriorityLevels = 1; o.Quotas = []int{1} }, ErrPriorityLevels},
-		{"scheduling quota mismatch", func(o *Options) {
-			o.EventScheduling = true
-			o.PriorityLevels = 2
-			o.Quotas = []int{1}
-		}, ErrQuotas},
+		{"scheduling one level", func(o *Options) { o.EventScheduling = true; o.Quotas = []int{1} }, ErrPriorityLevels},
 		{"scheduling zero quota", func(o *Options) {
 			o.EventScheduling = true
-			o.PriorityLevels = 2
 			o.Quotas = []int{1, 0}
 		}, ErrQuotas},
 		{"overload equal watermarks", func(o *Options) {
@@ -367,8 +361,7 @@ func quickOptions(dispPairs uint8, pool bool, workers uint8, codec bool,
 	}
 	if sched {
 		o.EventScheduling = true
-		o.PriorityLevels = int(levels%3) + 2
-		o.Quotas = make([]int, o.PriorityLevels)
+		o.Quotas = make([]int, int(levels%3)+2)
 		for i := range o.Quotas {
 			o.Quotas[i] = i + 1
 		}
