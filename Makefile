@@ -25,6 +25,11 @@ test: vet chaos
 	# loops, work stealing, fan-out accept paths and the O9 admission gate
 	# re-run serialized.
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
+	# A fixed-budget fuzz pass over the request parser and its header
+	# list, each against its reference: new inputs beyond the seed corpus
+	# that the plain run replays.
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequestMatchesOracle$$' -fuzztime 10s ./internal/httpproto
+	$(GO) test -run '^$$' -fuzz '^FuzzHeaderMatchesMap$$' -fuzztime 10s ./internal/httpproto
 	# A medium model-based conformance run rides along with every test
 	# sweep; `make model` runs the full 10k-program batch.
 	$(MAKE) model MODEL_PROGRAMS=400

@@ -269,25 +269,30 @@ func TestHotPathAllocsPipelinedWindow(t *testing.T) {
 		}
 	}
 	// The counters move just after the bytes leave, so a reader can get
-	// ahead of them: settle waits until every request is counted.
+	// ahead of them: settle waits until the counters the assertions read
+	// have caught up. A request is counted served before its reply's
+	// write, and a write only once writev returns, so waiting on the
+	// served count alone can miss the last write.
 	fw := srv.Framework()
-	settle := func(requests uint64) profiling.Snapshot {
+	settle := func(done func(profiling.Snapshot) bool) profiling.Snapshot {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			snap := fw.Profile().Snapshot()
-			if snap.RequestsServed >= requests || time.Now().After(deadline) {
+			if done(snap) || time.Now().After(deadline) {
 				return snap
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	first := settle(1)
+	first := settle(func(s profiling.Snapshot) bool { return s.ReplyWrites >= 1 })
 	for i := 0; i < 16; i++ {
 		serve()
 	}
 	allocs := testing.AllocsPerRun(200, serve)
 	const windows = 16 + 201
-	after := settle(1 + windows*window)
+	after := settle(func(s profiling.Snapshot) bool {
+		return s.DirectDispatched >= windows*window && s.ReplyWrites >= first.ReplyWrites+windows
+	})
 	if after.DirectDispatched != windows*window {
 		t.Fatalf("%d of %d requests served inline: a window left the fast path",
 			after.DirectDispatched, windows*window)

@@ -3,6 +3,7 @@ package httpproto
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,9 +141,10 @@ func TestCleanPathCleanInputAllocFree(t *testing.T) {
 }
 
 // parseRequestOracle is ParseRequest as it was before the head was walked
-// in place: the head split into a line slice and the request line into a
-// field slice. It is the differential oracle the current parser must
-// match, acceptance and result alike.
+// in place and before the header fields left the map: the head split into
+// a line slice, the request line into a field slice, and the fields
+// gathered in a mapHeader. It is the differential oracle the current
+// parser must match, acceptance and result alike.
 func parseRequestOracle(buf []byte) (*Request, int, error) {
 	headerEnd := bytes.Index(buf, []byte("\r\n\r\n"))
 	if headerEnd < 0 {
@@ -162,16 +164,23 @@ func parseRequestOracle(buf []byte) (*Request, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, line := range lines[1:] {
-		if err := parseHeaderLine(&req.Headers, line); err != nil {
-			return nil, 0, err
+	var h mapHeader
+	for i, line := range lines[1:] {
+		if i == MaxHeaderFields {
+			return nil, 0, ErrHeaderTooLarge
 		}
+		key, val, ok := strings.Cut(line, ":")
+		if !ok || key == "" || strings.ContainsAny(key, " \t") {
+			return nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, line)
+		}
+		h.Add(key, trimOWS(val))
 	}
-	if req.Headers.Has("Transfer-Encoding") {
+	h.Each(req.Headers.Set)
+	if h.Has("Transfer-Encoding") {
 		req.Refuse = 501
 		return req, len(buf), nil
 	}
-	if cl := req.Headers.Get("Content-Length"); cl != "" {
+	if cl := h.Get("Content-Length"); cl != "" {
 		n, ok := parseContentLength(cl)
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: bad Content-Length %q", ErrBadHeader, cl)
@@ -209,12 +218,11 @@ func parseRequestLineOracle(line string) (*Request, error) {
 		return nil, err
 	}
 	return &Request{
-		Method:  method,
-		Target:  target,
-		Path:    CleanPath(path),
-		Query:   query,
-		Proto:   proto,
-		Headers: NewHeader(),
+		Method: method,
+		Target: target,
+		Path:   CleanPath(path),
+		Query:  query,
+		Proto:  proto,
 	}, nil
 }
 
@@ -255,6 +263,10 @@ func FuzzParseRequestMatchesOracle(f *testing.F) {
 		"POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
 		"GET /%2e%2e/x HTTP/1.1\r\n\r\n",
 		"GET /a%00 HTTP/1.1\r\n\r\n",
+		"POST /a HTTP/1.1\r\ncontent-length: 1\r\nContent-Length: 1\r\n\r\nx",
+		"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\nD: 4\r\nE: 5\r\na: 6\r\n\r\n",
+		"GET / HTTP/1.1" + strings.Repeat("\r\nX: y", MaxHeaderFields) + "\r\n\r\n",
+		"GET / HTTP/1.1" + strings.Repeat("\r\nX: y", MaxHeaderFields+1) + "\r\n\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -268,10 +280,9 @@ func FuzzParseRequestMatchesOracle(f *testing.F) {
 }
 
 // parseRequestAllocBudget is the ceiling for parsing the pipelined
-// benchmark's request shape: the head string, the Request, its header map
-// (header and bucket) and key slice. Splitting the head into slices cost
-// two more.
-const parseRequestAllocBudget = 5
+// benchmark's request shape: the head string that every field slices, and
+// the Request, which holds up to four header fields inline.
+const parseRequestAllocBudget = 2
 
 func TestParseRequestAllocs(t *testing.T) {
 	wire := []byte("GET /docs/dir1/class2_5.html HTTP/1.1\r\nHost: nsbench\r\n\r\n")
@@ -284,4 +295,119 @@ func TestParseRequestAllocs(t *testing.T) {
 		t.Fatalf("ParseRequest: %.0f allocs/op, budget %d", allocs, parseRequestAllocBudget)
 	}
 	t.Logf("ParseRequest: %.0f allocs/op (budget %d)", allocs, parseRequestAllocBudget)
+}
+
+// mapHeader is Header as it was before the fields left the map: values
+// in a map under canonical keys, plus a key slice for insertion order. It
+// is the reference FuzzHeaderMatchesMap and parseRequestOracle check the
+// field list against.
+type mapHeader struct {
+	keys []string
+	vals map[string]string
+}
+
+func (h *mapHeader) Set(key, value string) {
+	if h.vals == nil {
+		h.vals = make(map[string]string)
+	}
+	ck := canonical(key)
+	if _, exists := h.vals[ck]; !exists {
+		h.keys = append(h.keys, ck)
+	}
+	h.vals[ck] = value
+}
+
+func (h *mapHeader) Add(key, value string) {
+	if h.vals == nil {
+		h.vals = make(map[string]string)
+	}
+	ck := canonical(key)
+	if prev, exists := h.vals[ck]; exists {
+		h.vals[ck] = prev + ", " + value
+		return
+	}
+	h.keys = append(h.keys, ck)
+	h.vals[ck] = value
+}
+
+func (h *mapHeader) Get(key string) string { return h.vals[canonical(key)] }
+
+func (h *mapHeader) Has(key string) bool {
+	_, ok := h.vals[canonical(key)]
+	return ok
+}
+
+func (h *mapHeader) Len() int { return len(h.keys) }
+
+func (h *mapHeader) Each(f func(key, value string)) {
+	for _, k := range h.keys {
+		f(k, h.vals[k])
+	}
+}
+
+func (h *mapHeader) Reset() {
+	h.keys = h.keys[:0]
+	clear(h.vals)
+}
+
+// FuzzHeaderMatchesMap runs one random sequence of Set, Add, Get, Has,
+// Len, Each and Reset calls on a Header and on mapHeader: every call must
+// return the same on both, and Each must visit the same fields in the
+// same order. Each input byte pair is one call: the operation, then the
+// key and value. The keys repeat under different spellings so that
+// replacing, joining and canonical lookups all happen.
+func FuzzHeaderMatchesMap(f *testing.F) {
+	keys := []string{
+		"Host", "host", "HOST", "Content-Length", "content-length", "CONTENT-length",
+		"X-A", "x-a", "X-b", "a", "A", "-x", "x--y", "Range", "if-modified-since",
+	}
+	vals := []string{"", "1", "0", "close", "bytes=0-1", "a, b"}
+	f.Add([]byte{0, 0, 1, 1, 2, 3, 3, 4, 5, 0})
+	f.Add([]byte{1, 3, 1, 4, 1, 5, 6, 0, 0, 6, 2, 0})
+	f.Add([]byte{0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12, 4, 7, 5, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// Longer sequences only grow the joined values.
+		ops = ops[:min(len(ops), 256)]
+		var got Header
+		var want mapHeader
+		each := func(h interface{ Each(func(k, v string)) }) []field {
+			var fs []field
+			h.Each(func(k, v string) { fs = append(fs, field{k, v}) })
+			return fs
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			key := keys[int(ops[i+1])%len(keys)]
+			val := vals[int(ops[i+1])/len(keys)%len(vals)]
+			switch ops[i] % 7 {
+			case 0:
+				got.Set(key, val)
+				want.Set(key, val)
+			case 1:
+				got.Add(key, val)
+				want.Add(key, val)
+			case 2:
+				if g, w := got.Get(key), want.Get(key); g != w {
+					t.Fatalf("call %d: Get(%q) = %q, map %q", i/2, key, g, w)
+				}
+			case 3:
+				if g, w := got.Has(key), want.Has(key); g != w {
+					t.Fatalf("call %d: Has(%q) = %v, map %v", i/2, key, g, w)
+				}
+			case 4:
+				if g, w := got.Len(), want.Len(); g != w {
+					t.Fatalf("call %d: Len() = %d, map %d", i/2, g, w)
+				}
+			case 5:
+				if g, w := each(&got), each(&want); !slices.Equal(g, w) {
+					t.Fatalf("call %d: Each visits\n %q\nmap\n %q", i/2, g, w)
+				}
+			case 6:
+				got.Reset()
+				want.Reset()
+			}
+		}
+		if g, w := each(&got), each(&want); !slices.Equal(g, w) {
+			t.Fatalf("final Each visits\n %q\nmap\n %q", g, w)
+		}
+	})
 }

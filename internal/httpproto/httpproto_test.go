@@ -95,6 +95,9 @@ func TestParseErrors(t *testing.T) {
 		{"huge body", fmt.Sprintf("GET / HTTP/1.1\r\nContent-Length: %d\r\n\r\n", MaxBodyBytes+1), ErrBodyTooLarge},
 		{"bad escape", "GET /%zz HTTP/1.1\r\n\r\n", ErrBadPath},
 		{"truncated escape", "GET /%4 HTTP/1.1\r\n\r\n", ErrBadPath},
+		{"101 field lines", fieldLinesRequest(MaxHeaderFields+1, ""), ErrHeaderTooLarge},
+		{"16 KiB of one-byte field names", oneByteNamesRequest(2771), ErrHeaderTooLarge},
+		{"mixed-case conflicting content lengths", "POST /p HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 0\r\n\r\nhello", ErrBadHeader},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,6 +119,66 @@ func TestHeaderTooLarge(t *testing.T) {
 	big2 := []byte("GET / HTTP/1.1\r\nX: " + strings.Repeat("a", MaxHeaderBytes) + "\r\n\r\n")
 	if _, _, err := ParseRequest(big2); !errors.Is(err, ErrHeaderTooLarge) {
 		t.Errorf("terminated oversize: %v", err)
+	}
+}
+
+// fieldLinesRequest returns a GET whose head carries n distinct field
+// lines followed by the raw extra lines, then body.
+func fieldLinesRequest(n int, extra string) string {
+	var b strings.Builder
+	b.WriteString("GET / HTTP/1.1\r\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "X-Field-%d: %d\r\n", i, i)
+	}
+	b.WriteString(extra)
+	b.WriteString("\r\n")
+	return b.String()
+}
+
+// oneByteNamesRequest returns a GET whose head, padded to exactly
+// MaxHeaderBytes, is n field lines with one-byte names: the shape that
+// costs a linear header scan the most per byte.
+func oneByteNamesRequest(n int) string {
+	const names = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+	var b strings.Builder
+	b.WriteString("GET / HTTP/1.1")
+	for i := 0; i < n; i++ {
+		b.WriteString("\r\n")
+		b.WriteByte(names[i%len(names)])
+		b.WriteString(":v")
+	}
+	b.WriteString(strings.Repeat("v", MaxHeaderBytes-b.Len()))
+	b.WriteString("\r\n\r\n")
+	return b.String()
+}
+
+// TestHeaderFieldLines pins what a head within the field-line cap keeps:
+// MaxHeaderFields lines parse, and Content-Length lines that differ only
+// in case combine into one list the §8.6 check accepts when they agree.
+func TestHeaderFieldLines(t *testing.T) {
+	raw := fieldLinesRequest(MaxHeaderFields, "")
+	req, n, err := ParseRequest([]byte(raw))
+	if err != nil || n != len(raw) {
+		t.Fatalf("%d field lines: n=%d err=%v", MaxHeaderFields, n, err)
+	}
+	if req.Headers.Len() != MaxHeaderFields || req.Headers.Get("X-Field-99") != "99" {
+		t.Fatalf("%d field lines: len=%d last=%q", MaxHeaderFields, req.Headers.Len(), req.Headers.Get("X-Field-99"))
+	}
+
+	// Repeats count as lines: 99 fields plus two Content-Length lines is
+	// over the cap although only 100 keys remain.
+	dup := fieldLinesRequest(MaxHeaderFields-1, "Content-Length: 0\r\ncontent-length: 0\r\n")
+	if _, _, err := ParseRequest([]byte(dup)); !errors.Is(err, ErrHeaderTooLarge) {
+		t.Fatalf("101 lines with a repeated key: err=%v, want ErrHeaderTooLarge", err)
+	}
+
+	same := "POST /p HTTP/1.1\r\ncontent-length: 5\r\nCONTENT-LENGTH: 5\r\n\r\nhello"
+	req, n, err = ParseRequest([]byte(same))
+	if err != nil || n != len(same) || string(req.Body) != "hello" {
+		t.Fatalf("agreeing mixed-case content lengths: n=%d err=%v", n, err)
+	}
+	if got := req.Headers.Get("Content-Length"); got != "5, 5" || req.Headers.Len() != 1 {
+		t.Fatalf("content lengths combined to %q over %d keys, want \"5, 5\" over 1", got, req.Headers.Len())
 	}
 }
 

@@ -18,6 +18,12 @@ import (
 const (
 	// MaxHeaderBytes bounds the request line plus all header lines.
 	MaxHeaderBytes = 16 << 10
+	// MaxHeaderFields bounds the header field lines of one request,
+	// counted before repeated keys combine (Apache's LimitRequestFields
+	// default). Header lookups scan their fields, so without it a head of
+	// thousands of short distinct names would cost quadratic time to
+	// parse.
+	MaxHeaderFields = 100
 	// MaxBodyBytes bounds an announced request body.
 	MaxBodyBytes = 1 << 20
 )
@@ -32,7 +38,11 @@ var (
 	ErrBadPath        = errors.New("httpproto: malformed request path")
 )
 
-// Request is one parsed HTTP request.
+// Request is one parsed HTTP request. A Request from ParseRequest keeps
+// its first few header fields in inline storage that Headers points at,
+// so a typical request costs one allocation beside the head string. A
+// Request must therefore not be copied by value: the copy's Headers would
+// share the original's inline fields.
 type Request struct {
 	Method  string
 	Target  string // raw request-target as received
@@ -49,6 +59,8 @@ type Request struct {
 	// buffered byte so none of the unframeable body is replayed as a
 	// pipelined request.
 	Refuse int
+
+	inline [4]field // Headers' storage until a fifth field spills it
 }
 
 // KeepAlive reports whether the connection persists after this request
@@ -90,28 +102,40 @@ func hasConnOption(list, opt string) bool {
 // control bytes are not OWS and must survive to fail validation).
 func trimOWS(s string) string { return strings.Trim(s, " \t") }
 
-// Header is a minimal case-insensitive header map preserving insertion
-// order for encoding.
+// Header is a case-insensitive list of header fields in insertion order,
+// each stored once under its canonical key. Lookups scan the list: a
+// request carries a handful of fields (ParseRequest admits at most
+// MaxHeaderFields lines) and a response fewer than ten, so a scan beats
+// hashing and the list needs no allocation of its own when it points at a
+// Request's inline storage. The zero Header is ready to use.
 type Header struct {
-	keys []string
-	vals map[string]string
+	fields []field
 }
 
-// NewHeader returns an empty header map.
-func NewHeader() Header {
-	return Header{vals: make(map[string]string)}
+// field is one header field under its canonical key.
+type field struct{ key, val string }
+
+// NewHeader returns an empty header; the zero Header is equally ready.
+func NewHeader() Header { return Header{} }
+
+// index returns the position of canonical key ck, or -1.
+func (h *Header) index(ck string) int {
+	for i := range h.fields {
+		if h.fields[i].key == ck {
+			return i
+		}
+	}
+	return -1
 }
 
-// Set stores a header value, replacing any previous value.
+// Set stores a header value, replacing any previous value in place.
 func (h *Header) Set(key, value string) {
-	if h.vals == nil {
-		h.vals = make(map[string]string)
-	}
 	ck := canonical(key)
-	if _, exists := h.vals[ck]; !exists {
-		h.keys = append(h.keys, ck)
+	if i := h.index(ck); i >= 0 {
+		h.fields[i].val = value
+		return
 	}
-	h.vals[ck] = value
+	h.fields = append(h.fields, field{ck, value})
 }
 
 // Add appends a header value: a repeated key extends the stored value as
@@ -120,51 +144,41 @@ func (h *Header) Set(key, value string) {
 // visible to later checks — a second Content-Length can then never hide
 // behind a last-write-wins Set (the §8.6 smuggling defense).
 func (h *Header) Add(key, value string) {
-	if h.vals == nil {
-		h.vals = make(map[string]string)
-	}
 	ck := canonical(key)
-	if prev, exists := h.vals[ck]; exists {
-		h.vals[ck] = prev + ", " + value
+	if i := h.index(ck); i >= 0 {
+		h.fields[i].val += ", " + value
 		return
 	}
-	h.keys = append(h.keys, ck)
-	h.vals[ck] = value
+	h.fields = append(h.fields, field{ck, value})
 }
 
 // Get returns the value for key ("" when absent).
 func (h *Header) Get(key string) string {
-	if h.vals == nil {
-		return ""
+	if i := h.index(canonical(key)); i >= 0 {
+		return h.fields[i].val
 	}
-	return h.vals[canonical(key)]
+	return ""
 }
 
 // Has reports whether the header is present.
-func (h *Header) Has(key string) bool {
-	if h.vals == nil {
-		return false
-	}
-	_, ok := h.vals[canonical(key)]
-	return ok
-}
+func (h *Header) Has(key string) bool { return h.index(canonical(key)) >= 0 }
 
 // Len returns the number of distinct header keys.
-func (h *Header) Len() int { return len(h.keys) }
+func (h *Header) Len() int { return len(h.fields) }
 
 // Each calls f for every header in insertion order.
 func (h *Header) Each(f func(key, value string)) {
-	for _, k := range h.keys {
-		f(k, h.vals[k])
+	for _, kv := range h.fields {
+		f(kv.key, kv.val)
 	}
 }
 
-// Reset empties the header for reuse, keeping the allocated map and key
-// slice (the Response pool relies on this to make header writes free in
-// steady state).
+// Reset empties the header for reuse, keeping the field slice's capacity
+// (the Response pool relies on this to make header writes free in steady
+// state).
 func (h *Header) Reset() {
-	h.keys = h.keys[:0]
-	clear(h.vals)
+	clear(h.fields)
+	h.fields = h.fields[:0]
 }
 
 // canonical normalizes a header key to Canonical-Dash-Form. Keys that are
@@ -223,7 +237,10 @@ func ParseRequest(buf []byte) (*Request, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	for more {
+	for lines := 0; more; lines++ {
+		if lines == MaxHeaderFields {
+			return nil, 0, ErrHeaderTooLarge
+		}
 		line, rest, more = strings.Cut(rest, "\r\n")
 		if err := parseHeaderLine(&req.Headers, line); err != nil {
 			return nil, 0, err
@@ -339,14 +356,15 @@ func parseRequestLine(line string) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Request{
-		Method:  method,
-		Target:  target,
-		Path:    CleanPath(path),
-		Query:   query,
-		Proto:   proto,
-		Headers: NewHeader(),
-	}, nil
+	req := &Request{
+		Method: method,
+		Target: target,
+		Path:   CleanPath(path),
+		Query:  query,
+		Proto:  proto,
+	}
+	req.Headers.fields = req.inline[:0]
+	return req, nil
 }
 
 func parseHeaderLine(h *Header, line string) error {

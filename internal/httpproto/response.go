@@ -24,7 +24,7 @@ type Response struct {
 // NewResponse builds a response with the given status and body, with
 // Content-Length and Content-Type preset.
 func NewResponse(status int, contentType string, body []byte) *Response {
-	r := &Response{Status: status, Headers: NewHeader(), Body: body}
+	r := &Response{Status: status, Body: body}
 	r.Headers.Set("Content-Type", contentType)
 	return r
 }
@@ -149,12 +149,12 @@ func WriteResponse(w io.Writer, r *Response) (int64, error) {
 // responsePool recycles Response values (with their Header storage) across
 // requests on the serve hot path.
 var responsePool = sync.Pool{
-	New: func() any { return &Response{Headers: NewHeader()} },
+	New: func() any { return new(Response) },
 }
 
 // AcquireResponse returns an empty pooled Response ready for use. Callers
 // that hand it to ReleaseResponse after the reply is written complete the
-// serve path without allocating the Response or its header map.
+// serve path without allocating the Response or its header fields.
 func AcquireResponse() *Response {
 	return responsePool.Get().(*Response)
 }

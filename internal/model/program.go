@@ -62,7 +62,7 @@ func (r *Request) headerValues(name string) []string {
 }
 
 // combinedHeader joins repeated field lines with ", " — the RFC 9110
-// §5.2 combination the server's header map applies — returning "" when
+// §5.2 combination httpproto.Header.Add applies — returning "" when
 // the field is absent.
 func (r *Request) combinedHeader(name string) string {
 	return strings.Join(r.headerValues(name), ", ")

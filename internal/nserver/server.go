@@ -774,15 +774,10 @@ func (s *Server) Shutdown() {
 }
 
 // attach wraps an accepted transport in a Communicator owned by sh,
-// registers its handler and starts the Read Request loop.
+// registers its handler and starts the Read Request loop. A TCP transport
+// arrives with TCP_NODELAY already set: Go's accept path sets it on every
+// *net.TCPConn.
 func (s *Server) attach(sh *shard, nc net.Conn) {
-	if tc, ok := nc.(*net.TCPConn); ok {
-		// Keep-alive request streams answer with many small replies;
-		// Nagle coalescing against delayed ACKs would serialize them.
-		// Go's dialer defaults to no-delay, but wrapped or non-default
-		// transports may not — set it explicitly at the one choke point.
-		_ = tc.SetNoDelay(true)
-	}
 	c := &Conn{
 		srv:    s,
 		sh:     sh,
