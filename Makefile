@@ -21,6 +21,10 @@ test: vet chaos
 	# Reply order on the wire, for the same reason: pipelined replies that
 	# complete out of order must still leave in request order.
 	$(GO) test -count=20 -run 'TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow' ./internal/copshttp
+	# Reader reuse: a reader whose idle wait is running out races attach's
+	# hand-off, and a teardown's goroutine baseline must still hold with
+	# readers outliving their connections; one run can miss either.
+	$(GO) test -count=20 -run 'TestReaderReusedAcrossSequentialConns|TestIdleReadersExit|TestShutdownEndsIdleReaders|TestTeardownReleasesQueuedChunks' ./internal/nserver
 	# The sharded runtime must degenerate cleanly on one core: the shard
 	# loops, work stealing, fan-out accept paths and the O9 admission gate
 	# re-run serialized.

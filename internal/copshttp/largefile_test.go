@@ -87,6 +87,44 @@ func TestLargeFileStreamed(t *testing.T) {
 	}
 }
 
+// TestBufferedFileAboveOutboundCap: with streaming off (threshold 0, the
+// `-large-file-threshold 0` setting) a 16 MiB file is one in-memory reply,
+// twice the per-connection outbound cap. The socket takes part of it and
+// the rest parks; it must arrive whole, on a connection that keeps
+// serving, rather than end in EOF partway through the body.
+func TestBufferedFileAboveOutboundCap(t *testing.T) {
+	const size = 16 << 20
+	root := buildDocRoot(t)
+	data := largePattern(size)
+	if err := os.WriteFile(filepath.Join(root, "big.bin"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := options.COPSHTTP().WithLargeFiles(0)
+	opts.CacheCapacity = 64 << 20
+	opts.Profiling = true
+	s := startHTTP(t, Config{DocRoot: root, Options: &opts})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(conn)
+	for i := 0; i < 2; i++ {
+		status, _, body := get(t, conn, r, "GET", "/big.bin", "")
+		if status != 200 || !bytes.Equal(body, data) {
+			t.Fatalf("GET %d: status %d with %d body bytes, want 200 with the %d-byte file", i, status, len(body), size)
+		}
+	}
+	snap := s.Framework().Profile().Snapshot()
+	if snap.BytesStreamed != 0 {
+		t.Errorf("BytesStreamed = %d, want 0 with streaming off", snap.BytesStreamed)
+	}
+	if snap.OutboundShed != 0 {
+		t.Errorf("OutboundShed = %d, want 0", snap.OutboundShed)
+	}
+}
+
 func TestLargeFileHead(t *testing.T) {
 	s, data := startLargeHTTP(t, 64<<10, 128<<10)
 	conn, _ := net.Dial("tcp", s.Addr())

@@ -325,23 +325,20 @@ func (c *Conn) teardown(cause error) {
 	})
 }
 
-// readLoop is the Read Request step: a per-connection reader goroutine
+// readLoop is the Read Request step: the connection's reader goroutine
 // reads the transport chunk by chunk and queues each chunk on the
 // connection's FIFO inbox, so inbox order is read order. Each chunk then
 // wakes the connection (see wake); whichever drain the wakeups elect
 // takes the chunks in inbox order. On a transport that exposes its
 // descriptor the chunk is leased only once the socket is readable (see
 // leaseReader), so a goroutine waiting on an idle connection holds no
-// buffer; other transports lease before the blocking Read. readLoop
-// reads nothing while the outbound queue is parked, or while the inbox
-// is full: a peer that stops reading its replies, or pipelines faster
-// than Handle runs, is throttled, not buffered for.
-func (c *Conn) readLoop() {
+// buffer; other transports lease before the blocking Read. lr is the
+// reader goroutine's lease reader (see Server.reader). readLoop reads
+// nothing while the outbound queue is parked, or while the inbox is full:
+// a peer that stops reading its replies, or pipelines faster than Handle
+// runs, is throttled, not buffered for.
+func (c *Conn) readLoop(lr *leaseReader) {
 	readTimeout := c.srv.opts.ReadTimeout
-	var lr *leaseReader
-	if c.raw != nil {
-		lr = newLeaseReader()
-	}
 	for {
 		if c.outPending.Load() > 0 {
 			c.awaitUnparked()
@@ -354,7 +351,7 @@ func (c *Conn) readLoop() {
 		var lease *bufpool.Buffer
 		var n int
 		var err error
-		if lr != nil {
+		if c.raw != nil {
 			lease, n, err = lr.readFrom(c.raw)
 		} else {
 			lease = bufpool.Get(readChunkSize)

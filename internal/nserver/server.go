@@ -93,6 +93,10 @@ type Config struct {
 // configuration leaves TraceSampleEvery zero.
 const defaultTraceSampleEvery = 128
 
+// readerIdleWait is how long a reader goroutine whose connection has
+// ended waits for attach to hand it the next one before it exits.
+const readerIdleWait = time.Second
+
 // shard is one independent slice of the serve runtime: its own Reactor
 // (event source, dispatcher threads), its own reactive Event Processor,
 // its own connection table, scavenger and profiling counters. A
@@ -177,6 +181,13 @@ type Server struct {
 	stopped  atomic.Bool
 	acceptWG sync.WaitGroup
 
+	// readers hands an accepted connection to an idle reader goroutine
+	// (see reader); readerStarts counts the reader goroutines attach has
+	// started, and done, closed by Shutdown, ends the idle ones.
+	readers      chan *Conn
+	readerStarts atomic.Uint64
+	done         chan struct{}
+
 	// directDispatch records whether the run-to-completion fast path is
 	// active, decided from the configuration alone: a FastPath hook, a
 	// codec (the hook consumes decoded requests) and a separate worker
@@ -214,6 +225,8 @@ func New(cfg Config) (*Server, error) {
 		logger:   cfg.Logger,
 		shed:     cfg.Shed,
 		gatePoll: cfg.GatePollInterval,
+		readers:  make(chan *Conn),
+		done:     make(chan struct{}),
 	}
 
 	// O11: profiling counters exist only when selected — one private
@@ -725,14 +738,16 @@ func (s *Server) startRuntime() {
 
 // ListenAndServe binds addr on TCP and starts the server. With more
 // than one shard it prefers per-shard SO_REUSEPORT listeners (Linux),
-// falling back to the portable single-listener fan-out.
+// falling back to the portable single-listener fan-out. Either way the
+// listening sockets carry the accepted connections' keep-alive options
+// (see reuseport.Listen).
 func (s *Server) ListenAndServe(addr string) error {
 	if len(s.shards) > 1 {
 		if lns, err := reuseport.Listeners(addr, len(s.shards)); err == nil {
 			return s.StartListeners(lns)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := reuseport.Listen(addr)
 	if err != nil {
 		return err
 	}
@@ -749,6 +764,7 @@ func (s *Server) Shutdown() {
 		_ = acc.Close()
 	}
 	s.acceptWG.Wait()
+	close(s.done)
 	for _, sh := range s.shards {
 		if sh.reaperDone != nil {
 			close(sh.reaperDone)
@@ -774,8 +790,9 @@ func (s *Server) Shutdown() {
 }
 
 // attach wraps an accepted transport in a Communicator owned by sh,
-// registers its handler and starts the Read Request loop. A TCP transport
-// arrives with TCP_NODELAY already set: Go's accept path sets it on every
+// registers its handler and hands it to a reader goroutine: an idle one
+// if any is waiting, a new one otherwise. A TCP transport arrives with
+// TCP_NODELAY already set: Go's accept path sets it on every
 // *net.TCPConn.
 func (s *Server) attach(sh *shard, nc net.Conn) {
 	c := &Conn{
@@ -796,10 +813,56 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 	sh.conns[c.handle] = c
 	sh.mu.Unlock()
 	sh.reactor.Register(c.handle, reactor.HandlerFunc(c.handleReady))
-	s.trace.Record("server", "communicator attached for %s (shard %d, handle %d, prio %d)",
-		nc.RemoteAddr(), sh.idx, c.handle, c.Priority())
+	if s.trace != nil {
+		s.trace.Record("server", "communicator attached for %s (shard %d, handle %d, prio %d)",
+			nc.RemoteAddr(), sh.idx, c.handle, c.Priority())
+	}
 	s.app.OnConnect(c)
-	go c.readLoop()
+	select {
+	case s.readers <- c:
+	default:
+		s.readerStarts.Add(1)
+		go s.reader(c)
+	}
+}
+
+// reader is a Read Request goroutine. It runs c's readLoop, then waits up
+// to readerIdleWait for attach to hand it the next connection, so under
+// connection churn a new connection is read by a goroutine whose stack
+// has already grown to serve requests, instead of by a fresh 2 KiB one
+// that grows it again. The lease reader belongs to the goroutine, not to
+// a connection. An idle reader exits when the wait runs out or at
+// Shutdown.
+func (s *Server) reader(c *Conn) {
+	lr := newLeaseReader()
+	// The idle timer is made when the first connection ends, so a reader
+	// that never idles (a long-lived connection) carries none.
+	var idle *time.Timer
+	for {
+		c.readLoop(lr)
+		c = nil
+		if idle == nil {
+			idle = time.NewTimer(readerIdleWait)
+		} else {
+			idle.Reset(readerIdleWait)
+		}
+		select {
+		case c = <-s.readers:
+			// A tick that raced the hand-off must not cut the next wait
+			// short.
+			if !idle.Stop() {
+				select {
+				case <-idle.C:
+				default:
+				}
+			}
+		case <-idle.C:
+			return
+		case <-s.done:
+			idle.Stop()
+			return
+		}
+	}
 }
 
 // fastGateClear reports whether the O9 gate permits the fast path:

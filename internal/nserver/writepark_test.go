@@ -147,6 +147,41 @@ func TestParkedWriteOverflowSheds(t *testing.T) {
 	}
 }
 
+// TestParkedWriteSingleReplyAboveCap: one in-memory reply larger than
+// the 8 MiB outbound cap is not a backlog. It parks whole, drains to a
+// slow reader byte-exact and leaves the connection serving; only replies
+// queued behind a parked one count against the cap.
+func TestParkedWriteSingleReplyAboveCap(t *testing.T) {
+	skipWithoutParking(t)
+	const bodyLen = 12 << 20
+	o := testOptions()
+	o.Profiling = true
+	s, addr := startServer(t, Config{Options: o, App: bigReplyApp(bodyLen), Codec: lineCodec{}})
+	c := slowClient(t, addr)
+	if _, err := c.Write([]byte("go\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "reply to park", func() bool { return s.ParkedWrites() == 1 })
+	if q := s.OutboundQueuedBytes(); q <= maxOutboundBytes {
+		t.Fatalf("OutboundQueuedBytes = %d while parked, want above the %d cap", q, maxOutboundBytes)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(30 * time.Second))
+	got := make([]byte, bodyLen+1)
+	if _, err := io.ReadFull(c, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[bodyLen] != '\n' || !bytes.Equal(got[:bodyLen], bytes.Repeat([]byte("a"), bodyLen)) {
+		t.Fatal("parked reply corrupted")
+	}
+	waitFor(t, "queue to empty", func() bool { return s.ParkedWrites() == 0 })
+	if shed := s.Profile().Snapshot().OutboundShed; shed != 0 {
+		t.Fatalf("OutboundShed = %d, want 0 for a single reply", shed)
+	}
+	if s.ActiveConns() != 1 {
+		t.Fatalf("ActiveConns = %d after drain, want 1", s.ActiveConns())
+	}
+}
+
 // TestParkedWriteSlowReaderReaped: a parked reply answers to the same
 // per-chunk WriteTimeout as every blocking write. A peer that reads
 // nothing fails the write pump's next deadline, and the connection is

@@ -62,8 +62,9 @@ import (
 var ErrOutboundOverflow = errors.New("nserver: outbound queue exceeds memory cap")
 
 // maxOutboundBytes caps the in-memory bytes (head remainders + retained
-// bodies) parked on one connection. File residuals are not memory and do
-// not count — their cost is one descriptor.
+// bodies) parked on one connection, beyond its first parked reply (see
+// park). File residuals are not memory and do not count — their cost is
+// one descriptor.
 const maxOutboundBytes = 8 << 20
 
 // writeFlushChunk bounds how many bytes the blocking sink moves under one
@@ -517,8 +518,10 @@ func (c *Conn) pumpRelock() {
 // any corked replies ahead of it, and the replies that waited behind it
 // up to the next held position — to the write pump, starting the pump
 // when the queue was not parked before. The queue owns what it parks
-// (see own). In-memory bytes are capped per connection. Called under
-// writeMu.
+// (see own). In-memory bytes are capped per connection, except for a run
+// that is one reply with nothing parked ahead of it: the cap sheds a
+// backlog, and one reply is not one, whatever its size (the handler
+// already holds it in memory). Called under writeMu.
 func (c *Conn) park() error {
 	first := 0
 	for first < len(c.outq) && c.outq[first].parkedAt != 0 {
@@ -534,7 +537,7 @@ func (c *Conn) park() error {
 		mem += int64(fresh[i].mem())
 		files += fresh[i].remaining
 	}
-	if c.outMem.Load()+mem > maxOutboundBytes {
+	if c.outMem.Load()+mem > maxOutboundBytes && (first > 0 || len(fresh) > 1) {
 		c.sh.profile.OutboundShed()
 		c.srv.trace.Record("communicator", "outbound cap exceeded on %d (%d queued + %d new)",
 			c.handle, c.outMem.Load(), mem)

@@ -82,7 +82,11 @@ func (r *Reactor) Register(h Handle, handler Handler) {
 	r.mu.Lock()
 	r.byHandle[h] = handler
 	r.mu.Unlock()
-	r.trace.Record("reactor", "registered handler for handle %d", h)
+	// The nil check keeps a disabled trace free: boxing h for Record's
+	// arguments would allocate on every connection.
+	if r.trace != nil {
+		r.trace.Record("reactor", "registered handler for handle %d", h)
+	}
 }
 
 // Deregister removes the handler bound to a handle.
@@ -90,7 +94,9 @@ func (r *Reactor) Deregister(h Handle) {
 	r.mu.Lock()
 	delete(r.byHandle, h)
 	r.mu.Unlock()
-	r.trace.Record("reactor", "deregistered handle %d", h)
+	if r.trace != nil {
+		r.trace.Record("reactor", "deregistered handle %d", h)
+	}
 }
 
 // RegisterType binds a fallback handler for all events of one type that

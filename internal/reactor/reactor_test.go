@@ -400,3 +400,23 @@ func BenchmarkDispatchThroughPool(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// TestRegisterDeregisterAllocsWithoutTrace: with the debug trace off,
+// binding and unbinding a connection's handle allocates nothing — the
+// trace's arguments are never boxed.
+func TestRegisterDeregisterAllocsWithoutTrace(t *testing.T) {
+	r, err := New(Config{DispatcherThreads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A handle past the runtime's cached small integers, as a server's
+	// are after its first 255 connections.
+	h := Handle(1 << 20)
+	handler := HandlerFunc(func(Ready) {})
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.Register(h, handler)
+		r.Deregister(h)
+	}); allocs != 0 {
+		t.Fatalf("Register+Deregister allocates %.1f times with the trace off, want 0", allocs)
+	}
+}

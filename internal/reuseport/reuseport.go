@@ -8,7 +8,11 @@
 // refused at bind time) Listeners returns ErrUnsupported and callers
 // fall back to a single listener whose accepted connections are fanned
 // out across shards in user space — same semantics, one shared accept
-// path.
+// path. Listen binds that single listener.
+//
+// On Linux both kinds of listener carry Go's keep-alive defaults on the
+// listening socket itself, which every accepted socket inherits, instead
+// of setting them again on each accepted connection.
 package reuseport
 
 import (
@@ -31,7 +35,7 @@ func Listeners(addr string, n int) ([]net.Listener, error) {
 	}
 	lns := make([]net.Listener, 0, n)
 	for i := 0; i < n; i++ {
-		ln, err := listenReusePort(addr)
+		ln, err := listenTCP(addr, true)
 		if err != nil {
 			for _, l := range lns {
 				l.Close()
@@ -45,6 +49,10 @@ func Listeners(addr string, n int) ([]net.Listener, error) {
 	}
 	return lns, nil
 }
+
+// Listen binds one TCP listener on addr. Its accepted connections carry
+// the keep-alive options Go's own accept path would give them.
+func Listen(addr string) (net.Listener, error) { return listenTCP(addr, false) }
 
 // Available reports whether this platform can bind SO_REUSEPORT
 // listeners at all (it does not probe a bind).

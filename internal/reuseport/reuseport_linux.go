@@ -5,6 +5,7 @@ package reuseport
 import (
 	"context"
 	"net"
+	"os"
 	"syscall"
 )
 
@@ -15,19 +16,40 @@ const available = true
 // is part of the stable kernel ABI.
 const soReusePort = 0xf
 
-// listenReusePort binds one TCP listener with SO_REUSEPORT set before
-// bind, via the ListenConfig control hook — no extra dependencies, no
-// raw socket management.
-func listenReusePort(addr string) (net.Listener, error) {
+// keepAliveOpts are Go's keep-alive defaults for accepted TCP connections
+// (net's defaultTCPKeepAliveIdle, Interval and Count: 15 s, 15 s, 9
+// probes), as socket options.
+var keepAliveOpts = [...]struct{ level, opt, val int }{
+	{syscall.SOL_SOCKET, syscall.SO_KEEPALIVE, 1},
+	{syscall.IPPROTO_TCP, syscall.TCP_KEEPIDLE, 15},
+	{syscall.IPPROTO_TCP, syscall.TCP_KEEPINTVL, 15},
+	{syscall.IPPROTO_TCP, syscall.TCP_KEEPCNT, 9},
+}
+
+// listenTCP binds one TCP listener, with SO_REUSEPORT set before bind
+// when reusePort is set, through the ListenConfig control hook — no extra
+// dependencies, no raw socket management. Keep-alive is set once, on the
+// listening socket: Linux copies it into every socket accept returns, so
+// the listener accepts with KeepAlive < 0 and no connection pays Go's
+// four per-accept setsockopt calls for the same values.
+func listenTCP(addr string, reusePort bool) (net.Listener, error) {
 	lc := net.ListenConfig{
+		KeepAlive: -1,
 		Control: func(network, address string, c syscall.RawConn) error {
 			var serr error
 			if err := c.Control(func(fd uintptr) {
-				serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
+				if reusePort {
+					serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
+				}
+				for _, o := range keepAliveOpts {
+					if serr == nil {
+						serr = syscall.SetsockoptInt(int(fd), o.level, o.opt, o.val)
+					}
+				}
 			}); err != nil {
 				return err
 			}
-			return serr
+			return os.NewSyscallError("setsockopt", serr)
 		},
 	}
 	return lc.Listen(context.Background(), "tcp", addr)

@@ -6,6 +6,12 @@ import "net"
 
 const available = false
 
-func listenReusePort(addr string) (net.Listener, error) {
-	return nil, ErrUnsupported
+// listenTCP keeps Go's per-accept keep-alive path for a plain listener:
+// whether an accepted socket inherits its listener's options is
+// platform-specific.
+func listenTCP(addr string, reusePort bool) (net.Listener, error) {
+	if reusePort {
+		return nil, ErrUnsupported
+	}
+	return net.Listen("tcp", addr)
 }
