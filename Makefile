@@ -25,6 +25,11 @@ test: vet chaos
 	# hand-off, and a teardown's goroutine baseline must still hold with
 	# readers outliving their connections; one run can miss either.
 	$(GO) test -count=20 -run 'TestReaderReusedAcrossSequentialConns|TestIdleReadersExit|TestShutdownEndsIdleReaders|TestTeardownReleasesQueuedChunks' ./internal/nserver
+	# Shutdown against teardown: a teardown submits its close event
+	# straight into the processors Shutdown is draining, and a connection
+	# accepted just before Shutdown must be swept or refused, never
+	# attached after the sweep; one run can miss either interleaving.
+	$(GO) test -count=20 -run 'TestShutdownRefusesLateAttach|TestShutdownRacesReadLoopsAndScavenger' ./internal/nserver
 	# The sharded runtime must degenerate cleanly on one core: the shard
 	# loops, work stealing, fan-out accept paths and the O9 admission gate
 	# re-run serialized.

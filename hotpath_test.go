@@ -9,6 +9,7 @@ package repro
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -319,4 +320,74 @@ func TestHotPathAllocsPipelinedWindow(t *testing.T) {
 		t.Fatalf("pipelined window: %.0f allocs, want the decoder's own %.0f (16 x %.0f)", allocs, want, decode)
 	}
 	t.Logf("pipelined window: %.0f allocs (decoder: 16 x %.0f)", allocs, decode)
+}
+
+// queuedEchoAllocBudget is the ceiling for one line-echo round trip on
+// the queued path: the reader goroutine's PollReady routed into the
+// shard's Event Processor, the drain's decode, Handle and the reply's
+// encode and send — what every request pays without a FastPath hook (FTP,
+// and HTTP while the O9 gate is engaged). It measures 5.00 at one and two
+// shards: the routed event's closure and its boxed queue entry, the
+// decoded line, the line boxed into Reply's argument and the encoded
+// reply. The client reads with ReadSlice, so none of its own
+// allocations count.
+const queuedEchoAllocBudget = 5
+
+// TestHotPathAllocsQueuedEcho pins the allocations of one round trip over
+// the queued path on a live loopback connection, at one and two shards.
+func TestHotPathAllocsQueuedEcho(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, err := nserver.New(nserver.Config{
+				Options: options.Options{
+					DispatcherThreads:  1,
+					SeparateThreadPool: true,
+					EventThreads:       2,
+					Codec:              true,
+					Shards:             shards,
+				},
+				App: nserver.AppFuncs{Request: func(c *nserver.Conn, req any) {
+					_ = c.Reply(req.(string))
+				}},
+				Codec: benchLineCodec{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start(ln); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown()
+			client, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			line := []byte("x\n")
+			br := bufio.NewReader(client)
+			roundTrip := func() {
+				if _, err := client.Write(line); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := br.ReadSlice('\n'); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				roundTrip()
+			}
+			allocs := testing.AllocsPerRun(1000, roundTrip)
+			if raceEnabled {
+				t.Skipf("queued echo: %.2f allocs under -race, where pools drop values at random", allocs)
+			}
+			if allocs > queuedEchoAllocBudget {
+				t.Fatalf("queued echo: %.2f allocs per round trip, budget %d", allocs, queuedEchoAllocBudget)
+			}
+			t.Logf("queued echo: %.2f allocs per round trip (budget %d)", allocs, queuedEchoAllocBudget)
+		})
+	}
 }

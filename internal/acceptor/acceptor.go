@@ -1,7 +1,8 @@
 // Package acceptor implements the Acceptor-Connector pattern (Schmidt
 // 1997) for the N-Server: connection establishment is decoupled from data
-// transfer. The Acceptor owns the listening endpoint and turns each new
-// connection into an AcceptReady event on the reactor's Event Source; the
+// transfer. The Acceptor owns the listening endpoint and emits each new
+// connection as an AcceptReady event through the reactor (Reactor.Emit:
+// straight into the Event Processor's queue when there is one); the
 // Connector initiates outbound connections and delivers the result as a
 // Completion Event carrying an Asynchronous Completion Token. The server's
 // Acceptor Event Handler then wraps the raw transport in a Communicator
@@ -49,7 +50,8 @@ type PriorityGate interface {
 type Config struct {
 	// Listener is the bound listening socket. Required.
 	Listener net.Listener
-	// Reactor receives AcceptReady events. Required.
+	// Reactor routes the AcceptReady events (Reactor.Emit) to the
+	// handler registered on the acceptor's Handle. Required.
 	Reactor *reactor.Reactor
 	// Gate, when non-nil, postpones accepting while it reports false
 	// (option O9's watermark mechanism).
@@ -177,7 +179,7 @@ func (a *Acceptor) Run() {
 		a.live.Add(1)
 		a.profile.ConnectionAccepted()
 		a.trace.Record("acceptor", "accepted %s", conn.RemoteAddr())
-		if err := a.r.Source().Emit(reactor.Ready{
+		if err := a.r.Emit(reactor.Ready{
 			Type:   reactor.AcceptReady,
 			Handle: a.handle,
 			Data:   conn,
@@ -281,7 +283,7 @@ func (c *Connector) Connect(network, addr string, state any) events.Token {
 		conn, err := d.Dial(network, addr)
 		c.trace.Record("connector", "dial %s %s: err=%v", network, addr, err)
 		comp := &events.Completion{Token: tok, Result: conn, Err: err}
-		if eerr := c.r.Source().Emit(reactor.Ready{
+		if eerr := c.r.Emit(reactor.Ready{
 			Type: reactor.CompletionReady,
 			Data: comp,
 		}); eerr != nil && conn != nil {

@@ -301,8 +301,9 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// teardown closes the transport once, deregisters the handle and emits the
-// close event so OnClose runs on the processing path.
+// teardown closes the transport once and emits the close event, so
+// finalize (deregistration and OnClose) runs on the processing path, never
+// under the caller's locks.
 func (c *Conn) teardown(cause error) {
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
@@ -313,7 +314,7 @@ func (c *Conn) teardown(cause error) {
 		c.inMu.Lock()
 		c.inSpace.Broadcast()
 		c.inMu.Unlock()
-		if err := c.sh.reactor.Source().Emit(reactor.Ready{
+		if err := c.sh.reactor.Emit(reactor.Ready{
 			Type:   reactor.CloseReady,
 			Handle: c.handle,
 			Data:   cause,
@@ -449,9 +450,9 @@ func (c *Conn) readEnd(err error) {
 // wake runs when readLoop has queued a chunk. With the fast path active
 // and the O9 gate clear, the reader goroutine claims rgate and drains
 // inline, offering each decoded request to the FastPath hook. Otherwise
-// it emits the PollReady event an Event Processor worker drains from, so
-// the event queue, and the O9 watermarks sampling it, see one event per
-// wakeup.
+// it emits the PollReady event an Event Processor worker drains from
+// (Reactor.Emit queues it there directly), so the event queue, and the O9
+// watermarks sampling it, see one event per wakeup.
 func (c *Conn) wake() error {
 	if c.srv.directDispatch && c.srv.fastGateClear() {
 		if c.rgate.Claim() {
@@ -459,7 +460,7 @@ func (c *Conn) wake() error {
 		}
 		return nil
 	}
-	return c.sh.reactor.Source().Emit(reactor.Ready{
+	return c.sh.reactor.Emit(reactor.Ready{
 		Type:   reactor.PollReady,
 		Handle: c.handle,
 		Prio:   c.Priority(),

@@ -289,11 +289,7 @@ func New(cfg Config) (*Server, error) {
 		sh := &shard{idx: i, srv: s, conns: make(map[reactor.Handle]*Conn)}
 		sh.profile = s.profiles.Shard(i)
 
-		var src reactor.Source = reactor.NewBasicSource(shardName("events", i, nShards))
-		if o.Mode == options.Debug {
-			src = reactor.NewTraceSource(src, s.trace)
-		}
-		sh.timers = reactor.NewTimerSource(src)
+		sh.timers = reactor.NewTimerSource(reactor.NewBasicSource(shardName("events", i, nShards)))
 
 		if o.SeparateThreadPool {
 			queue, err := events.NewQueue(o.EventScheduling, o.Quotas)
@@ -391,12 +387,12 @@ func New(cfg Config) (*Server, error) {
 				return s.shards[int(i)%nShards].reactive.Submit(ev)
 			}
 		default:
-			// Without a separate pool, completions re-enter through the
-			// event source and are dispatched inline.
+			// Without a separate pool, completions queue for the
+			// dispatcher threads and are dispatched inline.
 			sink = func(ev events.Event) error {
 				comp := ev.(*events.Completion)
 				sh := s.shards[int(s.aioShard.Add(1))%nShards]
-				return sh.reactor.Source().Emit(reactor.Ready{
+				return sh.reactor.Emit(reactor.Ready{
 					Type: reactor.CompletionReady,
 					Data: comp,
 					Prio: comp.Prio,
@@ -781,7 +777,7 @@ func (s *Server) Shutdown() {
 			c.teardown(nil)
 		}
 	}
-	// Give teardown events a chance to be queued, then stop dispatch.
+	// The close events are queued; stopping the reactors drains them.
 	s.fileio.Stop()
 	for _, sh := range s.shards {
 		sh.reactor.Stop()
@@ -809,10 +805,20 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 	if s.priority != nil {
 		c.SetPriority(s.priority(c))
 	}
+	// Shutdown sets stopped before it sweeps sh.conns under sh.mu, so a
+	// connection is either swept or refused here: one added after the
+	// sweep would never be closed. The handler is registered under the
+	// same lock, so a swept connection's close event finds it.
 	sh.mu.Lock()
+	if s.stopped.Load() {
+		sh.mu.Unlock()
+		nc.Close()
+		sh.acceptor.ConnClosed()
+		return
+	}
 	sh.conns[c.handle] = c
-	sh.mu.Unlock()
 	sh.reactor.Register(c.handle, reactor.HandlerFunc(c.handleReady))
+	sh.mu.Unlock()
 	if s.trace != nil {
 		s.trace.Record("server", "communicator attached for %s (shard %d, handle %d, prio %d)",
 			nc.RemoteAddr(), sh.idx, c.handle, c.Priority())
@@ -881,9 +887,7 @@ func (s *Server) detach(c *Conn) {
 	delete(sh.conns, c.handle)
 	sh.mu.Unlock()
 	sh.reactor.Deregister(c.handle)
-	if sh.acceptor != nil {
-		sh.acceptor.ConnClosed()
-	}
+	sh.acceptor.ConnClosed()
 }
 
 // handleRequest runs the application's Handle Request hook with panic

@@ -345,6 +345,40 @@ func TestHandlerPanicClosesOnlyThatConnection(t *testing.T) {
 	}
 }
 
+// TestDebugTraceRecordsConnectionEvents: in debug mode (O10) the reactor
+// traces every event it routes, so one connection's accept, queued read
+// and close all appear in the trace.
+func TestDebugTraceRecordsConnectionEvents(t *testing.T) {
+	o := testOptions()
+	o.Mode = options.Debug
+	closed := make(chan struct{})
+	app := echoApp().(AppFuncs)
+	app.Close = func(*Conn, error) { close(closed) }
+	s, addr := startServer(t, Config{Options: o, App: app, Codec: lineCodec{}})
+	c := dial(t, addr)
+	fmt.Fprint(c, "ping\n")
+	if _, err := bufio.NewReader(c).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnClose never ran")
+	}
+	routed := map[string]bool{}
+	for _, r := range s.Trace().Snapshot() {
+		if ev, ok := strings.CutPrefix(r.Event, "route ready{"); ok {
+			routed[strings.Fields(ev)[0]] = true
+		}
+	}
+	for _, want := range []string{"accept", "poll", "close"} {
+		if !routed[want] {
+			t.Errorf("no %s event in the debug trace (routed: %v)", want, routed)
+		}
+	}
+}
+
 func TestIdleReaperClosesIdleConnections(t *testing.T) {
 	o := testOptions()
 	o.ShutdownLongIdle = true

@@ -7,9 +7,12 @@ package nserver
 // this test is the regression fence for the connection-lifecycle locking.
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -89,5 +92,76 @@ func TestShutdownRacesReadLoopsAndScavenger(t *testing.T) {
 	s.Shutdown() // idempotent after the race
 	if n := s.ActiveConns(); n != 0 {
 		t.Fatalf("%d connections survived shutdown", n)
+	}
+}
+
+// TestShutdownRefusesLateAttach: a connection whose AcceptReady is still
+// queued behind a busy worker when Shutdown sweeps the connection table
+// must be refused, not attached after the sweep — there it would get
+// OnConnect but never OnClose, and stay in ActiveConns.
+func TestShutdownRefusesLateAttach(t *testing.T) {
+	opts := testOptions()
+	// One shard with one worker: no peer may steal the queued accept.
+	opts.Shards = 1
+	opts.EventThreads = 1
+	opts.Profiling = true
+	var connects, closes atomic.Int64
+	held, release := make(chan struct{}), make(chan struct{})
+	app := AppFuncs{
+		// The first OnConnect holds the only worker, so the second
+		// connection's AcceptReady waits in the queue behind it.
+		Connect: func(*Conn) {
+			if connects.Add(1) == 1 {
+				close(held)
+				<-release
+			}
+		},
+		Close: func(*Conn, error) { closes.Add(1) },
+	}
+	s, err := New(Config{Options: opts, App: app, Codec: lineCodec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(ln); err != nil {
+		t.Fatal(err)
+	}
+	first := dial(t, ln.Addr().String())
+	<-held
+	second := dial(t, ln.Addr().String())
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Profile().Snapshot().ConnectionsAccepted < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("second connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		s.Shutdown()
+		close(done)
+	}()
+	// The sweep has run once it closed the first connection; only then
+	// may the worker reach the queued accept.
+	first.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := first.Read(make([]byte, 1)); err == nil {
+		t.Fatal("first connection not closed by Shutdown")
+	}
+	close(release)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown wedged")
+	}
+	second.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := second.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("late connection left open (read: %v)", err)
+	}
+	if n, c, cl := s.ActiveConns(), connects.Load(), closes.Load(); n != 0 || c != cl {
+		t.Fatalf("%d conns left, %d OnConnect vs %d OnClose", n, c, cl)
 	}
 }

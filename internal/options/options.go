@@ -215,14 +215,20 @@ func (m Mode) String() string {
 // watermarks, timeouts). The zero value is not valid; start from a preset
 // or fill in every field and call Validate.
 type Options struct {
-	// O1: number of dispatcher threads. Legal values are 1 or an even
-	// number 2N (one reader/one writer pair per processor, in the paper's
-	// terms).
+	// O1: number of dispatcher threads per shard. Legal values are 1 or
+	// an even number 2N (one reader/one writer pair per processor, in the
+	// paper's terms). With O2 off the dispatcher threads run every event
+	// handler, so O1 sets how many run at once. With O2 on, accept, read
+	// and close events go straight to the Event Processor, and the
+	// dispatcher threads carry only events pushed onto the event source
+	// (application timers): O1 then changes nothing a connection sees,
+	// and connection scaling belongs to Shards.
 	DispatcherThreads int
 
 	// O2: if true, ready events are handed to an Event Processor (queue +
-	// worker pool); if false, the dispatcher thread processes events
-	// inline, which is the classic single-threaded Reactor.
+	// worker pool) as they are emitted; if false, the dispatcher thread
+	// processes events inline, which is the classic single-threaded
+	// Reactor.
 	SeparateThreadPool bool
 
 	// O2 parameter: number of workers in the reactive Event Processor

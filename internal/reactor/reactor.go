@@ -17,9 +17,10 @@ type Config struct {
 	Source Source
 	// DispatcherThreads is option O1: 1 or a positive even number 2N.
 	DispatcherThreads int
-	// Processor, when non-nil, receives dispatched events for processing
-	// by its worker pool (option O2 = Yes). When nil the dispatcher
-	// thread invokes handlers inline (the classic Reactor).
+	// Processor, when non-nil, is the Event Processor (option O2 = Yes):
+	// Emit routes each event straight into its queue, and its workers
+	// run the handlers. When nil, Emit queues on the Source and the
+	// dispatcher threads invoke handlers inline (the classic Reactor).
 	Processor *eventproc.Processor
 	// Profile receives dispatch counts (nil when O11 is off).
 	Profile *profiling.Profile
@@ -67,8 +68,23 @@ func New(cfg Config) (*Reactor, error) {
 	}, nil
 }
 
-// Source returns the reactor's event source chain (producers emit here).
+// Source returns the reactor's event source chain. Events pushed here
+// (application timers) reach their handlers through the dispatcher
+// threads; producers that know their event is ready call Emit instead.
 func (r *Reactor) Source() Source { return r.source }
+
+// Emit delivers one ready event. With an Event Processor it routes on
+// the caller's goroutine, so the event takes one queue hop: the
+// processor's. Without one it queues on the Source for the dispatcher
+// threads. Either way the handler never runs on the caller's goroutine,
+// so an emitter may hold its own locks. Once the reactor is stopped Emit
+// fails, except that an event with no handler is only counted in Dropped.
+func (r *Reactor) Emit(rd Ready) error {
+	if r.processor == nil {
+		return r.source.Emit(rd)
+	}
+	return r.route(rd)
+}
 
 // NewHandle allocates a fresh handle for a connection, listener or other
 // endpoint.
@@ -151,9 +167,8 @@ func (r *Reactor) Stop() {
 	r.trace.Record("reactor", "stopped")
 }
 
-// dispatch is the Event Dispatcher loop: repeatedly poll the Event Source
-// for ready events and dispatch the registered Event Handler for each,
-// either inline or through the Event Processor (O2).
+// dispatch is the Event Dispatcher loop: take each event pushed onto
+// the Source and route it.
 func (r *Reactor) dispatch(id int) {
 	defer r.wg.Done()
 	for {
@@ -161,24 +176,36 @@ func (r *Reactor) dispatch(id int) {
 		if !ok {
 			return
 		}
-		handler := r.lookup(rd)
-		if handler == nil {
-			r.dropCount.Add(1)
-			r.trace.Record("reactor", "dispatcher %d: no handler for %s", id, rd)
-			continue
-		}
-		if r.processor == nil {
-			r.invoke(handler, rd)
-			continue
-		}
-		if err := r.processor.Submit(events.PFunc{
-			P: rd.Prio,
-			F: func() { handler.HandleReady(rd) },
-		}); err != nil {
+		if err := r.route(rd); err != nil {
 			r.trace.Record("reactor", "dispatcher %d: processor closed: %v", id, err)
 			return
 		}
 	}
+}
+
+// route looks up the event's handler and runs it: inline when the
+// reactor has no Event Processor (only the dispatch loop gets here then),
+// otherwise by submitting it to the processor at rd.Prio. Every event
+// passes here, so this is where the debug trace (O10) records it.
+func (r *Reactor) route(rd Ready) error {
+	// Checked here so a disabled trace never boxes rd.
+	if r.trace != nil {
+		r.trace.Record("reactor", "route %s", rd)
+	}
+	handler := r.lookup(rd)
+	if handler == nil {
+		r.dropCount.Add(1)
+		r.trace.Record("reactor", "no handler for %s", rd)
+		return nil
+	}
+	if r.processor == nil {
+		r.invoke(handler, rd)
+		return nil
+	}
+	return r.processor.Submit(events.PFunc{
+		P: rd.Prio,
+		F: func() { handler.HandleReady(rd) },
+	})
 }
 
 // invoke runs a handler inline with panic isolation.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/eventproc"
+	"repro/internal/events"
 	"repro/internal/logging"
 	"repro/internal/profiling"
 )
@@ -79,19 +80,163 @@ func TestBasicSourceBlockingNext(t *testing.T) {
 	}
 }
 
-func TestTraceSourceRecords(t *testing.T) {
-	tr := logging.NewTrace(nil, 16)
-	s := NewTraceSource(NewBasicSource("net"), tr)
-	_ = s.Emit(Ready{Type: AcceptReady, Handle: 1})
-	if tr.Len() != 1 {
-		t.Fatalf("trace len = %d", tr.Len())
+// countingSource counts the events pushed onto the source chain.
+type countingSource struct {
+	Source
+	emits atomic.Int64
+}
+
+func (s *countingSource) Emit(rd Ready) error {
+	s.emits.Add(1)
+	return s.Source.Emit(rd)
+}
+
+// TestEmitRoutesToProcessorAtPriority: with an Event Processor, Emit
+// routes on the caller's goroutine straight into the processor's queue —
+// the event never enters the Source — and the handler runs on a worker
+// at the event's priority. An event for an unregistered handle is
+// dropped on the spot.
+func TestEmitRoutesToProcessorAtPriority(t *testing.T) {
+	q, err := events.NewPriorityQueue([]int{4, 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rec := tr.Snapshot()[0]; rec.Component != "net" || !strings.Contains(rec.Event, "accept") {
-		t.Errorf("trace record = %+v", rec)
+	proc, err := eventproc.New(eventproc.Config{Name: "reactive", Queue: q, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Decorated source still delivers.
-	if r, ok := s.Next(); !ok || r.Handle != 1 {
-		t.Errorf("decorated Next = %v %v", r, ok)
+	src := &countingSource{Source: NewBasicSource("events")}
+	r, err := New(Config{Source: src, DispatcherThreads: 1, Processor: proc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	defer r.Stop()
+
+	// Hold the only worker, so every emitted event waits in the queue.
+	release, held := make(chan struct{}), make(chan struct{})
+	if err := proc.Submit(events.Func(func() { close(held); <-release })); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	h := r.NewHandle()
+	order := make(chan events.Priority, 2)
+	r.Register(h, HandlerFunc(func(rd Ready) { order <- rd.Prio }))
+	for _, prio := range []events.Priority{1, 0} {
+		if err := r.Emit(Ready{Type: UserReady, Handle: h, Prio: prio}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, pending := src.emits.Load(), src.Pending(); n != 0 || pending != 0 {
+		t.Fatalf("Emit went through the source: %d emits, %d pending", n, pending)
+	}
+	if queued := proc.QueueLen(); queued != 2 {
+		t.Fatalf("processor queue holds %d events, want 2", queued)
+	}
+	if err := r.Emit(Ready{Type: UserReady, Handle: h + 1}); err != nil || r.Dropped() != 1 {
+		t.Fatalf("unregistered handle: err %v, Dropped %d, want nil and 1", err, r.Dropped())
+	}
+	close(release)
+	for _, want := range []events.Priority{0, 1} {
+		select {
+		case got := <-order:
+			if got != want {
+				t.Fatalf("handled prio %d, want %d (high priority first)", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("emitted event never handled")
+		}
+	}
+}
+
+// TestEmitWithoutProcessorQueues: without an Event Processor, Emit queues
+// on the Source, so it returns while the dispatcher thread is still busy
+// with a blocking handler — a handler never runs on the emitter.
+func TestEmitWithoutProcessorQueues(t *testing.T) {
+	r, err := New(Config{DispatcherThreads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.NewHandle()
+	release, ran := make(chan struct{}), make(chan struct{}, 2)
+	r.Register(h, HandlerFunc(func(Ready) { ran <- struct{}{}; <-release }))
+	r.Run()
+	for i := 0; i < 2; i++ {
+		if err := r.Emit(Ready{Type: UserReady, Handle: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both Emits have returned; the dispatcher holds the first event.
+	<-ran
+	close(release)
+	<-ran
+	r.Stop()
+}
+
+// TestEmitFailsAfterStop: a stopped reactor refuses events in both modes.
+func TestEmitFailsAfterStop(t *testing.T) {
+	for _, pool := range []bool{false, true} {
+		cfg := Config{DispatcherThreads: 1}
+		if pool {
+			proc, err := eventproc.New(eventproc.Config{Name: "reactive", Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Processor = proc
+		}
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := r.NewHandle()
+		r.Register(h, HandlerFunc(func(Ready) {}))
+		r.Run()
+		r.Stop()
+		if err := r.Emit(Ready{Type: UserReady, Handle: h}); err == nil {
+			t.Errorf("pool=%v: Emit after Stop succeeded", pool)
+		}
+	}
+}
+
+// TestRouteTracesEveryEvent: in debug mode (O10) route records each event
+// it routes, whether emitted by a producer or fired by a timer on the
+// source chain.
+func TestRouteTracesEveryEvent(t *testing.T) {
+	tr := logging.NewTrace(nil, 64)
+	proc, err := eventproc.New(eventproc.Config{Name: "reactive", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timers := NewTimerSource(NewBasicSource("events"))
+	r, err := New(Config{Source: timers, DispatcherThreads: 1, Processor: proc, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled := make(chan EventType, 2)
+	record := HandlerFunc(func(rd Ready) { handled <- rd.Type })
+	r.RegisterType(AcceptReady, record)
+	r.RegisterType(TimerReady, record)
+	r.Run()
+	defer r.Stop()
+	if err := r.Emit(Ready{Type: AcceptReady, Handle: 7}); err != nil {
+		t.Fatal(err)
+	}
+	timers.After(time.Millisecond, nil)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-handled:
+		case <-time.After(2 * time.Second):
+			t.Fatal("event not handled")
+		}
+	}
+	routed := map[string]bool{}
+	for _, rec := range tr.Snapshot() {
+		if rec.Component == "reactor" && strings.HasPrefix(rec.Event, "route ") {
+			routed[strings.Fields(strings.TrimPrefix(rec.Event, "route ready{"))[0]] = true
+		}
+	}
+	if !routed["accept"] || !routed["timer"] {
+		t.Errorf("routed events in trace = %v, want accept and timer", routed)
 	}
 }
 

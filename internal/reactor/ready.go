@@ -7,13 +7,16 @@
 // server use multiple processors).
 //
 // In the original pattern the Event Dispatcher blocks in select/poll on OS
-// handles. Go does not expose readiness polling portably, so producers
-// (accept loops, per-connection readers, timers, emulated-async-I/O
-// completions) push Ready records into the Event Source, and the
-// dispatcher threads block on the source's queue. The structure — sources
-// feeding one demultiplexing point, a registry binding handles to Event
-// Handlers, dispatch either inline or through the Event Processor — is the
-// paper's.
+// handles and passes each ready event on. Go does not expose readiness
+// polling portably, and nothing here needs to poll: a producer (accept
+// loop, per-connection reader, teardown, emulated-async-I/O completion)
+// already knows its event is ready. It calls Reactor.Emit, which routes
+// the event through the registry — a handle's Event Handler, else its
+// type's — straight into the Event Processor's queue when there is one
+// (O2 = Yes). Without a processor the event queues on the Event Source
+// and the dispatcher threads run the handler inline, the classic Reactor.
+// The Source queue and the dispatcher threads also carry the events
+// pushed onto the decorator chain itself, such as a TimerSource's timers.
 package reactor
 
 import (

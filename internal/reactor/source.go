@@ -4,15 +4,14 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"repro/internal/logging"
 )
 
 // Source is the Event Source component of the N-Server. It complies with
 // the Decorator pattern: concrete sources and decorators share this
 // interface, so new kinds of event sources can be layered onto an existing
-// chain without changing the reactor. Producers push ready events with
-// Emit; the Event Dispatcher consumes them with Next.
+// chain without changing the reactor. Emit pushes ready events (a
+// TimerSource's timers, and Reactor.Emit without an Event Processor); the
+// Event Dispatcher consumes them with Next.
 type Source interface {
 	// Name labels the source in traces.
 	Name() string
@@ -97,24 +96,6 @@ func (s *BasicSource) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.cond.Broadcast()
-}
-
-// TraceSource is a decorator that records every emitted event to the debug
-// trace (generated only in debug mode, O10).
-type TraceSource struct {
-	Source
-	trace *logging.Trace
-}
-
-// NewTraceSource wraps inner with per-event tracing.
-func NewTraceSource(inner Source, trace *logging.Trace) *TraceSource {
-	return &TraceSource{Source: inner, trace: trace}
-}
-
-// Emit records the event and forwards to the wrapped source.
-func (s *TraceSource) Emit(r Ready) error {
-	s.trace.Record(s.Name(), "emit %s", r)
-	return s.Source.Emit(r)
 }
 
 // TimerSource is a decorator adding timer events to an event source chain
