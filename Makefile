@@ -21,6 +21,9 @@ test: vet chaos
 	# Reply order on the wire, for the same reason: pipelined replies that
 	# complete out of order must still leave in request order.
 	$(GO) test -count=20 -run 'TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow' ./internal/copshttp
+	# The same for COPS-FTP: a command pipelined behind a transfer must be
+	# answered after the transfer goroutine's closing reply.
+	$(GO) test -count=20 -run 'TestPipelinedCommandWaitsForTransferReply' ./internal/copsftp
 	# Reader reuse: a reader whose idle wait is running out races attach's
 	# hand-off, and a teardown's goroutine baseline must still hold with
 	# readers outliving their connections; one run can miss either.
@@ -31,14 +34,16 @@ test: vet chaos
 	# attached after the sweep; one run can miss either interleaving.
 	$(GO) test -count=20 -run 'TestShutdownRefusesLateAttach|TestShutdownRacesReadLoopsAndScavenger' ./internal/nserver
 	# The sharded runtime must degenerate cleanly on one core: the shard
-	# loops, work stealing, fan-out accept paths and the O9 admission gate
-	# re-run serialized.
+	# loops, work stealing, the fan-out accept path and the O9 admission
+	# gate re-run serialized.
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
 	# A fixed-budget fuzz pass over the request parser and its header
-	# list, each against its reference: new inputs beyond the seed corpus
-	# that the plain run replays.
+	# list, each against its reference, and over both path-traversal
+	# guards: new inputs beyond the seed corpus that the plain run replays.
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequestMatchesOracle$$' -fuzztime 10s ./internal/httpproto
 	$(GO) test -run '^$$' -fuzz '^FuzzHeaderMatchesMap$$' -fuzztime 10s ./internal/httpproto
+	$(GO) test -run '^$$' -fuzz '^FuzzCleanPathMatchesOracle$$' -fuzztime 10s ./internal/httpproto
+	$(GO) test -run '^$$' -fuzz '^FuzzResolvePath$$' -fuzztime 10s ./internal/ftpproto
 	# A medium model-based conformance run rides along with every test
 	# sweep; `make model` runs the full 10k-program batch.
 	$(MAKE) model MODEL_PROGRAMS=400

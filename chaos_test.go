@@ -761,8 +761,8 @@ func TestChaosRSTMidStreamReapsConnection(t *testing.T) {
 
 // TestChaosShardedRuntimeSurvivesFaults runs the full chaos scenario —
 // mid-stream RSTs plus read stalls on a fixed seed — against the sharded
-// runtime: four shards behind one faultnet listener (the accept fan-out
-// path; SO_REUSEPORT cannot be fault-wrapped), work stealing active
+// runtime: four shards behind one faultnet listener, whose one acceptor
+// fans connections out round-robin, work stealing active
 // between the shard queues. The aggregated counters must stay monotonic
 // while faults land on every shard, every shard must reap its torn
 // connections, and the per-shard profiles must still sum to the

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -31,7 +30,6 @@ func main() {
 		cooldown = flag.Duration("cooldown", time.Second, "how long a failed backend is skipped")
 		hedge    = flag.Bool("hedge", false, "issue a budgeted hedged dial to a second backend when the primary dial exceeds the observed p95 latency; the losing dial is canceled")
 		hedgeDel = flag.Duration("hedge-delay", 0, "fixed hedge delay override; 0 derives it from the dial-latency p95")
-		shards   = flag.Int("shards", 0, "accept loops on the front end (SO_REUSEPORT listeners on Linux); 0 = one per CPU")
 		mAddr    = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
 	)
 	flag.Parse()
@@ -50,19 +48,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	nShards := *shards
-	if nShards <= 0 {
-		nShards = runtime.NumCPU()
-	}
 	prof := profiling.New()
 	lb, err := cluster.New(cluster.Config{
-		Backends:     strings.Split(*backends, ","),
-		Strategy:     strat,
-		CoolDown:     *cooldown,
-		AcceptShards: nShards,
-		Profile:      prof,
-		Hedge:        *hedge,
-		HedgeDelay:   *hedgeDel,
+		Backends:   strings.Split(*backends, ","),
+		Strategy:   strat,
+		CoolDown:   *cooldown,
+		Profile:    prof,
+		Hedge:      *hedge,
+		HedgeDelay: *hedgeDel,
 	})
 	if err != nil {
 		fatal(err)
@@ -70,7 +63,7 @@ func main() {
 	if err := lb.ListenAndServe(*addr); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s on %s (accept shards=%d)\n", lb, lb.Addr(), lb.AcceptShards())
+	fmt.Printf("%s on %s\n", lb, lb.Addr())
 
 	if *mAddr != "" {
 		cfg := metrics.Config{Profile: prof, Cluster: lb}

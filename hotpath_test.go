@@ -326,12 +326,12 @@ func TestHotPathAllocsPipelinedWindow(t *testing.T) {
 // the queued path: the reader goroutine's PollReady routed into the
 // shard's Event Processor, the drain's decode, Handle and the reply's
 // encode and send — what every request pays without a FastPath hook (FTP,
-// and HTTP while the O9 gate is engaged). It measures 5.00 at one and two
-// shards: the routed event's closure and its boxed queue entry, the
-// decoded line, the line boxed into Reply's argument and the encoded
+// and HTTP while the O9 gate is engaged). It measures 4.00 at one and two
+// shards: the routed event (its handler and Ready in one queue entry),
+// the decoded line, the line boxed into Reply's argument and the encoded
 // reply. The client reads with ReadSlice, so none of its own
 // allocations count.
-const queuedEchoAllocBudget = 5
+const queuedEchoAllocBudget = 4
 
 // TestHotPathAllocsQueuedEcho pins the allocations of one round trip over
 // the queued path on a live loopback connection, at one and two shards.

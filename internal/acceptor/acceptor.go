@@ -57,13 +57,9 @@ type Config struct {
 	// (option O9's watermark mechanism).
 	Gate Gate
 	// MaxConns, when > 0, bounds simultaneous connections (option O9's
-	// trivial mechanism).
+	// trivial mechanism), compared against the acceptor's own live count
+	// (see Live): the server reports each teardown with ConnClosed.
 	MaxConns int
-	// Active, when non-nil, overrides the acceptor's internal live
-	// connection counter as the quantity compared against MaxConns. When
-	// nil the acceptor counts accepts itself and the server reports
-	// connection teardown with ConnClosed.
-	Active func() int
 	// GatePollInterval is how often a postponed acceptor re-checks the
 	// gate. Zero means 1ms.
 	GatePollInterval time.Duration
@@ -88,7 +84,6 @@ type Acceptor struct {
 	gate     Gate
 	pgate    PriorityGate
 	maxConns int
-	active   func() int
 	shed     func(net.Conn)
 	poll     time.Duration
 	profile  *profiling.Profile
@@ -120,7 +115,6 @@ func New(cfg Config) (*Acceptor, error) {
 		gate:     cfg.Gate,
 		pgate:    pgate,
 		maxConns: cfg.MaxConns,
-		active:   cfg.Active,
 		shed:     cfg.Shed,
 		poll:     poll,
 		profile:  cfg.Profile,
@@ -219,35 +213,24 @@ func (a *Acceptor) admissibleNow() bool {
 // boundOK evaluates the hard MaxConns bound alone. Priority re-admission
 // may override the gate but never this bound.
 func (a *Acceptor) boundOK() bool {
-	return a.maxConns <= 0 || a.activeCount() < a.maxConns
+	return a.maxConns <= 0 || a.Live() < a.maxConns
 }
 
-// ConnClosed informs the acceptor's internal live counter that one
-// accepted connection has ended. Servers using MaxConns without an Active
-// override must call it once per connection teardown.
+// ConnClosed informs the acceptor's live counter that one accepted
+// connection has ended. Servers using MaxConns must call it once per
+// connection teardown.
 func (a *Acceptor) ConnClosed() {
 	a.live.Add(-1)
 }
 
-// Active returns the live connection count the MaxConns bound is compared
-// against.
-func (a *Acceptor) Active() int { return a.activeCount() }
-
-// Live returns the acceptor's own accept-time counter, ignoring any
-// Active override: it is incremented the moment a connection is admitted
-// and decremented by ConnClosed. Admission gates meter against this
-// count rather than the shard registries — a registry only learns about
-// a connection once its AcceptReady event is processed, so during a
+// Live returns the acceptor's accept-time counter, the count MaxConns
+// bounds: it is incremented the moment a connection is admitted and
+// decremented by ConnClosed. Admission gates meter against this count
+// rather than the shard registries — a registry only learns about a
+// connection once its AcceptReady event is processed, so during a
 // synchronized dial burst the registry lags far behind what the acceptor
 // has already let in.
 func (a *Acceptor) Live() int { return int(a.live.Load()) }
-
-func (a *Acceptor) activeCount() int {
-	if a.active != nil {
-		return a.active()
-	}
-	return int(a.live.Load())
-}
 
 // Close stops the accept loop and closes the listener. Idempotent.
 func (a *Acceptor) Close() error {

@@ -157,8 +157,8 @@ func TestMaxConnsBound(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("first connection not accepted")
 	}
-	if a.Active() != 1 {
-		t.Errorf("Active = %d", a.Active())
+	if a.Live() != 1 {
+		t.Errorf("Live = %d", a.Live())
 	}
 	// Second connection must wait while the bound is reached.
 	c2, err := net.Dial("tcp", a.Addr().String())
@@ -351,22 +351,4 @@ func TestRunExitsWhenReactorStopped(t *testing.T) {
 		t.Error("orphaned connection left open")
 	}
 	_ = a.Close()
-}
-
-func TestActiveOverrideUsed(t *testing.T) {
-	r := newReactor(t)
-	ln := listen(t)
-	override := 7
-	a, err := New(Config{
-		Listener: ln, Reactor: r,
-		MaxConns: 10,
-		Active:   func() int { return override },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if a.Active() != 7 {
-		t.Errorf("Active() = %d, want override 7", a.Active())
-	}
 }

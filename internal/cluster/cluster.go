@@ -8,9 +8,10 @@
 // shared-memory machine or for the cluster, which is the property the
 // paper's conclusion calls out (after Tan et al., PPoPP 2003).
 //
-// The Balancer reuses the framework's building blocks: an Acceptor feeds
-// connection events through a Reactor, and forwarding decisions are a
-// pluggable Strategy (round-robin or least-connections).
+// The Balancer is a plain forwarder, not an N-Server: one accept loop
+// hands each client connection to its own goroutine, which picks a
+// backend through a pluggable Strategy (round-robin or
+// least-connections) and splices bytes both ways.
 //
 // Backend failure handling is a per-backend circuit breaker: consecutive
 // dial failures open the circuit for a capped, jittered exponential
@@ -36,7 +37,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/logging"
 	"repro/internal/profiling"
-	"repro/internal/reuseport"
 )
 
 // Strategy selects the backend for a new connection.
@@ -86,11 +86,6 @@ type Config struct {
 	// this long for in-flight forwards to finish, then force-closes
 	// their connections. Default 5s.
 	DrainTimeout time.Duration
-	// AcceptShards is how many accept loops the front end runs. With
-	// SO_REUSEPORT (Linux) each loop owns its own listener socket and the
-	// kernel spreads incoming connections across them; elsewhere the loops
-	// share one listener. 0 and 1 both mean a single loop.
-	AcceptShards int
 	// Hedge enables hedged backend connects: when a dial has not
 	// completed within the hedge delay — the p95 of recent successful
 	// dial latencies, clamped between 1ms and half the dial timeout — a
@@ -156,9 +151,7 @@ type Balancer struct {
 	connMu   sync.Mutex
 	inflight map[net.Conn]struct{}
 
-	acceptShards int
-
-	lns        []net.Listener
+	ln         net.Listener
 	wg         sync.WaitGroup
 	proberDone chan struct{}
 	closed     atomic.Bool
@@ -237,13 +230,8 @@ func New(cfg Config) (*Balancer, error) {
 	if seed == 0 {
 		seed = int64(cd)
 	}
-	shards := cfg.AcceptShards
-	if shards <= 0 {
-		shards = 1
-	}
 	b := &Balancer{
 		strategy:      cfg.Strategy,
-		acceptShards:  shards,
 		dialTimeout:   dt,
 		backoffBase:   cd,
 		backoffMax:    bmax,
@@ -273,47 +261,18 @@ func New(cfg Config) (*Balancer, error) {
 }
 
 // Start begins accepting from ln and forwarding. It returns immediately.
-// With AcceptShards > 1 the shards share this single listener (Accept on
-// one net.Listener is safe from multiple goroutines).
 func (b *Balancer) Start(ln net.Listener) {
-	b.lns = []net.Listener{ln}
-	for i := 0; i < b.acceptShards; i++ {
-		b.wg.Add(1)
-		go b.acceptLoop(ln)
-	}
-	b.startProber()
-}
-
-// StartListeners runs one accept loop per listener (one SO_REUSEPORT
-// socket each, so the kernel spreads connections across the loops).
-func (b *Balancer) StartListeners(lns []net.Listener) {
-	b.lns = lns
-	for _, ln := range lns {
-		b.wg.Add(1)
-		go b.acceptLoop(ln)
-	}
-	b.startProber()
-}
-
-func (b *Balancer) startProber() {
+	b.ln = ln
+	b.wg.Add(1)
+	go b.acceptLoop(ln)
 	if b.probeInterval > 0 {
 		b.wg.Add(1)
 		go b.probeLoop()
 	}
 }
 
-// ListenAndServe binds addr and starts the balancer. With AcceptShards > 1
-// it binds one SO_REUSEPORT listener per shard where the platform supports
-// it, otherwise the shards share a single listener.
+// ListenAndServe binds addr and starts the balancer.
 func (b *Balancer) ListenAndServe(addr string) error {
-	if b.acceptShards > 1 {
-		if lns, err := reuseport.Listeners(addr, b.acceptShards); err == nil {
-			b.StartListeners(lns)
-			return nil
-		} else if !errors.Is(err, reuseport.ErrUnsupported) {
-			return err
-		}
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -324,14 +283,11 @@ func (b *Balancer) ListenAndServe(addr string) error {
 
 // Addr returns the front-end address once serving.
 func (b *Balancer) Addr() net.Addr {
-	if len(b.lns) == 0 {
+	if b.ln == nil {
 		return nil
 	}
-	return b.lns[0].Addr()
+	return b.ln.Addr()
 }
-
-// AcceptShards returns the number of accept loops the balancer runs.
-func (b *Balancer) AcceptShards() int { return b.acceptShards }
 
 // Shutdown stops accepting and drains: in-flight forwards get up to
 // DrainTimeout to finish their current copies, after which their
@@ -341,8 +297,8 @@ func (b *Balancer) Shutdown() {
 	if !b.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, ln := range b.lns {
-		ln.Close()
+	if b.ln != nil {
+		b.ln.Close()
 	}
 	close(b.proberDone)
 	done := make(chan struct{})

@@ -370,7 +370,7 @@ func (s *Server) cmdList(c *nserver.Conn, sess *session, arg string, namesOnly b
 			kind, fi.Size(), fi.ModTime().Format("Jan _2 15:04"), e.Name())
 	}
 	_ = c.Reply(ftpproto.NewReply(150, ""))
-	go s.transfer(c, sess, func(dc net.Conn) error {
+	go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
 		n, err := dc.Write([]byte(b.String()))
 		// Data-connection egress bypasses Conn.Send; count it here so the
 		// O11 byte totals cover every socket, not just the control channel.
@@ -402,7 +402,7 @@ func (s *Server) cmdRetr(c *nserver.Conn, sess *session, arg string) {
 		// Large-file path: the descriptor comes back from the emulated
 		// asynchronous open and the body streams to the data connection
 		// through a pooled buffer, never held whole in memory.
-		go s.transfer(c, sess, func(dc net.Conn) error {
+		go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
 			done := make(chan error, 1)
 			_, err := s.ns.AIO().Open(full, nil, c.Priority(),
 				func(_ events.Token, f *os.File, _ os.FileInfo, oerr error) {
@@ -445,7 +445,7 @@ func (s *Server) cmdRetr(c *nserver.Conn, sess *session, arg string) {
 	// The file content is fetched through the framework's emulated async
 	// I/O (cache-aware when O6 is on); the data-connection write happens
 	// on the transfer helper.
-	go s.transfer(c, sess, func(dc net.Conn) error {
+	go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
 		done := make(chan error, 1)
 		_, err := s.ns.AIO().ReadFile(full, nil, c.Priority(),
 			func(_ events.Token, data []byte, rerr error) {
@@ -482,7 +482,7 @@ func (s *Server) cmdStor(c *nserver.Conn, sess *session, arg string) {
 		return
 	}
 	_ = c.Reply(ftpproto.NewReply(150, ""))
-	go s.transfer(c, sess, func(dc net.Conn) error {
+	go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
 		f, err := os.Create(full)
 		if err != nil {
 			return err
@@ -512,20 +512,24 @@ func (s *Server) cmdStor(c *nserver.Conn, sess *session, arg string) {
 	})
 }
 
-// transfer runs one data-connection transfer and sends the closing reply.
-func (s *Server) transfer(c *nserver.Conn, sess *session, f func(net.Conn) error) {
+// transfer runs one data-connection transfer and fills slot with the
+// closing reply. The caller reserves slot on the Handle goroutine (the
+// go statement evaluates c.Reserve() there), right after the 150, so a
+// command pipelined behind the transfer is answered after its 226, 425
+// or 426.
+func (s *Server) transfer(slot nserver.Slot, sess *session, f func(net.Conn) error) {
 	dc, err := s.openData(sess)
 	if err != nil {
-		_ = c.Reply(ftpproto.NewReply(425, ""))
+		_ = slot.Reply(ftpproto.NewReply(425, ""))
 		return
 	}
 	err = f(dc)
 	dc.Close()
 	if err != nil {
-		_ = c.Reply(ftpproto.NewReply(426, ""))
+		_ = slot.Reply(ftpproto.NewReply(426, ""))
 		return
 	}
-	_ = c.Reply(ftpproto.NewReply(226, ""))
+	_ = slot.Reply(ftpproto.NewReply(226, ""))
 }
 
 func (s *Server) cmdSize(c *nserver.Conn, sess *session, arg string) {

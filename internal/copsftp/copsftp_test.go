@@ -383,6 +383,37 @@ func TestRetrWithoutDataConnection(t *testing.T) {
 	c.expect(425) // no PASV/PORT arranged
 }
 
+// TestPipelinedCommandWaitsForTransferReply: a command pipelined behind a
+// transfer, in the same write, is answered after the transfer's closing
+// reply, which the transfer goroutine sends once the data connection is
+// done: 150, then 226 (or 425 with no data connection arranged), then
+// the NOOP's 200.
+func TestPipelinedCommandWaitsForTransferReply(t *testing.T) {
+	t.Run("226", func(t *testing.T) {
+		s := startFTP(t, Config{Root: buildRoot(t)})
+		c := newClient(t, s.Addr())
+		c.login()
+		dc := c.pasvData()
+		defer dc.Close()
+		fmt.Fprint(c.conn, "RETR hello.txt\r\nNOOP\r\n")
+		c.expect(150)
+		if data, err := io.ReadAll(dc); err != nil || string(data) != "hello ftp" {
+			t.Fatalf("RETR data = %q, %v", data, err)
+		}
+		c.expect(226)
+		c.expect(200)
+	})
+	t.Run("425", func(t *testing.T) {
+		s := startFTP(t, Config{Root: buildRoot(t), DataTimeout: 100 * time.Millisecond})
+		c := newClient(t, s.Addr())
+		c.login()
+		fmt.Fprint(c.conn, "RETR hello.txt\r\nNOOP\r\n")
+		c.expect(150)
+		c.expect(425)
+		c.expect(200)
+	})
+}
+
 func TestActiveModePort(t *testing.T) {
 	s := startFTP(t, Config{Root: buildRoot(t)})
 	c := newClient(t, s.Addr())

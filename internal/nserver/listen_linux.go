@@ -1,6 +1,6 @@
 //go:build linux
 
-package reuseport
+package nserver
 
 import (
 	"context"
@@ -8,13 +8,6 @@ import (
 	"os"
 	"syscall"
 )
-
-const available = true
-
-// soReusePort is SO_REUSEPORT on Linux (present since 3.9). The syscall
-// package does not export the constant, so it is spelled here; the value
-// is part of the stable kernel ABI.
-const soReusePort = 0xf
 
 // keepAliveOpts are Go's keep-alive defaults for accepted TCP connections
 // (net's defaultTCPKeepAliveIdle, Interval and Count: 15 s, 15 s, 9
@@ -26,21 +19,17 @@ var keepAliveOpts = [...]struct{ level, opt, val int }{
 	{syscall.IPPROTO_TCP, syscall.TCP_KEEPCNT, 9},
 }
 
-// listenTCP binds one TCP listener, with SO_REUSEPORT set before bind
-// when reusePort is set, through the ListenConfig control hook — no extra
-// dependencies, no raw socket management. Keep-alive is set once, on the
-// listening socket: Linux copies it into every socket accept returns, so
-// the listener accepts with KeepAlive < 0 and no connection pays Go's
-// four per-accept setsockopt calls for the same values.
-func listenTCP(addr string, reusePort bool) (net.Listener, error) {
+// listen binds one TCP listener on addr. Keep-alive is set once, on the
+// listening socket, through the ListenConfig control hook: Linux copies
+// it into every socket accept returns, so the listener accepts with
+// KeepAlive < 0 and no connection pays Go's four per-accept setsockopt
+// calls for the same values.
+func listen(addr string) (net.Listener, error) {
 	lc := net.ListenConfig{
 		KeepAlive: -1,
 		Control: func(network, address string, c syscall.RawConn) error {
 			var serr error
 			if err := c.Control(func(fd uintptr) {
-				if reusePort {
-					serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
-				}
 				for _, o := range keepAliveOpts {
 					if serr == nil {
 						serr = syscall.SetsockoptInt(int(fd), o.level, o.opt, o.val)

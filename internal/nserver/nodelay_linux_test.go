@@ -89,8 +89,7 @@ func listeningFDs(t *testing.T, port int) []int {
 
 // startSockOptsServer serves, through ListenAndServe on loopback, a
 // server whose every reply is the sockOpts of the connection it
-// answers on: one listener with Shards = 1, per-shard SO_REUSEPORT
-// listeners above that.
+// answers on.
 func startSockOptsServer(t *testing.T, shards int) *Server {
 	t.Helper()
 	o := testOptions()
@@ -111,8 +110,8 @@ func startSockOptsServer(t *testing.T, shards int) *Server {
 }
 
 // TestAcceptedConnIsNoDelay pins the socket options of every connection
-// the runtime accepts, through the single listener and through per-shard
-// SO_REUSEPORT listeners. TCP_NODELAY: keep-alive streams answer with
+// the runtime accepts, with one shard and with connections fanned out
+// across two. TCP_NODELAY: keep-alive streams answer with
 // many small replies, and Nagle coalescing against delayed ACKs would
 // serialize them. Keep-alive with Go's defaults, exactly what Go's own
 // accept path sets: here the connection inherits it from its listener
@@ -139,16 +138,17 @@ func TestAcceptedConnIsNoDelay(t *testing.T) {
 	}
 }
 
-// TestListenerCarriesKeepAlive: both listener paths of ListenAndServe set
-// Go's keep-alive defaults once, on the listening socket, which Linux
-// copies into every socket accept returns.
+// TestListenerCarriesKeepAlive: ListenAndServe opens exactly one
+// listening socket at every shard count, and sets Go's keep-alive
+// defaults on it once, which Linux copies into every socket accept
+// returns.
 func TestListenerCarriesKeepAlive(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := startSockOptsServer(t, shards)
 			fds := listeningFDs(t, s.Addr().(*net.TCPAddr).Port)
-			if len(fds) != shards {
-				t.Fatalf("found %d listening sockets, want %d", len(fds), shards)
+			if len(fds) != 1 {
+				t.Fatalf("found %d listening sockets, want 1", len(fds))
 			}
 			for _, fd := range fds {
 				got, err := sockOpts(fd)

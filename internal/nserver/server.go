@@ -19,7 +19,6 @@ import (
 	"repro/internal/options"
 	"repro/internal/profiling"
 	"repro/internal/reactor"
-	"repro/internal/reuseport"
 )
 
 // Config assembles a server from a validated option set plus the
@@ -114,10 +113,6 @@ type shard struct {
 	// hot-path writes land on memory no other shard touches and are
 	// aggregated lazily by Server.Profile().
 	profile *profiling.Profile
-	// acceptor is the acceptor whose live-connection accounting this
-	// shard reports teardown to: its own in SO_REUSEPORT mode, the
-	// shared fan-out acceptor otherwise.
-	acceptor *acceptor.Acceptor
 
 	// connK counts connections attached to this shard; conn IDs are
 	// strided (idx+1, idx+1+N, ...) so `c<conn>-r<req>` trace IDs stay
@@ -127,8 +122,6 @@ type shard struct {
 
 	mu    sync.Mutex
 	conns map[reactor.Handle]*Conn
-
-	reaperDone chan struct{}
 }
 
 // Server is the assembled N-Server instance.
@@ -164,11 +157,9 @@ type Server struct {
 	trace    *logging.Trace
 	reqTrace *logging.RequestTrace
 
-	// acceptor is the shared fan-out acceptor (single-listener mode);
-	// acceptors lists every running acceptor (1 in fan-out mode, one
-	// per shard in SO_REUSEPORT mode).
-	acceptor  *acceptor.Acceptor
-	acceptors []*acceptor.Acceptor
+	// acceptor is the server's one Acceptor (nil before Start): it
+	// accepts for every shard and fans connections out round-robin.
+	acceptor *acceptor.Acceptor
 
 	// nextShard round-robins fan-out attachment; aioShard round-robins
 	// async completion delivery across shard processors.
@@ -183,7 +174,8 @@ type Server struct {
 
 	// readers hands an accepted connection to an idle reader goroutine
 	// (see reader); readerStarts counts the reader goroutines attach has
-	// started, and done, closed by Shutdown, ends the idle ones.
+	// started, and done, closed by Shutdown, ends the idle ones and the
+	// shard scavengers (see reap).
 	readers      chan *Conn
 	readerStarts atomic.Uint64
 	done         chan struct{}
@@ -487,14 +479,13 @@ func (s *Server) Logger() *logging.Logger {
 // logging is on and a logger was supplied).
 func (s *Server) RequestTrace() *logging.RequestTrace { return s.reqTrace }
 
-// Deferred returns the cumulative deferred/shed connection count across
-// every acceptor (0 before Start).
+// Deferred returns the cumulative deferred/shed connection count (0
+// before Start).
 func (s *Server) Deferred() uint64 {
-	var total uint64
-	for _, acc := range s.acceptors {
-		total += acc.Deferred()
+	if s.acceptor == nil {
+		return 0
 	}
-	return total
+	return s.acceptor.Deferred()
 }
 
 // Cache returns the file cache (nil unless O6 selects a policy).
@@ -514,21 +505,16 @@ func (s *Server) Overload() *eventproc.Overload { return s.overload }
 func (s *Server) Admission() *admission.Limiter { return s.limiter }
 
 // inflightNow is the connection count the admission limiter meters
-// against: the acceptors' own accept-time counters. The shard registries
+// against: the acceptor's own accept-time counter. The shard registries
 // (ActiveConns) only learn about a connection once its AcceptReady event
 // is processed, so during a synchronized dial burst they lag far behind
-// what the acceptors have already admitted — metering on them lets the
+// what the acceptor has already admitted — metering on them lets the
 // whole burst through before the gate ever reads a non-zero count.
 func (s *Server) inflightNow() int {
-	accs := s.acceptors
-	if len(accs) == 0 {
+	if s.acceptor == nil {
 		return s.ActiveConns()
 	}
-	total := 0
-	for _, a := range accs {
-		total += a.Live()
-	}
-	return total
+	return s.acceptor.Live()
 }
 
 // ActiveConns returns the number of live connections across all shards.
@@ -585,16 +571,15 @@ func (s *Server) ShardConns(i int) int {
 	return len(sh.conns)
 }
 
-// Addr returns the listening address (nil before Start). With multiple
-// SO_REUSEPORT listeners all share one address.
+// Addr returns the listening address (nil before Start).
 func (s *Server) Addr() net.Addr {
-	if len(s.acceptors) == 0 {
+	if s.acceptor == nil {
 		return nil
 	}
-	return s.acceptors[0].Addr()
+	return s.acceptor.Addr()
 }
 
-// pickShard selects the shard for a fan-out-accepted connection
+// pickShard selects the shard for an accepted connection
 // (round-robin, the cheapest placement that is provably balanced for
 // homogeneous connections; work stealing covers the rest).
 func (s *Server) pickShard() *shard {
@@ -604,19 +589,23 @@ func (s *Server) pickShard() *shard {
 	return s.shards[int(s.nextShard.Add(1)-1)%len(s.shards)]
 }
 
-// Start begins serving connections accepted from ln through the
-// portable single-listener path: one acceptor fans accepted transports
-// out across the shards round-robin. It returns immediately; use
-// Shutdown to stop. Start may be called once (use StartListeners for
-// per-shard SO_REUSEPORT listeners).
+// Start begins serving connections accepted from ln. One Acceptor owns
+// the listener at every shard count: it meters the O9 gate and
+// MaxConnections against its own accept-time count, and its handler
+// attaches each connection to the next shard round-robin. It returns
+// immediately; use Shutdown to stop. Start may be called once.
 func (s *Server) Start(ln net.Listener) error {
 	if !s.started.CompareAndSwap(false, true) {
 		return errors.New("nserver: already started")
 	}
+	var gate acceptor.Gate
+	if s.limiter != nil {
+		gate = s.limiter
+	}
 	acc, err := acceptor.New(acceptor.Config{
 		Listener:         ln,
 		Reactor:          s.shards[0].reactor,
-		Gate:             s.gate(),
+		Gate:             gate,
 		MaxConns:         s.opts.MaxConnections,
 		GatePollInterval: s.gatePoll,
 		Shed:             s.shed,
@@ -627,10 +616,6 @@ func (s *Server) Start(ln net.Listener) error {
 		return err
 	}
 	s.acceptor = acc
-	s.acceptors = []*acceptor.Acceptor{acc}
-	for _, sh := range s.shards {
-		sh.acceptor = acc
-	}
 	// The Acceptor Event Handler: wrap each accepted transport in a
 	// Communicator on the next shard and start its pipeline.
 	s.shards[0].reactor.Register(acc.Handle(), reactor.HandlerFunc(func(rd reactor.Ready) {
@@ -638,7 +623,20 @@ func (s *Server) Start(ln net.Listener) error {
 			s.attach(s.pickShard(), rd.Data.(net.Conn))
 		}
 	}))
-	s.startRuntime()
+	s.fileio.Start()
+	for _, sh := range s.shards {
+		sh.reactor.Run()
+	}
+	// O7: the idle reaper exists only when selected. The same scavenger
+	// doubles as the slow-client reaper whenever a ReadTimeout bounds
+	// request assembly, so a slowloris peer that keeps refreshing its
+	// activity timestamp with one-byte reads still gets collected. Each
+	// shard scavenges its own connection table until Shutdown.
+	if s.opts.ShutdownLongIdle || s.opts.ReadTimeout > 0 {
+		for _, sh := range s.shards {
+			go s.reap(sh)
+		}
+	}
 	s.acceptWG.Add(1)
 	go func() {
 		defer s.acceptWG.Done()
@@ -648,102 +646,10 @@ func (s *Server) Start(ln net.Listener) error {
 	return nil
 }
 
-// StartListeners begins serving with one listener per shard (typically
-// SO_REUSEPORT siblings bound to one address): each shard runs its own
-// acceptor on its own reactor, so connection establishment shares no
-// lock across shards. len(lns) must equal the shard count.
-func (s *Server) StartListeners(lns []net.Listener) error {
-	if len(lns) != len(s.shards) {
-		return fmt.Errorf("nserver: got %d listeners for %d shards", len(lns), len(s.shards))
-	}
-	if !s.started.CompareAndSwap(false, true) {
-		return errors.New("nserver: already started")
-	}
-	gate := s.gate()
-	for i, sh := range s.shards {
-		sh := sh
-		acc, err := acceptor.New(acceptor.Config{
-			Listener: lns[i],
-			Reactor:  sh.reactor,
-			Gate:     gate,
-			MaxConns: s.opts.MaxConnections,
-			// The connection bound is machine-wide: every shard acceptor
-			// compares against the global live count.
-			Active:           s.ActiveConns,
-			GatePollInterval: s.gatePoll,
-			Shed:             s.shed,
-			Profile:          sh.profile,
-			Trace:            s.trace,
-		})
-		if err != nil {
-			for _, a := range s.acceptors {
-				_ = a.Close()
-			}
-			return err
-		}
-		sh.acceptor = acc
-		s.acceptors = append(s.acceptors, acc)
-		sh.reactor.Register(acc.Handle(), reactor.HandlerFunc(func(rd reactor.Ready) {
-			if rd.Type == reactor.AcceptReady {
-				s.attach(sh, rd.Data.(net.Conn))
-			}
-		}))
-	}
-	s.acceptor = s.acceptors[0]
-	s.startRuntime()
-	for _, acc := range s.acceptors {
-		acc := acc
-		s.acceptWG.Add(1)
-		go func() {
-			defer s.acceptWG.Done()
-			acc.Run()
-		}()
-	}
-	s.trace.Record("server", "serving on %s across %d shard listeners", lns[0].Addr(), len(lns))
-	return nil
-}
-
-// gate returns the O9 accept gate: the admission limiter, nil when
-// overload control is off.
-func (s *Server) gate() acceptor.Gate {
-	if s.limiter == nil {
-		return nil
-	}
-	return s.limiter
-}
-
-// startRuntime starts the global file-I/O pool, every shard's reactor
-// and the per-shard scavengers.
-func (s *Server) startRuntime() {
-	s.fileio.Start()
-	for _, sh := range s.shards {
-		sh.reactor.Run()
-	}
-	// O7: the idle reaper exists only when selected. The same scavenger
-	// doubles as the slow-client reaper whenever a ReadTimeout bounds
-	// request assembly, so a slowloris peer that keeps refreshing its
-	// activity timestamp with one-byte reads still gets collected. Each
-	// shard scavenges its own connection table.
-	if s.opts.ShutdownLongIdle || s.opts.ReadTimeout > 0 {
-		for _, sh := range s.shards {
-			sh.reaperDone = make(chan struct{})
-			go s.reap(sh)
-		}
-	}
-}
-
-// ListenAndServe binds addr on TCP and starts the server. With more
-// than one shard it prefers per-shard SO_REUSEPORT listeners (Linux),
-// falling back to the portable single-listener fan-out. Either way the
-// listening sockets carry the accepted connections' keep-alive options
-// (see reuseport.Listen).
+// ListenAndServe binds addr on TCP with a keep-alive listener (see
+// listen) and starts the server on it.
 func (s *Server) ListenAndServe(addr string) error {
-	if len(s.shards) > 1 {
-		if lns, err := reuseport.Listeners(addr, len(s.shards)); err == nil {
-			return s.StartListeners(lns)
-		}
-	}
-	ln, err := reuseport.Listen(addr)
+	ln, err := listen(addr)
 	if err != nil {
 		return err
 	}
@@ -756,16 +662,11 @@ func (s *Server) Shutdown() {
 	if !s.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	for _, acc := range s.acceptors {
-		_ = acc.Close()
+	if s.acceptor != nil {
+		_ = s.acceptor.Close()
 	}
 	s.acceptWG.Wait()
 	close(s.done)
-	for _, sh := range s.shards {
-		if sh.reaperDone != nil {
-			close(sh.reaperDone)
-		}
-	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		conns := make([]*Conn, 0, len(sh.conns))
@@ -813,7 +714,7 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 	if s.stopped.Load() {
 		sh.mu.Unlock()
 		nc.Close()
-		sh.acceptor.ConnClosed()
+		s.acceptor.ConnClosed()
 		return
 	}
 	sh.conns[c.handle] = c
@@ -887,7 +788,7 @@ func (s *Server) detach(c *Conn) {
 	delete(sh.conns, c.handle)
 	sh.mu.Unlock()
 	sh.reactor.Deregister(c.handle)
-	sh.acceptor.ConnClosed()
+	s.acceptor.ConnClosed()
 }
 
 // handleRequest runs the application's Handle Request hook with panic
@@ -994,7 +895,7 @@ func (s *Server) reap(sh *shard) {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-sh.reaperDone:
+		case <-s.done:
 			return
 		case <-ticker.C:
 		}

@@ -596,6 +596,64 @@ func TestMaxConnectionsBound(t *testing.T) {
 	}
 }
 
+// TestMaxConnectionsBoundAcrossShards: MaxConnections is one bound for
+// the whole server at every shard count, counted when a connection is
+// accepted, not when a shard worker attaches it. Every shard's only
+// worker is held, so no AcceptReady event is processed and the shard
+// registries (ActiveConns) read 0 throughout a burst of 8 dials; the
+// acceptor must still let in exactly 2.
+func TestMaxConnectionsBoundAcrossShards(t *testing.T) {
+	const bound, dials = 2, 8
+	o := testOptions()
+	o.Shards = 2
+	o.EventThreads = 1
+	o.MaxConnections = bound
+	s, err := New(Config{
+		Options: o, App: echoApp(), Codec: lineCodec{},
+		GatePollInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Shutdown)
+	hold := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold) }) }
+	t.Cleanup(release) // runs before Shutdown, which drains the workers
+	held := make(chan struct{}, o.Shards)
+	for _, sh := range s.shards {
+		if err := sh.reactive.Submit(events.Func(func() {
+			held <- struct{}{}
+			<-hold
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range s.shards {
+		<-held
+	}
+
+	addr := s.Addr().String()
+	for i := 0; i < dials; i++ {
+		dial(t, addr)
+	}
+	waitFor(t, "the bound's worth of accepts", func() bool { return s.inflightNow() >= bound })
+	time.Sleep(50 * time.Millisecond)
+	if n := s.inflightNow(); n > bound {
+		t.Fatalf("accepted %d of %d dials with MaxConnections = %d", n, dials, bound)
+	}
+
+	release()
+	waitFor(t, "the admitted connections to attach", func() bool { return s.ActiveConns() >= bound })
+	time.Sleep(50 * time.Millisecond)
+	if n := s.ActiveConns(); n > bound {
+		t.Fatalf("ActiveConns = %d after release, MaxConnections = %d", n, bound)
+	}
+}
+
 func TestProfilingCountersEndToEnd(t *testing.T) {
 	o := testOptions()
 	o.Profiling = true

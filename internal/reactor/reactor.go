@@ -202,11 +202,18 @@ func (r *Reactor) route(rd Ready) error {
 		r.invoke(handler, rd)
 		return nil
 	}
-	return r.processor.Submit(events.PFunc{
-		P: rd.Prio,
-		F: func() { handler.HandleReady(rd) },
-	})
+	return r.processor.Submit(&routed{handler, rd})
 }
+
+// routed is a ready event bound to its handler, the Event Processor's
+// queue entry: one allocation per event, at the event's own priority.
+type routed struct {
+	h  Handler
+	rd Ready
+}
+
+func (e *routed) Process()                  { e.h.HandleReady(e.rd) }
+func (e *routed) Priority() events.Priority { return e.rd.Prio }
 
 // invoke runs a handler inline with panic isolation.
 func (r *Reactor) invoke(h Handler, rd Ready) {
