@@ -37,13 +37,17 @@ test: vet chaos
 	# loops, work stealing, the fan-out accept path and the O9 admission
 	# gate re-run serialized.
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/nserver ./internal/eventproc ./internal/reactor
-	# A fixed-budget fuzz pass over the request parser and its header
-	# list, each against its reference, and over both path-traversal
-	# guards: new inputs beyond the seed corpus that the plain run replays.
+	# A fixed-budget fuzz pass over every parser of outside input: the
+	# request parser and its header list, each against its reference,
+	# both path-traversal guards, the Range parser and the FTP command
+	# parser. Each finds new inputs beyond the seed corpus that the plain
+	# run replays.
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequestMatchesOracle$$' -fuzztime 10s ./internal/httpproto
 	$(GO) test -run '^$$' -fuzz '^FuzzHeaderMatchesMap$$' -fuzztime 10s ./internal/httpproto
 	$(GO) test -run '^$$' -fuzz '^FuzzCleanPathMatchesOracle$$' -fuzztime 10s ./internal/httpproto
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRange$$' -fuzztime 10s ./internal/httpproto
 	$(GO) test -run '^$$' -fuzz '^FuzzResolvePath$$' -fuzztime 10s ./internal/ftpproto
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCommand$$' -fuzztime 10s ./internal/ftpproto
 	# A medium model-based conformance run rides along with every test
 	# sweep; `make model` runs the full 10k-program batch.
 	$(MAKE) model MODEL_PROGRAMS=400

@@ -27,9 +27,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8080", "front-end listen address")
 		backends = flag.String("backends", "", "comma-separated backend addresses (required)")
 		strategy = flag.String("strategy", "round-robin", "round-robin or least-connections")
-		cooldown = flag.Duration("cooldown", time.Second, "how long a failed backend is skipped")
-		hedge    = flag.Bool("hedge", false, "issue a budgeted hedged dial to a second backend when the primary dial exceeds the observed p95 latency; the losing dial is canceled")
-		hedgeDel = flag.Duration("hedge-delay", 0, "fixed hedge delay override; 0 derives it from the dial-latency p95")
+		cooldown = flag.Duration("cooldown", time.Second, "base backoff before a failed backend is re-dialed; doubles on each failed re-dial")
 		mAddr    = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
 	)
 	flag.Parse()
@@ -50,12 +48,10 @@ func main() {
 
 	prof := profiling.New()
 	lb, err := cluster.New(cluster.Config{
-		Backends:   strings.Split(*backends, ","),
-		Strategy:   strat,
-		CoolDown:   *cooldown,
-		Profile:    prof,
-		Hedge:      *hedge,
-		HedgeDelay: *hedgeDel,
+		Backends: strings.Split(*backends, ","),
+		Strategy: strat,
+		CoolDown: *cooldown,
+		Profile:  prof,
 	})
 	if err != nil {
 		fatal(err)
@@ -66,11 +62,7 @@ func main() {
 	fmt.Printf("%s on %s\n", lb, lb.Addr())
 
 	if *mAddr != "" {
-		cfg := metrics.Config{Profile: prof, Cluster: lb}
-		if *hedge {
-			cfg.Hedge = lb.HedgeStats
-		}
-		ms, err := metrics.NewServer(*mAddr, cfg)
+		ms, err := metrics.NewServer(*mAddr, metrics.Config{Profile: prof, Cluster: lb})
 		if err != nil {
 			fatal(err)
 		}

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -362,9 +365,10 @@ func TestRetryBudgetDedupesBadBackend(t *testing.T) {
 	}
 }
 
-func TestHalfOpenTrialRevivesBackend(t *testing.T) {
-	// Single backend dies, circuit opens; once it is rebound, the next
-	// request past the backoff is the half-open trial and must succeed.
+func TestRedialRevivesOnlyBackend(t *testing.T) {
+	// The only backend dies and its circuit opens, so clients are dropped
+	// while it is down; once it is rebound, its re-dial closes the circuit
+	// and requests reach it again.
 	addr := deadAddr(t)
 	lb := startBalancer(t, Config{
 		Backends:    []string{addr},
@@ -386,7 +390,7 @@ func TestHalfOpenTrialRevivesBackend(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatal("backend never revived through half-open trial")
+			t.Fatal("backend never revived by its re-dial")
 		}
 		time.Sleep(30 * time.Millisecond)
 		c, err := net.Dial("tcp", lb.Addr().String())
@@ -403,38 +407,177 @@ func TestHalfOpenTrialRevivesBackend(t *testing.T) {
 	}
 }
 
+// waitClosed polls the balancer's breaker snapshot, without sending any
+// client traffic, until addr's circuit is closed or the deadline passes.
+func waitClosed(t *testing.T, lb *Balancer, addr string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		for _, bs := range lb.BackendStates() {
+			if bs.Addr == addr && bs.State == "closed" {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("circuit of %s still open %v after the restart: %+v", addr, within, lb.BackendStates())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestActiveProbeRevivesBackendWithoutClientTraffic(t *testing.T) {
-	// The prober alone must close the circuit: after the backend is
-	// rebound, wait for the probe (no client traffic at all), then the
-	// first request must succeed immediately.
+	// A restarted backend must rejoin while another backend is healthy,
+	// with only the settings copscluster exposes: its circuit's own
+	// re-dial closes it within the backoff plus one dial, with no client
+	// traffic at all, and round-robin then reaches it within two requests.
 	addr := deadAddr(t)
 	alive := startBackend(t, "A")
 	lb := startBalancer(t, Config{
-		Backends:      []string{addr, alive},
-		DialTimeout:   200 * time.Millisecond,
-		CoolDown:      20 * time.Millisecond,
-		ProbeInterval: 10 * time.Millisecond,
-		Seed:          3,
+		Backends: []string{addr, alive},
+		CoolDown: 20 * time.Millisecond,
+		Seed:     3,
 	})
 	// Open the dead backend's circuit with one request (served by A).
 	if id := askOnce(t, lb.Addr().String()); id != "A" {
 		t.Fatalf("served by %q", id)
 	}
 	startBackendOn(t, "R", addr)
-	// Wait for the prober to revive it, then round-robin must reach R
-	// within two requests.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	// The first backoff is at most CoolDown; a loopback dial is quick.
+	waitClosed(t, lb, addr, time.Second)
+	seen := map[string]bool{}
+	seen[askOnce(t, lb.Addr().String())] = true
+	seen[askOnce(t, lb.Addr().String())] = true
+	if !seen["R"] {
+		t.Fatalf("restarted backend not reached: %v", seen)
+	}
+}
+
+// countingListener accepts and closes connections on addr, counting them.
+func countingListener(t *testing.T, addr string) *atomic.Int64 {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var n atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			n.Add(1)
+			c.Close()
+		}
+	}()
+	return &n
+}
+
+func TestConcurrentFailuresArmOneRedial(t *testing.T) {
+	// Two client dials to one closed backend fail at once: the first
+	// opens the circuit and arms its re-dial, the second finds it open and
+	// arms nothing, so exactly one re-dial reaches the restarted backend.
+	addr := deadAddr(t)
+	lb, err := New(Config{Backends: []string{addr}, CoolDown: 20 * time.Millisecond, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lb.Shutdown)
+	be := lb.backends[0]
+	errDial := errors.New("dial refused")
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); <-start; lb.backendFailed(be, errDial) }()
+	}
+	close(start)
+	wg.Wait()
+	if st := lb.BackendStates()[0]; st.State != "open" || st.Fails != 1 {
+		t.Fatalf("after two concurrent failures: %+v, want open with 1 failure", st)
+	}
+	dials := countingListener(t, addr)
+	waitClosed(t, lb, addr, time.Second)
+	// Give a second, wrongly armed re-dial (due within the same
+	// jittered backoff) time to show up.
+	time.Sleep(100 * time.Millisecond)
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d re-dials reached the backend, want exactly 1", n)
+	}
+}
+
+func TestShutdownStopsRedials(t *testing.T) {
+	// A dead backend with a 1ms backoff re-dials and fails continuously.
+	// Shutdown must stop the armed re-dial and wait out a running one:
+	// afterwards the failure count never moves again, no timer is left
+	// armed, and the goroutine count returns to its baseline.
+	base := runtime.NumGoroutine()
+	lb, err := New(Config{Backends: []string{deadAddr(t)}, CoolDown: time.Millisecond, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	be := lb.backends[0]
+	lb.backendFailed(be, errors.New("dial refused"))
+	// Let a few re-dials fail so one is likely armed or mid-dial.
+	for lb.BackendStates()[0].Fails < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	lb.Shutdown()
+	be.mu.Lock()
+	armed := be.redial != nil
+	be.mu.Unlock()
+	if armed {
+		t.Fatal("re-dial timer still armed after Shutdown")
+	}
+	fails := lb.BackendStates()[0].Fails
+	time.Sleep(50 * time.Millisecond)
+	if now := lb.BackendStates()[0].Fails; now != fails {
+		t.Fatalf("re-dials continued after Shutdown: fails %d -> %d", fails, now)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
-			t.Fatal("probe never revived the backend")
+			t.Fatalf("goroutines %d after Shutdown, baseline %d", runtime.NumGoroutine(), base)
 		}
-		time.Sleep(30 * time.Millisecond)
-		seen := map[string]bool{}
-		seen[askOnce(t, lb.Addr().String())] = true
-		seen[askOnce(t, lb.Addr().String())] = true
-		if seen["R"] {
-			return
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBreakerTransitionIsAtomic pins the torn-transition regression: a
+// success (backendHealthy) and a concurrent failure (backendFailed) used
+// to interleave their compound stores, leaving the circuit open with the
+// consecutive-failure count already reset to zero — a state neither
+// transition alone can produce. With the per-backend transition mutex
+// the observable state is always one of the two serial orders; run
+// under -race this also exercises the locking itself.
+func TestBreakerTransitionIsAtomic(t *testing.T) {
+	b, err := New(Config{Backends: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := b.backends[0]
+	errDial := errors.New("dial refused")
+	for i := 0; i < 2000; i++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); b.backendFailed(be, errDial) }()
+		go func() { defer wg.Done(); b.backendHealthy(be) }()
+		wg.Wait()
+		st := b.BackendStates()[0]
+		if st.State == "open" && st.Fails == 0 {
+			t.Fatalf("iteration %d: circuit open with zero consecutive failures (torn transition)", i)
 		}
+		if st.State == "closed" && st.Fails != 0 {
+			t.Fatalf("iteration %d: circuit closed with %d stale failures (torn transition)", i, st.Fails)
+		}
+		b.backendHealthy(be)
+	}
+	if got := b.BackendStates()[0].State; got != "closed" {
+		t.Fatalf("final state %s, want closed", got)
 	}
 }
 

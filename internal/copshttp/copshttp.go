@@ -439,14 +439,20 @@ func (s *Server) revalidate(full string) (head, body []byte) {
 	return s.confirm(full, info, true)
 }
 
-// errorReply sends a canned error page. A HEAD reply strips the body but
-// keeps the Content-Length a GET would have carried, so the two methods
-// are wire-identical up to the body (RFC 9110 §9.3.2).
+// errorReply sends a canned error page.
 func (s *Server) errorReply(slot nserver.Slot, r *httpproto.Request, status int, close bool) {
-	page := httpproto.ErrorPage(status)
 	resp := httpproto.AcquireResponse()
 	resp.Status = status
 	resp.Close = close
+	s.pageReply(slot, r, resp)
+}
+
+// pageReply sends resp, whose status and other headers are set, with the
+// canned page for its status, and releases it. A HEAD reply strips the
+// page but keeps the Content-Length a GET would have carried, so the two
+// methods are wire-identical up to the body (RFC 9110 §9.3.2).
+func (s *Server) pageReply(slot nserver.Slot, r *httpproto.Request, resp *httpproto.Response) {
+	page := httpproto.ErrorPage(resp.Status)
 	resp.Headers.Set("Content-Type", "text/html")
 	if r.Method == "HEAD" {
 		resp.Headers.Set("Content-Length", strconv.Itoa(len(page)))
@@ -457,6 +463,16 @@ func (s *Server) errorReply(slot nserver.Slot, r *httpproto.Request, status int,
 	httpproto.ReleaseResponse(resp)
 }
 
+// fileError answers a request whose stat, read or open failed: 403 when
+// permission was denied, 404 otherwise.
+func (s *Server) fileError(st *connState, err error) {
+	status := 404
+	if errors.Is(err, fs.ErrPermission) {
+		status = 403
+	}
+	s.errorReply(st.slot, st.req, status, !st.req.KeepAlive())
+}
+
 // redirectDir answers a directory request that lacks its trailing slash
 // with a 301 to the slash form (the usual static-server semantics, so
 // relative links inside the index page resolve). The Location echoes the
@@ -465,19 +481,11 @@ func (s *Server) errorReply(slot nserver.Slot, r *httpproto.Request, status int,
 func (s *Server) redirectDir(st *connState) {
 	r := st.req
 	loc, _, _ := strings.Cut(r.Target, "?")
-	page := httpproto.ErrorPage(301)
 	resp := httpproto.AcquireResponse()
 	resp.Status = 301
 	resp.Close = !r.KeepAlive()
 	resp.Headers.Set("Location", loc+"/")
-	resp.Headers.Set("Content-Type", "text/html")
-	if r.Method == "HEAD" {
-		resp.Headers.Set("Content-Length", strconv.Itoa(len(page)))
-	} else {
-		resp.Body = page
-	}
-	s.reply(st.slot, r, resp)
-	httpproto.ReleaseResponse(resp)
+	s.pageReply(st.slot, r, resp)
 }
 
 // statDone is the completion handler of the stat hop: it redirects bare
@@ -489,11 +497,7 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 	st := tok.State.(*connState)
 	c, r := st.conn, st.req
 	if err != nil {
-		status := 404
-		if errors.Is(err, fs.ErrPermission) {
-			status = 403
-		}
-		s.errorReply(st.slot, r, status, !r.KeepAlive())
+		s.fileError(st, err)
 		return
 	}
 	if info.IsDir() {
@@ -527,19 +531,11 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 		case errors.Is(rerr, httpproto.ErrRangeUnsatisfiable):
 			// 416 settles here, before any file I/O is queued.
 			c.Profile().RangeUnsatisfiable()
-			page := httpproto.ErrorPage(416)
 			resp := httpproto.AcquireResponse()
 			resp.Status = 416
 			resp.Close = !r.KeepAlive()
 			resp.Headers.Set("Content-Range", httpproto.ContentRangeUnsatisfiable(st.size))
-			resp.Headers.Set("Content-Type", "text/html")
-			if r.Method == "HEAD" {
-				resp.Headers.Set("Content-Length", strconv.Itoa(len(page)))
-			} else {
-				resp.Body = page
-			}
-			s.reply(st.slot, r, resp)
-			httpproto.ReleaseResponse(resp)
+			s.pageReply(st.slot, r, resp)
 			return
 		default:
 			// Multi-range, foreign units, malformed specs: ignore the
@@ -585,11 +581,7 @@ func (s *Server) fileDone(tok events.Token, data []byte, err error) {
 	st := tok.State.(*connState)
 	c, r := st.conn, st.req
 	if err != nil {
-		status := 404
-		if errors.Is(err, fs.ErrPermission) {
-			status = 403
-		}
-		s.errorReply(st.slot, r, status, !r.KeepAlive())
+		s.fileError(st, err)
 		return
 	}
 	// The cached-file fast path: a pooled Response carries the cache's
@@ -644,11 +636,7 @@ func (s *Server) openDone(tok events.Token, f *os.File, info os.FileInfo, err er
 	st := tok.State.(*connState)
 	c, r := st.conn, st.req
 	if err != nil {
-		status := 404
-		if errors.Is(err, fs.ErrPermission) {
-			status = 403
-		}
-		s.errorReply(st.slot, r, status, !r.KeepAlive())
+		s.fileError(st, err)
 		return
 	}
 	// Serve what is open now: the stat hop's size may be stale, and the

@@ -38,8 +38,12 @@ type Scenario struct {
 	// inject identical fault schedules.
 	Seed int64
 
-	// AcceptDelay sleeps before delivering each accepted connection
-	// (connect latency as seen by the client).
+	// AcceptDelay sleeps before delivering each accepted connection to
+	// the server. It does not slow the client's connect: the kernel
+	// completes the handshake before Accept returns, so the client's dial
+	// returns at once and only its first reply waits. Under one accept
+	// loop, connections arriving faster than the delay queue in the
+	// listen backlog, and a dial hangs only once that backlog is full.
 	AcceptDelay time.Duration
 	// RefuseEvery, when > 0, hard-closes every Nth accepted connection
 	// immediately (RST before any byte moves) — a connect-time refusal.

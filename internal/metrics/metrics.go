@@ -62,10 +62,6 @@ type Config struct {
 	// (nserver.Server.Admission().Snapshot). Nil omits the
 	// nserver_admission_* series.
 	Admission func() admission.Snapshot
-	// Hedge reports the cluster's hedged-dial counters
-	// (cluster.Balancer.HedgeStats). Nil omits the nserver_hedge_*
-	// series.
-	Hedge func() cluster.HedgeSnapshot
 	// RespCache reports the rendered-response cache counters behind the
 	// fast path (respcache.Cache.Stats). Nil omits the
 	// nserver_respcache_* series.
@@ -190,20 +186,19 @@ type FlushJSON struct {
 
 // Payload is the complete JSON document.
 type Payload struct {
-	Server    *profiling.Snapshot    `json:"server,omitempty"`
-	Shards    []ShardJSON            `json:"shards,omitempty"`
-	Stages    []StageJSON            `json:"stages,omitempty"`
-	Cache     *CacheJSON             `json:"cache,omitempty"`
-	Deferred  *uint64                `json:"deferred,omitempty"`
-	Shed      *uint64                `json:"shed,omitempty"`
-	ParkedW   *int                   `json:"parked_writes,omitempty"`
-	Flush     *FlushJSON             `json:"flush_latency,omitempty"`
-	Admission *admission.Snapshot    `json:"admission,omitempty"`
-	Hedge     *cluster.HedgeSnapshot `json:"hedge,omitempty"`
-	Cluster   []BackendJSON          `json:"cluster,omitempty"`
-	RespCache *respcache.Stats       `json:"respcache,omitempty"`
-	Collapsed *uint64                `json:"collapsed_reads,omitempty"`
-	DiskReads *uint64                `json:"disk_reads,omitempty"`
+	Server    *profiling.Snapshot `json:"server,omitempty"`
+	Shards    []ShardJSON         `json:"shards,omitempty"`
+	Stages    []StageJSON         `json:"stages,omitempty"`
+	Cache     *CacheJSON          `json:"cache,omitempty"`
+	Deferred  *uint64             `json:"deferred,omitempty"`
+	Shed      *uint64             `json:"shed,omitempty"`
+	ParkedW   *int                `json:"parked_writes,omitempty"`
+	Flush     *FlushJSON          `json:"flush_latency,omitempty"`
+	Admission *admission.Snapshot `json:"admission,omitempty"`
+	Cluster   []BackendJSON       `json:"cluster,omitempty"`
+	RespCache *respcache.Stats    `json:"respcache,omitempty"`
+	Collapsed *uint64             `json:"collapsed_reads,omitempty"`
+	DiskReads *uint64             `json:"disk_reads,omitempty"`
 }
 
 // sharder is implemented by profile sources with a per-shard breakdown
@@ -295,10 +290,6 @@ func collect(cfg Config) Payload {
 	if cfg.Admission != nil {
 		v := cfg.Admission()
 		p.Admission = &v
-	}
-	if cfg.Hedge != nil {
-		v := cfg.Hedge()
-		p.Hedge = &v
 	}
 	if cfg.RespCache != nil {
 		v := cfg.RespCache()
@@ -486,27 +477,17 @@ func RenderPrometheus(cfg Config) string {
 			fmt.Fprintf(&b, "%s{level=\"%d\"} %d\n", adname, i, v)
 		}
 	}
-	if cfg.Hedge != nil {
-		h := cfg.Hedge()
-		counter("nserver_hedge_issued_total", "Hedge dial attempts launched.", h.Issued)
-		counter("nserver_hedge_won_total", "Hedge attempts whose connection beat the primary.", h.Won)
-		counter("nserver_hedge_canceled_total", "Losing dial attempts discarded after a winner emerged.", h.Canceled)
-		counter("nserver_hedge_budget_denied_total", "Hedge opportunities refused by the hedge budget.", h.BudgetDenied)
-	}
 	if cfg.Cluster != nil {
 		states := cfg.Cluster.BackendStates()
 		sort.Slice(states, func(i, j int) bool { return states[i].Addr < states[j].Addr })
 		const cname = "nserver_cluster_backend_up"
-		fmt.Fprintf(&b, "# HELP %s Circuit breaker state per backend (1 closed/healthy, 0.5 half-open, 0 open).\n# TYPE %s gauge\n", cname, cname)
+		fmt.Fprintf(&b, "# HELP %s Circuit breaker state per backend (1 closed/healthy, 0 open).\n# TYPE %s gauge\n", cname, cname)
 		for _, bs := range states {
-			v := 0.0
-			switch bs.State {
-			case "closed":
-				v = 1
-			case "half-open":
-				v = 0.5
+			up := 0
+			if bs.State == "closed" {
+				up = 1
 			}
-			fmt.Fprintf(&b, "%s{backend=%q} %s\n", cname, bs.Addr, strconv.FormatFloat(v, 'g', -1, 64))
+			fmt.Fprintf(&b, "%s{backend=%q} %d\n", cname, bs.Addr, up)
 		}
 		const fname = "nserver_cluster_backend_forwarded_total"
 		fmt.Fprintf(&b, "# HELP %s Total connections forwarded per backend.\n# TYPE %s counter\n", fname, fname)

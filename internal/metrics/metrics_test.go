@@ -3,12 +3,14 @@ package metrics
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/cluster"
 	"repro/internal/options"
 	"repro/internal/profiling"
 	"repro/internal/respcache"
@@ -190,5 +192,56 @@ func TestParseCounters(t *testing.T) {
 	}
 	if _, ok := m["nserver_stage_duration_seconds_count"]; ok {
 		t.Error("labeled series should be skipped by ParseCounters")
+	}
+}
+
+func TestClusterBackendUpIsOneOrZero(t *testing.T) {
+	// A released port refuses dials; a bare listener accepts them.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	alive, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alive.Close()
+	lb, err := cluster.New(cluster.Config{
+		Backends: []string{deadAddr, alive.Addr().String()},
+		CoolDown: time.Hour,
+		// The bare listener never answers, so the forward only ends at
+		// the drain deadline.
+		DrainTimeout: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Shutdown()
+	// Round-robin tries the dead backend first, opening its circuit.
+	c, err := net.Dial("tcp", lb.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for lb.BackendStates()[0].State != "open" {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead backend's circuit never opened: %+v", lb.BackendStates())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	text := RenderPrometheus(Config{Cluster: lb})
+	for _, want := range []string{
+		`nserver_cluster_backend_up{backend="` + deadAddr + `"} 0`,
+		`nserver_cluster_backend_up{backend="` + alive.Addr().String() + `"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("missing %q in:\n%s", want, text)
+		}
 	}
 }

@@ -58,12 +58,6 @@ type Config struct {
 	// and connections at level 0 keep flowing while the limiter sheds.
 	// Nil marks every connection fully sheddable.
 	ShedPriority func(net.Conn) events.Priority
-	// TraceSampleEvery sets the O12 request-trace sampling interval: one
-	// completed request in every N is written to the Logger as a
-	// structured "trace id=c<conn>-r<req> service=..." line. Zero means
-	// the default (every 128th); 1 traces every request. Only effective
-	// when Options.Logging is on and a Logger is supplied.
-	TraceSampleEvery int
 	// FastPath is the application's run-to-completion hook. It is not an
 	// option: whenever it is installed and the server has a codec (O3) and
 	// a separate worker pool (O2), each request decoded while the O9 gate
@@ -88,9 +82,11 @@ type Config struct {
 	CacheOnRemove func(key string)
 }
 
-// defaultTraceSampleEvery is the O12 sampling interval when the
-// configuration leaves TraceSampleEvery zero.
-const defaultTraceSampleEvery = 128
+// traceSampleEvery is the O12 request-trace sampling interval: one
+// completed request in every 128 is written to the Logger as a
+// structured "trace id=c<conn>-r<req> service=..." line, the rate the
+// generated frameworks use too.
+const traceSampleEvery = 128
 
 // readerIdleWait is how long a reader goroutine whose connection has
 // ended waits for attach to hand it the next one before it exits.
@@ -230,11 +226,7 @@ func New(cfg Config) (*Server, error) {
 	// O12: the sampled request tracer exists only when logging is on and
 	// a logger is attached.
 	if o.Logging && cfg.Logger != nil {
-		every := cfg.TraceSampleEvery
-		if every == 0 {
-			every = defaultTraceSampleEvery
-		}
-		s.reqTrace = logging.NewRequestTrace(cfg.Logger, every)
+		s.reqTrace = logging.NewRequestTrace(cfg.Logger, traceSampleEvery)
 	}
 	// O10: the debug trace exists only in debug mode.
 	if o.Mode == options.Debug {
@@ -368,12 +360,11 @@ func New(cfg Config) (*Server, error) {
 	var sink aio.Sink
 	if o.Completion == options.AsynchronousCompletion {
 		switch {
-		case s.reactive != nil && nShards == 1:
-			sink = s.reactive.Submit
 		case s.reactive != nil:
-			// Completions round-robin across the shard processors: the
-			// completion handler re-enters the owning Conn, which takes
-			// its own pipeline lock, so any shard's worker may run it.
+			// Completions round-robin across the shard processors (the
+			// one processor when unsharded): the completion handler
+			// re-enters the owning Conn, which takes its own pipeline
+			// lock, so any shard's worker may run it.
 			sink = func(ev events.Event) error {
 				i := s.aioShard.Add(1)
 				return s.shards[int(i)%nShards].reactive.Submit(ev)
