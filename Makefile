@@ -22,8 +22,16 @@ test: vet chaos
 	# complete out of order must still leave in request order.
 	$(GO) test -count=20 -run 'TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow' ./internal/copshttp
 	# The same for COPS-FTP: a command pipelined behind a transfer must be
-	# answered after the transfer goroutine's closing reply.
+	# answered after the data connection's closing reply.
 	$(GO) test -count=20 -run 'TestPipelinedCommandWaitsForTransferReply' ./internal/copsftp
+	# A peer's EOF races the drain of what it sent before it: every reply
+	# must still leave, then the close (half-closed HTTP clients, directly
+	# and through the cluster tier; FTP data connections, whose uploads
+	# end at the peer's EOF and whose 226/426 come from their close).
+	$(GO) test -count=20 -run 'TestEOFDrainsQueuedRequests|TestAttachRunsItsOwnHooks' ./internal/nserver
+	$(GO) test -count=20 -run 'TestHalfCloseRepliesThenEOF' ./internal/copshttp
+	$(GO) test -count=20 -run 'TestHalfCloseThroughBalancer' ./internal/cluster
+	$(GO) test -count=20 -run 'TestStorResetAnswers426|TestStalledDataConnection|TestPasvAdvertisesControlAddress|TestPortRefusesThirdPartyHost|TestStorUpload|TestRetrPassive|TestActiveModePort' ./internal/copsftp
 	# Reader reuse: a reader whose idle wait is running out races attach's
 	# hand-off, and a teardown's goroutine baseline must still hold with
 	# readers outliving their connections; one run can miss either.

@@ -24,18 +24,17 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:2121", "control-connection listen address")
-		root      = flag.String("root", "", "exported directory (required)")
-		users     = flag.String("user", "", "comma-separated user:password pairs")
-		noAnon    = flag.Bool("no-anonymous", false, "refuse anonymous logins")
-		readOnly  = flag.Bool("readonly", false, "refuse uploads and file management")
-		idle      = flag.Duration("idle-timeout", 5*time.Minute, "shut down connections idle this long (O7)")
-		largeFile = flag.Int64("large-file-threshold", 1<<20, "stream RETR files of at least this many bytes through pooled buffers without full-file reads; 0 disables")
-		shards    = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
-		overload  = flag.String("overload", "", "overload watermarks 'high,low' (e.g. 20,5): postpone accepts under overload through the admission limiter; empty disables O9")
-		profile   = flag.Bool("profile", false, "enable performance profiling (O11)")
-		mAddr     = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
-		debug     = flag.Bool("debug", false, "generate in debug mode (O10)")
+		addr     = flag.String("addr", "127.0.0.1:2121", "control-connection listen address")
+		root     = flag.String("root", "", "exported directory (required)")
+		users    = flag.String("user", "", "comma-separated user:password pairs")
+		noAnon   = flag.Bool("no-anonymous", false, "refuse anonymous logins")
+		readOnly = flag.Bool("readonly", false, "refuse uploads and file management")
+		idle     = flag.Duration("idle-timeout", 5*time.Minute, "shut down connections idle this long (O7)")
+		shards   = flag.Int("shards", 0, "runtime shards (reactor + event pool per shard); 0 = one per CPU, 1 = the paper's single-reactor layout")
+		overload = flag.String("overload", "", "overload watermarks 'high,low' (e.g. 20,5): postpone accepts under overload through the admission limiter; empty disables O9")
+		profile  = flag.Bool("profile", false, "enable performance profiling (O11)")
+		mAddr    = flag.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (/metrics, /metrics.json); empty disables")
+		debug    = flag.Bool("debug", false, "generate in debug mode (O10)")
 	)
 	flag.Parse()
 	if *root == "" {
@@ -58,9 +57,6 @@ func main() {
 	opts := options.COPSFTP()
 	opts.IdleTimeout = *idle
 	opts.ShutdownLongIdle = *idle > 0
-	if *largeFile > 0 {
-		opts = opts.WithLargeFiles(*largeFile)
-	}
 	if *profile || *mAddr != "" {
 		opts.Profiling = true
 	}

@@ -216,9 +216,17 @@ func (a *Acceptor) boundOK() bool {
 	return a.maxConns <= 0 || a.Live() < a.maxConns
 }
 
-// ConnClosed informs the acceptor's live counter that one accepted
-// connection has ended. Servers using MaxConns must call it once per
-// connection teardown.
+// ConnAttached counts a connection the server attached without
+// accepting it (one the application dialed or accepted itself) in the
+// live count, whatever MaxConns says.
+func (a *Acceptor) ConnAttached() {
+	a.live.Add(1)
+	a.profile.ConnectionAccepted()
+}
+
+// ConnClosed informs the acceptor's live counter that one accepted or
+// attached connection has ended. Servers using MaxConns must call it once
+// per connection teardown.
 func (a *Acceptor) ConnClosed() {
 	a.live.Add(-1)
 }
@@ -258,19 +266,26 @@ func NewConnector(r *reactor.Reactor, timeout time.Duration, trace *logging.Trac
 
 // Connect dials network/addr asynchronously. The returned token is echoed
 // in the CompletionReady event whose Completion.Result is the net.Conn
-// (nil on error).
-func (c *Connector) Connect(network, addr string, state any) events.Token {
+// (nil on error) and whose Done is done, the continuation the reactor's
+// completion handler runs. When the reactor no longer takes events, the
+// dialed connection is closed and done runs on the dialing goroutine
+// with the refusal, so what the continuation holds is still released.
+func (c *Connector) Connect(network, addr string, state any, done func(events.Token, any, error)) events.Token {
 	tok := events.NewToken(state)
 	go func() {
 		d := net.Dialer{Timeout: c.timeout}
 		conn, err := d.Dial(network, addr)
 		c.trace.Record("connector", "dial %s %s: err=%v", network, addr, err)
-		comp := &events.Completion{Token: tok, Result: conn, Err: err}
+		comp := &events.Completion{Token: tok, Result: conn, Err: err, Done: done}
 		if eerr := c.r.Emit(reactor.Ready{
 			Type: reactor.CompletionReady,
 			Data: comp,
-		}); eerr != nil && conn != nil {
-			conn.Close()
+		}); eerr != nil {
+			if conn != nil {
+				conn.Close()
+			}
+			comp.Result, comp.Err = nil, eerr
+			comp.Process()
 		}
 	}()
 	return tok

@@ -248,7 +248,7 @@ func TestConnectorDeliversCompletion(t *testing.T) {
 	defer r.Stop()
 
 	c := NewConnector(r, time.Second, nil)
-	tok := c.Connect("tcp", ln.Addr().String(), "ftp-data")
+	tok := c.Connect("tcp", ln.Addr().String(), "ftp-data", nil)
 	select {
 	case comp := <-got:
 		if comp.Token != tok {
@@ -280,7 +280,7 @@ func TestConnectorReportsDialError(t *testing.T) {
 	defer r.Stop()
 	c := NewConnector(r, 100*time.Millisecond, nil)
 	// Port 1 on localhost should refuse immediately.
-	c.Connect("tcp", "127.0.0.1:1", nil)
+	c.Connect("tcp", "127.0.0.1:1", nil, nil)
 	select {
 	case comp := <-got:
 		if comp.Err == nil {

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/copshttp"
 	"repro/internal/nserver"
 	"repro/internal/options"
 	"repro/internal/profiling"
@@ -618,5 +622,58 @@ func TestShutdownIdempotent(t *testing.T) {
 	lb.Shutdown()
 	if _, err := net.Dial("tcp", addr); err == nil {
 		t.Error("front end open after shutdown")
+	}
+}
+
+// TestHalfCloseThroughBalancer: a client that sends one request and then
+// shuts down its write side gets the whole reply, then EOF, through the
+// balancer. The splice half-closes the upstream when the client's side
+// ends, so the backend reads EOF right behind the request and must still
+// answer it: a keep-alive GET of a file not cached yet, and an HTTP/1.0
+// GET, on COPS-HTTP.
+func TestHalfCloseThroughBalancer(t *testing.T) {
+	const conns = 16
+	root := t.TempDir()
+	for i := 0; i < conns; i++ {
+		if err := os.WriteFile(filepath.Join(root, fmt.Sprintf("f%d.txt", i)), []byte(fmt.Sprintf("file %d", i)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs, err := copshttp.New(copshttp.Config{DocRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hs.Shutdown)
+	lb := startBalancer(t, Config{Backends: []string{hs.Addr()}})
+
+	lost := 0
+	for i := 0; i < conns; i++ {
+		for _, req := range []string{
+			fmt.Sprintf("GET /f%d.txt HTTP/1.1\r\nHost: t\r\n\r\n", i),
+			fmt.Sprintf("GET /f%d.txt HTTP/1.0\r\n\r\n", i),
+		} {
+			conn, err := net.Dial("tcp", lb.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			fmt.Fprint(conn, req)
+			conn.(*net.TCPConn).CloseWrite()
+			got, err := io.ReadAll(conn)
+			conn.Close()
+			want := fmt.Sprintf("file %d", i)
+			if err != nil || !strings.HasPrefix(string(got), "HTTP/1.") || !strings.Contains(string(got), " 200 OK\r\n") || !strings.HasSuffix(string(got), want) {
+				lost++
+				if lost == 1 {
+					t.Errorf("%q: got %q, %v", req, got, err)
+				}
+			}
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d half-closed clients lost their reply", lost, 2*conns)
 	}
 }

@@ -2,24 +2,27 @@
 // on the N-Server framework (Table 3's transformation of Apache FTPServer
 // onto the event-driven architecture). The control connection runs through
 // the N-Server pipeline with the ftpproto codec and synchronous completion
-// events (COPS-FTP's O4 setting); data transfers run on helper goroutines,
-// matching the role the reused Apache FTPServer transfer code played in
-// the paper's port.
+// events (COPS-FTP's O4 setting). Each data connection is a framework
+// Conn too, without a codec (Fig. 2's O3 = No pipeline): PORT dials it
+// through the Acceptor-Connector's Connector, PASV accepts it on a
+// one-shot listener, and both attach it to the server, so transfers take
+// the same read and write paths, deadlines and metrics as every other
+// connection.
 package copsftp
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/bufpool"
+	"repro/internal/acceptor"
 	"repro/internal/events"
 	"repro/internal/ftpproto"
 	"repro/internal/logging"
@@ -51,23 +54,25 @@ type Server struct {
 	users       *ftpproto.UserStore
 	readOnly    bool
 	dataTimeout time.Duration
-	// largeFile is the RETR streaming threshold: files of at least this
-	// many bytes are sent chunk by chunk from an open descriptor instead
-	// of being read whole into memory. 0 disables the path.
-	largeFile int64
+	// connector dials PORT data connections.
+	connector *acceptor.Connector
 }
 
 // session is the per-control-connection state (stored as Conn user data).
+// The framework serializes the control connection's hooks, so only the
+// data-connection arrangement, which transfers also reach from other
+// goroutines, needs mu.
 type session struct {
-	mu         sync.Mutex
 	user       string
 	authed     bool
 	cwd        string
 	renameFrom string
-	// pasv is the passive-mode data listener awaiting one connection.
+	mu         sync.Mutex
+	// pasv is the passive-mode data listener, closed with the session.
 	pasv net.Listener
-	// portAddr is the active-mode peer data endpoint from PORT.
-	portAddr string
+	// connect opens the data connection PASV or PORT arranged, for the
+	// next transfer (nil when none is arranged).
+	connect func(*dataConn)
 }
 
 // New assembles a COPS-FTP server.
@@ -94,7 +99,7 @@ func New(cfg Config) (*Server, error) {
 	if dt <= 0 {
 		dt = 10 * time.Second
 	}
-	s := &Server{root: root, users: users, readOnly: cfg.ReadOnly, dataTimeout: dt, largeFile: opts.LargeFileThreshold}
+	s := &Server{root: root, users: users, readOnly: cfg.ReadOnly, dataTimeout: dt}
 	ns, err := nserver.New(nserver.Config{
 		Options: opts,
 		App: nserver.AppFuncs{
@@ -109,6 +114,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.ns = ns
+	s.connector = ns.Connector(dt)
 	return s, nil
 }
 
@@ -175,10 +181,7 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 		_ = c.Reply(&ftpproto.Reply{Code: 211, Text: "Features:", Lines: []string{"PASV", "SIZE", "UTF8"}})
 		return
 	}
-	sess.mu.Lock()
-	authed := sess.authed
-	sess.mu.Unlock()
-	if !authed {
+	if !sess.authed {
 		_ = c.Reply(ftpproto.NewReply(530, ""))
 		return
 	}
@@ -193,10 +196,7 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 	case "MODE", "STRU":
 		_ = c.Reply(ftpproto.NewReply(200, ""))
 	case "PWD":
-		sess.mu.Lock()
-		cwd := sess.cwd
-		sess.mu.Unlock()
-		_ = c.Reply(ftpproto.NewReply(257, fmt.Sprintf("%q is the current directory.", cwd)))
+		_ = c.Reply(ftpproto.NewReply(257, fmt.Sprintf("%q is the current directory.", sess.cwd)))
 	case "CWD":
 		s.cmdCwd(c, sess, cmd.Arg)
 	case "CDUP":
@@ -235,10 +235,7 @@ func (s *Server) cmdUser(c *nserver.Conn, sess *session, user string) {
 		_ = c.Reply(ftpproto.NewReply(501, ""))
 		return
 	}
-	sess.mu.Lock()
-	sess.user = user
-	sess.authed = false
-	sess.mu.Unlock()
+	sess.user, sess.authed = user, false
 	if s.users.Known(user) {
 		_ = c.Reply(ftpproto.NewReply(331, ""))
 	} else {
@@ -247,17 +244,12 @@ func (s *Server) cmdUser(c *nserver.Conn, sess *session, user string) {
 }
 
 func (s *Server) cmdPass(c *nserver.Conn, sess *session, pass string) {
-	sess.mu.Lock()
-	user := sess.user
-	sess.mu.Unlock()
-	if user == "" {
+	if sess.user == "" {
 		_ = c.Reply(ftpproto.NewReply(503, "Login with USER first."))
 		return
 	}
-	if s.users.Authenticate(user, pass) {
-		sess.mu.Lock()
+	if s.users.Authenticate(sess.user, pass) {
 		sess.authed = true
-		sess.mu.Unlock()
 		_ = c.Reply(ftpproto.NewReply(230, ""))
 	} else {
 		_ = c.Reply(ftpproto.NewReply(530, ""))
@@ -265,11 +257,9 @@ func (s *Server) cmdPass(c *nserver.Conn, sess *session, pass string) {
 }
 
 func (s *Server) cmdCwd(c *nserver.Conn, sess *session, arg string) {
-	sess.mu.Lock()
 	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.realPath(target)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
@@ -277,14 +267,15 @@ func (s *Server) cmdCwd(c *nserver.Conn, sess *session, arg string) {
 		_ = c.Reply(ftpproto.NewReply(550, "Not a directory."))
 		return
 	}
-	sess.mu.Lock()
 	sess.cwd = target
-	sess.mu.Unlock()
 	_ = c.Reply(ftpproto.NewReply(250, ""))
 }
 
+// cmdPasv listens for the data connection on the control connection's
+// local address, the one the client reached, and advertises it.
 func (s *Server) cmdPasv(c *nserver.Conn, sess *session) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	host, _, _ := net.SplitHostPort(c.LocalAddr().String())
+	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
 		_ = c.Reply(ftpproto.NewReply(425, ""))
 		return
@@ -294,55 +285,80 @@ func (s *Server) cmdPasv(c *nserver.Conn, sess *session) {
 		sess.pasv.Close()
 	}
 	sess.pasv = ln
-	sess.portAddr = ""
+	sess.connect = func(x *dataConn) { go s.acceptData(ln, x) }
 	sess.mu.Unlock()
 	addr := ln.Addr().(*net.TCPAddr)
 	_ = c.Reply(ftpproto.NewReply(227, "Entering Passive Mode "+
 		ftpproto.FormatPasv(addr.IP, addr.Port)))
 }
 
+// cmdPort arranges an active-mode data connection. It refuses any host
+// but the control connection's peer, so the server cannot be made to
+// connect to a third party (the FTP bounce attack, RFC 2577 §3).
 func (s *Server) cmdPort(c *nserver.Conn, sess *session, arg string) {
 	host, port, err := ftpproto.ParsePortArg(arg)
 	if err != nil {
 		_ = c.Reply(ftpproto.NewReply(501, ""))
 		return
 	}
+	peer, _, _ := net.SplitHostPort(c.RemoteAddr().String())
+	if !net.ParseIP(host).Equal(net.ParseIP(peer)) {
+		_ = c.Reply(ftpproto.NewReply(504, "PORT host must be the client's own address."))
+		return
+	}
+	addr := net.JoinHostPort(host, strconv.Itoa(port))
 	sess.mu.Lock()
 	if sess.pasv != nil {
 		sess.pasv.Close()
 		sess.pasv = nil
 	}
-	sess.portAddr = fmt.Sprintf("%s:%d", host, port)
+	sess.connect = func(x *dataConn) {
+		s.connector.Connect("tcp", addr, nil, func(_ events.Token, res any, err error) {
+			nc, _ := res.(net.Conn)
+			s.attachData(nc, err, x)
+		})
+	}
 	sess.mu.Unlock()
 	_ = c.Reply(ftpproto.NewReply(200, ""))
 }
 
-// openData establishes the data connection for one transfer.
-func (s *Server) openData(sess *session) (net.Conn, error) {
+// startData opens the data connection the session arranged for one
+// transfer; without one the transfer fails with 425.
+func (s *Server) startData(sess *session, x *dataConn) {
 	sess.mu.Lock()
-	ln := sess.pasv
-	portAddr := sess.portAddr
-	sess.pasv = nil
+	connect := sess.connect
+	sess.connect = nil
 	sess.mu.Unlock()
-	if ln != nil {
-		defer ln.Close()
-		if tl, ok := ln.(*net.TCPListener); ok {
-			_ = tl.SetDeadline(time.Now().Add(s.dataTimeout))
-		}
-		return ln.Accept()
+	if connect == nil {
+		x.fail()
+		return
 	}
-	if portAddr != "" {
-		return net.DialTimeout("tcp", portAddr, s.dataTimeout)
+	connect(x)
+}
+
+// acceptData takes PASV's one data connection, waiting at most
+// DataTimeout.
+func (s *Server) acceptData(ln net.Listener, x *dataConn) {
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(s.dataTimeout))
+	nc, err := ln.Accept()
+	ln.Close()
+	s.attachData(nc, err, x)
+}
+
+// attachData attaches an opened data connection to the framework as a
+// Conn running x; a connection that did not open fails x with 425.
+func (s *Server) attachData(nc net.Conn, err error, x *dataConn) {
+	if err == nil {
+		err = s.ns.Attach(nc, x)
 	}
-	return nil, errors.New("no data connection arranged")
+	if err != nil {
+		x.fail()
+	}
 }
 
 func (s *Server) cmdList(c *nserver.Conn, sess *session, arg string, namesOnly bool) {
-	sess.mu.Lock()
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
@@ -370,98 +386,46 @@ func (s *Server) cmdList(c *nserver.Conn, sess *session, arg string, namesOnly b
 			kind, fi.Size(), fi.ModTime().Format("Jan _2 15:04"), e.Name())
 	}
 	_ = c.Reply(ftpproto.NewReply(150, ""))
-	go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
-		n, err := dc.Write([]byte(b.String()))
-		// Data-connection egress bypasses Conn.Send; count it here so the
-		// O11 byte totals cover every socket, not just the control channel.
-		c.Profile().BytesSent(n)
-		return err
-	})
+	listing := []byte(b.String())
+	s.startData(sess, &dataConn{done: c.Reserve(), send: func(dc *nserver.Conn) error {
+		return dc.Send(listing)
+	}})
 }
 
+// cmdRetr opens the file through the file-I/O service; the fstat of
+// that open decides between 550 and 150, and the file then streams on
+// the data connection (sendfile where the transport allows it). Both
+// positions are reserved up front, so commands pipelined behind RETR
+// are answered after its 150 and closing reply.
 func (s *Server) cmdRetr(c *nserver.Conn, sess *session, arg string) {
 	if arg == "" {
 		_ = c.Reply(ftpproto.NewReply(501, ""))
 		return
 	}
-	sess.mu.Lock()
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
-	fi, err := os.Stat(full)
-	if err != nil || fi.IsDir() {
-		_ = c.Reply(ftpproto.NewReply(550, ""))
-		return
-	}
-	_ = c.Reply(ftpproto.NewReply(150, ""))
-	if s.largeFile > 0 && fi.Size() >= s.largeFile {
-		// Large-file path: the descriptor comes back from the emulated
-		// asynchronous open and the body streams to the data connection
-		// through a pooled buffer, never held whole in memory.
-		go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
-			done := make(chan error, 1)
-			_, err := s.ns.AIO().Open(full, nil, c.Priority(),
-				func(_ events.Token, f *os.File, _ os.FileInfo, oerr error) {
-					if oerr != nil {
-						done <- oerr
-						return
-					}
-					defer f.Close()
-					lease := bufpool.Get(32 << 10)
-					defer lease.Release()
-					buf := lease.Bytes()
-					for {
-						n, rerr := f.Read(buf)
-						if n > 0 {
-							nw, werr := dc.Write(buf[:n])
-							c.Profile().BytesSent(nw)
-							c.Profile().BytesStreamed(nw)
-							c.Profile().StreamFallbackChunk()
-							if werr != nil {
-								done <- werr
-								return
-							}
-						}
-						if rerr != nil {
-							if rerr == io.EOF {
-								rerr = nil
-							}
-							done <- rerr
-							return
-						}
-					}
-				})
-			if err != nil {
-				return err
-			}
-			return <-done
-		})
-		return
-	}
-	// The file content is fetched through the framework's emulated async
-	// I/O (cache-aware when O6 is on); the data-connection write happens
-	// on the transfer helper.
-	go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
-		done := make(chan error, 1)
-		_, err := s.ns.AIO().ReadFile(full, nil, c.Priority(),
-			func(_ events.Token, data []byte, rerr error) {
-				if rerr != nil {
-					done <- rerr
-					return
-				}
-				nw, werr := dc.Write(data)
-				c.Profile().BytesSent(nw)
-				done <- werr
-			})
-		if err != nil {
-			return err
+	opened, done := c.Reserve(), c.Reserve()
+	retr := func(_ events.Token, f *os.File, fi os.FileInfo, err error) {
+		if err == nil && fi.IsDir() {
+			f.Close()
+			err = errors.New("copsftp: not a file")
 		}
-		return <-done
-	})
+		if err != nil {
+			_ = opened.Reply(ftpproto.NewReply(550, ""))
+			_ = done.SendBuffers(nil, nil) // no transfer follows a 550
+			return
+		}
+		_ = opened.Reply(ftpproto.NewReply(150, ""))
+		s.startData(sess, &dataConn{done: done, file: f, send: func(dc *nserver.Conn) error {
+			return dc.ReplyFile(nil, f, 0, fi.Size())
+		}})
+	}
+	if _, err := s.ns.AIO().Open(full, nil, c.Priority(), retr); err != nil {
+		retr(events.Token{}, nil, nil, err)
+	}
 }
 
 func (s *Server) cmdStor(c *nserver.Conn, sess *session, arg string) {
@@ -473,71 +437,91 @@ func (s *Server) cmdStor(c *nserver.Conn, sess *session, arg string) {
 		_ = c.Reply(ftpproto.NewReply(501, ""))
 		return
 	}
-	sess.mu.Lock()
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
 	_ = c.Reply(ftpproto.NewReply(150, ""))
-	go s.transfer(c.Reserve(), sess, func(dc net.Conn) error {
-		f, err := os.Create(full)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// A pooled 32 KiB copy buffer instead of a per-transfer allocation.
-		// The manual loop (rather than io.CopyBuffer) preserves the FTP
-		// semantics that a read error just marks the end of the upload.
-		lease := bufpool.Get(32 << 10)
-		defer lease.Release()
-		buf := lease.Bytes()
-		for {
-			n, rerr := dc.Read(buf)
-			if n > 0 {
-				// Data-connection ingress bypasses the framework readLoop;
-				// count it toward the O11 bytes-read total.
-				c.Profile().BytesRead(n)
-				if _, werr := f.Write(buf[:n]); werr != nil {
-					return werr
-				}
-			}
-			if rerr != nil {
-				// EOF (or peer close) marks the end of the upload.
-				return nil
-			}
-		}
-	})
+	s.startData(sess, &dataConn{done: c.Reserve(), stor: full})
 }
 
-// transfer runs one data-connection transfer and fills slot with the
-// closing reply. The caller reserves slot on the Handle goroutine (the
-// go statement evaluates c.Reserve() there), right after the 150, so a
-// command pipelined behind the transfer is answered after its 226, 425
-// or 426.
-func (s *Server) transfer(slot nserver.Slot, sess *session, f func(net.Conn) error) {
-	dc, err := s.openData(sess)
-	if err != nil {
-		_ = slot.Reply(ftpproto.NewReply(425, ""))
-		return
+// dataConn is the App of one transfer's data connection, which the
+// framework runs as a codec-less Conn. For RETR and LIST, OnConnect
+// queues send's bytes and closes: the connection closes once they are
+// on the wire. For STOR, OnConnect creates the file and Handle writes
+// each chunk read to it, until the peer's EOF closes the connection.
+// OnClose fills the transfer's reserved closing reply: 226 after a clean
+// close, 426 after a failed one (a write error or stall, a reset, a
+// failed file write).
+type dataConn struct {
+	done nserver.Slot
+	send func(dc *nserver.Conn) error
+	stor string
+	// mu guards file and err: a teardown's OnClose may overlap a Handle.
+	mu   sync.Mutex
+	file *os.File // RETR's source or STOR's target, closed with the transfer
+	err  error    // STOR's first failed create or write
+}
+
+func (x *dataConn) OnConnect(dc *nserver.Conn) {
+	if x.send == nil {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		if x.file, x.err = os.Create(x.stor); x.err == nil {
+			return
+		}
+	} else {
+		_ = x.send(dc) // a failed send has torn dc down with its error
 	}
-	err = f(dc)
 	dc.Close()
-	if err != nil {
-		_ = slot.Reply(ftpproto.NewReply(426, ""))
+}
+
+func (x *dataConn) Handle(dc *nserver.Conn, req any) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.send != nil || x.file == nil || x.err != nil {
 		return
 	}
-	_ = slot.Reply(ftpproto.NewReply(226, ""))
+	if _, x.err = x.file.Write(req.([]byte)); x.err != nil {
+		dc.Close()
+	}
+}
+
+func (x *dataConn) OnClose(_ *nserver.Conn, err error) {
+	code := 226
+	if x.close(err) != nil {
+		code = 426
+	}
+	_ = x.done.Reply(ftpproto.NewReply(code, ""))
+}
+
+// fail answers a transfer whose data connection never opened.
+func (x *dataConn) fail() {
+	_ = x.close(nil)
+	_ = x.done.Reply(ftpproto.NewReply(425, ""))
+}
+
+// close closes the transfer's file and returns the first of err, a
+// failed create or write, and a failed close.
+func (x *dataConn) close(err error) error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if err == nil {
+		err = x.err
+	}
+	if x.file != nil {
+		if cerr := x.file.Close(); err == nil {
+			err = cerr
+		}
+		x.file = nil
+	}
+	return err
 }
 
 func (s *Server) cmdSize(c *nserver.Conn, sess *session, arg string) {
-	sess.mu.Lock()
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
@@ -576,11 +560,8 @@ func (s *Server) cmdRmd(c *nserver.Conn, sess *session, arg string) {
 }
 
 func (s *Server) cmdRnfr(c *nserver.Conn, sess *session, arg string) {
-	sess.mu.Lock()
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
@@ -588,9 +569,7 @@ func (s *Server) cmdRnfr(c *nserver.Conn, sess *session, arg string) {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
-	sess.mu.Lock()
 	sess.renameFrom = full
-	sess.mu.Unlock()
 	_ = c.Reply(ftpproto.NewReply(350, ""))
 }
 
@@ -599,17 +578,14 @@ func (s *Server) cmdRnto(c *nserver.Conn, sess *session, arg string) {
 		_ = c.Reply(ftpproto.NewReply(550, "Server is read-only."))
 		return
 	}
-	sess.mu.Lock()
 	from := sess.renameFrom
 	sess.renameFrom = ""
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
 	if from == "" {
 		_ = c.Reply(ftpproto.NewReply(503, "RNFR required first."))
 		return
 	}
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
@@ -631,11 +607,8 @@ func (s *Server) mutate(c *nserver.Conn, sess *session, arg string, op func(stri
 		_ = c.Reply(ftpproto.NewReply(501, ""))
 		return
 	}
-	sess.mu.Lock()
-	target := ftpproto.ResolvePath(sess.cwd, arg)
-	sess.mu.Unlock()
-	full, err := s.realPath(target)
-	if err != nil {
+	full, ok := s.resolve(sess, arg)
+	if !ok {
 		_ = c.Reply(ftpproto.NewReply(550, ""))
 		return
 	}
@@ -646,11 +619,15 @@ func (s *Server) mutate(c *nserver.Conn, sess *session, arg string, op func(stri
 	_ = c.Reply(ftpproto.NewReply(okCode, ""))
 }
 
-// realPath maps a cleaned virtual path to the exported directory.
-func (s *Server) realPath(virtual string) (string, error) {
+// resolve maps arg, relative to the session's directory, to its path in
+// the exported directory (see realPath).
+func (s *Server) resolve(sess *session, arg string) (string, bool) {
+	return s.realPath(ftpproto.ResolvePath(sess.cwd, arg))
+}
+
+// realPath maps a cleaned virtual path to the exported directory; false
+// means it escapes the root.
+func (s *Server) realPath(virtual string) (string, bool) {
 	full := filepath.Join(s.root, filepath.FromSlash(virtual))
-	if full != s.root && !strings.HasPrefix(full, s.root+string(filepath.Separator)) {
-		return "", errors.New("copsftp: path escapes root")
-	}
-	return full, nil
+	return full, full == s.root || strings.HasPrefix(full, s.root+string(filepath.Separator))
 }

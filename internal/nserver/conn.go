@@ -43,6 +43,11 @@ const maxInboxChunks = 4
 // field) and O11 (byte counters) — the crosscutting Table 2 documents.
 type Conn struct {
 	srv *Server
+	// app and codec are the connection's hooks: the server's for an
+	// accepted connection; for one the application attached (see
+	// Server.Attach), its own App and no codec.
+	app   App
+	codec Codec
 	// sh is the shard that owns this connection for its whole life: its
 	// reactor dispatches the connection's events and its profile takes
 	// the hot-path counter writes, so nothing here contends with
@@ -79,11 +84,12 @@ type Conn struct {
 	// read order into inbuf, and its Handle calls never overlap. The
 	// drain takes the chunks from the FIFO inbox readLoop fills:
 	// inbox[inHead:] under inMu, with inClosed set once finalize has
-	// released what was left. readLoop waits on inSpace while the inbox
-	// is full (see awaitInboxSpace). raw is the transport's descriptor
-	// capability, nil when the transport hides its descriptor: with it,
-	// readLoop leases a chunk only once the socket is readable, and the
-	// write path's first attempt is non-blocking (see writeq.go).
+	// released what was left and inEOF once the peer's EOF ended the
+	// stream behind the last chunk. readLoop waits on inSpace while the
+	// inbox is full (see awaitInboxSpace). raw is the transport's
+	// descriptor capability, nil when the transport hides its descriptor:
+	// with it, readLoop leases a chunk only once the socket is readable,
+	// and the write path's first attempt is non-blocking (see writeq.go).
 	rgate    reactor.DrainGate
 	inbuf    []byte
 	raw      syscall.RawConn
@@ -92,6 +98,7 @@ type Conn struct {
 	inbox    []*bufpool.Buffer
 	inHead   int
 	inClosed bool
+	inEOF    bool
 
 	// Write side (see send in writeq.go): writeMu serializes every reply's
 	// flush. outq holds, in wire order, replies not yet on the wire: the
@@ -211,19 +218,19 @@ func (c *Conn) Send(data []byte) error { return c.send(outItem{head: data}) }
 // replyHeadSize sizes the pooled buffer leased for zero-copy reply heads.
 const replyHeadSize = 512
 
-// Reply encodes a reply with the server's codec (Encode Reply step) and
-// sends it. On a server without a codec, reply must be a []byte. Codecs
-// implementing BufferEncoder take the zero-copy path: the head is rendered
-// into a pooled buffer and head and body go out as one writev, so the body
-// is never copied into a combined response slice.
+// Reply encodes a reply with the connection's codec (Encode Reply step)
+// and sends it. On a connection without a codec, reply must be a []byte.
+// Codecs implementing BufferEncoder take the zero-copy path: the head is
+// rendered into a pooled buffer and head and body go out as one writev,
+// so the body is never copied into a combined response slice.
 func (c *Conn) Reply(reply any) error { return c.reply(reply, outItem{}) }
 
 // reply encodes reply into it — a plain item or a reserved position's.
 func (c *Conn) reply(reply any, it outItem) error {
-	if be, ok := c.srv.codec.(BufferEncoder); ok {
+	if be, ok := c.codec.(BufferEncoder); ok {
 		return c.sendReply(be, reply, it)
 	}
-	data, err := c.srv.encode(reply)
+	data, err := c.encode(reply)
 	if err != nil {
 		return c.encodeFailed(it, err)
 	}
@@ -405,24 +412,25 @@ func (c *Conn) awaitInboxSpace() {
 	c.inMu.Unlock()
 }
 
-// popInbox dequeues the oldest chunk (nil when the inbox is empty),
-// waking readLoop if the inbox was full. The slice rewinds once drained,
-// so a steady stream reuses one backing array.
-func (c *Conn) popInbox() *bufpool.Buffer {
+// popInbox dequeues the oldest chunk, waking readLoop if the inbox was
+// full. An empty inbox yields nil, with eof set once the peer's EOF
+// ended the stream. The slice rewinds once drained, so a steady stream
+// reuses one backing array.
+func (c *Conn) popInbox() (lease *bufpool.Buffer, eof bool) {
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
 	if c.inHead == len(c.inbox) {
-		return nil
+		return nil, c.inEOF
 	}
 	if len(c.inbox)-c.inHead == maxInboxChunks {
 		c.inSpace.Signal()
 	}
-	lease := c.inbox[c.inHead]
+	lease = c.inbox[c.inHead]
 	c.inbox[c.inHead] = nil
 	if c.inHead++; c.inHead == len(c.inbox) {
 		c.inbox, c.inHead = c.inbox[:0], 0
 	}
-	return lease
+	return lease, false
 }
 
 // releaseInbox returns every still-queued chunk to the pool and closes
@@ -438,10 +446,21 @@ func (c *Conn) releaseInbox() {
 	}
 }
 
-// readEnd tears the connection down at the end of its inbound stream: a
-// clean EOF, or a close this side initiated, is not an error.
+// readEnd ends the inbound stream. The peer's EOF ends only that: it is
+// queued behind the last chunk, and the drain that reaches it closes the
+// connection gracefully (see Close), so every request the peer sent
+// before it is handled and answered. Any other read error tears the
+// connection down; a close this side initiated is not an error.
 func (c *Conn) readEnd(err error) {
-	if err == nil || errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
+	if errors.Is(err, io.EOF) {
+		c.inMu.Lock()
+		c.inEOF = true
+		c.inMu.Unlock()
+		if err = c.wake(); err == nil {
+			return
+		}
+	}
+	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
 		err = nil
 	}
 	c.teardown(err)
@@ -454,7 +473,7 @@ func (c *Conn) readEnd(err error) {
 // (Reactor.Emit queues it there directly), so the event queue, and the O9
 // watermarks sampling it, see one event per wakeup.
 func (c *Conn) wake() error {
-	if c.srv.directDispatch && c.srv.fastGateClear() {
+	if c.codec != nil && c.srv.directDispatch && c.srv.fastGateClear() {
 		if c.rgate.Claim() {
 			c.drain(c.srv.tryFastHandle)
 		}
@@ -490,12 +509,16 @@ type fastHook func(c *Conn, req any) bool
 // rgate — a won Claim, or a punted drain's continuation — and drain
 // feeds chunks to the decode loop until the inbox is empty, then
 // releases the gate, going around again when a wakeup landed mid-pass.
-// fast nil sends every request down the queued Handle path; a punt
-// returns with the gate still held.
+// An empty inbox behind the peer's EOF closes the connection. fast nil
+// sends every request down the queued Handle path; a punt returns with
+// the gate still held.
 func (c *Conn) drain(fast fastHook) {
 	for {
 		for !c.closed.Load() {
-			lease := c.popInbox()
+			lease, eof := c.popInbox()
+			if eof {
+				c.Close()
+			}
 			if lease == nil {
 				break
 			}
@@ -523,7 +546,7 @@ func (c *Conn) drain(fast fastHook) {
 // request past the cap is an oversized one. The buffer is therefore
 // bounded by the cap plus one read chunk.
 func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
-	if c.srv.codec == nil {
+	if c.codec == nil {
 		c.srv.handleRequest(c, chunk)
 		return false
 	}
@@ -611,7 +634,7 @@ func (c *Conn) decodeSafe() (req any, n int, err error) {
 			err = fmt.Errorf("nserver: decode panic: %v", r)
 		}
 	}()
-	return c.srv.codec.Decode(c.inbuf)
+	return c.codec.Decode(c.inbuf)
 }
 
 // punt hands a request the fast-path hook declined, plus the
@@ -668,5 +691,5 @@ func (c *Conn) finalize() {
 	c.freeOutbound()
 	c.srv.detach(c)
 	c.sh.profile.ConnectionClosed()
-	c.srv.app.OnClose(c, c.closeErr)
+	c.app.OnClose(c, c.closeErr)
 }

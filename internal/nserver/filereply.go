@@ -27,15 +27,20 @@ var ErrStreamTruncated = errors.New("nserver: file shorter than streamed length"
 // sendfile(2) (zero userspace copies); elsewhere, and on wrapped
 // transports, a pooled-buffer copy loop moves it with one bounded copy
 // per chunk. The reply must carry an explicit Content-Length (the codec
-// sees an empty in-memory body). Requires a BufferEncoder codec.
+// sees an empty in-memory body). Requires a BufferEncoder codec, or none.
 func (c *Conn) ReplyFile(reply any, src *os.File, offset, length int64) error {
 	return c.replyFile(reply, outItem{file: src, off: offset, remaining: length})
 }
 
 // replyFile sends it — a plain item or a reserved position's — carrying
-// a file range behind reply's rendered head.
+// a file range behind reply's rendered head. On a connection without a
+// codec, reply is the raw head: a []byte, or nil for none.
 func (c *Conn) replyFile(reply any, it outItem) error {
-	be, ok := c.srv.codec.(BufferEncoder)
+	if c.codec == nil {
+		it.head, _ = reply.([]byte)
+		return c.send(it)
+	}
+	be, ok := c.codec.(BufferEncoder)
 	if !ok {
 		return c.encodeFailed(it, errors.New("nserver: ReplyFile requires a BufferEncoder codec"))
 	}

@@ -309,7 +309,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		sh.reactor = r
 
-		// Inline completion dispatch (only reachable when O2 is off).
+		// The Completion Event route: aio completions when O2 is off, and
+		// Connector dials (see Connector) at every O2 setting.
 		sh.reactor.RegisterType(reactor.CompletionReady, reactor.HandlerFunc(func(rd reactor.Ready) {
 			if comp, ok := rd.Data.(*events.Completion); ok {
 				comp.Process()
@@ -570,6 +571,14 @@ func (s *Server) Addr() net.Addr {
 	return s.acceptor.Addr()
 }
 
+// Connector returns a Connector dialing under timeout whose completions
+// take the server's Completion Event route: each Connect's continuation
+// runs like any other ready event (on an Event Processor worker when O2
+// is Yes), the Connector Event Handler of Table 2.
+func (s *Server) Connector(timeout time.Duration) *acceptor.Connector {
+	return acceptor.NewConnector(s.reactor, timeout, s.trace)
+}
+
 // pickShard selects the shard for an accepted connection
 // (round-robin, the cheapest placement that is provably balanced for
 // homogeneous connections; work stealing covers the rest).
@@ -611,7 +620,7 @@ func (s *Server) Start(ln net.Listener) error {
 	// Communicator on the next shard and start its pipeline.
 	s.shards[0].reactor.Register(acc.Handle(), reactor.HandlerFunc(func(rd reactor.Ready) {
 		if rd.Type == reactor.AcceptReady {
-			s.attach(s.pickShard(), rd.Data.(net.Conn))
+			s.attach(s.pickShard(), rd.Data.(net.Conn), s.app, s.codec)
 		}
 	}))
 	s.fileio.Start()
@@ -677,14 +686,35 @@ func (s *Server) Shutdown() {
 	s.trace.Record("server", "shutdown complete")
 }
 
-// attach wraps an accepted transport in a Communicator owned by sh,
-// registers its handler and hands it to a reader goroutine: an idle one
-// if any is waiting, a new one otherwise. A TCP transport arrives with
-// TCP_NODELAY already set: Go's accept path sets it on every
+// Attach puts an already-connected transport on the next shard as a
+// Conn with its own hooks and no codec (Fig. 2's O3 = No pipeline): Handle
+// receives each chunk read, and Reply and Send take raw bytes. An
+// application that dials or accepts a socket itself (COPS-FTP's data
+// connections) thereby gets the read and write paths, deadlines, reaper,
+// metrics and Shutdown of an accepted connection. The connection counts
+// in the acceptor's live count, but Attach never refuses it for
+// MaxConnections. app.OnConnect runs before Attach returns. The server
+// must be started; once Shutdown has begun, Attach closes nc and returns
+// ErrConnClosed.
+func (s *Server) Attach(nc net.Conn, app App) error {
+	s.acceptor.ConnAttached()
+	if !s.attach(s.pickShard(), nc, app, nil) {
+		return ErrConnClosed
+	}
+	return nil
+}
+
+// attach wraps a transport in a Communicator owned by sh with the given
+// hooks, registers its handler and hands it to a reader goroutine: an
+// idle one if any is waiting, a new one otherwise. It reports false when
+// Shutdown refused the connection. A TCP transport arrives with
+// TCP_NODELAY already set: Go's accept and dial paths set it on every
 // *net.TCPConn.
-func (s *Server) attach(sh *shard, nc net.Conn) {
+func (s *Server) attach(sh *shard, nc net.Conn, app App, codec Codec) bool {
 	c := &Conn{
 		srv:    s,
+		app:    app,
+		codec:  codec,
 		sh:     sh,
 		conn:   nc,
 		handle: sh.reactor.NewHandle(),
@@ -706,7 +736,7 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 		sh.mu.Unlock()
 		nc.Close()
 		s.acceptor.ConnClosed()
-		return
+		return false
 	}
 	sh.conns[c.handle] = c
 	sh.reactor.Register(c.handle, reactor.HandlerFunc(c.handleReady))
@@ -715,13 +745,14 @@ func (s *Server) attach(sh *shard, nc net.Conn) {
 		s.trace.Record("server", "communicator attached for %s (shard %d, handle %d, prio %d)",
 			nc.RemoteAddr(), sh.idx, c.handle, c.Priority())
 	}
-	s.app.OnConnect(c)
+	app.OnConnect(c)
 	select {
 	case s.readers <- c:
 	default:
 		s.readerStarts.Add(1)
 		go s.reader(c)
 	}
+	return true
 }
 
 // reader is a Read Request goroutine. It runs c's readLoop, then waits up
@@ -793,7 +824,7 @@ func (s *Server) handleRequest(c *Conn, req any) {
 			c.teardown(fmt.Errorf("nserver: handler panic: %v", r))
 		}
 	}()
-	s.app.Handle(c, req)
+	c.app.Handle(c, req)
 	s.served(c, rid, start)
 }
 
@@ -847,15 +878,15 @@ func (s *Server) served(c *Conn, rid uint64, start time.Time) {
 
 // encode runs the Encode Reply step with panic isolation: a buggy Encode
 // hook fails the reply, not the worker dispatching it.
-func (s *Server) encode(reply any) (data []byte, err error) {
-	if s.codec != nil {
+func (c *Conn) encode(reply any) (data []byte, err error) {
+	if c.codec != nil {
 		defer func() {
 			if r := recover(); r != nil {
 				data = nil
 				err = fmt.Errorf("nserver: encode panic: %v", r)
 			}
 		}()
-		return s.codec.Encode(reply)
+		return c.codec.Encode(reply)
 	}
 	data, ok := reply.([]byte)
 	if !ok {

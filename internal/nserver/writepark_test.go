@@ -153,7 +153,9 @@ func TestParkedWriteOverflowSheds(t *testing.T) {
 // queued behind a parked one count against the cap.
 func TestParkedWriteSingleReplyAboveCap(t *testing.T) {
 	skipWithoutParking(t)
-	const bodyLen = 12 << 20
+	// Over the cap by more than what the socket buffers absorb before the
+	// park (about 4.2 MB with a 4 MB tcp_wmem ceiling).
+	const bodyLen = 16 << 20
 	o := testOptions()
 	o.Profiling = true
 	s, addr := startServer(t, Config{Options: o, App: bigReplyApp(bodyLen), Codec: lineCodec{}})
