@@ -98,7 +98,7 @@ func TestHotPathAllocsDirectDispatch(t *testing.T) {
 	rc.Store(doc, head, body, mtime, int64(len(body)))
 
 	serve := func() {
-		h, bdy, st := rc.Probe(doc)
+		h, bdy, st := rc.Probe(doc, new(respcache.Ref))
 		if st != respcache.Hit {
 			t.Fatal("respcache lost the hot document")
 		}
@@ -125,13 +125,14 @@ func TestHotPathAllocsDirectDispatch(t *testing.T) {
 // fastServeAllocBudget is the ceiling for one call of the real FastPath
 // hook, copshttp's FastServe, serving a warm document on a live
 // keep-alive connection: the request shape checks, the path memo, the
-// respcache probe, the blocking vectored send and the (disabled) access
-// log. The expected steady state is zero; the budget of one absorbs the
-// respcache's once-per-second Date rollover and a stat per revalidate
-// window on a slow run. A per-reply ID format or path clean on this path
-// costs several: without the per-connection path memo FastServe
-// measures 3.0 allocs/op.
-const fastServeAllocBudget = 1
+// respcache probe through the memo's Ref, the blocking vectored send, the
+// (disabled) access log and the request's return to its pool. It measures
+// zero: the respcache's once-per-second Date rollover and a stat per
+// revalidate window are a few allocations per thousand calls, under the
+// per-call average's resolution. A per-reply ID format or path clean on
+// this path costs several: without the per-connection path memo
+// FastServe measures 3.0 allocs/op.
+const fastServeAllocBudget = 0
 
 func TestHotPathAllocsFastServe(t *testing.T) {
 	root := t.TempDir()
@@ -186,11 +187,18 @@ func TestHotPathAllocsFastServe(t *testing.T) {
 	// as a drain would, and the replies are drained and dropped.
 	client, c := dial()
 	go func() { _, _ = io.Copy(io.Discard, client) }()
-	req, _, err := httpproto.ParseRequest([]byte(wire))
-	if err != nil {
-		t.Fatal(err)
+	// FastServe recycles each request it serves, so every call gets its
+	// own, decoded before the measurement: 16 warm-up calls, and the one
+	// AllocsPerRun adds to its 1000.
+	reqs := make([]*httpproto.Request, 16+1001)
+	for i := range reqs {
+		if reqs[i], _, err = httpproto.ParseRequest([]byte(wire)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	serve := func() {
+		req := reqs[0]
+		reqs = reqs[1:]
 		if !srv.FastServe(c, req) {
 			t.Fatal("FastServe declined a warm document")
 		}
@@ -199,21 +207,28 @@ func TestHotPathAllocsFastServe(t *testing.T) {
 		serve()
 	}
 	allocs := testing.AllocsPerRun(1000, serve)
-	if allocs > fastServeAllocBudget {
-		t.Fatalf("FastServe: %.1f allocs/op, budget %d", allocs, fastServeAllocBudget)
+	budget := fastServeAllocBudget
+	if raceEnabled {
+		// Pools drop values at random under -race, nonblockWritev's iovec
+		// pool among them, so some runs measure 1.0 with no allocation of
+		// FastServe's own.
+		budget = 1
 	}
-	t.Logf("FastServe: %.1f allocs/op (budget %d)", allocs, fastServeAllocBudget)
+	if allocs > float64(budget) {
+		t.Fatalf("FastServe: %.1f allocs/op, budget %d", allocs, budget)
+	}
+	t.Logf("FastServe: %.1f allocs/op (budget %d)", allocs, budget)
 }
 
 // TestHotPathAllocsPipelinedWindow pins the allocations of a pipelined
 // window of 16 hits served through the real drain on a live connection:
 // the reader goroutine's read, the decode loop, FastServe per request and
-// the corked window's one gathered write. The decoder
-// allocates per request; everything else must not: the corked replies'
-// head leases come from the pool and the queue and the gathered iovec are
-// reused window to window. A window therefore costs exactly what its 16
-// decodes cost, and a per-reply allocation anywhere on the write side adds
-// 16.
+// the corked window's one gathered write. The decoder allocates the head
+// string per request; everything else must not: FastServe recycles each
+// request it serves, the corked replies' heads wait by reference, and the
+// queue and the gathered iovec are reused window to window. A window
+// therefore costs exactly its 16 head strings, and a per-reply allocation
+// anywhere else — an unrecycled request included — adds 16.
 func TestHotPathAllocsPipelinedWindow(t *testing.T) {
 	const window = 16
 	root := t.TempDir()
@@ -309,17 +324,19 @@ func TestHotPathAllocsPipelinedWindow(t *testing.T) {
 
 	req := []byte(wire)
 	decode := testing.AllocsPerRun(1000, func() {
-		if _, _, err := httpproto.ParseRequest(req); err != nil {
+		r, _, err := httpproto.ParseRequest(req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		httpproto.ReleaseRequest(r)
 	})
 	if raceEnabled {
 		t.Skipf("pipelined window: %.0f allocs under -race, where pools drop values at random", allocs)
 	}
 	if want := window * decode; allocs > want {
-		t.Fatalf("pipelined window: %.0f allocs, want the decoder's own %.0f (16 x %.0f)", allocs, want, decode)
+		t.Fatalf("pipelined window: %.0f allocs, want the head strings' %.0f (16 x %.0f)", allocs, want, decode)
 	}
-	t.Logf("pipelined window: %.0f allocs (decoder: 16 x %.0f)", allocs, decode)
+	t.Logf("pipelined window: %.0f allocs (recycled decoder: 16 x %.0f)", allocs, decode)
 }
 
 // queuedEchoAllocBudget is the ceiling for one line-echo round trip on

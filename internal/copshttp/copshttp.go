@@ -360,7 +360,8 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 // it queues behind the reply position of any predecessor still in the
 // stat/read hops. Everything else is declined untouched and takes the
 // queued path, which keeps admission control observing every queue wait
-// the fast path did not elide.
+// the fast path did not elide. A served request is recycled
+// (httpproto.ReleaseRequest): the hook owns what it consumes.
 func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 	r, ok := req.(*httpproto.Request)
 	if !ok || r.Refuse != 0 || r.Method != "GET" || r.Proto != "HTTP/1.1" || !r.KeepAlive() {
@@ -372,9 +373,10 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 	if s.dynamic != nil && s.lookupDynamic(r.Path) != nil {
 		return false
 	}
-	// Path resolution allocates (filepath.Join); the per-connection memo
-	// makes repeat requests for the same document — the hot-URL shape the
-	// fast path exists for — allocation-free.
+	// Path resolution allocates (filepath.Join) and a cold probe locks a
+	// shard; the per-connection memo makes repeat requests for the same
+	// document — the hot-URL shape the fast path exists for — cost
+	// neither.
 	m := memoOf(c)
 	full := m.full
 	if r.Path != m.path {
@@ -384,7 +386,7 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 		}
 		m.path, m.full = r.Path, full
 	}
-	head, body, state := s.rcache.Probe(full)
+	head, body, state := s.rcache.Probe(full, &m.ref)
 	if state == respcache.Stale {
 		head, body = s.revalidate(full)
 	}
@@ -392,15 +394,21 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 		return false
 	}
 	rid := c.BeginRequest()
+	// The head is a published image, immutable, so it goes by reference.
 	_ = c.SendBuffers(head, body)
 	s.logAccess(c, r, 200, len(body), rid)
+	httpproto.ReleaseRequest(r)
 	return true
 }
 
 // pathMemo caches a connection's last fast-path resolution (request path
-// → filesystem path). Only FastServe touches it, on the goroutine that
-// owns the connection's pipeline.
-type pathMemo struct{ path, full string }
+// → filesystem path) and the rendered entry it last probed. Only
+// FastServe touches it, on the goroutine that owns the connection's
+// pipeline.
+type pathMemo struct {
+	path, full string
+	ref        respcache.Ref
+}
 
 // memoOf returns the connection's path memo, creating it on the first
 // fast-served request (one allocation per connection).

@@ -73,7 +73,8 @@ func TestStaleEntryRevalidatedInline(t *testing.T) {
 // TestStaleEntryMutatedServesNewRevision: a file mutated past the window
 // fails the inline stat's Confirm, so the entry and its file-cache bytes
 // drop and the queued path serves the new bytes and Last-Modified; the
-// entry it re-renders then revalidates inline as the new revision.
+// entry it re-renders is then served inline on the same connection, and
+// past the next window revalidates inline as the new revision.
 func TestStaleEntryMutatedServesNewRevision(t *testing.T) {
 	root := buildDocRoot(t)
 	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions()})
@@ -98,7 +99,14 @@ func TestStaleEntryMutatedServesNewRevision(t *testing.T) {
 	if rs := s.RespCache().Stats(); rs.Invalidations == 0 || rs.Revalidated != 0 {
 		t.Fatalf("mutation: respcache stats %+v, want an invalidation and no inline serve", rs)
 	}
+	// The connection's memo still names the dropped entry: the next GET
+	// looks the new revision up and is served inline.
 	before := directDispatched(s)
+	if status, _, body := get(t, conn, r, "GET", "/about.txt", ""); status != 200 || string(body) != "fresh content" {
+		t.Fatalf("GET of the new revision inside its window: %d %q", status, body)
+	}
+	awaitDirectDispatched(t, s, before+1)
+	before++
 	time.Sleep(pastWindow)
 	status, h3, body := get(t, conn, r, "GET", "/about.txt", "")
 	if status != 200 || string(body) != "fresh content" || h3["last-modified"] != h2["last-modified"] {

@@ -281,8 +281,13 @@ func FuzzParseRequestMatchesOracle(f *testing.F) {
 
 // parseRequestAllocBudget is the ceiling for parsing the pipelined
 // benchmark's request shape: the head string that every field slices, and
-// the Request, which holds up to four header fields inline.
-const parseRequestAllocBudget = 2
+// the Request, which holds up to four header fields inline. A request
+// handed back with ReleaseRequest is reused, so a recycled parse costs
+// the head string alone (recycledParseAllocBudget).
+const (
+	parseRequestAllocBudget  = 2
+	recycledParseAllocBudget = 1
+)
 
 func TestParseRequestAllocs(t *testing.T) {
 	wire := []byte("GET /docs/dir1/class2_5.html HTTP/1.1\r\nHost: nsbench\r\n\r\n")
@@ -294,7 +299,18 @@ func TestParseRequestAllocs(t *testing.T) {
 	if allocs > parseRequestAllocBudget {
 		t.Fatalf("ParseRequest: %.0f allocs/op, budget %d", allocs, parseRequestAllocBudget)
 	}
-	t.Logf("ParseRequest: %.0f allocs/op (budget %d)", allocs, parseRequestAllocBudget)
+	recycled := testing.AllocsPerRun(1000, func() {
+		req, n, err := ParseRequest(wire)
+		if n != len(wire) || err != nil {
+			t.Fatalf("n=%d err=%v", n, err)
+		}
+		ReleaseRequest(req)
+	})
+	if recycled > recycledParseAllocBudget {
+		t.Fatalf("recycled ParseRequest: %.0f allocs/op, budget %d", recycled, recycledParseAllocBudget)
+	}
+	t.Logf("ParseRequest: %.0f allocs/op (budget %d), recycled %.0f (budget %d)",
+		allocs, parseRequestAllocBudget, recycled, recycledParseAllocBudget)
 }
 
 // mapHeader is Header as it was before the fields left the map: values

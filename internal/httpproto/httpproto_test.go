@@ -29,6 +29,36 @@ func TestParseSimpleGet(t *testing.T) {
 	}
 }
 
+// TestReleasedRequestStartsClean parses a request that spills its header
+// fields past the inline storage, carries a query and a body, releases
+// it, and parses a one-field request: whichever pooled Request comes
+// back, it holds only the new request's fields, again in inline storage.
+func TestReleasedRequestStartsClean(t *testing.T) {
+	big := []byte("POST /a?q=1 HTTP/1.1\r\nHost: x\r\nA: 1\r\nB: 2\r\nC: 3\r\nD: 4\r\nContent-Length: 3\r\n\r\nabc")
+	small := []byte("GET /b HTTP/1.1\r\nHost: y\r\n\r\n")
+	for i := 0; i < 100; i++ {
+		req, _, err := ParseRequest(big)
+		if err != nil || req.Headers.Len() != 6 || string(req.Body) != "abc" {
+			t.Fatalf("big request: %v, %d fields, body %q", err, req.Headers.Len(), req.Body)
+		}
+		ReleaseRequest(req)
+		req, n, err := ParseRequest(small)
+		if err != nil || n != len(small) {
+			t.Fatalf("small request: %v (%d of %d bytes)", err, n, len(small))
+		}
+		if req.Method != "GET" || req.Path != "/b" || req.Query != "" || req.Body != nil || req.Refuse != 0 {
+			t.Fatalf("small request carries the released one's state: %+v", req)
+		}
+		if req.Headers.Len() != 1 || req.Headers.Get("Host") != "y" || req.Headers.Has("A") {
+			t.Fatalf("small request's headers: %d fields, Host %q", req.Headers.Len(), req.Headers.Get("Host"))
+		}
+		if &req.Headers.fields[0] != &req.inline[0] {
+			t.Fatal("small request's fields left the inline storage")
+		}
+		ReleaseRequest(req)
+	}
+}
+
 func TestParseIncremental(t *testing.T) {
 	full := "GET /a HTTP/1.1\r\nHost: x\r\n\r\n"
 	for cut := 0; cut < len(full); cut++ {

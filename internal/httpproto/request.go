@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Limits enforced by the parser.
@@ -40,7 +41,8 @@ var (
 
 // Request is one parsed HTTP request. A Request from ParseRequest keeps
 // its first few header fields in inline storage that Headers points at,
-// so a typical request costs one allocation beside the head string. A
+// and comes from a pool, so a typical request costs no allocation beside
+// the head string once its owner hands it back with ReleaseRequest. A
 // Request must therefore not be copied by value: the copy's Headers would
 // share the original's inline fields.
 type Request struct {
@@ -212,11 +214,28 @@ func canonicalize(key string) string {
 	return string(b)
 }
 
+// requestPool recycles the Requests ParseRequest returns (see
+// ReleaseRequest).
+var requestPool = sync.Pool{
+	New: func() any { return new(Request) },
+}
+
+// ReleaseRequest zeroes r and returns it to the pool ParseRequest draws
+// from. Only the request's one owner may release it, once nothing will
+// read the struct again; strings taken from it stay valid, since they
+// share the head string, not the struct. A request never released is
+// simply garbage collected.
+func ReleaseRequest(r *Request) {
+	*r = Request{}
+	requestPool.Put(r)
+}
+
 // ParseRequest attempts to parse one complete request from buf. It
 // returns the request and the number of bytes consumed; n == 0 with a nil
 // error means buf does not yet hold a complete request (read more). A
 // non-nil error means the stream is unrecoverable and the connection
-// should close.
+// should close. The request comes from a pool; its owner may hand it back
+// with ReleaseRequest.
 func ParseRequest(buf []byte) (*Request, int, error) {
 	headerEnd := bytes.Index(buf, []byte("\r\n\r\n"))
 	if headerEnd < 0 {
@@ -356,13 +375,8 @@ func parseRequestLine(line string) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &Request{
-		Method: method,
-		Target: target,
-		Path:   CleanPath(path),
-		Query:  query,
-		Proto:  proto,
-	}
+	req := requestPool.Get().(*Request)
+	req.Method, req.Target, req.Path, req.Query, req.Proto = method, target, CleanPath(path), query, proto
 	req.Headers.fields = req.inline[:0]
 	return req, nil
 }

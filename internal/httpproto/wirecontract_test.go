@@ -75,8 +75,8 @@ func TestContentLengthGrammar(t *testing.T) {
 		{"0x5", ErrBadHeader, 0},
 		{"5 5", ErrBadHeader, 0},
 		{"5.0", ErrBadHeader, 0},
-		{"5,6", ErrBadHeader, 0},  // conflicting list values
-		{"5, 5", nil, 5},          // identical list values are tolerated
+		{"5,6", ErrBadHeader, 0},   // conflicting list values
+		{"5, 5", nil, 5},           // identical list values are tolerated
 		{"05, 5", ErrBadHeader, 0}, // "05" and "5" differ as elements
 		{"9999999999999999999999999", ErrBodyTooLarge, 0},
 	}

@@ -283,11 +283,11 @@ func appendHeadSafe(be BufferEncoder, dst []byte, reply any) (head, body []byte,
 // SendBuffers transmits head and body as one vectored write with Send's
 // semantics, for callers (the copshttp fast path) that hold a rendered
 // wire head and a reference-safe body and must not glue them into one
-// allocation. The head may be reused once SendBuffers returns; the body
-// must not be mutated after the call, since a queued reply retains it by
-// reference until it is flushed.
+// allocation or copy either. Both slices are retained by reference: a
+// reply that is queued — corked, parked or behind a reserved position —
+// keeps them until it is flushed, so neither may change until then.
 func (c *Conn) SendBuffers(head, body []byte) error {
-	return c.send(outItem{head: head, body: body})
+	return c.send(outItem{head: head, body: body, headRef: true})
 }
 
 // Close tears the connection down cleanly. A connection with committed

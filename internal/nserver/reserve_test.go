@@ -115,6 +115,21 @@ func (a *reserveApp) heldLeases() []*bufpool.Buffer {
 	return leases
 }
 
+// itemWithBody returns the queued item whose unsent body is n bytes.
+func (a *reserveApp) itemWithBody(n int) (outItem, bool) {
+	a.mu.Lock()
+	c := a.conn
+	a.mu.Unlock()
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	for _, it := range c.outq {
+		if len(it.body) == n {
+			return it, true
+		}
+	}
+	return outItem{}, false
+}
+
 // settled checks, after the connection's traffic ended, that its queue is
 // empty and each lease in leases went back to the pool (a released
 // buffer has no bytes in use, and nothing else leases one meanwhile).
@@ -191,7 +206,10 @@ func reserveFile(t *testing.T, n int) (string, []byte) {
 // the replies in request order. Filled out of turn, the file range
 // waits on the queue's dup of the descriptor, its caller's file already
 // closed; the final fill moves the whole run, parking on the raw sink.
-// Every head lease and the dup are released once it is sent.
+// The SendBuffers head waits by reference, like its body, so three head
+// leases wait behind the held position: the Reply's, the file range's and
+// the plain Send's. Every head lease and the dup are released once it is
+// sent.
 func TestReservedPositionsKeepRequestOrder(t *testing.T) {
 	const off, flen, bodyLen = 1000, 3<<20 + 7, 3 << 20
 	path, data := reserveFile(t, off+flen)
@@ -224,8 +242,11 @@ func TestReservedPositionsKeepRequestOrder(t *testing.T) {
 				t.Fatalf("held replies counted as parked: conns=%d bytes=%d", s.ParkedWrites(), s.OutboundQueuedBytes())
 			}
 			leases := a.heldLeases()
-			if len(leases) != 4 {
-				t.Fatalf("%d head leases behind the held position, want 4", len(leases))
+			if len(leases) != 3 {
+				t.Fatalf("%d head leases behind the held position, want 3", len(leases))
+			}
+			if it, ok := a.itemWithBody(bodyLen); !ok || it.headLease != nil || string(it.head) != "B " {
+				t.Fatalf("SendBuffers item behind the held position: found %v, lease %v, head %q; want its head by reference", ok, it.headLease, it.head)
 			}
 			if err := a.fill(t, path, 0); err != nil {
 				t.Fatalf("fill 0: %v", err)

@@ -67,7 +67,10 @@ type Config struct {
 	// and the rest of the drain, is punted to the event queue and handled
 	// exactly as without the hook. It must not block on anything but the
 	// connection's own reply write, except that it may make one metadata
-	// syscall per revalidate window.
+	// syscall per revalidate window. The hook owns a request it consumes:
+	// the runtime never touches it again, so the hook may recycle it. A
+	// declined request, and every request on the queued path, belongs to
+	// the Handle hook as before.
 	// A memory-only reply the hook sends may be deferred: while more
 	// requests are buffered behind the one it serves, the connection is
 	// corked, and the window's replies leave together in one gathered

@@ -87,10 +87,12 @@ const retainedQueueCap = 32
 // outItem is one reply in wire order: head, then body, then remaining
 // bytes of file starting at off. While send runs, every field borrows
 // from the caller; an item that outlives the call — corked, parked or
-// behind a held position — owns its head and descriptor (see own).
+// behind a held position — owns its head and descriptor (see own),
+// except a head the caller lent by reference (SendBuffers).
 type outItem struct {
 	headLease *bufpool.Buffer // owns head's backing store once queued past send
 	head      []byte          // unsent head
+	headRef   bool            // head is retained by reference, like body: own leaves it
 	body      []byte          // unsent body, retained by reference (bodies are GC-owned)
 	file      *os.File        // the caller's descriptor, a queue-owned dup once owned
 	off       int64           // next file offset
@@ -99,7 +101,7 @@ type outItem struct {
 	slot      uint64          // reserved position's ID (see Reserve); 0 for a plain send
 	held      bool            // a reserved position not yet filled: flush stops here
 	last      bool            // the connection's last reply (see Slot.Last)
-	owned     bool            // own ran: head leased, file a queue-owned dup
+	owned     bool            // own ran: head leased unless lent, file a queue-owned dup
 }
 
 // mem returns the item's unsent memory bytes.
@@ -125,12 +127,13 @@ func (it *outItem) consume(n int) {
 // lease, so the caller may reuse its buffer once send returns (the Reply
 // path releases its own lease then), and a file range gets the queue's
 // own dup of the descriptor, so the caller may close src as soon as
-// ReplyFile returns. The body stays by reference.
+// ReplyFile returns. The body, and a head lent by reference, stay where
+// they are.
 func (it *outItem) own() error {
 	if it.owned {
 		return nil
 	}
-	if len(it.head) > 0 {
+	if len(it.head) > 0 && !it.headRef {
 		it.headLease = bufpool.Get(len(it.head))
 		it.head = it.headLease.Bytes()[:copy(it.headLease.Bytes(), it.head)]
 	}
@@ -220,10 +223,10 @@ func (s Slot) ReplyFile(reply any, src *os.File, offset, length int64) error {
 }
 
 // SendBuffers fills the position with head and body, as Conn.SendBuffers
-// sends them.
+// sends them: both by reference.
 func (s Slot) SendBuffers(head, body []byte) error {
 	it := s.item()
-	it.head, it.body = head, body
+	it.head, it.body, it.headRef = head, body, true
 	return s.c.send(it)
 }
 

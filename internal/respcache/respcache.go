@@ -26,6 +26,15 @@
 // for a caller that stats the file itself and serves the entry on a
 // match: the fast path does that inline, at most once per window per
 // hot file, on a connection's reader goroutine.
+//
+// A caller that asks for the same key again and again (a keep-alive
+// connection re-fetching its hot URL) probes through a Ref: a memo of the
+// entry the key last resolved to, which skips the shard lock and the map
+// while that entry is alive. The entry's body lives in its head image,
+// and every removal — Invalidate, a Confirm or Revalidate mismatch, a
+// Store that replaces the entry — stores a nil image. A memoized entry
+// therefore pins neither bytes nor a stale answer: a nil image sends the
+// Probe back to the map.
 package respcache
 
 import (
@@ -49,16 +58,18 @@ const dateLen = 29
 // datePrefix locates the Date field inside a rendered head.
 var datePrefix = []byte("\r\nDate: ")
 
-// headImage is one second's rendering of an entry's head. The bytes are
-// immutable once published; rollover builds a fresh image.
+// headImage is one second's rendering of an entry's head, with the body
+// it frames. The bytes are immutable once published; rollover builds a
+// fresh image.
 type headImage struct {
 	sec  int64 // absolute second the Date field renders
 	head []byte
+	body []byte
 }
 
-// entry is one cacheable rendered response.
+// entry is one cacheable rendered response. Its image is nil once the
+// entry has left the cache (see remove).
 type entry struct {
-	body    []byte
 	dateOff int   // offset of the Date value inside the head
 	modTime int64 // UnixNano of the file mtime the head renders
 	size    int64 // file size the head's Content-Length renders
@@ -69,22 +80,33 @@ type entry struct {
 	cur      atomic.Pointer[headImage]
 }
 
-// rendered returns the head with the Date field current for now. The
-// same-second path is a pointer load; rollover copies the head once and
-// patches the date bytes at the fixed offset.
-func (e *entry) rendered(now time.Time) []byte {
+// rendered returns the head with the Date field current for now, and the
+// body; both are nil once the entry is removed. The same-second path is a
+// pointer load; rollover copies the head once and patches the date bytes
+// at the fixed offset. The swap is a compare-and-swap, so a rollover never
+// revives a removed entry.
+func (e *entry) rendered(now time.Time) (head, body []byte) {
 	sec := now.Unix()
-	img := e.cur.Load()
-	if img.sec == sec {
-		return img.head
+	for {
+		img := e.cur.Load()
+		if img == nil {
+			return nil, nil
+		}
+		if img.sec == sec {
+			return img.head, img.body
+		}
+		head := append([]byte(nil), img.head...)
+		copy(head[e.dateOff:e.dateOff+dateLen], httpproto.FormatHTTPDate(now))
+		// A racing rollover publishes an equivalent image; either serves.
+		if e.cur.CompareAndSwap(img, &headImage{sec: sec, head: head, body: img.body}) {
+			return head, img.body
+		}
 	}
-	head := append([]byte(nil), img.head...)
-	copy(head[e.dateOff:e.dateOff+dateLen], httpproto.FormatHTTPDate(now))
-	next := &headImage{sec: sec, head: head}
-	// A racing rollover publishes an equivalent image; last store wins.
-	e.cur.Store(next)
-	return head
 }
+
+// remove drops the entry's image, so a Ref still naming the entry holds
+// no bytes and looks its key up again.
+func (e *entry) remove() { e.cur.Store(nil) }
 
 type shard struct {
 	mu      sync.Mutex
@@ -92,8 +114,9 @@ type shard struct {
 }
 
 // Cache is the sharded rendered-response cache. It is safe for
-// concurrent use; the hot Probe path takes one shard mutex and
-// performs no allocation within a wall-clock second.
+// concurrent use; the hot Probe path takes at most one shard mutex (none
+// through a live Ref) and performs no allocation within a wall-clock
+// second.
 type Cache struct {
 	shards []*shard
 	mask   uint32
@@ -160,20 +183,36 @@ const (
 	Hit
 )
 
-// Probe looks key up in one shard-lock trip and tells a fresh entry from
-// a stale or missing one. Only a Hit returns the pre-encoded head and
-// body; the slices are shared and must not be modified, and the head's
-// Date field is current for the calling second.
-func (c *Cache) Probe(key string) (head, body []byte, st State) {
-	return c.probeAt(key, time.Now())
+// Ref memoizes the entry a key last resolved to, for a caller that
+// probes the same key repeatedly. The zero Ref is empty. A Ref is not
+// safe for concurrent use; each caller keeps its own.
+type Ref struct {
+	key string
+	e   *entry
 }
 
-func (c *Cache) probeAt(key string, now time.Time) (head, body []byte, st State) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, found := s.entries[key]
-	s.mu.Unlock()
-	if !found {
+// Probe looks key up and tells a fresh entry from a stale or missing one.
+// When ref names a live entry for key, the lookup is that entry;
+// otherwise it is one shard-lock trip, whose result ref remembers. Only
+// a Hit returns the pre-encoded head and body; the slices are shared and
+// must not be modified, and the head's Date field is current for the
+// calling second.
+func (c *Cache) Probe(key string, ref *Ref) (head, body []byte, st State) {
+	return c.probeAt(key, ref, time.Now())
+}
+
+func (c *Cache) probeAt(key string, ref *Ref, now time.Time) (head, body []byte, st State) {
+	var e *entry
+	if ref.key == key && ref.e != nil && ref.e.cur.Load() != nil {
+		e = ref.e
+	} else {
+		s := c.shardFor(key)
+		s.mu.Lock()
+		e = s.entries[key]
+		s.mu.Unlock()
+		ref.key, ref.e = key, e
+	}
+	if e == nil {
 		c.misses.Add(1)
 		return nil, nil, Miss
 	}
@@ -181,8 +220,13 @@ func (c *Cache) probeAt(key string, now time.Time) (head, body []byte, st State)
 		c.stale.Add(1)
 		return nil, nil, Stale
 	}
+	if head, body = e.rendered(now); head == nil {
+		// Removed since the lookup: as good as never found.
+		c.misses.Add(1)
+		return nil, nil, Miss
+	}
 	c.hits.Add(1)
-	return e.rendered(now), e.body, Hit
+	return head, body, Hit
 }
 
 // Store records the rendered response for key. head must be a complete
@@ -208,15 +252,17 @@ func (c *Cache) storeAt(key string, head, body []byte, modTime time.Time, size i
 	// date for now so the published image's sec claim is truthful.
 	copy(head[off:off+dateLen], httpproto.FormatHTTPDate(now))
 	e := &entry{
-		body:    body,
 		dateOff: off,
 		modTime: modTime.UnixNano(),
 		size:    size,
 	}
 	e.verified.Store(now.UnixNano())
-	e.cur.Store(&headImage{sec: now.Unix(), head: head})
+	e.cur.Store(&headImage{sec: now.Unix(), head: head, body: body})
 	s := c.shardFor(key)
 	s.mu.Lock()
+	if old := s.entries[key]; old != nil {
+		old.remove()
+	}
 	s.entries[key] = e
 	s.mu.Unlock()
 }
@@ -243,9 +289,12 @@ func (c *Cache) Revalidate(key string, modTime time.Time, size int64) (head, bod
 	if e == nil {
 		return nil, nil, dropped
 	}
+	if head, body = e.rendered(now); head == nil {
+		return nil, nil, false
+	}
 	c.hits.Add(1)
 	c.revalidated.Add(1)
-	return e.rendered(now), e.body, false
+	return head, body, false
 }
 
 // confirm is the one shard-lock trip behind Confirm and Revalidate: it
@@ -257,6 +306,7 @@ func (c *Cache) confirm(key string, modTime time.Time, size int64, now time.Time
 	e, ok := s.entries[key]
 	if ok && (e.modTime != modTime.UnixNano() || e.size != size) {
 		delete(s.entries, key)
+		e.remove()
 		s.mu.Unlock()
 		c.invalidations.Add(1)
 		return nil, true
@@ -273,9 +323,10 @@ func (c *Cache) confirm(key string, modTime time.Time, size int64, now time.Time
 func (c *Cache) Invalidate(key string) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	_, ok := s.entries[key]
+	e, ok := s.entries[key]
 	if ok {
 		delete(s.entries, key)
+		e.remove()
 	}
 	s.mu.Unlock()
 	if ok {

@@ -31,7 +31,7 @@ func TestStoreLookupRoundTrip(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/index.html", renderHead(body, mt), body, mt, int64(len(body)), now)
 
-	head, got, st := c.probeAt("/index.html", now)
+	head, got, st := c.probeAt("/index.html", new(Ref), now)
 	if st != Hit {
 		t.Fatal("fresh entry did not hit")
 	}
@@ -60,7 +60,7 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 9, 30, 15, 100e6, time.UTC)
 	c.storeAt("/doc", renderHead(body, mt), body, mt, int64(len(body)), t0)
 
-	headAtT0, _, st := c.probeAt("/doc", t0)
+	headAtT0, _, st := c.probeAt("/doc", new(Ref), t0)
 	if st != Hit {
 		t.Fatal("miss at T")
 	}
@@ -70,7 +70,7 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	}
 
 	t1 := t0.Add(time.Second) // crosses the wall-clock second boundary
-	headAtT1, _, st := c.probeAt("/doc", t1)
+	headAtT1, _, st := c.probeAt("/doc", new(Ref), t1)
 	if st != Hit {
 		t.Fatal("miss at T+1")
 	}
@@ -88,7 +88,7 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	}
 
 	// Within one second the image is shared, not re-copied.
-	again, _, _ := c.probeAt("/doc", t1.Add(200*time.Millisecond))
+	again, _, _ := c.probeAt("/doc", new(Ref), t1.Add(200*time.Millisecond))
 	if &again[0] != &headAtT1[0] {
 		t.Fatal("same-second lookups did not share one head image")
 	}
@@ -101,10 +101,10 @@ func TestRevalidateWindow(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/a", renderHead(body, mt), body, mt, 1, now)
 
-	if _, _, st := c.probeAt("/a", now.Add(40*time.Millisecond)); st != Hit {
+	if _, _, st := c.probeAt("/a", new(Ref), now.Add(40*time.Millisecond)); st != Hit {
 		t.Fatal("entry inside the window missed")
 	}
-	if _, _, st := c.probeAt("/a", now.Add(60*time.Millisecond)); st != Stale {
+	if _, _, st := c.probeAt("/a", new(Ref), now.Add(60*time.Millisecond)); st != Stale {
 		t.Fatal("entry outside the window served without revalidation")
 	}
 	if st := c.Stats(); st.Stale != 1 {
@@ -115,7 +115,7 @@ func TestRevalidateWindow(t *testing.T) {
 	if dropped := c.Confirm("/a", mt, 1); dropped {
 		t.Fatal("matching Confirm dropped the entry")
 	}
-	if _, _, st := c.Probe("/a"); st != Hit {
+	if _, _, st := c.Probe("/a", new(Ref)); st != Hit {
 		t.Fatal("confirmed entry missed")
 	}
 
@@ -124,7 +124,7 @@ func TestRevalidateWindow(t *testing.T) {
 	if dropped := c.Confirm("/a", mt.Add(time.Second), 1); !dropped {
 		t.Fatal("mismatching Confirm kept the entry")
 	}
-	if _, _, st := c.Probe("/a"); st != Miss {
+	if _, _, st := c.Probe("/a", new(Ref)); st != Miss {
 		t.Fatal("dropped entry still served")
 	}
 }
@@ -139,17 +139,17 @@ func TestRevalidateServesConfirmedEntry(t *testing.T) {
 	mt := time.Unix(1_000_000, 0)
 	c.storeAt("/a", renderHead(body, mt), body, mt, 3, time.Now().Add(-time.Second))
 
-	if _, _, st := c.Probe("/missing"); st != Miss {
+	if _, _, st := c.Probe("/missing", new(Ref)); st != Miss {
 		t.Fatalf("missing key probed %v, want Miss", st)
 	}
-	if head, _, st := c.Probe("/a"); st != Stale || head != nil {
+	if head, _, st := c.Probe("/a", new(Ref)); st != Stale || head != nil {
 		t.Fatalf("entry past the window probed %v (head %q), want Stale and no bytes", st, head)
 	}
 	head, got, dropped := c.Revalidate("/a", mt, 3)
 	if dropped || head == nil || !bytes.Equal(got, body) {
 		t.Fatalf("matching Revalidate: head %q body %q dropped %v", head, got, dropped)
 	}
-	if _, _, st := c.Probe("/a"); st != Hit {
+	if _, _, st := c.Probe("/a", new(Ref)); st != Hit {
 		t.Fatalf("revalidated entry probed %v, want Hit (window restarted)", st)
 	}
 	if st := c.Stats(); st.Hits != 2 || st.Revalidated != 1 || st.Stale != 1 || st.Misses != 1 {
@@ -191,7 +191,7 @@ func TestRevalidateConcurrentRevisions(t *testing.T) {
 				case 2:
 					c.Invalidate("/k")
 				}
-				c.Probe("/k")
+				c.Probe("/k", new(Ref))
 				if head, got, _ := c.Revalidate("/k", mt, int64(rev)); head != nil && !bytes.Equal(got, body(rev)) {
 					t.Errorf("Revalidate for revision %d returned %q", rev, got)
 					return
@@ -208,7 +208,7 @@ func TestInvalidate(t *testing.T) {
 	mt := time.Unix(1, 0)
 	c.Store("/a", renderHead(body, mt), body, mt, 1)
 	c.Invalidate("/a")
-	if _, _, st := c.Probe("/a"); st != Miss {
+	if _, _, st := c.Probe("/a", new(Ref)); st != Miss {
 		t.Fatal("invalidated entry still served")
 	}
 	c.Invalidate("/missing") // no-op, no counter bump
@@ -232,11 +232,134 @@ func TestSameSecondLookupAllocFree(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/hot", renderHead(body, mt), body, mt, int64(len(body)), now)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, st := c.probeAt("/hot", now); st != Hit {
+		if _, _, st := c.probeAt("/hot", new(Ref), now); st != Hit {
 			t.Fatal("hot entry missed")
 		}
 	})
 	if allocs > 0 {
 		t.Fatalf("same-second lookup allocates: %.1f allocs/op", allocs)
+	}
+}
+
+// TestRefSkipsTheMapWhileAlive probes through a Ref with the key's shard
+// mutex held by the test: a live memoized entry is served without the
+// lock, allocation-free, and it is the entry the map holds.
+func TestRefSkipsTheMapWhileAlive(t *testing.T) {
+	c := New(4, time.Hour)
+	body := []byte("hot")
+	mt := time.Unix(1_000_000, 0)
+	c.Store("/hot", renderHead(body, mt), body, mt, 3)
+	var ref Ref
+	if _, _, st := c.Probe("/hot", &ref); st != Hit || ref.e == nil {
+		t.Fatalf("first probe: %v, memo %v", st, ref.e)
+	}
+	s := c.shardFor("/hot")
+	s.mu.Lock()
+	done := make(chan State, 1)
+	go func() {
+		_, got, st := c.Probe("/hot", &ref)
+		if !bytes.Equal(got, body) {
+			st = Miss
+		}
+		done <- st
+	}()
+	select {
+	case st := <-done:
+		if st != Hit {
+			t.Fatalf("memoized probe: %v, want Hit with the stored body", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a probe through a live Ref waited on the shard mutex")
+	}
+	s.mu.Unlock()
+	now := time.Now()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, st := c.probeAt("/hot", &ref, now); st != Hit {
+			t.Fatal("memoized entry missed")
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("memoized probe allocates: %.1f allocs/op", allocs)
+	}
+}
+
+// TestRefAfterRemoval memoizes an entry, removes it each way the cache
+// removes entries, and checks that the memoized entry holds no head or
+// body any more and that a Probe through the stale Ref looks the key up
+// again: a miss, or the replacing revision.
+func TestRefAfterRemoval(t *testing.T) {
+	mt := time.Unix(1_000_000, 0)
+	old, fresh := []byte("old"), []byte("fresh")
+	for _, tc := range []struct {
+		name   string
+		remove func(c *Cache)
+		want   State
+	}{
+		{"Invalidate", func(c *Cache) { c.Invalidate("/a") }, Miss},
+		{"Confirm mismatch", func(c *Cache) { c.Confirm("/a", mt.Add(time.Second), 3) }, Miss},
+		{"Revalidate mismatch", func(c *Cache) { c.Revalidate("/a", mt, 4) }, Miss},
+		{"Store replace", func(c *Cache) {
+			c.Store("/a", renderHead(fresh, mt), fresh, mt.Add(time.Second), int64(len(fresh)))
+		}, Hit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(1, time.Hour)
+			c.Store("/a", renderHead(old, mt), old, mt, int64(len(old)))
+			var ref Ref
+			if _, got, st := c.Probe("/a", &ref); st != Hit || !bytes.Equal(got, old) {
+				t.Fatalf("first probe: %v %q", st, got)
+			}
+			memo := ref.e
+			tc.remove(c)
+			if img := memo.cur.Load(); img != nil {
+				t.Fatalf("removed entry still holds head %q and body %q", img.head, img.body)
+			}
+			_, got, st := c.Probe("/a", &ref)
+			if st != tc.want {
+				t.Fatalf("probe through the stale Ref: %v, want %v", st, tc.want)
+			}
+			if st == Hit && !bytes.Equal(got, fresh) {
+				t.Fatalf("probe through the stale Ref served %q, want %q", got, fresh)
+			}
+			if ref.e == memo {
+				t.Fatal("the Ref still names the removed entry")
+			}
+		})
+	}
+}
+
+// TestRolloverNeverRevivesRemoved races Date rollovers on a memoized
+// entry against its removal: once Invalidate returns, the entry's image
+// stays nil.
+func TestRolloverNeverRevivesRemoved(t *testing.T) {
+	mt := time.Unix(1_000_000, 0)
+	body := []byte("x")
+	t0 := time.Now()
+	for i := 0; i < 200; i++ {
+		c := New(1, time.Hour)
+		c.storeAt("/a", renderHead(body, mt), body, mt, 1, t0)
+		var ref Ref
+		c.probeAt("/a", &ref, t0)
+		memo := ref.e
+		var wg sync.WaitGroup
+		started := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 1; s <= 1000; s++ {
+				if head, _ := memo.rendered(t0.Add(time.Duration(s) * time.Second)); head == nil {
+					return
+				}
+				if s == 1 {
+					close(started)
+				}
+			}
+		}()
+		<-started
+		c.Invalidate("/a")
+		wg.Wait()
+		if memo.cur.Load() != nil {
+			t.Fatal("a rollover republished the image of a removed entry")
+		}
 	}
 }
