@@ -21,34 +21,48 @@ vet:
 	unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || exit 1; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
+# $(call repeat,COUNT,PACKAGE,PATTERN) runs the tests PATTERN selects in
+# PACKAGE COUNT times. It first checks with `go test -list` that every
+# `|` alternative of PATTERN names at least one test there, and fails
+# otherwise: a renamed or deleted test would make the line a silent
+# "no tests to run".
+define repeat
+	@listed=$$($(GO) test -list '.' $(2)) || exit 1; \
+	for alt in $$(echo '$(3)' | tr '|' ' '); do \
+		echo "$$listed" | grep -E '^(Test|Example|Fuzz)' | grep -qE -- "$$alt" || \
+			{ echo "make test: -run alternative $$alt names no test in $(2)"; exit 1; }; \
+	done
+	$(GO) test -count=$(1) -run '$(3)' $(2)
+endef
+
 test: vet chaos
 	$(GO) test ./...
 	# Chunk order on the default read path: a reorder between two event
 	# workers is a timing flake, so one run can miss it.
-	$(GO) test -count=50 -run 'TestLargeRequestAcrossManyChunks|TestPipelinedBurstKeepsChunkOrder' ./internal/nserver
+	$(call repeat,50,./internal/nserver,TestLargeRequestAcrossManyChunks|TestPipelinedBurstKeepsChunkOrder)
 	# Reply order on the wire, for the same reason: pipelined replies that
 	# complete out of order must still leave in request order.
-	$(GO) test -count=20 -run 'TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow' ./internal/copshttp
+	$(call repeat,20,./internal/copshttp,TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow)
 	# The same for COPS-FTP: a command pipelined behind a transfer must be
 	# answered after the data connection's closing reply.
-	$(GO) test -count=20 -run 'TestPipelinedCommandWaitsForTransferReply' ./internal/copsftp
+	$(call repeat,20,./internal/copsftp,TestPipelinedCommandWaitsForTransferReply)
 	# A peer's EOF races the drain of what it sent before it: every reply
 	# must still leave, then the close (half-closed HTTP clients, directly
 	# and through the cluster tier; FTP data connections, whose uploads
 	# end at the peer's EOF and whose 226/426 come from their close).
-	$(GO) test -count=20 -run 'TestEOFDrainsQueuedRequests|TestAttachRunsItsOwnHooks' ./internal/nserver
-	$(GO) test -count=20 -run 'TestHalfCloseRepliesThenEOF' ./internal/copshttp
-	$(GO) test -count=20 -run 'TestHalfCloseThroughBalancer' ./internal/cluster
-	$(GO) test -count=20 -run 'TestStorResetAnswers426|TestStalledDataConnection|TestPasvAdvertisesControlAddress|TestPortRefusesThirdPartyHost|TestStorUpload|TestRetrPassive|TestActiveModePort' ./internal/copsftp
+	$(call repeat,20,./internal/nserver,TestEOFDrainsQueuedRequests|TestAttachRunsItsOwnHooks)
+	$(call repeat,20,./internal/copshttp,TestHalfCloseRepliesThenEOF)
+	$(call repeat,20,./internal/cluster,TestHalfCloseThroughBalancer)
+	$(call repeat,20,./internal/copsftp,TestStorResetAnswers426|TestStalledDataConnection|TestPasvAdvertisesControlAddress|TestPortRefusesThirdPartyHost|TestStorUpload|TestRetrPassive|TestActiveModePort)
 	# Reader reuse: a reader whose idle wait is running out races attach's
 	# hand-off, and a teardown's goroutine baseline must still hold with
 	# readers outliving their connections; one run can miss either.
-	$(GO) test -count=20 -run 'TestReaderReusedAcrossSequentialConns|TestIdleReadersExit|TestShutdownEndsIdleReaders|TestTeardownReleasesQueuedChunks' ./internal/nserver
+	$(call repeat,20,./internal/nserver,TestReaderReusedAcrossSequentialConns|TestIdleReadersExit|TestShutdownEndsIdleReaders|TestTeardownReleasesQueuedChunks)
 	# Shutdown against teardown: a teardown submits its close event
 	# straight into the processors Shutdown is draining, and a connection
 	# accepted just before Shutdown must be swept or refused, never
 	# attached after the sweep; one run can miss either interleaving.
-	$(GO) test -count=20 -run 'TestShutdownRefusesLateAttach|TestShutdownRacesReadLoopsAndScavenger' ./internal/nserver
+	$(call repeat,20,./internal/nserver,TestShutdownRefusesLateAttach|TestShutdownRacesReadLoopsAndScavenger)
 	# The sharded runtime must degenerate cleanly on one core: the shard
 	# loops, work stealing, the fan-out accept path and the O9 admission
 	# gate re-run serialized.

@@ -60,9 +60,6 @@ type Config struct {
 	// trivial mechanism), compared against the acceptor's own live count
 	// (see Live): the server reports each teardown with ConnClosed.
 	MaxConns int
-	// GatePollInterval is how often a postponed acceptor re-checks the
-	// gate. Zero means 1ms.
-	GatePollInterval time.Duration
 	// Shed, when non-nil, switches overload handling from postponing to
 	// load shedding: connections arriving while the gate is closed (or
 	// the MaxConns bound is hit) are accepted and handed to Shed — which
@@ -85,7 +82,6 @@ type Acceptor struct {
 	pgate    PriorityGate
 	maxConns int
 	shed     func(net.Conn)
-	poll     time.Duration
 	profile  *profiling.Profile
 	trace    *logging.Trace
 	done     chan struct{}
@@ -103,10 +99,6 @@ func New(cfg Config) (*Acceptor, error) {
 	if cfg.Reactor == nil {
 		return nil, errors.New("acceptor: reactor required")
 	}
-	poll := cfg.GatePollInterval
-	if poll <= 0 {
-		poll = time.Millisecond
-	}
 	pgate, _ := cfg.Gate.(PriorityGate)
 	return &Acceptor{
 		ln:       cfg.Listener,
@@ -116,7 +108,6 @@ func New(cfg Config) (*Acceptor, error) {
 		pgate:    pgate,
 		maxConns: cfg.MaxConns,
 		shed:     cfg.Shed,
-		poll:     poll,
 		profile:  cfg.Profile,
 		trace:    cfg.Trace,
 		done:     make(chan struct{}),
@@ -130,8 +121,9 @@ func (a *Acceptor) Handle() reactor.Handle { return a.handle }
 // Addr returns the listening address.
 func (a *Acceptor) Addr() net.Addr { return a.ln.Addr() }
 
-// Deferred returns how many times accepting was postponed by the gate or
-// the connection bound (each pause-interval counts once).
+// Deferred returns how many accepts the gate or the connection bound held
+// up: without a Shed hook each postponed accept counts once, however many
+// gate polls it waits; with one, each shed connection counts once.
 func (a *Acceptor) Deferred() uint64 { return a.deferred.Load() }
 
 // Run accepts connections until Close, emitting one AcceptReady event per
@@ -184,21 +176,26 @@ func (a *Acceptor) Run() {
 	}
 }
 
-// admissible blocks while overload control postpones accepting; it
-// returns false when the acceptor is closed.
+// gatePoll is how often a postponed acceptor re-checks the gate.
+const gatePoll = time.Millisecond
+
+// admissible blocks while overload control postpones accepting, counting
+// the postponed accept once; it returns false when the acceptor is closed.
 func (a *Acceptor) admissible() bool {
-	for {
+	for postponed := false; ; postponed = true {
 		if a.closed.Load() {
 			return false
 		}
 		if a.admissibleNow() {
 			return true
 		}
-		a.deferred.Add(1)
+		if !postponed {
+			a.deferred.Add(1)
+		}
 		select {
 		case <-a.done:
 			return false
-		case <-time.After(a.poll):
+		case <-time.After(gatePoll):
 		}
 	}
 }

@@ -86,10 +86,7 @@ func TestGatePostponesAccepts(t *testing.T) {
 	r := newReactor(t)
 	ln := listen(t)
 	gate := &boolGate{}
-	a, err := New(Config{
-		Listener: ln, Reactor: r, Gate: gate,
-		GatePollInterval: time.Millisecond,
-	})
+	a, err := New(Config{Listener: ln, Reactor: r, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +123,94 @@ func TestGatePostponesAccepts(t *testing.T) {
 	}
 }
 
+// TestDeferredCountsOncePerPostponedAccept holds the gate shut for about
+// 50 gate polls with one dial waiting in the backlog: the postponed accept
+// counts once, not once per poll.
+func TestDeferredCountsOncePerPostponedAccept(t *testing.T) {
+	r := newReactor(t)
+	ln := listen(t)
+	gate := &boolGate{}
+	a, err := New(Config{Listener: ln, Reactor: r, Gate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan struct{}, 1)
+	r.Register(a.Handle(), reactor.HandlerFunc(func(rd reactor.Ready) {
+		rd.Data.(net.Conn).Close()
+		accepted <- struct{}{}
+	}))
+	r.Run()
+	defer r.Stop()
+	go a.Run()
+	defer a.Close()
+
+	client, err := net.Dial("tcp", a.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	time.Sleep(50 * time.Millisecond)
+	gate.open.Store(true)
+	select {
+	case <-accepted:
+	case <-time.After(2 * time.Second):
+		t.Fatal("never accepted after gate opened")
+	}
+	if got := a.Deferred(); got != 1 {
+		t.Errorf("Deferred() = %d after one postponed accept, want 1", got)
+	}
+}
+
+// TestShedCountsRefusals: with a Shed hook a closed gate accepts and sheds
+// instead of postponing, and each shed connection counts once as deferred
+// and once as refused in the profile.
+func TestShedCountsRefusals(t *testing.T) {
+	r := newReactor(t)
+	ln := listen(t)
+	prof := profiling.New()
+	shed := make(chan net.Conn, 2)
+	a, err := New(Config{
+		Listener: ln, Reactor: r, Gate: &boolGate{}, Profile: prof,
+		Shed: func(c net.Conn) { c.Close(); shed <- c },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Register(a.Handle(), reactor.HandlerFunc(func(rd reactor.Ready) {
+		t.Error("connection attached while the gate is closed")
+		rd.Data.(net.Conn).Close()
+	}))
+	r.Run()
+	defer r.Stop()
+	go a.Run()
+	defer a.Close()
+
+	for i := 0; i < 2; i++ {
+		client, err := net.Dial("tcp", a.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		select {
+		case <-shed:
+		case <-time.After(2 * time.Second):
+			t.Fatal("connection not shed while the gate is closed")
+		}
+	}
+	if got := prof.Snapshot().ConnectionsRefused; got != 2 {
+		t.Errorf("refused = %d, want 2", got)
+	}
+	if got := a.Deferred(); got != 2 {
+		t.Errorf("Deferred() = %d, want 2", got)
+	}
+}
+
 func TestMaxConnsBound(t *testing.T) {
 	r := newReactor(t)
 	ln := listen(t)
 	a, err := New(Config{
 		Listener: ln, Reactor: r,
-		MaxConns:         1,
-		GatePollInterval: time.Millisecond,
+		MaxConns: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +289,7 @@ func TestCloseWhilePostponed(t *testing.T) {
 	r := newReactor(t)
 	ln := listen(t)
 	gate := &boolGate{} // stays closed
-	a, err := New(Config{Listener: ln, Reactor: r, Gate: gate,
-		GatePollInterval: 10 * time.Millisecond})
+	a, err := New(Config{Listener: ln, Reactor: r, Gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

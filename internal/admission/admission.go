@@ -44,22 +44,37 @@ type Gate interface {
 	AcceptAllowed() bool
 }
 
+// The control law's constants. DESIGN §11 documents them, and nsgen
+// emits the same values into an O9 framework's admission limiter.
+const (
+	// MinLimit is the floor multiplicative decreases stop at.
+	MinLimit = 4
+	// Tolerance is the multiplicative headroom over the no-load baseline
+	// before the limiter treats a queue-wait sample stream as congestion
+	// (shed when recent > baseline*Tolerance+Slack).
+	Tolerance = 2.0
+	// Slack absorbs scheduler jitter when the baseline is near zero.
+	Slack = time.Millisecond
+	// DecreaseInterval rate-limits multiplicative decreases so a burst of
+	// congested samples cuts the limit once, not once per sample.
+	DecreaseInterval = 100 * time.Millisecond
+	// DecreaseFactor is the multiplicative decrease applied to the limit
+	// on congestion.
+	DecreaseFactor = 0.7
+	// RecoveryInterval is the additive-raise clock for the no-sample
+	// case: if no queue-wait sample arrives for this long, AcceptAllowed
+	// raises the limit so shedding cannot latch.
+	RecoveryInterval = 250 * time.Millisecond
+)
+
 // Config parameterizes a Limiter. The zero value of every field is
 // replaced by a sensible default in New; only Inflight is genuinely
 // required for the limit to bind.
 type Config struct {
-	// MinLimit and MaxLimit bound the concurrency limit AIMD moves
-	// between. Defaults 4 and 1024. The limit starts at MaxLimit, so an
+	// MaxLimit bounds the concurrency limit from above (default 1024;
+	// never below MinLimit). The limit starts at MaxLimit, so an
 	// uncongested server behaves exactly like the static configuration.
-	MinLimit int
 	MaxLimit int
-	// Tolerance is the multiplicative headroom over the no-load baseline
-	// before the limiter treats a queue-wait sample stream as congestion
-	// (shed when recent > baseline*Tolerance+Slack). Default 2.0.
-	Tolerance float64
-	// Slack absorbs scheduler jitter when the baseline is near zero.
-	// Default 1ms.
-	Slack time.Duration
 	// Inflight reports the current active connection count the limit is
 	// compared against (the server's ActiveConns). nil never limits.
 	Inflight func() int
@@ -72,17 +87,6 @@ type Config struct {
 	// Classify maps a not-yet-attached connection to its shed priority
 	// level. nil marks every connection lowest-priority (all sheddable).
 	Classify func(net.Conn) int
-	// DecreaseInterval rate-limits multiplicative decreases so a burst of
-	// congested samples cuts the limit once, not once per sample.
-	// Default 100ms.
-	DecreaseInterval time.Duration
-	// DecreaseFactor is the multiplicative decrease applied to the limit
-	// on congestion (0 < factor < 1). Default 0.7.
-	DecreaseFactor float64
-	// RecoveryInterval is the additive-raise clock for the no-sample
-	// case: if no queue-wait sample arrives for this long, AcceptAllowed
-	// raises the limit so shedding cannot latch. Default 250ms.
-	RecoveryInterval time.Duration
 
 	// now is the test clock; nil means time.Now.
 	now func() time.Time
@@ -136,32 +140,14 @@ type Limiter struct {
 
 // New builds a Limiter, filling defaulted Config fields.
 func New(cfg Config) *Limiter {
-	if cfg.MinLimit <= 0 {
-		cfg.MinLimit = 4
-	}
 	if cfg.MaxLimit <= 0 {
 		cfg.MaxLimit = 1024
 	}
-	if cfg.MaxLimit < cfg.MinLimit {
-		cfg.MaxLimit = cfg.MinLimit
-	}
-	if cfg.Tolerance <= 1 {
-		cfg.Tolerance = 2.0
-	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = time.Millisecond
+	if cfg.MaxLimit < MinLimit {
+		cfg.MaxLimit = MinLimit
 	}
 	if cfg.Levels < 1 {
 		cfg.Levels = 1
-	}
-	if cfg.DecreaseInterval <= 0 {
-		cfg.DecreaseInterval = 100 * time.Millisecond
-	}
-	if cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1 {
-		cfg.DecreaseFactor = 0.7
-	}
-	if cfg.RecoveryInterval <= 0 {
-		cfg.RecoveryInterval = 250 * time.Millisecond
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -198,10 +184,10 @@ func (l *Limiter) Observe(wait time.Duration) {
 	} else {
 		l.baseline += 0.002 * (s - l.baseline)
 	}
-	if l.recent > l.baseline*l.cfg.Tolerance+float64(l.cfg.Slack) {
-		if now.Sub(l.lastDecrease) >= l.cfg.DecreaseInterval {
+	if l.recent > l.baseline*Tolerance+float64(Slack) {
+		if now.Sub(l.lastDecrease) >= DecreaseInterval {
 			l.lastDecrease = now
-			cut := int64(float64(l.limit.Load()) * l.cfg.DecreaseFactor)
+			cut := int64(float64(l.limit.Load()) * DecreaseFactor)
 			l.setLimitLocked(cut, now)
 		}
 		return
@@ -212,8 +198,8 @@ func (l *Limiter) Observe(wait time.Duration) {
 // setLimitLocked clamps and stores a new limit and maintains the
 // engaged-since stamp. Caller holds l.mu.
 func (l *Limiter) setLimitLocked(v int64, now time.Time) {
-	if v < int64(l.cfg.MinLimit) {
-		v = int64(l.cfg.MinLimit)
+	if v < MinLimit {
+		v = MinLimit
 	}
 	if v >= int64(l.cfg.MaxLimit) {
 		v = int64(l.cfg.MaxLimit)
@@ -242,8 +228,8 @@ func (l *Limiter) AcceptAllowed() bool {
 func (l *Limiter) maybeRecover() {
 	now := l.cfg.now()
 	l.mu.Lock()
-	if now.Sub(l.lastSample) >= l.cfg.RecoveryInterval &&
-		now.Sub(l.lastRecovery) >= l.cfg.RecoveryInterval {
+	if now.Sub(l.lastSample) >= RecoveryInterval &&
+		now.Sub(l.lastRecovery) >= RecoveryInterval {
 		l.lastRecovery = now
 		cur := l.limit.Load()
 		step := cur / 8

@@ -55,8 +55,8 @@ func congest(t *testing.T, l *Limiter, clk *fakeClock) {
 	}
 	// Park the recovery clock so it cannot fire mid-assertion.
 	l.Observe(100 * time.Millisecond)
-	if got := l.Limit(); got != l.cfg.MinLimit {
-		t.Fatalf("limit %d after congestion, want MinLimit %d", got, l.cfg.MinLimit)
+	if got := l.Limit(); got != MinLimit {
+		t.Fatalf("limit %d after congestion, want MinLimit %d", got, MinLimit)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestLimiterStartsWideOpen(t *testing.T) {
 // limit additively, a congested wait stream cuts it multiplicatively,
 // and returning to baseline waits recovers it.
 func TestLimiterAIMD(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{MinLimit: 4, MaxLimit: 100, Inflight: func() int { return 0 }})
+	l, clk := newTestLimiter(t, Config{MaxLimit: 100, Inflight: func() int { return 0 }})
 
 	// Establish the no-load baseline around 1ms.
 	for i := 0; i < 50; i++ {
@@ -123,7 +123,7 @@ func TestLimiterAIMD(t *testing.T) {
 // in-flight connections reach the limit.
 func TestLimiterBoundsAdmissionByInflight(t *testing.T) {
 	inflight := 0
-	l, clk := newTestLimiter(t, Config{MinLimit: 4, MaxLimit: 10, Inflight: func() int { return inflight }})
+	l, clk := newTestLimiter(t, Config{MaxLimit: 10, Inflight: func() int { return inflight }})
 	congest(t, l, clk)
 	inflight = 3
 	if !l.AcceptAllowed() {
@@ -139,7 +139,7 @@ func TestLimiterBoundsAdmissionByInflight(t *testing.T) {
 // queue-wait samples; the recovery clock alone must reopen admission.
 func TestLimiterRecoversWithoutSamples(t *testing.T) {
 	inflight := 0
-	l, clk := newTestLimiter(t, Config{MinLimit: 4, MaxLimit: 200, Inflight: func() int { return inflight }})
+	l, clk := newTestLimiter(t, Config{MaxLimit: 200, Inflight: func() int { return inflight }})
 	congest(t, l, clk)
 	inflight = 100
 	if l.AcceptAllowed() {
@@ -226,20 +226,20 @@ func TestUnclassifiedConnectionsFullyShed(t *testing.T) {
 func TestShedFloorTightensWithOvershoot(t *testing.T) {
 	inflight := 0
 	l, clk := newTestLimiter(t, Config{
-		MinLimit: 10, MaxLimit: 20,
+		MaxLimit: 20,
 		Levels:   4,
 		Inflight: func() int { return inflight },
 		Classify: func(c net.Conn) int { return c.(*fakeConn).tag },
 	})
 	congest(t, l, clk)
-	inflight = 10 // no overshoot: only the lowest level sheds
+	inflight = MinLimit // no overshoot: only the lowest level sheds
 	if !l.AdmitOverloaded(&fakeConn{tag: 2}) {
 		t.Error("mid level shed at zero overshoot")
 	}
 	if l.AdmitOverloaded(&fakeConn{tag: 3}) {
 		t.Error("lowest level admitted during overload")
 	}
-	inflight = 20 // 100% overshoot: only level 0 still flows
+	inflight = 2 * MinLimit // 100% overshoot: only level 0 still flows
 	if !l.AdmitOverloaded(&fakeConn{tag: 0}) {
 		t.Error("level 0 shed")
 	}
@@ -251,7 +251,7 @@ func TestShedFloorTightensWithOvershoot(t *testing.T) {
 // TestRetryAfterGrowsWithOverloadDuration: the backoff horizon starts at
 // the 1s floor and doubles with time spent engaged, clamped at 60s.
 func TestRetryAfterGrowsWithOverloadDuration(t *testing.T) {
-	l, clk := newTestLimiter(t, Config{MinLimit: 4, MaxLimit: 100})
+	l, clk := newTestLimiter(t, Config{MaxLimit: 100})
 	if got := l.RetryAfter(); got != time.Second {
 		t.Fatalf("disengaged RetryAfter %v, want 1s", got)
 	}
@@ -279,7 +279,7 @@ func TestSnapshotCountersMonotonicUnderConcurrency(t *testing.T) {
 	inflight := 50
 	l, _ := newTestLimiter(t, Config{
 		Levels:   2,
-		MinLimit: 4, MaxLimit: 64,
+		MaxLimit: 64,
 		Inflight: func() int { return inflight },
 		Classify: func(c net.Conn) int { return c.(*fakeConn).tag },
 	})

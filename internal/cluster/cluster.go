@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/logging"
 	"repro/internal/profiling"
 )
 
@@ -83,8 +82,6 @@ type Config struct {
 	Seed int64
 	// Profile counts accepted/forwarded connections (nil disables).
 	Profile *profiling.Profile
-	// Trace receives internal events (nil disables).
-	Trace *logging.Trace
 }
 
 // backoffMax caps the circuit breaker's exponential backoff (raised to
@@ -98,7 +95,6 @@ type Balancer struct {
 	backoffBase  time.Duration
 	drainTimeout time.Duration
 	profile      *profiling.Profile
-	trace        *logging.Trace
 
 	backends []*backend
 	next     atomic.Uint64
@@ -183,7 +179,6 @@ func New(cfg Config) (*Balancer, error) {
 		rng:          rand.New(rand.NewSource(seed)),
 		inflight:     make(map[net.Conn]struct{}),
 		profile:      cfg.Profile,
-		trace:        cfg.Trace,
 	}
 	b.stop, b.cancel = context.WithCancel(context.Background())
 	for _, addr := range cfg.Backends {
@@ -249,12 +244,10 @@ func (b *Balancer) Shutdown() {
 	case <-done:
 	case <-time.After(b.drainTimeout):
 		b.connMu.Lock()
-		n := len(b.inflight)
 		for c := range b.inflight {
 			c.Close()
 		}
 		b.connMu.Unlock()
-		b.trace.Record("cluster", "drain timeout: force-closed %d connections", n)
 		<-done
 	}
 }
@@ -357,7 +350,6 @@ func (b *Balancer) forward(client net.Conn) {
 	defer client.Close()
 	be, upstream, err := b.connect()
 	if err != nil {
-		b.trace.Record("cluster", "dropping %s: %v", client.RemoteAddr(), err)
 		b.profile.ConnectionRefused()
 		return
 	}
@@ -366,7 +358,6 @@ func (b *Balancer) forward(client net.Conn) {
 	defer upstream.Close()
 	be.live.Add(1)
 	defer be.live.Add(-1)
-	b.trace.Record("cluster", "forwarding %s -> %s", client.RemoteAddr(), be.addr)
 
 	done := make(chan struct{}, 2)
 	splice := func(dst, src net.Conn, count func(int)) {
@@ -404,7 +395,7 @@ func (b *Balancer) connect() (*backend, net.Conn, error) {
 		tried[be] = true
 		conn, err := b.dialer.Dial("tcp", be.addr)
 		if err != nil {
-			b.backendFailed(be, err)
+			b.backendFailed(be)
 			continue
 		}
 		b.backendHealthy(be)
@@ -443,13 +434,13 @@ func (b *Balancer) pick(tried map[*backend]bool) *backend {
 // closed circuit; a failure on a circuit that is already open (a dial
 // that started before it opened) changes nothing, so one outage arms
 // exactly one re-dial.
-func (b *Balancer) backendFailed(be *backend, err error) {
+func (b *Balancer) backendFailed(be *backend) {
 	be.mu.Lock()
 	defer be.mu.Unlock()
 	if be.open.Load() {
 		return
 	}
-	b.openLocked(be, err)
+	b.openLocked(be)
 }
 
 // backendHealthy closes the circuit after a successful client dial and
@@ -463,7 +454,7 @@ func (b *Balancer) backendHealthy(be *backend) {
 // openLocked opens be's circuit for a capped exponential backoff with
 // jitter, doubling per consecutive failure, and arms the re-dial that
 // ends it unless the balancer is shutting down. be.mu must be held.
-func (b *Balancer) openLocked(be *backend, err error) {
+func (b *Balancer) openLocked(be *backend) {
 	be.fails++
 	backoff := b.backoffBase << min(be.fails-1, 20)
 	if limit := max(backoffMax, b.backoffBase); backoff > limit || backoff <= 0 {
@@ -478,8 +469,6 @@ func (b *Balancer) openLocked(be *backend, err error) {
 		b.wg.Add(1)
 		be.redial = time.AfterFunc(backoff, func() { b.redial(be, gen) })
 	}
-	b.trace.Record("cluster", "circuit open for %s (%d consecutive failures, re-dial in %v): %v",
-		be.addr, be.fails, backoff, err)
 }
 
 // closeLocked closes be's circuit and clears its failure count.
@@ -488,7 +477,6 @@ func (b *Balancer) closeLocked(be *backend) {
 	be.fails = 0
 	if be.open.Swap(false) {
 		b.disarmLocked(be)
-		b.trace.Record("cluster", "circuit closed for %s", be.addr)
 	}
 }
 
@@ -520,10 +508,9 @@ func (b *Balancer) redial(be *backend, gen uint64) {
 	}
 	be.redial = nil
 	if err != nil {
-		b.openLocked(be, fmt.Errorf("re-dial: %w", err))
+		b.openLocked(be)
 		return
 	}
-	b.trace.Record("cluster", "re-dial revived %s", be.addr)
 	b.closeLocked(be)
 }
 

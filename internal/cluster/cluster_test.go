@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -489,12 +488,11 @@ func TestConcurrentFailuresArmOneRedial(t *testing.T) {
 	}
 	t.Cleanup(lb.Shutdown)
 	be := lb.backends[0]
-	errDial := errors.New("dial refused")
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); <-start; lb.backendFailed(be, errDial) }()
+		go func() { defer wg.Done(); <-start; lb.backendFailed(be) }()
 	}
 	close(start)
 	wg.Wait()
@@ -525,7 +523,7 @@ func TestShutdownStopsRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := lb.backends[0]
-	lb.backendFailed(be, errors.New("dial refused"))
+	lb.backendFailed(be)
 	// Let a few re-dials fail so one is likely armed or mid-dial.
 	for lb.BackendStates()[0].Fails < 3 {
 		time.Sleep(time.Millisecond)
@@ -564,11 +562,10 @@ func TestBreakerTransitionIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := b.backends[0]
-	errDial := errors.New("dial refused")
 	for i := 0; i < 2000; i++ {
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); b.backendFailed(be, errDial) }()
+		go func() { defer wg.Done(); b.backendFailed(be) }()
 		go func() { defer wg.Done(); b.backendHealthy(be) }()
 		wg.Wait()
 		st := b.BackendStates()[0]

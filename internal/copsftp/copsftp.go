@@ -25,7 +25,6 @@ import (
 	"repro/internal/acceptor"
 	"repro/internal/events"
 	"repro/internal/ftpproto"
-	"repro/internal/logging"
 	"repro/internal/nserver"
 	"repro/internal/options"
 )
@@ -43,8 +42,6 @@ type Config struct {
 	ReadOnly bool
 	// DataTimeout bounds waiting for a data connection. Default 10s.
 	DataTimeout time.Duration
-	// Trace receives the debug trace in Debug mode.
-	Trace *logging.Trace
 }
 
 // Server is a running COPS-FTP instance.
@@ -108,7 +105,6 @@ func New(cfg Config) (*Server, error) {
 			Close:   s.onClose,
 		},
 		Codec: ftpproto.Codec{},
-		Trace: cfg.Trace,
 	})
 	if err != nil {
 		return nil, err

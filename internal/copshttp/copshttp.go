@@ -57,13 +57,9 @@ type Config struct {
 	// application-dependent code would be required"). The longest
 	// matching prefix wins; unmatched paths serve static files.
 	Dynamic map[string]DynamicHandler
-	// Trace receives the debug trace in Debug mode.
-	Trace *logging.Trace
 	// AccessLog receives one record per completed request when the
 	// logging option (O12) is selected in Options.
 	AccessLog *logging.Logger
-	// GatePollInterval tunes the overload gate poll (tests/experiments).
-	GatePollInterval time.Duration
 	// ShedOnOverload switches option O9's behavior from postponing to
 	// load shedding: while the overload gate is paused (or the MaxConns
 	// bound is hit), new connections are accepted and answered with a
@@ -192,16 +188,14 @@ func New(cfg Config) (*Server, error) {
 		codec = delayCodec{inner: codec, delay: cfg.DecodeDelay}
 	}
 	nscfg := nserver.Config{
-		Options:          opts,
-		App:              nserver.AppFuncs{Request: s.handle},
-		Codec:            codec,
-		Priority:         cfg.Priority,
-		Trace:            cfg.Trace,
-		Logger:           cfg.AccessLog,
-		GatePollInterval: cfg.GatePollInterval,
-		Shed:             shed,
-		ShedPriority:     cfg.ShedPriority,
-		CacheOnRemove:    onRemove,
+		Options:       opts,
+		App:           nserver.AppFuncs{Request: s.handle},
+		Codec:         codec,
+		Priority:      cfg.Priority,
+		Logger:        cfg.AccessLog,
+		Shed:          shed,
+		ShedPriority:  cfg.ShedPriority,
+		CacheOnRemove: onRemove,
 	}
 	if s.rcache != nil && cfg.DecodeDelay == 0 {
 		// With the hook installed, requests decode on whichever goroutine

@@ -42,9 +42,6 @@ type Config struct {
 	// MinWorkers/MaxWorkers bound the dynamic pool. Ignored when static.
 	MinWorkers int
 	MaxWorkers int
-	// ControlInterval is the Processor Controller's sampling period for
-	// dynamic allocation. Zero means 10ms.
-	ControlInterval time.Duration
 	// Profile receives EventProcessed counts (nil when O11 is off).
 	Profile *profiling.Profile
 	// WaitObserver, when non-nil, receives sampled queue-wait durations
@@ -70,7 +67,6 @@ type Processor struct {
 
 	dynamic  bool
 	min, max int
-	interval time.Duration
 
 	// peers are sibling processors of the sharded runtime this processor
 	// may steal queued events from when its own queue runs dry. Set once
@@ -113,10 +109,6 @@ func New(cfg Config) (*Processor, error) {
 	if q == nil {
 		q = events.NewFIFO()
 	}
-	interval := cfg.ControlInterval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
 	p := &Processor{
 		name:     cfg.Name,
 		queue:    q,
@@ -126,7 +118,6 @@ func New(cfg Config) (*Processor, error) {
 		dynamic:  cfg.Allocation == options.DynamicAllocation,
 		min:      cfg.MinWorkers,
 		max:      cfg.MaxWorkers,
-		interval: interval,
 		ctrlDone: make(chan struct{}),
 	}
 	p.desired.Store(int32(cfg.Workers))
@@ -354,12 +345,16 @@ func (p *Processor) process(ev events.Event) {
 	p.profile.EventProcessed()
 }
 
+// controlInterval is the Processor Controller's sampling period.
+const controlInterval = 10 * time.Millisecond
+
 // controller is the Processor Controller of option O5: it samples queue
-// pressure every interval, growing the pool when the backlog exceeds the
-// live worker count and shrinking it after the queue stays empty.
+// pressure every controlInterval, growing the pool when the backlog
+// exceeds the live worker count and shrinking it after the queue stays
+// empty.
 func (p *Processor) controller() {
 	defer p.wg.Done()
-	ticker := time.NewTicker(p.interval)
+	ticker := time.NewTicker(controlInterval)
 	defer ticker.Stop()
 	idleStreak := 0
 	for {

@@ -108,7 +108,6 @@ func TestDynamicPoolGrowsUnderBacklog(t *testing.T) {
 		Name: "t", Workers: 1,
 		Allocation: options.DynamicAllocation,
 		MinWorkers: 1, MaxWorkers: 8,
-		ControlInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +138,6 @@ func TestDynamicPoolShrinksWhenIdle(t *testing.T) {
 		Name: "t", Workers: 6,
 		Allocation: options.DynamicAllocation,
 		MinWorkers: 2, MaxWorkers: 8,
-		ControlInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +235,7 @@ type fakeQueueLen struct{ n atomic.Int64 }
 func (f *fakeQueueLen) QueueLen() int { return int(f.n.Load()) }
 
 func TestOverloadWatchValidation(t *testing.T) {
-	o := NewOverload(nil, nil)
+	o := NewOverload(nil)
 	if err := o.Watch("q", nil, 10, 5); err == nil {
 		t.Error("nil queue accepted")
 	}
@@ -252,7 +250,7 @@ func TestOverloadWatchValidation(t *testing.T) {
 func TestOverloadHysteresis(t *testing.T) {
 	// The paper's third experiment: high watermark 20, low watermark 5.
 	q := &fakeQueueLen{}
-	o := NewOverload(nil, logging.NewTrace(nil, 16))
+	o := NewOverload(logging.NewTrace(nil, 16))
 	if err := o.Watch("reactive", q, 20, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +284,7 @@ func TestOverloadHysteresis(t *testing.T) {
 
 func TestOverloadMultipleQueues(t *testing.T) {
 	cpu, disk := &fakeQueueLen{}, &fakeQueueLen{}
-	o := NewOverload(nil, nil)
+	o := NewOverload(nil)
 	_ = o.Watch("cpu", cpu, 20, 5)
 	_ = o.Watch("disk", disk, 10, 2)
 	disk.n.Store(10) // disk bottleneck alone must pause accepts
@@ -305,21 +303,11 @@ func TestOverloadMultipleQueues(t *testing.T) {
 }
 
 func TestOverloadNoQueuesAlwaysAccepts(t *testing.T) {
-	o := NewOverload(nil, nil)
+	o := NewOverload(nil)
 	for i := 0; i < 3; i++ {
 		if !o.AcceptAllowed() {
 			t.Fatal("controller with no queues should always accept")
 		}
-	}
-}
-
-func TestOverloadRefusedCounts(t *testing.T) {
-	prof := profiling.New()
-	o := NewOverload(prof, nil)
-	o.Refused()
-	o.Refused()
-	if got := prof.Snapshot().ConnectionsRefused; got != 2 {
-		t.Errorf("refused = %d", got)
 	}
 }
 
@@ -329,7 +317,7 @@ func TestProcessorQueueLenVisibleToOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Don't start: events stay queued.
-	o := NewOverload(nil, nil)
+	o := NewOverload(nil)
 	_ = o.Watch("p", p, 3, 1)
 	p.Start()
 	block := make(chan struct{})

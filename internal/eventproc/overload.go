@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/logging"
-	"repro/internal/profiling"
 )
 
 // QueueLenner exposes a queue length to the overload controller. Both
@@ -28,11 +27,10 @@ type QueueLenner interface {
 // before accepting; hysteresis between the two watermarks prevents accept
 // flapping.
 type Overload struct {
-	mu      sync.Mutex
-	queues  []watched
-	paused  bool
-	profile *profiling.Profile
-	trace   *logging.Trace
+	mu     sync.Mutex
+	queues []watched
+	paused bool
+	trace  *logging.Trace
 }
 
 type watched struct {
@@ -42,8 +40,8 @@ type watched struct {
 }
 
 // NewOverload creates a controller with no watched queues.
-func NewOverload(profile *profiling.Profile, trace *logging.Trace) *Overload {
-	return &Overload{profile: profile, trace: trace}
+func NewOverload(trace *logging.Trace) *Overload {
+	return &Overload{trace: trace}
 }
 
 // Watch registers a queue with its high and low watermarks. It returns an
@@ -97,10 +95,4 @@ func (o *Overload) Paused() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.paused
-}
-
-// Refused records a connection refused/postponed due to overload (or the
-// trivial max-connections bound).
-func (o *Overload) Refused() {
-	o.profile.ConnectionRefused()
 }

@@ -219,110 +219,3 @@ func TestPriorityQueueTryPopFollowsQuotaCycle(t *testing.T) {
 		t.Errorf("TryPop sequence %v, want quota cycle %v", got, want)
 	}
 }
-
-// TestPriorityQueueShedsLowestFirst drives the bounded queue serially
-// through its shedding cases: a full queue evicts old low-priority work
-// for new high-priority pushes, refuses low-priority pushes when only
-// equal-or-higher work is queued, and counts every drop at the level
-// that lost.
-func TestPriorityQueueShedsLowestFirst(t *testing.T) {
-	q, err := NewPriorityQueue([]int{4, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Bound(4)
-	for i := 0; i < 4; i++ {
-		if err := q.Push(PFunc{P: 2, F: func() {}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A level-2 push against a queue full of level-2 work is refused.
-	if err := q.Push(PFunc{P: 2, F: func() {}}); err != ErrShed {
-		t.Fatalf("push at the lowest level against a full queue: %v, want ErrShed", err)
-	}
-	// Level-1 and level-0 pushes evict level-2 victims.
-	if err := q.Push(PFunc{P: 1, F: func() {}}); err != nil {
-		t.Fatalf("level-1 push did not evict: %v", err)
-	}
-	if err := q.Push(PFunc{P: 0, F: func() {}}); err != nil {
-		t.Fatalf("level-0 push did not evict: %v", err)
-	}
-	if got := q.LevelLen(2); got != 2 {
-		t.Errorf("level 2 holds %d, want 2 after two evictions", got)
-	}
-	// With level 2 drained, a level-1 push evicts the remaining level-2
-	// work first, then further level-1 pushes are refused while level-0
-	// pushes keep evicting level 1.
-	for i := 0; i < 2; i++ {
-		if err := q.Push(PFunc{P: 1, F: func() {}}); err != nil {
-			t.Fatalf("level-1 push with level-2 victims available: %v", err)
-		}
-	}
-	if err := q.Push(PFunc{P: 1, F: func() {}}); err != ErrShed {
-		t.Fatalf("level-1 push with nothing below it: %v, want ErrShed", err)
-	}
-	if err := q.Push(PFunc{P: 0, F: func() {}}); err != nil {
-		t.Fatalf("level-0 push with level-1 victims available: %v", err)
-	}
-	if q.Len() != 4 {
-		t.Errorf("total %d, want the capacity 4", q.Len())
-	}
-	if shed2, shed1 := q.ShedCount(2), q.ShedCount(1); shed2 != 5 || shed1 != 2 {
-		// Level 2: 1 refused + 4 evicted. Level 1: 1 refused + 1 evicted.
-		t.Errorf("shed counts level2=%d level1=%d, want 5/2", shed2, shed1)
-	}
-	if q.ShedCount(0) != 0 {
-		t.Errorf("level 0 shed %d times", q.ShedCount(0))
-	}
-}
-
-// TestPriorityQueueShedInvariantConcurrent is the shedding-mode property
-// under concurrent producers: with the queue prefilled to capacity with
-// low-priority events, a storm of high-priority pushes must never fail —
-// each one evicts a low-priority victim — so high-priority pushes never
-// fail before low-priority ones. The final state is deterministic:
-// capacity high-priority events queued, every low-priority event shed.
-func TestPriorityQueueShedInvariantConcurrent(t *testing.T) {
-	const (
-		capacity  = 256
-		producers = 8
-	)
-	q, err := NewPriorityQueue([]int{4, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Bound(capacity)
-	for i := 0; i < capacity; i++ {
-		if err := q.Push(PFunc{P: 1, F: func() {}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < capacity/producers; i++ {
-				if err := q.Push(PFunc{P: 0, F: func() {}}); err != nil {
-					t.Errorf("high-priority push failed with low-priority victims queued: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := q.LevelLen(0); got != capacity {
-		t.Errorf("level 0 holds %d, want %d", got, capacity)
-	}
-	if got := q.LevelLen(1); got != 0 {
-		t.Errorf("level 1 holds %d, want 0 (all evicted)", got)
-	}
-	if got := q.ShedCount(1); got != capacity {
-		t.Errorf("level 1 shed %d, want %d", got, capacity)
-	}
-	if got := q.ShedCount(0); got != 0 {
-		t.Errorf("level 0 shed %d, want 0", got)
-	}
-	if q.Len() != capacity {
-		t.Errorf("total %d, want capacity %d", q.Len(), capacity)
-	}
-}

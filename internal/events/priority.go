@@ -1,7 +1,6 @@
 package events
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -28,10 +27,6 @@ type PriorityQueue struct {
 	quotas []int
 	total  int
 	closed bool
-	// capacity, when > 0, switches the queue into shedding mode (see
-	// Bound); shed counts drops per level.
-	capacity int
-	shed     []uint64
 }
 
 type levelQueue struct {
@@ -84,34 +79,8 @@ func NewPriorityQueue(quotas []int) (*PriorityQueue, error) {
 // Levels returns the number of priority levels.
 func (q *PriorityQueue) Levels() int { return len(q.levels) }
 
-// Bound switches the queue into shedding mode with a shared capacity
-// across all levels. A Push that finds the queue full evicts the oldest
-// event from the lowest-priority backlogged level strictly below the
-// incoming event's priority (shedding is priority-aware: old low-
-// priority work makes room for new high-priority work); when only
-// events at or above the incoming priority are queued, the push itself
-// is refused with ErrShed. Shed events — evicted or refused — are
-// dropped, counted per level, and never processed, so shedding mode is
-// for queues whose events tolerate loss under overload (the framework
-// pairs it with connection-level shedding). Capacity <= 0 restores the
-// unbounded paper behavior.
-func (q *PriorityQueue) Bound(capacity int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.capacity = capacity
-	if q.shed == nil {
-		q.shed = make([]uint64, len(q.levels))
-	}
-}
-
-// ErrShed is returned by Push in shedding mode when the queue is at
-// capacity and holds nothing of lower priority to evict.
-var ErrShed = errors.New("events: event shed (queue at capacity)")
-
 // Push enqueues an event at its own priority. Priorities outside
-// [0, Levels) are clamped to the nearest level. In shedding mode (see
-// Bound) a push against a full queue either evicts lower-priority work
-// or returns ErrShed.
+// [0, Levels) are clamped to the nearest level.
 func (q *PriorityQueue) Push(ev Event) error {
 	lvl := int(ev.Priority())
 	if lvl < 0 {
@@ -125,34 +94,10 @@ func (q *PriorityQueue) Push(ev Event) error {
 	if q.closed {
 		return ErrClosed
 	}
-	if q.capacity > 0 && q.total >= q.capacity {
-		if !q.evictBelowLocked(lvl) {
-			q.shed[lvl]++
-			return ErrShed
-		}
-	}
 	q.levels[lvl].buf = append(q.levels[lvl].buf, ev)
 	q.total++
 	q.cond.Signal()
 	return nil
-}
-
-// evictBelowLocked drops the oldest event of the lowest-priority
-// backlogged level strictly below lvl (numerically greater), returning
-// false when no such level has pending events. This ordering gives the
-// shedding invariant: a push at level i can only fail while the queue
-// holds nothing below level i, so high-priority pushes never fail
-// before low-priority ones.
-func (q *PriorityQueue) evictBelowLocked(lvl int) bool {
-	for i := len(q.levels) - 1; i > lvl; i-- {
-		if q.levels[i].len() > 0 {
-			q.levels[i].popFront()
-			q.shed[i]++
-			q.total--
-			return true
-		}
-	}
-	return false
 }
 
 // Pop blocks for the next event under the quota discipline.
@@ -211,18 +156,6 @@ func (q *PriorityQueue) LevelLen(level int) int {
 		return 0
 	}
 	return q.levels[level].len()
-}
-
-// ShedCount returns how many events have been shed at one priority
-// level — evicted to make room for higher-priority work, or refused at
-// push time. Zero outside shedding mode or for out-of-range levels.
-func (q *PriorityQueue) ShedCount(level int) uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.shed == nil || level < 0 || level >= len(q.shed) {
-		return 0
-	}
-	return q.shed[level]
 }
 
 // Close closes the queue, waking all blocked Pops.

@@ -107,7 +107,7 @@ func newCopsModel(p Params, net *simnet.Net, quotas []int, highWM, lowWM int, de
 	m.fsBuf = newFSBuffer(p.FSBufferBytes)
 	m.ln = net.NewListener(p.Backlog)
 	if highWM > 0 {
-		m.overload = eventproc.NewOverload(nil, nil)
+		m.overload = eventproc.NewOverload(nil)
 		if err := m.overload.Watch("reactive", queueLenner{m.cpu}, highWM, lowWM); err != nil {
 			panic(fmt.Sprintf("experiments: overload: %v", err))
 		}

@@ -48,7 +48,7 @@ type Config struct {
 	Cache *cache.Cache
 	// Cluster supplies per-backend circuit-breaker state.
 	Cluster *cluster.Balancer
-	// Deferred reports the acceptor's deferred/shed connection count
+	// Deferred reports how many accepts the acceptor postponed or shed
 	// (nserver.Server.Deferred).
 	Deferred func() uint64
 	// Shed reports application-level shed replies (e.g. the COPS-HTTP
@@ -431,7 +431,7 @@ func RenderPrometheus(cfg Config) string {
 		}
 	}
 	if cfg.Deferred != nil {
-		counter("nserver_accept_deferred_total", "Connections deferred or shed by the acceptor gate.", cfg.Deferred())
+		counter("nserver_accept_deferred_total", "Accepts postponed (each counted once) or connections shed by the acceptor gate.", cfg.Deferred())
 	}
 	if cfg.Shed != nil {
 		counter("nserver_shed_replies_total", "Requests answered by the overload shed fast path.", cfg.Shed())

@@ -138,7 +138,7 @@ type Conn struct {
 	userData atomic.Value
 }
 
-// Server returns the owning server (for access to AIO, cache, timers).
+// Server returns the owning server (for access to AIO and the cache).
 func (c *Conn) Server() *Server { return c.srv }
 
 // Profile returns the owning shard's profiling counters (nil when O11

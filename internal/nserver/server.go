@@ -37,15 +37,9 @@ type Config struct {
 	// CustomCachePolicy is the victim-selection hook when Options.Cache
 	// is options.CustomPolicy.
 	CustomCachePolicy cache.VictimFunc
-	// LogWriter receives application log records when Options.Logging;
+	// Logger receives application log records when Options.Logging;
 	// nil falls back to a discard logger even when logging is on.
 	Logger *logging.Logger
-	// TraceSink receives the debug trace in Debug mode; nil keeps the
-	// in-memory ring only.
-	Trace *logging.Trace
-	// GatePollInterval tunes how often a postponed acceptor re-checks
-	// the overload gate (tests and simulations shrink it). Zero: 1ms.
-	GatePollInterval time.Duration
 	// Shed, when non-nil and overload control (O9) is on, switches the
 	// acceptor from postponing to load shedding: while the gate is
 	// paused, new connections are accepted and handed to Shed (which
@@ -106,7 +100,6 @@ type shard struct {
 	idx      int
 	srv      *Server
 	reactor  *reactor.Reactor
-	timers   *reactor.TimerSource
 	reactive *eventproc.Processor
 	// profile is this shard's private counter set (nil when O11 is off):
 	// hot-path writes land on memory no other shard touches and are
@@ -135,10 +128,8 @@ type Server struct {
 	shards []*shard
 
 	// Shard-0 aliases: the single-shard runtime is exactly the paper's,
-	// and these keep that case (and application timers, which live on
-	// shard 0) reachable under the historical names.
+	// and these keep that case reachable under the historical names.
 	reactor  *reactor.Reactor
-	timers   *reactor.TimerSource
 	reactive *eventproc.Processor
 
 	// Global (cross-shard) components.
@@ -166,7 +157,6 @@ type Server struct {
 	aioShard  atomic.Uint32
 
 	shed     func(net.Conn)
-	gatePoll time.Duration
 	started  atomic.Bool
 	stopped  atomic.Bool
 	acceptWG sync.WaitGroup
@@ -215,7 +205,6 @@ func New(cfg Config) (*Server, error) {
 		priority: cfg.Priority,
 		logger:   cfg.Logger,
 		shed:     cfg.Shed,
-		gatePoll: cfg.GatePollInterval,
 		readers:  make(chan *Conn),
 		done:     make(chan struct{}),
 	}
@@ -231,12 +220,10 @@ func New(cfg Config) (*Server, error) {
 	if o.Logging && cfg.Logger != nil {
 		s.reqTrace = logging.NewRequestTrace(cfg.Logger, traceSampleEvery)
 	}
-	// O10: the debug trace exists only in debug mode.
+	// O10: the debug trace exists only in debug mode, as an in-memory
+	// ring.
 	if o.Mode == options.Debug {
-		s.trace = cfg.Trace
-		if s.trace == nil {
-			s.trace = logging.NewTrace(nil, 4096)
-		}
+		s.trace = logging.NewTrace(nil, 4096)
 	}
 
 	// O9: the admission gate exists only when selected. The AIMD limiter
@@ -245,7 +232,7 @@ func New(cfg Config) (*Server, error) {
 	// processors can feed the limiter queue-wait samples; the queues are
 	// put under watermark watch once they exist, further down.
 	if o.OverloadControl {
-		s.overload = eventproc.NewOverload(s.profile, s.trace)
+		s.overload = eventproc.NewOverload(s.trace)
 		levels := 1
 		if o.EventScheduling {
 			levels = len(o.Quotas)
@@ -276,8 +263,6 @@ func New(cfg Config) (*Server, error) {
 		sh := &shard{idx: i, srv: s, conns: make(map[reactor.Handle]*Conn)}
 		sh.profile = s.profiles.Shard(i)
 
-		sh.timers = reactor.NewTimerSource(reactor.NewBasicSource(shardName("events", i, nShards)))
-
 		if o.SeparateThreadPool {
 			queue, err := events.NewQueue(o.EventScheduling, o.Quotas)
 			if err != nil {
@@ -301,7 +286,7 @@ func New(cfg Config) (*Server, error) {
 		}
 
 		r, err := reactor.New(reactor.Config{
-			Source:            sh.timers,
+			Source:            reactor.NewBasicSource(shardName("events", i, nShards)),
 			DispatcherThreads: o.DispatcherThreads,
 			Processor:         sh.reactive,
 			Profile:           sh.profile,
@@ -322,7 +307,6 @@ func New(cfg Config) (*Server, error) {
 		s.shards[i] = sh
 	}
 	s.reactor = s.shards[0].reactor
-	s.timers = s.shards[0].timers
 	s.reactive = s.shards[0].reactive
 
 	// Run-to-completion fast path (see the directDispatch field doc).
@@ -474,8 +458,8 @@ func (s *Server) Logger() *logging.Logger {
 // logging is on and a logger was supplied).
 func (s *Server) RequestTrace() *logging.RequestTrace { return s.reqTrace }
 
-// Deferred returns the cumulative deferred/shed connection count (0
-// before Start).
+// Deferred returns how many accepts the acceptor postponed or shed (0
+// before Start; see acceptor.Acceptor.Deferred).
 func (s *Server) Deferred() uint64 {
 	if s.acceptor == nil {
 		return 0
@@ -488,10 +472,6 @@ func (s *Server) Cache() *cache.Cache { return s.fcache }
 
 // AIO returns the emulated asynchronous file I/O service.
 func (s *Server) AIO() *aio.Service { return s.fileio }
-
-// Timers returns the timer event source for application timers (they
-// live on shard 0).
-func (s *Server) Timers() *reactor.TimerSource { return s.timers }
 
 // Overload returns the overload controller (nil unless O9 is on).
 func (s *Server) Overload() *eventproc.Overload { return s.overload }
@@ -606,14 +586,13 @@ func (s *Server) Start(ln net.Listener) error {
 		gate = s.limiter
 	}
 	acc, err := acceptor.New(acceptor.Config{
-		Listener:         ln,
-		Reactor:          s.shards[0].reactor,
-		Gate:             gate,
-		MaxConns:         s.opts.MaxConnections,
-		GatePollInterval: s.gatePoll,
-		Shed:             s.shed,
-		Profile:          s.profile,
-		Trace:            s.trace,
+		Listener: ln,
+		Reactor:  s.shards[0].reactor,
+		Gate:     gate,
+		MaxConns: s.opts.MaxConnections,
+		Shed:     s.shed,
+		Profile:  s.profile,
+		Trace:    s.trace,
 	})
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/logging"
 	"repro/internal/options"
-	"repro/internal/reactor"
 )
 
 func TestAccessorsAndListenAndServe(t *testing.T) {
@@ -43,9 +42,6 @@ func TestAccessorsAndListenAndServe(t *testing.T) {
 	s.Logger().Infof("wired")
 	if !bytes.Contains(logBuf.Bytes(), []byte("wired")) {
 		t.Error("logger not wired")
-	}
-	if s.Timers() == nil {
-		t.Error("Timers() nil")
 	}
 	if err := s.ListenAndServe("127.0.0.1:0"); err == nil {
 		t.Error("double ListenAndServe allowed")
@@ -108,24 +104,6 @@ func TestSendAfterCloseFails(t *testing.T) {
 	_ = c.Close()
 	if err := c.Send([]byte("late")); err != ErrConnClosed {
 		t.Errorf("Send after close = %v", err)
-	}
-}
-
-func TestApplicationTimers(t *testing.T) {
-	s, addr := startServer(t, Config{Options: testOptions(), App: echoApp(), Codec: lineCodec{}})
-	_ = addr
-	fired := make(chan any, 1)
-	s.reactor.RegisterType(reactor.TimerReady, reactor.HandlerFunc(func(rd reactor.Ready) {
-		fired <- rd.Data
-	}))
-	s.Timers().After(time.Millisecond, "tick")
-	select {
-	case v := <-fired:
-		if v.(string) != "tick" {
-			t.Errorf("timer payload %v", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("application timer never fired")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/events"
-	"repro/internal/logging"
 	"repro/internal/options"
 )
 
@@ -511,10 +510,7 @@ func TestOverloadControlPausesAccepts(t *testing.T) {
 	o := testOptions()
 	o.EventThreads = 1
 	o = o.WithOverloadControl(4, 1)
-	s, addr := startServer(t, Config{
-		Options: o, App: app, Codec: lineCodec{},
-		GatePollInterval: time.Millisecond,
-	})
+	s, addr := startServer(t, Config{Options: o, App: app, Codec: lineCodec{}})
 	defer once.Do(func() { close(block) })
 
 	// Saturate: each client sends one request that wedges the worker it
@@ -565,10 +561,7 @@ func TestOverloadControlPausesAccepts(t *testing.T) {
 func TestMaxConnectionsBound(t *testing.T) {
 	o := testOptions()
 	o.MaxConnections = 2
-	s, addr := startServer(t, Config{
-		Options: o, App: echoApp(), Codec: lineCodec{},
-		GatePollInterval: time.Millisecond,
-	})
+	s, addr := startServer(t, Config{Options: o, App: echoApp(), Codec: lineCodec{}})
 	c1, c2 := dial(t, addr), dial(t, addr)
 	_, _ = c1, c2
 	deadline := time.After(2 * time.Second)
@@ -608,10 +601,7 @@ func TestMaxConnectionsBoundAcrossShards(t *testing.T) {
 	o.Shards = 2
 	o.EventThreads = 1
 	o.MaxConnections = bound
-	s, err := New(Config{
-		Options: o, App: echoApp(), Codec: lineCodec{},
-		GatePollInterval: time.Millisecond,
-	})
+	s, err := New(Config{Options: o, App: echoApp(), Codec: lineCodec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,15 +680,15 @@ func TestProfilingCountersEndToEnd(t *testing.T) {
 func TestDebugModeTracesLifecycle(t *testing.T) {
 	o := testOptions()
 	o.Mode = options.Debug
-	tr := logging.NewTrace(nil, 1024)
-	s, addr := startServer(t, Config{Options: o, App: echoApp(), Codec: lineCodec{}, Trace: tr})
+	s, addr := startServer(t, Config{Options: o, App: echoApp(), Codec: lineCodec{}})
 	c := dial(t, addr)
 	fmt.Fprint(c, "x\n")
 	if _, err := bufio.NewReader(c).ReadString('\n'); err != nil {
 		t.Fatal(err)
 	}
-	if s.Trace() != tr {
-		t.Error("custom trace not installed")
+	tr := s.Trace()
+	if tr == nil {
+		t.Fatal("debug mode has no trace ring")
 	}
 	var sawAccept, sawAttach bool
 	for _, rec := range tr.Snapshot() {

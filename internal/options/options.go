@@ -218,11 +218,11 @@ type Options struct {
 	// O1: number of dispatcher threads per shard. Legal values are 1 or
 	// an even number 2N (one reader/one writer pair per processor, in the
 	// paper's terms). With O2 off the dispatcher threads run every event
-	// handler, so O1 sets how many run at once. With O2 on, accept, read
-	// and close events go straight to the Event Processor, and the
-	// dispatcher threads carry only events pushed onto the event source
-	// (application timers): O1 then changes nothing a connection sees,
-	// and connection scaling belongs to Shards.
+	// handler, so O1 sets how many run at once. With O2 on, every event
+	// the server emits (accept, read, close) goes straight to the Event
+	// Processor and none reaches the event source, so the dispatcher
+	// threads idle: O1 then changes nothing a connection sees, and
+	// connection scaling belongs to Shards.
 	DispatcherThreads int
 
 	// O2: if true, ready events are handed to an Event Processor (queue +

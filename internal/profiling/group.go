@@ -44,14 +44,6 @@ func NewGroup(n int) *Group {
 // Enabled reports whether the receiver actually records (false for nil).
 func (g *Group) Enabled() bool { return g != nil }
 
-// NumShards returns the shard count (0 for nil).
-func (g *Group) NumShards() int {
-	if g == nil {
-		return 0
-	}
-	return len(g.shards)
-}
-
 // Shard returns shard i's profile; nil receiver or out-of-range index
 // yields nil (a valid no-op Profile).
 func (g *Group) Shard(i int) *Profile {

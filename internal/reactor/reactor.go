@@ -69,8 +69,9 @@ func New(cfg Config) (*Reactor, error) {
 }
 
 // Source returns the reactor's event source chain. Events pushed here
-// (application timers) reach their handlers through the dispatcher
-// threads; producers that know their event is ready call Emit instead.
+// (a TimerSource decorator's timers, say) reach their handlers through
+// the dispatcher threads; producers that know their event is ready call
+// Emit instead.
 func (r *Reactor) Source() Source { return r.source }
 
 // Emit delivers one ready event. With an Event Processor it routes on
