@@ -223,10 +223,11 @@ func TestHotPathAllocsFastServe(t *testing.T) {
 // TestHotPathAllocsPipelinedWindow pins the allocations of a pipelined
 // window of 16 hits served through the real drain on a live connection:
 // the reader goroutine's read, the decode loop, FastServe per request and
-// the corked window's one gathered write. The decoder allocates the head
-// string per request; everything else must not: FastServe recycles each
-// request it serves, the corked replies' heads wait by reference, and the
-// queue and the gathered iovec are reused window to window. A window
+// the window's one gathered write. The decoder allocates the head string
+// per request; everything else must not: FastServe recycles each request
+// it serves, the replies' heads wait by reference behind the window's
+// reserved position, and the queue and the gathered iovec are reused
+// window to window. A window
 // therefore costs exactly its 16 head strings, and a per-reply allocation
 // anywhere else — an unrecycled request included — adds 16.
 func TestHotPathAllocsPipelinedWindow(t *testing.T) {

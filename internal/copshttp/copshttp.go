@@ -51,12 +51,6 @@ type Config struct {
 	// server installs no fast path, so the burn lands on the Event
 	// Processor workers, where overload control can see it.
 	DecodeDelay time.Duration
-	// Dynamic maps path prefixes to dynamic-content handlers, the
-	// extension the paper notes ("the same pattern can be used to
-	// generate a server for dynamic content, except that more
-	// application-dependent code would be required"). The longest
-	// matching prefix wins; unmatched paths serve static files.
-	Dynamic map[string]DynamicHandler
 	// AccessLog receives one record per completed request when the
 	// logging option (O12) is selected in Options.
 	AccessLog *logging.Logger
@@ -88,10 +82,6 @@ type Config struct {
 	Codec nserver.Codec
 }
 
-// DynamicHandler computes one response for a dynamic-content request. It
-// runs on an Event Processor worker; it must not block indefinitely.
-type DynamicHandler func(req *httpproto.Request) *httpproto.Response
-
 // Server is a running COPS-HTTP instance.
 type Server struct {
 	ns      *nserver.Server
@@ -100,7 +90,6 @@ type Server struct {
 	// path below the root starts with it.
 	rootPrefix string
 	indexFile  string
-	dynamic    map[string]DynamicHandler
 	// retryAfter is the precomputed Retry-After header value for shed
 	// 503s; shedTimeout bounds the write of a shed reply.
 	retryAfter  string
@@ -159,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 		idx = "index.html"
 	}
 	s := &Server{docroot: root, rootPrefix: root + string(filepath.Separator), indexFile: idx,
-		dynamic: cfg.Dynamic, largeFile: opts.LargeFileThreshold}
+		largeFile: opts.LargeFileThreshold}
 	s.retryAfter = strconv.FormatInt(ceilSeconds(cfg.RetryAfter), 10)
 	s.shedTimeout = opts.WriteTimeout
 	if s.shedTimeout <= 0 {
@@ -326,10 +315,6 @@ func (s *Server) handle(c *nserver.Conn, req any) {
 		s.errorReply(slot, r, r.Refuse, true)
 		return
 	}
-	if h := s.lookupDynamic(r.Path); h != nil {
-		s.serveDynamic(slot, r, h)
-		return
-	}
 	if r.Method != "GET" && r.Method != "HEAD" {
 		s.errorReply(slot, r, 405, !r.KeepAlive())
 		return
@@ -362,9 +347,6 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 		return false
 	}
 	if r.Headers.Get("Range") != "" || r.Headers.Get("If-Modified-Since") != "" {
-		return false
-	}
-	if s.dynamic != nil && s.lookupDynamic(r.Path) != nil {
 		return false
 	}
 	// Path resolution allocates (filepath.Join) and a cold probe locks a
@@ -671,43 +653,6 @@ func (s *Server) openDone(tok events.Token, f *os.File, info os.FileInfo, err er
 	}
 	f.Close()
 	httpproto.ReleaseResponse(resp)
-}
-
-// lookupDynamic returns the handler with the longest matching path
-// prefix (nil when the path is static).
-func (s *Server) lookupDynamic(path string) DynamicHandler {
-	var best DynamicHandler
-	bestLen := -1
-	for prefix, h := range s.dynamic {
-		if len(prefix) > bestLen && strings.HasPrefix(path, prefix) {
-			best = h
-			bestLen = len(prefix)
-		}
-	}
-	return best
-}
-
-// serveDynamic runs a dynamic-content handler with panic isolation.
-func (s *Server) serveDynamic(slot nserver.Slot, r *httpproto.Request, h DynamicHandler) {
-	resp := func() (resp *httpproto.Response) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				resp = httpproto.ErrorResponse(500, true)
-			}
-		}()
-		return h(r)
-	}()
-	if resp == nil {
-		resp = httpproto.ErrorResponse(404, !r.KeepAlive())
-	}
-	if !resp.Close {
-		resp.Close = !r.KeepAlive()
-	}
-	if r.Method == "HEAD" {
-		resp.Headers.Set("Content-Length", strconv.Itoa(len(resp.Body)))
-		resp.Body = nil
-	}
-	s.reply(slot, r, resp)
 }
 
 // reply fills the request's reply position with resp and writes its O12

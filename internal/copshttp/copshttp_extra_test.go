@@ -8,11 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/httpproto"
 	"repro/internal/logging"
 	"repro/internal/options"
 )
@@ -179,96 +177,6 @@ func TestConditionalGetReturns304(t *testing.T) {
 		"If-Modified-Since: not a date\r\n")
 	if status != 200 {
 		t.Errorf("garbage IMS: %d", status)
-	}
-}
-
-func TestDynamicContentHandlers(t *testing.T) {
-	root := buildDocRoot(t)
-	// Written by handler goroutines, read by the test goroutine; the
-	// response round-trips order the accesses in real time but TCP is
-	// not a synchronization edge, so the counter must be atomic.
-	var hits atomic.Int64
-	s := startHTTP(t, Config{
-		DocRoot: root,
-		Dynamic: map[string]DynamicHandler{
-			"/api/": func(req *httpproto.Request) *httpproto.Response {
-				hits.Add(1)
-				return httpproto.NewResponse(200, "application/json",
-					[]byte(`{"path":"`+req.Path+`","query":"`+req.Query+`"}`))
-			},
-			"/api/teapot": func(req *httpproto.Request) *httpproto.Response {
-				return httpproto.NewResponse(418, "text/plain", []byte("teapot"))
-			},
-			"/boom/": func(req *httpproto.Request) *httpproto.Response {
-				panic("handler exploded")
-			},
-			"/nil/": func(req *httpproto.Request) *httpproto.Response {
-				return nil
-			},
-		},
-	})
-	conn, _ := net.Dial("tcp", s.Addr())
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-
-	// Dynamic endpoint with query string; POST allowed for dynamic paths.
-	status, headers, body := get(t, conn, r, "GET", "/api/users?id=7", "")
-	if status != 200 || !strings.Contains(string(body), `"query":"id=7"`) {
-		t.Errorf("dynamic GET: %d %q", status, body)
-	}
-	if headers["content-type"] != "application/json" {
-		t.Errorf("content-type = %q", headers["content-type"])
-	}
-	// Longest prefix wins.
-	status, _, body = get(t, conn, r, "GET", "/api/teapot", "")
-	if status != 418 || string(body) != "teapot" {
-		t.Errorf("longest prefix: %d %q", status, body)
-	}
-	// Static paths still serve files.
-	status, _, body = get(t, conn, r, "GET", "/about.txt", "")
-	if status != 200 || string(body) != "about text" {
-		t.Errorf("static alongside dynamic: %d %q", status, body)
-	}
-	// nil response means 404.
-	status, _, _ = get(t, conn, r, "GET", "/nil/x", "")
-	if status != 404 {
-		t.Errorf("nil handler: %d", status)
-	}
-	if n := hits.Load(); n != 1 {
-		t.Errorf("api hits = %d", n)
-	}
-	// A panicking handler returns 500 and closes only that connection.
-	status, _, _ = get(t, conn, r, "GET", "/boom/now", "")
-	if status != 500 {
-		t.Errorf("panic handler: %d", status)
-	}
-	conn2, _ := net.Dial("tcp", s.Addr())
-	defer conn2.Close()
-	r2 := bufio.NewReader(conn2)
-	if status, _, _ := get(t, conn2, r2, "GET", "/about.txt", ""); status != 200 {
-		t.Errorf("server broken after dynamic panic: %d", status)
-	}
-}
-
-func TestDynamicHandlerHead(t *testing.T) {
-	s := startHTTP(t, Config{
-		DocRoot: buildDocRoot(t),
-		Dynamic: map[string]DynamicHandler{
-			"/api/": func(req *httpproto.Request) *httpproto.Response {
-				return httpproto.NewResponse(200, "text/plain", []byte("dynamic body"))
-			},
-		},
-	})
-	conn, _ := net.Dial("tcp", s.Addr())
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	status, headers, _ := get(t, conn, r, "HEAD", "/api/x", "")
-	if status != 200 || headers["content-length"] != "12" {
-		t.Errorf("dynamic HEAD: %d cl=%s", status, headers["content-length"])
-	}
-	// No body pending: next request parses cleanly.
-	if status, _, _ := get(t, conn, r, "GET", "/about.txt", ""); status != 200 {
-		t.Errorf("after dynamic HEAD: %d", status)
 	}
 }
 

@@ -4,7 +4,7 @@
 // internal/simnet — where simnet models a network inside the discrete
 // event simulator, faultnet breaks a *real* transport underneath a live
 // server, so the chaos suite can prove that every defense the serve
-// pipeline grew (read/write deadlines, the slow-client reaper, decode
+// pipeline grew (read/write deadlines, the request-assembly bound, decode
 // panic isolation, the balancer's circuit breaker, 503 load shedding)
 // actually holds on the wire.
 //

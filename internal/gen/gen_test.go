@@ -152,7 +152,7 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	minSrc := all(minimal)
 	for _, absent := range []string{
 		"CompletionEvent", "Token", "Cache", "overloadGate",
-		"Profile", "Priority", "quota", "reapIdle", "trace(",
+		"Profile", "Priority", "quota", "idleTimeout", "trace(",
 		"ProcessorController", "controller", "log.Logger",
 	} {
 		if strings.Contains(minSrc, absent) {
@@ -180,7 +180,7 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	richSrc := all(rich)
 	for _, present := range []string{
 		"CompletionEvent", "Token", "overloadGate", "Profile",
-		"Priority()", "quotas", "reapIdle", "trace(", "log.Logger",
+		"Priority()", "quotas", "idleTimeout", "trace(", "log.Logger",
 		"NewCache",
 	} {
 		if !strings.Contains(richSrc, present) {
@@ -238,7 +238,7 @@ func TestHardeningCrosscutWeaving(t *testing.T) {
 	}
 	hardSrc := all(hard)
 	for _, present := range []string{
-		"SetReadDeadline(time.Now().Add(readTimeout))",
+		"SetReadDeadline(time.Unix(0, c.readDeadline(armed)))",
 		"SetWriteDeadline(time.Now().Add(writeTimeout))",
 		"maxRequestBytes = 1048576",
 		"errRequestTooLarge",

@@ -1081,10 +1081,14 @@ func trace(component, msg string) {
 var errConnClosed = errors.New("{{.Package}}: connection closed")
 
 {{if .ReadDeadline}}
-// readTimeout bounds every blocking read{{if .Codec}} (and, chunk by chunk, the
-// assembly of a single request){{end}}, so a stalled or trickling client
-// cannot hold a Communicator forever.
+// readTimeout bounds every blocking read{{if .Codec}} and the assembly of a
+// single request, counted from its first byte{{end}}, so a stalled or
+// trickling client cannot hold a Communicator forever.
 const readTimeout = time.Duration({{.ReadTimeoutNanos}})
+{{end}}
+{{if .Idle}}
+// idleTimeout closes a connection that moves no byte for this long (O7).
+const idleTimeout = time.Duration({{.IdleTimeoutNanos}})
 {{end}}
 {{if .WriteDeadline}}
 // writeTimeout bounds each reply write so an unread peer socket cannot
@@ -1140,6 +1144,11 @@ type Communicator struct {
 	{{- if .Idle}}
 	lastActive atomic.Int64
 	{{- end}}
+	{{- if and .ReadDeadline .Codec}}
+	// reqStart is the unix-nano time the buffered partial request's
+	// first byte arrived (0 when none is buffered).
+	reqStart atomic.Int64
+	{{- end}}
 	{{- if .Logging}}
 	id   uint64
 	reqs atomic.Uint64
@@ -1177,8 +1186,29 @@ func (c *Communicator) SetPriority(p int) { c.prio.Store(int32(p)) }
 
 {{if .Idle}}
 func (c *Communicator) touch() { c.lastActive.Store(nowNanos()) }
-
+{{end}}
+{{if or .ReadDeadline .Idle}}
 func nowNanos() int64 { return time.Now().UnixNano() }
+
+// readDeadline returns the unix-nano deadline of a read armed at armed:
+// the earliest of the selected read-side bounds (silence, request
+// assembly, idle).
+func (c *Communicator) readDeadline(armed int64) int64 {
+	{{- if .ReadDeadline}}
+	d := armed + int64(readTimeout)
+	{{- if .Codec}}
+	if start := c.reqStart.Load(); start != 0 {
+		d = min(d, start+int64(readTimeout))
+	}
+	{{- end}}
+	{{- if .Idle}}
+	d = min(d, c.lastActive.Load()+int64(idleTimeout))
+	{{- end}}
+	return d
+	{{- else}}
+	return c.lastActive.Load() + int64(idleTimeout)
+	{{- end}}
+}
 {{end}}
 
 // outItem is one reply in wire order: data{{if .LargeFile}}, then n bytes of f from off{{end}}.
@@ -1344,12 +1374,14 @@ func (c *Communicator) shutdown(cause error) {
 // readLoop is the Read Request step of a connection served by a reader
 // goroutine: blocking reads
 // queue copies of the bytes on the inbox, in read order, and each chunk
-// wakes the connection (see wake).
+// wakes the connection (see wake).{{if or .ReadDeadline .Idle}} Each read waits under the one deadline
+// that carries every read-side bound (see readDeadline).{{end}}
 func (c *Communicator) readLoop() {
 	buf := make([]byte, 32*1024)
 	for {
-		{{- if .ReadDeadline}}
-		c.conn.SetReadDeadline(time.Now().Add(readTimeout))
+		{{- if or .ReadDeadline .Idle}}
+		armed := nowNanos()
+		c.conn.SetReadDeadline(time.Unix(0, c.readDeadline(armed)))
 		{{- end}}
 		{{- if .Profiling}}
 		readStart := time.Now()
@@ -1369,6 +1401,12 @@ func (c *Communicator) readLoop() {
 			c.wake()
 		}
 		if err != nil {
+			{{- if or .ReadDeadline .Idle}}
+			// Every bound still ahead (a reply moved since it was armed): re-arm.
+			if os.IsTimeout(err) && nowNanos() < c.readDeadline(armed) {
+				continue
+			}
+			{{- end}}
 			c.shutdown(nil)
 			return
 		}
@@ -1492,6 +1530,14 @@ func (c *Communicator) decodeLoop({{if .DirectDispatch}}fast func(*Communicator,
 			return{{if .DirectDispatch}} false{{end}}
 		}
 		if n == 0 || len(c.inbuf) == 0 {
+			{{- if .ReadDeadline}}
+			// Stamp a partial request's first byte for the read deadline.
+			if len(c.inbuf) == 0 {
+				c.reqStart.Store(0)
+			} else if c.reqStart.Load() == 0 {
+				c.reqStart.Store(nowNanos())
+			}
+			{{- end}}
 			return{{if .DirectDispatch}} false{{end}}
 		}
 	}
@@ -1710,10 +1756,6 @@ func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
-	{{- if .Idle}}
-	s.wg.Add(1)
-	go s.reapIdle()
-	{{- end}}
 }
 
 // ListenAndServe binds addr and serves.
@@ -1957,42 +1999,6 @@ func (s *Server) handleRequest(c *Communicator, req {{if .Codec}}any{{else}}[]by
 	}
 	{{- end}}
 }
-
-{{if .Idle}}
-// reapIdle terminates connections idle longer than the generated timeout.
-func (s *Server) reapIdle() {
-	defer s.wg.Done()
-	const idleTimeout = time.Duration({{.IdleTimeoutNanos}})
-	ticker := time.NewTicker(idleTimeout / 4)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-		}
-		now := nowNanos()
-		s.mu.Lock()
-		victims := make([]*Communicator, 0)
-		for _, c := range s.conns {
-			if time.Duration(now-c.lastActive.Load()) > idleTimeout {
-				victims = append(victims, c)
-			}
-		}
-		s.mu.Unlock()
-		for _, c := range victims {
-			{{- if .Debug}}
-			trace("server", "idle shutdown")
-			{{- end}}
-			c.shutdown(nil)
-		}
-	}
-}
-{{end}}
-
-
-
-
 `
 
 const cacheTemplate = `package {{.Package}}

@@ -62,15 +62,15 @@ func TestModelConformanceSeeded(t *testing.T) {
 	}
 	// The in-memory transport reads on connection goroutines, where hot
 	// repeats take the fast path: the batch must have checked it. Every
-	// reply needs a write of its own unless a corked window shared one,
-	// so fewer reply writes than replies means pipelined hits took the
-	// corked path too.
+	// reply needs a write of its own unless a fast-served window shared
+	// one, so fewer reply writes than replies means pipelined hits were
+	// served as windows too.
 	snap := h.Server().Framework().Profile().Snapshot()
 	if snap.DirectDispatched == 0 {
 		t.Fatal("no program reached the fast path (DirectDispatched = 0)")
 	}
 	if snap.ReplyWrites >= snap.RequestsServed {
-		t.Fatalf("no pipelined window was corked: %d reply writes for %d requests",
+		t.Fatalf("no pipelined window shared a write: %d reply writes for %d requests",
 			snap.ReplyWrites, snap.RequestsServed)
 	}
 	t.Logf("fast path served %d requests; %d reply writes for %d requests",

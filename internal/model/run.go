@@ -353,12 +353,11 @@ type pacedConn struct {
 }
 
 // paceHorizon bounds the strictly paced phase. The slow-reader defense
-// must fire within one WriteTimeout stall plus a quarter-interval
-// scavenger tick — well under a second in every harness configuration —
-// so by the horizon the connection's fate is sealed and the client may
-// drain freely: a torn fate tolerates any prediction prefix before the
-// EOF, which faster reading cannot forge, and a kept connection only
-// finishes sooner. Without the horizon, a torn TCP connection would
+// must fire within one WriteTimeout stall — well under a second in every
+// harness configuration — so by the horizon the connection's fate is
+// sealed and the client may drain freely: a torn fate tolerates any
+// prediction prefix before the EOF, which faster reading cannot forge,
+// and a kept connection only finishes sooner. Without the horizon, a torn TCP connection would
 // drain megabytes of kernel-buffered bytes at the starved pace.
 const paceHorizon = 4 * time.Second
 

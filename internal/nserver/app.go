@@ -8,7 +8,7 @@
 // Acceptor-Connector (with O9 overload gating), the per-connection
 // five-step request pipeline of Fig. 1 — Read Request, Decode Request,
 // Handle Request, Encode Reply, Send Reply — emulated asynchronous file
-// I/O with completion tokens (O4), the file cache (O6), the idle reaper
+// I/O with completion tokens (O4), the file cache (O6), idle shutdown
 // (O7), priority scheduling (O8), profiling (O11), and logging/debug
 // tracing (O10/O12).
 //

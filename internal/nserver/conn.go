@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -39,8 +41,9 @@ const maxInboxChunks = 4
 // Conn is the Communicator Component of the generated framework: the
 // per-connection object binding the transport to the five-step pipeline.
 // Its generated code varies with options O3 (codec buffer and decode
-// loop), O7 (activity timestamps for the idle reaper), O8 (the priority
-// field) and O11 (byte counters) — the crosscutting Table 2 documents.
+// loop), O7 (activity timestamps for the idle bound of the read deadline),
+// O8 (the priority field) and O11 (byte counters) — the crosscutting
+// Table 2 documents.
 type Conn struct {
 	srv *Server
 	// app and codec are the connection's hooks: the server's for an
@@ -67,15 +70,16 @@ type Conn struct {
 	prio atomic.Int32
 
 	// lastActive is the unix-nano timestamp of the last read or write,
-	// sampled by the idle reaper (O7).
+	// stamped only with O7 on: the idle bound of the read deadline (see
+	// readDeadline).
 	lastActive atomic.Int64
 
 	// reqStart is the unix-nano timestamp at which the current partially
 	// assembled request first entered the decode buffer (0 when no
-	// request is pending). The slow-client reaper tears the connection
-	// down when a partial request outlives ReadTimeout — the defense the
-	// per-read deadline alone cannot provide against a peer that
-	// trickles one byte per deadline window.
+	// request is pending), stamped only with a ReadTimeout: the read
+	// deadline never reaches past reqStart + ReadTimeout, the defense the
+	// per-read bound alone cannot provide against a peer that trickles
+	// one byte per deadline window.
 	reqStart atomic.Int64
 
 	// Read side (see drain): rgate serializes drains of inbound bytes —
@@ -102,13 +106,11 @@ type Conn struct {
 
 	// Write side (see send in writeq.go): writeMu serializes every reply's
 	// flush. outq holds, in wire order, replies not yet on the wire: the
-	// corked replies of the window the drain is serving (corked is set by
-	// the drain owner, see decodeLoop), the parked rest of replies the
-	// socket refused, and reserved reply positions with the replies
-	// waiting behind them (held counts the positions not yet filled,
-	// slots is the last position ID handed out). wgate elects the one
-	// writePump goroutine that finishes a parked queue, and pumping marks
-	// its flush, during whose blocking writes it drops writeMu. unparked
+	// parked rest of replies the socket refused, and reserved reply
+	// positions with the replies waiting behind them (held counts the
+	// positions not yet filled, slots is the last position ID handed
+	// out). wgate elects the one writePump goroutine that finishes a
+	// parked queue, and pumping marks its flush, during whose blocking writes it drops writeMu. unparked
 	// (on writeMu) wakes those waiting for the pump: readLoop, which
 	// reads nothing while the queue is parked, and finalize. The atomics
 	// feed the parked-write gauges without taking the lock. outq, held,
@@ -119,7 +121,6 @@ type Conn struct {
 	outq            []outItem
 	held            int
 	slots           uint64
-	corked          atomic.Bool
 	outMem          atomic.Int64
 	outPending      atomic.Int64
 	pumping         bool
@@ -171,11 +172,6 @@ func (c *Conn) SetUserData(v any) { c.userData.Store(v) }
 // UserData returns the state attached with SetUserData (nil if unset).
 func (c *Conn) UserData() any { return c.userData.Load() }
 
-// IdleFor returns how long the connection has been inactive.
-func (c *Conn) IdleFor() time.Duration {
-	return time.Duration(time.Now().UnixNano() - c.lastActive.Load())
-}
-
 // Closed reports whether the connection has been torn down.
 func (c *Conn) Closed() bool { return c.closed.Load() }
 
@@ -207,7 +203,13 @@ func (c *Conn) nextRequestID() uint64 { return c.reqs.Add(1) }
 // never for a request it declines (the queued path stamps those itself).
 func (c *Conn) BeginRequest() uint64 { return c.nextRequestID() }
 
-func (c *Conn) touch() { c.lastActive.Store(time.Now().UnixNano()) }
+// touch stamps the connection's activity for the O7 idle bound; with O7
+// off it reads no clock.
+func (c *Conn) touch() {
+	if c.srv.opts.ShutdownLongIdle {
+		c.lastActive.Store(time.Now().UnixNano())
+	}
+}
 
 // Send transmits raw bytes (the Send Reply step without encoding) as one
 // outbound item (see send), behind every reply position reserved before
@@ -284,18 +286,18 @@ func appendHeadSafe(be BufferEncoder, dst []byte, reply any) (head, body []byte,
 // semantics, for callers (the copshttp fast path) that hold a rendered
 // wire head and a reference-safe body and must not glue them into one
 // allocation or copy either. Both slices are retained by reference: a
-// reply that is queued — corked, parked or behind a reserved position —
-// keeps them until it is flushed, so neither may change until then.
+// reply that is queued — parked or behind a reserved position — keeps
+// them until it is flushed, so neither may change until then.
 func (c *Conn) SendBuffers(head, body []byte) error {
 	return c.send(outItem{head: head, body: body, headRef: true})
 }
 
 // Close tears the connection down cleanly. A connection with committed
-// replies still queued closes gracefully: corked replies leave with the
-// drain's uncork, a parked queue finishes draining (each of the pump's
-// writes under the per-chunk WriteTimeout), and the teardown runs when
-// the queue empties, so a pipelined peer still receives every reply
-// committed before the close.
+// replies still queued closes gracefully: replies behind a reserved
+// position leave once it is filled, a parked queue finishes draining
+// (each of the pump's writes under the per-chunk write bound), and the
+// teardown runs when the queue empties, so a pipelined peer still
+// receives every reply committed before the close.
 func (c *Conn) Close() error {
 	c.writeMu.Lock()
 	if !c.closed.Load() && len(c.outq) > 0 {
@@ -344,16 +346,20 @@ func (c *Conn) teardown(cause error) {
 // reader goroutine's lease reader (see Server.reader). readLoop reads
 // nothing while the outbound queue is parked, or while the inbox is full:
 // a peer that stops reading its replies, or pipelines faster than Handle
-// runs, is throttled, not buffered for.
+// runs, is throttled, not buffered for. With a ReadTimeout or O7 set,
+// each read waits under the one deadline that carries every read-side
+// bound (see readDeadline and expired).
 func (c *Conn) readLoop(lr *leaseReader) {
-	readTimeout := c.srv.opts.ReadTimeout
+	bounded := c.srv.opts.ReadTimeout > 0 || c.srv.opts.ShutdownLongIdle
 	for {
 		if c.outPending.Load() > 0 {
 			c.awaitUnparked()
 		}
 		c.awaitInboxSpace()
-		if readTimeout > 0 {
-			_ = c.conn.SetReadDeadline(time.Now().Add(readTimeout))
+		var armed int64
+		if bounded {
+			armed = time.Now().UnixNano()
+			_ = c.conn.SetReadDeadline(time.Unix(0, c.readDeadline(armed)))
 		}
 		readStart := c.sh.profile.StageStart()
 		var lease *bufpool.Buffer
@@ -382,10 +388,62 @@ func (c *Conn) readLoop(lr *leaseReader) {
 			lease.Release()
 		}
 		if err != nil {
+			if bounded && os.IsTimeout(err) && !c.expired(armed, err) {
+				continue
+			}
 			c.readEnd(err)
 			return
 		}
 	}
+}
+
+// readDeadline returns the unix-nano deadline of a read armed at armed:
+// the earliest of the silence bound (armed + ReadTimeout), the assembly
+// bound (the buffered partial request's first byte + ReadTimeout) and the
+// O7 idle bound (the last read or reply + IdleTimeout).
+func (c *Conn) readDeadline(armed int64) int64 {
+	d := int64(math.MaxInt64)
+	if rt := int64(c.srv.opts.ReadTimeout); rt > 0 {
+		d = armed + rt
+		if start := c.reqStart.Load(); start != 0 {
+			d = min(d, start+rt)
+		}
+	}
+	if c.srv.opts.ShutdownLongIdle {
+		d = min(d, c.lastActive.Load()+int64(c.srv.opts.IdleTimeout))
+	}
+	return d
+}
+
+// expired runs when the deadline of a read armed at armed fires (see
+// readDeadline). It tears the connection down for a bound that has
+// passed and reports true: with ErrSlowClient for request assembly, with
+// the deadline error err for a silent ReadTimeout, and with no error for
+// the O7 idle bound. With every bound still ahead — a reply moved since
+// the deadline was armed — it reports false, and the reader re-arms.
+func (c *Conn) expired(armed int64, err error) bool {
+	now, rt := time.Now().UnixNano(), int64(c.srv.opts.ReadTimeout)
+	switch start := c.reqStart.Load(); {
+	case start != 0 && now >= start+rt:
+		c.idleShutdown(ErrSlowClient)
+	case rt > 0 && now >= armed+rt:
+		c.teardown(err)
+	case c.srv.opts.ShutdownLongIdle && now >= c.lastActive.Load()+int64(c.srv.opts.IdleTimeout):
+		c.idleShutdown(nil)
+	default:
+		return false
+	}
+	return true
+}
+
+// idleShutdown tears down a connection that outlived its assembly or O7
+// idle bound, counted as an idle shutdown unless it was already closing.
+func (c *Conn) idleShutdown(cause error) {
+	if !c.closed.Load() {
+		c.srv.trace.Record("communicator", "reaped %d (%v)", c.handle, cause)
+		c.sh.profile.IdleShutdown()
+	}
+	c.teardown(cause)
 }
 
 // pushInbox queues one chunk read by readLoop and reports whether it was
@@ -572,14 +630,16 @@ func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
 // when it is set; the first one it declines punts (see punt), and
 // the report is true.
 //
-// A fast-served request with more bytes buffered behind it corks the
-// connection: its reply, and the rest of the window's, queue until the
-// pass ends and leave in one gathered write (see uncork). Only the fast
-// path corks — its hook never blocks, so a corked reply never waits on
-// the peer — and no cork outlives the pass: it is lifted at the pass
-// end, before a punt and before a decode error's teardown.
+// A fast-served request with more bytes buffered behind it opens a
+// window: the loop reserves the connection's next reply position (see
+// Reserve), so the window's replies wait behind it, and fills it empty
+// when the window ends — at the pass end, before a punt and before a
+// decode error's teardown. The flush the fill runs sends the window in
+// one gathered write. Only the fast path opens windows: its hook never
+// blocks, so a held position never waits on the peer, and none outlives
+// the pass.
 func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
-	corked := false
+	var window Slot
 	for {
 		decStart := c.sh.profile.StageStart()
 		req, n, err := c.decodeSafe()
@@ -589,33 +649,31 @@ func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
 			if fast == nil {
 				c.srv.handleRequest(c, req)
 			} else {
-				if !corked && len(c.inbuf) > 0 {
-					corked = true
-					c.corked.Store(true)
+				if window.c == nil && len(c.inbuf) > 0 {
+					window = c.Reserve()
 				}
 				if !fast(c, req) {
-					if corked {
-						c.uncork()
-					}
+					window.fillEmpty()
 					return c.punt(req)
 				}
 			}
 		}
-		if corked && (err != nil || n == 0 || len(c.inbuf) == 0) {
-			c.uncork()
+		end := err != nil || n == 0 || len(c.inbuf) == 0
+		if end {
+			window.fillEmpty()
 		}
 		if err != nil {
 			c.srv.trace.Record("communicator", "decode error on %d: %v", c.handle, err)
 			c.teardown(err)
 			return false
 		}
-		if n == 0 || len(c.inbuf) == 0 {
-			// Track request-assembly age for the slow-client reaper: a
+		if end {
+			// Track request-assembly age for the read deadline: a
 			// non-empty remainder is a partial request; stamp its start
 			// once and clear the stamp when the buffer drains.
 			if len(c.inbuf) == 0 {
 				c.reqStart.Store(0)
-			} else if c.reqStart.Load() == 0 {
+			} else if c.reqStart.Load() == 0 && c.srv.opts.ReadTimeout > 0 {
 				c.reqStart.Store(time.Now().UnixNano())
 			}
 			return false
@@ -670,16 +728,6 @@ func (c *Conn) resumePunted(req any) {
 		c.decodeLoop(nil)
 	}
 	c.drain(nil)
-}
-
-// RequestPendingFor returns how long the current partially assembled
-// request has been sitting in the decode buffer (0 when none is).
-func (c *Conn) RequestPendingFor() time.Duration {
-	start := c.reqStart.Load()
-	if start == 0 {
-		return 0
-	}
-	return time.Duration(time.Now().UnixNano() - start)
 }
 
 // finalize runs the OnClose hook exactly once, after deregistering the

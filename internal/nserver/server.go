@@ -65,11 +65,12 @@ type Config struct {
 	// the runtime never touches it again, so the hook may recycle it. A
 	// declined request, and every request on the queued path, belongs to
 	// the Handle hook as before.
-	// A memory-only reply the hook sends may be deferred: while more
-	// requests are buffered behind the one it serves, the connection is
-	// corked, and the window's replies leave together in one gathered
-	// write when the drain pass ends — before a punt, and never held
-	// across a read. The bytes and their order on the wire are unchanged.
+	// A reply the hook sends may be deferred: while more requests are
+	// buffered behind the one it serves, the window's replies wait behind
+	// a reply position the drain reserved, and leave together in one
+	// gathered write when the drain pass ends — before a punt, and never
+	// held across a read. The bytes and their order on the wire are
+	// unchanged.
 	FastPath func(c *Conn, req any) bool
 	// CacheOnRemove, when non-nil, is installed as the file cache's
 	// removal hook (cache.Config.OnRemove): it is called with each key
@@ -91,7 +92,7 @@ const readerIdleWait = time.Second
 
 // shard is one independent slice of the serve runtime: its own Reactor
 // (event source, dispatcher threads), its own reactive Event Processor,
-// its own connection table, scavenger and profiling counters. A
+// its own connection table and profiling counters. A
 // connection is owned by exactly one shard for its whole life, so the
 // per-request pipeline never takes a lock another shard contends on.
 // The file-I/O pool, file cache and overload controller stay global:
@@ -163,8 +164,7 @@ type Server struct {
 
 	// readers hands an accepted connection to an idle reader goroutine
 	// (see reader); readerStarts counts the reader goroutines attach has
-	// started, and done, closed by Shutdown, ends the idle ones and the
-	// shard scavengers (see reap).
+	// started, and done, closed by Shutdown, ends the idle ones.
 	readers      chan *Conn
 	readerStarts atomic.Uint64
 	done         chan struct{}
@@ -609,16 +609,6 @@ func (s *Server) Start(ln net.Listener) error {
 	for _, sh := range s.shards {
 		sh.reactor.Run()
 	}
-	// O7: the idle reaper exists only when selected. The same scavenger
-	// doubles as the slow-client reaper whenever a ReadTimeout bounds
-	// request assembly, so a slowloris peer that keeps refreshing its
-	// activity timestamp with one-byte reads still gets collected. Each
-	// shard scavenges its own connection table until Shutdown.
-	if s.opts.ShutdownLongIdle || s.opts.ReadTimeout > 0 {
-		for _, sh := range s.shards {
-			go s.reap(sh)
-		}
-	}
 	s.acceptWG.Add(1)
 	go func() {
 		defer s.acceptWG.Done()
@@ -672,7 +662,7 @@ func (s *Server) Shutdown() {
 // Conn with its own hooks and no codec (Fig. 2's O3 = No pipeline): Handle
 // receives each chunk read, and Reply and Send take raw bytes. An
 // application that dials or accepts a socket itself (COPS-FTP's data
-// connections) thereby gets the read and write paths, deadlines, reaper,
+// connections) thereby gets the read and write paths, deadlines,
 // metrics and Shutdown of an accepted connection. The connection counts
 // in the acceptor's live count, but Attach never refuses it for
 // MaxConnections. app.OnConnect runs before Attach returns. The server
@@ -875,56 +865,4 @@ func (c *Conn) encode(reply any) (data []byte, err error) {
 		return nil, fmt.Errorf("nserver: no codec configured; Reply requires []byte, got %T", reply)
 	}
 	return data, nil
-}
-
-// reap is one shard's connection scavenger: the idle reaper of option O7
-// (long inactivity) plus the slow-client reaper (a partially assembled
-// request older than ReadTimeout — the slowloris defense). Either bound
-// may be active alone; the sampling interval follows the tighter of the
-// two.
-func (s *Server) reap(sh *shard) {
-	idle := time.Duration(0)
-	if s.opts.ShutdownLongIdle {
-		idle = s.opts.IdleTimeout
-	}
-	slow := s.opts.ReadTimeout
-	interval := idle / 4
-	if slow > 0 && (interval <= 0 || slow/4 < interval) {
-		interval = slow / 4
-	}
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-		}
-		sh.mu.Lock()
-		idleVictims := make([]*Conn, 0)
-		slowVictims := make([]*Conn, 0)
-		for _, c := range sh.conns {
-			switch {
-			case idle > 0 && c.IdleFor() > idle:
-				idleVictims = append(idleVictims, c)
-			case slow > 0 && c.RequestPendingFor() > slow:
-				slowVictims = append(slowVictims, c)
-			}
-		}
-		sh.mu.Unlock()
-		for _, c := range idleVictims {
-			s.trace.Record("server", "idle shutdown of handle %d after %v", c.handle, c.IdleFor())
-			sh.profile.IdleShutdown()
-			c.teardown(nil)
-		}
-		for _, c := range slowVictims {
-			s.trace.Record("server", "slow-client shutdown of handle %d (request pending %v)",
-				c.handle, c.RequestPendingFor())
-			sh.profile.IdleShutdown()
-			c.teardown(ErrSlowClient)
-		}
-	}
 }

@@ -1,10 +1,11 @@
 package nserver
 
-// TestShutdownRacesReadLoopsAndScavenger drives Shutdown into the middle
-// of live traffic with both reapers armed (the O7 idle scavenger and the
-// slow-client reaper), so the teardown path races active readLoops,
-// in-flight replies and the scavenger's victim sweep. The -race run of
-// this test is the regression fence for the connection-lifecycle locking.
+// TestShutdownRacesReadLoopsAndDeadlines drives Shutdown into the middle
+// of live traffic with every read-side bound armed (the O7 idle bound and
+// ReadTimeout's silence and request-assembly bounds), so the teardown path
+// races active readLoops, in-flight replies and readers tearing their own
+// connections down at a fired deadline. The -race run of this test is the
+// regression fence for the connection-lifecycle locking.
 
 import (
 	"errors"
@@ -17,7 +18,7 @@ import (
 	"time"
 )
 
-func TestShutdownRacesReadLoopsAndScavenger(t *testing.T) {
+func TestShutdownRacesReadLoopsAndDeadlines(t *testing.T) {
 	opts := testOptions()
 	opts.ShutdownLongIdle = true
 	opts.IdleTimeout = 5 * time.Millisecond
@@ -62,7 +63,7 @@ func TestShutdownRacesReadLoopsAndScavenger(t *testing.T) {
 					if _, err := conn.Read(buf); err != nil {
 						return
 					}
-				case 1: // slow: partial request, let the reaper find it
+				case 1: // slow: partial request, let its deadline find it
 					if _, err := fmt.Fprint(conn, "tri"); err != nil {
 						return
 					}
@@ -74,8 +75,8 @@ func TestShutdownRacesReadLoopsAndScavenger(t *testing.T) {
 		}(i)
 	}
 
-	// Let traffic, the idle reaper and the slow-client reaper overlap,
-	// then shut down in the middle of it all.
+	// Let traffic and the idle and request-assembly bounds overlap, then
+	// shut down in the middle of it all.
 	time.Sleep(30 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {
@@ -85,7 +86,7 @@ func TestShutdownRacesReadLoopsAndScavenger(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown wedged against live readLoops/scavenger")
+		t.Fatal("Shutdown wedged against live readLoops")
 	}
 	close(stop)
 	wg.Wait()

@@ -151,9 +151,9 @@ func TestParkedQueueThrottlesReader(t *testing.T) {
 	}
 }
 
-// TestReadTimeoutClosesSilentConn: the O7 per-read deadline bounds the
-// wait for readiness, so a connection that never sends is closed within
-// ReadTimeout.
+// TestReadTimeoutClosesSilentConn: the read deadline's silence bound
+// bounds the wait for readiness, so a connection that never sends is
+// closed within ReadTimeout.
 func TestReadTimeoutClosesSilentConn(t *testing.T) {
 	o := testOptions()
 	o.ReadTimeout = 50 * time.Millisecond
@@ -177,8 +177,8 @@ func TestReadTimeoutClosesSilentConn(t *testing.T) {
 }
 
 // TestSlowlorisReaped: a peer that trickles one byte per few
-// milliseconds never trips the per-read deadline, so only the
-// request-assembly budget (RequestPendingFor) can catch it.
+// milliseconds never lets one read wait out ReadTimeout, so only the read
+// deadline's request-assembly bound (reqStart) can catch it.
 func TestSlowlorisReaped(t *testing.T) {
 	o := testOptions()
 	o.ReadTimeout = 60 * time.Millisecond

@@ -77,10 +77,9 @@ func mixedReplyApp(t *testing.T, path string) App {
 // wrapped transport that hides its descriptor.
 //
 // The fast variant serves the stream through a FastPath hook instead, so
-// it arrives as one corked window: the file range flushes the corked
-// replies ahead of it with 4 MiB queued, the gathered write hits EAGAIN,
-// the rest of the window parks, and the replies the hook serves after it
-// queue behind the parked ones.
+// it arrives as one window: every reply, the file range included, waits
+// behind the window's reserved position, the fill's gathered write hits
+// EAGAIN with over 4 MiB queued, and the rest of the window parks.
 func TestOneWritePathSameBytesOnEverySink(t *testing.T) {
 	const fileLen = 3 << 20
 	// Aperiodic bytes: a chunk re-sent from the wrong offset cannot

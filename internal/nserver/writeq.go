@@ -36,25 +36,22 @@ import (
 //     writes blocking from the sender. Its sink never reports again, so
 //     nothing ever parks.
 //
-// The blocking sink arms the write deadline per bounded chunk, so
-// WriteTimeout means the same for every write: a stall bound, not a
-// transfer cap. A peer that stops reading a parked reply fails the pump's
-// next deadline, while a slow-but-progressing one may take as long as it
-// needs.
-//
-// While the drain serves a pipelined window on the fast path the
-// connection is corked (see decodeLoop): a memory-only reply is queued
-// instead of written, and uncork sends the whole window with one gathered
-// write when the window's buffered requests run out. A corked item is
-// not parked — no pump, no queue gauges — and it is never held across a
-// read.
+// The blocking sink arms the write deadline per bounded chunk (see
+// writeBound), so WriteTimeout means the same for every write: a stall
+// bound, not a transfer cap. A peer that stops reading a parked reply
+// fails the pump's next deadline, while a slow-but-progressing one may
+// take as long as it needs. With O7 on, IdleTimeout tightens the bound,
+// and a peer that stops taking its reply for that long is reaped as idle.
 //
 // A handler whose reply waits on an asynchronous hop first reserves the
 // connection's next reply position (see Reserve): an unfilled, held item
 // at which flush stops. Replies sent behind it wait in the queue, owned
-// like corked ones, until the sender that fills the front position moves
-// the whole contiguous run. Queue order is thus request order, whichever
-// reply completes first. A held position is never parked.
+// (see own), until the sender that fills the front position moves the
+// whole contiguous run. Queue order is thus request order, whichever
+// reply completes first. A held position is never parked. The drain
+// reserves one for each pipelined window it serves on the fast path (see
+// decodeLoop) and fills it empty when the window ends, so the window's
+// replies leave in one gathered write.
 
 // ErrOutboundOverflow tears down a connection whose parked replies would
 // exceed the per-connection outbound memory cap: a reader this far
@@ -86,8 +83,8 @@ const retainedQueueCap = 32
 
 // outItem is one reply in wire order: head, then body, then remaining
 // bytes of file starting at off. While send runs, every field borrows
-// from the caller; an item that outlives the call — corked, parked or
-// behind a held position — owns its head and descriptor (see own),
+// from the caller; an item that outlives the call — parked or behind a
+// held position — owns its head and descriptor (see own),
 // except a head the caller lent by reference (SendBuffers).
 type outItem struct {
 	headLease *bufpool.Buffer // owns head's backing store once queued past send
@@ -97,7 +94,7 @@ type outItem struct {
 	file      *os.File        // the caller's descriptor, a queue-owned dup once owned
 	off       int64           // next file offset
 	remaining int64           // file bytes still unsent
-	parkedAt  int64           // unix-nano park time; 0 while borrowed, corked or held
+	parkedAt  int64           // unix-nano park time; 0 while borrowed or held
 	slot      uint64          // reserved position's ID (see Reserve); 0 for a plain send
 	held      bool            // a reserved position not yet filled: flush stops here
 	last      bool            // the connection's last reply (see Slot.Last)
@@ -233,16 +230,22 @@ func (s Slot) SendBuffers(head, body []byte) error {
 // item is the outbound item that fills the position.
 func (s Slot) item() outItem { return outItem{slot: s.id, last: s.last} }
 
+// fillEmpty fills the position with no bytes, releasing the replies
+// waiting behind it; on the zero Slot (nothing reserved) it does nothing.
+func (s Slot) fillEmpty() {
+	if s.c != nil {
+		_ = s.c.send(s.item())
+	}
+}
+
 // send is the Send Reply step every reply takes. Under writeMu it
 // appends the item to outq — or, for a fill, puts it in its reserved
 // position — and flushes the queue until it is sent, the write fails
 // (the connection is torn down) or a non-blocking attempt finds the
 // socket full (the rest parks and send returns nil: the bytes are
-// committed and will drain in order). Three cases only queue: behind a
-// held position a reply waits for it to be filled, behind anything
-// parked it parks, and on a corked connection a memory-only reply waits
-// for uncork. A file range flushes the corked replies ahead of it. Queue
-// order is wire order every way.
+// committed and will drain in order). Two cases only queue: behind a
+// held position a reply waits for it to be filled, and behind anything
+// parked it parks. Queue order is wire order every way.
 func (c *Conn) send(it outItem) error {
 	if c.closed.Load() {
 		return ErrConnClosed
@@ -274,8 +277,6 @@ func (c *Conn) send(it outItem) error {
 		return nil
 	case c.queueParked():
 		return c.park()
-	case it.remaining == 0 && c.corked.Load():
-		return c.outq[i].own()
 	}
 	return c.flushLocked()
 }
@@ -296,12 +297,12 @@ func (c *Conn) slotIndex(slot uint64) (i int, heldAhead bool) {
 }
 
 // queueParked reports whether outq waits on the write pump. Items park
-// as a whole queue, so the front decides; an empty queue or one holding
-// corked replies is not parked. Called under writeMu.
+// as a whole queue, so the front decides; an empty queue or one whose
+// front is a held position is not parked. Called under writeMu.
 func (c *Conn) queueParked() bool { return len(c.outq) > 0 && c.outq[0].parkedAt != 0 }
 
 // flushLocked runs flush for a writer holding a queue that is not
-// parked (send, uncork): a write error tears the connection down, a
+// parked (send): a write error tears the connection down, a
 // full socket parks what is left, and an emptied queue closes the
 // connection when a Close or a last reply waits on it. Called under
 // writeMu.
@@ -425,7 +426,7 @@ fill:
 }
 
 // noteSent accounts n bytes the sink accepted in one write: the O11 byte
-// counter and the activity stamp always, and for a parked queue the
+// counter and the O7 activity stamp always, and for a parked queue the
 // queue gauges. Called under writeMu.
 func (c *Conn) noteSent(n int, mem, parked bool) {
 	c.sh.profile.BytesSent(n)
@@ -494,12 +495,24 @@ func (c *Conn) sendChunk(i int) (n int, again, via bool, err error) {
 	return int(wn), false, via, err
 }
 
-// armWriteDeadline applies the per-chunk write deadline (WriteTimeout)
+// armWriteDeadline applies the per-chunk write deadline (see writeBound)
 // before a blocking write; 0 leaves the transport unbounded.
 func (c *Conn) armWriteDeadline() {
-	if wt := c.srv.opts.WriteTimeout; wt > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(wt))
+	if d, _ := c.writeBound(); d > 0 {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(d))
 	}
+}
+
+// writeBound is how long one blocking write may stall: WriteTimeout, or
+// with O7 on IdleTimeout where that is tighter (idle reports which), so a
+// parked queue that stops moving is torn down as idle while its reader
+// waits on the pump.
+func (c *Conn) writeBound() (d time.Duration, idle bool) {
+	d = c.srv.opts.WriteTimeout
+	if it := c.srv.opts.IdleTimeout; c.srv.opts.ShutdownLongIdle && (d == 0 || it < d) {
+		return it, true
+	}
+	return d, false
 }
 
 // pumpUnlock drops writeMu across the pump's blocking write, so senders
@@ -518,7 +531,7 @@ func (c *Conn) pumpRelock() {
 }
 
 // park hands the queue's unparked run — the item send could not finish,
-// any corked replies ahead of it, and the replies that waited behind it
+// any replies queued ahead of it, and the replies that waited behind it
 // up to the next held position — to the write pump, starting the pump
 // when the queue was not parked before. The queue owns what it parks
 // (see own). In-memory bytes are capped per connection, except for a run
@@ -569,24 +582,6 @@ func (c *Conn) park() error {
 	return nil
 }
 
-// uncork ends the drain's corked window: every corked reply leaves with
-// the one flush loop — on the fast path, a pipelined window's replies in
-// one gathered write — and a Close deferred behind them is due once they
-// are sent. The read side calls it at each end of a decode pass (the
-// buffer is empty or holds a partial request), before a punt hands the
-// drain to a worker, and before a decode error tears the connection down.
-func (c *Conn) uncork() {
-	c.writeMu.Lock()
-	c.corked.Store(false)
-	switch {
-	case c.closed.Load():
-		c.freeOutboundLocked()
-	case len(c.outq) > 0 && !c.queueParked():
-		_ = c.flushLocked()
-	}
-	c.writeMu.Unlock()
-}
-
 // writePump is the goroutine park starts, holding wgate: it flushes the
 // parked queue with the blocking sink until the queue empties or the
 // connection is torn down, then wakes readLoop and exits, going around
@@ -627,7 +622,7 @@ func (c *Conn) pumpQueueLocked() (closeNow bool) {
 	if c.queueParked() {
 		return false
 	}
-	if c.srv.opts.WriteTimeout > 0 {
+	if d, _ := c.writeBound(); d > 0 {
 		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
 	return len(c.outq) == 0 && c.closeAfterFlush
@@ -644,10 +639,15 @@ func (c *Conn) awaitUnparked() {
 }
 
 // failOutboundLocked tears the connection down mid-reply: a reply head is
-// already committed to the wire, so the framing cannot be repaired.
+// already committed to the wire, so the framing cannot be repaired. A
+// write that stalled past the O7 idle bound reaps the connection as idle.
 // Called under writeMu.
 func (c *Conn) failOutboundLocked(err error) {
-	c.teardown(err)
+	if _, idle := c.writeBound(); idle && os.IsTimeout(err) {
+		c.idleShutdown(nil)
+	} else {
+		c.teardown(err)
+	}
 	c.freeOutboundLocked()
 }
 

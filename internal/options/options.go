@@ -257,7 +257,10 @@ type Options struct {
 	CacheCapacity  int64 // bytes; must be > 0 when Cache != NoCache
 	CacheThreshold int64 // max cacheable document size for LRU-Threshold
 	FileIOThreads  int   // workers in the file I/O Event Processor
-	// O7: shut down long-idle connections.
+	// O7: shut down long-idle connections. IdleTimeout is how long a
+	// connection may pass with no byte read and no reply byte written
+	// before it is closed; it is enforced by the connection's own read
+	// deadline, and a blocking reply write stalls at most this long.
 	ShutdownLongIdle bool
 	IdleTimeout      time.Duration // required when ShutdownLongIdle
 
@@ -268,9 +271,10 @@ type Options struct {
 	// the paper's configurations exactly.
 	//
 	// ReadTimeout bounds each blocking transport read AND the total time
-	// a partially assembled request may sit in the decode buffer (the
-	// slow-client reaper's budget), so a slowloris peer trickling one
-	// byte per deadline cannot hold a Communicator forever.
+	// a partially assembled request may sit in the decode buffer, counted
+	// from its first byte, so a slowloris peer trickling one byte per
+	// deadline cannot hold a Communicator forever. Both bounds, and O7's,
+	// ride one read deadline.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each reply write; an unresponsive peer whose
 	// receive window stays closed fails the connection instead of
@@ -306,7 +310,7 @@ type Options struct {
 
 	// Shards is the multi-reactor shard count: the runtime (and the
 	// generated framework) instantiates this many independent
-	// Reactor + Event Processor + scavenger groups, each owning a
+	// Reactor + Event Processor groups, each owning a
 	// disjoint subset of the connections, so accept, dispatch and event
 	// processing never share a lock across shards. The file-I/O pool
 	// stays global. 0 means "one shard per processor"

@@ -139,7 +139,8 @@ func (p *Profile) CacheMiss() {
 	}
 }
 
-// IdleShutdown counts one connection terminated by the idle reaper (O7).
+// IdleShutdown counts one connection reaped at the O7 idle bound or at
+// ReadTimeout's request-assembly bound.
 func (p *Profile) IdleShutdown() {
 	if p != nil {
 		p.idleShutdowns.Add(1)
