@@ -43,6 +43,9 @@ test: vet chaos
 	# Reply order on the wire, for the same reason: pipelined replies that
 	# complete out of order must still leave in request order.
 	$(call repeat,20,./internal/copshttp,TestWirePipelinedRepliesStayOrdered|TestDirectDispatchPipelinedOrdering|TestAccessLogNamesPipelinedRequest|TestMixedPipelinedWindow)
+	# The recycled-request window's fast-serve count, under the race
+	# detector's timing, where a late queued drain once showed.
+	$(GO) test -race -count=50 -run '^TestRecycledRequestsInPipelinedWindow$$' ./internal/copshttp
 	# The same for COPS-FTP: a command pipelined behind a transfer must be
 	# answered after the data connection's closing reply.
 	$(call repeat,20,./internal/copsftp,TestPipelinedCommandWaitsForTransferReply)

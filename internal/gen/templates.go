@@ -1094,10 +1094,19 @@ const idleTimeout = time.Duration({{.IdleTimeoutNanos}})
 // writeTimeout bounds each reply write so an unread peer socket cannot
 // park a worker in Send indefinitely.
 const writeTimeout = time.Duration({{.WriteTimeoutNanos}})
-
+{{end}}
+{{if .Idle}}
+// writeBound is how long one blocking write may stall: {{if .WriteDeadline}}writeTimeout,
+// or the idle bound where that is tighter{{else}}the idle bound{{end}}.
+// A peer that takes no reply byte for that long is closed; one that
+// keeps reading is not.
+const writeBound = {{if .WriteDeadline}}min(writeTimeout, idleTimeout){{else}}idleTimeout{{end}}
+{{end}}
+{{if or .WriteDeadline .Idle}}
 // writeFlushChunk is the largest span armed under one write deadline:
-// Send re-arms the deadline per chunk, so writeTimeout bounds how long
-// the peer may stall the transfer, not the transfer's total size.
+// Send re-arms the deadline per chunk{{if .Idle}} and stamps activity after it{{end}}, so
+// the bound is on how long the peer may stall the transfer, not on the
+// transfer's total size.
 const writeFlushChunk = 256 << 10
 {{end}}
 {{if .CapRequest}}
@@ -1313,15 +1322,15 @@ func (c *Communicator) flush(it *outItem) (again bool, err error) {
 	return false, nil
 }
 
-// write is the sink under flush. A blocking write{{if .WriteDeadline}} arms the write deadline for at
+// write is the sink under flush. A blocking write{{if or .WriteDeadline .Idle}} arms the write deadline for at
 // most writeFlushChunk bytes, and one{{end}} that comes up short without an
 // error is a failure — the unsent suffix would tear the reply framing.
 func (c *Communicator) write(buf []byte) (n int, again bool, err error) {
-	{{- if .WriteDeadline}}
+	{{- if or .WriteDeadline .Idle}}
 	if len(buf) > writeFlushChunk {
 		buf = buf[:writeFlushChunk]
 	}
-	c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	c.conn.SetWriteDeadline(time.Now().Add({{if .Idle}}writeBound{{else}}writeTimeout{{end}}))
 	{{- end}}
 	n, err = c.conn.Write(buf)
 	if err == nil && n < len(buf) {

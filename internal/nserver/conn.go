@@ -82,58 +82,54 @@ type Conn struct {
 	// one byte per deadline window.
 	reqStart atomic.Int64
 
-	// Read side (see drain): rgate serializes drains of inbound bytes —
-	// the same reactor.DrainGate the write side's wgate is — so one
-	// owner at a time runs a connection's pipeline: its chunks decode in
-	// read order into inbuf, and its Handle calls never overlap. The
-	// drain takes the chunks from the FIFO inbox readLoop fills:
-	// inbox[inHead:] under inMu, with inClosed set once finalize has
-	// released what was left and inEOF once the peer's EOF ended the
-	// stream behind the last chunk. readLoop waits on inSpace while the
-	// inbox is full (see awaitInboxSpace). raw is the transport's
-	// descriptor capability, nil when the transport hides its descriptor:
-	// with it, readLoop leases a chunk only once the socket is readable,
-	// and the write path's first attempt is non-blocking (see writeq.go).
-	rgate    reactor.DrainGate
-	inbuf    []byte
-	raw      syscall.RawConn
-	inMu     sync.Mutex
-	inSpace  sync.Cond
-	inbox    []*bufpool.Buffer
-	inHead   int
-	inClosed bool
-	inEOF    bool
+	// life is the connection's lifecycle word (see lifecycle.go): its
+	// read and pump gates, whether it is closing, closed or finalized, and
+	// whether the peer's EOF is queued.
+	life atomic.Uint32
+
+	// Read side (see drain): the read gate serializes drains of inbound
+	// bytes, so one owner at a time runs a connection's pipeline: its
+	// chunks decode in read order into inbuf, and its Handle calls never
+	// overlap. The drain takes the chunks from the FIFO inbox readLoop
+	// fills: inbox[inHead:] under inMu, which a finalized connection no
+	// longer takes. readLoop waits on inSpace while the inbox is full (see
+	// awaitInboxSpace). raw is the transport's descriptor capability, nil
+	// when the transport hides its descriptor: with it, readLoop leases a
+	// chunk only once the socket is readable, and the write path's first
+	// attempt is non-blocking (see writeq.go).
+	inbuf   []byte
+	raw     syscall.RawConn
+	inMu    sync.Mutex
+	inSpace sync.Cond
+	inbox   []*bufpool.Buffer
+	inHead  int
 
 	// Write side (see send in writeq.go): writeMu serializes every reply's
 	// flush. outq holds, in wire order, replies not yet on the wire: the
 	// parked rest of replies the socket refused, and reserved reply
 	// positions with the replies waiting behind them (held counts the
 	// positions not yet filled, slots is the last position ID handed
-	// out). wgate elects the one writePump goroutine that finishes a
-	// parked queue, and pumping marks its flush, during whose blocking writes it drops writeMu. unparked
-	// (on writeMu) wakes those waiting for the pump: readLoop, which
-	// reads nothing while the queue is parked, and finalize. The atomics
-	// feed the parked-write gauges without taking the lock. outq, held,
-	// slots, pumping, closeAfterFlush and the gathered write's iovec
-	// scratch (wsegs, and wbufs for the blocking sink) are guarded by
-	// writeMu.
-	wgate           reactor.DrainGate
-	outq            []outItem
-	held            int
-	slots           uint64
-	outMem          atomic.Int64
-	outPending      atomic.Int64
-	pumping         bool
-	unparked        sync.Cond
-	closeAfterFlush bool
-	wsegs           [][]byte
-	wbufs           net.Buffers
+	// out). The pump gate elects the one writePump goroutine that
+	// finishes a parked queue, and pumping marks its flush, during whose
+	// blocking writes it drops writeMu. unparked (on writeMu) wakes those
+	// waiting for the pump: readLoop, which reads nothing while the queue
+	// is parked, and finalize. The atomics feed the parked-write gauges
+	// without taking the lock. outq, held, slots, pumping and the
+	// gathered write's iovec scratch (wsegs, and wbufs for the blocking
+	// sink) are guarded by writeMu, and so is the step to closing.
+	outq       []outItem
+	held       int
+	slots      uint64
+	outMem     atomic.Int64
+	outPending atomic.Int64
+	pumping    bool
+	unparked   sync.Cond
+	wsegs      [][]byte
+	wbufs      net.Buffers
 
 	writeMu sync.Mutex
-	closed  atomic.Bool
 	// closeErr records the first close cause for OnClose.
-	closeErr  error
-	closeOnce sync.Once
+	closeErr error
 
 	// userData carries application state (e.g. the FTP session).
 	userData atomic.Value
@@ -173,7 +169,7 @@ func (c *Conn) SetUserData(v any) { c.userData.Store(v) }
 func (c *Conn) UserData() any { return c.userData.Load() }
 
 // Closed reports whether the connection has been torn down.
-func (c *Conn) Closed() bool { return c.closed.Load() }
+func (c *Conn) Closed() bool { return c.closeState() >= lifeClosed }
 
 // ID returns the server-unique connection sequence number.
 func (c *Conn) ID() uint64 { return c.id }
@@ -300,39 +296,38 @@ func (c *Conn) SendBuffers(head, body []byte) error {
 // receives every reply committed before the close.
 func (c *Conn) Close() error {
 	c.writeMu.Lock()
-	if !c.closed.Load() && len(c.outq) > 0 {
-		c.closeAfterFlush = true
-		c.writeMu.Unlock()
-		return nil
-	}
+	deferred := len(c.outq) > 0 && c.step(edgeClose)&actDefer != 0
 	c.writeMu.Unlock()
-	c.teardown(nil)
+	if !deferred {
+		c.teardown(nil)
+	}
 	return nil
 }
 
 // teardown closes the transport once and emits the close event, so
 // finalize (deregistration and OnClose) runs on the processing path, never
-// under the caller's locks.
+// under the caller's locks. It runs under inMu, which also wakes a reader
+// waiting for inbox space (it reads the closed transport next and ends)
+// and holds a concurrent teardown until the close event is queued:
+// Shutdown's sweep returns only once every connection's event is.
 func (c *Conn) teardown(cause error) {
-	c.closeOnce.Do(func() {
-		c.closed.Store(true)
-		c.closeErr = cause
-		c.conn.Close()
-		// Wake a reader waiting for inbox space: it reads the closed
-		// transport next and ends.
-		c.inMu.Lock()
-		c.inSpace.Broadcast()
-		c.inMu.Unlock()
-		if err := c.sh.reactor.Emit(reactor.Ready{
-			Type:   reactor.CloseReady,
-			Handle: c.handle,
-			Data:   cause,
-			Prio:   c.Priority(),
-		}); err != nil {
-			// finalize will never run: release the queued chunks here.
-			c.releaseInbox()
-		}
-	})
+	c.inMu.Lock()
+	defer c.inMu.Unlock()
+	if c.step(edgeTeardown)&actTeardown == 0 {
+		return
+	}
+	c.closeErr = cause
+	c.conn.Close()
+	c.inSpace.Broadcast()
+	if c.sh.reactor.Emit(reactor.Ready{
+		Type:   reactor.CloseReady,
+		Handle: c.handle,
+		Data:   cause,
+		Prio:   c.Priority(),
+	}) != nil {
+		// The event path has stopped: finalize off the caller's locks.
+		go c.finalize()
+	}
 }
 
 // readLoop is the Read Request step: the connection's reader goroutine
@@ -439,7 +434,7 @@ func (c *Conn) expired(armed int64, err error) bool {
 // idleShutdown tears down a connection that outlived its assembly or O7
 // idle bound, counted as an idle shutdown unless it was already closing.
 func (c *Conn) idleShutdown(cause error) {
-	if !c.closed.Load() {
+	if !c.Closed() {
 		c.srv.trace.Record("communicator", "reaped %d (%v)", c.handle, cause)
 		c.sh.profile.IdleShutdown()
 	}
@@ -451,7 +446,7 @@ func (c *Conn) idleShutdown(cause error) {
 func (c *Conn) pushInbox(lease *bufpool.Buffer) bool {
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
-	if c.inClosed {
+	if c.closeState() == lifeFinalized {
 		lease.Release()
 		return false
 	}
@@ -464,7 +459,7 @@ func (c *Conn) pushInbox(lease *bufpool.Buffer) bool {
 // every releaseInbox) closes the connection.
 func (c *Conn) awaitInboxSpace() {
 	c.inMu.Lock()
-	for len(c.inbox)-c.inHead >= maxInboxChunks && !c.closed.Load() {
+	for len(c.inbox)-c.inHead >= maxInboxChunks && !c.Closed() {
 		c.inSpace.Wait()
 	}
 	c.inMu.Unlock()
@@ -473,12 +468,14 @@ func (c *Conn) awaitInboxSpace() {
 // popInbox dequeues the oldest chunk, waking readLoop if the inbox was
 // full. An empty inbox yields nil, with eof set once the peer's EOF
 // ended the stream. The slice rewinds once drained, so a steady stream
-// reuses one backing array.
+// reuses one backing array. eof is loaded before the inbox is looked at:
+// every chunk queued ahead of the EOF is then seen.
 func (c *Conn) popInbox() (lease *bufpool.Buffer, eof bool) {
+	eof = c.life.Load()>>eofShift&1 != 0
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
 	if c.inHead == len(c.inbox) {
-		return nil, c.inEOF
+		return nil, eof
 	}
 	if len(c.inbox)-c.inHead == maxInboxChunks {
 		c.inSpace.Signal()
@@ -491,13 +488,13 @@ func (c *Conn) popInbox() (lease *bufpool.Buffer, eof bool) {
 	return lease, false
 }
 
-// releaseInbox returns every still-queued chunk to the pool and closes
-// the inbox to readLoop, so each lease is released exactly once: by the
-// drain that popped it, here, or by pushInbox after the close.
+// releaseInbox returns every still-queued chunk of a finalized
+// connection to the pool, so each lease is released exactly once: by the
+// drain that popped it, here, or by pushInbox after finalize.
 func (c *Conn) releaseInbox() {
 	c.inMu.Lock()
 	left := c.inbox[c.inHead:]
-	c.inbox, c.inHead, c.inClosed = nil, 0, true
+	c.inbox, c.inHead = nil, 0
 	c.inMu.Unlock()
 	for _, lease := range left {
 		lease.Release()
@@ -511,28 +508,26 @@ func (c *Conn) releaseInbox() {
 // connection down; a close this side initiated is not an error.
 func (c *Conn) readEnd(err error) {
 	if errors.Is(err, io.EOF) {
-		c.inMu.Lock()
-		c.inEOF = true
-		c.inMu.Unlock()
+		c.step(edgeEOF)
 		if err = c.wake(); err == nil {
 			return
 		}
 	}
-	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.closed.Load() {
+	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || c.Closed() {
 		err = nil
 	}
 	c.teardown(err)
 }
 
 // wake runs when readLoop has queued a chunk. With the fast path active
-// and the O9 gate clear, the reader goroutine claims rgate and drains
+// and the O9 gate clear, the reader goroutine claims the read gate and drains
 // inline, offering each decoded request to the FastPath hook. Otherwise
 // it emits the PollReady event an Event Processor worker drains from
 // (Reactor.Emit queues it there directly), so the event queue, and the O9
 // watermarks sampling it, see one event per wakeup.
 func (c *Conn) wake() error {
 	if c.codec != nil && c.srv.directDispatch && c.srv.fastGateClear() {
-		if c.rgate.Claim() {
+		if c.step(edgeReadable)&actRun != 0 {
 			c.drain(c.srv.tryFastHandle)
 		}
 		return nil
@@ -551,7 +546,7 @@ func (c *Conn) wake() error {
 func (c *Conn) handleReady(rd reactor.Ready) {
 	switch rd.Type {
 	case reactor.PollReady:
-		if c.rgate.Claim() {
+		if c.step(edgeReadable)&actRun != 0 {
 			c.drain(nil)
 		}
 	case reactor.CloseReady:
@@ -564,7 +559,7 @@ func (c *Conn) handleReady(rd reactor.Ready) {
 type fastHook func(c *Conn, req any) bool
 
 // drain is the one Decode Request loop over the inbox. The caller owns
-// rgate — a won Claim, or a punted drain's continuation — and drain
+// the read gate — a won claim, or a punted drain's continuation — and drain
 // feeds chunks to the decode loop until the inbox is empty, then
 // releases the gate, going around again when a wakeup landed mid-pass.
 // An empty inbox behind the peer's EOF closes the connection. fast nil
@@ -572,7 +567,7 @@ type fastHook func(c *Conn, req any) bool
 // the gate still held.
 func (c *Conn) drain(fast fastHook) {
 	for {
-		for !c.closed.Load() {
+		for !c.Closed() {
 			lease, eof := c.popInbox()
 			if eof {
 				c.Close()
@@ -586,7 +581,7 @@ func (c *Conn) drain(fast fastHook) {
 				return
 			}
 		}
-		if c.rgate.Release() {
+		if c.step(edgeRelease)&actAgain == 0 {
 			return
 		}
 	}
@@ -698,9 +693,10 @@ func (c *Conn) decodeSafe() (req any, n int, err error) {
 // punt hands a request the fast-path hook declined, plus the
 // rest of the drain, to the shard's event queue as one event — so
 // admission control still observes a queue wait for every request the
-// fast path could not finish. rgate stays claimed across the handoff:
-// readiness edges meanwhile only flag another pass, which the
-// continuation's drain collects before it releases the gate. It reports
+// fast path could not finish. The read gate stays claimed across the
+// handoff (edgePunt changes nothing): readiness edges meanwhile only flag
+// another pass, which the continuation's drain collects before it
+// releases the gate. It reports
 // whether the punt was queued; a refused punt (shutdown or a hard shed)
 // tears the connection down, since silently dropping a decoded pipelined
 // request would desynchronize it, and the caller's drain then releases
@@ -723,7 +719,7 @@ func (c *Conn) punt(req any) bool {
 // buffered requests decode and dispatch as usual, and the drain resumes
 // in queued mode, releasing the gate it inherited.
 func (c *Conn) resumePunted(req any) {
-	if !c.closed.Load() {
+	if !c.Closed() {
 		c.srv.handleRequest(c, req)
 		c.decodeLoop(nil)
 	}
@@ -734,10 +730,18 @@ func (c *Conn) resumePunted(req any) {
 // handle (the framework's Communicator teardown). Any outbound residuals
 // still parked release their pooled leases and dup'd descriptors here,
 // on the event path, where no write lock is held by the teardown cause.
+// The finalize edge says which of these steps is due.
 func (c *Conn) finalize() {
-	c.releaseInbox()
-	c.freeOutbound()
-	c.srv.detach(c)
-	c.sh.profile.ConnectionClosed()
-	c.app.OnClose(c, c.closeErr)
+	act := c.step(edgeFinalize)
+	if act&actReleaseInbox != 0 {
+		c.releaseInbox()
+	}
+	if act&actFreeOutbound != 0 {
+		c.freeOutbound()
+	}
+	if act&actDetach != 0 {
+		c.srv.detach(c)
+		c.sh.profile.ConnectionClosed()
+		c.app.OnClose(c, c.closeErr)
+	}
 }

@@ -49,37 +49,11 @@ func (c *Conn) replyFile(reply any, it outItem) error {
 
 // copyFileChunk is the portable streaming path: it moves up to limit
 // bytes from src's current offset through a pooled buffer — one bounded
-// copy per read/write pair, never a buffer proportional to the file.
+// copy per read/write pair, never a buffer proportional to the file. dst
+// is wrapped so that only its Write is seen: a transport's own ReadFrom
+// would bypass the bounded copy.
 func copyFileChunk(dst io.Writer, src *os.File, limit int64) (int64, error) {
 	lease := bufpool.Get(readChunkSize)
 	defer lease.Release()
-	buf := lease.Bytes()
-	var total int64
-	for total < limit {
-		want := limit - total
-		if want > int64(len(buf)) {
-			want = int64(len(buf))
-		}
-		nr, rerr := src.Read(buf[:want])
-		if nr > 0 {
-			nw, werr := dst.Write(buf[:nr])
-			total += int64(nw)
-			if werr != nil {
-				return total, werr
-			}
-			if nw < nr {
-				return total, io.ErrShortWrite
-			}
-		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				return total, nil
-			}
-			return total, rerr
-		}
-		if nr == 0 {
-			return total, nil
-		}
-	}
-	return total, nil
+	return io.CopyBuffer(struct{ io.Writer }{dst}, io.LimitReader(src, limit), lease.Bytes())
 }

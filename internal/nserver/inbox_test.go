@@ -133,10 +133,10 @@ func TestTeardownReleasesQueuedChunks(t *testing.T) {
 	unblock.Do(func() { close(release) })
 
 	conn.inMu.Lock()
-	left, inClosed := len(conn.inbox), conn.inClosed
+	left, finalized := len(conn.inbox), conn.closeState() == lifeFinalized
 	conn.inMu.Unlock()
-	if left != 0 || !inClosed {
-		t.Fatalf("inbox after finalize: %d chunks left, closed=%v", left, inClosed)
+	if left != 0 || !finalized {
+		t.Fatalf("inbox after finalize: %d chunks left, finalized=%v", left, finalized)
 	}
 	deadline = time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {

@@ -29,9 +29,10 @@ import (
 //     starts writePump, which exists only while a queue is parked: it
 //     runs the same flush with the blocking sink on Go's netpoller, and
 //     drops writeMu across each blocking write, so senders keep appending
-//     behind the parked queue. wgate — the reactor.DrainGate the read
-//     side's rgate also is — elects the one pump, so a park is never lost
-//     and two pumps never overlap.
+//     behind the parked queue. The pump gate of the connection's
+//     lifecycle word (see lifecycle.go), a gate like the read side's,
+//     elects the one pump, so a park is never lost and two pumps never
+//     overlap.
 //   - A transport that hides its descriptor (faultnet, wrappers, non-Linux)
 //     writes blocking from the sender. Its sink never reports again, so
 //     nothing ever parks.
@@ -186,7 +187,7 @@ func (c *Conn) Reserve() Slot {
 	defer c.writeMu.Unlock()
 	c.slots++
 	s := Slot{c: c, id: c.slots, seq: c.RequestSeq()}
-	if !c.closed.Load() && !c.closeAfterFlush {
+	if c.closeState() == lifeOpen {
 		c.outq = append(c.outq, outItem{slot: s.id, held: true})
 		c.held++
 	}
@@ -247,19 +248,13 @@ func (s Slot) fillEmpty() {
 // held position a reply waits for it to be filled, and behind anything
 // parked it parks. Queue order is wire order every way.
 func (c *Conn) send(it outItem) error {
-	if c.closed.Load() {
-		return ErrConnClosed
-	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if c.closed.Load() {
+	if st := c.closeState(); st >= lifeClosed || it.slot == 0 && st == lifeClosing {
 		return ErrConnClosed
 	}
 	i, heldAhead := len(c.outq), c.held > 0
 	if it.slot == 0 {
-		if c.closeAfterFlush {
-			return ErrConnClosed
-		}
 		c.outq = append(c.outq, it)
 	} else {
 		if i, heldAhead = c.slotIndex(it.slot); i < 0 {
@@ -316,10 +311,17 @@ func (c *Conn) flushLocked() error {
 		return err
 	case again:
 		return c.park()
-	case len(c.outq) == 0 && c.closeAfterFlush:
+	}
+	c.closeIfDrained()
+	return nil
+}
+
+// closeIfDrained tears the connection down once its queue has emptied
+// under a pending Close or last reply. Called under writeMu.
+func (c *Conn) closeIfDrained() {
+	if len(c.outq) == 0 && c.closeState() == lifeClosing {
 		c.teardown(nil)
 	}
-	return nil
 }
 
 // flush is the one loop that moves reply bytes. From the front of outq
@@ -379,7 +381,7 @@ func (c *Conn) flush() (again bool, err error) {
 			sent++
 			if it.last {
 				c.releaseFrom(sent)
-				c.closeAfterFlush = true
+				c.step(edgeClose)
 			}
 		}
 	}
@@ -570,31 +572,29 @@ func (c *Conn) park() error {
 	}
 	c.outMem.Add(mem)
 	c.outPending.Add(mem + files)
-	if c.closed.Load() {
+	if c.Closed() {
 		// A teardown raced the park; it cannot see items added after its
 		// sweep, so free them here under the same lock.
 		c.freeOutboundLocked()
 		return ErrConnClosed
 	}
-	if first == 0 && c.wgate.Claim() {
+	if first == 0 && c.step(edgePark)&actRun != 0 {
 		go c.writePump()
 	}
 	return nil
 }
 
-// writePump is the goroutine park starts, holding wgate: it flushes the
-// parked queue with the blocking sink until the queue empties or the
-// connection is torn down, then wakes readLoop and exits, going around
-// again when a park landed between its last pass and the gate's release.
+// writePump is the goroutine park starts, holding the pump gate: it
+// flushes the parked queue with the blocking sink until the queue empties
+// or the connection is torn down, then wakes readLoop and exits, going
+// around again when a park landed between its last pass and the gate's
+// release.
 func (c *Conn) writePump() {
 	for {
 		c.writeMu.Lock()
-		closeNow := c.pumpQueueLocked()
+		c.pumpQueueLocked()
 		c.writeMu.Unlock()
-		if closeNow {
-			c.teardown(nil)
-		}
-		if c.wgate.Release() {
+		if c.step(edgePumpDone)&actAgain == 0 {
 			return
 		}
 	}
@@ -602,12 +602,12 @@ func (c *Conn) writePump() {
 
 // pumpQueueLocked is one pump pass over a parked queue, which ends
 // empty or at a held position. Either clears the write deadline the pump
-// armed, so the next non-blocking attempt does not trip over it; an
-// emptied queue reports whether a Close waiting on it is now due.
-// Called under writeMu.
-func (c *Conn) pumpQueueLocked() (closeNow bool) {
+// armed, so the next non-blocking attempt does not trip over it, and an
+// emptied queue closes the connection when a Close or a last reply
+// waits on it. Called under writeMu.
+func (c *Conn) pumpQueueLocked() {
 	defer c.unparked.Broadcast()
-	if !c.closed.Load() && c.queueParked() {
+	if !c.Closed() && c.queueParked() {
 		c.pumping = true
 		_, err := c.flush()
 		c.pumping = false
@@ -615,24 +615,22 @@ func (c *Conn) pumpQueueLocked() (closeNow bool) {
 			c.failOutboundLocked(err)
 		}
 	}
-	if c.closed.Load() {
+	switch {
+	case c.Closed():
 		c.freeOutboundLocked()
-		return false
+	case !c.queueParked():
+		if d, _ := c.writeBound(); d > 0 {
+			_ = c.conn.SetWriteDeadline(time.Time{})
+		}
+		c.closeIfDrained()
 	}
-	if c.queueParked() {
-		return false
-	}
-	if d, _ := c.writeBound(); d > 0 {
-		_ = c.conn.SetWriteDeadline(time.Time{})
-	}
-	return len(c.outq) == 0 && c.closeAfterFlush
 }
 
 // awaitUnparked holds readLoop while the outbound queue is parked: the
 // pump wakes it once the queue empties or the connection is torn down.
 func (c *Conn) awaitUnparked() {
 	c.writeMu.Lock()
-	for c.queueParked() && !c.closed.Load() {
+	for c.queueParked() && !c.Closed() {
 		c.unparked.Wait()
 	}
 	c.writeMu.Unlock()
