@@ -589,7 +589,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			encStart := p.StageStart()
 			n, err := httpproto.WriteResponse(io.Discard, resp)
 			p.ObserveSince(profiling.StageEncode, encStart)
-			p.BytesSent(int(n))
+			p.Add(profiling.BytesSent, int(n))
 			if err != nil {
 				b.Fatal(err)
 			}

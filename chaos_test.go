@@ -78,8 +78,9 @@ func (r *residue) watch(s *nserver.Server) { r.servers = append(r.servers, s) }
 
 // assertNoResidue shuts each watched server down (Shutdown is
 // idempotent) and checks that none still holds a connection, a parked
-// write or an outbound byte, and that the process's open descriptors and
-// goroutines return to the scenario's baseline within a deadline.
+// write or an outbound byte or has taken a lifecycle transition its table
+// forbids, and that the process's open descriptors and goroutines return
+// to the scenario's baseline within a deadline.
 // bufpool leases are not counted here: that needs a hot-path counter, and
 // the lifecycle explorer covers lease accounting.
 func (r *residue) assertNoResidue(t *testing.T) {
@@ -88,6 +89,9 @@ func (r *residue) assertNoResidue(t *testing.T) {
 		s.Shutdown()
 		if a, p, b := s.ActiveConns(), s.ParkedWrites(), s.OutboundQueuedBytes(); a != 0 || p != 0 || b != 0 {
 			t.Errorf("server %d after Shutdown: %d conns, %d parked writes, %d outbound bytes", i, a, p, b)
+		}
+		if n := s.LifecycleBadSteps(); n != 0 {
+			t.Errorf("server %d took %d forbidden lifecycle steps", i, n)
 		}
 	}
 	deadline := time.Now().Add(3 * time.Second)

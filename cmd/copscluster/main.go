@@ -46,12 +46,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	prof := profiling.New()
+	prof := profiling.NewGroup(1)
 	lb, err := cluster.New(cluster.Config{
 		Backends: strings.Split(*backends, ","),
 		Strategy: strat,
 		CoolDown: *cooldown,
-		Profile:  prof,
+		Profile:  prof.Global(),
 	})
 	if err != nil {
 		fatal(err)

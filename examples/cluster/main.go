@@ -52,11 +52,11 @@ func main() {
 		fmt.Printf("backend %d on %s\n", i, srv.Addr())
 	}
 
-	prof := profiling.New()
+	prof := profiling.NewGroup(1)
 	lb, err := cluster.New(cluster.Config{
 		Backends: addrs,
 		Strategy: cluster.RoundRobin,
-		Profile:  prof,
+		Profile:  prof.Global(),
 	})
 	if err != nil {
 		fail(err)

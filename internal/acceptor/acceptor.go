@@ -156,14 +156,14 @@ func (a *Acceptor) Run() {
 				a.trace.Record("acceptor", "re-admitting %s (priority)", conn.RemoteAddr())
 			} else {
 				a.deferred.Add(1)
-				a.profile.ConnectionRefused()
+				a.profile.Add(profiling.ConnectionsRefused, 1)
 				a.trace.Record("acceptor", "shedding %s (overload)", conn.RemoteAddr())
 				a.shed(conn)
 				continue
 			}
 		}
 		a.live.Add(1)
-		a.profile.ConnectionAccepted()
+		a.profile.Add(profiling.ConnectionsAccepted, 1)
 		a.trace.Record("acceptor", "accepted %s", conn.RemoteAddr())
 		if err := a.r.Emit(reactor.Ready{
 			Type:   reactor.AcceptReady,
@@ -218,7 +218,7 @@ func (a *Acceptor) boundOK() bool {
 // live count, whatever MaxConns says.
 func (a *Acceptor) ConnAttached() {
 	a.live.Add(1)
-	a.profile.ConnectionAccepted()
+	a.profile.Add(profiling.ConnectionsAccepted, 1)
 }
 
 // ConnClosed informs the acceptor's live counter that one accepted or

@@ -272,12 +272,12 @@ func (s *Service) ReadFile(path string, state any, prio events.Priority, done Do
 	}
 	if s.cache != nil {
 		if data, ok := s.cache.Get(path); ok {
-			s.profile.CacheHit()
+			s.profile.Add(profiling.CacheHits, 1)
 			s.trace.Record("file-io", "cache hit %s (token %d)", path, tok.ID)
 			s.complete(tok, prio, done, data, nil)
 			return tok, nil
 		}
-		s.profile.CacheMiss()
+		s.profile.Add(profiling.CacheMisses, 1)
 		// Singleflight: join an in-flight read of the same path instead
 		// of queueing a duplicate disk read.
 		s.flightMu.Lock()

@@ -333,7 +333,7 @@ func (b *Balancer) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		b.profile.ConnectionAccepted()
+		b.profile.Add(profiling.ConnectionsAccepted, 1)
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
@@ -350,7 +350,7 @@ func (b *Balancer) forward(client net.Conn) {
 	defer client.Close()
 	be, upstream, err := b.connect()
 	if err != nil {
-		b.profile.ConnectionRefused()
+		b.profile.Add(profiling.ConnectionsRefused, 1)
 		return
 	}
 	b.trackConn(upstream)
@@ -360,7 +360,7 @@ func (b *Balancer) forward(client net.Conn) {
 	defer be.live.Add(-1)
 
 	done := make(chan struct{}, 2)
-	splice := func(dst, src net.Conn, count func(int)) {
+	splice := func(dst, src net.Conn, counter profiling.Counter) {
 		// io.CopyBuffer with a pooled 32 KiB buffer instead of a
 		// per-transfer allocation; on TCP-to-TCP forwards the ReaderFrom
 		// fast path moves the bytes in the kernel and skips the buffer
@@ -368,18 +368,18 @@ func (b *Balancer) forward(client net.Conn) {
 		lease := bufpool.Get(32 << 10)
 		n, _ := io.CopyBuffer(dst, src, lease.Bytes())
 		lease.Release()
-		count(int(n))
+		b.profile.Add(counter, int(n))
 		// Half-close so the peer's pending read completes.
 		if tc, ok := dst.(*net.TCPConn); ok {
 			tc.CloseWrite()
 		}
 		done <- struct{}{}
 	}
-	go splice(upstream, client, b.profile.BytesRead)
-	go splice(client, upstream, b.profile.BytesSent)
+	go splice(upstream, client, profiling.BytesRead)
+	go splice(client, upstream, profiling.BytesSent)
 	<-done
 	<-done
-	b.profile.ConnectionClosed()
+	b.profile.Add(profiling.ConnectionsClosed, 1)
 }
 
 // connect picks closed backends under the strategy until one dials.

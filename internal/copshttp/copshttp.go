@@ -30,6 +30,7 @@ import (
 	"repro/internal/logging"
 	"repro/internal/nserver"
 	"repro/internal/options"
+	"repro/internal/profiling"
 	"repro/internal/respcache"
 )
 
@@ -271,7 +272,7 @@ func (s *Server) shed(conn net.Conn) {
 	// for the O11 byte totals (every egress path counts exactly once).
 	// Sheds happen before a Communicator (and shard) exists, so they
 	// land on the group's global profile.
-	s.ns.Profile().Global().BytesSent(int(n))
+	s.ns.Profile().Global().Add(profiling.BytesSent, int(n))
 	httpproto.ReleaseResponse(resp)
 	go s.linger(conn)
 }
@@ -514,7 +515,7 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 			st.ranged, st.rng = true, rng
 		case errors.Is(rerr, httpproto.ErrRangeUnsatisfiable):
 			// 416 settles here, before any file I/O is queued.
-			c.Profile().RangeUnsatisfiable()
+			c.Profile().Add(profiling.Responses416, 1)
 			resp := httpproto.AcquireResponse()
 			resp.Status = 416
 			resp.Close = !r.KeepAlive()
@@ -585,7 +586,7 @@ func (s *Server) fileDone(tok events.Token, data []byte, err error) {
 		resp.Status = 206
 		resp.Headers.Set("Content-Range", httpproto.ContentRange(st.rng, int64(len(data))))
 		body = data[st.rng.Start : st.rng.Start+st.rng.Length]
-		c.Profile().RangeServed()
+		c.Profile().Add(profiling.Responses206, 1)
 	}
 	resp.Body = body
 	if !st.modTime.IsZero() {
@@ -640,7 +641,7 @@ func (s *Server) openDone(tok events.Token, f *os.File, info os.FileInfo, err er
 		resp.Status = 206
 		resp.Headers.Set("Content-Range", httpproto.ContentRange(st.rng, size))
 		offset, length = st.rng.Start, st.rng.Length
-		c.Profile().RangeServed()
+		c.Profile().Add(profiling.Responses206, 1)
 	}
 	// The codec sees no in-memory body, so the streamed length must be
 	// advertised explicitly.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +123,48 @@ func TestBufferedFileAboveOutboundCap(t *testing.T) {
 	}
 	if snap.OutboundShed != 0 {
 		t.Errorf("OutboundShed = %d, want 0", snap.OutboundShed)
+	}
+}
+
+// TestPipelinedWindowOfCachedReplies: a client pipelines 12 GETs of a
+// 960 KiB cached file, 11.25 MiB of replies in one window, above the
+// 8 MiB outbound cap, and reads them as fast as it can. The kernel takes
+// part of the window before the rest parks, so the window must arrive
+// whole, not be shed as an outbound overflow, with and without a write
+// bound (a write bound caps the kernel's share with TCP_NOTSENT_LOWAT).
+func TestPipelinedWindowOfCachedReplies(t *testing.T) {
+	const size, window = 960 << 10, 12
+	root := buildDocRoot(t)
+	data := largePattern(size)
+	if err := os.WriteFile(filepath.Join(root, "big.bin"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, wt := range []time.Duration{0, 5 * time.Second} {
+		opts := options.COPSHTTP().WithLargeFiles(1 << 20)
+		opts.WriteTimeout = wt
+		opts.Profiling = true
+		s := startHTTP(t, Config{DocRoot: root, Options: &opts})
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+		r := bufio.NewReader(conn)
+		get(t, conn, r, "GET", "/big.bin", "") // fills the cache
+		req := strings.Repeat("GET /big.bin HTTP/1.1\r\nHost: test\r\n\r\n", window)
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < window; i++ {
+			status, _, body, err := readResponse(r, false)
+			if err != nil || status != 200 || !bytes.Equal(body, data) {
+				t.Fatalf("WriteTimeout %v: reply %d of %d: status %d, %d body bytes (%v)", wt, i+1, window, status, len(body), err)
+			}
+		}
+		if shed := s.Framework().Profile().Snapshot().OutboundShed; shed != 0 {
+			t.Fatalf("WriteTimeout %v: OutboundShed = %d, want 0", wt, shed)
+		}
 	}
 }
 

@@ -257,7 +257,7 @@ func (p *Processor) Submit(ev events.Event) error {
 	if err := p.queue.Push(ev); err != nil {
 		return err
 	}
-	p.profile.EventDispatched()
+	p.profile.Add(profiling.EventsDispatched, 1)
 	return nil
 }
 
@@ -342,7 +342,7 @@ func (p *Processor) process(ev events.Event) {
 		}
 	}()
 	ev.Process()
-	p.profile.EventProcessed()
+	p.profile.Add(profiling.EventsProcessed, 1)
 }
 
 // controlInterval is the Processor Controller's sampling period.

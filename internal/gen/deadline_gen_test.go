@@ -90,12 +90,14 @@ func TestGeneratedIdleBound(t *testing.T) {
 		time.Sleep(idleTimeout / 3)
 	}
 
+	// The server's idle clock starts when it accepts, which can come
+	// before Dial returns here, so the bound is timed from before Dial.
+	start := time.Now()
 	idle, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idle.Close()
-	start := time.Now()
 	idle.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := idle.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
 		t.Fatalf("idle connection still open after %v (read: %v)", time.Since(start), err)
@@ -136,6 +138,24 @@ var clampedWriteAppSrc = strings.NewReplacer(
 // clamped (see clampedWriteAppSrc), as the runtime's own test clamps it
 // (TestIdleBoundSparesDrainingReader).
 func TestGeneratedIdleBoundSparesDrainingReader(t *testing.T) {
+	if !strings.Contains(clampedWriteAppSrc, "SO_SNDBUF") {
+		t.Fatal("writeAppSrc no longer has the listener clampedWriteAppSrc replaces")
+	}
+	drainGeneratedSteadily(t, clampedWriteAppSrc)
+}
+
+// TestGeneratedIdleBoundSparesUnclampedDrainingReader is the same pair of
+// clients on writeAppSrc's plain listener, whose send buffer autotunes to
+// megabytes: the woven TCP_NOTSENT_LOWAT (lowat_linux.go) wakes each
+// blocked write as the peer drains, so the steady reader still counts as
+// active.
+func TestGeneratedIdleBoundSparesUnclampedDrainingReader(t *testing.T) {
+	drainGeneratedSteadily(t, writeAppSrc)
+}
+
+// drainGeneratedSteadily runs the two clients of the steady-reader tests
+// against a framework generated with O7 and appSrc as its main package.
+func drainGeneratedSteadily(t *testing.T, appSrc string) {
 	if testing.Short() {
 		t.Skip("end-to-end build in -short mode")
 	}
@@ -144,10 +164,7 @@ func TestGeneratedIdleBoundSparesDrainingReader(t *testing.T) {
 	o := options.COPSHTTP().WithLargeFiles(64 << 10)
 	o.ShutdownLongIdle = true
 	o.IdleTimeout = idleTimeout
-	if !strings.Contains(clampedWriteAppSrc, "SO_SNDBUF") {
-		t.Fatal("writeAppSrc no longer has the listener clampedWriteAppSrc replaces")
-	}
-	addr := startGenerated(t, o, clampedWriteAppSrc, os.DevNull)
+	addr := startGenerated(t, o, appSrc, os.DevNull)
 
 	request := func() net.Conn {
 		t.Helper()

@@ -38,6 +38,8 @@ var (
 	docTmpl       = template.Must(template.New("doc").Parse(docTemplate))
 	frameworkTmpl = template.Must(template.New("framework").Parse(frameworkTemplate))
 	cacheTmpl     = template.Must(template.New("cache").Parse(cacheTemplate))
+	lowatTmpl     = template.Must(template.New("lowat_linux").Parse(lowatLinuxTemplate))
+	lowatNoTmpl   = template.Must(template.New("lowat_other").Parse(lowatOtherTemplate))
 )
 
 // tmplData is the template context derived from an option assignment.
@@ -205,6 +207,14 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 	}
 	if d.Cache {
 		if err := emit("cache.go", cacheTmpl); err != nil {
+			return nil, err
+		}
+	}
+	if d.Idle || d.WriteDeadline {
+		if err := emit("lowat_linux.go", lowatTmpl); err != nil {
+			return nil, err
+		}
+		if err := emit("lowat_other.go", lowatNoTmpl); err != nil {
 			return nil, err
 		}
 	}

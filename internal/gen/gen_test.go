@@ -153,7 +153,7 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	for _, absent := range []string{
 		"CompletionEvent", "Token", "Cache", "overloadGate",
 		"Profile", "Priority", "quota", "idleTimeout", "trace(",
-		"ProcessorController", "controller", "log.Logger",
+		"ProcessorController", "controller", "log.Logger", "setNotSentLowat",
 	} {
 		if strings.Contains(minSrc, absent) {
 			t.Errorf("minimal framework contains %q — feature not woven out", absent)
@@ -161,6 +161,9 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	}
 	if _, ok := minimal.Files["cache.go"]; ok {
 		t.Error("cache.go generated without O6")
+	}
+	if _, ok := minimal.Files["lowat_linux.go"]; ok {
+		t.Error("lowat_linux.go generated without a write bound")
 	}
 	if !strings.Contains(minSrc, "Decode") || !strings.Contains(minSrc, "Encode") {
 		t.Error("codec hooks missing with O3 = Yes")
@@ -181,7 +184,7 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	for _, present := range []string{
 		"CompletionEvent", "Token", "overloadGate", "Profile",
 		"Priority()", "quotas", "idleTimeout", "trace(", "log.Logger",
-		"NewCache",
+		"NewCache", "setNotSentLowat(conn)",
 	} {
 		if !strings.Contains(richSrc, present) {
 			t.Errorf("full framework missing %q", present)

@@ -1877,6 +1877,9 @@ func (s *Server) attach(conn net.Conn) *Communicator {
 	{{- if .Idle}}
 	c.touch()
 	{{- end}}
+	{{- if or .WriteDeadline .Idle}}
+	setNotSentLowat(conn)
+	{{- end}}
 	{{- if .Scheduling}}
 	if s.PriorityOf != nil {
 		c.SetPriority(s.PriorityOf(c))
@@ -2008,6 +2011,50 @@ func (s *Server) handleRequest(c *Communicator, req {{if .Codec}}any{{else}}[]by
 	}
 	{{- end}}
 }
+`
+
+// lowatLinuxTemplate and lowatOtherTemplate are woven with a write
+// bound (O7 or a WriteTimeout): attach caps each socket's unsent bytes,
+// so a blocked write returns, and counts as progress, while its peer
+// reads steadily.
+const lowatLinuxTemplate = `//go:build linux
+
+package {{.Package}}
+
+import (
+	"net"
+	"syscall"
+)
+
+// tcpNotSentLowat is TCP_NOTSENT_LOWAT, which syscall does not name.
+const tcpNotSentLowat = 25
+
+// setNotSentLowat caps the bytes conn's socket holds unsent at 128 KiB.
+// The kernel then wakes a writer blocked on the socket whenever fewer
+// are left, instead of once half of a send buffer autotuned to
+// megabytes has drained, so each bounded write returns while the peer
+// reads steadily. A failure keeps the socket's default.
+func setNotSentLowat(conn net.Conn) {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return
+	}
+	if rc, err := sc.SyscallConn(); err == nil {
+		_ = rc.Control(func(fd uintptr) {
+			_ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpNotSentLowat, 128<<10)
+		})
+	}
+}
+`
+
+const lowatOtherTemplate = `//go:build !linux
+
+package {{.Package}}
+
+import "net"
+
+// setNotSentLowat leaves the socket's default off Linux.
+func setNotSentLowat(net.Conn) {}
 `
 
 const cacheTemplate = `package {{.Package}}

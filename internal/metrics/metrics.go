@@ -38,12 +38,12 @@ import (
 // nil sources are simply omitted from the output, so the same handler
 // serves a bare balancer (no profile, no cache) and a full COPS-HTTP.
 type Config struct {
-	// Profile supplies server counters and stage histograms (O11):
-	// either a flat *profiling.Profile or the sharded *profiling.Group,
-	// whose Snapshot aggregates lazily at scrape time. When the source
-	// is a Group the JSON document also carries the per-shard breakdown
-	// and the Prometheus rendering a per-shard request-count series.
-	Profile profiling.Source
+	// Profile supplies server counters and stage histograms (O11); its
+	// Snapshot aggregates the shards lazily at scrape time. With more
+	// than one shard the JSON document also carries the per-shard
+	// breakdown and the Prometheus rendering per-shard series. A writer
+	// without shards records through profiling.NewGroup(1).Global().
+	Profile *profiling.Group
 	// Cache supplies aggregate and per-shard file-cache stats (O6).
 	Cache *cache.Cache
 	// Cluster supplies per-backend circuit-breaker state.
@@ -201,33 +201,18 @@ type Payload struct {
 	DiskReads *uint64             `json:"disk_reads,omitempty"`
 }
 
-// sharder is implemented by profile sources with a per-shard breakdown
-// (*profiling.Group).
-type sharder interface {
-	ShardSnapshots() []profiling.Snapshot
-}
-
-// profileEnabled guards the interface-typed Profile field: both the
-// unset field (nil interface) and a typed-nil source report disabled.
-func profileEnabled(cfg Config) bool {
-	return cfg.Profile != nil && cfg.Profile.Enabled()
-}
-
 // collect gathers every configured source into the JSON document.
 func collect(cfg Config) Payload {
 	var p Payload
-	if profileEnabled(cfg) {
+	if cfg.Profile != nil {
 		snap := cfg.Profile.Snapshot()
 		p.Server = &snap
-		if g, ok := cfg.Profile.(sharder); ok {
-			shards := g.ShardSnapshots()
-			if len(shards) > 1 {
-				for i, ss := range shards {
-					p.Shards = append(p.Shards, ShardJSON{Shard: i, Counters: ss})
-				}
+		if shards := cfg.Profile.ShardSnapshots(); len(shards) > 1 {
+			for i, ss := range shards {
+				p.Shards = append(p.Shards, ShardJSON{Shard: i, Counters: ss})
 			}
 		}
-		for _, st := range profiling.Stages() {
+		for st := profiling.Stage(0); st < profiling.NumStages; st++ {
 			hs := cfg.Profile.StageSnapshot(st)
 			sj := StageJSON{
 				Stage:  st.String(),
@@ -337,76 +322,50 @@ func RenderPrometheus(cfg Config) string {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
 			name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
 	}
-	// hist appends one aggregate histogram series.
-	hist := func(name string, hs profiling.HistogramSnapshot) {
+	// hist appends one histogram series; label, when set, is a
+	// name="value" pair that leads every sample's label set.
+	hist := func(name, label string, hs profiling.HistogramSnapshot) {
+		sep, set := "", ""
+		if label != "" {
+			sep, set = label+",", "{"+label+"}"
+		}
 		var cum uint64
 		for i, c := range hs.Buckets {
 			cum += c
+			// Empty buckets below +Inf are elided; cumulative
+			// semantics keep the series well-formed.
 			if c == 0 && i != profiling.NumBuckets-1 {
 				continue
 			}
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, promLe(i), cum)
+			fmt.Fprintf(&b, "%s_bucket{%sle=%q} %d\n", name, sep, promLe(i), cum)
 		}
-		fmt.Fprintf(&b, "%s_sum %s\n%s_count %d\n", name,
-			strconv.FormatFloat(hs.Sum.Seconds(), 'g', -1, 64), name, hs.Count)
+		fmt.Fprintf(&b, "%s_sum%s %s\n%s_count%s %d\n", name, set,
+			strconv.FormatFloat(hs.Sum.Seconds(), 'g', -1, 64), name, set, hs.Count)
 	}
-	if profileEnabled(cfg) {
-		s := cfg.Profile.Snapshot()
-		counter("nserver_connections_accepted_total", "Connections accepted.", s.ConnectionsAccepted)
-		counter("nserver_connections_closed_total", "Connections closed.", s.ConnectionsClosed)
-		counter("nserver_connections_refused_total", "Connections refused by overload control.", s.ConnectionsRefused)
-		counter("nserver_requests_total", "Requests served.", s.RequestsServed)
-		counter("nserver_read_bytes_total", "Bytes read from clients.", s.BytesRead)
-		counter("nserver_sent_bytes_total", "Bytes sent to clients.", s.BytesSent)
-		counter("nserver_streamed_bytes_total", "Body bytes streamed by the large-file path.", s.BytesStreamed)
-		counter("nserver_sendfile_chunks_total", "Streamed chunks carried by sendfile(2).", s.SendfileChunks)
-		counter("nserver_stream_fallback_chunks_total", "Streamed chunks carried by the pooled-copy fallback.", s.FallbackChunks)
-		counter("nserver_range_responses_total", "206 Partial Content responses served.", s.Responses206)
-		counter("nserver_range_unsatisfiable_total", "416 Range Not Satisfiable responses served.", s.Responses416)
-		counter("nserver_events_dispatched_total", "Events handed to event processors.", s.EventsDispatched)
-		counter("nserver_events_processed_total", "Events completed by workers.", s.EventsProcessed)
-		counter("nserver_idle_shutdowns_total", "Connections reaped idle or slow.", s.IdleShutdowns)
-		counter("nserver_outbound_shed_total", "Connections torn down because the parked outbound queue hit the memory cap.", s.OutboundShed)
-		counter("nserver_direct_dispatch_total", "Requests served run-to-completion by the goroutine that read them (event-queue hop elided).", s.DirectDispatched)
-		counter("nserver_reply_writes_total", "Vectored writes that carried reply bytes; requests_total / reply_writes_total is replies per write.", s.ReplyWrites)
+	if cfg.Profile != nil {
+		cfg.Profile.Snapshot().EachCounter(counter)
 
 		const hname = "nserver_stage_duration_seconds"
 		fmt.Fprintf(&b, "# HELP %s Pipeline stage latency (Fig. 1 steps plus queue wait and AIO completion).\n# TYPE %s histogram\n", hname, hname)
-		for _, st := range profiling.Stages() {
-			hs := cfg.Profile.StageSnapshot(st)
-			var cum uint64
-			for i, c := range hs.Buckets {
-				cum += c
-				// Empty tail buckets below +Inf are elided; cumulative
-				// semantics keep the series well-formed.
-				if c == 0 && i != profiling.NumBuckets-1 {
-					continue
-				}
-				fmt.Fprintf(&b, "%s_bucket{stage=%q,le=%q} %d\n", hname, st.String(), promLe(i), cum)
-			}
-			fmt.Fprintf(&b, "%s_sum{stage=%q} %s\n", hname, st.String(),
-				strconv.FormatFloat(hs.Sum.Seconds(), 'g', -1, 64))
-			fmt.Fprintf(&b, "%s_count{stage=%q} %d\n", hname, st.String(), hs.Count)
+		for st := profiling.Stage(0); st < profiling.NumStages; st++ {
+			hist(hname, fmt.Sprintf("stage=%q", st), cfg.Profile.StageSnapshot(st))
 		}
-		if g, ok := cfg.Profile.(sharder); ok {
-			shards := g.ShardSnapshots()
-			if len(shards) > 1 {
-				const rname = "nserver_shard_requests_total"
-				fmt.Fprintf(&b, "# HELP %s Requests served per runtime shard.\n# TYPE %s counter\n", rname, rname)
-				for i, ss := range shards {
-					fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", rname, i, ss.RequestsServed)
-				}
-				const cname2 = "nserver_shard_connections_accepted_total"
-				fmt.Fprintf(&b, "# HELP %s Connections accepted per runtime shard.\n# TYPE %s counter\n", cname2, cname2)
-				for i, ss := range shards {
-					fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", cname2, i, ss.ConnectionsAccepted)
-				}
+		if shards := cfg.Profile.ShardSnapshots(); len(shards) > 1 {
+			const rname = "nserver_shard_requests_total"
+			fmt.Fprintf(&b, "# HELP %s Requests served per runtime shard.\n# TYPE %s counter\n", rname, rname)
+			for i, ss := range shards {
+				fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", rname, i, ss.RequestsServed)
+			}
+			const cname2 = "nserver_shard_connections_accepted_total"
+			fmt.Fprintf(&b, "# HELP %s Connections accepted per runtime shard.\n# TYPE %s counter\n", cname2, cname2)
+			for i, ss := range shards {
+				fmt.Fprintf(&b, "%s{shard=\"%d\"} %d\n", cname2, i, ss.ConnectionsAccepted)
 			}
 		}
 		if fs := cfg.Profile.FlushSnapshot(); fs.Count > 0 {
 			const fhname = "nserver_flush_duration_seconds"
 			fmt.Fprintf(&b, "# HELP %s Park-to-flushed latency of reply residuals parked on the netpoller.\n# TYPE %s histogram\n", fhname, fhname)
-			hist(fhname, fs)
+			hist(fhname, "", fs)
 		}
 	}
 	if cfg.Cache != nil {

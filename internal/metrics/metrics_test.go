@@ -18,13 +18,14 @@ import (
 
 func testConfig(t *testing.T) Config {
 	t.Helper()
-	p := profiling.New()
-	p.ConnectionAccepted()
-	p.BytesRead(100)
-	p.BytesSent(2048)
+	g := profiling.NewGroup(1)
+	p := g.Global()
+	p.Add(profiling.ConnectionsAccepted, 1)
+	p.Add(profiling.BytesRead, 100)
+	p.Add(profiling.BytesSent, 2048)
 	p.RequestServed(3 * time.Millisecond)
-	p.ReplyWrite()
-	for _, st := range profiling.Stages() {
+	p.Add(profiling.ReplyWrites, 1)
+	for st := profiling.Stage(0); st < profiling.NumStages; st++ {
 		p.ObserveStage(st, 500*time.Microsecond)
 	}
 	fc, err := cache.New(1<<20, options.LRU, cache.Config{Shards: 4})
@@ -39,7 +40,7 @@ func testConfig(t *testing.T) Config {
 	p.ObserveFlush(6 * time.Millisecond)
 	shed := uint64(7)
 	return Config{
-		Profile:      p,
+		Profile:      g,
 		Cache:        fc,
 		Shed:         func() uint64 { return shed },
 		Deferred:     func() uint64 { return 3 },

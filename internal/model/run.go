@@ -209,7 +209,8 @@ type Mismatch struct {
 	// "close" (connection died before a predicted response), "open"
 	// (connection survived a predicted close), "extra-response" (bytes
 	// after the final predicted response — the smuggling signature),
-	// "dial" (connect failed).
+	// "dial" (connect failed), "lifecycle" (the server stepped a
+	// connection through a transition its lifecycle table forbids).
 	Kind   string
 	Detail string
 }
@@ -235,14 +236,21 @@ func TraceJSON(p *Program) string {
 
 // Run predicts and executes every connection of the program in order.
 // It returns the first mismatch (nil if the wire matches the model), or
-// an error when the program is outside the model's domain.
+// an error when the program is outside the model's domain. A connection
+// that took a lifecycle transition the runtime's table forbids is a
+// mismatch too, however its wire looked.
 func (h *Harness) Run(p *Program) (*Mismatch, error) {
+	bad := h.srv.Framework().LifecycleBadSteps()
 	for ci := range p.Conns {
 		exp, err := Predict(h.Site, &p.Conns[ci])
 		if err != nil {
 			return nil, err
 		}
-		if m := h.runConn(&p.Conns[ci], exp); m != nil {
+		m := h.runConn(&p.Conns[ci], exp)
+		if n := h.srv.Framework().LifecycleBadSteps(); m == nil && n != bad {
+			m = &Mismatch{Kind: "lifecycle", Detail: fmt.Sprintf("%d forbidden lifecycle steps", n-bad)}
+		}
+		if m != nil {
 			m.Program, m.Conn = p, ci
 			return m, nil
 		}

@@ -117,11 +117,13 @@ type Conn struct {
 	// without taking the lock. outq, held, slots, pumping and the
 	// gathered write's iovec scratch (wsegs, and wbufs for the blocking
 	// sink) are guarded by writeMu, and so is the step to closing.
+	// outCap is park's memory cap, set at attach (see maxOutboundBytes).
 	outq       []outItem
 	held       int
 	slots      uint64
 	outMem     atomic.Int64
 	outPending atomic.Int64
+	outCap     int64
 	pumping    bool
 	unparked   sync.Cond
 	wsegs      [][]byte
@@ -371,7 +373,7 @@ func (c *Conn) readLoop(lr *leaseReader) {
 			// also makes peer read stalls visible in the histogram.
 			c.sh.profile.ObserveSince(profiling.StageRead, readStart)
 			lease.SetLen(n)
-			c.sh.profile.BytesRead(n)
+			c.sh.profile.Add(profiling.BytesRead, n)
 			c.touch()
 			if c.pushInbox(lease) {
 				if eerr := c.wake(); eerr != nil {
@@ -436,7 +438,7 @@ func (c *Conn) expired(armed int64, err error) bool {
 func (c *Conn) idleShutdown(cause error) {
 	if !c.Closed() {
 		c.srv.trace.Record("communicator", "reaped %d (%v)", c.handle, cause)
-		c.sh.profile.IdleShutdown()
+		c.sh.profile.Add(profiling.IdleShutdowns, 1)
 	}
 	c.teardown(cause)
 }
@@ -741,7 +743,7 @@ func (c *Conn) finalize() {
 	}
 	if act&actDetach != 0 {
 		c.srv.detach(c)
-		c.sh.profile.ConnectionClosed()
+		c.sh.profile.Add(profiling.ConnectionsClosed, 1)
 		c.app.OnClose(c, c.closeErr)
 	}
 }

@@ -62,6 +62,38 @@ func idleOptions() options.Options {
 func TestIdleBoundSparesDrainingReader(t *testing.T) {
 	const bodyLen = 4 << 20
 	s, addr := startClampedServer(t, Config{Options: idleOptions(), App: bigReplyApp(bodyLen), Codec: lineCodec{}})
+	drainSteadily(t, s, addr, bodyLen)
+}
+
+// TestIdleBoundSparesUnclampedDrainingReader is the same steady reader
+// on a plain listener, whose send buffer autotunes to megabytes. Linux
+// wakes a writer blocked on a full send buffer only once about half of
+// it has drained, so without TCP_NOTSENT_LOWAT the blocking write showed
+// no progress for longer than IdleTimeout and the peer was reaped about
+// halfway through an 8 MiB reply.
+func TestIdleBoundSparesUnclampedDrainingReader(t *testing.T) {
+	const bodyLen = 8 << 20
+	s, addr := startServer(t, Config{Options: idleOptions(), App: bigReplyApp(bodyLen), Codec: lineCodec{}})
+	drainSteadily(t, s, addr, bodyLen)
+}
+
+// TestWriteTimeoutSparesUnclampedDrainingReader: the same steady reader
+// under a 200 ms WriteTimeout and no O7. Without TCP_NOTSENT_LOWAT the
+// blocking write missed its deadline the same way.
+func TestWriteTimeoutSparesUnclampedDrainingReader(t *testing.T) {
+	const bodyLen = 8 << 20
+	o := testOptions()
+	o.WriteTimeout = 200 * time.Millisecond
+	o.Profiling = true
+	s, addr := startServer(t, Config{Options: o, App: bigReplyApp(bodyLen), Codec: lineCodec{}})
+	drainSteadily(t, s, addr, bodyLen)
+}
+
+// drainSteadily requests one bodyLen-byte reply from addr through a
+// 64 KiB receive buffer, reads it 32 KiB every 5 ms, and checks that it
+// arrives whole and that s reaped nothing.
+func drainSteadily(t *testing.T, s *Server, addr string, bodyLen int) {
+	t.Helper()
 	c := slowClient(t, addr)
 	if _, err := c.Write([]byte("go\n")); err != nil {
 		t.Fatal(err)

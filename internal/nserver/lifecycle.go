@@ -99,11 +99,15 @@ func (t *lifeTable) apply(s uint32, e edge) (uint32, action) {
 }
 
 // step applies edge e to the connection's lifecycle word and returns the
-// action the transition requires of the caller.
+// action the transition requires of the caller. A transition the table
+// forbids is counted on the shard (Server.LifecycleBadSteps).
 func (c *Conn) step(e edge) action {
 	for {
 		s := c.life.Load()
 		if next, act := lifecycle.apply(s, e); next == s || c.life.CompareAndSwap(s, next) {
+			if act&actBad != 0 {
+				c.sh.badSteps.Add(1)
+			}
 			return act
 		}
 	}

@@ -826,3 +826,18 @@ func actionString(a action) string {
 	}
 	return strings.Join(parts, "|")
 }
+
+// TestLifecycleBadStepsCounted: a transition the table forbids is
+// counted on the connection's shard and summed by LifecycleBadSteps.
+func TestLifecycleBadStepsCounted(t *testing.T) {
+	s := &Server{shards: []*shard{{}, {}}}
+	c := &Conn{srv: s, sh: s.shards[1]}
+	if act := c.step(edgeRelease); act != actBad { // a release nobody claimed
+		t.Fatalf("unclaimed release: action %s, want %s", actionString(act), actionString(actBad))
+	}
+	c.step(edgeReadable)
+	c.step(edgeRelease)
+	if n := s.LifecycleBadSteps(); n != 1 {
+		t.Fatalf("LifecycleBadSteps = %d, want 1", n)
+	}
+}

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/options"
 )
 
 // wantSockOpts is what every accepted TCP connection carries: TCP_NODELAY
@@ -115,8 +118,9 @@ func startSockOptsServer(t *testing.T, shards int) *Server {
 // many small replies, and Nagle coalescing against delayed ACKs would
 // serialize them. Keep-alive with Go's defaults, exactly what Go's own
 // accept path sets: here the connection inherits it from its listener
-// (see TestListenerCarriesKeepAlive). attach sets nothing itself; Go's
-// accept path sets TCP_NODELAY on every *net.TCPConn.
+// (see TestListenerCarriesKeepAlive). Go's accept path sets TCP_NODELAY
+// on every *net.TCPConn; attach sets nothing itself unless a write bound
+// is armed (TestNotSentLowatOnlyUnderWriteBound).
 func TestAcceptedConnIsNoDelay(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -162,4 +166,69 @@ func TestListenerCarriesKeepAlive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNotSentLowatOnlyUnderWriteBound: attach caps a connection's unsent
+// bytes at notSentLowat exactly when its blocking writes are bounded (a
+// WriteTimeout, or O7's IdleTimeout); every other connection keeps what
+// a plain socket has, the host's net.ipv4.tcp_notsent_lowat.
+func TestNotSentLowatOnlyUnderWriteBound(t *testing.T) {
+	bounded := testOptions()
+	bounded.WriteTimeout = 5 * time.Second
+	for name, tc := range map[string]struct {
+		o   options.Options
+		set bool
+	}{
+		"unbounded":    {testOptions(), false},
+		"WriteTimeout": {bounded, true},
+		"O7":           {idleOptions(), true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			app := AppFuncs{Request: func(c *Conn, _ any) {
+				v, err := notSentLowatOf(c.conn.(*net.TCPConn))
+				_ = c.Reply(fmt.Sprintf("%d %v", v, err))
+			}}
+			_, addr := startServer(t, Config{Options: tc.o, App: app, Codec: lineCodec{}})
+			client := dial(t, addr)
+			plain, err := notSentLowatOf(client.(*net.TCPConn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Write([]byte("q\n")); err != nil {
+				t.Fatal(err)
+			}
+			line, err := bufio.NewReader(client).ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v int
+			var gerr string
+			if _, err := fmt.Sscanf(line, "%d %s", &v, &gerr); err != nil || gerr != "<nil>" {
+				t.Fatalf("reply %q (%v)", line, err)
+			}
+			want := plain
+			if tc.set {
+				want = notSentLowat
+			}
+			if v != want {
+				t.Fatalf("TCP_NOTSENT_LOWAT = %d, want %d (a plain socket has %d)", v, want, plain)
+			}
+		})
+	}
+}
+
+// notSentLowatOf reads conn's TCP_NOTSENT_LOWAT.
+func notSentLowatOf(conn syscall.Conn) (int, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return 0, err
+	}
+	var v int
+	var gerr error
+	if err := rc.Control(func(fd uintptr) {
+		v, gerr = syscall.GetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpNotSentLowat)
+	}); err != nil {
+		return 0, err
+	}
+	return v, gerr
 }

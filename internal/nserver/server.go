@@ -112,6 +112,9 @@ type shard struct {
 	// unique across shards without a shared sequence. With one shard
 	// this degenerates to the pre-sharding 1,2,3,... sequence.
 	connK atomic.Uint64
+	// badSteps counts lifecycle transitions the table forbids (actBad);
+	// any nonzero count is a defect.
+	badSteps atomic.Uint64
 
 	mu    sync.Mutex
 	conns map[reactor.Handle]*Conn
@@ -503,6 +506,17 @@ func (s *Server) ActiveConns() int {
 	return total
 }
 
+// LifecycleBadSteps returns how many lifecycle transitions the table
+// forbids (see lifecycle.go) any connection has taken: 0 unless a caller
+// steps an edge its connection's state does not allow.
+func (s *Server) LifecycleBadSteps() uint64 {
+	var n uint64
+	for _, sh := range s.shards {
+		n += sh.badSteps.Load()
+	}
+	return n
+}
+
 // ParkedWrites returns the number of connections with reply residuals
 // parked on their outbound queues — replies the write pump is finishing
 // on the netpoller, with no worker goroutine attached.
@@ -696,6 +710,11 @@ func (s *Server) attach(sh *shard, nc net.Conn, app App, codec Codec) bool {
 	c.unparked.L = &c.writeMu
 	c.inSpace.L = &c.inMu
 	c.touch()
+	c.outCap = maxOutboundBytes
+	if d, _ := c.writeBound(); d > 0 && c.raw != nil {
+		setNotSentLowat(c.raw)
+		c.outCap += sndbufCeiling - notSentLowat
+	}
 	if s.priority != nil {
 		c.SetPriority(s.priority(c))
 	}
@@ -820,7 +839,7 @@ func (s *Server) tryFastHandle(c *Conn, req any) (consumed bool) {
 	if !s.fastPath(c, req) {
 		return false
 	}
-	c.sh.profile.DirectDispatched()
+	c.sh.profile.Add(profiling.DirectDispatched, 1)
 	s.served(c, c.reqs.Load(), start)
 	return true
 }

@@ -62,8 +62,17 @@ var ErrOutboundOverflow = errors.New("nserver: outbound queue exceeds memory cap
 // maxOutboundBytes caps the in-memory bytes (head remainders + retained
 // bodies) parked on one connection, beyond its first parked reply (see
 // park). File residuals are not memory and do not count — their cost is
-// one descriptor.
-const maxOutboundBytes = 8 << 20
+// one descriptor. The cap is set beside what the kernel takes of a
+// window before anything parks, up to a send buffer autotuned to
+// sndbufCeiling (tcp_wmem's default maximum). A connection under a write
+// bound caps the kernel's unsent bytes at notSentLowat instead (see
+// setNotSentLowat), so its queue may hold the difference (Conn.outCap),
+// and a window the kernel and queue held together before still fits.
+const (
+	maxOutboundBytes = 8 << 20
+	sndbufCeiling    = 4 << 20
+	notSentLowat     = 128 << 10
+)
 
 // writeFlushChunk bounds how many bytes the blocking sink moves under one
 // armed write deadline. The deadline is absolute, so arming it once for a
@@ -347,7 +356,7 @@ func (c *Conn) flush() (again bool, err error) {
 			n, again, err = c.writev(segs, want)
 			clear(segs)
 			if n > 0 {
-				c.sh.profile.ReplyWrite()
+				c.sh.profile.Add(profiling.ReplyWrites, 1)
 				c.noteSent(n, true, parked)
 			}
 			for i := sent; n > 0; i++ {
@@ -362,11 +371,11 @@ func (c *Conn) flush() (again bool, err error) {
 			if n > 0 {
 				c.outq[sent].remaining -= int64(n)
 				c.noteSent(n, false, parked)
-				c.sh.profile.BytesStreamed(n)
+				c.sh.profile.Add(profiling.BytesStreamed, n)
 				if via {
-					c.sh.profile.SendfileChunk()
+					c.sh.profile.Add(profiling.SendfileChunks, 1)
 				} else {
-					c.sh.profile.StreamFallbackChunk()
+					c.sh.profile.Add(profiling.FallbackChunks, 1)
 				}
 			} else if err == nil && !again {
 				// The file ran out under us before the promised length: the
@@ -431,7 +440,7 @@ fill:
 // counter and the O7 activity stamp always, and for a parked queue the
 // queue gauges. Called under writeMu.
 func (c *Conn) noteSent(n int, mem, parked bool) {
-	c.sh.profile.BytesSent(n)
+	c.sh.profile.Add(profiling.BytesSent, n)
 	c.touch()
 	if !parked {
 		return
@@ -555,8 +564,8 @@ func (c *Conn) park() error {
 		mem += int64(fresh[i].mem())
 		files += fresh[i].remaining
 	}
-	if c.outMem.Load()+mem > maxOutboundBytes && (first > 0 || len(fresh) > 1) {
-		c.sh.profile.OutboundShed()
+	if c.outMem.Load()+mem > c.outCap && (first > 0 || len(fresh) > 1) {
+		c.sh.profile.Add(profiling.OutboundShed, 1)
 		c.srv.trace.Record("communicator", "outbound cap exceeded on %d (%d queued + %d new)",
 			c.handle, c.outMem.Load(), mem)
 		c.failOutboundLocked(ErrOutboundOverflow)

@@ -33,34 +33,15 @@ const (
 	NumStages
 )
 
+// stageNames holds each stage's metric label.
+var stageNames = [NumStages]string{"read", "decode", "handle", "encode", "send", "queue_wait", "aio_complete"}
+
 // String returns the stage's metric label.
 func (s Stage) String() string {
-	switch s {
-	case StageRead:
-		return "read"
-	case StageDecode:
-		return "decode"
-	case StageHandle:
-		return "handle"
-	case StageEncode:
-		return "encode"
-	case StageSend:
-		return "send"
-	case StageQueueWait:
-		return "queue_wait"
-	case StageAIOComplete:
-		return "aio_complete"
+	if s < 0 || s >= NumStages {
+		return fmt.Sprintf("stage(%d)", int(s))
 	}
-	return fmt.Sprintf("stage(%d)", int(s))
-}
-
-// Stages returns every instrumented stage in declaration order.
-func Stages() []Stage {
-	out := make([]Stage, NumStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
+	return stageNames[s]
 }
 
 // NumBuckets is the fixed bucket count of every Histogram. Buckets are
@@ -218,15 +199,6 @@ func (p *Profile) ObserveSince(st Stage, start time.Time) {
 		return
 	}
 	p.ObserveStage(st, time.Since(start))
-}
-
-// StageSnapshot returns the histogram snapshot for one stage (zero for
-// nil or an out-of-range stage).
-func (p *Profile) StageSnapshot(st Stage) HistogramSnapshot {
-	if p == nil || st < 0 || st >= NumStages {
-		return HistogramSnapshot{}
-	}
-	return p.stages[st].Snapshot()
 }
 
 // StageHistogram exposes the underlying histogram for one stage (nil for

@@ -17,28 +17,66 @@ import (
 	"time"
 )
 
+// Counter names one O11 counter. Each is declared once, by its constant
+// here, its row in counters and its Snapshot field.
+type Counter int
+
+// The counters, in /metrics rendering order.
+const (
+	ConnectionsAccepted Counter = iota
+	ConnectionsClosed
+	ConnectionsRefused // refused by overload control
+	RequestsServed     // bumped by RequestServed with the service time
+	BytesRead
+	BytesSent
+	BytesStreamed  // large-file streaming body bytes, a subset of BytesSent
+	SendfileChunks // streamed chunks carried by sendfile(2)
+	FallbackChunks // streamed chunks carried by the pooled-buffer copy
+	Responses206
+	Responses416
+	EventsDispatched // events handed to an Event Processor
+	EventsProcessed  // events completed by a worker
+	IdleShutdowns    // reaped at the O7 idle bound or ReadTimeout's assembly bound
+	OutboundShed     // torn down because the parked outbound queue hit its cap
+	DirectDispatched // served run-to-completion by the reader (queue hop elided)
+	ReplyWrites      // vectored writes carrying reply memory bytes
+	CacheHits
+	CacheMisses
+	numCounters
+)
+
+// counters holds each counter's Prometheus name, help text and Snapshot
+// field. The file-cache rows have no name: /metrics exports the cache's
+// own statistics instead, so they appear only in the JSON document.
+var counters = [numCounters]struct {
+	name, help string
+	field      func(*Snapshot) *uint64
+}{
+	ConnectionsAccepted: {"nserver_connections_accepted_total", "Connections accepted.", func(s *Snapshot) *uint64 { return &s.ConnectionsAccepted }},
+	ConnectionsClosed:   {"nserver_connections_closed_total", "Connections closed.", func(s *Snapshot) *uint64 { return &s.ConnectionsClosed }},
+	ConnectionsRefused:  {"nserver_connections_refused_total", "Connections refused by overload control.", func(s *Snapshot) *uint64 { return &s.ConnectionsRefused }},
+	RequestsServed:      {"nserver_requests_total", "Requests served.", func(s *Snapshot) *uint64 { return &s.RequestsServed }},
+	BytesRead:           {"nserver_read_bytes_total", "Bytes read from clients.", func(s *Snapshot) *uint64 { return &s.BytesRead }},
+	BytesSent:           {"nserver_sent_bytes_total", "Bytes sent to clients.", func(s *Snapshot) *uint64 { return &s.BytesSent }},
+	BytesStreamed:       {"nserver_streamed_bytes_total", "Body bytes streamed by the large-file path.", func(s *Snapshot) *uint64 { return &s.BytesStreamed }},
+	SendfileChunks:      {"nserver_sendfile_chunks_total", "Streamed chunks carried by sendfile(2).", func(s *Snapshot) *uint64 { return &s.SendfileChunks }},
+	FallbackChunks:      {"nserver_stream_fallback_chunks_total", "Streamed chunks carried by the pooled-copy fallback.", func(s *Snapshot) *uint64 { return &s.FallbackChunks }},
+	Responses206:        {"nserver_range_responses_total", "206 Partial Content responses served.", func(s *Snapshot) *uint64 { return &s.Responses206 }},
+	Responses416:        {"nserver_range_unsatisfiable_total", "416 Range Not Satisfiable responses served.", func(s *Snapshot) *uint64 { return &s.Responses416 }},
+	EventsDispatched:    {"nserver_events_dispatched_total", "Events handed to event processors.", func(s *Snapshot) *uint64 { return &s.EventsDispatched }},
+	EventsProcessed:     {"nserver_events_processed_total", "Events completed by workers.", func(s *Snapshot) *uint64 { return &s.EventsProcessed }},
+	IdleShutdowns:       {"nserver_idle_shutdowns_total", "Connections reaped idle or slow.", func(s *Snapshot) *uint64 { return &s.IdleShutdowns }},
+	OutboundShed:        {"nserver_outbound_shed_total", "Connections torn down because the parked outbound queue hit the memory cap.", func(s *Snapshot) *uint64 { return &s.OutboundShed }},
+	DirectDispatched:    {"nserver_direct_dispatch_total", "Requests served run-to-completion by the goroutine that read them (event-queue hop elided).", func(s *Snapshot) *uint64 { return &s.DirectDispatched }},
+	ReplyWrites:         {"nserver_reply_writes_total", "Vectored writes that carried reply bytes; requests_total / reply_writes_total is replies per write.", func(s *Snapshot) *uint64 { return &s.ReplyWrites }},
+	CacheHits:           {"", "", func(s *Snapshot) *uint64 { return &s.CacheHits }},
+	CacheMisses:         {"", "", func(s *Snapshot) *uint64 { return &s.CacheMisses }},
+}
+
 // Profile accumulates the server-wide counters of option O11. All methods
 // are safe for concurrent use and safe on a nil receiver.
 type Profile struct {
-	connectionsAccepted atomic.Uint64
-	connectionsClosed   atomic.Uint64
-	connectionsRefused  atomic.Uint64
-	requestsServed      atomic.Uint64
-	bytesRead           atomic.Uint64
-	bytesSent           atomic.Uint64
-	eventsDispatched    atomic.Uint64
-	eventsProcessed     atomic.Uint64
-	cacheHits           atomic.Uint64
-	cacheMisses         atomic.Uint64
-	idleShutdowns       atomic.Uint64
-	// Large-file streaming path counters: bytes that went out via the
-	// streaming send (a subset of bytesSent), split by transfer mechanism,
-	// plus the Range outcome counts.
-	bytesStreamed  atomic.Uint64
-	sendfileChunks atomic.Uint64
-	fallbackChunks atomic.Uint64
-	responses206   atomic.Uint64
-	responses416   atomic.Uint64
+	counts [numCounters]atomic.Uint64
 	// serviceNanos accumulates total request service time for mean
 	// response time reporting.
 	serviceNanos atomic.Uint64
@@ -46,18 +84,9 @@ type Profile struct {
 	// (see histogram.go): the five Fig. 1 steps plus queue wait and AIO
 	// completion latency.
 	stages [NumStages]Histogram
-	// Parked write quantities: connections shed because their parked
-	// outbound queue hit the memory cap, and the park-to-flushed latency
-	// of each parked reply residual.
-	outboundShed atomic.Uint64
+	// flushLatency is the park-to-flushed latency of each parked reply
+	// residual.
 	flushLatency Histogram
-	// directDispatched counts requests the FastPath hook served
-	// run-to-completion, a subset of requestsServed: the event-queue hop
-	// was elided for these.
-	directDispatched atomic.Uint64
-	// replyWrites counts vectored writes that carried reply memory bytes:
-	// requestsServed / replyWrites is how many replies share one write.
-	replyWrites atomic.Uint64
 	// stageSeen drives the 1-in-StageSampleEvery lattice of StageStart.
 	stageSeen atomic.Uint64
 }
@@ -65,146 +94,18 @@ type Profile struct {
 // New returns an empty profile.
 func New() *Profile { return &Profile{} }
 
-// Enabled reports whether the receiver actually records (false for nil).
-func (p *Profile) Enabled() bool { return p != nil }
-
-// ConnectionAccepted counts one accepted connection.
-func (p *Profile) ConnectionAccepted() {
-	if p != nil {
-		p.connectionsAccepted.Add(1)
-	}
-}
-
-// ConnectionClosed counts one closed connection.
-func (p *Profile) ConnectionClosed() {
-	if p != nil {
-		p.connectionsClosed.Add(1)
-	}
-}
-
-// ConnectionRefused counts one connection refused by overload control.
-func (p *Profile) ConnectionRefused() {
-	if p != nil {
-		p.connectionsRefused.Add(1)
+// Add adds n to counter c; a nil receiver or n <= 0 is a no-op.
+func (p *Profile) Add(c Counter, n int) {
+	if p != nil && n > 0 {
+		p.counts[c].Add(uint64(n))
 	}
 }
 
 // RequestServed counts one completed request and its service time.
 func (p *Profile) RequestServed(d time.Duration) {
 	if p != nil {
-		p.requestsServed.Add(1)
+		p.counts[RequestsServed].Add(1)
 		p.serviceNanos.Add(uint64(d.Nanoseconds()))
-	}
-}
-
-// BytesRead adds to the byte-read counter.
-func (p *Profile) BytesRead(n int) {
-	if p != nil && n > 0 {
-		p.bytesRead.Add(uint64(n))
-	}
-}
-
-// BytesSent adds to the byte-sent counter.
-func (p *Profile) BytesSent(n int) {
-	if p != nil && n > 0 {
-		p.bytesSent.Add(uint64(n))
-	}
-}
-
-// EventDispatched counts one event handed to an Event Processor.
-func (p *Profile) EventDispatched() {
-	if p != nil {
-		p.eventsDispatched.Add(1)
-	}
-}
-
-// EventProcessed counts one event completed by a worker.
-func (p *Profile) EventProcessed() {
-	if p != nil {
-		p.eventsProcessed.Add(1)
-	}
-}
-
-// CacheHit counts one file cache hit.
-func (p *Profile) CacheHit() {
-	if p != nil {
-		p.cacheHits.Add(1)
-	}
-}
-
-// CacheMiss counts one file cache miss.
-func (p *Profile) CacheMiss() {
-	if p != nil {
-		p.cacheMisses.Add(1)
-	}
-}
-
-// IdleShutdown counts one connection reaped at the O7 idle bound or at
-// ReadTimeout's request-assembly bound.
-func (p *Profile) IdleShutdown() {
-	if p != nil {
-		p.idleShutdowns.Add(1)
-	}
-}
-
-// BytesStreamed adds to the large-file streamed byte counter (these bytes
-// also count toward BytesSent).
-func (p *Profile) BytesStreamed(n int) {
-	if p != nil && n > 0 {
-		p.bytesStreamed.Add(uint64(n))
-	}
-}
-
-// SendfileChunk counts one streamed chunk transferred by sendfile(2).
-func (p *Profile) SendfileChunk() {
-	if p != nil {
-		p.sendfileChunks.Add(1)
-	}
-}
-
-// StreamFallbackChunk counts one streamed chunk transferred through the
-// pooled-buffer copy fallback.
-func (p *Profile) StreamFallbackChunk() {
-	if p != nil {
-		p.fallbackChunks.Add(1)
-	}
-}
-
-// RangeServed counts one 206 Partial Content response.
-func (p *Profile) RangeServed() {
-	if p != nil {
-		p.responses206.Add(1)
-	}
-}
-
-// RangeUnsatisfiable counts one 416 Range Not Satisfiable response.
-func (p *Profile) RangeUnsatisfiable() {
-	if p != nil {
-		p.responses416.Add(1)
-	}
-}
-
-// DirectDispatched counts one request served run-to-completion by the
-// goroutine that read it (the event-queue hop elided).
-func (p *Profile) DirectDispatched() {
-	if p != nil {
-		p.directDispatched.Add(1)
-	}
-}
-
-// ReplyWrite counts one vectored write that carried reply memory bytes
-// (heads and in-memory bodies; streamed file chunks are not counted).
-func (p *Profile) ReplyWrite() {
-	if p != nil {
-		p.replyWrites.Add(1)
-	}
-}
-
-// OutboundShed counts one connection torn down because its parked
-// outbound queue exceeded the per-connection memory cap.
-func (p *Profile) OutboundShed() {
-	if p != nil {
-		p.outboundShed.Add(1)
 	}
 }
 
@@ -214,15 +115,6 @@ func (p *Profile) ObserveFlush(d time.Duration) {
 	if p != nil {
 		p.flushLatency.Observe(d)
 	}
-}
-
-// FlushSnapshot returns the parked-write flush-latency distribution; the
-// zero snapshot for nil.
-func (p *Profile) FlushSnapshot() HistogramSnapshot {
-	if p == nil {
-		return HistogramSnapshot{}
-	}
-	return p.flushLatency.Snapshot()
 }
 
 // Snapshot is a point-in-time copy of all counters.
@@ -260,34 +152,38 @@ func (s Snapshot) CacheHitRate() float64 {
 
 // Snapshot returns a copy of the counters; the zero Snapshot for nil.
 func (p *Profile) Snapshot() Snapshot {
-	if p == nil {
-		return Snapshot{}
-	}
-	s := Snapshot{
-		ConnectionsAccepted: p.connectionsAccepted.Load(),
-		ConnectionsClosed:   p.connectionsClosed.Load(),
-		ConnectionsRefused:  p.connectionsRefused.Load(),
-		RequestsServed:      p.requestsServed.Load(),
-		BytesRead:           p.bytesRead.Load(),
-		BytesSent:           p.bytesSent.Load(),
-		EventsDispatched:    p.eventsDispatched.Load(),
-		EventsProcessed:     p.eventsProcessed.Load(),
-		CacheHits:           p.cacheHits.Load(),
-		CacheMisses:         p.cacheMisses.Load(),
-		IdleShutdowns:       p.idleShutdowns.Load(),
-		BytesStreamed:       p.bytesStreamed.Load(),
-		SendfileChunks:      p.sendfileChunks.Load(),
-		FallbackChunks:      p.fallbackChunks.Load(),
-		Responses206:        p.responses206.Load(),
-		Responses416:        p.responses416.Load(),
-		OutboundShed:        p.outboundShed.Load(),
-		DirectDispatched:    p.directDispatched.Load(),
-		ReplyWrites:         p.replyWrites.Load(),
-	}
-	if s.RequestsServed > 0 {
-		s.MeanServiceTime = time.Duration(p.serviceNanos.Load() / s.RequestsServed)
-	}
+	var s Snapshot
+	s.setMean(s.add(p))
 	return s
+}
+
+// add sums p's counters into s and returns p's service nanoseconds, so an
+// aggregate computes its mean without the per-profile division loss.
+func (s *Snapshot) add(p *Profile) uint64 {
+	if p == nil {
+		return 0
+	}
+	for c := range counters {
+		*counters[c].field(s) += p.counts[c].Load()
+	}
+	return p.serviceNanos.Load()
+}
+
+// EachCounter calls f with the Prometheus name, help text and value of
+// every named counter in s, in rendering order.
+func (s Snapshot) EachCounter(f func(name, help string, v uint64)) {
+	for _, c := range counters {
+		if c.name != "" {
+			f(c.name, c.help, *c.field(&s))
+		}
+	}
+}
+
+// setMean sets MeanServiceTime from the summed service nanoseconds.
+func (s *Snapshot) setMean(nanos uint64) {
+	if s.RequestsServed > 0 {
+		s.MeanServiceTime = time.Duration(nanos / s.RequestsServed)
+	}
 }
 
 // String formats the snapshot as the one-line report the profiling option

@@ -224,5 +224,5 @@ func (r *Reactor) invoke(h Handler, rd Ready) {
 		}
 	}()
 	h.HandleReady(rd)
-	r.profile.EventProcessed()
+	r.profile.Add(profiling.EventsProcessed, 1)
 }
