@@ -13,9 +13,12 @@ build:
 # vet also fails on any Go source the toolchain's gofmt would rewrite
 # (tracked or new, outside the ignored build outputs), listing the files.
 # The file list comes from git, so outside a checkout the gate fails
-# rather than checking nothing.
+# rather than checking nothing. It also cross-builds for Windows and
+# macOS, whose descriptor-level code differs from Linux's.
 vet:
 	$(GO) vet ./...
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 	@files=$$(git ls-files -co --exclude-standard '*.go'); \
 	if [ -z "$$files" ]; then echo "gofmt gate: git lists no Go files"; exit 1; fi; \
 	unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || exit 1; \
@@ -46,6 +49,9 @@ test: vet chaos
 	# The recycled-request window's fast-serve count, under the race
 	# detector's timing, where a late queued drain once showed.
 	$(GO) test -race -count=50 -run '^TestRecycledRequestsInPipelinedWindow$$' ./internal/copshttp
+	# A peer whose replies park is throttled: no read follows the park, and
+	# the race detector's slower drains widen the window where one could.
+	$(GO) test -race -count=50 -run '^TestParkedQueueThrottlesReader$$' ./internal/nserver
 	# The same for COPS-FTP: a command pipelined behind a transfer must be
 	# answered after the data connection's closing reply.
 	$(call repeat,20,./internal/copsftp,TestPipelinedCommandWaitsForTransferReply)

@@ -38,14 +38,16 @@ import (
 	"time"
 )
 
+//nsgen:if Overload
+
 // Gate is the read side of the static overload gate used as the hard
 // backstop (satisfied by *eventproc.Overload).
 type Gate interface {
 	AcceptAllowed() bool
 }
 
-// The control law's constants. DESIGN §11 documents them, and nsgen
-// emits the same values into an O9 framework's admission limiter.
+// The control law's constants. DESIGN §11 documents them; nsgen projects
+// this file, constants and all, into every O9 framework.
 const (
 	// MinLimit is the floor multiplicative decreases stop at.
 	MinLimit = 4
@@ -81,16 +83,22 @@ type Config struct {
 	// Backstop is the static watermark gate; while it refuses, the
 	// limiter refuses too and re-admits nothing. nil means no backstop.
 	Backstop Gate
+
+	//nsgen:runtime
+
 	// Levels is the number of O8 priority levels for shed accounting
 	// (>= 1; default 1). Level 0 is the highest priority.
 	Levels int
 	// Classify maps a not-yet-attached connection to its shed priority
 	// level. nil marks every connection lowest-priority (all sheddable).
 	Classify func(net.Conn) int
+	//nsgen:end
 
 	// now is the test clock; nil means time.Now.
 	now func() time.Time
 }
+
+//nsgen:runtime
 
 // Snapshot is a point-in-time view of the limiter for /metrics and
 // shutdown reports.
@@ -113,6 +121,8 @@ type Snapshot struct {
 	Admitted []uint64 `json:"admitted_by_level"`
 }
 
+//nsgen:end
+
 // Limiter is the adaptive admission controller. It satisfies
 // acceptor.Gate via AcceptAllowed and acceptor.PriorityGate via
 // AdmitOverloaded; Observe is fed from the event processors' queue-wait
@@ -134,8 +144,11 @@ type Limiter struct {
 	lastDecrease time.Time
 	lastRecovery time.Time
 
+	//nsgen:runtime
+
 	shedByLevel  []atomic.Uint64
 	admitByLevel []atomic.Uint64
+	//nsgen:end
 }
 
 // New builds a Limiter, filling defaulted Config fields.
@@ -146,16 +159,20 @@ func New(cfg Config) *Limiter {
 	if cfg.MaxLimit < MinLimit {
 		cfg.MaxLimit = MinLimit
 	}
+	//nsgen:runtime
 	if cfg.Levels < 1 {
 		cfg.Levels = 1
 	}
+	//nsgen:end
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
 	l := &Limiter{
-		cfg:          cfg,
+		cfg: cfg,
+		//nsgen:runtime
 		shedByLevel:  make([]atomic.Uint64, cfg.Levels),
 		admitByLevel: make([]atomic.Uint64, cfg.Levels),
+		//nsgen:end
 	}
 	l.limit.Store(int64(cfg.MaxLimit))
 	return l
@@ -241,6 +258,8 @@ func (l *Limiter) maybeRecover() {
 	l.mu.Unlock()
 }
 
+//nsgen:runtime
+
 // classify maps a connection to its shed level; without a Classify hook
 // every connection is lowest priority (fully sheddable).
 func (l *Limiter) classify(c net.Conn) int {
@@ -305,6 +324,8 @@ func (l *Limiter) AdmitOverloaded(c net.Conn) bool {
 	return false
 }
 
+//nsgen:end
+
 // RetryAfter returns the backoff horizon shed replies should advertise:
 // twice the time the limiter has been engaged, clamped to [1s, 60s]. A
 // disengaged limiter (watermark-only shed) reports the 1s floor.
@@ -336,6 +357,8 @@ func (l *Limiter) Engaged() bool { return l.engagedSince.Load() != 0 }
 func (l *Limiter) Clear() bool {
 	return !l.Engaged() && (l.cfg.Backstop == nil || l.cfg.Backstop.AcceptAllowed())
 }
+
+//nsgen:runtime
 
 // ShedCount returns the shed counter for one level (0 for out of range).
 func (l *Limiter) ShedCount(level int) uint64 {
@@ -371,3 +394,7 @@ func (l *Limiter) Snapshot() Snapshot {
 	}
 	return s
 }
+
+//nsgen:end
+
+//nsgen:end

@@ -7,6 +7,8 @@ import (
 	"repro/internal/logging"
 )
 
+//nsgen:if Overload
+
 // QueueLenner exposes a queue length to the overload controller. Both
 // *Processor and the raw event queues satisfy it.
 type QueueLenner interface {
@@ -30,7 +32,11 @@ type Overload struct {
 	mu     sync.Mutex
 	queues []watched
 	paused bool
-	trace  *logging.Trace
+
+	//nsgen:runtime
+
+	trace *logging.Trace
+	//nsgen:end
 }
 
 type watched struct {
@@ -39,10 +45,14 @@ type watched struct {
 	high, low int
 }
 
+//nsgen:runtime
+
 // NewOverload creates a controller with no watched queues.
 func NewOverload(trace *logging.Trace) *Overload {
 	return &Overload{trace: trace}
 }
+
+//nsgen:end
 
 // Watch registers a queue with its high and low watermarks. It returns an
 // error for invalid watermarks (low must be positive and below high).
@@ -77,13 +87,17 @@ func (o *Overload) AcceptAllowed() bool {
 			}
 		}
 		o.paused = false
+		//nsgen:runtime
 		o.trace.Record("overload", "resumed accepting")
+		//nsgen:end
 		return true
 	}
 	for _, w := range o.queues {
 		if n := w.q.QueueLen(); n >= w.high {
 			o.paused = true
+			//nsgen:runtime
 			o.trace.Record("overload", "paused accepting: queue %q length %d >= high %d", w.name, n, w.high)
+			//nsgen:end
 			return false
 		}
 	}
@@ -96,3 +110,5 @@ func (o *Overload) Paused() bool {
 	defer o.mu.Unlock()
 	return o.paused
 }
+
+//nsgen:end

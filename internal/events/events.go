@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 )
 
+//nsgen:if Scheduling
+
 // Priority orders events when event scheduling is enabled. Zero is the
 // highest priority; larger values are served later. When scheduling is
 // disabled the framework ignores priorities entirely (the priority field is
@@ -22,21 +24,29 @@ type Priority int
 // set one.
 const DefaultPriority Priority = 0
 
+//nsgen:end
+
 // Event is one unit of work queued to an Event Processor. Concrete events
 // bind application or framework behaviour into Process; the Event Processor
 // workers simply pop events and invoke Process.
 type Event interface {
 	// Process performs the event's work on the calling worker.
 	Process()
+
+	//nsgen:if Scheduling
+
 	// Priority returns the event's scheduling priority (0 = highest).
 	Priority() Priority
+	//nsgen:end
 }
 
-// Func adapts a closure to the Event interface at DefaultPriority.
+// Func adapts a closure to the Event interface.
 type Func func()
 
 // Process runs the closure.
 func (f Func) Process() { f() }
+
+//nsgen:if Scheduling
 
 // Priority returns DefaultPriority.
 func (Func) Priority() Priority { return DefaultPriority }
@@ -52,6 +62,10 @@ func (p PFunc) Process() { p.F() }
 
 // Priority returns the assigned priority.
 func (p PFunc) Priority() Priority { return p.P }
+
+//nsgen:end
+
+//nsgen:if Async
 
 // tokenIDs issues process-unique completion token identifiers.
 var tokenIDs atomic.Uint64
@@ -80,7 +94,12 @@ type Completion struct {
 	Token  Token
 	Result any
 	Err    error
-	Prio   Priority
+
+	//nsgen:if Scheduling
+
+	Prio Priority
+	//nsgen:end
+
 	// Done is the continuation encapsulating the application-specific
 	// handling of the completed operation (the Completion Handler of the
 	// Proactor pattern).
@@ -94,10 +113,20 @@ func (c *Completion) Process() {
 	}
 }
 
+//nsgen:if Scheduling
+
 // Priority returns the completion's scheduling priority.
 func (c *Completion) Priority() Priority { return c.Prio }
+
+//nsgen:end
+
+//nsgen:runtime
 
 // String describes the completion for debug traces.
 func (c *Completion) String() string {
 	return fmt.Sprintf("completion{token=%d err=%v prio=%d}", c.Token.ID, c.Err, c.Prio)
 }
+
+//nsgen:end
+
+//nsgen:end

@@ -5,6 +5,8 @@ import (
 	"sync"
 )
 
+//nsgen:if Scheduling
+
 // PriorityQueue is the queue discipline generated when event scheduling
 // (option O8) is on. It implements the paper's starvation-free policy:
 //
@@ -76,9 +78,6 @@ func NewPriorityQueue(quotas []int) (*PriorityQueue, error) {
 	return q, nil
 }
 
-// Levels returns the number of priority levels.
-func (q *PriorityQueue) Levels() int { return len(q.levels) }
-
 // Push enqueues an event at its own priority. Priorities outside
 // [0, Levels) are clamped to the nearest level.
 func (q *PriorityQueue) Push(ev Event) error {
@@ -113,6 +112,8 @@ func (q *PriorityQueue) Pop() (Event, bool) {
 	return q.popLocked(), true
 }
 
+//nsgen:if Sharded
+
 // TryPop dequeues without blocking.
 func (q *PriorityQueue) TryPop() (Event, bool) {
 	q.mu.Lock()
@@ -122,6 +123,8 @@ func (q *PriorityQueue) TryPop() (Event, bool) {
 	}
 	return q.popLocked(), true
 }
+
+//nsgen:end
 
 func (q *PriorityQueue) popLocked() Event {
 	for {
@@ -148,6 +151,19 @@ func (q *PriorityQueue) Len() int {
 	return q.total
 }
 
+// Close closes the queue, waking all blocked Pops.
+func (q *PriorityQueue) Close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+//nsgen:runtime
+
+// Levels returns the number of priority levels.
+func (q *PriorityQueue) Levels() int { return len(q.levels) }
+
 // LevelLen returns the number of queued events at one priority level.
 func (q *PriorityQueue) LevelLen(level int) int {
 	q.mu.Lock()
@@ -156,14 +172,6 @@ func (q *PriorityQueue) LevelLen(level int) int {
 		return 0
 	}
 	return q.levels[level].len()
-}
-
-// Close closes the queue, waking all blocked Pops.
-func (q *PriorityQueue) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
 }
 
 // NewQueue returns the queue discipline matching the scheduling option:
@@ -176,3 +184,7 @@ func NewQueue(scheduling bool, quotas []int) (Queue, error) {
 	}
 	return NewPriorityQueue(quotas)
 }
+
+//nsgen:end
+
+//nsgen:end

@@ -8,6 +8,8 @@ import (
 // ErrClosed is returned by Push after a queue has been closed.
 var ErrClosed = errors.New("events: queue closed")
 
+//nsgen:runtime
+
 // Queue is the event queue inside an Event Processor. Push never blocks
 // (the queues are unbounded, as in the paper — overload is handled by the
 // watermark mechanism of option O9, not by bounding the queue). Pop blocks
@@ -21,12 +23,16 @@ type Queue interface {
 	Pop() (ev Event, ok bool)
 	// TryPop dequeues without blocking; ok=false means empty or drained.
 	TryPop() (ev Event, ok bool)
-	// Len returns the number of queued events (the quantity the overload
-	// controller samples against its watermarks).
+	// Len returns the number of queued events (the quantity the O9
+	// watermarks sample).
 	Len() int
 	// Close marks the queue closed. Queued events may still be popped.
 	Close()
 }
+
+//nsgen:end
+
+//nsgen:if !Scheduling
 
 // FIFO is the queue discipline generated when event scheduling (O8) is off:
 // a plain first-in first-out queue. It is safe for concurrent use.
@@ -70,6 +76,8 @@ func (q *FIFO) Pop() (Event, bool) {
 	return q.popLocked(), true
 }
 
+//nsgen:if Sharded
+
 // TryPop returns the next event if one is queued.
 func (q *FIFO) TryPop() (Event, bool) {
 	q.mu.Lock()
@@ -79,6 +87,8 @@ func (q *FIFO) TryPop() (Event, bool) {
 	}
 	return q.popLocked(), true
 }
+
+//nsgen:end
 
 func (q *FIFO) popLocked() Event {
 	ev := q.buf[q.head]
@@ -110,3 +120,5 @@ func (q *FIFO) Close() {
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
+
+//nsgen:end

@@ -59,12 +59,12 @@ func TestDirectDispatchCrosscutWeaving(t *testing.T) {
 	}
 	// Without overload control the gate check degenerates to true; with
 	// it the fast path must consult the generated gate.
-	if strings.Contains(plain, "s.gate.acceptAllowed()") {
+	if strings.Contains(plain, "s.gate.AcceptAllowed()") {
 		t.Error("gateless framework consults an overload gate on the fast path")
 	}
 	gated := all(gen(base.WithOverloadControl(20, 5)))
-	if !strings.Contains(gated, "func (s *Server) fastGateClear() bool {\n\treturn s.gate.acceptAllowed()") {
-		t.Error("overload-controlled framework does not gate the fast path on acceptAllowed")
+	if !strings.Contains(gated, "func (s *Server) fastGateClear() bool {\n\treturn s.gate.AcceptAllowed()") {
+		t.Error("overload-controlled framework does not gate the fast path on AcceptAllowed")
 	}
 	// Profiling interaction: the direct-dispatch counter only exists when
 	// profiling is selected too.

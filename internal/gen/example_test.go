@@ -20,7 +20,7 @@ func ExampleGenerate() {
 	fmt.Println("classes >= 10:", artifact.Stats().Classes >= 10)
 	// Output:
 	// package: nserver
-	// files:   [cache.go doc.go framework.go]
+	// files:   [cache.go doc.go events.go framework.go lifecycle.go queue.go]
 	// classes >= 10: true
 }
 
@@ -33,7 +33,7 @@ func ExampleGenerate_featureWeaving() {
 	artifact, _ := gen.Generate("nserver", o)
 	fmt.Println(artifact.FileNames())
 	// Output:
-	// [doc.go framework.go]
+	// [doc.go events.go framework.go lifecycle.go queue.go]
 }
 
 // ExampleGenerateScaffold emits a complete application skeleton.

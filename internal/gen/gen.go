@@ -38,8 +38,6 @@ var (
 	docTmpl       = template.Must(template.New("doc").Parse(docTemplate))
 	frameworkTmpl = template.Must(template.New("framework").Parse(frameworkTemplate))
 	cacheTmpl     = template.Must(template.New("cache").Parse(cacheTemplate))
-	lowatTmpl     = template.Must(template.New("lowat_linux").Parse(lowatLinuxTemplate))
-	lowatNoTmpl   = template.Must(template.New("lowat_other").Parse(lowatOtherTemplate))
 )
 
 // tmplData is the template context derived from an option assignment.
@@ -90,6 +88,7 @@ type tmplData struct {
 	// byte-identical to before hardening existed.
 	ReadDeadline      bool
 	WriteDeadline     bool
+	WriteBound        bool // WriteDeadline or Idle: a blocking write is bounded
 	CapRequest        bool
 	ReadTimeoutNanos  int64
 	WriteTimeoutNanos int64
@@ -165,6 +164,7 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 		Logging:            opts.Logging,
 		ReadDeadline:       opts.ReadTimeout > 0,
 		WriteDeadline:      opts.WriteTimeout > 0,
+		WriteBound:         opts.WriteTimeout > 0 || opts.ShutdownLongIdle,
 		CapRequest:         opts.MaxRequestBytes > 0 && opts.Codec,
 		ReadTimeoutNanos:   opts.ReadTimeout.Nanoseconds(),
 		WriteTimeoutNanos:  opts.WriteTimeout.Nanoseconds(),
@@ -210,13 +210,8 @@ func Generate(pkg string, opts options.Options) (*Artifact, error) {
 			return nil, err
 		}
 	}
-	if d.Idle || d.WriteDeadline {
-		if err := emit("lowat_linux.go", lowatTmpl); err != nil {
-			return nil, err
-		}
-		if err := emit("lowat_other.go", lowatNoTmpl); err != nil {
-			return nil, err
-		}
+	if err := a.addProjections(d); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

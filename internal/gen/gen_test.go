@@ -151,7 +151,7 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	}
 	minSrc := all(minimal)
 	for _, absent := range []string{
-		"CompletionEvent", "Token", "Cache", "overloadGate",
+		"type Completion", "Token", "Cache", "type Overload",
 		"Profile", "Priority", "quota", "idleTimeout", "trace(",
 		"ProcessorController", "controller", "log.Logger", "setNotSentLowat",
 	} {
@@ -182,16 +182,16 @@ func TestGenerationTimeWeaving(t *testing.T) {
 	}
 	richSrc := all(rich)
 	for _, present := range []string{
-		"CompletionEvent", "Token", "overloadGate", "Profile",
+		"type Completion", "Token", "type Overload struct", "Profile",
 		"Priority()", "quotas", "idleTimeout", "trace(", "log.Logger",
-		"NewCache", "setNotSentLowat(conn)",
+		"NewCache", "setNotSentLowat(rc, 128<<10)",
 	} {
 		if !strings.Contains(richSrc, present) {
 			t.Errorf("full framework missing %q", present)
 		}
 	}
 	// The generated watermarks and quotas are literals, not config reads.
-	if !strings.Contains(richSrc, "20") || !strings.Contains(richSrc, ">= 20") {
+	if !strings.Contains(richSrc, `Watch("reactive", proc, 20, 5)`) {
 		t.Error("high watermark not baked in as a literal")
 	}
 	if !strings.Contains(richSrc, "int{1, 8}") && !strings.Contains(richSrc, "{1, 8}") {
@@ -536,7 +536,49 @@ func TestGeneratedRequestCapAllowsPipelinedBurst(t *testing.T) {
 		t.Skip("end-to-end build in -short mode")
 	}
 	o := options.COPSHTTP().WithHardening(0, 0, 4096)
-	mainSrc := `package main
+	addr := startGenerated(t, o, echoAppSrc)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	const n = 150
+	var burst strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&burst, "request %03d padded to thirty-six\n", i)
+	}
+	if _, err := conn.Write([]byte(burst.String())); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	for i := 0; i < n; i++ {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reply %d of a %d-byte burst: %v", i, burst.Len(), err)
+		}
+		if want := fmt.Sprintf("echo: request %03d padded to thirty-six\n", i); line != want {
+			t.Fatalf("reply %d = %q, want %q", i, line, want)
+		}
+	}
+
+	over, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer over.Close()
+	over.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := over.Write([]byte(strings.Repeat("x", 8192))); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := bufio.NewReader(over).ReadByte(); err != io.EOF {
+		t.Fatalf("oversized request: got byte %q, err %v; want the connection closed", b, err)
+	}
+}
+
+// echoAppSrc is a generated-framework application that answers each
+// line "x" with "echo: x".
+const echoAppSrc = `package main
 
 import (
 	"fmt"
@@ -577,43 +619,46 @@ func main() {
 	select {}
 }
 `
-	addr := startGenerated(t, o, mainSrc)
+
+// TestGeneratedHalfCloseRepliesThenEOF: a peer's EOF ends only the
+// inbound stream. A client that pipelines 32 lines and then half-closes
+// its side gets all 32 replies, then EOF: the generated Communicator steps
+// the runtime's lifecycle table, whose EOF edge lets the drain answer
+// what was queued before the close.
+func TestGeneratedHalfCloseRepliesThenEOF(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end build in -short mode")
+	}
+	addr := startGenerated(t, options.COPSHTTP(), echoAppSrc)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	const n = 150
+	const n = 32
 	var burst strings.Builder
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&burst, "request %03d padded to thirty-six\n", i)
+		fmt.Fprintf(&burst, "line %02d\n", i)
 	}
 	if _, err := conn.Write([]byte(burst.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
 	for i := 0; i < n; i++ {
 		line, err := r.ReadString('\n')
 		if err != nil {
-			t.Fatalf("reply %d of a %d-byte burst: %v", i, burst.Len(), err)
+			t.Fatalf("reply %d of %d after the half-close: %v", i, n, err)
 		}
-		if want := fmt.Sprintf("echo: request %03d padded to thirty-six\n", i); line != want {
+		if want := fmt.Sprintf("echo: line %02d\n", i); line != want {
 			t.Fatalf("reply %d = %q, want %q", i, line, want)
 		}
 	}
-
-	over, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer over.Close()
-	over.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := over.Write([]byte(strings.Repeat("x", 8192))); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := bufio.NewReader(over).ReadByte(); err != io.EOF {
-		t.Fatalf("oversized request: got byte %q, err %v; want the connection closed", b, err)
+	if b, err := r.ReadByte(); err != io.EOF {
+		t.Fatalf("after the replies: byte %q, err %v; want EOF", b, err)
 	}
 }
 

@@ -34,8 +34,8 @@ func TestOverloadCrosscutWeaving(t *testing.T) {
 
 	plain := all(gen(options.COPSHTTP()))
 	for _, absent := range []string{
-		"overloadGate", "admissionLimiter", "waitSampledEvent",
-		"admissionSampleEvery", "newAdmissionLimiter",
+		"type Overload", "Limiter", "waitSampledEvent",
+		"admissionSampleEvery", "New(Config",
 	} {
 		if strings.Contains(plain, absent) {
 			t.Errorf("framework without O9 contains %q — crosscut not woven out", absent)
@@ -44,15 +44,15 @@ func TestOverloadCrosscutWeaving(t *testing.T) {
 
 	base := options.COPSHTTP().WithOverloadControl(20, 5)
 	for _, present := range []string{
-		"type overloadGate struct",
-		"type admissionLimiter struct",
+		"type Overload struct",
+		"type Limiter struct",
 		"type waitSampledEvent struct",
-		"func (l *admissionLimiter) observe(wait time.Duration)",
-		"func (l *admissionLimiter) acceptAllowed(inflight int) bool",
-		"return g.limiter.acceptAllowed(g.inflight())",
-		"s.gate.limiter = newAdmissionLimiter()",
-		"s.fileIO.proc.limiter = s.gate.limiter",
-		"admissionMaxLimit    = 1024", // no MaxConns bound selected
+		"func (l *Limiter) Observe(wait time.Duration)",
+		"func (l *Limiter) AcceptAllowed() bool",
+		"func (o *Overload) AcceptAllowed() bool",
+		"s.gate = New(Config{Inflight: s.activeConns, Backstop: &s.marks})", // no MaxConns bound selected
+		"s.fileIO.proc.limiter = s.gate",
+		"cfg.MaxLimit = 1024",
 	} {
 		if !strings.Contains(all(gen(base)), present) {
 			t.Errorf("O9 framework missing %q", present)
@@ -65,8 +65,7 @@ func TestOverloadCrosscutWeaving(t *testing.T) {
 	bounded.MaxConnections = 300
 	boundedSrc := all(gen(bounded))
 	for _, present := range []string{
-		"admissionMaxLimit    = 300",
-		"s.gate.inflight = s.activeConns",
+		"s.gate = New(Config{MaxLimit: 300, Inflight: s.activeConns, Backstop: &s.marks})",
 	} {
 		if !strings.Contains(boundedSrc, present) {
 			t.Errorf("bounded O9 framework missing %q", present)
@@ -76,7 +75,7 @@ func TestOverloadCrosscutWeaving(t *testing.T) {
 	// The sampling wrapper must forward priorities when O8 is selected,
 	// or the limiter's probe events would jump the scheduling queue.
 	sched := all(gen(base.WithScheduling(1, 8)))
-	if !strings.Contains(sched, "func (e waitSampledEvent) Priority() int") {
+	if !strings.Contains(sched, "func (e waitSampledEvent) Priority() Priority") {
 		t.Error("O9 + scheduling framework missing the priority forwarder")
 	}
 }

@@ -36,7 +36,7 @@ func TestShardingCrosscutWeaving(t *testing.T) {
 	base := options.COPSHTTP().WithScheduling(1, 8).WithOverloadControl(20, 5)
 	plain := gen(base)
 	for _, absent := range []string{
-		"shard", "Shard", "steal", "tryPop", "handleSeq",
+		"shard", "Shard", "steal", "TryPop", "handleSeq",
 		"reactors", "submitReactive", "peers",
 	} {
 		if strings.Contains(plain, absent) {
@@ -48,20 +48,20 @@ func TestShardingCrosscutWeaving(t *testing.T) {
 	for _, present := range []string{
 		"reactors  [4]*Reactor", "nextShard", "handleSeq",
 		"stealBatch = 4", "func (p *EventProcessor) steal() bool",
-		"func (q *eventQueue) tryPop()", "submitReactive",
+		"func (q *PriorityQueue) TryPop()", "submitReactive",
 		"s.reactors[int(s.nextShard.Add(1)-1)%4]",
 	} {
 		if !strings.Contains(sharded, present) {
 			t.Errorf("sharded framework missing %q", present)
 		}
 	}
-	// The O8-aware steal: the sharded priority queue's tryPop must follow
-	// the same quota cycle as pop (both restock from the quotas literal).
-	if strings.Count(sharded, "q.credits = quotas") != 3 {
+	// The O8-aware steal: the sharded priority queue's TryPop must follow
+	// the same quota cycle as Pop (both take the quota-cycle popLocked).
+	if strings.Count(sharded, "return q.popLocked(), true") != 2 {
 		t.Error("sharded priority tryPop does not share pop's quota cycle")
 	}
 	// The overload gate watches every shard's processor.
-	if !strings.Contains(sharded, "s.gate.watch(s.reactors[i].proc.QueueLen)") {
+	if !strings.Contains(sharded, `s.marks.Watch("reactive", s.reactors[i].proc, 20, 5)`) {
 		t.Error("overload gate does not watch the per-shard processors")
 	}
 

@@ -10,6 +10,9 @@ package gen
 // Nothing is decided at run time: a framework generated without an option
 // contains no trace of it, which is the paper's central argument against
 // a one-size static framework.
+// The event model and queues, the O9 limiter and watermarks, the
+// lifecycle table and the TCP_NOTSENT_LOWAT helper are not templates:
+// nsgen projects them from the runtime's own source (project.go).
 
 const docTemplate = `// Package {{.Package}} is a network server framework generated by nsgen,
 // the Go reproduction of the CO2P3S N-Server design pattern template
@@ -44,241 +47,13 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	{{- if .WriteBound}}
+	"syscall"
+	{{- end}}
 	{{- if or .Dynamic .Idle .Overload .Debug .ReadDeadline .WriteDeadline .Profiling .Logging}}
 	"time"
 	{{- end}}
 )
-
-// ---------------------------------------------------------------------
-// Events (Table 2 rows: Event{{if .Async}}, Completion Event, File Read Event{{end}})
-// ---------------------------------------------------------------------
-
-{{if .Scheduling -}}
-// Event is one unit of work; Priority orders scheduling (0 = highest).
-type Event interface {
-	Process()
-	Priority() int
-}
-
-type funcEvent struct {
-	prio int
-	fn   func()
-}
-
-func (e funcEvent) Process()      { e.fn() }
-func (e funcEvent) Priority() int { return e.prio }
-{{- else -}}
-// Event is one unit of work processed by the Event Processor.
-type Event interface {
-	Process()
-}
-
-type funcEvent struct{ fn func() }
-
-func (e funcEvent) Process() { e.fn() }
-{{- end}}
-
-{{if .Async}}
-// tokenIDs issues asynchronous completion token identifiers.
-var tokenIDs atomic.Uint64
-
-// Token is an Asynchronous Completion Token: it rejoins a completed
-// asynchronous operation with the state captured when it was issued.
-type Token struct {
-	ID    uint64
-	State any
-}
-
-// CompletionEvent carries the result of an emulated asynchronous
-// operation back to the reactive Event Processor.
-type CompletionEvent struct {
-	Token  Token
-	Result []byte
-	Err    error
-	{{- if .Scheduling}}
-	Prio int
-	{{- end}}
-	Done func(Token, []byte, error)
-}
-
-// Process invokes the completion continuation.
-func (e *CompletionEvent) Process() { e.Done(e.Token, e.Result, e.Err) }
-{{- if .Scheduling}}
-
-// Priority implements Event.
-func (e *CompletionEvent) Priority() int { return e.Prio }
-{{- end}}
-{{end}}
-
-// errQueueClosed reports submission to a stopped processor.
-var errQueueClosed = errors.New("{{.Package}}: event queue closed")
-
-{{if .Scheduling -}}
-// eventQueue is the quota-based priority queue woven in by the event
-// scheduling option: higher priorities first, but each level is limited
-// to its quota per cycle so lower levels cannot starve.
-type eventQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	levels  [{{len .Quotas}}][]Event
-	credits [{{len .Quotas}}]int
-	total   int
-	closed  bool
-}
-
-// quotas are the per-level cycle quotas fixed at generation time.
-var quotas = [{{len .Quotas}}]int{ {{range $i, $q := .Quotas}}{{if $i}}, {{end}}{{$q}}{{end}} }
-
-func newEventQueue() *eventQueue {
-	q := &eventQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	q.credits = quotas
-	return q
-}
-
-func (q *eventQueue) push(ev Event) error {
-	lvl := ev.Priority()
-	if lvl < 0 {
-		lvl = 0
-	}
-	if lvl >= len(q.levels) {
-		lvl = len(q.levels) - 1
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return errQueueClosed
-	}
-	q.levels[lvl] = append(q.levels[lvl], ev)
-	q.total++
-	q.cond.Signal()
-	return nil
-}
-
-func (q *eventQueue) pop() (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.total == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-	for {
-		for i := range q.levels {
-			if len(q.levels[i]) > 0 && q.credits[i] > 0 {
-				q.credits[i]--
-				ev := q.levels[i][0]
-				q.levels[i] = q.levels[i][1:]
-				q.total--
-				return ev, true
-			}
-		}
-		q.credits = quotas
-	}
-}
-{{if .Sharded}}
-// tryPop is the non-blocking pop of the sharded runtime's work stealing.
-// It follows the same quota cycle as pop, so a steal cannot skim only
-// high-priority work from this queue.
-func (q *eventQueue) tryPop() (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.total == 0 {
-		return nil, false
-	}
-	for {
-		for i := range q.levels {
-			if len(q.levels[i]) > 0 && q.credits[i] > 0 {
-				q.credits[i]--
-				ev := q.levels[i][0]
-				q.levels[i] = q.levels[i][1:]
-				q.total--
-				return ev, true
-			}
-		}
-		q.credits = quotas
-	}
-}
-{{end}}
-func (q *eventQueue) length() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.total
-}
-
-func (q *eventQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-{{- else -}}
-// eventQueue is the FIFO event queue (event scheduling not selected, so
-// no priority machinery is generated at all).
-type eventQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []Event
-	closed bool
-}
-
-func newEventQueue() *eventQueue {
-	q := &eventQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *eventQueue) push(ev Event) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return errQueueClosed
-	}
-	q.buf = append(q.buf, ev)
-	q.cond.Signal()
-	return nil
-}
-
-func (q *eventQueue) pop() (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.buf) == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-	ev := q.buf[0]
-	q.buf = q.buf[1:]
-	return ev, true
-}
-{{if .Sharded}}
-// tryPop is the non-blocking pop of the sharded runtime's work stealing.
-func (q *eventQueue) tryPop() (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.buf) == 0 {
-		return nil, false
-	}
-	ev := q.buf[0]
-	q.buf = q.buf[1:]
-	return ev, true
-}
-{{end}}
-func (q *eventQueue) length() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
-func (q *eventQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-{{- end}}
 
 // ---------------------------------------------------------------------
 // Event Processor (Table 2 rows: Event Processor{{if .Dynamic}}, Processor Controller{{end}})
@@ -286,7 +61,7 @@ func (q *eventQueue) close() {
 
 // EventProcessor is an event queue drained by a pool of worker threads.
 type EventProcessor struct {
-	queue *eventQueue
+	queue *{{if .Scheduling}}PriorityQueue{{else}}FIFO{{end}}
 	wg    sync.WaitGroup
 	{{- if .Sharded}}
 	// peers are the sibling shards' processors this one may steal
@@ -301,13 +76,21 @@ type EventProcessor struct {
 	{{- if .Overload}}
 	// limiter receives sampled queue waits; waitSeen counts submissions
 	// so one event in admissionSampleEvery carries a timestamp.
-	limiter  *admissionLimiter
+	limiter  *Limiter
 	waitSeen atomic.Uint64
 	{{- end}}
 }
 
 func newEventProcessor(workers int) *EventProcessor {
-	p := &EventProcessor{queue: newEventQueue(){{if .Dynamic}}, ctlDone: make(chan struct{}){{end}}}
+	{{- if .Scheduling}}
+	queue, err := NewPriorityQueue([]int{ {{range $i, $q := .Quotas}}{{if $i}}, {{end}}{{$q}}{{end}} })
+	if err != nil {
+		panic(err) // the quotas were validated with the options
+	}
+	{{- else}}
+	queue := NewFIFO()
+	{{- end}}
+	p := &EventProcessor{queue: queue{{if .Dynamic}}, ctlDone: make(chan struct{}){{end}}}
 	{{- if .Dynamic}}
 	p.desired.Store(int32(workers))
 	{{- end}}
@@ -328,21 +111,25 @@ func newEventProcessor(workers int) *EventProcessor {
 
 {{- if .Overload}}
 
+// admissionSampleEvery is the queue-wait sampling rate: one submission in
+// this many carries its enqueue time to the admission limiter.
+const admissionSampleEvery = 16
+
 // waitSampledEvent stamps one submission in admissionSampleEvery with
 // its enqueue time; Process reports the measured queue wait to the
 // admission limiter before delegating.
 type waitSampledEvent struct {
 	ev      Event
-	limiter *admissionLimiter
+	limiter *Limiter
 	enq     time.Time
 }
 
 func (e waitSampledEvent) Process() {
-	e.limiter.observe(time.Since(e.enq))
+	e.limiter.Observe(time.Since(e.enq))
 	e.ev.Process()
 }
 
-{{if .Scheduling}}func (e waitSampledEvent) Priority() int { return e.ev.Priority() }{{end}}
+{{if .Scheduling}}func (e waitSampledEvent) Priority() Priority { return e.ev.Priority() }{{end}}
 
 // Submit queues an event for the worker pool, sampling queue wait for
 // the admission limiter.
@@ -350,23 +137,23 @@ func (p *EventProcessor) Submit(ev Event) error {
 	if p.limiter != nil && p.waitSeen.Add(1)%admissionSampleEvery == 0 {
 		ev = waitSampledEvent{ev: ev, limiter: p.limiter, enq: time.Now()}
 	}
-	return p.queue.push(ev)
+	return p.queue.Push(ev)
 }
 {{- else}}
 
 // Submit queues an event for the worker pool.
-func (p *EventProcessor) Submit(ev Event) error { return p.queue.push(ev) }
+func (p *EventProcessor) Submit(ev Event) error { return p.queue.Push(ev) }
 {{- end}}
 
 // QueueLen reports the backlog{{if .Overload}} sampled by the overload watermarks{{end}}.
-func (p *EventProcessor) QueueLen() int { return p.queue.length() }
+func (p *EventProcessor) QueueLen() int { return p.queue.Len() }
 
 // Stop drains and joins the pool.
 func (p *EventProcessor) Stop() {
 	{{- if .Dynamic}}
 	close(p.ctlDone)
 	{{- end}}
-	p.queue.close()
+	p.queue.Close()
 	p.wg.Wait()
 }
 
@@ -374,7 +161,7 @@ func (p *EventProcessor) work() {
 	defer p.wg.Done()
 	for {
 		{{- if .Dynamic}}
-		if p.live.Load() > p.desired.Load() && p.queue.length() == 0 {
+		if p.live.Load() > p.desired.Load() && p.queue.Len() == 0 {
 			if p.tryRetire() {
 				return
 			}
@@ -384,7 +171,7 @@ func (p *EventProcessor) work() {
 		// A worker about to block on an empty local queue first tries to
 		// pull a bounded batch from a backlogged peer shard.
 		if len(p.peers) > 0 {
-			if ev, ok := p.queue.tryPop(); ok {
+			if ev, ok := p.queue.TryPop(); ok {
 				p.run(ev)
 				continue
 			}
@@ -393,7 +180,7 @@ func (p *EventProcessor) work() {
 			}
 		}
 		{{- end}}
-		ev, ok := p.queue.pop()
+		ev, ok := p.queue.Pop()
 		if !ok {
 			{{- if .Dynamic}}
 			p.live.Add(-1)
@@ -421,12 +208,12 @@ func (p *EventProcessor) steal() bool {
 			continue
 		}
 		for i := 0; i < stealBatch; i++ {
-			ev, ok := v.queue.tryPop()
+			ev, ok := v.queue.TryPop()
 			if !ok {
 				break
 			}
 			stolen = true
-			if err := p.queue.push(ev); err != nil {
+			if err := p.queue.Push(ev); err != nil {
 				p.run(ev)
 			}
 		}
@@ -484,7 +271,7 @@ func (p *EventProcessor) controller() {
 			return
 		case <-ticker.C:
 		}
-		backlog := p.queue.length()
+		backlog := p.queue.Len()
 		live := int(p.live.Load())
 		switch {
 		case backlog > live && live < {{.MaxThreads}}:
@@ -496,7 +283,7 @@ func (p *EventProcessor) controller() {
 			if idle >= 3 {
 				idle = 0
 				p.desired.Store(int32(live - 1))
-				_ = p.queue.push(funcEvent{fn: func() {}})
+				_ = p.queue.Push(Func(func() {}))
 			}
 		default:
 			idle = 0
@@ -516,9 +303,8 @@ type Handle uint64
 type readyKind int
 
 const (
-	readyAccept readyKind = iota
 	// readyRead signals inbound bytes to drain: a chunk readLoop queued.
-	readyRead
+	readyRead readyKind = iota
 	readyClose
 )
 
@@ -526,7 +312,6 @@ const (
 type ready struct {
 	kind   readyKind
 	handle Handle
-	conn   net.Conn
 	err    error
 	{{- if .Scheduling}}
 	prio int
@@ -612,7 +397,7 @@ func (r *Reactor) dispatch() {
 			continue
 		}
 		{{- if .Pool}}
-		if err := r.proc.Submit(funcEvent{ {{- if .Scheduling}}prio: rd.prio, {{end}}fn: func() { fn(rd) }}); err != nil {
+		if err := r.proc.Submit({{if .Scheduling}}PFunc{P: Priority(rd.prio), F: func() { fn(rd) }}{{else}}Func(func() { fn(rd) }){{end}}); err != nil {
 			return
 		}
 		{{- else}}
@@ -654,31 +439,24 @@ func (io *FileIO) submitReactive(ev Event) error {
 }
 {{- end}}{{end}}{{end}}
 
-{{if .Scheduling -}}
 type fileReadEvent struct {
 	io   *FileIO
 	path string
 	{{- if .Async}}
 	tok Token
 	{{- end}}
+	{{- if .Scheduling}}
 	prio int
+	{{- end}}
 	done func({{if .Async}}Token, {{end}}[]byte, error)
 }
 
-func (e *fileReadEvent) Priority() int { return e.prio }
-{{- else -}}
-type fileReadEvent struct {
-	io   *FileIO
-	path string
-	{{- if .Async}}
-	tok Token
-	{{- end}}
-	done func({{if .Async}}Token, {{end}}[]byte, error)
-}
+{{if .Scheduling -}}
+func (e *fileReadEvent) Priority() Priority { return Priority(e.prio) }
 {{- end}}
 
 // Process performs the blocking read on a file-I/O worker and completes
-// {{if .Async}}by posting a CompletionEvent{{else}}inline{{end}}.
+// {{if .Async}}by posting a Completion{{else}}inline{{end}}.
 func (e *fileReadEvent) Process() {
 	data, err := os.ReadFile(e.path)
 	{{- if .Cache}}
@@ -715,7 +493,7 @@ type fileOpenEvent struct {
 }
 
 {{if .Scheduling -}}
-func (e *fileOpenEvent) Priority() int { return e.prio }
+func (e *fileOpenEvent) Priority() Priority { return Priority(e.prio) }
 {{- end}}
 
 // Process opens and stats the file; ownership of the descriptor passes
@@ -730,42 +508,18 @@ func (e *fileOpenEvent) Process() {
 		}
 	}
 	{{- if .Async}}
-	ev := &openCompletionEvent{tok: e.tok, f: f, info: info, err: err{{if .Scheduling}}, prio: e.prio{{end}}, done: e.done}
-	{{- if .Pool}}
-	if serr := e.io.{{if .Sharded}}submitReactive(ev){{else}}reactive.Submit(ev){{end}}; serr != nil {
-		ev.Process()
-	}
-	{{- else}}
-	ev.Process()
-	{{- end}}
+	e.io.post(&Completion{Token: e.tok, Result: f, Err: err{{if .Scheduling}}, Prio: Priority(e.prio){{end}},
+		Done: func(tok Token, _ any, err error) { e.done(tok, f, info, err) }})
 	{{- else}}
 	e.done(f, info, err)
 	{{- end}}
 }
 
 {{if .Async -}}
-// openCompletionEvent is the completion-event form of an open: the
-// CompletionEvent analogue whose result is a descriptor, not bytes.
-type openCompletionEvent struct {
-	tok  Token
-	f    *os.File
-	info os.FileInfo
-	err  error
-	{{- if .Scheduling}}
-	prio int
-	{{- end}}
-	done func(Token, *os.File, os.FileInfo, error)
-}
-
-func (e *openCompletionEvent) Process() { e.done(e.tok, e.f, e.info, e.err) }
-{{if .Scheduling -}}
-func (e *openCompletionEvent) Priority() int { return e.prio }
-{{- end}}
-
 // Open issues an emulated asynchronous open+stat. Opens bypass the
 // cache{{if .Cache}} — the large-file path exists to keep such bodies out of it{{end}}.
 func (io *FileIO) Open(path string, state any{{if .Scheduling}}, prio int{{end}}, done func(Token, *os.File, os.FileInfo, error)) (Token, error) {
-	tok := Token{ID: tokenIDs.Add(1), State: state}
+	tok := NewToken(state)
 	err := io.proc.Submit(&fileOpenEvent{io: io, path: path, tok: tok{{if .Scheduling}}, prio: prio{{end}}, done: done})
 	return tok, err
 }
@@ -782,7 +536,7 @@ func (io *FileIO) Open(path string{{if .Scheduling}}, prio int{{end}}, done func
 // ReadFile issues an emulated asynchronous read; the returned token is
 // echoed to done when the completion event is processed.
 func (io *FileIO) ReadFile(path string, state any{{if .Scheduling}}, prio int{{end}}, done func(Token, []byte, error)) (Token, error) {
-	tok := Token{ID: tokenIDs.Add(1), State: state}
+	tok := NewToken(state)
 	{{- if .Cache}}
 	if data, ok := io.cache.Get(path); ok {
 		io.complete(tok{{if .Scheduling}}, prio{{end}}, done, data, nil)
@@ -794,14 +548,19 @@ func (io *FileIO) ReadFile(path string, state any{{if .Scheduling}}, prio int{{e
 }
 
 func (io *FileIO) complete(tok Token{{if .Scheduling}}, prio int{{end}}, done func(Token, []byte, error), data []byte, err error) {
-	ev := &CompletionEvent{Token: tok, Result: data, Err: err{{if .Scheduling}}, Prio: prio{{end}}, Done: done}
+	io.post(&Completion{Token: tok, Result: data, Err: err{{if .Scheduling}}, Prio: Priority(prio){{end}},
+		Done: func(tok Token, _ any, err error) { done(tok, data, err) }})
+}
+
+// post delivers a file operation's Completion {{if .Pool}}through the reactive Event
+// Processor, or runs it here once that has stopped{{else}}inline{{end}}.
+func (io *FileIO) post(ev *Completion) {
 	{{- if .Pool}}
-	if serr := io.{{if .Sharded}}submitReactive(ev){{else}}reactive.Submit(ev){{end}}; serr != nil {
-		done(tok, data, err)
+	if io.{{if .Sharded}}submitReactive(ev){{else}}reactive.Submit(ev){{end}} == nil {
+		return
 	}
-	{{- else}}
-	ev.Process()
 	{{- end}}
+	ev.Process()
 }
 {{- else -}}
 // ReadFile issues an emulated asynchronous read; done runs on the
@@ -816,155 +575,6 @@ func (io *FileIO) ReadFile(path string{{if .Scheduling}}, prio int{{end}}, done 
 	return io.proc.Submit(&fileReadEvent{io: io, path: path{{if .Scheduling}}, prio: prio{{end}}, done: done})
 }
 {{- end}}
-
-{{if .Overload}}
-// ---------------------------------------------------------------------
-// Overload control (generated for option O9)
-// ---------------------------------------------------------------------
-
-// overloadGate postpones accepting while any watched queue is above its
-// high watermark ({{.HighWatermark}}), resuming once every queue drains to
-// the low watermark ({{.LowWatermark}}); between the watermarks the
-// admission limiter bounds live connections.
-type overloadGate struct {
-	mu     sync.Mutex
-	queues []func() int
-	paused bool
-	// limiter layers the adaptive admission limit on the watermark
-	// check; inflight reports live connections for it to bound.
-	limiter  *admissionLimiter
-	inflight func() int
-}
-
-func (g *overloadGate) watch(q func() int) {
-	g.mu.Lock()
-	g.queues = append(g.queues, q)
-	g.mu.Unlock()
-}
-
-func (g *overloadGate) acceptAllowed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.paused {
-		for _, q := range g.queues {
-			if q() > {{.LowWatermark}} {
-				return false
-			}
-		}
-		g.paused = false
-	}
-	for _, q := range g.queues {
-		if q() >= {{.HighWatermark}} {
-			g.paused = true
-			return false
-		}
-	}
-	return g.limiter.acceptAllowed(g.inflight())
-}
-
-// Admission control-law constants: the limiter cuts its concurrency
-// limit multiplicatively (once per decrease interval) when the recent
-// queue wait exceeds the no-load baseline by the tolerance factor plus
-// slack, grows it additively while waits stay near baseline, and — when
-// full shedding starves it of samples — recovers on a clock so refusal
-// can never latch.
-const (
-	admissionMinLimit    = 4
-	admissionMaxLimit    = {{if .MaxConns}}{{.MaxConnections}}{{else}}1024{{end}}
-	admissionTolerance   = 2.0
-	admissionSlackNanos  = 1e6
-	admissionSampleEvery = 16
-)
-
-var (
-	admissionDecreaseEvery = 100 * time.Millisecond
-	admissionRecoverEvery  = 250 * time.Millisecond
-)
-
-// admissionLimiter is the adaptive extension of option O9: instead of
-// reacting only to queue depth, it estimates the no-load queue wait
-// (a minimum-tracking moving average) and sheds as soon as the measured
-// wait turns upward — AIMD over the latency gradient.
-type admissionLimiter struct {
-	mu       sync.Mutex
-	baseline float64 // no-load queue-wait estimate (nanoseconds)
-	recent   float64 // short-horizon queue-wait estimate
-	samples  uint64
-	lastCut  time.Time
-	lastGrow time.Time
-	limit    atomic.Int64
-}
-
-func newAdmissionLimiter() *admissionLimiter {
-	l := &admissionLimiter{}
-	l.limit.Store(admissionMaxLimit)
-	return l
-}
-
-// observe feeds one sampled queue wait through the control law.
-func (l *admissionLimiter) observe(wait time.Duration) {
-	now := time.Now()
-	w := float64(wait)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.samples++
-	if l.samples == 1 {
-		l.baseline, l.recent = w, w
-		l.lastGrow = now
-		return
-	}
-	// The baseline chases decreases fast and increases only slowly, so
-	// it settles near the uncongested wait; the recent estimate follows
-	// the live signal.
-	if w < l.baseline {
-		l.baseline += 0.2 * (w - l.baseline)
-	} else {
-		l.baseline += 0.002 * (w - l.baseline)
-	}
-	l.recent += 0.3 * (w - l.recent)
-	lim := l.limit.Load()
-	if l.recent > l.baseline*admissionTolerance+admissionSlackNanos {
-		if now.Sub(l.lastCut) >= admissionDecreaseEvery {
-			l.lastCut = now
-			lim = lim * 7 / 10
-			if lim < admissionMinLimit {
-				lim = admissionMinLimit
-			}
-			l.limit.Store(lim)
-		}
-	} else if lim < admissionMaxLimit {
-		l.limit.Store(lim + 1)
-	}
-	l.lastGrow = now
-}
-
-// acceptAllowed bounds live connections by the current limit. A fully
-// shed server submits no events and so produces no wait samples; the
-// recovery clock alone then raises the limit, guaranteeing a refused
-// limiter always reopens admission.
-func (l *admissionLimiter) acceptAllowed(inflight int) bool {
-	now := time.Now()
-	l.mu.Lock()
-	lim := int(l.limit.Load())
-	if now.Sub(l.lastGrow) >= admissionRecoverEvery {
-		l.lastGrow = now
-		step := lim / 8
-		if step < 1 {
-			step = 1
-		}
-		lim += step
-		if lim > admissionMaxLimit {
-			lim = admissionMaxLimit
-		}
-		l.limit.Store(int64(lim))
-	}
-	l.mu.Unlock()
-	return inflight < lim
-}
-
-// Limit exposes the current admission limit (observability).
-func (l *admissionLimiter) Limit() int { return int(l.limit.Load()) }
-{{end}}
 
 {{if .Profiling}}
 // ---------------------------------------------------------------------
@@ -1102,7 +712,7 @@ const writeTimeout = time.Duration({{.WriteTimeoutNanos}})
 // keeps reading is not.
 const writeBound = {{if .WriteDeadline}}min(writeTimeout, idleTimeout){{else}}idleTimeout{{end}}
 {{end}}
-{{if or .WriteDeadline .Idle}}
+{{if .WriteBound}}
 // writeFlushChunk is the largest span armed under one write deadline:
 // Send re-arms the deadline per chunk{{if .Idle}} and stamps activity after it{{end}}, so
 // the bound is on how long the peer may stall the transfer, not on the
@@ -1134,10 +744,10 @@ type Communicator struct {
 	// the connection's ready events flow through it.
 	reactor *Reactor
 	{{- end}}
-	// Read side (see readable): rwake counts readiness wakeups no drain
-	// pass has covered yet; inbox holds the chunks readLoop read, in
-	// order, under inMu.
-	rwake atomic.Int64
+	// life is the connection's lifecycle word, stepped through the
+	// runtime's lifecycle table (see step); inbox holds the chunks
+	// readLoop read, in order, under inMu.
+	life  atomic.Uint32
 	inMu  sync.Mutex
 	inbox [][]byte
 	{{- if .Codec}}
@@ -1145,7 +755,6 @@ type Communicator struct {
 	{{- end}}
 	// writeMu serializes the Send Reply step: every reply's flush.
 	writeMu sync.Mutex
-	closed  atomic.Bool
 	state   atomic.Value
 	{{- if .Scheduling}}
 	prio atomic.Int32
@@ -1249,7 +858,7 @@ func (c *Communicator) SendFile(head []byte, f *os.File, offset, length int64) e
 // send is the Send Reply step every reply takes: flush moves the item
 // until it is sent or a write fails (the connection shuts down).
 func (c *Communicator) send(it outItem) error {
-	if c.closed.Load() {
+	if c.closed() {
 		return errConnClosed
 	}
 	{{- if .Profiling}}
@@ -1322,11 +931,11 @@ func (c *Communicator) flush(it *outItem) (again bool, err error) {
 	return false, nil
 }
 
-// write is the sink under flush. A blocking write{{if or .WriteDeadline .Idle}} arms the write deadline for at
+// write is the sink under flush. A blocking write{{if .WriteBound}} arms the write deadline for at
 // most writeFlushChunk bytes, and one{{end}} that comes up short without an
 // error is a failure — the unsent suffix would tear the reply framing.
 func (c *Communicator) write(buf []byte) (n int, again bool, err error) {
-	{{- if or .WriteDeadline .Idle}}
+	{{- if .WriteBound}}
 	if len(buf) > writeFlushChunk {
 		buf = buf[:writeFlushChunk]
 	}
@@ -1367,13 +976,29 @@ func (c *Communicator) encodeSafe(reply any) (data []byte, err error) {
 }
 {{end}}
 
+// step applies edge e to the lifecycle word with one CAS loop and
+// returns the action the transition requires of the caller.
+func (c *Communicator) step(e edge) action {
+	for {
+		s := c.life.Load()
+		if next, act := lifecycle.apply(s, e); next == s || c.life.CompareAndSwap(s, next) {
+			return act
+		}
+	}
+}
+
+// closed reports whether the transport is down.
+func (c *Communicator) closed() bool { return c.life.Load()>>closeShift&3 >= lifeClosed }
+
 // Close terminates the connection.
 func (c *Communicator) Close() {
 	c.shutdown(nil)
 }
 
+// shutdown closes the transport once and emits the close event, so the
+// teardown (deregistration and OnClose) runs on the processing path.
 func (c *Communicator) shutdown(cause error) {
-	if !c.closed.CompareAndSwap(false, true) {
+	if c.step(edgeTeardown)&actTeardown == 0 {
 		return
 	}
 	c.conn.Close()
@@ -1416,7 +1041,15 @@ func (c *Communicator) readLoop() {
 				continue
 			}
 			{{- end}}
-			c.shutdown(nil)
+			if err == io.EOF {
+				// The peer's EOF ends only the inbound stream: it queues
+				// behind the last chunk, and the drain that reaches it
+				// closes, so every request sent before it is answered.
+				c.step(edgeEOF)
+				c.wake()
+			} else {
+				c.shutdown(nil)
+			}
 			return
 		}
 	}
@@ -1442,31 +1075,35 @@ func (c *Communicator) handleReady(rd ready) {
 	case readyRead:
 		c.readable({{if .DirectDispatch}}nil{{end}})
 	case readyClose:
-		c.srv.detach(c)
-		c.srv.hooks.OnClose(c, rd.err)
+		if c.step(edgeFinalize)&actDetach != 0 {
+			c.srv.detach(c)
+			c.srv.hooks.OnClose(c, rd.err)
+		}
 	}
 }
 
-// readable consumes one readiness wakeup: a chunk queued by readLoop. rwake counts the wakeups no drain pass
-// has covered yet; the one that lifts it from zero runs the drain, the
-// others only leave their count for that owner. So one owner at a time
-// runs a connection's pipeline, in read order, and no wakeup is lost.
+// readable consumes one readiness wakeup (a chunk readLoop queued, or the
+// peer's EOF): the one that claims the read gate drains, and one landing
+// mid-pass flags another pass for that owner, so no wakeup is lost.
 func (c *Communicator) readable({{if .DirectDispatch}}fast func(*Communicator, any) bool{{end}}) {
-	if c.rwake.Add(1) == 1 {
+	if c.step(edgeReadable)&actRun != 0 {
 		c.drain({{if .DirectDispatch}}fast{{end}})
 	}
 }
 
-// drain is the one Read Request{{if .Codec}} → Decode Request{{end}} loop. Each pass takes
-// chunks until none is ready, then retires the wakeups counted when it
-// began, going around again if more landed meanwhile.{{if .DirectDispatch}} fast is the
+// drain is the one Read Request{{if .Codec}} → Decode Request{{end}} loop. Its caller owns the
+// read gate; each pass takes chunks until none is ready, then releases
+// the gate, going around again if a wakeup landed meanwhile. An empty
+// inbox behind the peer's EOF closes the connection.{{if .DirectDispatch}} fast is the
 // FastPath hook (nil sends every request down the queued Handle path);
-// a punt returns with the drain still owned — resumePunted re-enters.{{end}}
+// a punt returns with the gate still owned — resumePunted re-enters.{{end}}
 func (c *Communicator) drain({{if .DirectDispatch}}fast func(*Communicator, any) bool{{end}}) {
 	for {
-		seen := c.rwake.Load()
-		for !c.closed.Load() {
-			chunk := c.nextChunk()
+		for !c.closed() {
+			chunk, eof := c.nextChunk()
+			if eof {
+				c.Close()
+			}
 			if chunk == nil {
 				break
 			}
@@ -1489,24 +1126,26 @@ func (c *Communicator) drain({{if .DirectDispatch}}fast func(*Communicator, any)
 			c.srv.handleRequest(c, chunk)
 			{{- end}}
 		}
-		if c.rwake.Add(-seen) == 0 {
+		if c.step(edgeRelease)&actAgain == 0 {
 			return
 		}
 	}
 }
 
 // nextChunk returns the next chunk of inbound bytes, or nil when none is
-// ready.
-func (c *Communicator) nextChunk() []byte {
+// ready, with eof set once the peer's EOF ended the stream. eof is loaded
+// before the inbox is looked at: every chunk queued ahead of it is seen.
+func (c *Communicator) nextChunk() (chunk []byte, eof bool) {
+	eof = c.life.Load()>>eofShift&1 != 0
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
 	if len(c.inbox) == 0 {
-		return nil
+		return nil, eof
 	}
-	chunk := c.inbox[0]
+	chunk = c.inbox[0]
 	c.inbox[0] = nil
 	c.inbox = c.inbox[1:]
-	return chunk
+	return chunk, false
 }
 
 {{if .Codec}}
@@ -1556,13 +1195,15 @@ func (c *Communicator) decodeLoop({{if .DirectDispatch}}fast func(*Communicator,
 // punt hands a request the FastPath hook declined, plus the rest of the
 // drain, to the Event Processor as one event — so overload control
 // still observes a queue wait for every request the fast path could not
-// finish — and reports whether it was queued. The drain stays owned
-// across the handoff: readiness meanwhile only adds to rwake, which the
-// continuation's drain collects. A refused continuation (shutdown) tears
+// finish — and reports whether it was queued. The read gate stays
+// claimed across the handoff (edgePunt changes nothing): readiness
+// meanwhile only flags another pass, which the continuation's drain
+// collects before it releases the gate. A refused continuation (shutdown) tears
 // the connection down instead: silently dropping a decoded pipelined
 // request would desynchronize it.
 func (c *Communicator) punt(req any) bool {
-	err := c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.proc.Submit(funcEvent{ {{- if .Scheduling}}prio: c.Priority(), {{end}}fn: func() { c.resumePunted(req) }})
+	resume := func() { c.resumePunted(req) }
+	err := c.{{if .Sharded}}reactor{{else}}srv.reactor{{end}}.proc.Submit({{if .Scheduling}}PFunc{P: Priority(c.Priority()), F: resume}{{else}}Func(resume){{end}})
 	if err != nil {
 		c.shutdown(err)
 		return false
@@ -1574,7 +1215,7 @@ func (c *Communicator) punt(req any) bool {
 // declined request takes the normal Handle path, and the rest of the
 // decode buffer and the inbound drain follow in queued mode.
 func (c *Communicator) resumePunted(req any) {
-	if !c.closed.Load() {
+	if !c.closed() {
 		c.srv.handleRequest(c, req)
 		c.decodeLoop(nil)
 	}
@@ -1660,7 +1301,11 @@ type Server struct {
 	FastPath func(c *Communicator, req any) bool
 	{{- end}}
 	{{- if .Overload}}
-	gate overloadGate
+	// gate is the O9 admission limiter; marks, its watermark backstop,
+	// postpones accepting once a watched queue holds {{.HighWatermark}} events,
+	// until every one is back at {{.LowWatermark}} or fewer.
+	gate  *Limiter
+	marks Overload
 	{{- end}}
 	{{- if .Profiling}}
 	// Profile gathers the generated performance counters.
@@ -1725,29 +1370,21 @@ func NewServer(hooks Hooks) *Server {
 	}
 	{{- end}}
 	{{- if .Overload}}
-	s.gate.limiter = newAdmissionLimiter()
-	{{- if .MaxConns}}
-	s.gate.inflight = s.activeConns
-	{{- else}}
-	s.gate.inflight = func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.conns)
-	}
-	{{- end}}
+	s.gate = New(Config{ {{- if .MaxConns}}MaxLimit: {{.MaxConnections}}, {{end}}Inflight: s.activeConns, Backstop: &s.marks})
+	// The watermarks were validated with the options: Watch cannot fail.
 	{{- if .Pool}}
 	{{- if .Sharded}}
 	for i := range s.reactors {
-		s.gate.watch(s.reactors[i].proc.QueueLen)
-		s.reactors[i].proc.limiter = s.gate.limiter
+		_ = s.marks.Watch("reactive", s.reactors[i].proc, {{.HighWatermark}}, {{.LowWatermark}})
+		s.reactors[i].proc.limiter = s.gate
 	}
 	{{- else}}
-	s.gate.watch(proc.QueueLen)
-	proc.limiter = s.gate.limiter
+	_ = s.marks.Watch("reactive", proc, {{.HighWatermark}}, {{.LowWatermark}})
+	proc.limiter = s.gate
 	{{- end}}
 	{{- end}}
-	s.gate.watch(s.fileIO.proc.QueueLen)
-	s.fileIO.proc.limiter = s.gate.limiter
+	_ = s.marks.Watch("file-io", s.fileIO.proc, {{.HighWatermark}}, {{.LowWatermark}})
+	s.fileIO.proc.limiter = s.gate
 	{{- end}}
 	return s
 }
@@ -1822,7 +1459,7 @@ func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		{{- if .Overload}}
-		for !s.gate.acceptAllowed() {
+		for !s.gate.AcceptAllowed() {
 			select {
 			case <-s.done:
 				return
@@ -1856,7 +1493,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-{{if .MaxConns}}
+{{if or .MaxConns .Overload}}
 func (s *Server) activeConns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1877,8 +1514,14 @@ func (s *Server) attach(conn net.Conn) *Communicator {
 	{{- if .Idle}}
 	c.touch()
 	{{- end}}
-	{{- if or .WriteDeadline .Idle}}
-	setNotSentLowat(conn)
+	{{- if .WriteBound}}
+	// Cap the socket's unsent bytes at 128 KiB, so a bounded write
+	// returns, and counts as progress, while the peer reads steadily.
+	if sc, ok := conn.(syscall.Conn); ok {
+		if rc, err := sc.SyscallConn(); err == nil {
+			setNotSentLowat(rc, 128<<10)
+		}
+	}
 	{{- end}}
 	{{- if .Scheduling}}
 	if s.PriorityOf != nil {
@@ -1904,7 +1547,7 @@ func (s *Server) attach(conn net.Conn) *Communicator {
 // starve the very signal the shed decision feeds on.
 func (s *Server) fastGateClear() bool {
 	{{- if .Overload}}
-	return s.gate.acceptAllowed()
+	return s.gate.AcceptAllowed()
 	{{- else}}
 	return true
 	{{- end}}
@@ -2011,50 +1654,6 @@ func (s *Server) handleRequest(c *Communicator, req {{if .Codec}}any{{else}}[]by
 	}
 	{{- end}}
 }
-`
-
-// lowatLinuxTemplate and lowatOtherTemplate are woven with a write
-// bound (O7 or a WriteTimeout): attach caps each socket's unsent bytes,
-// so a blocked write returns, and counts as progress, while its peer
-// reads steadily.
-const lowatLinuxTemplate = `//go:build linux
-
-package {{.Package}}
-
-import (
-	"net"
-	"syscall"
-)
-
-// tcpNotSentLowat is TCP_NOTSENT_LOWAT, which syscall does not name.
-const tcpNotSentLowat = 25
-
-// setNotSentLowat caps the bytes conn's socket holds unsent at 128 KiB.
-// The kernel then wakes a writer blocked on the socket whenever fewer
-// are left, instead of once half of a send buffer autotuned to
-// megabytes has drained, so each bounded write returns while the peer
-// reads steadily. A failure keeps the socket's default.
-func setNotSentLowat(conn net.Conn) {
-	sc, ok := conn.(syscall.Conn)
-	if !ok {
-		return
-	}
-	if rc, err := sc.SyscallConn(); err == nil {
-		_ = rc.Control(func(fd uintptr) {
-			_ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpNotSentLowat, 128<<10)
-		})
-	}
-}
-`
-
-const lowatOtherTemplate = `//go:build !linux
-
-package {{.Package}}
-
-import "net"
-
-// setNotSentLowat leaves the socket's default off Linux.
-func setNotSentLowat(net.Conn) {}
 `
 
 const cacheTemplate = `package {{.Package}}

@@ -173,6 +173,25 @@ func (c *Conn) UserData() any { return c.userData.Load() }
 // Closed reports whether the connection has been torn down.
 func (c *Conn) Closed() bool { return c.closeState() >= lifeClosed }
 
+// step applies edge e to the connection's lifecycle word and returns the
+// action the transition requires of the caller. A transition the table
+// forbids is counted on the shard (Server.LifecycleBadSteps).
+func (c *Conn) step(e edge) action {
+	for {
+		s := c.life.Load()
+		if next, act := lifecycle.apply(s, e); next == s || c.life.CompareAndSwap(s, next) {
+			if act&actBad != 0 {
+				c.sh.badSteps.Add(1)
+			}
+			return act
+		}
+	}
+}
+
+// closeState returns the close field: lifeOpen, lifeClosing, lifeClosed
+// or lifeFinalized.
+func (c *Conn) closeState() uint32 { return c.life.Load() >> closeShift & 3 }
+
 // ID returns the server-unique connection sequence number.
 func (c *Conn) ID() uint64 { return c.id }
 
@@ -349,10 +368,12 @@ func (c *Conn) teardown(cause error) {
 func (c *Conn) readLoop(lr *leaseReader) {
 	bounded := c.srv.opts.ReadTimeout > 0 || c.srv.opts.ShutdownLongIdle
 	for {
+		// The park is checked last: a drain that frees inbox space may
+		// park the queue first, and then no read may follow.
+		c.awaitInboxSpace()
 		if c.outPending.Load() > 0 {
 			c.awaitUnparked()
 		}
-		c.awaitInboxSpace()
 		var armed int64
 		if bounded {
 			armed = time.Now().UnixNano()

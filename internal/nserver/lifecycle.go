@@ -1,7 +1,7 @@
 package nserver
 
-// A connection's lifecycle is one word, Conn.life, stepped through one
-// table. The word packs four 2-bit fields:
+// A connection's lifecycle is one word stepped through one table. The
+// word packs four 2-bit fields:
 //
 //	read gate  armed | draining | rearm: elects the one drain of the inbox
 //	pump gate  armed | draining | rearm: elects the one writePump of a parked queue
@@ -17,8 +17,10 @@ package nserver
 // closing means a Close or a sent Last reply waits on the outbound queue;
 // closed that the transport is down and its close event emitted;
 // finalized that the event path has released what the connection held.
-// Conn.step applies an edge with one CAS loop; DESIGN §10 prints the
-// table, and lifecycle_test.go explores every interleaving of its edges.
+// A connection applies an edge with one CAS loop (Conn.step, and the
+// step of a generated Communicator: nsgen projects this file into every
+// framework). DESIGN §10 prints the table, and lifecycle_test.go explores
+// every interleaving of its edges.
 
 // edge is one lifecycle event.
 type edge uint8
@@ -46,7 +48,7 @@ const (
 	actTeardown                        // close the transport and emit the close event
 	actReleaseInbox                    // release the inbox's queued chunks
 	actFreeOutbound                    // release the outbound queue's items
-	actDetach                          // leave the shard and run OnClose
+	actDetach                          // deregister and run OnClose
 	actBad                             // never taken: the explorer fails on it
 )
 
@@ -97,22 +99,3 @@ func (t *lifeTable) apply(s uint32, e edge) (uint32, action) {
 	tr := row.on[s>>row.shift&3]
 	return s&^(3<<row.shift) | tr.next<<row.shift, tr.act
 }
-
-// step applies edge e to the connection's lifecycle word and returns the
-// action the transition requires of the caller. A transition the table
-// forbids is counted on the shard (Server.LifecycleBadSteps).
-func (c *Conn) step(e edge) action {
-	for {
-		s := c.life.Load()
-		if next, act := lifecycle.apply(s, e); next == s || c.life.CompareAndSwap(s, next) {
-			if act&actBad != 0 {
-				c.sh.badSteps.Add(1)
-			}
-			return act
-		}
-	}
-}
-
-// closeState returns the close field: lifeOpen, lifeClosing, lifeClosed
-// or lifeFinalized.
-func (c *Conn) closeState() uint32 { return c.life.Load() >> closeShift & 3 }

@@ -19,8 +19,6 @@ var errRawUnsupported = errors.New("nserver: descriptor-level I/O unsupported on
 // rawConnOf reports no descriptor capability off Linux.
 func rawConnOf(net.Conn) syscall.RawConn { return nil }
 
-func setNotSentLowat(syscall.RawConn) {}
-
 type leaseReader struct{}
 
 func newLeaseReader() *leaseReader { return nil }

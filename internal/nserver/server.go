@@ -712,7 +712,7 @@ func (s *Server) attach(sh *shard, nc net.Conn, app App, codec Codec) bool {
 	c.touch()
 	c.outCap = maxOutboundBytes
 	if d, _ := c.writeBound(); d > 0 && c.raw != nil {
-		setNotSentLowat(c.raw)
+		setNotSentLowat(c.raw, notSentLowat)
 		c.outCap += sndbufCeiling - notSentLowat
 	}
 	if s.priority != nil {

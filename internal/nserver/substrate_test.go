@@ -2,7 +2,6 @@ package nserver
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -96,58 +95,6 @@ func TestSlowReaderPinsNoWorker(t *testing.T) {
 	}
 	if line != "echo: hi\n" {
 		t.Fatalf("got %q", line)
-	}
-}
-
-// TestParkedQueueThrottlesReader: a pipelining peer that reads none of
-// its replies is throttled. Once its queue parks, the server stops
-// reading its requests instead of buffering their replies up to the
-// outbound cap, so the connection lives and is never shed.
-func TestParkedQueueThrottlesReader(t *testing.T) {
-	skipWithoutParking(t)
-	o := testOptions()
-	o.Profiling = true
-	closed := make(chan error, 1)
-	app := AppFuncs{
-		Request: func(c *Conn, req any) { _ = c.Reply(strings.Repeat("r", 512)) },
-		Close:   func(c *Conn, err error) { closed <- err },
-	}
-	s, addr := startServer(t, Config{Options: o, App: app, Codec: lineCodec{}})
-	c := slowClient(t, addr)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	defer func() { close(stop); <-done }()
-	go func() {
-		defer close(done)
-		batch := bytes.Repeat([]byte("go\n"), 128)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = c.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
-			if _, err := c.Write(batch); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	waitFor(t, "the replies to park", func() bool { return s.ParkedWrites() == 1 })
-	time.Sleep(100 * time.Millisecond)
-	read := s.Profile().Snapshot().BytesRead
-	time.Sleep(300 * time.Millisecond)
-	snap := s.Profile().Snapshot()
-	if snap.BytesRead != read {
-		t.Fatalf("server kept reading a peer whose queue is parked: %d -> %d bytes", read, snap.BytesRead)
-	}
-	if snap.OutboundShed != 0 || s.ActiveConns() != 1 {
-		t.Fatalf("throttled peer was shed: OutboundShed=%d ActiveConns=%d", snap.OutboundShed, s.ActiveConns())
-	}
-	select {
-	case err := <-closed:
-		t.Fatalf("throttled peer torn down: %v", err)
-	default:
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"syscall"
 	"time"
 
 	"repro/internal/bufpool"
@@ -147,12 +146,11 @@ func (it *outItem) own() error {
 	if it.remaining == 0 {
 		it.file = nil
 	} else {
-		fd, err := syscall.Dup(int(it.file.Fd()))
+		f, err := dupFile(it.file)
 		if err != nil {
 			return err
 		}
-		syscall.CloseOnExec(fd)
-		it.file = os.NewFile(uintptr(fd), it.file.Name())
+		it.file = f
 	}
 	it.owned = true
 	return nil
