@@ -24,9 +24,10 @@ vet:
 	unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || exit 1; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
-# $(call repeat,COUNT,PACKAGE,PATTERN) runs the tests PATTERN selects in
-# PACKAGE COUNT times. It first checks with `go test -list` that every
-# `|` alternative of PATTERN names at least one test there, and fails
+# $(call repeat,COUNT,PACKAGE,PATTERN[,FLAGS]) runs the tests PATTERN
+# selects in PACKAGE COUNT times, with the extra go test FLAGS (-race, say)
+# when given. It first checks with `go test -list` that every `|`
+# alternative of PATTERN names at least one test there, and fails
 # otherwise: a renamed or deleted test would make the line a silent
 # "no tests to run".
 define repeat
@@ -35,7 +36,7 @@ define repeat
 		echo "$$listed" | grep -E '^(Test|Example|Fuzz)' | grep -qE -- "$$alt" || \
 			{ echo "make test: -run alternative $$alt names no test in $(2)"; exit 1; }; \
 	done
-	$(GO) test -count=$(1) -run '$(3)' $(2)
+	$(GO) test $(4) -count=$(1) -run '$(3)' $(2)
 endef
 
 test: vet chaos
@@ -52,6 +53,10 @@ test: vet chaos
 	# A peer whose replies park is throttled: no read follows the park, and
 	# the race detector's slower drains widen the window where one could.
 	$(GO) test -race -count=50 -run '^TestParkedQueueThrottlesReader$$' ./internal/nserver
+	# The inbox bound holds in bytes: small reads behind a blocked Handle
+	# join the newest queued chunk instead of each taking a place, under
+	# the race detector's slower drains too.
+	$(call repeat,20,./internal/nserver,TestInboxBoundIsInBytes,-race)
 	# The same for COPS-FTP: a command pipelined behind a transfer must be
 	# answered after the data connection's closing reply.
 	$(call repeat,20,./internal/copsftp,TestPipelinedCommandWaitsForTransferReply)

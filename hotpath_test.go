@@ -98,7 +98,7 @@ func TestHotPathAllocsDirectDispatch(t *testing.T) {
 	rc.Store(doc, head, body, mtime, int64(len(body)))
 
 	serve := func() {
-		h, bdy, st := rc.Probe(doc, new(respcache.Ref))
+		h, bdy, st := rc.Probe(doc, new(respcache.Ref), time.Now())
 		if st != respcache.Hit {
 			t.Fatal("respcache lost the hot document")
 		}

@@ -363,7 +363,9 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 		}
 		m.path, m.full = r.Path, full
 	}
-	head, body, state := s.rcache.Probe(full, &m.ref)
+	// Within the runtime's fast decode pass c.Now is the pass's one clock
+	// reading, shared by every request of a pipelined window.
+	head, body, state := s.rcache.Probe(full, &m.ref, c.Now())
 	if state == respcache.Stale {
 		head, body = s.revalidate(full)
 	}

@@ -10,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/events"
+	"repro/internal/httpproto"
+	"repro/internal/nserver"
 	"repro/internal/options"
 )
 
@@ -209,5 +212,62 @@ func TestDirectDispatchWireShape(t *testing.T) {
 				t.Fatalf("reply %d header %s: got %q, want %q", i, h, got[i].headers[h], want[i].headers[h])
 			}
 		}
+	}
+}
+
+// TestFastServeOutsidePassReadsClock calls FastServe directly on an idle
+// connection, outside any decode pass, once the second in which the
+// connection's last fast pass served a hit has passed: the reply's Date
+// must be the current second. A call that reused the last pass's clock
+// reading, or a zero one, would be served that older second's image.
+func TestFastServeOutsidePassReadsClock(t *testing.T) {
+	root := buildDocRoot(t)
+	conns := make(chan *nserver.Conn, 1)
+	s := startHTTP(t, Config{DocRoot: root, Options: ddOptions(),
+		Priority: func(c *nserver.Conn) events.Priority { conns <- c; return 0 }})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c := <-conns
+	r := bufio.NewReader(conn)
+	// The first GET renders the entry; the repeats are served by the
+	// reader goroutine's fast pass.
+	var passDate string
+	for i := 0; i < 4; i++ {
+		status, headers, _ := get(t, conn, r, "GET", "/about.txt", "")
+		if status != 200 {
+			t.Fatalf("GET %d: status %d", i, status)
+		}
+		passDate = headers["date"]
+	}
+	if s.Framework().Profile().Snapshot().DirectDispatched == 0 {
+		t.Fatal("no request was served by a fast pass")
+	}
+	served, err := time.Parse(time.RFC1123, passDate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for time.Now().Unix() <= served.Unix() {
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	req, _, err := httpproto.ParseRequest([]byte("GET /about.txt HTTP/1.1\r\nHost: test\r\n\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now()
+	if !s.FastServe(c, req) {
+		t.Fatal("FastServe declined a warm document")
+	}
+	after := time.Now()
+	status, headers, body, err := readResponse(r, false)
+	if err != nil || status != 200 || string(body) != "about text" {
+		t.Fatalf("direct FastServe reply: %d %q %v", status, body, err)
+	}
+	if date := headers["date"]; date != httpproto.FormatHTTPDate(before) && date != httpproto.FormatHTTPDate(after) {
+		t.Fatalf("Date %q outside a pass, want the current second %q (the last pass served %q)",
+			date, httpproto.FormatHTTPDate(after), passDate)
 	}
 }

@@ -267,6 +267,9 @@ func FuzzParseRequestMatchesOracle(f *testing.F) {
 		"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\nD: 4\r\nE: 5\r\na: 6\r\n\r\n",
 		"GET / HTTP/1.1" + strings.Repeat("\r\nX: y", MaxHeaderFields) + "\r\n\r\n",
 		"GET / HTTP/1.1" + strings.Repeat("\r\nX: y", MaxHeaderFields+1) + "\r\n\r\n",
+		"G@T / HTTP/1.1 x\r\n\r\n",
+		"GET /hot/6b8b4567.html HTTP/1.1\r\nHost: nsbench\r\n\r\n",
+		"GET /a HTTP/1.1\r\nConnection: close\r\n\r\nGET /a HTTP/1.1\r\nRange: bytes=0-4\r\n\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -371,11 +374,15 @@ func (h *mapHeader) Reset() {
 // return the same on both, and Each must visit the same fields in the
 // same order. Each input byte pair is one call: the operation, then the
 // key and value. The keys repeat under different spellings so that
-// replacing, joining and canonical lookups all happen.
+// replacing, joining and canonical lookups all happen, and every field
+// the Header's mask tracks comes in two of them, so each answer the mask
+// gives without a scan is checked too.
 func FuzzHeaderMatchesMap(f *testing.F) {
 	keys := []string{
 		"Host", "host", "HOST", "Content-Length", "content-length", "CONTENT-length",
 		"X-A", "x-a", "X-b", "a", "A", "-x", "x--y", "Range", "if-modified-since",
+		"range", "If-Modified-Since", "Connection", "CONNECTION", "Transfer-Encoding",
+		"transfer-encoding", "Date", "date", "Server", "sERVER",
 	}
 	vals := []string{"", "1", "0", "close", "bytes=0-1", "a, b"}
 	f.Add([]byte{0, 0, 1, 1, 2, 3, 3, 4, 5, 0})

@@ -102,26 +102,89 @@ func hasConnOption(list, opt string) bool {
 
 // trimOWS trims optional whitespace (SP / HTAB — and only those; other
 // control bytes are not OWS and must survive to fail validation).
-func trimOWS(s string) string { return strings.Trim(s, " \t") }
+func trimOWS(s string) string {
+	i, j := 0, len(s)
+	for i < j && (s[i] == ' ' || s[i] == '\t') {
+		i++
+	}
+	for j > i && (s[j-1] == ' ' || s[j-1] == '\t') {
+		j--
+	}
+	return s[i:j]
+}
 
 // Header is a case-insensitive list of header fields in insertion order,
 // each stored once under its canonical key. Lookups scan the list: a
 // request carries a handful of fields (ParseRequest admits at most
 // MaxHeaderFields lines) and a response fewer than ten, so a scan beats
 // hashing and the list needs no allocation of its own when it points at a
-// Request's inline storage. The zero Header is ready to use.
+// Request's inline storage. The fields the server branches on are also
+// tracked in a bitmask (see trackedBit), kept by Set, Add and Reset, so
+// asking for one that is absent — the answer on almost every request —
+// costs no scan. The zero Header is ready to use.
 type Header struct {
 	fields []field
+	// tracked holds the bit of every tracked field present in fields.
+	tracked uint8
 }
 
 // field is one header field under its canonical key.
 type field struct{ key, val string }
 
+// The tracked fields: those a request or response is asked about on
+// every serve, mostly to find them absent.
+const (
+	trackConnection uint8 = 1 << iota
+	trackContentLength
+	trackTransferEncoding
+	trackRange
+	trackIfModifiedSince
+	trackDate
+	trackServer
+)
+
+// trackedBit returns the bit of canonical key ck, or 0 for a field the
+// mask does not track.
+func trackedBit(ck string) uint8 {
+	switch ck {
+	case "Connection":
+		return trackConnection
+	case "Content-Length":
+		return trackContentLength
+	case "Transfer-Encoding":
+		return trackTransferEncoding
+	case "Range":
+		return trackRange
+	case "If-Modified-Since":
+		return trackIfModifiedSince
+	case "Date":
+		return trackDate
+	case "Server":
+		return trackServer
+	}
+	return 0
+}
+
+// lookupKey returns key's canonical form and tracked bit. A tracked key
+// already in canonical form, the way the server spells every key it asks
+// for, skips canonical.
+func lookupKey(key string) (ck string, bit uint8) {
+	if bit = trackedBit(key); bit != 0 {
+		return key, bit
+	}
+	ck = canonical(key)
+	return ck, trackedBit(ck)
+}
+
 // NewHeader returns an empty header; the zero Header is equally ready.
 func NewHeader() Header { return Header{} }
 
-// index returns the position of canonical key ck, or -1.
-func (h *Header) index(ck string) int {
+// index returns the position of canonical key ck with tracked bit bit,
+// or -1. A tracked key the mask says is absent costs no scan.
+func (h *Header) index(ck string, bit uint8) int {
+	if bit != 0 && h.tracked&bit == 0 {
+		return -1
+	}
 	for i := range h.fields {
 		if h.fields[i].key == ck {
 			return i
@@ -132,12 +195,13 @@ func (h *Header) index(ck string) int {
 
 // Set stores a header value, replacing any previous value in place.
 func (h *Header) Set(key, value string) {
-	ck := canonical(key)
-	if i := h.index(ck); i >= 0 {
+	ck, bit := lookupKey(key)
+	if i := h.index(ck, bit); i >= 0 {
 		h.fields[i].val = value
 		return
 	}
 	h.fields = append(h.fields, field{ck, value})
+	h.tracked |= bit
 }
 
 // Add appends a header value: a repeated key extends the stored value as
@@ -146,24 +210,25 @@ func (h *Header) Set(key, value string) {
 // visible to later checks — a second Content-Length can then never hide
 // behind a last-write-wins Set (the §8.6 smuggling defense).
 func (h *Header) Add(key, value string) {
-	ck := canonical(key)
-	if i := h.index(ck); i >= 0 {
+	ck, bit := lookupKey(key)
+	if i := h.index(ck, bit); i >= 0 {
 		h.fields[i].val += ", " + value
 		return
 	}
 	h.fields = append(h.fields, field{ck, value})
+	h.tracked |= bit
 }
 
 // Get returns the value for key ("" when absent).
 func (h *Header) Get(key string) string {
-	if i := h.index(canonical(key)); i >= 0 {
+	if i := h.index(lookupKey(key)); i >= 0 {
 		return h.fields[i].val
 	}
 	return ""
 }
 
 // Has reports whether the header is present.
-func (h *Header) Has(key string) bool { return h.index(canonical(key)) >= 0 }
+func (h *Header) Has(key string) bool { return h.index(lookupKey(key)) >= 0 }
 
 // Len returns the number of distinct header keys.
 func (h *Header) Len() int { return len(h.fields) }
@@ -181,6 +246,7 @@ func (h *Header) Each(f func(key, value string)) {
 func (h *Header) Reset() {
 	clear(h.fields)
 	h.fields = h.fields[:0]
+	h.tracked = 0
 }
 
 // canonical normalizes a header key to Canonical-Dash-Form. Keys that are
@@ -230,6 +296,15 @@ func ReleaseRequest(r *Request) {
 	requestPool.Put(r)
 }
 
+// lineSpan locates one header field line of a head by its offsets in
+// the head: the colon that ends the key and the CRLF that ends the line.
+// The line starts two bytes past the previous line's end.
+type lineSpan struct{ colon, end int32 }
+
+// inlineSpans is how many header lines ParseRequest locates in stack
+// storage; a head with more lines spills its spans to the heap.
+const inlineSpans = 32
+
 // ParseRequest attempts to parse one complete request from buf. It
 // returns the request and the number of bytes consumed; n == 0 with a nil
 // error means buf does not yet hold a complete request (read more). A
@@ -237,33 +312,70 @@ func ReleaseRequest(r *Request) {
 // should close. The request comes from a pool; its owner may hand it back
 // with ReleaseRequest.
 func ParseRequest(buf []byte) (*Request, int, error) {
-	headerEnd := bytes.Index(buf, []byte("\r\n\r\n"))
+	// One pass walks the head line by line: each CRLF is found as the
+	// walk reaches it, and each header line's key is checked on the way,
+	// up to the empty line that ends the head. A head that fits the limit
+	// ends within its first MaxHeaderBytes+4 bytes, so the walk stops
+	// there. A malformed line is only reported once the head is complete:
+	// until then the request may still be read whole.
+	walk := buf[:min(len(buf), MaxHeaderBytes+4)]
+	var inline [inlineSpans]lineSpan
+	lines := inline[:0]
+	var bad []byte // the first malformed header line
+	tooMany := false
+	reqEnd, headerEnd := -1, -1
+	for start := 0; headerEnd < 0; {
+		end := indexCRLF(walk, start)
+		if end < 0 {
+			break
+		}
+		switch line := walk[start:end]; {
+		case reqEnd < 0:
+			reqEnd = end
+		case len(line) == 0:
+			headerEnd = start - 2
+		case bad != nil || tooMany:
+			// Only the first bad line is reported.
+		case len(lines) == MaxHeaderFields:
+			tooMany = true
+		default:
+			if colon := keyEnd(line); colon >= 0 {
+				lines = append(lines, lineSpan{int32(start + colon), int32(end)})
+			} else {
+				bad = line
+			}
+		}
+		start = end + 2
+	}
 	if headerEnd < 0 {
 		if len(buf) > MaxHeaderBytes {
 			return nil, 0, ErrHeaderTooLarge
 		}
 		return nil, 0, nil
 	}
-	if headerEnd > MaxHeaderBytes {
-		return nil, 0, ErrHeaderTooLarge
-	}
 	consumed := headerEnd + 4
 
-	// One string copy of the head backs every field; the lines are walked
-	// in place, CRLF to CRLF, rather than split into a slice.
-	line, rest, more := strings.Cut(string(buf[:headerEnd]), "\r\n")
-	req, err := parseRequestLine(line)
+	// One string copy of the head backs every field, sliced at the
+	// offsets the walk found.
+	head := string(buf[:headerEnd])
+	req, err := parseRequestLine(head[:reqEnd])
 	if err != nil {
 		return nil, 0, err
 	}
-	for lines := 0; more; lines++ {
-		if lines == MaxHeaderFields {
+	if tooMany || bad != nil {
+		ReleaseRequest(req)
+		if tooMany {
 			return nil, 0, ErrHeaderTooLarge
 		}
-		line, rest, more = strings.Cut(rest, "\r\n")
-		if err := parseHeaderLine(&req.Headers, line); err != nil {
-			return nil, 0, err
-		}
+		return nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, bad)
+	}
+	// Add, not Set: repeated field lines combine into a comma list so a
+	// duplicated header can never silently last-win. Only OWS is trimmed;
+	// stray control bytes stay in the value and fail later validation.
+	start := reqEnd + 2
+	for _, l := range lines {
+		req.Headers.Add(head[start:l.colon], trimOWS(head[l.colon+1:l.end]))
+		start = int(l.end) + 2
 	}
 
 	// Transfer-Encoding is not implemented: the head is answerable but
@@ -281,18 +393,56 @@ func ParseRequest(buf []byte) (*Request, int, error) {
 	if cl := req.Headers.Get("Content-Length"); cl != "" {
 		n, ok := parseContentLength(cl)
 		if !ok {
+			ReleaseRequest(req)
 			return nil, 0, fmt.Errorf("%w: bad Content-Length %q", ErrBadHeader, cl)
 		}
 		if n > MaxBodyBytes {
+			ReleaseRequest(req)
 			return nil, 0, ErrBodyTooLarge
 		}
 		if int64(len(buf)-consumed) < n {
+			ReleaseRequest(req)
 			return nil, 0, nil // body incomplete
 		}
 		req.Body = append([]byte(nil), buf[consumed:consumed+int(n)]...)
 		consumed += int(n)
 	}
 	return req, consumed, nil
+}
+
+// indexCRLF returns the offset of the first CRLF in b at or after from,
+// or -1. It looks for each LF and checks the byte before it, so a lone
+// CR or LF stays part of its line.
+func indexCRLF(b []byte, from int) int {
+	for from < len(b) {
+		i := bytes.IndexByte(b[from:], '\n')
+		if i < 0 {
+			return -1
+		}
+		if i += from; i > from && b[i-1] == '\r' {
+			return i - 1
+		}
+		from = i + 1
+	}
+	return -1
+}
+
+// keyEnd returns the offset of the colon that ends a header line's key,
+// or -1 when the line has no colon, its key is empty or the key holds a
+// space or tab.
+func keyEnd(line []byte) int {
+	for i, c := range line {
+		switch c {
+		case ':':
+			if i == 0 {
+				return -1
+			}
+			return i
+		case ' ', '\t':
+			return -1
+		}
+	}
+	return -1
 }
 
 // parseContentLength validates a Content-Length field value. Duplicate
@@ -356,21 +506,36 @@ func parseCLValue(s string) (int64, bool) {
 // spaces, so a third one (a doubled space included) fails here and an
 // empty field fails its own check below.
 func parseRequestLine(line string) (*Request, error) {
-	method, rest, ok1 := strings.Cut(line, " ")
-	target, proto, ok2 := strings.Cut(rest, " ")
-	if !ok1 || !ok2 || strings.IndexByte(proto, ' ') >= 0 {
+	sp1 := strings.IndexByte(line, ' ')
+	sp2 := -1
+	if sp1 >= 0 {
+		if sp2 = strings.IndexByte(line[sp1+1:], ' '); sp2 >= 0 {
+			sp2 += sp1 + 1
+		}
+	}
+	if sp2 < 0 {
+		return nil, fmt.Errorf("%w: %q", ErrBadRequestLine, line)
+	}
+	method, target, proto := line[:sp1], line[sp1+1:sp2], line[sp2+1:]
+	// A valid version holds no space, so only an invalid one is searched
+	// for the third.
+	version := proto == "HTTP/1.0" || proto == "HTTP/1.1"
+	if !version && strings.IndexByte(proto, ' ') >= 0 {
 		return nil, fmt.Errorf("%w: %q", ErrBadRequestLine, line)
 	}
 	if method == "" || !isToken(method) {
 		return nil, fmt.Errorf("%w: bad method %q", ErrBadRequestLine, method)
 	}
-	if proto != "HTTP/1.0" && proto != "HTTP/1.1" {
+	if !version {
 		return nil, fmt.Errorf("%w: %q", ErrBadVersion, proto)
 	}
 	if target == "" || target[0] != '/' {
 		return nil, fmt.Errorf("%w: target %q", ErrBadRequestLine, target)
 	}
-	rawPath, query, _ := strings.Cut(target, "?")
+	rawPath, query := target, ""
+	if q := strings.IndexByte(target, '?'); q >= 0 {
+		rawPath, query = target[:q], target[q+1:]
+	}
 	path, err := decodePath(rawPath)
 	if err != nil {
 		return nil, err
@@ -379,21 +544,6 @@ func parseRequestLine(line string) (*Request, error) {
 	req.Method, req.Target, req.Path, req.Query, req.Proto = method, target, CleanPath(path), query, proto
 	req.Headers.fields = req.inline[:0]
 	return req, nil
-}
-
-func parseHeaderLine(h *Header, line string) error {
-	if line == "" {
-		return nil
-	}
-	key, val, ok := strings.Cut(line, ":")
-	if !ok || key == "" || strings.ContainsAny(key, " \t") {
-		return fmt.Errorf("%w: %q", ErrBadHeader, line)
-	}
-	// Add, not Set: repeated field lines combine into a comma list so a
-	// duplicated header can never silently last-win. Only OWS is trimmed;
-	// stray control bytes stay in the value and fail later validation.
-	h.Add(key, trimOWS(val))
-	return nil
 }
 
 // isToken reports whether s is a valid HTTP token (method name).

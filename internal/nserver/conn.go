@@ -35,7 +35,11 @@ const readChunkSize = 32 << 10
 
 // maxInboxChunks bounds the inbox: readLoop leases no further chunk while
 // this many wait undrained, so a peer pipelining behind a slow Handle
-// waits in its socket buffers instead of in leased memory.
+// waits in its socket buffers instead of in leased memory. A read behind
+// undrained chunks fills the newest one before it takes a chunk of its
+// own (see pushInbox), so the bound holds in bytes too: at most
+// maxInboxChunks × readChunkSize are read ahead, however small the
+// peer's writes.
 const maxInboxChunks = 4
 
 // Conn is the Communicator Component of the generated framework: the
@@ -103,6 +107,11 @@ type Conn struct {
 	inSpace sync.Cond
 	inbox   []*bufpool.Buffer
 	inHead  int
+
+	// pass is the fast decode pass's clock word (see Now): passNone
+	// outside a pass, passOpen in a pass (see decodeLoop) whose clock is
+	// not read yet, and the reading, in unix nanoseconds, once it is.
+	pass atomic.Int64
 
 	// Write side (see send in writeq.go): writeMu serializes every reply's
 	// flush. outq holds, in wire order, replies not yet on the wire: the
@@ -219,6 +228,33 @@ func (c *Conn) nextRequestID() uint64 { return c.reqs.Add(1) }
 // paths. The hook must call it exactly once per request it consumes, and
 // never for a request it declines (the queued path stamps those itself).
 func (c *Conn) BeginRequest() uint64 { return c.nextRequestID() }
+
+// The pass clock word's states beside a reading (see Conn.pass).
+const (
+	passNone = 0
+	passOpen = 1
+)
+
+// Now returns the current time for a hook the connection's drain runs
+// (Decode, Handle, FastPath). Within a fast decode pass, where the drain
+// offers each decoded request to the FastPath hook, every call returns
+// the pass's one clock reading, taken by the first call: the pipelined
+// window a pass serves in microseconds shares it instead of reading the
+// clock per request. Outside a pass each call reads the clock. Any
+// goroutine may call it; one the drain does not run may get the reading
+// of a pass in progress.
+func (c *Conn) Now() time.Time {
+	switch v := c.pass.Load(); v {
+	case passNone:
+		return time.Now()
+	case passOpen:
+		now := time.Now()
+		c.pass.CompareAndSwap(passOpen, now.UnixNano())
+		return now
+	default:
+		return time.Unix(0, v)
+	}
+}
 
 // touch stamps the connection's activity for the O7 idle bound; with O7
 // off it reads no clock.
@@ -464,14 +500,30 @@ func (c *Conn) idleShutdown(cause error) {
 	c.teardown(cause)
 }
 
-// pushInbox queues one chunk read by readLoop and reports whether it was
-// queued; on a finalized connection the chunk is released instead.
+// pushInbox queues one chunk read by readLoop and reports whether it
+// took a place of its own in the inbox, which then needs a wakeup. Bytes
+// read while undrained chunks wait go first onto the spare capacity of
+// the newest one, which no drain reads before popping it; only what does
+// not fit is queued, moved to the front of its own lease. A reader that
+// drains inline never queues behind a chunk, so it never copies. On a
+// finalized connection the chunk is released instead.
 func (c *Conn) pushInbox(lease *bufpool.Buffer) bool {
 	c.inMu.Lock()
 	defer c.inMu.Unlock()
 	if c.closeState() == lifeFinalized {
 		lease.Release()
 		return false
+	}
+	if last := len(c.inbox) - 1; last >= c.inHead {
+		tail, data := c.inbox[last], lease.Bytes()
+		held := len(tail.Bytes())
+		tail.SetLen(held + len(data))
+		k := copy(tail.Bytes()[held:], data)
+		if k == len(data) {
+			lease.Release()
+			return false
+		}
+		lease.SetLen(copy(data, data[k:]))
 	}
 	c.inbox = append(c.inbox, lease)
 	return true
@@ -646,7 +698,8 @@ func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
 // decodeLoop extracts and dispatches buffered requests until the buffer
 // empties or ends in a partial request. Each request goes to fast first
 // when it is set; the first one it declines punts (see punt), and
-// the report is true.
+// the report is true. A loop with fast set is a fast decode pass: its
+// hooks share one clock reading (see Now), until it ends or punts.
 //
 // A fast-served request with more bytes buffered behind it opens a
 // window: the loop reserves the connection's next reply position (see
@@ -658,6 +711,9 @@ func (c *Conn) decodeChunk(chunk []byte, fast fastHook) (punted bool) {
 // the pass.
 func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
 	var window Slot
+	if fast != nil {
+		c.pass.Store(passOpen)
+	}
 	for {
 		decStart := c.sh.profile.StageStart()
 		req, n, err := c.decodeSafe()
@@ -672,6 +728,7 @@ func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
 				}
 				if !fast(c, req) {
 					window.fillEmpty()
+					c.pass.Store(passNone)
 					return c.punt(req)
 				}
 			}
@@ -679,6 +736,7 @@ func (c *Conn) decodeLoop(fast fastHook) (punted bool) {
 		end := err != nil || n == 0 || len(c.inbuf) == 0
 		if end {
 			window.fillEmpty()
+			c.pass.Store(passNone)
 		}
 		if err != nil {
 			c.srv.trace.Record("communicator", "decode error on %d: %v", c.handle, err)

@@ -68,6 +68,69 @@ func TestInboxBoundsReadAhead(t *testing.T) {
 	}
 }
 
+// TestInboxBoundIsInBytes sends 200 lines of 384 bytes, one write each
+// 1 ms apart, behind a Handle that blocks on the first line. The 76,800
+// bytes fit the inbox's bound of maxInboxChunks × readChunkSize, so the
+// reader must take all of them off the socket while Handle is blocked —
+// reads that queue behind an undrained chunk fill it rather than each
+// taking one of the inbox's places — and once Handle returns every reply
+// must arrive, in order.
+func TestInboxBoundIsInBytes(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var first sync.Once
+	app := AppFuncs{Request: func(c *Conn, req any) {
+		first.Do(func() {
+			close(entered)
+			<-release
+		})
+		_ = c.Reply(req.(string))
+	}}
+	o := testOptions()
+	o.Profiling = true
+	s, addr := startServer(t, Config{Options: o, App: app, Codec: lineCodec{}})
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) })
+
+	const writes, size = 200, 384
+	line := func(i int) string { return fmt.Sprintf("%0*d", size-1, i) }
+	if writes*size > maxInboxChunks*readChunkSize {
+		t.Fatal("the stream must fit the inbox's byte bound")
+	}
+	nc := dial(t, addr)
+	go func() {
+		for i := 0; i < writes; i++ {
+			if _, err := nc.Write([]byte(line(i) + "\n")); err != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	<-entered
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		got := s.Profile().Snapshot().BytesRead
+		if got == writes*size {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("read %d of %d bytes behind a blocked Handle", got, writes*size)
+		}
+	}
+	unblock.Do(func() { close(release) })
+
+	_ = nc.SetReadDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(nc)
+	for i := 0; i < writes; i++ {
+		got, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if want := line(i) + "\n"; got != want {
+			t.Fatalf("reply %d = %.20q..., want %.20q...", i, got, want)
+		}
+	}
+}
+
 // TestTeardownReleasesQueuedChunks tears down a goroutine-path connection
 // while its inbox holds a full backlog — the drain owner is stuck in a
 // slow Handle and the reader waits for inbox space — and checks the

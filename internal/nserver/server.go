@@ -674,7 +674,10 @@ func (s *Server) Shutdown() {
 
 // Attach puts an already-connected transport on the next shard as a
 // Conn with its own hooks and no codec (Fig. 2's O3 = No pipeline): Handle
-// receives each chunk read, and Reply and Send take raw bytes. An
+// receives the bytes read a chunk at a time, and Reply and Send take raw
+// bytes. A read that arrives while an earlier chunk still waits for
+// Handle joins that chunk, so Handle may receive two or more reads as
+// one chunk: chunk boundaries are not the peer's write boundaries. An
 // application that dials or accepts a socket itself (COPS-FTP's data
 // connections) thereby gets the read and write paths, deadlines,
 // metrics and Shutdown of an accepted connection. The connection counts

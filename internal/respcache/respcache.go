@@ -10,11 +10,14 @@
 // reintroduce the work the cache exists to avoid, and patching the
 // stored bytes in place would race with an in-flight writev reading
 // them. Each entry therefore keeps its current head behind an atomic
-// pointer: on the first hit of a new wall-clock second the head is
-// copied once, the 29 RFC 1123 date bytes are overwritten at the fixed
-// offset recorded when the entry was stored (the same fixed-position
-// trick AppendResponseHead uses for Content-Length), and the pointer is
-// swapped. Every later hit in that second shares the image untouched.
+// pointer: on the first hit whose clock reading falls in a new second
+// the head is copied once, the 29 RFC 1123 date bytes are overwritten at
+// the fixed offset recorded when the entry was stored (the same
+// fixed-position trick AppendResponseHead uses for Content-Length), and
+// the pointer is swapped. Every later hit in that second shares the
+// image untouched. The reading is the caller's (Probe takes it), so the
+// Date is current for the caller's clock reading, and a server that
+// serves a pipelined window in one pass reads the clock once for it.
 //
 // Entries are invalidated in lockstep with the file cache (its OnRemove
 // hook calls Invalidate) and carry the (modTime, size) observed when
@@ -84,7 +87,9 @@ type entry struct {
 // body; both are nil once the entry is removed. The same-second path is a
 // pointer load; rollover copies the head once and patches the date bytes
 // at the fixed offset. The swap is a compare-and-swap, so a rollover never
-// revives a removed entry.
+// revives a removed entry. An image already rendered for a later second
+// is served as it is: a caller whose clock reading lags another's (a
+// reading shared by a pipelined window) never rolls the Date back.
 func (e *entry) rendered(now time.Time) (head, body []byte) {
 	sec := now.Unix()
 	for {
@@ -92,7 +97,7 @@ func (e *entry) rendered(now time.Time) (head, body []byte) {
 		if img == nil {
 			return nil, nil
 		}
-		if img.sec == sec {
+		if img.sec >= sec {
 			return img.head, img.body
 		}
 		head := append([]byte(nil), img.head...)
@@ -191,17 +196,15 @@ type Ref struct {
 	e   *entry
 }
 
-// Probe looks key up and tells a fresh entry from a stale or missing one.
-// When ref names a live entry for key, the lookup is that entry;
-// otherwise it is one shard-lock trip, whose result ref remembers. Only
-// a Hit returns the pre-encoded head and body; the slices are shared and
-// must not be modified, and the head's Date field is current for the
-// calling second.
-func (c *Cache) Probe(key string, ref *Ref) (head, body []byte, st State) {
-	return c.probeAt(key, ref, time.Now())
-}
-
-func (c *Cache) probeAt(key string, ref *Ref, now time.Time) (head, body []byte, st State) {
+// Probe looks key up at time now and tells a fresh entry from a stale or
+// missing one. When ref names a live entry for key, the lookup is that
+// entry; otherwise it is one shard-lock trip, whose result ref remembers.
+// Only a Hit returns the pre-encoded head and body; the slices are shared
+// and must not be modified, and the head's Date field is current for the
+// caller's clock reading now (or a later second another caller already
+// rendered). The caller reads the clock, so a batch of probes served
+// together can share one reading.
+func (c *Cache) Probe(key string, ref *Ref, now time.Time) (head, body []byte, st State) {
 	var e *entry
 	if ref.key == key && ref.e != nil && ref.e.cur.Load() != nil {
 		e = ref.e

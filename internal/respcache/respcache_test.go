@@ -31,7 +31,7 @@ func TestStoreLookupRoundTrip(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/index.html", renderHead(body, mt), body, mt, int64(len(body)), now)
 
-	head, got, st := c.probeAt("/index.html", new(Ref), now)
+	head, got, st := c.Probe("/index.html", new(Ref), now)
 	if st != Hit {
 		t.Fatal("fresh entry did not hit")
 	}
@@ -60,7 +60,7 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	t0 := time.Date(2026, 8, 8, 9, 30, 15, 100e6, time.UTC)
 	c.storeAt("/doc", renderHead(body, mt), body, mt, int64(len(body)), t0)
 
-	headAtT0, _, st := c.probeAt("/doc", new(Ref), t0)
+	headAtT0, _, st := c.Probe("/doc", new(Ref), t0)
 	if st != Hit {
 		t.Fatal("miss at T")
 	}
@@ -70,7 +70,7 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	}
 
 	t1 := t0.Add(time.Second) // crosses the wall-clock second boundary
-	headAtT1, _, st := c.probeAt("/doc", new(Ref), t1)
+	headAtT1, _, st := c.Probe("/doc", new(Ref), t1)
 	if st != Hit {
 		t.Fatal("miss at T+1")
 	}
@@ -88,9 +88,34 @@ func TestDateCrossesSecondBoundary(t *testing.T) {
 	}
 
 	// Within one second the image is shared, not re-copied.
-	again, _, _ := c.probeAt("/doc", new(Ref), t1.Add(200*time.Millisecond))
+	again, _, _ := c.Probe("/doc", new(Ref), t1.Add(200*time.Millisecond))
 	if &again[0] != &headAtT1[0] {
 		t.Fatal("same-second lookups did not share one head image")
+	}
+}
+
+// TestProbeNeverRollsDateBack probes at second T+1 and then with a
+// reading still in second T, as a window sharing an older clock reading
+// does after another connection rolled the entry over: the newer image
+// is served, never re-rendered for the earlier second.
+func TestProbeNeverRollsDateBack(t *testing.T) {
+	c := New(1, time.Hour)
+	body := []byte("payload")
+	mt := time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
+	t0 := time.Date(2026, 8, 8, 9, 30, 15, 900e6, time.UTC)
+	c.storeAt("/doc", renderHead(body, mt), body, mt, int64(len(body)), t0)
+
+	later, _, st := c.Probe("/doc", new(Ref), t0.Add(200*time.Millisecond))
+	if st != Hit {
+		t.Fatal("miss at T+1")
+	}
+	lagging, _, st := c.Probe("/doc", new(Ref), t0)
+	if st != Hit {
+		t.Fatal("miss at T")
+	}
+	if &lagging[0] != &later[0] {
+		off := bytes.Index(lagging, datePrefix) + len(datePrefix)
+		t.Fatalf("a reading in second T rendered Date %q after T+1 was served", lagging[off:off+dateLen])
 	}
 }
 
@@ -101,10 +126,10 @@ func TestRevalidateWindow(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/a", renderHead(body, mt), body, mt, 1, now)
 
-	if _, _, st := c.probeAt("/a", new(Ref), now.Add(40*time.Millisecond)); st != Hit {
+	if _, _, st := c.Probe("/a", new(Ref), now.Add(40*time.Millisecond)); st != Hit {
 		t.Fatal("entry inside the window missed")
 	}
-	if _, _, st := c.probeAt("/a", new(Ref), now.Add(60*time.Millisecond)); st != Stale {
+	if _, _, st := c.Probe("/a", new(Ref), now.Add(60*time.Millisecond)); st != Stale {
 		t.Fatal("entry outside the window served without revalidation")
 	}
 	if st := c.Stats(); st.Stale != 1 {
@@ -115,7 +140,7 @@ func TestRevalidateWindow(t *testing.T) {
 	if dropped := c.Confirm("/a", mt, 1); dropped {
 		t.Fatal("matching Confirm dropped the entry")
 	}
-	if _, _, st := c.Probe("/a", new(Ref)); st != Hit {
+	if _, _, st := c.Probe("/a", new(Ref), time.Now()); st != Hit {
 		t.Fatal("confirmed entry missed")
 	}
 
@@ -124,7 +149,7 @@ func TestRevalidateWindow(t *testing.T) {
 	if dropped := c.Confirm("/a", mt.Add(time.Second), 1); !dropped {
 		t.Fatal("mismatching Confirm kept the entry")
 	}
-	if _, _, st := c.Probe("/a", new(Ref)); st != Miss {
+	if _, _, st := c.Probe("/a", new(Ref), time.Now()); st != Miss {
 		t.Fatal("dropped entry still served")
 	}
 }
@@ -139,17 +164,17 @@ func TestRevalidateServesConfirmedEntry(t *testing.T) {
 	mt := time.Unix(1_000_000, 0)
 	c.storeAt("/a", renderHead(body, mt), body, mt, 3, time.Now().Add(-time.Second))
 
-	if _, _, st := c.Probe("/missing", new(Ref)); st != Miss {
+	if _, _, st := c.Probe("/missing", new(Ref), time.Now()); st != Miss {
 		t.Fatalf("missing key probed %v, want Miss", st)
 	}
-	if head, _, st := c.Probe("/a", new(Ref)); st != Stale || head != nil {
+	if head, _, st := c.Probe("/a", new(Ref), time.Now()); st != Stale || head != nil {
 		t.Fatalf("entry past the window probed %v (head %q), want Stale and no bytes", st, head)
 	}
 	head, got, dropped := c.Revalidate("/a", mt, 3)
 	if dropped || head == nil || !bytes.Equal(got, body) {
 		t.Fatalf("matching Revalidate: head %q body %q dropped %v", head, got, dropped)
 	}
-	if _, _, st := c.Probe("/a", new(Ref)); st != Hit {
+	if _, _, st := c.Probe("/a", new(Ref), time.Now()); st != Hit {
 		t.Fatalf("revalidated entry probed %v, want Hit (window restarted)", st)
 	}
 	if st := c.Stats(); st.Hits != 2 || st.Revalidated != 1 || st.Stale != 1 || st.Misses != 1 {
@@ -191,7 +216,7 @@ func TestRevalidateConcurrentRevisions(t *testing.T) {
 				case 2:
 					c.Invalidate("/k")
 				}
-				c.Probe("/k", new(Ref))
+				c.Probe("/k", new(Ref), time.Now())
 				if head, got, _ := c.Revalidate("/k", mt, int64(rev)); head != nil && !bytes.Equal(got, body(rev)) {
 					t.Errorf("Revalidate for revision %d returned %q", rev, got)
 					return
@@ -208,7 +233,7 @@ func TestInvalidate(t *testing.T) {
 	mt := time.Unix(1, 0)
 	c.Store("/a", renderHead(body, mt), body, mt, 1)
 	c.Invalidate("/a")
-	if _, _, st := c.Probe("/a", new(Ref)); st != Miss {
+	if _, _, st := c.Probe("/a", new(Ref), time.Now()); st != Miss {
 		t.Fatal("invalidated entry still served")
 	}
 	c.Invalidate("/missing") // no-op, no counter bump
@@ -232,7 +257,7 @@ func TestSameSecondLookupAllocFree(t *testing.T) {
 	now := time.Now()
 	c.storeAt("/hot", renderHead(body, mt), body, mt, int64(len(body)), now)
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, st := c.probeAt("/hot", new(Ref), now); st != Hit {
+		if _, _, st := c.Probe("/hot", new(Ref), now); st != Hit {
 			t.Fatal("hot entry missed")
 		}
 	})
@@ -250,14 +275,14 @@ func TestRefSkipsTheMapWhileAlive(t *testing.T) {
 	mt := time.Unix(1_000_000, 0)
 	c.Store("/hot", renderHead(body, mt), body, mt, 3)
 	var ref Ref
-	if _, _, st := c.Probe("/hot", &ref); st != Hit || ref.e == nil {
+	if _, _, st := c.Probe("/hot", &ref, time.Now()); st != Hit || ref.e == nil {
 		t.Fatalf("first probe: %v, memo %v", st, ref.e)
 	}
 	s := c.shardFor("/hot")
 	s.mu.Lock()
 	done := make(chan State, 1)
 	go func() {
-		_, got, st := c.Probe("/hot", &ref)
+		_, got, st := c.Probe("/hot", &ref, time.Now())
 		if !bytes.Equal(got, body) {
 			st = Miss
 		}
@@ -274,7 +299,7 @@ func TestRefSkipsTheMapWhileAlive(t *testing.T) {
 	s.mu.Unlock()
 	now := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, st := c.probeAt("/hot", &ref, now); st != Hit {
+		if _, _, st := c.Probe("/hot", &ref, now); st != Hit {
 			t.Fatal("memoized entry missed")
 		}
 	})
@@ -306,7 +331,7 @@ func TestRefAfterRemoval(t *testing.T) {
 			c := New(1, time.Hour)
 			c.Store("/a", renderHead(old, mt), old, mt, int64(len(old)))
 			var ref Ref
-			if _, got, st := c.Probe("/a", &ref); st != Hit || !bytes.Equal(got, old) {
+			if _, got, st := c.Probe("/a", &ref, time.Now()); st != Hit || !bytes.Equal(got, old) {
 				t.Fatalf("first probe: %v %q", st, got)
 			}
 			memo := ref.e
@@ -314,7 +339,7 @@ func TestRefAfterRemoval(t *testing.T) {
 			if img := memo.cur.Load(); img != nil {
 				t.Fatalf("removed entry still holds head %q and body %q", img.head, img.body)
 			}
-			_, got, st := c.Probe("/a", &ref)
+			_, got, st := c.Probe("/a", &ref, time.Now())
 			if st != tc.want {
 				t.Fatalf("probe through the stale Ref: %v, want %v", st, tc.want)
 			}
@@ -339,7 +364,7 @@ func TestRolloverNeverRevivesRemoved(t *testing.T) {
 		c := New(1, time.Hour)
 		c.storeAt("/a", renderHead(body, mt), body, mt, 1, t0)
 		var ref Ref
-		c.probeAt("/a", &ref, t0)
+		c.Probe("/a", &ref, t0)
 		memo := ref.e
 		var wg sync.WaitGroup
 		started := make(chan struct{})
