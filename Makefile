@@ -24,23 +24,40 @@ vet:
 	unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || exit 1; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
+# $(call listed,PACKAGE,PATTERN) checks with `go test -list` that every
+# `|` alternative of PATTERN names at least one test, example, fuzz
+# target or benchmark in PACKAGE, and fails otherwise: a renamed or
+# deleted one would make the line that runs PATTERN a silent no-op.
+define listed
+	@listed=$$($(GO) test -list '.' $(1)) || exit 1; \
+	for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$listed" | grep -E '^(Test|Example|Fuzz|Benchmark)' | grep -qE -- "$$alt" || \
+			{ echo "make test: $$alt names nothing in $(1)"; exit 1; }; \
+	done
+endef
+
 # $(call repeat,COUNT,PACKAGE,PATTERN[,FLAGS]) runs the tests PATTERN
 # selects in PACKAGE COUNT times, with the extra go test FLAGS (-race, say)
-# when given. It first checks with `go test -list` that every `|`
-# alternative of PATTERN names at least one test there, and fails
-# otherwise: a renamed or deleted test would make the line a silent
-# "no tests to run".
+# when given, once `listed` has found every alternative of PATTERN.
 define repeat
-	@listed=$$($(GO) test -list '.' $(2)) || exit 1; \
-	for alt in $$(echo '$(3)' | tr '|' ' '); do \
-		echo "$$listed" | grep -E '^(Test|Example|Fuzz)' | grep -qE -- "$$alt" || \
-			{ echo "make test: -run alternative $$alt names no test in $(2)"; exit 1; }; \
-	done
+	$(call listed,$(2),$(3))
 	$(GO) test $(4) -count=$(1) -run '$(3)' $(2)
+endef
+
+# $(call bench1x,PACKAGE,PATTERN) runs the benchmarks PATTERN selects in
+# PACKAGE, with their sub-benchmarks, once each (-benchtime=1x), once
+# `listed` has found every alternative of PATTERN.
+define bench1x
+	$(call listed,$(1),$(2))
+	$(GO) test -run '^$$' -bench '$(2)' -benchtime=1x $(1)
 endef
 
 test: vet chaos
 	$(GO) test ./...
+	# The layer micro-rows the ROADMAP budget cites (decode, encode, cache
+	# get) run once each, so a cited row cannot rot unnoticed.
+	$(call bench1x,./internal/httpproto,BenchmarkParseRequest|BenchmarkEncodeResponse)
+	$(call bench1x,./internal/cache,BenchmarkCacheGetHit)
 	# Chunk order on the default read path: a reorder between two event
 	# workers is a timing flake, so one run can miss it.
 	$(call repeat,50,./internal/nserver,TestLargeRequestAcrossManyChunks|TestPipelinedBurstKeepsChunkOrder)

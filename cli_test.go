@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 var (
@@ -134,7 +136,7 @@ func TestCLIServeAndLoad(t *testing.T) {
 	}
 
 	srv := exec.Command(filepath.Join(bins, "copshttp"),
-		"-addr", "127.0.0.1:0", "-root", root, "-profile")
+		"-addr", "127.0.0.1:0", "-root", root, "-profile", "-metrics-addr", "127.0.0.1:0")
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +148,9 @@ func TestCLIServeAndLoad(t *testing.T) {
 		srv.Process.Signal(os.Interrupt)
 		srv.Wait()
 	}()
-	// The server prints "COPS-HTTP serving <root> on <addr> ...".
-	addrCh := make(chan string, 1)
+	// The server prints "COPS-HTTP serving <root> on <addr> ...", then
+	// "metrics on http://<addr>/metrics".
+	addrCh, metricsCh := make(chan string, 1), make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
@@ -156,8 +159,11 @@ func TestCLIServeAndLoad(t *testing.T) {
 				fields := strings.Fields(line[i+4:])
 				if len(fields) > 0 {
 					addrCh <- fields[0]
-					return
 				}
+			}
+			if a, ok := metricsAddr(line); ok {
+				metricsCh <- a
+				return
 			}
 		}
 	}()
@@ -167,6 +173,7 @@ func TestCLIServeAndLoad(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("copshttp never reported its address")
 	}
+	maddr := awaitMetricsAddr(t, metricsCh)
 
 	// Is it really serving?
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
@@ -189,6 +196,49 @@ func TestCLIServeAndLoad(t *testing.T) {
 	if strings.Contains(out, "responses=0\n") {
 		t.Errorf("loadgen served nothing:\n%s", out)
 	}
+	checkNoBadSteps(t, maddr, "nserver_requests_total")
+}
+
+// awaitMetricsAddr waits for the metrics address a server printed.
+func awaitMetricsAddr(t *testing.T, ch <-chan string) string {
+	t.Helper()
+	select {
+	case a := <-ch:
+		return a
+	case <-time.After(15 * time.Second):
+		t.Fatal("server never reported its metrics address")
+		return ""
+	}
+}
+
+// metricsAddr returns the address in a server's "metrics on
+// http://<addr>/metrics" line.
+func metricsAddr(line string) (string, bool) {
+	rest, ok := strings.CutPrefix(line, "metrics on http://")
+	if !ok {
+		return "", false
+	}
+	addr, _, ok := strings.Cut(rest, "/")
+	return addr, ok
+}
+
+// checkNoBadSteps scrapes a live server's /metrics after it served
+// traffic (the served counter must be positive) and requires the
+// lifecycle bad-step counter to be exported and to read 0.
+func checkNoBadSteps(t *testing.T, maddr, served string) {
+	t.Helper()
+	raw, err := httpGet(t, maddr, "/metrics", 5*time.Second)
+	if err != nil {
+		t.Fatalf("scrape %s: %v", maddr, err)
+	}
+	_, body, _ := strings.Cut(string(raw), "\r\n\r\n")
+	counters := metrics.ParseCounters(body)
+	if counters[served] <= 0 {
+		t.Errorf("%s = %v after served traffic", served, counters[served])
+	}
+	if bad, ok := counters["nserver_lifecycle_bad_steps_total"]; !ok || bad != 0 {
+		t.Errorf("nserver_lifecycle_bad_steps_total = %v (exported %v), want 0", bad, ok)
+	}
 }
 
 func TestCLICopsftpSmoke(t *testing.T) {
@@ -197,7 +247,8 @@ func TestCLICopsftpSmoke(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "f.txt"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := exec.Command(filepath.Join(bins, "copsftp"), "-addr", "127.0.0.1:0", "-root", root)
+	srv := exec.Command(filepath.Join(bins, "copsftp"), "-addr", "127.0.0.1:0", "-root", root,
+		"-profile", "-metrics-addr", "127.0.0.1:0")
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -209,16 +260,19 @@ func TestCLICopsftpSmoke(t *testing.T) {
 		srv.Process.Signal(os.Interrupt)
 		srv.Wait()
 	}()
-	addrCh := make(chan string, 1)
+	addrCh, metricsCh := make(chan string, 1), make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
+			if a, ok := metricsAddr(line); ok {
+				metricsCh <- a
+				return
+			}
 			if i := strings.Index(line, " on "); i >= 0 {
 				fields := strings.Fields(line[i+4:])
 				if len(fields) > 0 {
 					addrCh <- fields[0]
-					return
 				}
 			}
 		}
@@ -229,6 +283,7 @@ func TestCLICopsftpSmoke(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("copsftp never reported its address")
 	}
+	maddr := awaitMetricsAddr(t, metricsCh)
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +298,7 @@ func TestCLICopsftpSmoke(t *testing.T) {
 	if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "221") {
 		t.Fatalf("quit: %q %v", line, err)
 	}
+	checkNoBadSteps(t, maddr, "nserver_connections_accepted_total")
 }
 
 func TestCLIScaffoldBuildsAndRuns(t *testing.T) {

@@ -89,10 +89,11 @@ func main() {
 
 	if *mAddr != "" {
 		mcfg := metrics.Config{
-			Profile:      srv.Framework().Profile(),
-			Cache:        srv.Framework().Cache(),
-			Deferred:     srv.Framework().Deferred,
-			ParkedWrites: srv.Framework().ParkedWrites,
+			Profile:           srv.Framework().Profile(),
+			Cache:             srv.Framework().Cache(),
+			Deferred:          srv.Framework().Deferred,
+			ParkedWrites:      srv.Framework().ParkedWrites,
+			LifecycleBadSteps: srv.Framework().LifecycleBadSteps,
 		}
 		if l := srv.Framework().Admission(); l != nil {
 			mcfg.Admission = l.Snapshot

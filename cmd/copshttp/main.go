@@ -132,11 +132,12 @@ func main() {
 
 	if *metricsAddr != "" {
 		mcfg := metrics.Config{
-			Profile:      srv.Framework().Profile(),
-			Cache:        srv.Framework().Cache(),
-			Deferred:     srv.Framework().Deferred,
-			Shed:         srv.Shed,
-			ParkedWrites: srv.Framework().ParkedWrites,
+			Profile:           srv.Framework().Profile(),
+			Cache:             srv.Framework().Cache(),
+			Deferred:          srv.Framework().Deferred,
+			Shed:              srv.Shed,
+			ParkedWrites:      srv.Framework().ParkedWrites,
+			LifecycleBadSteps: srv.Framework().LifecycleBadSteps,
 		}
 		if rc := srv.RespCache(); rc != nil {
 			mcfg.RespCache = rc.Stats

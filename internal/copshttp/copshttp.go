@@ -347,7 +347,7 @@ func (s *Server) FastServe(c *nserver.Conn, req any) bool {
 	if !ok || r.Refuse != 0 || r.Method != "GET" || r.Proto != "HTTP/1.1" || !r.KeepAlive() {
 		return false
 	}
-	if r.Headers.Get("Range") != "" || r.Headers.Get("If-Modified-Since") != "" {
+	if r.Headers.Value(httpproto.FieldRange) != "" || r.Headers.Value(httpproto.FieldIfModifiedSince) != "" {
 		return false
 	}
 	// Path resolution allocates (filepath.Join) and a cold probe locks a
@@ -501,7 +501,7 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 	// If-Modified-Since wins over Range: a 304 carries no representation,
 	// so there is nothing for the range to select from (RFC 9110 §13.2.2
 	// evaluation order).
-	if httpproto.NotModifiedSince(r.Headers.Get("If-Modified-Since"), st.modTime) {
+	if httpproto.NotModifiedSince(r.Headers.Value(httpproto.FieldIfModifiedSince), st.modTime) {
 		resp := httpproto.AcquireResponse()
 		resp.Status = 304
 		resp.Headers.Set("Last-Modified", httpproto.FormatHTTPDateCached(st.modTime))
@@ -510,7 +510,7 @@ func (s *Server) statDone(tok events.Token, info os.FileInfo, err error) {
 		httpproto.ReleaseResponse(resp)
 		return
 	}
-	if raw := r.Headers.Get("Range"); raw != "" {
+	if raw := r.Headers.Value(httpproto.FieldRange); raw != "" {
 		rng, rerr := httpproto.ParseRange(raw, st.size)
 		switch {
 		case rerr == nil:

@@ -226,7 +226,23 @@ func parseRequestLineOracle(line string) (*Request, error) {
 	}, nil
 }
 
-// requestString renders every field of a parse result for comparison.
+// isToken reports whether s is a valid HTTP token (method name): the
+// RFC 9110 tchar set spelled out byte by byte, the reference the parser's
+// byte classes are checked against.
+func isToken(s string) bool {
+	for _, c := range []byte(s) {
+		switch {
+		case 'A' <= c && c <= 'Z', 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// requestString renders every field of a parse result, its keep-alive
+// answer and each tracked field read by its bit, for comparison.
 func requestString(req *Request, n int, err error) string {
 	if err != nil {
 		return fmt.Sprintf("n=%d err=%v", n, err)
@@ -238,6 +254,21 @@ func requestString(req *Request, n int, err error) string {
 	fmt.Fprintf(&b, "n=%d %q %q %q %q %q refuse=%d body=%q", n,
 		req.Method, req.Target, req.Path, req.Query, req.Proto, req.Refuse, req.Body)
 	req.Headers.Each(func(k, v string) { fmt.Fprintf(&b, " %q=%q", k, v) })
+	fmt.Fprintf(&b, " keepalive=%v", req.KeepAlive())
+	for i, key := range trackedKeys {
+		fmt.Fprintf(&b, " %s:%q", key, req.Headers.Value(1<<i))
+	}
+	return b.String()
+}
+
+// manyFieldsRequest is a GET whose head carries n distinct header fields.
+func manyFieldsRequest(n int) string {
+	var b strings.Builder
+	b.WriteString("GET / HTTP/1.1\r\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "X-Field-%d: %d\r\n", i, i)
+	}
+	b.WriteString("\r\n")
 	return b.String()
 }
 
@@ -270,6 +301,40 @@ func FuzzParseRequestMatchesOracle(f *testing.F) {
 		"G@T / HTTP/1.1 x\r\n\r\n",
 		"GET /hot/6b8b4567.html HTTP/1.1\r\nHost: nsbench\r\n\r\n",
 		"GET /a HTTP/1.1\r\nConnection: close\r\n\r\nGET /a HTTP/1.1\r\nRange: bytes=0-4\r\n\r\n",
+		// Bytes a class table could misfile: >= 0x80, NUL and DEL in the
+		// method, a header name and the target.
+		"G\x80T / HTTP/1.1\r\n\r\n",
+		"GE\x00 / HTTP/1.1\r\n\r\n",
+		"GET\x7f / HTTP/1.1\r\n\r\n",
+		"GET / HTTP/1.1\r\nX\xffY: 1\r\n\r\n",
+		"GET / HTTP/1.1\r\nX\x00: 1\r\n\r\n",
+		"GET / HTTP/1.1\r\n\x7f: 1\r\n\r\n",
+		"GET /\x80\xff HTTP/1.1\r\n\r\n",
+		"GET /a\x00b HTTP/1.1\r\n\r\n",
+		"GET /\x7f?\x80 HTTP/1.1\r\n\r\n",
+		// A bare CR inside a value and in a name, and an obs-fold line.
+		"GET / HTTP/1.1\r\nA: x\ry\r\n\r\n",
+		"GET / HTTP/1.1\r\nA\rB: x\r\n\r\n",
+		"GET / HTTP/1.1\r\nA: x\r\n y\r\n\r\n",
+		// Targets the walk must hand to decodePath or CleanPath.
+		"GET /a% HTTP/1.1\r\n\r\n",
+		"GET /a%2 HTTP/1.1\r\n\r\n",
+		"GET /%2e%2e HTTP/1.1\r\n\r\n",
+		"GET //a//b HTTP/1.1\r\n\r\n",
+		"GET /a/./b HTTP/1.1\r\n\r\n",
+		"GET /a/.. HTTP/1.1\r\n\r\n",
+		"GET /a/.b/..c/ HTTP/1.1\r\n\r\n",
+		"GET /a/?x=/../ HTTP/1.1\r\n\r\n",
+		// Tracked names in odd case, and a connection option list with
+		// odd case and spacing.
+		"POST /a HTTP/1.1\r\ncontent-LENGTH: 2\r\n\r\nab",
+		"GET / HTTP/1.1\r\nRANGE: bytes=0-1\r\nif-MODIFIED-since: x\r\n\r\n",
+		"GET / HTTP/1.1\r\nContent\rLength: 2\r\n\r\nab",
+		"GET / HTTP/1.0\r\nConnection: Close , keep-alive\r\n\r\n",
+		"GET / HTTP/1.1\r\nConnection: Close , keep-alive\r\n\r\n",
+		// A 5th field spills the inline fields, and a 33-line head.
+		"GET / HTTP/1.1\r\nA: 1\r\nB: 2\r\nC: 3\r\nD: 4\r\nE: 5\r\n\r\n",
+		manyFieldsRequest(33),
 	} {
 		f.Add([]byte(seed))
 	}
@@ -371,12 +436,13 @@ func (h *mapHeader) Reset() {
 
 // FuzzHeaderMatchesMap runs one random sequence of Set, Add, Get, Has,
 // Len, Each and Reset calls on a Header and on mapHeader: every call must
-// return the same on both, and Each must visit the same fields in the
-// same order. Each input byte pair is one call: the operation, then the
-// key and value. The keys repeat under different spellings so that
-// replacing, joining and canonical lookups all happen, and every field
-// the Header's mask tracks comes in two of them, so each answer the mask
-// gives without a scan is checked too.
+// return the same on both (a Get of a tracked key also asks Value), and
+// Each must visit the same fields in the same order. Each input byte pair
+// is one call: the operation, then the key and value. The keys repeat
+// under different spellings so that replacing, joining and canonical
+// lookups all happen, and every field the Header's mask tracks comes in
+// two of them, so each answer the mask gives without a scan is checked
+// too.
 func FuzzHeaderMatchesMap(f *testing.F) {
 	keys := []string{
 		"Host", "host", "HOST", "Content-Length", "content-length", "CONTENT-length",
@@ -411,6 +477,11 @@ func FuzzHeaderMatchesMap(f *testing.F) {
 			case 2:
 				if g, w := got.Get(key), want.Get(key); g != w {
 					t.Fatalf("call %d: Get(%q) = %q, map %q", i/2, key, g, w)
+				}
+				if f := trackedField(key); f != 0 {
+					if g, w := got.Value(f), want.Get(key); g != w {
+						t.Fatalf("call %d: Value(%q) = %q, map %q", i/2, key, g, w)
+					}
 				}
 			case 3:
 				if g, w := got.Has(key), want.Has(key); g != w {

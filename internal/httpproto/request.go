@@ -8,9 +8,10 @@
 package httpproto
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 )
@@ -75,7 +76,7 @@ func (r *Request) KeepAlive() bool {
 	if r.Refuse != 0 {
 		return false
 	}
-	conn := r.Headers.Get("Connection")
+	conn := r.Headers.Value(FieldConnection)
 	if r.Proto == "HTTP/1.1" {
 		return !hasConnOption(conn, "close")
 	}
@@ -104,181 +105,54 @@ func hasConnOption(list, opt string) bool {
 // control bytes are not OWS and must survive to fail validation).
 func trimOWS(s string) string {
 	i, j := 0, len(s)
-	for i < j && (s[i] == ' ' || s[i] == '\t') {
+	for i < j && byteClass[s[i]]&cOWS != 0 {
 		i++
 	}
-	for j > i && (s[j-1] == ' ' || s[j-1] == '\t') {
+	for j > i && byteClass[s[j-1]]&cOWS != 0 {
 		j--
 	}
 	return s[i:j]
 }
 
-// Header is a case-insensitive list of header fields in insertion order,
-// each stored once under its canonical key. Lookups scan the list: a
-// request carries a handful of fields (ParseRequest admits at most
-// MaxHeaderFields lines) and a response fewer than ten, so a scan beats
-// hashing and the list needs no allocation of its own when it points at a
-// Request's inline storage. The fields the server branches on are also
-// tracked in a bitmask (see trackedBit), kept by Set, Add and Reset, so
-// asking for one that is absent — the answer on almost every request —
-// costs no scan. The zero Header is ready to use.
-type Header struct {
-	fields []field
-	// tracked holds the bit of every tracked field present in fields.
-	tracked uint8
-}
-
-// field is one header field under its canonical key.
-type field struct{ key, val string }
-
-// The tracked fields: those a request or response is asked about on
-// every serve, mostly to find them absent.
+// The byte classes of the head walk. byteClass[c] holds the bit of every
+// class byte c belongs to, so each question the walk asks of a byte is one
+// load and one test. A lone LF is in no class that ends a run: only CRLF
+// ends a line, so a bare LF (or a CR not followed by LF) is an ordinary
+// byte of the line it sits in.
 const (
-	trackConnection uint8 = 1 << iota
-	trackContentLength
-	trackTransferEncoding
-	trackRange
-	trackIfModifiedSince
-	trackDate
-	trackServer
+	cTchar    uint8 = 1 << iota // RFC 9110 tchar: a byte of the method
+	cOWS                        // SP or HTAB
+	cPathStop                   // ends a plain run of the path: '%', '?' or '/'
+	cNameStop                   // ends a header name: ':', SP, HTAB or CR
+	cUpper                      // 'A'-'Z'
+	cLower                      // 'a'-'z'
 )
 
-// trackedBit returns the bit of canonical key ck, or 0 for a field the
-// mask does not track.
-func trackedBit(ck string) uint8 {
-	switch ck {
-	case "Connection":
-		return trackConnection
-	case "Content-Length":
-		return trackContentLength
-	case "Transfer-Encoding":
-		return trackTransferEncoding
-	case "Range":
-		return trackRange
-	case "If-Modified-Since":
-		return trackIfModifiedSince
-	case "Date":
-		return trackDate
-	case "Server":
-		return trackServer
-	}
-	return 0
-}
-
-// lookupKey returns key's canonical form and tracked bit. A tracked key
-// already in canonical form, the way the server spells every key it asks
-// for, skips canonical.
-func lookupKey(key string) (ck string, bit uint8) {
-	if bit = trackedBit(key); bit != 0 {
-		return key, bit
-	}
-	ck = canonical(key)
-	return ck, trackedBit(ck)
-}
-
-// NewHeader returns an empty header; the zero Header is equally ready.
-func NewHeader() Header { return Header{} }
-
-// index returns the position of canonical key ck with tracked bit bit,
-// or -1. A tracked key the mask says is absent costs no scan.
-func (h *Header) index(ck string, bit uint8) int {
-	if bit != 0 && h.tracked&bit == 0 {
-		return -1
-	}
-	for i := range h.fields {
-		if h.fields[i].key == ck {
-			return i
-		}
-	}
-	return -1
-}
-
-// Set stores a header value, replacing any previous value in place.
-func (h *Header) Set(key, value string) {
-	ck, bit := lookupKey(key)
-	if i := h.index(ck, bit); i >= 0 {
-		h.fields[i].val = value
-		return
-	}
-	h.fields = append(h.fields, field{ck, value})
-	h.tracked |= bit
-}
-
-// Add appends a header value: a repeated key extends the stored value as
-// a comma-separated list per the RFC 9110 §5.2 combination rule. The
-// request parser fills headers through Add so duplicate field lines stay
-// visible to later checks — a second Content-Length can then never hide
-// behind a last-write-wins Set (the §8.6 smuggling defense).
-func (h *Header) Add(key, value string) {
-	ck, bit := lookupKey(key)
-	if i := h.index(ck, bit); i >= 0 {
-		h.fields[i].val += ", " + value
-		return
-	}
-	h.fields = append(h.fields, field{ck, value})
-	h.tracked |= bit
-}
-
-// Get returns the value for key ("" when absent).
-func (h *Header) Get(key string) string {
-	if i := h.index(lookupKey(key)); i >= 0 {
-		return h.fields[i].val
-	}
-	return ""
-}
-
-// Has reports whether the header is present.
-func (h *Header) Has(key string) bool { return h.index(lookupKey(key)) >= 0 }
-
-// Len returns the number of distinct header keys.
-func (h *Header) Len() int { return len(h.fields) }
-
-// Each calls f for every header in insertion order.
-func (h *Header) Each(f func(key, value string)) {
-	for _, kv := range h.fields {
-		f(kv.key, kv.val)
-	}
-}
-
-// Reset empties the header for reuse, keeping the field slice's capacity
-// (the Response pool relies on this to make header writes free in steady
-// state).
-func (h *Header) Reset() {
-	clear(h.fields)
-	h.fields = h.fields[:0]
-	h.tracked = 0
-}
-
-// canonical normalizes a header key to Canonical-Dash-Form. Keys that are
-// already canonical — every key the server itself sets — are returned
-// unchanged without allocating.
-func canonical(key string) string {
-	upper := true
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (upper && 'a' <= c && c <= 'z') || (!upper && 'A' <= c && c <= 'Z') {
-			return canonicalize(key)
-		}
-		upper = c == '-'
-	}
-	return key
-}
-
-// canonicalize is the allocating slow path of canonical.
-func canonicalize(key string) string {
-	b := []byte(key)
-	upper := true
-	for i, c := range b {
+// byteClass classifies every byte; lower maps 'A'-'Z' to lower case and
+// every other byte to itself.
+var byteClass, lower = func() (class [256]uint8, lower [256]byte) {
+	for c := 0; c < 256; c++ {
+		lower[c] = byte(c)
 		switch {
-		case upper && 'a' <= c && c <= 'z':
-			b[i] = c - ('a' - 'A')
-		case !upper && 'A' <= c && c <= 'Z':
-			b[i] = c + ('a' - 'A')
+		case 'A' <= c && c <= 'Z':
+			class[c] |= cTchar | cUpper
+			lower[c] = byte(c) + 'a' - 'A'
+		case 'a' <= c && c <= 'z':
+			class[c] |= cTchar | cLower
+		case '0' <= c && c <= '9', strings.IndexByte("!#$%&'*+-.^_`|~", byte(c)) >= 0:
+			class[c] |= cTchar
 		}
-		upper = c == '-'
 	}
-	return string(b)
-}
+	for _, c := range []byte(" \t") {
+		class[c] |= cOWS | cNameStop
+	}
+	for _, c := range []byte("%?/") {
+		class[c] |= cPathStop
+	}
+	class['\r'] |= cNameStop
+	class[':'] |= cNameStop
+	return class, lower
+}()
 
 // requestPool recycles the Requests ParseRequest returns (see
 // ReleaseRequest).
@@ -296,57 +170,31 @@ func ReleaseRequest(r *Request) {
 	requestPool.Put(r)
 }
 
-// lineSpan locates one header field line of a head by its offsets in
-// the head: the colon that ends the key and the CRLF that ends the line.
-// The line starts two bytes past the previous line's end.
-type lineSpan struct{ colon, end int32 }
-
-// inlineSpans is how many header lines ParseRequest locates in stack
-// storage; a head with more lines spills its spans to the heap.
-const inlineSpans = 32
-
 // ParseRequest attempts to parse one complete request from buf. It
 // returns the request and the number of bytes consumed; n == 0 with a nil
 // error means buf does not yet hold a complete request (read more). A
 // non-nil error means the stream is unrecoverable and the connection
 // should close. The request comes from a pool; its owner may hand it back
 // with ReleaseRequest.
+//
+// The head's end, its first CRLFCRLF, is found eight bytes at a time
+// (indexCRLF), within its first MaxHeaderBytes+4 bytes. Then one walk
+// covers the complete head, asking byteClass about each byte it stops at:
+//   - the request line splits at its two spaces; the method must be all
+//     tchar, and the target is walked once (splitTarget) for its '%', '?'
+//     and dot or empty segments, so a plain target is used as is and only
+//     an escaped or unclean one is decoded or cleaned;
+//   - each header line's name, checked for canonical case on the way and
+//     then matched against the tracked fields by its length and
+//     case-folded bytes, and its value, skipped a word at a time to its
+//     CRLF. Each field goes straight into the request's Header.
+//
+// Errors come in the order of the line-by-line reference the fuzz tests
+// hold it to: the request line's, then the first bad or excess header
+// line's, then the body's.
 func ParseRequest(buf []byte) (*Request, int, error) {
-	// One pass walks the head line by line: each CRLF is found as the
-	// walk reaches it, and each header line's key is checked on the way,
-	// up to the empty line that ends the head. A head that fits the limit
-	// ends within its first MaxHeaderBytes+4 bytes, so the walk stops
-	// there. A malformed line is only reported once the head is complete:
-	// until then the request may still be read whole.
-	walk := buf[:min(len(buf), MaxHeaderBytes+4)]
-	var inline [inlineSpans]lineSpan
-	lines := inline[:0]
-	var bad []byte // the first malformed header line
-	tooMany := false
-	reqEnd, headerEnd := -1, -1
-	for start := 0; headerEnd < 0; {
-		end := indexCRLF(walk, start)
-		if end < 0 {
-			break
-		}
-		switch line := walk[start:end]; {
-		case reqEnd < 0:
-			reqEnd = end
-		case len(line) == 0:
-			headerEnd = start - 2
-		case bad != nil || tooMany:
-			// Only the first bad line is reported.
-		case len(lines) == MaxHeaderFields:
-			tooMany = true
-		default:
-			if colon := keyEnd(line); colon >= 0 {
-				lines = append(lines, lineSpan{int32(start + colon), int32(end)})
-			} else {
-				bad = line
-			}
-		}
-		start = end + 2
-	}
+	b := buf[:min(len(buf), MaxHeaderBytes+4)]
+	headerEnd, lineEnd, lines := indexHeadEnd(b)
 	if headerEnd < 0 {
 		if len(buf) > MaxHeaderBytes {
 			return nil, 0, ErrHeaderTooLarge
@@ -355,27 +203,54 @@ func ParseRequest(buf []byte) (*Request, int, error) {
 	}
 	consumed := headerEnd + 4
 
-	// One string copy of the head backs every field, sliced at the
-	// offsets the walk found.
+	// One string copy of the head backs every field. The walk reads w,
+	// the same bytes plus the last line's CRLF, so every line it meets
+	// ends in CRLF, and slices head at the offsets it finds.
 	head := string(buf[:headerEnd])
-	req, err := parseRequestLine(head[:reqEnd])
+	w := buf[:headerEnd+2]
+	p := lineEnd
+	req, err := parseRequestLine(head[:p])
 	if err != nil {
 		return nil, 0, err
 	}
-	if tooMany || bad != nil {
-		ReleaseRequest(req)
-		if tooMany {
+	h := &req.Headers
+	if lines > len(req.inline) {
+		h.fields = make([]field, 0, min(lines, MaxHeaderFields))
+	}
+	// Repeated field lines combine into a comma list, as Header.Add does,
+	// so a duplicated header can never silently last-win. Only OWS is
+	// trimmed; stray control bytes stay in the value and fail later
+	// validation.
+	for n := 0; p+2 < len(w); n++ {
+		p += 2
+		if n == MaxHeaderFields {
+			ReleaseRequest(req)
 			return nil, 0, ErrHeaderTooLarge
 		}
-		return nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, bad)
-	}
-	// Add, not Set: repeated field lines combine into a comma list so a
-	// duplicated header can never silently last-win. Only OWS is trimmed;
-	// stray control bytes stay in the value and fail later validation.
-	start := reqEnd + 2
-	for _, l := range lines {
-		req.Headers.Add(head[start:l.colon], trimOWS(head[l.colon+1:l.end]))
-		start = int(l.end) + 2
+		colon, canon := scanName(w, p)
+		if w[colon] != ':' || colon == p {
+			ReleaseRequest(req)
+			return nil, 0, fmt.Errorf("%w: %q", ErrBadHeader, w[p:indexCRLF(w, colon)])
+		}
+		v := colon + 1
+		for byteClass[w[v]]&cOWS != 0 {
+			v++
+		}
+		end := indexCRLF(w, v)
+		ve := end
+		for ve > v && byteClass[w[ve-1]]&cOWS != 0 {
+			ve--
+		}
+		name := head[p:colon]
+		key, f := name, trackedField(name)
+		switch {
+		case f != 0:
+			key = trackedKeys[bitIndex(f)]
+		case !canon:
+			key = canonicalize(name)
+		}
+		h.add(key, f, head[v:ve])
+		p = end
 	}
 
 	// Transfer-Encoding is not implemented: the head is answerable but
@@ -384,13 +259,13 @@ func ParseRequest(buf []byte) (*Request, int, error) {
 	// never be parsed as the next pipelined request). When Content-Length
 	// is also present this still refuses: honoring the length while a
 	// Transfer-Encoding stands is the classic TE.CL desync.
-	if req.Headers.Has("Transfer-Encoding") {
+	if h.tracked&FieldTransferEncoding != 0 {
 		req.Refuse = 501
 		return req, len(buf), nil
 	}
 
 	// Optional body, announced by Content-Length.
-	if cl := req.Headers.Get("Content-Length"); cl != "" {
+	if cl := h.Value(FieldContentLength); cl != "" {
 		n, ok := parseContentLength(cl)
 		if !ok {
 			ReleaseRequest(req)
@@ -410,39 +285,85 @@ func ParseRequest(buf []byte) (*Request, int, error) {
 	return req, consumed, nil
 }
 
-// indexCRLF returns the offset of the first CRLF in b at or after from,
-// or -1. It looks for each LF and checks the byte before it, so a lone
-// CR or LF stays part of its line.
-func indexCRLF(b []byte, from int) int {
-	for from < len(b) {
-		i := bytes.IndexByte(b[from:], '\n')
-		if i < 0 {
-			return -1
+// indexHeadEnd returns the offset of the first CRLFCRLF in b, the end of
+// a head, the offset of the first CRLF, the end of its request line, and
+// how many CRLFs come between them: the head's header lines. It returns
+// end -1 while b holds no CRLFCRLF.
+func indexHeadEnd(b []byte) (end, lineEnd, lines int) {
+	lineEnd = indexCRLF(b, 0)
+	for i := lineEnd; ; lines++ {
+		if i < 0 || i+3 >= len(b) {
+			return -1, 0, 0
 		}
-		if i += from; i > from && b[i-1] == '\r' {
-			return i - 1
+		if b[i+2] == '\r' && b[i+3] == '\n' {
+			return i, lineEnd, lines
 		}
-		from = i + 1
+		i = indexCRLF(b, i+2)
 	}
-	return -1
 }
 
-// keyEnd returns the offset of the colon that ends a header line's key,
-// or -1 when the line has no colon, its key is empty or the key holds a
-// space or tab.
-func keyEnd(line []byte) int {
-	for i, c := range line {
-		switch c {
-		case ':':
-			if i == 0 {
-				return -1
-			}
-			return i
-		case ' ', '\t':
-			return -1
+// scanName walks a header line's name from s, in a head whose every
+// line ends in CRLF. It returns the offset of the byte that ends it (a
+// colon, SP, HTAB, or the CR of the line's CRLF; a lone CR is a byte of
+// the name) and whether the name is in Canonical-Dash-Form: an
+// upper-case letter first and after each '-', lower-case letters
+// elsewhere.
+func scanName(w []byte, s int) (end int, canon bool) {
+	var miscase uint8 // the class of a letter found where the other belongs
+	wrong := cLower
+	i := s
+	for ; i < len(w); i++ {
+		c := w[i]
+		k := byteClass[c]
+		if k&cNameStop != 0 && (c != '\r' || w[i+1] == '\n') {
+			break
+		}
+		miscase |= k & wrong
+		wrong = cUpper
+		if c == '-' {
+			wrong = cLower
 		}
 	}
-	return -1
+	return i, miscase == 0
+}
+
+// Word-at-a-time constants for indexCRLF: x has a zero byte exactly when
+// (x - lsbs) &^ x & msbs != 0, and the lowest set bit of that mask marks
+// the first one; x = w ^ crs is zero where the word w holds CR.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+	crs  = '\r' * lsbs
+)
+
+// indexCRLF returns the offset of the first CRLF in b at or after i, or
+// -1. It checks the byte after each CR, so a lone CR or LF stays part of
+// its line.
+func indexCRLF(b []byte, i int) int {
+	for {
+		if i = indexCR(b, i); i+1 >= len(b) {
+			return -1
+		}
+		if b[i+1] == '\n' {
+			return i
+		}
+		i++
+	}
+}
+
+// indexCR returns the offset of the first CR in b at or after i, or
+// len(b). It reads eight bytes at a time while eight remain.
+func indexCR(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:]) ^ crs
+		if m := (x - lsbs) &^ x & msbs; m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for i < len(b) && b[i] != '\r' {
+		i++
+	}
+	return i
 }
 
 // parseContentLength validates a Content-Length field value. Duplicate
@@ -523,7 +444,7 @@ func parseRequestLine(line string) (*Request, error) {
 	if !version && strings.IndexByte(proto, ' ') >= 0 {
 		return nil, fmt.Errorf("%w: %q", ErrBadRequestLine, line)
 	}
-	if method == "" || !isToken(method) {
+	if method == "" || !allTchar(method) {
 		return nil, fmt.Errorf("%w: bad method %q", ErrBadRequestLine, method)
 	}
 	if !version {
@@ -532,27 +453,63 @@ func parseRequestLine(line string) (*Request, error) {
 	if target == "" || target[0] != '/' {
 		return nil, fmt.Errorf("%w: target %q", ErrBadRequestLine, target)
 	}
-	rawPath, query := target, ""
-	if q := strings.IndexByte(target, '?'); q >= 0 {
-		rawPath, query = target[:q], target[q+1:]
-	}
-	path, err := decodePath(rawPath)
-	if err != nil {
-		return nil, err
+	path, query, escaped, unclean := splitTarget(target)
+	if escaped {
+		decoded, err := decodePath(path)
+		if err != nil {
+			return nil, err
+		}
+		path = CleanPath(decoded)
+	} else if unclean {
+		path = CleanPath(path)
 	}
 	req := requestPool.Get().(*Request)
-	req.Method, req.Target, req.Path, req.Query, req.Proto = method, target, CleanPath(path), query, proto
+	req.Method, req.Target, req.Path, req.Query, req.Proto = method, target, path, query, proto
 	req.Headers.fields = req.inline[:0]
 	return req, nil
 }
 
-// isToken reports whether s is a valid HTTP token (method name).
-func isToken(s string) bool {
-	for _, c := range []byte(s) {
-		switch {
-		case 'A' <= c && c <= 'Z', 'a' <= c && c <= 'z', '0' <= c && c <= '9':
-		case strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0:
-		default:
+// splitTarget walks a target that starts with '/' once, asking byteClass
+// only about the bytes that end a plain run. It returns the raw path and
+// the query (split at the first '?'), and whether the path holds a '%'
+// escape or a segment isCleanPath refuses, so a plain path, the common
+// case, is neither decoded nor cleaned.
+func splitTarget(target string) (path, query string, escaped, unclean bool) {
+	i, seg := 1, 1 // seg starts the current path segment
+	for {
+		for i < len(target) && byteClass[target[i]]&cPathStop == 0 {
+			i++
+		}
+		var c byte // the stop byte; 0 at the end of the target
+		if i < len(target) {
+			c = target[i]
+		}
+		if c == '%' {
+			escaped = true
+			i++
+			continue
+		}
+		// A dot segment, or an empty one before another slash, is what
+		// isCleanPath refuses; an empty last segment is a trailing slash.
+		if n := i - seg; n == 1 && target[seg] == '.' || n == 2 && target[seg:i] == ".." || n == 0 && c == '/' {
+			unclean = true
+		}
+		if c != '/' {
+			break
+		}
+		i++
+		seg = i
+	}
+	if i < len(target) {
+		return target[:i], target[i+1:], escaped, unclean
+	}
+	return target, "", escaped, unclean
+}
+
+// allTchar reports whether every byte of s is a tchar.
+func allTchar(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if byteClass[s[i]]&cTchar == 0 {
 			return false
 		}
 	}

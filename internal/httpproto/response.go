@@ -81,25 +81,25 @@ func AppendResponseHead(dst []byte, r *Response) []byte {
 	dst = append(dst, ' ')
 	dst = append(dst, StatusText(r.Status)...)
 	dst = append(dst, '\r', '\n')
-	if !r.Headers.Has("Date") {
+	if r.Headers.tracked&FieldDate == 0 {
 		dst = append(dst, "Date: "...)
 		dst = append(dst, HTTPDateNow()...)
 		dst = append(dst, '\r', '\n')
 	}
-	if !r.Headers.Has("Server") {
+	if r.Headers.tracked&FieldServer == 0 {
 		dst = append(dst, "Server: COPS-HTTP/1.0\r\n"...)
 	}
 	// Content-Length always renders here, whether computed from the
 	// in-memory body or preset by a bodiless path (HEAD, streaming), so
 	// a HEAD reply is byte-identical to its GET head.
 	dst = append(dst, "Content-Length: "...)
-	if cl := r.Headers.Get("Content-Length"); cl != "" {
+	if cl := r.Headers.Value(FieldContentLength); cl != "" {
 		dst = append(dst, cl...)
 	} else {
 		dst = strconv.AppendInt(dst, int64(len(r.Body)), 10)
 	}
 	dst = append(dst, '\r', '\n')
-	if r.Close && r.Headers.Get("Connection") == "" {
+	if r.Close && r.Headers.Value(FieldConnection) == "" {
 		dst = append(dst, "Connection: close\r\n"...)
 	}
 	r.Headers.Each(func(k, v string) {

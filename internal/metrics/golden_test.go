@@ -83,8 +83,9 @@ func goldenConfig(t *testing.T) Config {
 		RespCache: func() respcache.Stats {
 			return respcache.Stats{Hits: 9, Misses: 2, Stale: 4, Revalidated: 3, Invalidations: 1, Entries: 5}
 		},
-		CollapsedReads: func() uint64 { return 6 },
-		DiskReads:      func() uint64 { return 13 },
+		CollapsedReads:    func() uint64 { return 6 },
+		DiskReads:         func() uint64 { return 13 },
+		LifecycleBadSteps: func() uint64 { return 0 },
 	}
 }
 

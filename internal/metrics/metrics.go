@@ -72,6 +72,10 @@ type Config struct {
 	// DiskReads reports file reads that actually went to disk
 	// (aio.Service.DiskReads). Nil omits the counter.
 	DiskReads func() uint64
+	// LifecycleBadSteps reports connection lifecycle transitions the
+	// table forbids (nserver.Server.LifecycleBadSteps); it must read 0.
+	// Nil omits the counter.
+	LifecycleBadSteps func() uint64
 }
 
 // Handler returns the HTTP handler serving the metrics endpoint:
@@ -199,6 +203,7 @@ type Payload struct {
 	RespCache *respcache.Stats    `json:"respcache,omitempty"`
 	Collapsed *uint64             `json:"collapsed_reads,omitempty"`
 	DiskReads *uint64             `json:"disk_reads,omitempty"`
+	BadSteps  *uint64             `json:"lifecycle_bad_steps,omitempty"`
 }
 
 // collect gathers every configured source into the JSON document.
@@ -287,6 +292,10 @@ func collect(cfg Config) Payload {
 	if cfg.DiskReads != nil {
 		v := cfg.DiskReads()
 		p.DiskReads = &v
+	}
+	if cfg.LifecycleBadSteps != nil {
+		v := cfg.LifecycleBadSteps()
+		p.BadSteps = &v
 	}
 	if cfg.Cluster != nil {
 		for _, bs := range cfg.Cluster.BackendStates() {
@@ -409,6 +418,9 @@ func RenderPrometheus(cfg Config) string {
 	}
 	if cfg.DiskReads != nil {
 		counter("nserver_file_reads_total", "File reads that went to disk (cache and singleflight misses).", cfg.DiskReads())
+	}
+	if cfg.LifecycleBadSteps != nil {
+		counter("nserver_lifecycle_bad_steps_total", "Connection lifecycle transitions the table forbids; any but 0 is a runtime defect.", cfg.LifecycleBadSteps())
 	}
 	if cfg.ParkedWrites != nil {
 		gauge("nserver_parked_writes", "Connections holding an outbound queue parked on the netpoller, mid-drain by the write pump.", float64(cfg.ParkedWrites()))
